@@ -300,6 +300,7 @@ impl Scenario {
             switch_span_floor: std::collections::HashMap::new(),
             reap_scheduled: vec![false; n],
             reap_idle: vec![0; n],
+            retrans_queued: vec![std::collections::BTreeSet::new(); n],
             dispatch,
         };
 

@@ -29,7 +29,7 @@
 //! ([`Testbed::max_drain_ahead`] records the worst case); the skew does
 //! not affect any reported steady-state number.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use osiris_adc::AdcManager;
 use osiris_atm::sar::{ReassemblyMode, SegmentUnit, Segmenter};
@@ -351,6 +351,9 @@ pub struct Testbed {
     /// Consecutive sweeps per node that neither reclaimed a PDU nor
     /// pushed a descriptor — the re-arm cap's progress signal.
     pub(crate) reap_idle: Vec<u32>,
+    /// Deadlines of the `RetransTick`s queued per node: at most one tick
+    /// is queued per node and deadline (see `arm_retransmit`).
+    pub(crate) retrans_queued: Vec<BTreeSet<SimTime>>,
     /// Per-event-type dispatch counts (`engine.dispatch.*`), bumped once
     /// per handled event — the workload mix the telemetry plane samples.
     pub(crate) dispatch: DispatchCounters,
@@ -488,10 +491,15 @@ impl Testbed {
         }
     }
 
-    /// Schedules a retransmit tick at the stack's earliest RTO expiry.
+    /// Schedules a retransmit tick at the stack's earliest RTO expiry,
+    /// unless one is already queued for that exact time: the earlier
+    /// same-time tick does all the work, so a later one would be a no-op.
     fn arm_retransmit(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
         if let Some(at) = self.nodes[host.0].stack.next_retransmit_at() {
-            q.push(at.max(now), Event::RetransTick { host });
+            let at = at.max(now);
+            if self.retrans_queued[host.0].insert(at) {
+                q.push(at, Event::RetransTick { host });
+            }
         }
     }
 
@@ -500,6 +508,7 @@ impl Testbed {
     /// expiry. Abandoned datagrams (`max_retries`) stop re-arming, which
     /// bounds every run.
     fn retrans_tick(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
+        self.retrans_queued[host.0].remove(&now);
         let node = &mut self.nodes[host.0];
         let pkts = node.stack.poll_retransmit(now);
         if !pkts.is_empty() {
@@ -516,6 +525,15 @@ impl Testbed {
             }
             self.pump_tx(now, host, q);
         }
+        // Same-time ticks that `arm_retransmit` suppressed must have had
+        // nothing to do: no RTO expiry and no pacing release left due.
+        debug_assert!(
+            self.nodes[host.0]
+                .stack
+                .next_retransmit_at()
+                .is_none_or(|t| t > now),
+            "retransmit tick at {now:?} left due work behind"
+        );
         self.arm_retransmit(now, host, q);
     }
 

@@ -17,6 +17,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark package tests"
+# benchmark/ is a workspace of its own, so `cargo test --workspace` above
+# never reaches its unit tests or its smoke test.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> smoke: quickstart example"
 cargo run --release -q --example quickstart
 

@@ -3,9 +3,11 @@
 //! unlocks, and the shape where the paper's free-ring and
 //! interrupt-suppression lessons actually bite.
 
+use osiris::atm::sar::ReassemblyMode;
 use osiris::config::TestbedConfig;
 use osiris::experiments::{cc_point, incast_throughput};
-use osiris::sim::SimTime;
+use osiris::proto::stack::CcScheme;
+use osiris::sim::{FaultPlan, SimDuration, SimTime};
 use osiris::Scenario;
 
 #[test]
@@ -183,5 +185,49 @@ fn lossy_incast_is_deterministic() {
     assert_eq!(
         (a.delivered, a.retransmits, a.sack_retransmits, a.block_acks),
         (b.delivered, b.retransmits, b.sack_retransmits, b.block_acks)
+    );
+}
+
+/// `engine.dispatch.retrans_tick` of a reliable SR+ECN 16-sender incast
+/// through the bounded switch at 1% cell loss, window 4, `messages` per
+/// sender.
+fn retrans_ticks(messages: u64) -> u64 {
+    let mut cfg = cc_cfg();
+    cfg.messages = messages;
+    cfg.window = 4;
+    cfg.reliable = true;
+    cfg.cc = CcScheme::Ecn;
+    cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
+    cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
+    cfg.sim.faults = FaultPlan::uniform_loss(1e-2, 4, cfg.seed);
+    cfg.sim.faults.switch_max_queue_cells = Some(512);
+    cfg.ecn_threshold_cells = Some(128);
+    let out = Scenario::Incast { senders: 16 }.run(cfg);
+    assert!(
+        out.done,
+        "the incast must complete at {messages} per sender"
+    );
+    out.snapshot.counter("engine.dispatch.retrans_tick")
+}
+
+#[test]
+fn retransmit_ticks_grow_linearly_with_run_length() {
+    // Regression: every reliable send, block ack and tick used to push a
+    // new `RetransTick`, and a tick with nothing due still re-armed, so
+    // duplicates lived as long as a window stayed open. Dispatches grew
+    // with the square of the run length: 12x for 4x the messages, 37
+    // ticks per message at 40 per sender. The testbed now queues at most
+    // one tick per host and deadline.
+    let (senders, l) = (16, 10);
+    let short = retrans_ticks(l);
+    let long = retrans_ticks(4 * l);
+    assert!(
+        long <= 5 * short,
+        "4x the messages took {long} ticks against {short}"
+    );
+    assert!(
+        long <= 3 * senders * 4 * l,
+        "{long} ticks for {} messages",
+        senders * 4 * l
     );
 }

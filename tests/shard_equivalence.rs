@@ -11,6 +11,7 @@
 //! reassembly, retransmission, metering — observes no difference.
 
 use osiris::config::TestbedConfig;
+use osiris::proto::stack::CcScheme;
 use osiris::shard::RunOutcome;
 use osiris::Scenario;
 
@@ -145,20 +146,17 @@ fn incast_64_sharded_matches_single_threaded() {
     assert_eq!(reference.goodput_line(), sharded.goodput_line());
 }
 
-#[test]
-fn lossy_windowed_incast_is_byte_identical_across_shard_counts() {
-    // The CC matrix's workload shape, sharded: a reliable selective-
-    // repeat incast with ECN marking through the bounded switch at 1%
-    // cell loss. Block acks, SACK retransmits, window deferral, ECN
-    // halving and the reap/retransmit recovery path must all replay
-    // bit-identically however the nodes are partitioned.
+/// The CC matrix's workload shape: a reliable selective-repeat incast
+/// through the bounded switch (512 cells, ECN threshold 128) at 1% cell
+/// loss, with FourWay reassembly and a 1 ms reap timeout.
+fn lossy_incast_cfg(cc: CcScheme, messages: u64, window: u32) -> TestbedConfig {
     let mut cfg = TestbedConfig::ds5000_200_udp();
     cfg.msg_size = 1024;
-    cfg.messages = 4;
-    cfg.window = 8;
+    cfg.messages = messages;
+    cfg.window = window;
     cfg.reliable = true;
     cfg.transport = osiris::proto::stack::TransportMode::SelectiveRepeat;
-    cfg.cc = osiris::proto::stack::CcScheme::Ecn;
+    cfg.cc = cc;
     cfg.reassembly = osiris::atm::sar::ReassemblyMode::FourWay { lanes: 4 };
     cfg.reassembly_timeout = Some(osiris::sim::SimDuration::from_us(1000));
     cfg.ecn_threshold_cells = Some(128);
@@ -166,7 +164,34 @@ fn lossy_windowed_incast_is_byte_identical_across_shard_counts() {
     let plan = osiris::sim::FaultPlan::uniform_loss(1e-2, 4, cfg.seed);
     cfg.sim.faults.lane_drop_prob = plan.lane_drop_prob;
     cfg.sim.faults.seed = cfg.seed;
-    assert_equivalent(Scenario::Incast { senders: 8 }, cfg);
+    cfg
+}
+
+#[test]
+fn lossy_windowed_incast_is_byte_identical_across_shard_counts() {
+    // The CC matrix's workload shape, sharded, with ECN marking. Block
+    // acks, SACK retransmits, window deferral, ECN halving and the
+    // reap/retransmit recovery path must all replay bit-identically
+    // however the nodes are partitioned.
+    assert_equivalent(
+        Scenario::Incast { senders: 8 },
+        lossy_incast_cfg(CcScheme::Ecn, 4, 8),
+    );
+}
+
+#[test]
+fn lossy_paced_incast_is_byte_identical_across_shard_counts() {
+    // The same shape under receiver-driven pacing. `RetransTick` is then
+    // also the pacing-release timer: a tick with no RTO due still admits
+    // deferred datagrams, the path most sensitive to which ticks the
+    // testbed keeps queued. At 16 messages per sender the window (8)
+    // fills, acks advertise a pacing gap, and deferred datagrams leave
+    // on pacing releases: the run delivers 20.4 Mbps here against 14.4
+    // without pacing.
+    assert_equivalent(
+        Scenario::Incast { senders: 8 },
+        lossy_incast_cfg(CcScheme::Pacing, 16, 8),
+    );
 }
 
 #[test]
