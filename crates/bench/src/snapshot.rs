@@ -123,7 +123,7 @@ impl BenchSnapshot {
             .iter()
             .map(|(s, h)| StageRow {
                 stage: s.label().to_string(),
-                mean_us: h.time_weighted_mean,
+                mean_us: h.mean,
                 p50_us: h.p50,
                 p95_us: h.p95,
                 p99_us: h.p99,
@@ -131,7 +131,7 @@ impl BenchSnapshot {
             .collect();
         self.stages.push(StageRow {
             stage: "end-to-end".to_string(),
-            mean_us: a.e2e.time_weighted_mean,
+            mean_us: a.e2e.mean,
             p50_us: a.e2e.p50,
             p95_us: a.e2e.p95,
             p99_us: a.e2e.p99,

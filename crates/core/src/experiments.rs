@@ -957,8 +957,8 @@ mod tests {
         assert_eq!(a.pdus, 4, "2 pings + 2 pongs");
         assert_eq!(a.dropped_spans, 0);
         // Exhaustive attribution: mean stage times sum to mean e2e.
-        let sum: f64 = a.stages.iter().map(|(_, h)| h.time_weighted_mean).sum();
-        let e2e = a.e2e.time_weighted_mean;
+        let sum: f64 = a.stages.iter().map(|(_, h)| h.mean).sum();
+        let e2e = a.e2e.mean;
         assert!(
             (sum - e2e).abs() < e2e * 1e-6,
             "stage means {sum} must sum to e2e mean {e2e}"

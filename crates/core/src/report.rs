@@ -159,7 +159,7 @@ pub fn stage_table(title: &str, stages: &[(Stage, HistSummary)], e2e: &HistSumma
         .map(|(s, h)| {
             vec![
                 s.label().to_string(),
-                f(h.time_weighted_mean),
+                f(h.mean),
                 f(h.p50),
                 f(h.p95),
                 f(h.p99),
@@ -168,7 +168,7 @@ pub fn stage_table(title: &str, stages: &[(Stage, HistSummary)], e2e: &HistSumma
         .collect();
     rows.push(vec![
         "end-to-end".into(),
-        f(e2e.time_weighted_mean),
+        f(e2e.mean),
         f(e2e.p50),
         f(e2e.p95),
         f(e2e.p99),
@@ -181,21 +181,21 @@ pub fn stage_table(title: &str, stages: &[(Stage, HistSummary)], e2e: &HistSumma
 }
 
 /// Loud footer for any report whose numbers came off the timeline: a
-/// non-zero `*.timeline.dropped` / `*.trace.dropped` counter means the
-/// ring evicted records, so span trees and percentiles above are
-/// incomplete. Returns `None` when nothing was lost.
+/// non-zero `*.timeline.dropped` counter means the ring evicted
+/// records, so span trees and percentiles above are incomplete. Returns
+/// `None` when nothing was lost.
 pub fn dropped_spans_warning(snap: &Snapshot) -> Option<String> {
     let lost: u64 = snap
         .counters
         .iter()
-        .filter(|(k, _)| k.ends_with(".timeline.dropped") || k.ends_with(".trace.dropped"))
+        .filter(|(k, _)| k.ends_with(".timeline.dropped"))
         .map(|(_, &v)| v)
         .sum();
     (lost > 0).then(|| {
         format!(
             "WARN: {lost} spans dropped — ring capacity exceeded; \
              latency attribution above is incomplete \
-             (raise timeline_capacity/trace_capacity)"
+             (raise timeline_capacity)"
         )
     })
 }
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn stage_table_has_stage_and_e2e_rows() {
         let h = HistSummary {
-            time_weighted_mean: 100.0,
+            mean: 100.0,
             min: 90.0,
             max: 120.0,
             samples: 4,

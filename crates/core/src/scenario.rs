@@ -9,8 +9,9 @@
 
 use osiris_adc::AdcManager;
 use osiris_atm::{CellSlab, Vci};
-use osiris_sim::stats::{DurationHistogram, LatencyStats, ThroughputMeter};
-use osiris_sim::{EventQueue, Registry, SimDuration, SimTime, Simulation, Timeline, Trace};
+use osiris_sim::obs::Histogram;
+use osiris_sim::stats::{LatencyStats, ThroughputMeter};
+use osiris_sim::{EventQueue, Registry, SimDuration, SimTime, Simulation, Timeline};
 
 use crate::config::{Layer, TestbedConfig};
 use crate::fabric::{BackToBack, Fabric, SwitchedFabric};
@@ -201,7 +202,6 @@ impl Scenario {
         let n = self.node_count();
         let registry = Registry::new();
         let sim_probe = registry.probe("sim");
-        let trace = Trace::with_probe(cfg.sim.trace_capacity, &sim_probe);
         // Created before the nodes so every layer can hold a handle to
         // the one shared timeline (disabled until a caller opts in).
         let timeline = Timeline::with_probe(cfg.sim.timeline_capacity, &sim_probe);
@@ -279,12 +279,11 @@ impl Scenario {
             nodes,
             fabric,
             latency: LatencyStats::new(),
-            latency_hist: DurationHistogram::new(),
+            latency_hist: Histogram::default(),
             meter: ThroughputMeter::new(0),
             done: false,
             verify_failures: 0,
             adc: adc_mgrs,
-            trace,
             registry,
             timeline,
             cells,

@@ -61,9 +61,11 @@ use std::time::Instant;
 
 use osiris_atm::{Cell, LinkSpec};
 use osiris_board::spsc::SpscRing;
-use osiris_sim::obs::{Counter, Gauge, Snapshot};
-use osiris_sim::stats::{DurationHistogram, LatencyStats, ThroughputMeter};
-use osiris_sim::{EventQueue, Model, PushKey, SeriesDump, ShardQueue, SimDuration, SimTime};
+use osiris_sim::obs::{Counter, Gauge, Histogram, Snapshot};
+use osiris_sim::stats::{LatencyStats, ThroughputMeter};
+use osiris_sim::{
+    EventQueue, Model, PushKey, QueueKind, SeriesDump, ShardQueue, SimDuration, SimTime,
+};
 
 use crate::config::TestbedConfig;
 use crate::node::NodeId;
@@ -214,7 +216,7 @@ pub struct RunOutcome {
     /// histogram for exact cross-run comparison).
     pub latency: LatencyStats,
     /// Merged end-to-end latency histogram (bucket-exact).
-    pub latency_hist: DurationHistogram,
+    pub latency_hist: Histogram,
     /// Merged goodput meter (exact under the scenarios' zero warmup).
     pub meter: ThroughputMeter,
     /// Whether any shard saw its completion condition.
@@ -266,13 +268,6 @@ impl RunOutcome {
             gauges: self
                 .snapshot
                 .gauges
-                .iter()
-                .filter(|(k, _)| keep(k))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            hists: self
-                .snapshot
-                .hists
                 .iter()
                 .filter(|(k, _)| keep(k))
                 .map(|(k, v)| (k.clone(), *v))
@@ -440,7 +435,7 @@ struct ShardResult {
     /// shards, so no single shard sees every delivery.
     expected_deliveries: u64,
     latency: LatencyStats,
-    latency_hist: DurationHistogram,
+    latency_hist: Histogram,
     meter: ThroughputMeter,
     done: bool,
     verify_failures: u64,
@@ -559,8 +554,10 @@ fn run_shard(
         )
     });
     // Handlers stage into a plain queue; the shard loop re-keys and
-    // routes each staged event. Reused across dispatches.
-    let mut staging: EventQueue<Event> = EventQueue::new();
+    // routes each staged event. Reused across dispatches. It holds only
+    // the few events one dispatch pushes, so it stays on the heap
+    // backend it has always used.
+    let mut staging: EventQueue<Event> = EventQueue::with_kind(QueueKind::Heap);
     let n = tb.nodes.len();
     // Per-origin push counters — the `ctr` component of PushKey. All
     // replicas advance all counters identically (foreign events are
@@ -707,9 +704,8 @@ fn run_shard(
 fn merge(shards: usize, results: Vec<ShardResult>) -> RunOutcome {
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     let mut gauges: BTreeMap<String, f64> = BTreeMap::new();
-    let mut hists = BTreeMap::new();
     let mut latency = LatencyStats::default();
-    let mut latency_hist: Option<DurationHistogram> = None;
+    let mut latency_hist = Histogram::default();
     let mut meter: Option<ThroughputMeter> = None;
     let mut done = false;
     let mut verify_failures = 0;
@@ -745,17 +741,8 @@ fn merge(shards: usize, results: Vec<ShardResult>) -> RunOutcome {
                 *e = *g;
             }
         }
-        for (key, h) in &r.snapshot.hists {
-            hists.entry(key.clone()).or_insert(*h);
-        }
         latency.absorb(&r.latency);
-        latency_hist = Some(match latency_hist.take() {
-            None => r.latency_hist.clone(),
-            Some(mut h) => {
-                h.absorb(&r.latency_hist);
-                h
-            }
-        });
+        latency_hist.absorb(&r.latency_hist);
         meter = Some(match meter.take() {
             None => r.meter.clone(),
             Some(mut m) => {
@@ -812,13 +799,9 @@ fn merge(shards: usize, results: Vec<ShardResult>) -> RunOutcome {
     debug_assert_eq!(counters.get("engine.events.scheduled"), Some(&scheduled));
 
     RunOutcome {
-        snapshot: Snapshot {
-            counters,
-            gauges,
-            hists,
-        },
+        snapshot: Snapshot { counters, gauges },
         latency,
-        latency_hist: latency_hist.expect("at least one shard"),
+        latency_hist,
         meter: meter.expect("at least one shard"),
         done,
         verify_failures,

@@ -36,11 +36,9 @@ use osiris_atm::sar::{ReassemblyMode, SegmentUnit, Segmenter};
 use osiris_atm::stripe::StripedLink;
 use osiris_atm::{CellRef, CellSlab};
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
-use osiris_sim::obs::{Counter, Probe, Snapshot};
-use osiris_sim::stats::{DurationHistogram, LatencyStats, ThroughputMeter};
-use osiris_sim::{
-    EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timeline, Trace, TraceCtx,
-};
+use osiris_sim::obs::{Counter, Histogram, Probe, Snapshot};
+use osiris_sim::stats::{LatencyStats, ThroughputMeter};
+use osiris_sim::{EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timeline, TraceCtx};
 
 use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict, TransportMode};
 
@@ -297,7 +295,7 @@ pub struct Testbed {
     /// Round-trip distribution over the same samples — the tail
     /// (p99) is what loss turns pathological, so the loss sweep reads
     /// it from here rather than from the mean/min/max accumulator.
-    pub latency_hist: DurationHistogram,
+    pub latency_hist: Histogram,
     /// Delivered-byte meter (throughput experiments).
     pub meter: ThroughputMeter,
     /// Set when the experiment's message budget is exhausted.
@@ -306,9 +304,6 @@ pub struct Testbed {
     pub verify_failures: u64,
     /// ADC management, one per node (when `cfg.data_path == Adc`).
     pub adc: Vec<AdcManager>,
-    /// Optional event trace (smoltcp-style packet-dump facility);
-    /// disabled by default, enable with `trace.set_enabled(true)`.
-    pub trace: Trace,
     /// The shared metric registry every component publishes into, with
     /// per-node scopes (`node0.board.rx.cells`, `node1.bus.dma_words`).
     pub registry: Registry,
@@ -1130,7 +1125,7 @@ impl Testbed {
                 if let Some(sent) = self.ping_sent_at.take() {
                     let rtt = t.since(sent);
                     self.latency.record(rtt);
-                    self.latency_hist.record(rtt);
+                    self.latency_hist.observe(rtt);
                 }
                 let node = &mut self.nodes[host.0];
                 node.remaining = node.remaining.saturating_sub(1);
@@ -1146,7 +1141,7 @@ impl Testbed {
                 // before it shows up in aggregate goodput.
                 let node = &mut self.nodes[host.0];
                 if let Some(last) = node.last_delivery_at {
-                    self.latency_hist.record(t.saturating_since(last));
+                    self.latency_hist.observe(t.saturating_since(last));
                 }
                 node.last_delivery_at = Some(t);
                 self.delivered_count += 1;
@@ -1286,29 +1281,6 @@ impl Model for Testbed {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, ev: Event, q: &mut EventQueue<Event>) {
-        self.trace.emit(now, || match &ev {
-            Event::AppSend { host } => format!("app[{host}] send"),
-            Event::TxKick { host } => format!("tx[{host}] kick"),
-            Event::CellArrival { to, lane, cell } => {
-                let c = self.cells.get(*cell);
-                format!(
-                    "rx[{to}] cell vci={} seq={} lane={lane}{}",
-                    c.header.vci.0,
-                    c.aal.seq,
-                    if c.aal.eom { " EOM" } else { "" }
-                )
-            }
-            Event::FabricTransit { from, to, lane, .. } => {
-                format!("fabric[{from}->{to}] transit lane={lane}")
-            }
-            Event::RxFlush { host, gen } => format!("rx[{host}] flush gen={gen}"),
-            Event::RxInterrupt { host } => format!("intr[{host}] asserted"),
-            Event::RxDrain { host } => format!("drain[{host}] runs"),
-            Event::TxWake { host } => format!("wake[{host}] half-empty"),
-            Event::GenKick => "generator kick".to_string(),
-            Event::RxReapTick { host } => format!("reap[{host}] sweep"),
-            Event::RetransTick { host } => format!("rto[{host}] tick"),
-        });
         if self.timeline.is_enabled() {
             let s = &self.syms;
             match &ev {
@@ -1523,30 +1495,39 @@ mod tests {
     }
 
     #[test]
-    fn trace_captures_the_event_timeline() {
+    fn timeline_captures_the_event_sequence() {
         let mut cfg = TestbedConfig::ds5000_200_atm();
         cfg.msg_size = 100;
         cfg.messages = 1;
-        let mut tb = Testbed::new_pair(cfg);
-        tb.trace.set_enabled(true);
+        let tb = Testbed::new_pair(cfg);
+        tb.timeline.set_enabled(true);
         let mut sim = Simulation::new(tb);
         sim.queue
             .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
         assert!(sim.run_while(|m| !m.done));
-        let dump = sim.model.trace.dump();
-        for needle in [
-            "app[0] send",
-            "tx[0] kick",
-            "rx[1] cell",
-            "EOM",
-            "intr[1]",
-            "drain[1]",
+        // The dispatcher records one ctx-less instant per event, at its
+        // dispatch time.
+        let instants: Vec<_> = sim
+            .model
+            .timeline
+            .events()
+            .into_iter()
+            .filter(|e| e.dur.is_none() && e.ctx.is_none())
+            .collect();
+        assert_eq!(instants.len() as u64, sim.steps());
+        for (track, name) in [
+            ("node0.app", "send"),
+            ("node0.board.tx", "kick"),
+            ("node1.board.rx", "cell"),
+            ("node1.host", "intr"),
+            ("node1.host", "drain start"),
         ] {
-            assert!(dump.contains(needle), "trace missing {needle:?}:\n{dump}");
+            assert!(
+                instants.iter().any(|e| e.track == track && e.name == name),
+                "timeline missing {track} {name:?}"
+            );
         }
-        // Timestamps are non-decreasing.
-        let times: Vec<SimTime> = sim.model.trace.records().map(|(t, _)| t).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        assert!(instants.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]

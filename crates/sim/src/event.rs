@@ -5,14 +5,16 @@
 //! dispatched in the order they were pushed:
 //!
 //! * [`QueueKind::Heap`] — a binary heap: O(log n) push/pop, the
-//!   original engine. [`EventQueue::new`] builds this one, so
-//!   standalone queues behave exactly as they always have.
+//!   original engine, kept as the reference the equivalence tests and
+//!   the engine bench compare the calendar against.
 //! * [`QueueKind::Calendar`] — a bucketed calendar queue (Brown's
 //!   "Calendar Queues", CACM 1988): events hash into time-sliced
 //!   buckets like appointments onto the days of a desk calendar, and
 //!   the pop scan walks forward from the last-popped day. Push and pop
 //!   are O(1) amortised once the bucket width matches the event
-//!   density, which is what makes million-event runs cheap.
+//!   density, which is what makes million-event runs cheap. This is
+//!   [`QueueKind::default`], so [`EventQueue::new`] and `SimConfig`
+//!   agree.
 //!
 //! The `(time, seq)` key is a *total* order, so any correct priority
 //! queue over it yields the same pop sequence: the backend choice can
@@ -265,10 +267,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty heap-backed queue (the legacy default for standalone
-    /// use; scenario harnesses select via [`EventQueue::with_kind`]).
+    /// An empty queue on the default backend ([`QueueKind::default`]).
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::Heap)
+        Self::with_kind(QueueKind::default())
     }
 
     /// An empty queue on the chosen backend.
@@ -523,8 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn new_stays_heap_and_with_kind_selects() {
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Heap);
+    fn new_uses_the_default_kind_and_with_kind_selects() {
+        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::default());
+        assert_eq!(
+            EventQueue::<()>::with_kind(QueueKind::Heap).kind(),
+            QueueKind::Heap
+        );
         assert_eq!(
             EventQueue::<()>::with_kind(QueueKind::Calendar).kind(),
             QueueKind::Calendar

@@ -175,8 +175,10 @@ impl Json {
     /// optional surrounding whitespace.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -287,9 +289,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Documents this
+/// crate renders nest a handful of levels; the cap turns hostile input
+/// into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -334,8 +344,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -438,10 +459,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
+                    // Consume one character, decoded in place: `pos`
+                    // only ever advances past whole characters.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -562,6 +586,52 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn mutated_snapshots_never_panic() {
+        let reg = crate::obs::Registry::new();
+        for (i, key) in ["node0.board.rx.cells", "node1.bus.dma_words", "sim.é☃"]
+            .iter()
+            .enumerate()
+        {
+            reg.counter(key).add(i as u64 * 1_000_003);
+            reg.gauge(key).set(i as f64 / 3.0);
+        }
+        let doc = reg.snapshot().to_json();
+        let text = doc.render_pretty();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        let mut rng = crate::SimRng::new(0x5eed);
+        for _ in 0..5000 {
+            let mut bytes = text.clone().into_bytes();
+            for _ in 0..=rng.gen_range(3) {
+                let at = rng.gen_range(bytes.len() as u64) as usize;
+                match rng.gen_range(3) {
+                    0 => bytes[at] = rng.next_u64() as u8,
+                    1 => bytes.truncate(at),
+                    _ => {
+                        let from = rng.gen_range(bytes.len() as u64) as usize;
+                        let len = rng.gen_range(32).min((bytes.len() - from) as u64) as usize;
+                        let piece = bytes[from..from + len].to_vec();
+                        bytes.splice(at..at, piece);
+                    }
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            // Either outcome is fine; returning at all is the property.
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
         }
     }
 

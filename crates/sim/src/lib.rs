@@ -14,8 +14,8 @@
 //!   state machine, the kernel just dispatches events in time order.
 //! * [`FifoResource`] — reservation-based modelling of serially shared
 //!   hardware (a bus, a CPU, a firmware engine, a link lane).
-//! * [`stats`] — counters, throughput meters, and histograms used by the
-//!   experiment harness.
+//! * [`stats`] — running moments and throughput meters used by the
+//!   experiment harness; distributions use [`obs::Histogram`].
 //! * [`SimRng`] — a tiny, dependency-free, fully deterministic RNG
 //!   (SplitMix64) used for skew jitter and fault injection.
 //!
@@ -31,7 +31,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventQueue, QueueKind};
 pub use faults::{
@@ -40,14 +39,13 @@ pub use faults::{
 pub use json::Json;
 pub use obs::series::{SeriesData, SeriesDump, SeriesKind, SeriesSet};
 pub use obs::{
-    CriticalPath, HistSummary, PduPath, Probe, Registry, Snapshot, Stage, SymId, Timeline,
-    TimelineEvent, TraceCtx,
+    CriticalPath, HistSummary, Histogram, PduPath, Probe, Registry, Snapshot, Stage, SymId,
+    Timeline, TimelineEvent, TraceCtx,
 };
 pub use pdes::{PushKey, ShardQueue};
 pub use resource::FifoResource;
 pub use rng::SimRng;
 pub use time::{Clock, SimDuration, SimTime};
-pub use trace::Trace;
 
 /// Simulation-kernel configuration shared by harnesses: the sizing knobs
 /// of the observability machinery plus the wire-level [`FaultPlan`]
@@ -55,8 +53,6 @@ pub use trace::Trace;
 /// `TestbedConfig`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Capacity of the human-readable [`Trace`] ring.
-    pub trace_capacity: usize,
     /// Capacity of the typed [`Timeline`] event buffer.
     pub timeline_capacity: usize,
     /// The seeded fault-injection plan (defaults to injecting nothing).
@@ -83,10 +79,9 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        // 4096 matches the historical hardcoded trace ring; the timeline
-        // holds full spans (every event of a long ping-pong fits).
+        // The timeline holds full spans (every event of a long ping-pong
+        // fits).
         SimConfig {
-            trace_capacity: 4096,
             timeline_capacity: 1 << 16,
             faults: FaultPlan::default(),
             queue: QueueKind::default(),

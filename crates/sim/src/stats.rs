@@ -237,120 +237,6 @@ impl LatencyStats {
     }
 }
 
-/// A log-scaled histogram of durations (power-of-√2 buckets from 1 µs),
-/// supporting percentile queries. Used to report latency distributions,
-/// not just means — jitter mattered to the paper's multimedia motivation.
-#[derive(Debug, Clone)]
-pub struct DurationHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    max: SimDuration,
-}
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DurationHistogram {
-    /// Bucket boundaries grow by √2 per bucket starting at 1 µs; 64
-    /// buckets cover up to ~6 hours.
-    const BUCKETS: usize = 64;
-
-    /// An empty histogram.
-    pub fn new() -> Self {
-        DurationHistogram {
-            buckets: vec![0; Self::BUCKETS],
-            count: 0,
-            max: SimDuration::ZERO,
-        }
-    }
-
-    fn bucket_of(d: SimDuration) -> usize {
-        let us = d.as_us_f64().max(1e-9);
-        // index = 2 * log2(us), clamped.
-        let idx = (2.0 * us.log2()).ceil().max(0.0) as usize;
-        idx.min(Self::BUCKETS - 1)
-    }
-
-    /// Upper bound of bucket `i` in microseconds.
-    fn bucket_upper_us(i: usize) -> f64 {
-        2f64.powf(i as f64 / 2.0)
-    }
-
-    /// Records one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        self.buckets[Self::bucket_of(d)] += 1;
-        self.count += 1;
-        self.max = self.max.max(d);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The largest recorded sample.
-    pub fn max(&self) -> SimDuration {
-        self.max
-    }
-
-    /// Approximate percentile (`0.0..=1.0`) in microseconds: the upper
-    /// bound of the bucket containing that rank. Returns 0 when empty.
-    pub fn percentile_us(&self, p: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Self::bucket_upper_us(i).min(self.max.as_us_f64());
-            }
-        }
-        self.max.as_us_f64()
-    }
-
-    /// Folds another histogram into this one — bucket-wise sums plus
-    /// count and max, all exact, so percentiles of a shard-merged
-    /// histogram equal percentiles of the sequential run's histogram.
-    pub fn absorb(&mut self, other: &DurationHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A labelled monotonic counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,78 +298,24 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_bracket_the_data() {
-        let mut h = DurationHistogram::new();
-        for us in 1..=1000u64 {
-            h.record(SimDuration::from_us(us));
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.max(), SimDuration::from_us(1000));
-        let p50 = h.percentile_us(0.5);
-        // √2 buckets: the answer is within one bucket of the true median.
-        assert!((354.0..=724.0).contains(&p50), "p50 {p50}");
-        let p99 = h.percentile_us(0.99);
-        assert!(p99 >= p50);
-        assert!(p99 <= 1000.0 + 1e-9);
-        assert_eq!(h.percentile_us(1.0), 1000.0);
-    }
-
-    #[test]
-    fn histogram_single_sample() {
-        let mut h = DurationHistogram::new();
-        h.record(SimDuration::from_us(75));
-        for p in [0.0, 0.5, 1.0] {
-            let v = h.percentile_us(p);
-            assert!((53.0..=75.01).contains(&v), "p{p} = {v}");
-        }
-    }
-
-    #[test]
-    fn empty_histogram_is_zero() {
-        let h = DurationHistogram::new();
-        assert_eq!(h.percentile_us(0.5), 0.0);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn histogram_handles_extremes() {
-        let mut h = DurationHistogram::new();
-        h.record(SimDuration::from_ps(1)); // sub-microsecond
-        h.record(SimDuration::from_secs(10_000)); // beyond the last bucket
-        assert_eq!(h.count(), 2);
-        assert!(h.percentile_us(1.0) > 0.0);
-    }
-
-    #[test]
     fn absorb_matches_sequential_recording() {
         // Split one sample stream across two accumulators of each kind
         // and check the merge matches recording everything into one.
         let samples: Vec<u64> = (1..=40).map(|i| i * 37 % 1000 + 1).collect();
         let (lo, hi) = samples.split_at(17);
 
-        let mut h_all = DurationHistogram::new();
-        let mut h_a = DurationHistogram::new();
-        let mut h_b = DurationHistogram::new();
         let mut m_all = ThroughputMeter::new(0);
         let mut m_a = ThroughputMeter::new(0);
         let mut m_b = ThroughputMeter::new(0);
         // Meters are always fed in non-decreasing time order (the
         // simulator's dispatch order), so stamp by sample index.
-        for (base, part, h, m) in [(0, lo, &mut h_a, &mut m_a), (17, hi, &mut h_b, &mut m_b)] {
+        for (base, part, m) in [(0, lo, &mut m_a), (17, hi, &mut m_b)] {
             for (i, &us) in part.iter().enumerate() {
-                h.record(SimDuration::from_us(us));
                 m.record(SimTime::from_us((base + i as u64 + 1) * 10), us);
             }
         }
         for (i, &us) in samples.iter().enumerate() {
-            h_all.record(SimDuration::from_us(us));
             m_all.record(SimTime::from_us((i as u64 + 1) * 10), us);
-        }
-        h_a.absorb(&h_b);
-        assert_eq!(h_a.count(), h_all.count());
-        assert_eq!(h_a.max(), h_all.max());
-        for p in [0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h_a.percentile_us(p), h_all.percentile_us(p));
         }
         m_a.absorb(&m_b);
         assert_eq!(m_a.bytes(), m_all.bytes());
@@ -512,13 +344,5 @@ mod tests {
         let mut empty = RunningStats::new();
         empty.absorb(&s_all);
         assert_eq!(empty.mean(), s_all.mean());
-    }
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 }

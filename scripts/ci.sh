@@ -17,9 +17,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> benchmark package tests"
-# benchmark/ is a workspace of its own, so `cargo test --workspace` above
-# never reaches its unit tests or its smoke test.
+echo "==> benchmark package: fmt, clippy, tests"
+# benchmark/ is a workspace of its own, so `--all` and `--workspace`
+# above never reach it. Linting it here catches a library API change
+# that breaks the benchmark before the benchmark run does.
+cargo fmt --manifest-path benchmark/Cargo.toml -- --check
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> smoke: quickstart example"

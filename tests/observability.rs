@@ -104,27 +104,32 @@ fn timeline_chrome_export_round_trips() {
 }
 
 #[test]
-fn trace_ring_capacity_follows_sim_config() {
-    let mut cfg = TestbedConfig::ds5000_200_udp();
-    cfg.sim.trace_capacity = 8;
-    cfg.msg_size = 1024;
-    cfg.messages = 2;
-    let mut tb = Testbed::new_pair(cfg);
-    tb.trace.set_enabled(true);
-    let mut sim = Simulation::new(tb);
-    sim.queue
-        .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
-    assert!(sim.run_while(|m| !m.done));
-    let m = &sim.model;
-    assert_eq!(m.trace.capacity(), 8);
+fn timeline_ring_capacity_follows_sim_config() {
+    let run = |capacity: usize| {
+        let mut cfg = TestbedConfig::ds5000_200_udp();
+        cfg.sim.timeline_capacity = capacity;
+        cfg.msg_size = 1024;
+        cfg.messages = 2;
+        let tb = Testbed::new_pair(cfg);
+        tb.timeline.set_enabled(true);
+        let mut sim = Simulation::new(tb);
+        sim.queue
+            .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+        assert!(sim.run_while(|m| !m.done));
+        sim.model
+    };
+    let full = run(1 << 16);
+    assert_eq!(full.timeline.dropped(), 0);
+    let recorded = full.timeline.len() as u64;
+    let m = run(8);
+    assert_eq!(m.timeline.len(), 8, "ring must be capacity-bounded");
+    // Every record past the capacity evicts exactly one, and evictions
+    // are registry-visible, never silent.
+    assert_eq!(m.timeline.dropped(), recorded - 8);
     assert_eq!(
-        m.trace.records().count(),
-        8,
-        "ring must be capacity-bounded"
+        m.snapshot().counter("sim.timeline.dropped"),
+        m.timeline.dropped()
     );
-    assert!(m.trace.dropped() > 0);
-    // Evictions are registry-visible, never silent.
-    assert_eq!(m.snapshot().counter("sim.trace.dropped"), m.trace.dropped());
 }
 
 #[test]
