@@ -45,7 +45,7 @@
 //! assert_eq!(pdu.data.unwrap(), data);
 //! ```
 
-use std::collections::HashMap;
+use osiris_sim::FxHashMap;
 
 use crate::cell::{Cell, Trailer, CELL_PAYLOAD};
 use crate::crc::Crc32;
@@ -115,52 +115,42 @@ impl Segmenter {
         let total: usize = buffers.iter().map(|b| b.len()).sum();
         assert!(total > 0, "cannot segment an empty PDU");
 
-        // Chop into cell payloads according to the unit discipline.
-        let mut chunks: Vec<Vec<u8>> = Vec::with_capacity(total / CELL_PAYLOAD + 2);
-        match self.unit {
-            SegmentUnit::Pdu => {
-                let mut cur: Vec<u8> = Vec::with_capacity(CELL_PAYLOAD);
-                for buf in buffers {
-                    let mut rest: &[u8] = buf;
-                    while !rest.is_empty() {
-                        let take = (CELL_PAYLOAD - cur.len()).min(rest.len());
-                        cur.extend_from_slice(&rest[..take]);
-                        rest = &rest[take..];
-                        if cur.len() == CELL_PAYLOAD {
-                            chunks.push(std::mem::take(&mut cur));
-                        }
-                    }
-                }
-                if !cur.is_empty() {
-                    chunks.push(cur);
-                }
-            }
-            SegmentUnit::Buffer => {
-                for buf in buffers {
-                    for piece in buf.chunks(CELL_PAYLOAD) {
-                        chunks.push(piece.to_vec());
-                    }
-                }
-            }
-        }
-
-        let n = chunks.len();
         let seq_of = |i: usize| match self.framing {
             FramingMode::EndOfPdu => (i % (u16::MAX as usize + 1)) as u16,
             FramingMode::FourWay { .. } => pdu_seq,
         };
-        let mut cells: Vec<Cell> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Cell::data(vci, seq_of(i), c))
-            .collect();
+        // Chop into cells according to the unit discipline, copying each
+        // payload straight into its cell.
+        let mut cells: Vec<Cell> = Vec::with_capacity(total / CELL_PAYLOAD + buffers.len());
+        for buf in buffers {
+            let mut rest: &[u8] = buf;
+            if self.unit == SegmentUnit::Pdu {
+                // Cells fill across buffer boundaries: top up the partial
+                // cell the previous buffer ended on.
+                if let Some(last) = cells.last_mut() {
+                    let fill = last.aal.fill as usize;
+                    let take = (CELL_PAYLOAD - fill).min(rest.len());
+                    last.payload[fill..fill + take].copy_from_slice(&rest[..take]);
+                    last.aal.fill += take as u8;
+                    rest = &rest[take..];
+                }
+            }
+            for piece in rest.chunks(CELL_PAYLOAD) {
+                let seq = seq_of(cells.len());
+                cells.push(Cell::data(vci, seq, piece));
+            }
+        }
+
+        let n = cells.len();
         cells[n - 1].header.last_cell = true;
 
         match self.framing {
             FramingMode::EndOfPdu => {
+                // The cells carry the buffers' bytes in order, so the CRC
+                // runs over the buffers themselves (longer slices).
                 let mut crc = Crc32::new();
-                for c in &cells {
-                    crc.update(c.data_bytes());
+                for buf in buffers {
+                    crc.update(buf);
                 }
                 let last = &mut cells[n - 1];
                 last.aal.eom = true;
@@ -302,7 +292,7 @@ pub struct Reassembler {
     mode: ReassemblyMode,
     keep_data: bool,
     max_pdu_bytes: u32,
-    records: HashMap<u64, PduRecord>,
+    records: FxHashMap<u64, PduRecord>,
     /// InOrder/SeqNum: the PDU currently being assembled.
     current_pdu: u64,
     /// InOrder: running byte offset.
@@ -318,7 +308,7 @@ pub struct Reassembler {
     /// lane has advanced past them. A lane finishing PDU p must skip any
     /// already-completed PDUs that carried no cells on its lane — the
     /// short-PDU / skew interaction §2.6 calls "significant complexity".
-    completed_totals: HashMap<u64, u32>,
+    completed_totals: FxHashMap<u64, u32>,
     completed_count: u64,
 }
 
@@ -336,14 +326,14 @@ impl Reassembler {
             mode,
             keep_data,
             max_pdu_bytes,
-            records: HashMap::new(),
+            records: FxHashMap::default(),
             current_pdu: 0,
             inorder_offset: 0,
             inorder_crc: Crc32::new(),
             stash: Vec::new(),
             stash_limit: 4096,
             lane_pos: vec![(0, 0); lanes],
-            completed_totals: HashMap::new(),
+            completed_totals: FxHashMap::default(),
             completed_count: 0,
         }
     }

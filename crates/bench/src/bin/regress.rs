@@ -9,7 +9,7 @@
 //! vanished from the new snapshot, 2 on usage/parse errors. CI runs
 //! this against the committed baseline after the bench smoke.
 
-use osiris_bench::snapshot::{compare, BenchSnapshot};
+use osiris_bench::snapshot::{compare, BenchSnapshot, HostRecord};
 
 fn fail(msg: &str) -> ! {
     eprintln!("regress: {msg}");
@@ -21,6 +21,14 @@ fn load(path: &str) -> BenchSnapshot {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     BenchSnapshot::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+}
+
+/// One-line description of a snapshot's host.
+fn describe(host: Option<&HostRecord>) -> String {
+    match host {
+        Some(h) => format!("{}, {} threads", h.cpu_model, h.available_parallelism),
+        None => "unrecorded".to_string(),
+    }
 }
 
 fn main() {
@@ -53,6 +61,11 @@ fn main() {
         "regress {}: {} (baseline) vs {} (candidate)",
         old.name, paths[0], paths[1]
     );
+    println!("  baseline host:  {}", describe(old.host.as_ref()));
+    println!("  candidate host: {}", describe(new.host.as_ref()));
+    if old.host != new.host {
+        println!("WARN: different hosts — wall-clock headlines are not comparable");
+    }
     let report = compare(&old, &new, threshold);
     print!("{}", report.render());
     if new.dropped_spans > 0 {

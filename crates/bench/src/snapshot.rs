@@ -68,6 +68,35 @@ pub struct StageRow {
     pub p99_us: f64,
 }
 
+/// The machine a snapshot was measured on. Wall-clock headlines are only
+/// comparable between snapshots of the same host.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostRecord {
+    /// `std::thread::available_parallelism()` (0 if unknown).
+    pub available_parallelism: usize,
+    /// The first `model name` line of `/proc/cpuinfo` ("unknown" if none).
+    pub cpu_model: String,
+}
+
+impl HostRecord {
+    /// The host this process runs on.
+    pub fn current() -> HostRecord {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, m)| m.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        HostRecord {
+            available_parallelism: std::thread::available_parallelism().map_or(0, |n| n.get()),
+            cpu_model,
+        }
+    }
+}
+
 /// The snapshot document a bench binary emits for `--bench-out`.
 #[derive(Debug, Clone)]
 pub struct BenchSnapshot {
@@ -85,10 +114,13 @@ pub struct BenchSnapshot {
     /// Timeline evictions during the traced run (non-zero taints the
     /// stage rows).
     pub dropped_spans: u64,
+    /// The measuring host; `None` for snapshots written before hosts were
+    /// recorded.
+    pub host: Option<HostRecord>,
 }
 
 impl BenchSnapshot {
-    /// An empty snapshot for bench `name`.
+    /// An empty snapshot for bench `name`, measured on this host.
     pub fn new(name: &str) -> BenchSnapshot {
         BenchSnapshot {
             name: name.to_string(),
@@ -97,6 +129,7 @@ impl BenchSnapshot {
             stages: Vec::new(),
             counters: Vec::new(),
             dropped_spans: 0,
+            host: Some(HostRecord::current()),
         }
     }
 
@@ -181,9 +214,16 @@ impl BenchSnapshot {
             .map(|(k, v)| Json::obj().with("name", k.as_str()).with("value", *v))
             .collect();
         let results = self.results.iter().map(|r| r.to_json_value()).collect();
-        Json::obj()
-            .with("name", self.name.as_str())
-            .with("headlines", Json::Arr(headlines))
+        let mut doc = Json::obj().with("name", self.name.as_str());
+        if let Some(h) = &self.host {
+            doc = doc.with(
+                "host",
+                Json::obj()
+                    .with("available_parallelism", h.available_parallelism)
+                    .with("cpu_model", h.cpu_model.as_str()),
+            );
+        }
+        doc.with("headlines", Json::Arr(headlines))
             .with("stages", Json::Arr(stages))
             .with("dropped_spans", self.dropped_spans)
             .with("counters", Json::Arr(counters))
@@ -191,9 +231,10 @@ impl BenchSnapshot {
             .render_pretty()
     }
 
-    /// Parses the fields the comparator needs (name, headlines, stages,
-    /// counters, drop count) back out of a snapshot document. The
-    /// archived `results` series are not reconstructed.
+    /// Parses the fields the comparator needs (name, host, headlines,
+    /// stages, counters, drop count) back out of a snapshot document. The
+    /// archived `results` series are not reconstructed; a document
+    /// without a `host` record parses with `host: None`.
     pub fn parse(text: &str) -> Result<BenchSnapshot, String> {
         let v = Json::parse(text).map_err(|e| format!("bad snapshot JSON: {e:?}"))?;
         let name = v
@@ -202,6 +243,17 @@ impl BenchSnapshot {
             .ok_or("snapshot has no name")?
             .to_string();
         let mut out = BenchSnapshot::new(&name);
+        out.host = v.get("host").map(|h| HostRecord {
+            available_parallelism: h
+                .get("available_parallelism")
+                .and_then(|x| x.as_u64())
+                .unwrap_or(0) as usize,
+            cpu_model: h
+                .get("cpu_model")
+                .and_then(|x| x.as_str())
+                .unwrap_or("unknown")
+                .to_string(),
+        });
         for h in v.get("headlines").map(|h| h.items()).unwrap_or(&[]) {
             let get_str = |k: &str| h.get(k).and_then(|x| x.as_str());
             let headline = Headline {
@@ -385,6 +437,24 @@ mod tests {
         assert_eq!(parsed.stages.len(), 1);
         assert_eq!(parsed.stages[0].p95_us, 44.0);
         assert_eq!(parsed.counters, vec![("node0.board.rx.cells".into(), 1234)]);
+    }
+
+    #[test]
+    fn host_record_round_trips_and_old_baselines_still_parse() {
+        let mut s = sample();
+        s.host = Some(HostRecord {
+            available_parallelism: 2,
+            cpu_model: "Test CPU @ 2.0GHz".into(),
+        });
+        let parsed = BenchSnapshot::parse(&s.to_json()).unwrap();
+        assert_eq!(parsed.host, s.host);
+        // A snapshot from before host records: no `host` key at all.
+        s.host = None;
+        let json = s.to_json();
+        assert!(!json.contains("\"host\""));
+        let parsed = BenchSnapshot::parse(&json).unwrap();
+        assert_eq!(parsed.host, None);
+        assert_eq!(parsed.headlines.len(), 2);
     }
 
     #[test]

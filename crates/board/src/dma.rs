@@ -28,7 +28,7 @@
 //!
 //! // 88 bytes starting 20 bytes before a page boundary: the controller
 //! // stops at the boundary and takes a second address (§2.5.2).
-//! let plan = plan_dma(DmaMode::DoubleCell, PhysAddr(4096 - 20), 88, 4096);
+//! let plan: Vec<_> = plan_dma(DmaMode::DoubleCell, PhysAddr(4096 - 20), 88, 4096).collect();
 //! assert_eq!(plan.len(), 2);
 //! assert_eq!(plan[0].len, 20);
 //! assert_eq!(plan[1].addr, PhysAddr(4096));
@@ -69,25 +69,45 @@ pub struct DmaXfer {
 
 /// Plans the bus transactions needed to move `len` bytes starting at
 /// `addr`, under `mode`, stopping at `page_size` boundaries (the §2.5.2
-/// rule). Each returned transaction pays the fixed per-transaction bus
-/// overhead, so the plan length is the cost model's input.
-pub fn plan_dma(mode: DmaMode, addr: PhysAddr, len: u32, page_size: u64) -> Vec<DmaXfer> {
+/// rule). Each yielded transaction pays the fixed per-transaction bus
+/// overhead, so the plan length is the cost model's input. The plan is
+/// computed lazily and allocates nothing (it runs once per received cell).
+pub fn plan_dma(mode: DmaMode, addr: PhysAddr, len: u32, page_size: u64) -> DmaPlan {
     assert!(page_size.is_power_of_two());
-    let mut out = Vec::with_capacity(2);
-    let mut cur = addr.0;
-    let mut remaining = len as u64;
-    let chunk_cap = mode.max_len().map(u64::from).unwrap_or(u64::MAX);
-    while remaining > 0 {
-        let to_page_end = page_size - (cur & (page_size - 1));
-        let take = remaining.min(chunk_cap).min(to_page_end);
-        out.push(DmaXfer {
-            addr: PhysAddr(cur),
-            len: take as u32,
-        });
-        cur += take;
-        remaining -= take;
+    DmaPlan {
+        cur: addr.0,
+        remaining: len as u64,
+        chunk_cap: mode.max_len().map(u64::from).unwrap_or(u64::MAX),
+        page_size,
     }
-    out
+}
+
+/// The transactions of one [`plan_dma`] plan, in address order.
+#[derive(Debug, Clone)]
+pub struct DmaPlan {
+    cur: u64,
+    remaining: u64,
+    chunk_cap: u64,
+    page_size: u64,
+}
+
+impl Iterator for DmaPlan {
+    type Item = DmaXfer;
+
+    fn next(&mut self) -> Option<DmaXfer> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let to_page_end = self.page_size - (self.cur & (self.page_size - 1));
+        let take = self.remaining.min(self.chunk_cap).min(to_page_end);
+        let xfer = DmaXfer {
+            addr: PhysAddr(self.cur),
+            len: take as u32,
+        };
+        self.cur += take;
+        self.remaining -= take;
+        Some(xfer)
+    }
 }
 
 #[cfg(test)]
@@ -98,7 +118,7 @@ mod tests {
 
     #[test]
     fn single_cell_fits_one_transaction() {
-        let plan = plan_dma(DmaMode::SingleCell, PhysAddr(1000), 44, PAGE);
+        let plan: Vec<DmaXfer> = plan_dma(DmaMode::SingleCell, PhysAddr(1000), 44, PAGE).collect();
         assert_eq!(
             plan,
             vec![DmaXfer {
@@ -113,7 +133,7 @@ mod tests {
         // 44 bytes starting 20 bytes before a page boundary: stop at the
         // boundary, second transaction fills the remainder of the cell.
         let start = PAGE - 20;
-        let plan = plan_dma(DmaMode::SingleCell, PhysAddr(start), 44, PAGE);
+        let plan: Vec<DmaXfer> = plan_dma(DmaMode::SingleCell, PhysAddr(start), 44, PAGE).collect();
         assert_eq!(
             plan,
             vec![
@@ -131,7 +151,7 @@ mod tests {
 
     #[test]
     fn double_cell_is_one_transaction_when_aligned() {
-        let plan = plan_dma(DmaMode::DoubleCell, PhysAddr(0), 88, PAGE);
+        let plan: Vec<DmaXfer> = plan_dma(DmaMode::DoubleCell, PhysAddr(0), 88, PAGE).collect();
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].len, 88);
     }
@@ -139,7 +159,7 @@ mod tests {
     #[test]
     fn double_cell_respects_page_boundary() {
         let start = PAGE - 44;
-        let plan = plan_dma(DmaMode::DoubleCell, PhysAddr(start), 88, PAGE);
+        let plan: Vec<DmaXfer> = plan_dma(DmaMode::DoubleCell, PhysAddr(start), 88, PAGE).collect();
         assert_eq!(plan.len(), 2);
         assert_eq!(plan[0].len, 44);
         assert_eq!(plan[1].addr, PhysAddr(PAGE));
@@ -148,7 +168,8 @@ mod tests {
 
     #[test]
     fn arbitrary_mode_only_splits_on_pages() {
-        let plan = plan_dma(DmaMode::Arbitrary, PhysAddr(100), 16 * 1024, PAGE);
+        let plan: Vec<DmaXfer> =
+            plan_dma(DmaMode::Arbitrary, PhysAddr(100), 16 * 1024, PAGE).collect();
         // 100..4096, then three full pages, then the tail.
         assert_eq!(plan.len(), 5);
         assert_eq!(plan.iter().map(|x| x.len as u64).sum::<u64>(), 16 * 1024);
@@ -171,7 +192,7 @@ mod tests {
                 3 * PAGE - 7,
             ] {
                 for len in [1u32, 43, 44, 45, 88, 89, 4096, 10_000] {
-                    let plan = plan_dma(mode, PhysAddr(start), len, PAGE);
+                    let plan: Vec<DmaXfer> = plan_dma(mode, PhysAddr(start), len, PAGE).collect();
                     assert_eq!(
                         plan.iter().map(|x| x.len as u64).sum::<u64>(),
                         len as u64,
@@ -192,7 +213,7 @@ mod tests {
 
     #[test]
     fn exactly_at_boundary_starts_fresh() {
-        let plan = plan_dma(DmaMode::SingleCell, PhysAddr(PAGE), 44, PAGE);
+        let plan: Vec<DmaXfer> = plan_dma(DmaMode::SingleCell, PhysAddr(PAGE), 44, PAGE).collect();
         assert_eq!(plan.len(), 1);
     }
 }

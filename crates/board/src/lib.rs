@@ -39,7 +39,7 @@ pub mod spsc;
 pub mod tx;
 
 pub use descriptor::{DescRing, Descriptor, LockedRing, RingCosts, RingFull, DESC_WORDS};
-pub use dma::{plan_dma, DmaMode, DmaXfer};
+pub use dma::{plan_dma, DmaMode, DmaPlan, DmaXfer};
 pub use dpram::{DpramLayout, QUEUE_PAGES};
 pub use interrupt::{InterruptPolicy, InterruptStats};
 pub use rx::{RxConfig, RxOutcome, RxProcessor};

@@ -25,13 +25,13 @@
 //!   empty, the PDU is dropped *on the board*, "before they have consumed
 //!   any processing resources on the host".
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use osiris_atm::sar::{CellDisposition, Reassembler, ReassemblyMode};
 use osiris_atm::{Cell, CellRef, CellSlab, Vci};
 use osiris_mem::{DataCache, MemorySystem, PhysAddr, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{FifoResource, SimDuration, SimTime, SymId, Timeline, TraceCtx};
+use osiris_sim::{FifoResource, FxHashMap, SimDuration, SimTime, SymId, Timeline, TraceCtx};
 
 use crate::descriptor::{DescRing, Descriptor};
 
@@ -227,9 +227,9 @@ pub struct RxProcessor {
     engine: FifoResource,
     free_rings: Vec<DescRing>,
     rx_rings: Vec<DescRing>,
-    vci_to_page: HashMap<Vci, usize>,
-    reassemblers: HashMap<Vci, Reassembler>,
-    pdu_state: HashMap<(Vci, u64), PduBufState>,
+    vci_to_page: FxHashMap<Vci, usize>,
+    reassemblers: FxHashMap<Vci, Reassembler>,
+    pdu_state: FxHashMap<(Vci, u64), PduBufState>,
     pending: Option<PendingDma>,
     pending_gen: u64,
     authorized: Vec<Option<HashSet<u64>>>,
@@ -298,9 +298,9 @@ impl RxProcessor {
             rx_rings: (0..QUEUE_PAGES)
                 .map(|_| DescRing::new(layout.rx_ring_slots))
                 .collect(),
-            vci_to_page: HashMap::new(),
-            reassemblers: HashMap::new(),
-            pdu_state: HashMap::new(),
+            vci_to_page: FxHashMap::default(),
+            reassemblers: FxHashMap::default(),
+            pdu_state: FxHashMap::default(),
             pending: None,
             pending_gen: 0,
             authorized: vec![None; QUEUE_PAGES],
@@ -485,20 +485,31 @@ impl RxProcessor {
             }
         };
 
+        // The PDU's buffer state leaves the map for the cell's duration:
+        // one probe out, one back in (unless this cell completes it).
         let key = (vci, disp.pdu);
-        let state = self
+        let mut state = self
             .pdu_state
-            .entry(key)
-            .or_insert_with(|| PduBufState::new(page, now));
+            .remove(&key)
+            .unwrap_or_else(|| PduBufState::new(page, now));
         if state.ctx.is_none() {
             state.ctx = cell.ctx;
         }
 
         // Store the payload unless the PDU is being shed.
-        let poisoned = self.pdu_state[&key].poisoned;
         let mut t_done = t_fw;
-        if !poisoned {
-            t_done = self.store_payload(t_fw, key, disp.offset, cell, mem, cache, phys, &mut out);
+        if !state.poisoned {
+            t_done = self.store_payload(
+                t_fw,
+                key,
+                &mut state,
+                disp.offset,
+                cell,
+                mem,
+                cache,
+                phys,
+                &mut out,
+            );
         }
 
         // Completion (also reached while shedding: the reassembler still
@@ -511,7 +522,6 @@ impl RxProcessor {
                 .engine
                 .acquire(t_fw, self.cfg.fw.clock.cycles(self.cfg.fw.rx_pdu_cycles));
             let t_pdu = pdu_fw.finish.max(t_done);
-            let state = self.pdu_state.remove(&key).expect("state exists");
             if state.poisoned {
                 // Shed: recycle the buffers we still hold.
                 for d in state.bufs.into_iter().flatten().skip(state.pushed_upto) {
@@ -556,6 +566,8 @@ impl RxProcessor {
                     dropped: false,
                 });
             }
+        } else {
+            self.pdu_state.insert(key, state);
         }
         out
     }
@@ -679,14 +691,15 @@ impl RxProcessor {
         out
     }
 
-    /// Stores one cell's payload, handling buffer allocation, buffer-
-    /// boundary straddles, double-cell combining, and buffer-full pushes.
-    /// Returns when the payload is in host memory.
+    /// Stores one cell's payload into `state`'s buffers, handling buffer
+    /// allocation, buffer-boundary straddles, double-cell combining, and
+    /// buffer-full pushes. Returns when the payload is in host memory.
     #[allow(clippy::too_many_arguments)]
     fn store_payload(
         &mut self,
         t_fw: SimTime,
         key: (Vci, u64),
+        state: &mut PduBufState,
         offset: u32,
         cell: &Cell,
         mem: &mut MemorySystem,
@@ -696,42 +709,40 @@ impl RxProcessor {
     ) -> SimTime {
         let bb = self.cfg.buffer_bytes;
         let data = cell.data_bytes();
-        let ctx = self.pdu_state[&key].ctx;
+        if data.is_empty() {
+            return t_fw;
+        }
+        let ctx = state.ctx;
         let mut t_done = t_fw;
 
-        // Split the payload at receive-buffer boundaries.
-        let mut pieces: Vec<(usize, u32, &[u8])> = Vec::with_capacity(2); // (buf_index, off_in_buf, bytes)
-        {
-            let mut off = offset;
-            let mut rest = data;
-            while !rest.is_empty() {
-                let bi = (off / bb) as usize;
-                let in_buf = off % bb;
-                let take = ((bb - in_buf) as usize).min(rest.len());
-                pieces.push((bi, in_buf, &rest[..take]));
-                off += take as u32;
-                rest = &rest[take..];
-            }
-        }
-
-        // Make sure every touched buffer is allocated.
-        for &(bi, _, _) in &pieces {
-            if !self.ensure_buffer(key, bi) {
+        // The payload's pieces are its intersections with the receive
+        // buffers `first_bi..=last_bi`. Every touched buffer is allocated
+        // before any byte moves.
+        let first_bi = (offset / bb) as usize;
+        let last_bi = ((offset + data.len() as u32 - 1) / bb) as usize;
+        for bi in first_bi..=last_bi {
+            if !self.ensure_buffer(state, bi) {
                 // No free buffer: shed the whole PDU from here on.
-                let state = self.pdu_state.get_mut(&key).expect("state exists");
                 state.poisoned = true;
                 return t_fw;
             }
         }
 
         let is_last = cell.aal.eom || cell.header.last_cell;
-        for (i, &(bi, in_buf, bytes)) in pieces.iter().enumerate() {
-            let state = self.pdu_state.get_mut(&key).expect("state exists");
+        let mut off = offset;
+        let mut rest = data;
+        for bi in first_bi..=last_bi {
+            let in_buf = off % bb;
+            let take = ((bb - in_buf) as usize).min(rest.len());
+            let (bytes, tail) = rest.split_at(take);
+            off += take as u32;
+            rest = tail;
+
             let buf = state.bufs[bi].expect("ensured");
             let addr = buf.addr.offset(in_buf as u64);
             state.buf_fill[bi] += bytes.len() as u32;
             let fills_buffer = state.buf_fill[bi] >= bb;
-            let must_issue = is_last || fills_buffer || i + 1 < pieces.len();
+            let must_issue = is_last || fills_buffer || bi < last_bi;
 
             if self.cfg.dma_mode != DmaMode::SingleCell {
                 t_done = t_done.max(self.double_cell_store(
@@ -742,9 +753,7 @@ impl RxProcessor {
             }
 
             // Push buffers that are now full (in order).
-            let state = self.pdu_state.get_mut(&key).expect("state exists");
             if fills_buffer && state.pushed_upto == bi {
-                let page = state.page;
                 let desc = Descriptor {
                     addr: buf.addr,
                     len: bb,
@@ -754,7 +763,7 @@ impl RxProcessor {
                     ctx,
                 };
                 state.pushed_upto = bi + 1;
-                self.push_rx(t_done, page, desc, out);
+                self.push_rx(t_done, state.page, desc, out);
             }
         }
         t_done
@@ -906,8 +915,7 @@ impl RxProcessor {
     }
 
     /// Allocates buffer `bi` for a PDU from its page's free ring.
-    fn ensure_buffer(&mut self, key: (Vci, u64), bi: usize) -> bool {
-        let state = self.pdu_state.get_mut(&key).expect("state exists");
+    fn ensure_buffer(&mut self, state: &mut PduBufState, bi: usize) -> bool {
         if state.bufs.len() <= bi {
             state.bufs.resize(bi + 1, None);
             state.buf_fill.resize(bi + 1, 0);
@@ -935,7 +943,7 @@ impl RxProcessor {
                         desc.len >= self.cfg.buffer_bytes,
                         "undersized receive buffer"
                     );
-                    self.pdu_state.get_mut(&key).expect("state exists").bufs[bi] = Some(desc);
+                    state.bufs[bi] = Some(desc);
                     return true;
                 }
                 None => return false,
@@ -1372,6 +1380,47 @@ mod tests {
         // Conservation: two descriptors live in the rx-ring chain, every
         // other buffer is back on (or still in) the free ring.
         assert_eq!(r.rx.free_ring(0).len() + r.rx.rx_ring(0).len(), 32);
+    }
+
+    #[test]
+    fn cells_straddling_buffer_boundaries_split_exactly() {
+        // 1000-byte buffers are not a multiple of 44, so cells 22
+        // (bytes 968..1012) and 45 (1980..2024) each straddle a buffer
+        // boundary and are stored as two pieces.
+        for dma_mode in [DmaMode::SingleCell, DmaMode::DoubleCell] {
+            let mut cfg = RxConfig::paper_default();
+            cfg.buffer_bytes = 1000;
+            cfg.dma_mode = dma_mode;
+            let mut r = rig(cfg);
+            let data: Vec<u8> = (0..2500u32).map(|i| (i * 7 % 251) as u8).collect();
+            let cells = cells_for(&data, Vci(0));
+            assert_eq!(cells.len(), 57);
+            let (outs, _) = feed(&mut r, &cells, SimTime::ZERO);
+            assert!(outs.last().unwrap().completed.unwrap().crc_ok);
+            let pushed: Vec<Descriptor> = outs
+                .iter()
+                .flat_map(|o| o.pushed.iter().map(|&(_, _, d)| d))
+                .collect();
+            // The first three free-ring buffers, in order, 1000/1000/500.
+            let lens: Vec<u32> = pushed.iter().map(|d| d.len).collect();
+            assert_eq!(lens, vec![1000, 1000, 500], "{dma_mode:?}");
+            for (i, d) in pushed.iter().enumerate() {
+                assert_eq!(d.addr, PhysAddr(0x10_0000 + i as u64 * 0x4000));
+                assert_eq!(d.eop, i == 2);
+                assert!(!d.err);
+                let at = i * 1000;
+                assert_eq!(
+                    r.phys.read(d.addr, d.len as usize),
+                    &data[at..at + d.len as usize],
+                    "{dma_mode:?} buffer {i}"
+                );
+            }
+            if dma_mode == DmaMode::SingleCell {
+                // One DMA per cell plus one per straddle.
+                assert_eq!(r.rx.stats().dma_transactions, 57 + 2);
+            }
+            assert_eq!(r.rx.partial_pdus(), 0);
+        }
     }
 
     #[test]

@@ -20,13 +20,13 @@
 //!    learns the buffers are reusable (§2.1.2); the only transmit
 //!    interrupt is the full → half-empty wakeup for a blocked host.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use osiris_atm::sar::{FramingMode, SegmentUnit, Segmenter};
 use osiris_atm::{CellRef, CellSlab, StripedLink, Vci};
 use osiris_mem::{MemorySystem, PhysBuffer, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{Clock, FifoResource, SimTime, SymId, Timeline};
+use osiris_sim::{Clock, FifoResource, FxHashMap, SimTime, SymId, Timeline};
 
 use crate::descriptor::{DescRing, Descriptor};
 use crate::dma::{plan_dma, DmaMode};
@@ -166,7 +166,7 @@ pub struct TxProcessor {
     /// Per-VCI PDU sequence counters (wrapping). FourWay framing tags
     /// every cell with its PDU's number so the peer's reassembler can
     /// detect a lane slipping onto the next PDU after cell loss.
-    pdu_seq: HashMap<Vci, u16>,
+    pdu_seq: FxHashMap<Vci, u16>,
 }
 
 /// The transmit processor's interned track/name symbols.
@@ -226,7 +226,7 @@ impl TxProcessor {
             syms,
             lane_tracks: Vec::new(),
             last_dma_end: SimTime::ZERO,
-            pdu_seq: HashMap::new(),
+            pdu_seq: FxHashMap::default(),
         }
     }
 
@@ -427,12 +427,12 @@ impl TxProcessor {
             }
         }
 
-        // Gather the actual bytes (contents; timing handled above).
-        let buffers: Vec<Vec<u8>> = chain
+        // The actual bytes, borrowed in place (contents; timing handled
+        // above).
+        let slices: Vec<&[u8]> = chain
             .iter()
-            .map(|d| phys.read(d.addr, d.len as usize).to_vec())
+            .map(|d| phys.read(d.addr, d.len as usize))
             .collect();
-        let slices: Vec<&[u8]> = buffers.iter().map(|b| b.as_slice()).collect();
         let segmenter = Segmenter {
             framing: self.cfg.framing,
             unit: self.cfg.unit,
@@ -447,9 +447,10 @@ impl TxProcessor {
         let mut data_cursor = 0u64;
         let mut fetch_idx = 0usize;
         let mut last_finish = fw_cursor;
-        // Per-lane wire window for this PDU: first cell handed to the
-        // lane → last arrival at the peer.
-        let mut lane_win: HashMap<usize, (SimTime, SimTime)> = HashMap::new();
+        // Per-lane wire window for this PDU, indexed by lane: first cell
+        // handed to the lane → last arrival at the peer. Only the timeline
+        // reads it, so untraced runs never build it.
+        let mut lane_win: Vec<Option<(SimTime, SimTime)>> = Vec::new();
         for (i, mut cell) in cells.into_iter().enumerate() {
             let fw_grant = self.engine.acquire(
                 fw_cursor,
@@ -470,13 +471,14 @@ impl TxProcessor {
             cell.ctx = ctx;
             let r = slab.insert(cell);
             if let Some((lane, arrival)) = link.send_cell_ref(ready, i as u32, r, slab) {
-                lane_win
-                    .entry(lane)
-                    .and_modify(|w| {
-                        w.0 = w.0.min(ready);
-                        w.1 = w.1.max(arrival);
-                    })
-                    .or_insert((ready, arrival));
+                if traced.is_some() {
+                    if lane_win.len() <= lane {
+                        lane_win.resize(lane + 1, None);
+                    }
+                    let w = lane_win[lane].get_or_insert((ready, arrival));
+                    w.0 = w.0.min(ready);
+                    w.1 = w.1.max(arrival);
+                }
                 arrivals.push((arrival, lane, r));
             } else {
                 dropped += 1;
@@ -498,9 +500,8 @@ impl TxProcessor {
                 pdu_grant.start,
                 last_finish,
             );
-            let mut lanes: Vec<_> = lane_win.into_iter().collect();
-            lanes.sort_unstable_by_key(|&(l, _)| l);
-            for (lane, (from, to)) in lanes {
+            for (lane, win) in lane_win.into_iter().enumerate() {
+                let Some((from, to)) = win else { continue };
                 let lane_track = self.lane_track(lane);
                 self.timeline
                     .span_ctx_sym(lane_track, self.syms.lane_tx, c, from, to);

@@ -18,15 +18,13 @@
 //! TURBOchannel words for ring operations (the `RingCosts` reported by the
 //! queue), and invalidation cycles per the cache strategy.
 
-use std::collections::HashMap;
-
 use osiris_atm::Vci;
 use osiris_board::descriptor::{Descriptor, RingCosts};
 use osiris_board::rx::RxProcessor;
 use osiris_board::tx::TxProcessor;
 use osiris_mem::{AddressSpace, PhysBuffer, VirtAddr};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{SimDuration, SimTime, Timeline, TraceCtx};
+use osiris_sim::{FxHashMap, SimDuration, SimTime, Timeline, TraceCtx};
 
 use crate::machine::HostMachine;
 use crate::wiring::WiringService;
@@ -109,10 +107,10 @@ pub struct OsirisDriver {
     /// The dual-port queue page this driver manages (kernel: 0).
     pub page: usize,
     buffer_bytes: u32,
-    partial: HashMap<Vci, Vec<Descriptor>>,
+    partial: FxHashMap<Vci, Vec<Descriptor>>,
     /// When each in-progress chain's first descriptor was popped, for the
     /// per-PDU receive span.
-    chain_started: HashMap<Vci, SimTime>,
+    chain_started: FxHashMap<Vci, SimTime>,
     stats: DriverCounters,
     timeline: Timeline,
     /// Timeline track for this driver's CPU spans (`<scope>.driver`).
@@ -180,8 +178,8 @@ impl OsirisDriver {
             wiring,
             page,
             buffer_bytes,
-            partial: HashMap::new(),
-            chain_started: HashMap::new(),
+            partial: FxHashMap::default(),
+            chain_started: FxHashMap::default(),
             stats: DriverCounters::with_probe(probe),
             timeline: Timeline::default(),
             track: probe.scoped("driver").scope().to_string(),

@@ -12,14 +12,14 @@
 //! recovery: "the corresponding cache locations are invalidated, and the
 //! message is re-evaluated before it is considered in error".
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use osiris_board::descriptor::Descriptor;
 use osiris_host::driver::DeliveredPdu;
 use osiris_host::machine::{internet_checksum, HostMachine};
 use osiris_mem::{AddressSpace, MapError, PhysAddr, PhysBuffer, VirtAddr};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{SimDuration, SimTime, Timeline, TraceCtx};
+use osiris_sim::{FxHashMap, SimDuration, SimTime, Timeline, TraceCtx};
 
 use std::collections::HashSet;
 
@@ -403,7 +403,7 @@ pub struct ProtoStack {
     /// In-flight reassemblies, keyed by `(source host, datagram id)` —
     /// ids are per-sender counters, so on a fan-in path (incast) two
     /// senders' datagrams may carry the same id concurrently.
-    reasm: HashMap<(u16, u32), IpReassembly>,
+    reasm: FxHashMap<(u16, u32), IpReassembly>,
     /// Reliable mode: per-destination send windows (BTreeMap so dst scans
     /// are ordered — see [`SendWindow`]).
     send: BTreeMap<u16, SendWindow>,
@@ -511,7 +511,7 @@ impl ProtoStack {
             slab_next: 0,
             ip_id: 1,
             src_host: 0,
-            reasm: HashMap::new(),
+            reasm: FxHashMap::default(),
             send: BTreeMap::new(),
             recv: BTreeMap::new(),
             delivered_ids: HashSet::new(),

@@ -18,12 +18,16 @@
 //!   experiment harness; distributions use [`obs::Histogram`].
 //! * [`SimRng`] — a tiny, dependency-free, fully deterministic RNG
 //!   (SplitMix64) used for skew jitter and fault injection.
+//! * [`FxHashMap`] — a keyless multiply-rotate hasher for the per-cell
+//!   maps: fast on small integer keys, and iteration order depends only on
+//!   the insert sequence.
 //!
 //! Everything is deterministic: given the same configuration and seed, a
 //! simulation produces bit-identical results, which the test suite relies on.
 
 pub mod event;
 pub mod faults;
+pub mod fxhash;
 pub mod json;
 pub mod obs;
 pub mod pdes;
@@ -36,6 +40,7 @@ pub use event::{EventQueue, QueueKind};
 pub use faults::{
     CellFate, FaultComponent, FaultInjector, FaultPlan, LaneOutage, PointFault, PointFaultKind,
 };
+pub use fxhash::{FxHashMap, FxHasher};
 pub use json::Json;
 pub use obs::series::{SeriesData, SeriesDump, SeriesKind, SeriesSet};
 pub use obs::{
