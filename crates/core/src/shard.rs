@@ -63,9 +63,7 @@ use osiris_atm::{Cell, LinkSpec};
 use osiris_board::spsc::SpscRing;
 use osiris_sim::obs::{Counter, Gauge, Histogram, Snapshot};
 use osiris_sim::stats::{LatencyStats, ThroughputMeter};
-use osiris_sim::{
-    EventQueue, Model, PushKey, QueueKind, SeriesDump, ShardQueue, SimDuration, SimTime,
-};
+use osiris_sim::{EventQueue, Model, PushKey, SeriesDump, ShardQueue, SimDuration, SimTime};
 
 use crate::config::TestbedConfig;
 use crate::node::NodeId;
@@ -249,10 +247,11 @@ impl RunOutcome {
     /// (`cells.*`), the engine self-profile (`profile.*`, wall-clock
     /// and per-shard by nature), the telemetry plane's own bookkeeping
     /// (`obs.*`, present only when sampling is on), the event-queue
-    /// internals (`engine.queue.*`, backend-dependent), the switch's
-    /// instantaneous depth gauge (last-writer), and the `shard<k>.`
-    /// re-scoped spellings of all of these. Byte-compare its rendered
-    /// JSON across shard counts, queue backends, and sampling on/off.
+    /// internals (`engine.queue.*`, each queue's own pending high
+    /// water), the switch's instantaneous depth gauge (last-writer),
+    /// and the `shard<k>.` re-scoped spellings of all of these.
+    /// Byte-compare its rendered JSON across shard counts and sampling
+    /// on/off.
     pub fn semantic_snapshot(&self) -> Snapshot {
         fn keep(k: &str) -> bool {
             !is_partition_dependent_key(k)
@@ -319,14 +318,15 @@ impl RunOutcome {
     }
 }
 
-/// Key prefixes whose values legitimately differ across partitionings,
-/// queue backends, or sampling on/off — stripped from the semantic
-/// snapshot (in both plain and `shard<k>.`-re-scoped spellings):
+/// Key prefixes whose values legitimately differ across partitionings
+/// or sampling on/off — stripped from the semantic snapshot (in both
+/// plain and `shard<k>.`-re-scoped spellings):
 ///
 /// * `cells.` — arena placement depends on which cells co-reside;
 /// * `profile.` — per-shard engine self-profiling, partly wall-clock;
 /// * `obs.` — the sampler's own bookkeeping, present only when on;
-/// * `engine.queue.` — calendar-queue internals, backend-dependent.
+/// * `engine.queue.` — event-queue internals (each shard's own pending
+///   high water).
 const PARTITION_DEPENDENT_PREFIXES: &[&str] = &["cells.", "profile.", "obs.", "engine.queue."];
 
 /// True for keys the semantic snapshot must strip (see
@@ -554,10 +554,10 @@ fn run_shard(
         )
     });
     // Handlers stage into a plain queue; the shard loop re-keys and
-    // routes each staged event. Reused across dispatches. It holds only
-    // the few events one dispatch pushes, so it stays on the heap
-    // backend it has always used.
-    let mut staging: EventQueue<Event> = EventQueue::with_kind(QueueKind::Heap);
+    // routes each staged event. Reused across dispatches; it pops each
+    // dispatch's pushes in (time, push order), and a push below its
+    // last pop (after a far-future timer) just re-anchors it.
+    let mut staging: EventQueue<Event> = EventQueue::new();
     let n = tb.nodes.len();
     // Per-origin push counters — the `ctr` component of PushKey. All
     // replicas advance all counters identically (foreign events are

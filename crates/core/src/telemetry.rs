@@ -23,7 +23,7 @@
 //! scheduled, events dispatched (a synthetic per-sampler counter, so
 //! each shard's dispatch rate is its own series), the per-event-type
 //! `engine.dispatch.*` mix, the cell-slab high water, the switch
-//! output-queue depth and high water, and the calendar queue's bucket
+//! output-queue depth and high water, and the event queue's pending
 //! high water.
 
 use osiris_sim::obs::{Counter, Probe, Registry};
@@ -36,7 +36,7 @@ const TRACKED_GAUGES: &[&str] = &[
     "cells.slab_high_water",
     "fabric.switch.queue_depth_cells",
     "fabric.switch.queue_high_water_cells",
-    "engine.queue.bucket_high_water",
+    "engine.queue.pending_high_water",
     "profile.gmin_ps",
 ];
 

@@ -55,9 +55,16 @@ impl IpHeader {
         b
     }
 
-    /// Decodes and verifies the header checksum.
+    /// Decodes and verifies the header checksum. Rejects anything
+    /// [`IpHeader::encode`] cannot produce: a more-fragments byte other
+    /// than 0 or 1, or a non-zero reserved (19) or padding (22–23) byte.
     pub fn decode(b: &[u8]) -> Option<IpHeader> {
-        if b.len() < IP_HEADER_BYTES || b[0] != 0x45 {
+        if b.len() < IP_HEADER_BYTES
+            || b[0] != 0x45
+            || b[18] > 1
+            || b[19] != 0
+            || b[22..24] != [0, 0]
+        {
             return None;
         }
         // Re-checksum with the checksum field zeroed.
@@ -76,7 +83,7 @@ impl IpHeader {
             id: u32::from_be_bytes([b[6], b[7], b[8], b[9]]),
             total_len: u32::from_be_bytes([b[10], b[11], b[12], b[13]]),
             frag_off: u32::from_be_bytes([b[14], b[15], b[16], b[17]]),
-            more_frags: b[18] != 0,
+            more_frags: b[18] == 1,
         })
     }
 }
@@ -106,9 +113,10 @@ impl UdpHeader {
         b
     }
 
-    /// Decodes the header (no checksum over the header itself, as in UDP).
+    /// Decodes the header (no checksum over the header itself, as in
+    /// UDP). Rejects non-zero padding (bytes 10–11).
     pub fn decode(b: &[u8]) -> Option<UdpHeader> {
-        if b.len() < UDP_HEADER_BYTES {
+        if b.len() < UDP_HEADER_BYTES || b[10..12] != [0, 0] {
             return None;
         }
         Some(UdpHeader {
@@ -159,11 +167,6 @@ mod tests {
     fn ip_header_checksum_catches_corruption() {
         let b = hdr().encode();
         for i in 0..IP_HEADER_BYTES {
-            // Skip the padding bytes that don't affect decode, but still
-            // require the checksum to catch changes to live fields.
-            if i == 19 || i >= 22 {
-                continue;
-            }
             let mut bad = b;
             bad[i] ^= 0x40;
             assert_eq!(
@@ -192,5 +195,114 @@ mod tests {
         };
         assert_eq!(UdpHeader::decode(&h.encode()), Some(h));
         assert_eq!(UdpHeader::decode(&[0u8; 4]), None);
+    }
+
+    /// Writes a valid checksum over a (possibly mutated) IP image.
+    fn reseal(b: &mut [u8]) {
+        b[20] = 0;
+        b[21] = 0;
+        let ck = internet_checksum(&b[..IP_HEADER_BYTES]);
+        b[20..22].copy_from_slice(&ck.to_be_bytes());
+    }
+
+    #[test]
+    fn ip_rejects_fields_encode_never_writes() {
+        // Each with a valid checksum, so only the field check can catch it.
+        for (at, v) in [(18, 2u8), (18, 0x80), (19, 1), (22, 1), (23, 0x40)] {
+            let mut b = hdr().encode();
+            b[at] = v;
+            reseal(&mut b);
+            assert_eq!(IpHeader::decode(&b), None, "byte {at} = {v:#x} accepted");
+        }
+        let mut b = UdpHeader {
+            src_port: 1,
+            dst_port: 2,
+            len: 3,
+            cksum: 0,
+        }
+        .encode();
+        b[11] = 1;
+        assert_eq!(UdpHeader::decode(&b), None);
+    }
+
+    /// Seeded mutation fuzz: byte flips, truncations and splices of
+    /// encoded IP + UDP header pairs (half of them with the IP checksum
+    /// recomputed so the mutation reaches the checks behind it). The
+    /// decoders must never panic, and every header one accepts must
+    /// re-encode to exactly the bytes it consumed.
+    #[test]
+    fn mutated_headers_never_panic_and_accepted_ones_round_trip() {
+        use osiris_sim::SimRng;
+        let mut rng = SimRng::new(0x1F_0D_0D);
+        let image = |rng: &mut SimRng| {
+            let ip = IpHeader {
+                id: rng.next_u64() as u32,
+                total_len: rng.next_u64() as u32,
+                frag_off: rng.next_u64() as u32,
+                more_frags: rng.gen_bool(0.5),
+                proto: if rng.gen_bool(0.8) {
+                    IPPROTO_UDP
+                } else {
+                    rng.next_u64() as u8
+                },
+                src: rng.next_u64() as u16,
+                dst: rng.next_u64() as u16,
+            };
+            let udp = UdpHeader {
+                src_port: rng.next_u64() as u16,
+                dst_port: rng.next_u64() as u16,
+                len: rng.next_u64() as u32,
+                cksum: rng.next_u64() as u16,
+            };
+            let mut b = ip.encode().to_vec();
+            b.extend_from_slice(&udp.encode());
+            b
+        };
+        let mut counts = [[0u32; 2]; 2];
+        for _ in 0..20_000 {
+            let mut bytes = image(&mut rng);
+            match rng.gen_range(3) {
+                0 => {
+                    for _ in 0..1 + rng.gen_range(3) {
+                        let at = rng.gen_range(bytes.len() as u64) as usize;
+                        bytes[at] ^= 1 + rng.gen_range(255) as u8;
+                    }
+                }
+                1 => bytes.truncate(rng.gen_range(bytes.len() as u64 + 1) as usize),
+                _ => {
+                    let other = image(&mut rng);
+                    let a = rng.gen_range(bytes.len() as u64 + 1) as usize;
+                    let b = rng.gen_range(other.len() as u64 + 1) as usize;
+                    bytes.truncate(a);
+                    bytes.extend_from_slice(&other[b..]);
+                }
+            }
+            if bytes.len() >= IP_HEADER_BYTES && rng.gen_bool(0.5) {
+                reseal(&mut bytes);
+            }
+            let ip = IpHeader::decode(&bytes);
+            if let Some(h) = ip {
+                assert_eq!(
+                    &bytes[..IP_HEADER_BYTES],
+                    &h.encode()[..],
+                    "accepted {bytes:?}"
+                );
+            }
+            counts[0][ip.is_some() as usize] += 1;
+            let rest = &bytes[IP_HEADER_BYTES.min(bytes.len())..];
+            let udp = UdpHeader::decode(rest);
+            if let Some(h) = udp {
+                assert_eq!(
+                    &rest[..UDP_HEADER_BYTES],
+                    &h.encode()[..],
+                    "accepted {rest:?}"
+                );
+            }
+            counts[1][udp.is_some() as usize] += 1;
+        }
+        // Both outcomes must be exercised for the property to mean much.
+        for [rejected, accepted] in counts {
+            assert!(accepted > 1000 && rejected > 1000, "{accepted}/{rejected}");
+        }
     }
 }

@@ -1,263 +1,79 @@
-//! Time-ordered, FIFO-stable event queue.
+//! Time-ordered, FIFO-stable event queue: a monotone radix heap
+//! (Ahuja, Mehlhorn, Orlin and Tarjan, "Faster algorithms for the
+//! shortest path problem", JACM 1990).
 //!
-//! Two interchangeable backends sit behind one API, both keyed by
-//! `(time, sequence)` so events scheduled for the same instant are
-//! dispatched in the order they were pushed:
+//! A simulation never schedules before the instant it last dispatched
+//! (`Simulation::step` asserts causality on every pop), so the queue
+//! keeps an anchor `last` — the time of the last pop — and files each
+//! pending entry by the highest bit in which its time differs from
+//! `last`: bucket `b` holds the times `t > last` whose highest set bit
+//! of `t ^ last` is `b`, and a FIFO holds the entries at exactly
+//! `last`. Every time in bucket `b` is below every time in bucket
+//! `b + 1`, so the earliest pending entry is in the FIFO or else in the
+//! lowest non-empty bucket, found from a `u64` occupancy mask. Push is
+//! one `leading_zeros` and a `Vec::push`; pop takes the FIFO's front.
+//! When the FIFO is empty, pop re-anchors `last` at the lowest non-empty
+//! bucket's minimum and redistributes that bucket. Its entries share
+//! every bit above `b` with the new anchor as well, so each lands
+//! strictly below `b`, and no other bucket moves: an entry is
+//! redistributed at most 64 times over its life.
 //!
-//! * [`QueueKind::Heap`] — a binary heap: O(log n) push/pop, the
-//!   original engine, kept as the reference the equivalence tests and
-//!   the engine bench compare the calendar against.
-//! * [`QueueKind::Calendar`] — a bucketed calendar queue (Brown's
-//!   "Calendar Queues", CACM 1988): events hash into time-sliced
-//!   buckets like appointments onto the days of a desk calendar, and
-//!   the pop scan walks forward from the last-popped day. Push and pop
-//!   are O(1) amortised once the bucket width matches the event
-//!   density, which is what makes million-event runs cheap. This is
-//!   [`QueueKind::default`], so [`EventQueue::new`] and `SimConfig`
-//!   agree.
+//! **FIFO within an instant without a sequence number.** Entries with
+//! equal times always share a bucket (the bucket is a function of the
+//! time and the anchor). Buckets only ever receive appends, and a
+//! redistribution walks its bucket in order into the FIFO and the lower
+//! buckets, all of them empty, so equal-time entries keep their push
+//! order all the way into the FIFO. The pop sequence is
+//! therefore exactly the `(time, push order)` order — the total order
+//! every model in the workspace leans on: a DMA completion and a cell
+//! arrival landing on the same picosecond always resolve the same way.
+//! The `queue_equivalence` integration test holds the queue to a
+//! `(time, seq)` binary-heap reference pop by pop.
 //!
-//! The `(time, seq)` key is a *total* order, so any correct priority
-//! queue over it yields the same pop sequence: the backend choice can
-//! never change simulation results, only how fast they arrive. The
-//! `queue_equivalence` integration test drives both backends through
-//! identical seeded schedules and asserts the sequences match; the
-//! bench-snapshot gates assert the stronger end-to-end form (same
-//! snapshots bit-for-bit).
+//! A push below `last` is legal on a standalone queue (the sharded
+//! engine's per-dispatch staging queue sees one after every far-future
+//! push). On an empty queue it only re-anchors `last`; on a non-empty
+//! one it re-files every entry against the new anchor, which keeps both
+//! properties above.
 //!
-//! This stability is what makes whole-system simulations reproducible —
-//! e.g. a DMA-completion and a cell-arrival landing on the same
-//! picosecond always resolve the same way.
+//! Entries are stored inline, `(time, event)`, with no sequence number.
+//! A pending set that sweeps down through the buckets would leave each
+//! bucket it crossed holding storage for all of it, so a drained bucket
+//! hands large storage back to the allocator when keeping it would
+//! leave the buckets holding more than twice the pending high water.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::obs::{Counter, Gauge, Probe};
 use crate::time::SimTime;
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> Entry<E> {
-    /// The total dispatch order.
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// Which backing store an [`EventQueue`] uses. Both produce identical
-/// pop sequences (the key is a total order); they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Binary heap: O(log n) push/pop. The original engine.
-    Heap,
-    /// Bucketed calendar queue: O(1) amortised push/pop. The default
-    /// for scenario runs (`SimConfig::queue`).
-    #[default]
-    Calendar,
-}
-
-/// Smallest bucket count the calendar ever uses.
-const MIN_BUCKETS: usize = 16;
-/// Initial bucket width: 256 ns of virtual time per bucket (cell times
-/// on a 622 Mbps link are ~680 ns, so fresh queues start near the
-/// density they will see). Resizes re-derive it from the live spread.
-const INITIAL_WIDTH_PS: u64 = 256_000;
-/// Floor for the derived bucket width (1 ns): a degenerate spread must
-/// not drive the width to zero.
-const MIN_WIDTH_PS: u64 = 1_000;
-
-/// The calendar backend: `buckets[day % nbuckets]` holds every pending
-/// entry whose "day" (`time / width`) hashes there; days alias
-/// year-periodically, so each scan filters for the day it is visiting.
-///
-/// Invariant: `cursor_day` never exceeds the day of the earliest
-/// pending entry (pop re-anchors it to the popped minimum; push rewinds
-/// it for out-of-order arrivals), so the forward year-scan always meets
-/// the earliest day first.
-struct Calendar<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Picoseconds of virtual time each bucket spans.
-    width_ps: u64,
-    /// Absolute day (`time / width`) the pop scan starts from.
-    cursor_day: u64,
-    len: usize,
-    /// Lifetime grow+shrink rebuilds (mirrored to `queue.resizes`).
-    resizes_total: u64,
-    /// Most entries any bucket ever held after a push (mirrored to
-    /// `queue.bucket_high_water`) — the calendar's load-balance health:
-    /// a high value means the width no longer matches event density.
-    bucket_hw: usize,
-    resizes: Counter,
-    high_water: Gauge,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width_ps: INITIAL_WIDTH_PS,
-            cursor_day: 0,
-            len: 0,
-            resizes_total: 0,
-            bucket_hw: 0,
-            resizes: Counter::detached(),
-            high_water: Gauge::default(),
-        }
-    }
-
-    fn day_of(&self, t: SimTime) -> u64 {
-        t.as_ps() / self.width_ps
-    }
-
-    fn push(&mut self, e: Entry<E>) {
-        let day = self.day_of(e.time);
-        // An entry landing before the scan cursor (legal for standalone
-        // queues; simulations never rewind) drags the cursor back so
-        // the next scan still meets the earliest day first.
-        if day < self.cursor_day {
-            self.cursor_day = day;
-        }
-        let b = (day % self.buckets.len() as u64) as usize;
-        self.buckets[b].push(e);
-        self.len += 1;
-        let occ = self.buckets[b].len();
-        if occ > self.bucket_hw {
-            self.bucket_hw = occ;
-            self.high_water.set(occ as f64);
-        }
-        if self.len > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    /// `(bucket, index)` of the earliest entry by `(time, seq)`.
-    ///
-    /// Walks one calendar year forward from the cursor — the common
-    /// case finds the next event within a few days — then falls back to
-    /// a global scan when the pending set is sparser than a year.
-    fn find_min(&self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len() as u64;
-        for i in 0..n {
-            let day = self.cursor_day + i;
-            let b = (day % n) as usize;
-            // Day membership as a half-open time range — two compares
-            // per entry instead of a division.
-            let day_lo = day.saturating_mul(self.width_ps);
-            let day_hi = day_lo.saturating_add(self.width_ps);
-            let mut best: Option<(usize, (SimTime, u64))> = None;
-            for (j, e) in self.buckets[b].iter().enumerate() {
-                let ps = e.time.as_ps();
-                if ps < day_lo || ps >= day_hi {
-                    continue; // lives in another year of this bucket
-                }
-                if best.is_none_or(|(_, k)| e.key() < k) {
-                    best = Some((j, e.key()));
-                }
-            }
-            if let Some((j, _)) = best {
-                return Some((b, j));
-            }
-        }
-        // Sparse tail: nothing within a year of the cursor.
-        let mut best: Option<((usize, usize), (SimTime, u64))> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (j, e) in bucket.iter().enumerate() {
-                if best.is_none_or(|(_, k)| e.key() < k) {
-                    best = Some(((b, j), e.key()));
-                }
-            }
-        }
-        best.map(|(pos, _)| pos)
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        let (b, j) = self.find_min()?;
-        let e = self.buckets[b].swap_remove(j);
-        self.len -= 1;
-        // The popped entry had the minimum time, so its day lower-bounds
-        // every remaining day: re-anchoring the cursor here keeps the
-        // scan invariant and skips the already-drained past.
-        self.cursor_day = self.day_of(e.time);
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some(e)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.find_min().map(|(b, j)| self.buckets[b][j].time)
-    }
-
-    /// Rebuilds with `n` buckets and a width re-derived from the live
-    /// spread of pending times, so one year keeps covering the working
-    /// set as the simulation's event density drifts.
-    fn resize(&mut self, n: usize) {
-        self.resizes_total += 1;
-        self.resizes.incr();
-        let entries: Vec<Entry<E>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        if !entries.is_empty() {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            for e in &entries {
-                lo = lo.min(e.time.as_ps());
-                hi = hi.max(e.time.as_ps());
-            }
-            self.width_ps = ((hi - lo) / entries.len() as u64).max(MIN_WIDTH_PS);
-            self.cursor_day = lo / self.width_ps;
-        }
-        self.buckets = (0..n).map(|_| Vec::new()).collect();
-        for e in entries {
-            let b = ((e.time.as_ps() / self.width_ps) % n as u64) as usize;
-            self.buckets[b].push(e);
-        }
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
-    }
-}
-
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(Calendar<E>),
-}
+/// Bucket count: one per bit of a picosecond timestamp.
+const BUCKETS: usize = 64;
+/// Drained bucket storage below this many entries is always kept;
+/// larger storage is weighed against the retention cap first.
+const RETAIN_CHECK: usize = 1024;
 
 /// A priority queue of `(SimTime, E)` pairs, earliest first, FIFO within a
 /// single instant.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
-    next_seq: u64,
+    /// The entries stamped exactly `last`, in push order.
+    current: VecDeque<E>,
+    /// `buckets[b]`: the entries whose time first differs from `last`
+    /// at bit `b`, in push order.
+    buckets: [Vec<(u64, E)>; BUCKETS],
+    /// Earliest time in each bucket (`u64::MAX` while it is empty).
+    mins: [u64; BUCKETS],
+    /// Bit `b` is set iff `buckets[b]` is non-empty.
+    occupied: u64,
+    /// The anchor, in picoseconds: no pending entry is earlier.
+    last: u64,
+    len: usize,
     pushed: u64,
     scheduled: Counter,
+    /// Most entries ever pending at once (mirrored to
+    /// `queue.pending_high_water`).
+    pending_hw: usize,
+    high_water: Gauge,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -267,29 +83,19 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue on the default backend ([`QueueKind::default`]).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::default())
-    }
-
-    /// An empty queue on the chosen backend.
-    pub fn with_kind(kind: QueueKind) -> Self {
         EventQueue {
-            backend: match kind {
-                QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-                QueueKind::Calendar => Backend::Calendar(Calendar::new()),
-            },
-            next_seq: 0,
+            current: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; BUCKETS],
+            occupied: 0,
+            last: 0,
+            len: 0,
             pushed: 0,
             scheduled: Counter::detached(),
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.backend {
-            Backend::Heap(_) => QueueKind::Heap,
-            Backend::Calendar(_) => QueueKind::Calendar,
+            pending_hw: 0,
+            high_water: Gauge::default(),
         }
     }
 
@@ -297,73 +103,84 @@ impl<E> EventQueue<E> {
     /// `probe`'s registry. Pushes made before attaching are carried over,
     /// so the counter always equals [`EventQueue::total_pushed`].
     ///
-    /// Queue internals ride along under `<scope>.queue.*`: calendar
-    /// rebuilds (`resizes`) and the bucket-occupancy high water
-    /// (`bucket_high_water`). Both keys are registered for **every**
-    /// backend so the snapshot key set is identical across
-    /// [`QueueKind`]s — the heap has no buckets and legitimately
-    /// reports zero. The values are backend diagnostics, not semantics:
-    /// equivalence comparisons strip `<scope>.queue.*` before
-    /// byte-comparing.
+    /// The most entries ever pending at once rides along as the
+    /// `<scope>.queue.pending_high_water` gauge. It is a diagnostic of
+    /// the engine, not a result: the sharded engine's queues see other
+    /// pending sets, so equivalence comparisons strip `<scope>.queue.*`
+    /// before byte-comparing.
     pub fn attach_probe(&mut self, probe: &Probe) {
         self.scheduled = probe.scoped("events").counter("scheduled");
         self.scheduled.add(self.pushed);
-        let qp = probe.scoped("queue");
-        let resizes = qp.counter("resizes");
-        let high_water = qp.gauge("bucket_high_water");
-        if let Backend::Calendar(c) = &mut self.backend {
-            resizes.add(c.resizes_total);
-            high_water.set(c.bucket_hw as f64);
-            c.resizes = resizes;
-            c.high_water = high_water;
-        }
+        self.high_water = probe.scoped("queue").gauge("pending_high_water");
+        self.high_water.set(self.pending_hw as f64);
     }
 
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.pushed += 1;
         self.scheduled.incr();
-        let entry = Entry {
-            time: at,
-            seq,
-            event,
-        };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Calendar(c) => c.push(entry),
+        self.len += 1;
+        if self.len > self.pending_hw {
+            self.pending_hw = self.len;
+            self.high_water.set(self.len as f64);
         }
+        let t = at.as_ps();
+        if t < self.last {
+            if self.len == 1 {
+                self.last = t;
+            } else {
+                self.rebase(t);
+            }
+        }
+        self.file(t, event);
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.pop(),
-            Backend::Calendar(c) => c.pop(),
+        if self.current.is_empty() {
+            if self.occupied == 0 {
+                return None;
+            }
+            let b = self.occupied.trailing_zeros() as usize;
+            if self.buckets[b].len() == 1 {
+                // A lone minimum needs no redistribution: re-anchoring
+                // at it leaves every other bucket's index unchanged.
+                let (t, event) = self.buckets[b].pop().expect("one entry");
+                self.mins[b] = u64::MAX;
+                self.occupied &= !(1 << b);
+                self.last = t;
+                self.len -= 1;
+                return Some((SimTime(t), event));
+            }
+            self.redistribute(b);
         }
-        .map(|e| (e.time, e.event))
+        let event = self
+            .current
+            .pop_front()
+            .expect("redistribution fills the FIFO");
+        self.len -= 1;
+        Some((SimTime(self.last), event))
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| e.time),
-            Backend::Calendar(c) => c.peek_time(),
+        if !self.current.is_empty() {
+            Some(SimTime(self.last))
+        } else if self.occupied != 0 {
+            Some(SimTime(self.mins[self.occupied.trailing_zeros() as usize]))
+        } else {
+            None
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
+        self.len
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Total number of events ever pushed (diagnostic).
@@ -373,9 +190,65 @@ impl<E> EventQueue<E> {
 
     /// Discards all pending events.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Calendar(c) => c.clear(),
+        self.current.clear();
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        self.mins = [u64::MAX; BUCKETS];
+        self.occupied = 0;
+        self.len = 0;
+    }
+
+    /// Files `event` at time `t >= last`: into the FIFO at `last`, else
+    /// into the bucket of the highest bit where `t` and `last` differ.
+    fn file(&mut self, t: u64, event: E) {
+        if t == self.last {
+            self.current.push_back(event);
+            return;
+        }
+        let b = 63 - (t ^ self.last).leading_zeros() as usize;
+        self.buckets[b].push((t, event));
+        self.mins[b] = self.mins[b].min(t);
+        self.occupied |= 1 << b;
+    }
+
+    /// Re-anchors at the minimum of bucket `b`, the lowest non-empty
+    /// one, and re-files that bucket. Its entries all land in the FIFO
+    /// or in lower buckets (see the module docs), so its emptied storage
+    /// is kept for reuse, unless it is large and keeping it would leave
+    /// the buckets holding more than twice the pending high water.
+    fn redistribute(&mut self, b: usize) {
+        self.last = self.mins[b];
+        self.mins[b] = u64::MAX;
+        self.occupied &= !(1 << b);
+        let mut moving = std::mem::take(&mut self.buckets[b]);
+        for (t, event) in moving.drain(..) {
+            self.file(t, event);
+        }
+        debug_assert!(self.buckets[b].is_empty(), "radix heap entry moved up");
+        if moving.capacity() < RETAIN_CHECK
+            || self.buckets.iter().map(Vec::capacity).sum::<usize>() + moving.capacity()
+                <= 2 * self.pending_hw
+        {
+            self.buckets[b] = moving;
+        }
+    }
+
+    /// Re-anchors a non-empty queue at `t`, below every pending time,
+    /// and re-files every entry against it. The FIFO goes first and
+    /// each bucket in its own order, so equal times keep push order.
+    fn rebase(&mut self, t: u64) {
+        let old = self.last;
+        let current = std::mem::take(&mut self.current);
+        let buckets = std::mem::replace(&mut self.buckets, std::array::from_fn(|_| Vec::new()));
+        self.mins = [u64::MAX; BUCKETS];
+        self.occupied = 0;
+        self.last = t;
+        for event in current {
+            self.file(old, event);
+        }
+        for (time, event) in buckets.into_iter().flatten() {
+            self.file(time, event);
         }
     }
 }
@@ -383,7 +256,6 @@ impl<E> EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("kind", &self.kind())
             .field("pending", &self.len())
             .field("total_pushed", &self.pushed)
             .field("next_time", &self.peek_time())
@@ -395,171 +267,180 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
 
-    const BOTH: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
-
     #[test]
     fn pops_earliest_first() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime::from_ns(5), "b");
-            q.push(SimTime::from_ns(1), "a");
-            q.push(SimTime::from_ns(9), "c");
-            assert_eq!(q.pop(), Some((SimTime::from_ns(1), "a")));
-            assert_eq!(q.pop(), Some((SimTime::from_ns(5), "b")));
-            assert_eq!(q.pop(), Some((SimTime::from_ns(9), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(5), "b");
+        q.push(SimTime::from_ns(1), "a");
+        q.push(SimTime::from_ns(9), "c");
+        assert_eq!(q.pop(), Some((SimTime::from_ns(1), "a")));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(5), "b")));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(9), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn equal_times_preserve_push_order() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_us(3);
-            for i in 0..1000 {
-                q.push(t, i);
-            }
-            for i in 0..1000 {
-                assert_eq!(q.pop().unwrap().1, i);
-            }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_us(3);
+        for i in 0..1000 {
+            q.push(t, i);
+        }
+        for i in 0..1000 {
+            assert_eq!(q.pop().unwrap().1, i);
         }
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime::from_ns(10), 1);
-            q.push(SimTime::from_ns(30), 3);
-            assert_eq!(q.pop().unwrap().1, 1);
-            q.push(SimTime::from_ns(20), 2);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 3);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(10), 1);
+        q.push(SimTime::from_ns(30), 3);
+        assert_eq!(q.pop().unwrap().1, 1);
+        q.push(SimTime::from_ns(20), 2);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 3);
     }
 
     #[test]
     fn bookkeeping() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(SimTime::from_ns(1), ());
-            q.push(SimTime::from_ns(2), ());
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.total_pushed(), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
-            q.clear();
-            assert!(q.is_empty());
-            // total_pushed survives clear (it is a lifetime diagnostic).
-            assert_eq!(q.total_pushed(), 2);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime::from_ns(1), ());
+        q.push(SimTime::from_ns(2), ());
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.total_pushed(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
+        q.clear();
+        assert!(q.is_empty());
+        // total_pushed survives clear (it is a lifetime diagnostic).
+        assert_eq!(q.total_pushed(), 2);
     }
 
     #[test]
     fn attached_probe_mirrors_total_pushed() {
         use crate::obs::Registry;
-        for kind in BOTH {
-            let reg = Registry::new();
-            let mut q = EventQueue::with_kind(kind);
-            // Pushes before attaching are carried over...
-            q.push(SimTime::from_ns(1), ());
-            q.attach_probe(&reg.probe("engine"));
-            assert_eq!(reg.snapshot().counter("engine.events.scheduled"), 1);
-            // ...and later pushes keep the counter in lockstep, across clear().
-            q.push(SimTime::from_ns(2), ());
-            q.clear();
-            q.push(SimTime::from_ns(3), ());
-            assert_eq!(
-                reg.snapshot().counter("engine.events.scheduled"),
-                q.total_pushed()
-            );
-        }
+        let reg = Registry::new();
+        let mut q = EventQueue::new();
+        // Pushes before attaching are carried over...
+        q.push(SimTime::from_ns(1), ());
+        q.attach_probe(&reg.probe("engine"));
+        assert_eq!(reg.snapshot().counter("engine.events.scheduled"), 1);
+        // ...and later pushes keep the counter in lockstep, across clear().
+        q.push(SimTime::from_ns(2), ());
+        q.clear();
+        q.push(SimTime::from_ns(3), ());
+        assert_eq!(
+            reg.snapshot().counter("engine.events.scheduled"),
+            q.total_pushed()
+        );
     }
 
     #[test]
     fn queue_internals_are_probed_on_both_backends() {
         use crate::obs::Registry;
-        for kind in BOTH {
-            let reg = Registry::new();
-            let mut q = EventQueue::with_kind(kind);
-            q.attach_probe(&reg.probe("engine"));
-            // Drive far past the grow threshold so the calendar resizes
-            // and fills buckets.
-            for i in 0..200u64 {
-                q.push(SimTime::from_us(i % 7), i);
-            }
-            let snap = reg.snapshot();
-            // The key set is identical across backends (satellite:
-            // snapshot equivalence across QueueKinds)…
-            assert!(snap.counters.contains_key("engine.queue.resizes"));
-            assert!(snap.gauges.contains_key("engine.queue.bucket_high_water"));
-            match kind {
-                // …the heap legitimately reports zero…
-                QueueKind::Heap => {
-                    assert_eq!(snap.counter("engine.queue.resizes"), 0);
-                    assert_eq!(snap.gauge("engine.queue.bucket_high_water"), 0.0);
-                }
-                // …and the calendar reports real internals.
-                QueueKind::Calendar => {
-                    assert!(snap.counter("engine.queue.resizes") > 0);
-                    assert!(snap.gauge("engine.queue.bucket_high_water") >= 1.0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn calendar_internals_carry_over_at_attach() {
-        use crate::obs::Registry;
+        use crate::pdes::{PushKey, ShardQueue};
+        // The sequential queue and the sharded engine's ShardQueue
+        // register the same `engine.queue.*` key set, and both report
+        // their real pending high water.
         let reg = Registry::new();
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
+        q.attach_probe(&reg.probe("engine"));
         for i in 0..200u64 {
             q.push(SimTime::from_us(i % 7), i);
         }
+        for _ in 0..150 {
+            q.pop();
+        }
+        q.push(SimTime::from_us(9), 0);
+        let shard_reg = Registry::new();
+        let mut sq = ShardQueue::new();
+        sq.attach_probe(&shard_reg.probe("engine"));
+        for i in 0..200u64 {
+            sq.push(SimTime::from_us(i % 7), PushKey::seed(0, i), i);
+        }
+        let queue_keys = |snap: &crate::obs::Snapshot| -> Vec<String> {
+            let counters = snap
+                .counters
+                .keys()
+                .filter(|k| k.starts_with("engine.queue."));
+            let gauges = snap
+                .gauges
+                .keys()
+                .filter(|k| k.starts_with("engine.queue."));
+            counters.chain(gauges).cloned().collect()
+        };
+        let (snap, shard_snap) = (reg.snapshot(), shard_reg.snapshot());
+        assert_eq!(queue_keys(&snap), vec!["engine.queue.pending_high_water"]);
+        assert_eq!(queue_keys(&snap), queue_keys(&shard_snap));
+        assert_eq!(snap.gauge("engine.queue.pending_high_water"), 200.0);
+        assert_eq!(shard_snap.gauge("engine.queue.pending_high_water"), 200.0);
+    }
+
+    #[test]
+    fn queue_internals_carry_over_at_attach() {
+        use crate::obs::Registry;
+        let reg = Registry::new();
+        let mut q = EventQueue::new();
+        for i in 0..200u64 {
+            q.push(SimTime::from_us(i % 7), i);
+        }
+        q.clear();
         q.attach_probe(&reg.probe("engine"));
-        let snap = reg.snapshot();
-        assert!(snap.counter("engine.queue.resizes") > 0);
-        assert!(snap.gauge("engine.queue.bucket_high_water") >= 1.0);
-    }
-
-    #[test]
-    fn new_uses_the_default_kind_and_with_kind_selects() {
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::default());
         assert_eq!(
-            EventQueue::<()>::with_kind(QueueKind::Heap).kind(),
-            QueueKind::Heap
+            reg.snapshot().gauge("engine.queue.pending_high_water"),
+            200.0
         );
-        assert_eq!(
-            EventQueue::<()>::with_kind(QueueKind::Calendar).kind(),
-            QueueKind::Calendar
-        );
-        assert_eq!(QueueKind::default(), QueueKind::Calendar);
     }
 
     #[test]
-    fn calendar_survives_resize_cycles() {
-        // Push far past the grow threshold, drain past the shrink one,
-        // and check the order never wavers. Times are scattered widely
-        // so resizes actually re-derive the width.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        let mut times: Vec<u64> = (0..500u64).map(|i| (i * 7919) % 4093).collect();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_us(t), i);
+    fn scattered_times_survive_redistribution() {
+        // Scattered times across many bit widths, drained, then a second
+        // scatter far past the first anchor: the order never wavers.
+        let mut q = EventQueue::new();
+        for base in [0u64, 1 << 20] {
+            let mut times: Vec<u64> = (0..500u64).map(|i| base + (i * 7919) % 4093).collect();
+            for (i, &t) in times.iter().enumerate() {
+                q.push(SimTime::from_us(t), i);
+            }
+            times.sort();
+            for &t in &times {
+                let (at, _) = q.pop().unwrap();
+                assert_eq!(at, SimTime::from_us(t));
+            }
+            assert!(q.is_empty());
         }
-        times.sort();
-        for &t in &times {
-            let (at, _) = q.pop().unwrap();
-            assert_eq!(at, SimTime::from_us(t));
-        }
-        assert!(q.is_empty());
     }
 
     #[test]
-    fn calendar_handles_sparse_far_future_events() {
-        // A lone event many "years" ahead of the cursor exercises the
-        // global-scan fallback.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+    fn retained_storage_stays_near_the_pending_high_water() {
+        // Cell-train bursts far apart: each burst's entries sweep down
+        // through a dozen buckets as they drain. Without the retention
+        // cap every one of those buckets would keep storage for a whole
+        // burst.
+        let mut q = EventQueue::new();
+        let burst = 50_000u64;
+        for round in 0..4 {
+            let start = round << 40;
+            for c in 0..burst {
+                q.push(SimTime(start + c * 681_000), c);
+            }
+            while q.pop().is_some() {}
+        }
+        let held: usize = q.buckets.iter().map(Vec::capacity).sum();
+        assert_eq!(q.pending_hw, burst as usize);
+        assert!(
+            held <= 2 * q.pending_hw + BUCKETS * RETAIN_CHECK,
+            "buckets hold {held} entries of storage"
+        );
+    }
+
+    #[test]
+    fn handles_sparse_far_future_events() {
+        // A lone event far beyond the rest lands in a high bucket and
+        // is found through the occupancy mask.
+        let mut q = EventQueue::new();
         q.push(SimTime::from_ns(1), 0);
         q.push(SimTime::from_secs(20), 1);
         assert_eq!(q.pop().unwrap().1, 0);
@@ -568,36 +449,60 @@ mod tests {
     }
 
     #[test]
+    fn pushes_below_the_anchor_stay_ordered() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(100), 0);
+        assert_eq!(q.pop().unwrap().1, 0);
+        // Empty queue: the push only re-anchors.
+        q.push(SimTime::from_ns(50), 1);
+        q.push(SimTime::from_ns(70), 2);
+        q.push(SimTime::from_ns(70), 3);
+        // Non-empty queue: every entry is re-filed below 50 ns.
+        q.push(SimTime::from_ns(10), 4);
+        q.push(SimTime::from_ns(70), 5);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let ns = |n| SimTime::from_ns(n);
+        assert_eq!(
+            order,
+            vec![
+                (ns(10), 4),
+                (ns(50), 1),
+                (ns(70), 2),
+                (ns(70), 3),
+                (ns(70), 5)
+            ]
+        );
+    }
+
+    #[test]
     fn backends_pop_identical_sequences_under_seeded_schedules() {
         use crate::rng::SimRng;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // The radix heap against a `(time, seq)` binary-heap reference.
         for seed in [1u64, 42, 1994] {
             let mut rng = SimRng::new(seed);
-            let mut heap = EventQueue::with_kind(QueueKind::Heap);
-            let mut cal = EventQueue::with_kind(QueueKind::Calendar);
+            let mut heap = BinaryHeap::new();
+            let mut q = EventQueue::new();
             let mut now = 0u64;
             for i in 0..5000u64 {
                 // Mostly forward pushes with clustered instants, plus
                 // interleaved pops, like a real simulation schedule.
                 let at = now + rng.gen_range(2_000_000);
-                heap.push(SimTime(at), i);
-                cal.push(SimTime(at), i);
+                heap.push(Reverse((SimTime(at), i)));
+                q.push(SimTime(at), i);
                 if rng.gen_bool(0.4) {
-                    let a = heap.pop();
-                    let b = cal.pop();
-                    assert_eq!(a, b);
+                    let a = heap.pop().map(|Reverse(e)| e);
+                    assert_eq!(a, q.pop());
                     if let Some((t, _)) = a {
                         now = now.max(t.as_ps());
                     }
                 }
             }
-            loop {
-                let a = heap.pop();
-                let b = cal.pop();
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
+            while let Some(Reverse(e)) = heap.pop() {
+                assert_eq!(Some(e), q.pop());
             }
+            assert_eq!(q.pop(), None);
         }
     }
 }

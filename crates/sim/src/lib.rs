@@ -8,7 +8,8 @@
 //! * [`SimTime`] / [`SimDuration`] — virtual time in picoseconds, exact for
 //!   both the 25 MHz TURBOchannel/R3000 clock (40 000 ps) and the 175 MHz
 //!   Alpha clock.
-//! * [`EventQueue`] — a time-ordered, FIFO-stable event queue.
+//! * [`EventQueue`] — a time-ordered, FIFO-stable event queue (a monotone
+//!   radix heap).
 //! * [`Simulation`] / [`Model`] — a minimal poll-style driver loop in the
 //!   spirit of event-driven network stacks (smoltcp): the model is a plain
 //!   state machine, the kernel just dispatches events in time order.
@@ -36,7 +37,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, QueueKind};
+pub use event::EventQueue;
 pub use faults::{
     CellFate, FaultComponent, FaultInjector, FaultPlan, LaneOutage, PointFault, PointFaultKind,
 };
@@ -62,11 +63,6 @@ pub struct SimConfig {
     pub timeline_capacity: usize,
     /// The seeded fault-injection plan (defaults to injecting nothing).
     pub faults: FaultPlan,
-    /// Event-queue backend for the run. Both backends dispatch the
-    /// exact same `(time, seq)` order, so this knob can never change a
-    /// result — only how fast a run finishes. Defaults to the calendar
-    /// queue.
-    pub queue: QueueKind,
     /// How many parallel shards the harness partitions the model into.
     /// `1` (the default) is the exact single-threaded engine path;
     /// `N ≥ 2` opts a scenario into the conservative-lookahead parallel
@@ -89,7 +85,6 @@ impl Default for SimConfig {
         SimConfig {
             timeline_capacity: 1 << 16,
             faults: FaultPlan::default(),
-            queue: QueueKind::default(),
             shards: 1,
             sample_every: None,
             series_capacity: 4096,

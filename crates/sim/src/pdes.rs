@@ -38,7 +38,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::obs::{Counter, Probe};
+use crate::obs::{Counter, Gauge, Probe};
 use crate::time::SimTime;
 
 /// Partition-invariant tie-break key for same-instant events. Ordering
@@ -73,6 +73,10 @@ pub struct ShardQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     pushed: u64,
     scheduled: Counter,
+    /// Most entries ever pending at once (mirrored to
+    /// `queue.pending_high_water`).
+    pending_hw: usize,
+    high_water: Gauge,
 }
 
 struct Entry<E> {
@@ -117,6 +121,8 @@ impl<E> ShardQueue<E> {
             heap: BinaryHeap::new(),
             pushed: 0,
             scheduled: Counter::detached(),
+            pending_hw: 0,
+            high_water: Gauge::default(),
         }
     }
 
@@ -125,15 +131,13 @@ impl<E> ShardQueue<E> {
     /// attaching — the same contract as `EventQueue::attach_probe`, so
     /// a shard's registry scope is indistinguishable from the
     /// sequential engine's. That contract includes the `<scope>.queue.*`
-    /// internals keys (`resizes`, `bucket_high_water`): a shard queue
-    /// is a plain heap, so they are registered at zero purely for key-
-    /// set parity with the calendar backend.
+    /// key set: this shard's pending high water, as
+    /// `queue.pending_high_water`.
     pub fn attach_probe(&mut self, probe: &Probe) {
         self.scheduled = probe.scoped("events").counter("scheduled");
         self.scheduled.add(self.pushed);
-        let qp = probe.scoped("queue");
-        qp.counter("resizes");
-        qp.gauge("bucket_high_water");
+        self.high_water = probe.scoped("queue").gauge("pending_high_water");
+        self.high_water.set(self.pending_hw as f64);
     }
 
     /// Schedules `event` at `at` under tie-break key `key`.
@@ -145,6 +149,10 @@ impl<E> ShardQueue<E> {
             key,
             event,
         }));
+        if self.heap.len() > self.pending_hw {
+            self.pending_hw = self.heap.len();
+            self.high_water.set(self.pending_hw as f64);
+        }
     }
 
     /// Removes and returns the earliest `(time, key, event)`.

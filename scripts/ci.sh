@@ -108,8 +108,9 @@ cargo run --release -q -p osiris-bench --bin regress -- \
 echo "==> smoke: event-engine throughput gate (engine --quick)"
 # Unlike fig2/loss, these headlines are wall-clock (events/sec), so the
 # threshold is generous — the gate exists to catch order-of-magnitude
-# regressions (e.g. the calendar queue degenerating to O(n) pops), not
-# scheduler jitter. The calendar_speedup ratio is the stable signal.
+# regressions (e.g. the event queue degenerating to O(n) pops), not
+# scheduler jitter. The queue_speedup ratio (radix heap over a reference
+# binary heap, same run) is the stable signal.
 cargo run --release -q -p osiris-bench --bin engine -- --quick --bench-out target/bench/BENCH_engine.json
 test -s target/bench/BENCH_engine.json
 cargo run --release -q -p osiris-bench --bin regress -- \
