@@ -26,8 +26,8 @@ pub use cell::{AalHeader, Cell, CellHeader, Trailer, CELL_BYTES_ON_WIRE, CELL_PA
 pub use crc::{crc10, crc32, Crc32};
 pub use link::{LinkLane, LinkSpec};
 pub use sar::{
-    CellDisposition, FramingMode, PduComplete, Reassembler, ReassemblyMode, RxError, SegmentUnit,
-    Segmenter,
+    CellDisposition, FramingMode, PduComplete, Reassembler, ReassemblyMode, RxError, SegCursor,
+    SegmentUnit, Segmenter,
 };
 pub use slab::{CellRef, CellSlab};
 pub use stripe::{SkewConfig, StripedLink};

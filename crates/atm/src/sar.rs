@@ -1,7 +1,8 @@
 //! Segmentation and reassembly — the algorithms running on the two i80960s.
 //!
 //! Transmit side: [`Segmenter`] turns a PDU (a chain of physical buffers)
-//! into cells. Two unit disciplines are modelled (§2.5.2):
+//! into cells, cut one at a time by a [`SegCursor`] as the caller asks for
+//! them. Two unit disciplines are modelled (§2.5.2):
 //!
 //! * [`SegmentUnit::Pdu`] — cells are filled across buffer boundaries, so
 //!   only the final cell of the PDU is partial. This is what the modified
@@ -47,7 +48,7 @@
 
 use osiris_sim::FxHashMap;
 
-use crate::cell::{Cell, Trailer, CELL_PAYLOAD};
+use crate::cell::{AalHeader, Cell, CellHeader, Trailer, CELL_PAYLOAD};
 use crate::crc::Crc32;
 use crate::vci::Vci;
 
@@ -96,7 +97,29 @@ impl Segmenter {
         self.segment_numbered(vci, 0, buffers)
     }
 
-    /// Segments PDU number `pdu_seq` (per-VCI, wrapping) into cells.
+    /// Segments PDU number `pdu_seq` (per-VCI, wrapping) into cells: the
+    /// whole of [`Segmenter::cells`], collected.
+    ///
+    /// # Panics
+    /// Panics if the PDU is empty.
+    pub fn segment_numbered(&self, vci: Vci, pdu_seq: u16, buffers: &[&[u8]]) -> Vec<Cell> {
+        self.cells(vci, pdu_seq, buffers).collect()
+    }
+
+    /// The cells of PDU number `pdu_seq`, cut on demand from `buffers`.
+    ///
+    /// # Panics
+    /// Panics if the PDU is empty.
+    pub fn cells<'a>(&self, vci: Vci, pdu_seq: u16, buffers: &'a [&'a [u8]]) -> Cells<'a> {
+        Cells {
+            cursor: self.cursor(vci, pdu_seq, buffers),
+            buffers,
+        }
+    }
+
+    /// An owned cutting position over PDU number `pdu_seq`, for callers
+    /// that hold the PDU's bytes across events: each
+    /// [`SegCursor::next_cell`] call is handed the same `buffers` again.
     ///
     /// Under [`FramingMode::EndOfPdu`], AAL sequence numbers are assigned
     /// in global cell order (strategy 1 places cells by them) and `pdu_seq`
@@ -111,81 +134,157 @@ impl Segmenter {
     ///
     /// # Panics
     /// Panics if the PDU is empty.
-    pub fn segment_numbered(&self, vci: Vci, pdu_seq: u16, buffers: &[&[u8]]) -> Vec<Cell> {
+    pub fn cursor(&self, vci: Vci, pdu_seq: u16, buffers: &[&[u8]]) -> SegCursor {
         let total: usize = buffers.iter().map(|b| b.len()).sum();
         assert!(total > 0, "cannot segment an empty PDU");
-
-        let seq_of = |i: usize| match self.framing {
-            FramingMode::EndOfPdu => (i % (u16::MAX as usize + 1)) as u16,
-            FramingMode::FourWay { .. } => pdu_seq,
+        let cells = match self.unit {
+            SegmentUnit::Pdu => total.div_ceil(CELL_PAYLOAD),
+            SegmentUnit::Buffer => buffers.iter().map(|b| b.len().div_ceil(CELL_PAYLOAD)).sum(),
         };
-        // Chop into cells according to the unit discipline, copying each
-        // payload straight into its cell.
-        let mut cells: Vec<Cell> = Vec::with_capacity(total / CELL_PAYLOAD + buffers.len());
-        for buf in buffers {
-            let mut rest: &[u8] = buf;
-            if self.unit == SegmentUnit::Pdu {
-                // Cells fill across buffer boundaries: top up the partial
-                // cell the previous buffer ended on.
-                if let Some(last) = cells.last_mut() {
-                    let fill = last.aal.fill as usize;
-                    let take = (CELL_PAYLOAD - fill).min(rest.len());
-                    last.payload[fill..fill + take].copy_from_slice(&rest[..take]);
-                    last.aal.fill += take as u8;
-                    rest = &rest[take..];
-                }
-            }
-            for piece in rest.chunks(CELL_PAYLOAD) {
-                let seq = seq_of(cells.len());
-                cells.push(Cell::data(vci, seq, piece));
-            }
-        }
-
-        let n = cells.len();
-        cells[n - 1].header.last_cell = true;
-
-        match self.framing {
-            FramingMode::EndOfPdu => {
-                // The cells carry the buffers' bytes in order, so the CRC
-                // runs over the buffers themselves (longer slices).
-                let mut crc = Crc32::new();
-                for buf in buffers {
-                    crc.update(buf);
-                }
-                let last = &mut cells[n - 1];
-                last.aal.eom = true;
-                last.trailer = Some(Trailer {
-                    len: total as u32,
-                    crc: crc.finish(),
-                });
-            }
+        // EndOfPdu framing is one trailer over the whole PDU: a single
+        // lane, in trailer terms.
+        let (seq, lanes) = match self.framing {
+            FramingMode::EndOfPdu => (None, 1),
             FramingMode::FourWay { lanes } => {
-                let lanes = lanes as usize;
                 assert!(lanes >= 1, "need at least one lane");
-                for lane in 0..lanes.min(n) {
-                    // This lane's cells are i ≡ lane (mod lanes).
-                    let mut crc = Crc32::new();
-                    let mut lane_len = 0u32;
-                    let mut last_idx = lane;
-                    let mut i = lane;
-                    while i < n {
-                        crc.update(cells[i].data_bytes());
-                        lane_len += cells[i].aal.fill as u32;
-                        last_idx = i;
-                        i += lanes;
-                    }
-                    let c = &mut cells[last_idx];
-                    c.aal.eom = true;
-                    c.trailer = Some(Trailer {
-                        len: lane_len,
-                        crc: crc.finish(),
-                    });
-                }
+                (Some(pdu_seq), lanes as usize)
             }
+        };
+        SegCursor {
+            vci,
+            unit: self.unit,
+            seq,
+            next: 0,
+            lane: 0,
+            cells,
+            buf: 0,
+            off: 0,
+            lanes: vec![(Crc32::new(), 0); lanes.min(cells)],
         }
-        cells
     }
 }
+
+/// An owned cutting position in one PDU: which cell comes next, where its
+/// bytes start in the buffer chain, and the running trailer CRC and
+/// length of each framing lane.
+#[derive(Debug, Clone)]
+pub struct SegCursor {
+    vci: Vci,
+    unit: SegmentUnit,
+    /// FourWay: the PDU tag every cell carries; EndOfPdu: `None` (cells
+    /// carry their index).
+    seq: Option<u16>,
+    next: usize,
+    /// Trailer lane of the next cell: `next` modulo the lane count.
+    lane: usize,
+    cells: usize,
+    buf: usize,
+    off: usize,
+    /// Per trailer lane: CRC and byte count so far (one lane under
+    /// EndOfPdu framing).
+    lanes: Vec<(Crc32, u32)>,
+}
+
+impl SegCursor {
+    /// Cells not yet cut.
+    pub fn remaining(&self) -> usize {
+        self.cells - self.next
+    }
+
+    /// Framing lane of the next cell to be cut: its index modulo the
+    /// stripe width (always 0 under [`FramingMode::EndOfPdu`]).
+    pub fn lane(&self) -> usize {
+        self.lane
+    }
+
+    /// Cuts the next cell from `buffers` — the chain this cursor was built
+    /// over — or returns `None` once the PDU is exhausted.
+    pub fn next_cell(&mut self, buffers: &[&[u8]]) -> Option<Cell> {
+        if self.next == self.cells {
+            return None;
+        }
+        let i = self.next;
+        self.next += 1;
+        let mut payload = [0u8; CELL_PAYLOAD];
+        let mut fill = 0;
+        // Pdu fills across buffer boundaries; Buffer stops at the end of
+        // the buffer the cell started in. Empty buffers yield no cells.
+        while fill < CELL_PAYLOAD {
+            let Some(buf) = buffers.get(self.buf) else {
+                break;
+            };
+            let rest = &buf[self.off..];
+            let take = (CELL_PAYLOAD - fill).min(rest.len());
+            if take == CELL_PAYLOAD {
+                // A whole cell from one buffer: a fixed-size copy.
+                payload = *rest.first_chunk().expect("take bytes remain");
+            } else {
+                payload[fill..fill + take].copy_from_slice(&rest[..take]);
+            }
+            fill += take;
+            self.off += take;
+            if self.off == buf.len() {
+                self.buf += 1;
+                self.off = 0;
+                if self.unit == SegmentUnit::Buffer && fill > 0 {
+                    break;
+                }
+            }
+        }
+        debug_assert!(fill > 0, "cursor used over a different buffer chain");
+
+        let n_lanes = self.lanes.len();
+        let lane = &mut self.lanes[self.lane];
+        self.lane = if self.lane + 1 == n_lanes {
+            0
+        } else {
+            self.lane + 1
+        };
+        lane.0.update(&payload[..fill]);
+        lane.1 += fill as u32;
+        // The last cell of each lane carries that lane's trailer.
+        let trailer = (i + n_lanes >= self.cells).then(|| Trailer {
+            len: lane.1,
+            crc: lane.0.finish(),
+        });
+        Some(Cell {
+            header: CellHeader {
+                vci: self.vci,
+                last_cell: i + 1 == self.cells,
+            },
+            aal: AalHeader {
+                seq: self.seq.unwrap_or(i as u16),
+                eom: trailer.is_some(),
+                fill: fill as u8,
+            },
+            payload,
+            trailer,
+            ctx: None,
+        })
+    }
+}
+
+/// The cells of one PDU, cut on demand (see [`Segmenter::cells`]).
+#[derive(Debug, Clone)]
+pub struct Cells<'a> {
+    cursor: SegCursor,
+    buffers: &'a [&'a [u8]],
+}
+
+impl Iterator for Cells<'_> {
+    type Item = Cell;
+
+    fn next(&mut self) -> Option<Cell> {
+        self.cursor.next_cell(self.buffers)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.cursor.remaining();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Cells<'_> {}
 
 /// Receive-side reassembly strategy (§2.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -438,7 +537,7 @@ impl Reassembler {
             return Err(RxError::PartialFillUnsupported);
         }
         let pdu = self.current_pdu;
-        {
+        let done = {
             let keep = self.keep_data;
             let max = self.max_pdu_bytes;
             let rec = self.record(pdu, 0);
@@ -467,9 +566,14 @@ impl Reassembler {
             if cell.trailer.is_some() && cell.aal.eom {
                 rec.pdu_trailer = cell.trailer;
             }
-        }
+            rec.is_complete()
+        };
         let offset = seq * CELL_PAYLOAD as u32;
-        let completed = self.try_complete_seqnum(pdu)?;
+        let completed = if done {
+            Some(self.complete_seqnum(pdu)?)
+        } else {
+            None
+        };
         Ok(CellDisposition {
             pdu,
             offset,
@@ -483,14 +587,8 @@ impl Reassembler {
         rec.seen_bitmap_get(seq)
     }
 
-    fn try_complete_seqnum(&mut self, pdu: u64) -> Result<Option<PduComplete>, RxError> {
-        let done = {
-            let rec = self.records.get(&pdu).expect("record exists");
-            matches!(rec.expected_total_cells, Some(t) if rec.received_cells == t)
-        };
-        if !done {
-            return Ok(None);
-        }
+    /// Completes SeqNum PDU `pdu`, whose record holds every cell.
+    fn complete_seqnum(&mut self, pdu: u64) -> Result<PduComplete, RxError> {
         let rec = self.records.remove(&pdu).expect("record exists");
         let crc_ok = match rec.pdu_trailer {
             Some(tr) => {
@@ -535,7 +633,7 @@ impl Reassembler {
             nested_complete.is_none(),
             "stash replay completed a whole PDU"
         );
-        Ok(Some(complete))
+        Ok(complete)
     }
 
     fn receive_fourway(
@@ -582,7 +680,7 @@ impl Reassembler {
         let offset = global_index * CELL_PAYLOAD as u32;
         let keep = self.keep_data;
         let max = self.max_pdu_bytes;
-        {
+        let done = {
             let rec = self.record(pdu, lanes);
             Self::store(keep, max, rec, offset, cell.data_bytes())?;
             rec.lane_crc[lane].update(cell.data_bytes());
@@ -595,7 +693,8 @@ impl Reassembler {
                 let lane_crc = std::mem::take(&mut rec.lane_crc[lane]);
                 rec.lane_ok[lane] = Some(lane_crc.finish() == trailer.crc);
             }
-        }
+            rec.is_complete()
+        };
         // Advance this lane: next cell on the lane belongs to the next PDU
         // if we just saw this lane's EOM — skipping any already-completed
         // PDUs that had no cells on this lane (short PDUs under skew).
@@ -606,7 +705,7 @@ impl Reassembler {
             self.lane_pos[lane] = (pdu, within + 1);
         }
 
-        let completed = self.try_complete_fourway(pdu, lanes);
+        let completed = done.then(|| self.complete_fourway(pdu, lanes));
         Ok(CellDisposition {
             pdu,
             offset,
@@ -657,18 +756,10 @@ impl Reassembler {
         }
     }
 
-    fn try_complete_fourway(&mut self, pdu: u64, lanes: usize) -> Option<PduComplete> {
-        let (done, total) = {
-            let rec = self.records.get(&pdu)?;
-            match rec.expected_total_cells {
-                Some(t) if rec.received_cells == t => (true, t),
-                _ => (false, 0),
-            }
-        };
-        if !done {
-            return None;
-        }
+    /// Completes FourWay PDU `pdu`, whose record holds every cell.
+    fn complete_fourway(&mut self, pdu: u64, lanes: usize) -> PduComplete {
         let rec = self.records.remove(&pdu).expect("record exists");
+        let total = rec.expected_total_cells.expect("complete");
         // Lanes l < min(lanes, total) contributed cells and must have
         // passed their per-lane CRC.
         let contributing = (total as usize).min(lanes);
@@ -689,7 +780,7 @@ impl Reassembler {
         // Prune totals every lane has moved past.
         let min_pdu = self.lane_pos.iter().map(|&(p, _)| p).min().unwrap_or(0);
         self.completed_totals.retain(|&p, _| p >= min_pdu);
-        Some(PduComplete {
+        PduComplete {
             pdu,
             len: rec.received_bytes,
             crc_ok,
@@ -698,7 +789,7 @@ impl Reassembler {
                 d.truncate(rec.high_water as usize);
                 d
             }),
-        })
+        }
     }
 }
 
@@ -730,6 +821,12 @@ impl Reassembler {
 }
 
 impl PduRecord {
+    /// Every cell of the PDU has arrived: its last cell fixed the total
+    /// and that many were stored.
+    fn is_complete(&self) -> bool {
+        self.expected_total_cells == Some(self.received_cells)
+    }
+
     fn seen_bitmap_get(&self, seq: u32) -> bool {
         self.seen.get(seq as usize).copied().unwrap_or(false)
     }

@@ -1,0 +1,160 @@
+//! The lazy segmenter against the eager cell-building loop it replaced:
+//! for seeded buffer chains, both framing modes, both segmentation units
+//! and PDU tags around the `u16` wrap, every cell — header, AAL fields,
+//! payload and trailer — must be identical.
+
+use osiris_atm::sar::{FramingMode, SegmentUnit, Segmenter};
+use osiris_atm::{Cell, Crc32, Trailer, Vci, CELL_PAYLOAD};
+use osiris_sim::SimRng;
+
+/// The eager segmenter: build every cell first, then attach trailers by
+/// re-walking the finished cells.
+fn eager_segment_numbered(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[u8]]) -> Vec<Cell> {
+    let total: usize = buffers.iter().map(|b| b.len()).sum();
+    assert!(total > 0, "cannot segment an empty PDU");
+
+    let seq_of = |i: usize| match seg.framing {
+        FramingMode::EndOfPdu => (i % (u16::MAX as usize + 1)) as u16,
+        FramingMode::FourWay { .. } => pdu_seq,
+    };
+    let mut cells: Vec<Cell> = Vec::with_capacity(total / CELL_PAYLOAD + buffers.len());
+    for buf in buffers {
+        let mut rest: &[u8] = buf;
+        if seg.unit == SegmentUnit::Pdu {
+            if let Some(last) = cells.last_mut() {
+                let fill = last.aal.fill as usize;
+                let take = (CELL_PAYLOAD - fill).min(rest.len());
+                last.payload[fill..fill + take].copy_from_slice(&rest[..take]);
+                last.aal.fill += take as u8;
+                rest = &rest[take..];
+            }
+        }
+        for piece in rest.chunks(CELL_PAYLOAD) {
+            let seq = seq_of(cells.len());
+            cells.push(Cell::data(vci, seq, piece));
+        }
+    }
+
+    let n = cells.len();
+    cells[n - 1].header.last_cell = true;
+
+    match seg.framing {
+        FramingMode::EndOfPdu => {
+            let mut crc = Crc32::new();
+            for buf in buffers {
+                crc.update(buf);
+            }
+            let last = &mut cells[n - 1];
+            last.aal.eom = true;
+            last.trailer = Some(Trailer {
+                len: total as u32,
+                crc: crc.finish(),
+            });
+        }
+        FramingMode::FourWay { lanes } => {
+            let lanes = lanes as usize;
+            assert!(lanes >= 1, "need at least one lane");
+            for lane in 0..lanes.min(n) {
+                let mut crc = Crc32::new();
+                let mut lane_len = 0u32;
+                let mut last_idx = lane;
+                let mut i = lane;
+                while i < n {
+                    crc.update(cells[i].data_bytes());
+                    lane_len += cells[i].aal.fill as u32;
+                    last_idx = i;
+                    i += lanes;
+                }
+                let c = &mut cells[last_idx];
+                c.aal.eom = true;
+                c.trailer = Some(Trailer {
+                    len: lane_len,
+                    crc: crc.finish(),
+                });
+            }
+        }
+    }
+    cells
+}
+
+/// `total` bytes split into a chain of `1..=5` buffers at random cut
+/// points (a buffer may be empty).
+fn chain(rng: &mut SimRng, total: usize) -> Vec<Vec<u8>> {
+    let n = 1 + rng.gen_range(5) as usize;
+    let mut cuts: Vec<usize> = (1..n)
+        .map(|_| rng.gen_range(total as u64 + 1) as usize)
+        .collect();
+    cuts.sort_unstable();
+    let mut out = Vec::with_capacity(n);
+    let mut at = 0;
+    for end in cuts.into_iter().chain(std::iter::once(total)) {
+        out.push((at..end).map(|_| rng.next_u64() as u8).collect());
+        at = end;
+    }
+    out
+}
+
+fn assert_same(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[u8]], what: &str) {
+    let want = eager_segment_numbered(seg, vci, pdu_seq, buffers);
+    let got: Vec<Cell> = seg.cells(vci, pdu_seq, buffers).collect();
+    assert_eq!(got.len(), want.len(), "{what}: cell count");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.header, w.header, "{what}: cell {i} header");
+        assert_eq!(g.aal, w.aal, "{what}: cell {i} AAL fields");
+        assert_eq!(g.payload, w.payload, "{what}: cell {i} payload");
+        assert_eq!(g.trailer, w.trailer, "{what}: cell {i} trailer");
+        assert_eq!(g, w, "{what}: cell {i}");
+    }
+    assert_eq!(seg.segment_numbered(vci, pdu_seq, buffers), want, "{what}");
+}
+
+#[test]
+fn lazy_cutter_matches_the_eager_segmenter() {
+    let framings = [
+        FramingMode::EndOfPdu,
+        FramingMode::FourWay { lanes: 1 },
+        FramingMode::FourWay { lanes: 2 },
+        FramingMode::FourWay { lanes: 3 },
+        FramingMode::FourWay { lanes: 4 },
+    ];
+    let seqs = [0u16, 1, 0x7fff, 0xfffe, 0xffff];
+    let mut lengths: Vec<usize> = (1..=50).collect();
+    lengths.extend((1..=20).map(|k| 44 * k));
+    lengths.extend([176, 352, 1760, 44 * 455, 176 * 113]);
+    let mut rng = SimRng::new(0x5E6_2026);
+    lengths.extend((0..60).map(|_| 1 + rng.gen_range(20_000) as usize));
+
+    let mut cases = 0;
+    for &total in &lengths {
+        let bufs = chain(&mut rng, total);
+        let slices: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+        for framing in framings {
+            for unit in [SegmentUnit::Pdu, SegmentUnit::Buffer] {
+                let seg = Segmenter { framing, unit };
+                let pdu_seq = seqs[rng.gen_range(seqs.len() as u64) as usize];
+                let what = format!("{total} B in {} bufs, {framing:?}, {unit:?}", bufs.len());
+                assert_same(&seg, Vci(7), pdu_seq, &slices, &what);
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases >= 1000, "{cases} cases");
+}
+
+#[test]
+fn end_of_pdu_cell_index_wraps_like_the_eager_segmenter() {
+    // More than 2^16 cells: the AAL sequence number of EndOfPdu cells
+    // (their index) wraps past 0xffff.
+    let data: Vec<u8> = (0..(65_536 + 40) * CELL_PAYLOAD + 5)
+        .map(|i| (i * 131 % 251) as u8)
+        .collect();
+    let half = data.len() / 2 + 3;
+    let chain: [&[u8]; 2] = [&data[..half], &data[half..]];
+    for unit in [SegmentUnit::Pdu, SegmentUnit::Buffer] {
+        let seg = Segmenter {
+            framing: FramingMode::EndOfPdu,
+            unit,
+        };
+        assert_same(&seg, Vci(1), 0, &chain, &format!("wrap {unit:?}"));
+    }
+}

@@ -220,16 +220,51 @@ struct PendingDma {
     ctx: Option<TraceCtx>,
 }
 
+/// One VCI's receive state, found with one probe per cell: its
+/// early-demultiplexing binding, its reassembler and the buffer state of
+/// its open PDUs.
+#[derive(Debug)]
+struct VciRecord {
+    /// The queue page the VCI is bound to; `None` once unbound (the
+    /// reassembly state stays).
+    page: Option<usize>,
+    reasm: Reassembler,
+    /// Open PDUs by reassembler-local number — usually one, a few when
+    /// lanes lag or a lost cell leaves a PDU for the reassembly timeout.
+    open: Vec<(u64, PduBufState)>,
+}
+
+impl VciRecord {
+    fn new(cfg: &RxConfig) -> Self {
+        VciRecord {
+            page: None,
+            reasm: Reassembler::new(cfg.reassembly, cfg.max_pdu_bytes, false),
+            open: Vec::new(),
+        }
+    }
+}
+
 /// The receive half of the board.
 #[derive(Debug)]
 pub struct RxProcessor {
+    /// Per-VCI state: binding, reassembler and open PDUs.
+    vcis: FxHashMap<Vci, VciRecord>,
+    /// VCIs with a binding. Zero means promiscuous: every VCI lands on
+    /// the kernel page (0).
+    bound: usize,
+    /// Everything else. Split from `vcis` so a PDU's state can be updated
+    /// in place while the datapath stores its payload.
+    dp: Datapath,
+}
+
+/// The firmware's shared receive machinery: rings, DMA, counters and
+/// tracing.
+#[derive(Debug)]
+struct Datapath {
     cfg: RxConfig,
     engine: FifoResource,
     free_rings: Vec<DescRing>,
     rx_rings: Vec<DescRing>,
-    vci_to_page: FxHashMap<Vci, usize>,
-    reassemblers: FxHashMap<Vci, Reassembler>,
-    pdu_state: FxHashMap<(Vci, u64), PduBufState>,
     pending: Option<PendingDma>,
     pending_gen: u64,
     authorized: Vec<Option<HashSet<u64>>>,
@@ -290,26 +325,27 @@ impl RxProcessor {
         let track = probe.scoped("rx").scope().to_string();
         let syms = RxSyms::intern(&timeline, &track);
         RxProcessor {
-            cfg,
-            engine: FifoResource::new("rx-80960"),
-            free_rings: (0..QUEUE_PAGES)
-                .map(|_| DescRing::new(layout.free_ring_slots))
-                .collect(),
-            rx_rings: (0..QUEUE_PAGES)
-                .map(|_| DescRing::new(layout.rx_ring_slots))
-                .collect(),
-            vci_to_page: FxHashMap::default(),
-            reassemblers: FxHashMap::default(),
-            pdu_state: FxHashMap::default(),
-            pending: None,
-            pending_gen: 0,
-            authorized: vec![None; QUEUE_PAGES],
-            stats: RxCounters::with_probe(probe),
-            timeline,
-            track,
-            syms,
-            last_dma_end: SimTime::ZERO,
-            sar_span_floor: SimTime::ZERO,
+            vcis: FxHashMap::default(),
+            bound: 0,
+            dp: Datapath {
+                cfg,
+                engine: FifoResource::new("rx-80960"),
+                free_rings: (0..QUEUE_PAGES)
+                    .map(|_| DescRing::new(layout.free_ring_slots))
+                    .collect(),
+                rx_rings: (0..QUEUE_PAGES)
+                    .map(|_| DescRing::new(layout.rx_ring_slots))
+                    .collect(),
+                pending: None,
+                pending_gen: 0,
+                authorized: vec![None; QUEUE_PAGES],
+                stats: RxCounters::with_probe(probe),
+                timeline,
+                track,
+                syms,
+                last_dma_end: SimTime::ZERO,
+                sar_span_floor: SimTime::ZERO,
+            },
         }
     }
 
@@ -317,13 +353,13 @@ impl RxProcessor {
     /// spans on (`sar.reasm` on `<scope>.rx`, `bus.wait`/`dma.rx` on
     /// `<scope>.rx.dma`).
     pub fn set_timeline(&mut self, timeline: &Timeline) {
-        self.timeline = timeline.clone();
-        self.syms = RxSyms::intern(&self.timeline, &self.track);
+        self.dp.timeline = timeline.clone();
+        self.dp.syms = RxSyms::intern(&self.dp.timeline, &self.dp.track);
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &RxConfig {
-        &self.cfg
+        &self.dp.cfg
     }
 
     /// Binds a VCI to a queue page (the early-demultiplexing table).
@@ -334,85 +370,95 @@ impl RxProcessor {
     /// they must not silently alias onto page 0's buffers.
     pub fn bind_vci(&mut self, vci: Vci, page: usize) {
         assert!(page < QUEUE_PAGES);
-        self.vci_to_page.insert(vci, page);
+        let cfg = &self.dp.cfg;
+        let rec = self.vcis.entry(vci).or_insert_with(|| VciRecord::new(cfg));
+        if rec.page.replace(page).is_none() {
+            self.bound += 1;
+        }
     }
 
-    /// Removes a VCI binding.
+    /// Removes a VCI binding. The VCI's reassembly state stays.
     pub fn unbind_vci(&mut self, vci: Vci) {
-        self.vci_to_page.remove(&vci);
+        if let Some(rec) = self.vcis.get_mut(&vci) {
+            if rec.page.take().is_some() {
+                self.bound -= 1;
+            }
+        }
     }
 
     /// Restricts `page`'s free buffers to the given frames (§3.2).
     /// Unauthorized free-buffer descriptors are discarded (and counted as
     /// violations) instead of being used for DMA.
     pub fn set_authorized_frames(&mut self, page: usize, frames: Option<HashSet<u64>>) {
-        self.authorized[page] = frames;
+        self.dp.authorized[page] = frames;
     }
 
     /// Protection violations detected on free-buffer queues.
     pub fn violations(&self) -> u64 {
-        self.stats.violations.get()
+        self.dp.stats.violations.get()
     }
 
     /// Host-side access to the free-buffer ring of `page`.
     pub fn free_ring_mut(&mut self, page: usize) -> &mut DescRing {
-        &mut self.free_rings[page]
+        &mut self.dp.free_rings[page]
     }
 
     /// Host-side access to the receive ring of `page`.
     pub fn rx_ring_mut(&mut self, page: usize) -> &mut DescRing {
-        &mut self.rx_rings[page]
+        &mut self.dp.rx_rings[page]
     }
 
     /// Read-only receive-ring access.
     pub fn rx_ring(&self, page: usize) -> &DescRing {
-        &self.rx_rings[page]
+        &self.dp.rx_rings[page]
     }
 
     /// Read-only free-ring access.
     pub fn free_ring(&self, page: usize) -> &DescRing {
-        &self.free_rings[page]
+        &self.dp.free_rings[page]
     }
 
     /// Receive statistics (a copy of the current counter values).
     pub fn stats(&self) -> RxStats {
+        let s = &self.dp.stats;
         RxStats {
-            cells: self.stats.cells.get(),
-            pdus_delivered: self.stats.pdus_delivered.get(),
-            pdus_dropped_no_buffer: self.stats.pdus_dropped_no_buffer.get(),
-            pdus_crc_failed: self.stats.pdus_crc_failed.get(),
-            cells_rejected: self.stats.cells_rejected.get(),
-            cells_unknown_vci: self.stats.cells_unknown_vci.get(),
-            pdus_dropped_timeout: self.stats.pdus_dropped_timeout.get(),
-            dma_transactions: self.stats.dma_transactions.get(),
-            double_cell_merges: self.stats.double_cell_merges.get(),
+            cells: s.cells.get(),
+            pdus_delivered: s.pdus_delivered.get(),
+            pdus_dropped_no_buffer: s.pdus_dropped_no_buffer.get(),
+            pdus_crc_failed: s.pdus_crc_failed.get(),
+            cells_rejected: s.cells_rejected.get(),
+            cells_unknown_vci: s.cells_unknown_vci.get(),
+            pdus_dropped_timeout: s.pdus_dropped_timeout.get(),
+            dma_transactions: s.dma_transactions.get(),
+            double_cell_merges: s.double_cell_merges.get(),
         }
     }
 
     /// Interrupt statistics (a copy of the current counter values).
     pub fn interrupt_stats(&self) -> InterruptStats {
+        let s = &self.dp.stats;
         InterruptStats {
-            rx_interrupts: self.stats.intr_raised.get() - self.stats.intr_suppressed.get(),
+            rx_interrupts: s.intr_raised.get() - s.intr_suppressed.get(),
             tx_interrupts: 0,
-            pdus_delivered: self.stats.pdus_delivered.get(),
-            violations: self.stats.violations.get(),
+            pdus_delivered: s.pdus_delivered.get(),
+            violations: s.violations.get(),
         }
     }
 
     /// Interrupt opportunities seen by the receive half (pushes that a
     /// fire-always policy would have interrupted on).
     pub fn interrupts_raised(&self) -> u64 {
-        self.stats.intr_raised.get()
+        self.dp.stats.intr_raised.get()
     }
 
     /// Opportunities the configured policy suppressed (§2.1.2).
     pub fn interrupts_suppressed(&self) -> u64 {
-        self.stats.intr_suppressed.get()
+        self.dp.stats.intr_suppressed.get()
     }
 
     /// When the receive engine next goes idle.
     pub fn engine_free_at(&self) -> SimTime {
-        self.engine.free_at()
+        self.dp.engine.free_at()
     }
 
     /// Processes one cell arriving on `lane` at `now`.
@@ -435,6 +481,7 @@ impl RxProcessor {
         self.receive_cell(now, lane, &cell, mem, cache, phys)
     }
 
+    /// Processes one cell arriving on `lane` at `now`.
     pub fn receive_cell(
         &mut self,
         now: SimTime,
@@ -444,17 +491,18 @@ impl RxProcessor {
         cache: &mut DataCache,
         phys: &mut PhysMemory,
     ) -> RxOutcome {
-        self.stats.cells.incr();
+        let dp = &mut self.dp;
+        dp.stats.cells.incr();
         let mut out = RxOutcome::default();
 
         // Firmware budget for this cell.
-        let extra = match self.cfg.reassembly {
+        let extra = match dp.cfg.reassembly {
             ReassemblyMode::InOrder => 0,
-            _ => self.cfg.fw.rx_reorder_extra_cycles,
+            _ => dp.cfg.fw.rx_reorder_extra_cycles,
         };
-        let fw = self.engine.acquire(
+        let fw = dp.engine.acquire(
             now,
-            self.cfg.fw.clock.cycles(self.cfg.fw.rx_cell_cycles + extra),
+            dp.cfg.fw.clock.cycles(dp.cfg.fw.rx_cell_cycles + extra),
         );
         let t_fw = fw.finish;
 
@@ -463,35 +511,37 @@ impl RxProcessor {
         // buffers once any binding exists — drop it on the board, counted.
         // (An empty table means promiscuous standalone use: everything is
         // kernel traffic on page 0.)
-        let page = match self.vci_to_page.get(&vci) {
-            Some(&p) => p,
-            None if self.vci_to_page.is_empty() => 0,
-            None => {
-                self.stats.cells_unknown_vci.incr();
-                return out;
+        let rec = if self.bound == 0 {
+            let cfg = &dp.cfg;
+            self.vcis.entry(vci).or_insert_with(|| VciRecord::new(cfg))
+        } else {
+            match self.vcis.get_mut(&vci) {
+                Some(rec) if rec.page.is_some() => rec,
+                _ => {
+                    dp.stats.cells_unknown_vci.incr();
+                    return out;
+                }
             }
         };
-        let mode = self.cfg.reassembly;
-        let max_pdu = self.cfg.max_pdu_bytes;
-        let reasm = self
-            .reassemblers
-            .entry(vci)
-            .or_insert_with(|| Reassembler::new(mode, max_pdu, false));
-        let disp: CellDisposition = match reasm.receive(lane, cell) {
+        let page = rec.page.unwrap_or(0);
+        let disp: CellDisposition = match rec.reasm.receive(lane, cell) {
             Ok(d) => d,
             Err(_) => {
-                self.stats.cells_rejected.incr();
+                dp.stats.cells_rejected.incr();
                 return out;
             }
         };
 
-        // The PDU's buffer state leaves the map for the cell's duration:
-        // one probe out, one back in (unless this cell completes it).
+        // The PDU's buffer state is updated where it lives.
         let key = (vci, disp.pdu);
-        let mut state = self
-            .pdu_state
-            .remove(&key)
-            .unwrap_or_else(|| PduBufState::new(page, now));
+        let slot = match rec.open.iter().position(|(p, _)| *p == disp.pdu) {
+            Some(slot) => slot,
+            None => {
+                rec.open.push((disp.pdu, PduBufState::new(page, now)));
+                rec.open.len() - 1
+            }
+        };
+        let state = &mut rec.open[slot].1;
         if state.ctx.is_none() {
             state.ctx = cell.ctx;
         }
@@ -499,10 +549,10 @@ impl RxProcessor {
         // Store the payload unless the PDU is being shed.
         let mut t_done = t_fw;
         if !state.poisoned {
-            t_done = self.store_payload(
+            t_done = dp.store_payload(
                 t_fw,
                 key,
-                &mut state,
+                state,
                 disp.offset,
                 cell,
                 mem,
@@ -514,61 +564,50 @@ impl RxProcessor {
 
         // Completion (also reached while shedding: the reassembler still
         // tracks cell counts so the stream stays framed).
-        if let Some(complete) = disp.completed {
-            // The completion bookkeeping runs on the 80960 right after the
-            // cell's own processing; the descriptor push additionally
-            // waits for the payload DMA to land (t_done).
-            let pdu_fw = self
-                .engine
-                .acquire(t_fw, self.cfg.fw.clock.cycles(self.cfg.fw.rx_pdu_cycles));
-            let t_pdu = pdu_fw.finish.max(t_done);
-            if state.poisoned {
-                // Shed: recycle the buffers we still hold.
-                for d in state.bufs.into_iter().flatten().skip(state.pushed_upto) {
-                    let _ = self.free_rings[state.page].push(d);
-                }
-                self.stats.pdus_dropped_no_buffer.incr();
-                out.completed = Some(RxPduInfo {
-                    vci,
-                    pdu: disp.pdu,
-                    len: complete.len,
-                    crc_ok: complete.crc_ok,
-                    dropped: true,
-                });
-            } else {
-                // The PDU's reassembly window: first cell at the firmware
-                // to descriptor push. DMA/bus spans nest inside it; the
-                // residue is genuine waiting for the PDU's other cells.
-                if let Some(ctx) = state.ctx {
-                    let from = state.first_at.max(self.sar_span_floor);
-                    if t_pdu > from {
-                        self.timeline.span_ctx_sym(
-                            self.syms.track,
-                            self.syms.sar_reasm,
-                            ctx,
-                            from,
-                            t_pdu,
-                        );
-                    }
-                    self.sar_span_floor = self.sar_span_floor.max(t_pdu);
-                }
-                // Push the remaining buffers in order; EOP on the last.
-                self.finish_pdu(t_pdu, state, vci, complete.len, complete.crc_ok, &mut out);
-                self.stats.pdus_delivered.incr();
-                if !complete.crc_ok {
-                    self.stats.pdus_crc_failed.incr();
-                }
-                out.completed = Some(RxPduInfo {
-                    vci,
-                    pdu: disp.pdu,
-                    len: complete.len,
-                    crc_ok: complete.crc_ok,
-                    dropped: false,
-                });
+        let Some(complete) = disp.completed else {
+            return out;
+        };
+        let (_, state) = rec.open.swap_remove(slot);
+        // The completion bookkeeping runs on the 80960 right after the
+        // cell's own processing; the descriptor push additionally waits
+        // for the payload DMA to land (t_done).
+        let pdu_fw = dp
+            .engine
+            .acquire(t_fw, dp.cfg.fw.clock.cycles(dp.cfg.fw.rx_pdu_cycles));
+        let t_pdu = pdu_fw.finish.max(t_done);
+        let dropped = state.poisoned;
+        if dropped {
+            // Shed: recycle the buffers we still hold.
+            for d in state.bufs.into_iter().flatten().skip(state.pushed_upto) {
+                let _ = dp.free_rings[state.page].push(d);
             }
+            dp.stats.pdus_dropped_no_buffer.incr();
         } else {
-            self.pdu_state.insert(key, state);
+            // The PDU's reassembly window: first cell at the firmware to
+            // descriptor push. DMA/bus spans nest inside it; the residue
+            // is genuine waiting for the PDU's other cells.
+            if let Some(ctx) = state.ctx {
+                let from = state.first_at.max(dp.sar_span_floor);
+                if t_pdu > from {
+                    dp.timeline
+                        .span_ctx_sym(dp.syms.track, dp.syms.sar_reasm, ctx, from, t_pdu);
+                }
+                dp.sar_span_floor = dp.sar_span_floor.max(t_pdu);
+            }
+            // Push the remaining buffers in order; EOP on the last.
+            dp.finish_pdu(t_pdu, state, vci, complete.len, complete.crc_ok, &mut out);
+            dp.stats.pdus_delivered.incr();
+            if !complete.crc_ok {
+                dp.stats.pdus_crc_failed.incr();
+            }
         }
+        out.completed = Some(RxPduInfo {
+            vci,
+            pdu: disp.pdu,
+            len: complete.len,
+            crc_ok: complete.crc_ok,
+            dropped,
+        });
         out
     }
 
@@ -582,12 +621,13 @@ impl RxProcessor {
         cache: &mut DataCache,
         phys: &mut PhysMemory,
     ) -> bool {
-        match &self.pending {
+        let dp = &mut self.dp;
+        match &dp.pending {
             Some(p) if p.gen == gen => {}
             _ => return false,
         }
-        let p = self.pending.take().expect("checked");
-        self.issue_dma(now.max(p.ready), p.addr, &p.data, p.ctx, mem, cache, phys);
+        let p = dp.pending.take().expect("checked");
+        dp.issue_dma(now.max(p.ready), p.addr, &p.data, p.ctx, mem, cache, phys);
         true
     }
 
@@ -595,7 +635,7 @@ impl RxProcessor {
     /// physical buffers). The harness keeps its reap tick armed while
     /// this is nonzero.
     pub fn partial_pdus(&self) -> usize {
-        self.pdu_state.len()
+        self.vcis.values().map(|r| r.open.len()).sum()
     }
 
     /// Abandons reassemblies whose first cell arrived more than the
@@ -612,85 +652,89 @@ impl RxProcessor {
     /// way. A no-op when no timeout is configured.
     pub fn reap_stale(&mut self, now: SimTime) -> RxOutcome {
         let mut out = RxOutcome::default();
-        let Some(timeout) = self.cfg.reassembly_timeout else {
+        let Some(timeout) = self.dp.cfg.reassembly_timeout else {
             return out;
         };
         let mut stale: Vec<(Vci, u64)> = self
-            .pdu_state
+            .vcis
             .iter()
-            .filter(|(_, s)| s.first_at + timeout <= now)
-            .map(|(&k, _)| k)
+            .flat_map(|(&vci, r)| {
+                r.open
+                    .iter()
+                    .filter(|(_, s)| s.first_at + timeout <= now)
+                    .map(move |&(pdu, _)| (vci, pdu))
+            })
             .collect();
         // HashMap iteration order is arbitrary; sort for determinism.
         stale.sort_unstable_by_key(|&(v, p)| (v.0, p));
+        let dp = &mut self.dp;
         for key in stale {
-            let state = self.pdu_state.remove(&key).expect("listed above");
+            let rec = self.vcis.get_mut(&key.0).expect("listed above");
+            let slot = rec
+                .open
+                .iter()
+                .position(|(p, _)| *p == key.1)
+                .expect("listed above");
+            let state = &mut rec.open[slot].1;
             let page = state.page;
             let pushed_upto = state.pushed_upto;
             let ctx = state.ctx;
-            let mut unpushed = state.bufs.into_iter().flatten().skip(pushed_upto);
             if pushed_upto > 0 {
                 // Close the host-side chain. Reuse the first unpushed
                 // buffer as the errored-EOP carrier; if the PDU stalled
                 // exactly at a buffer boundary there is none, so borrow
                 // one from the free ring (the driver recycles it right
                 // back along with the rest of the chain).
-                let closer = unpushed
-                    .next()
-                    .or_else(|| self.free_rings[page].pop().map(|(d, _)| d));
-                match closer {
-                    Some(d) => {
-                        let desc = Descriptor {
-                            addr: d.addr,
-                            len: 0,
-                            vci: key.0,
-                            eop: true,
-                            err: true,
-                            ctx,
-                        };
-                        self.push_rx(now, page, desc, &mut out);
-                    }
-                    None => {
-                        // Nothing anywhere to carry the EOP (free ring
-                        // drained and no unpushed buffer). Keep the state
-                        // and retry at the next sweep, once the host has
-                        // returned buffers.
-                        self.pdu_state.insert(
-                            key,
-                            PduBufState {
-                                page,
-                                bufs: Vec::new(),
-                                buf_fill: Vec::new(),
-                                pushed_upto,
-                                poisoned: true,
-                                ctx,
-                                first_at: state.first_at,
-                            },
-                        );
-                        continue;
-                    }
+                let unpushed = state.bufs.iter().flatten().nth(pushed_upto).copied();
+                let Some(closer) = unpushed.or_else(|| dp.free_rings[page].pop().map(|(d, _)| d))
+                else {
+                    // Nothing anywhere to carry the EOP (free ring
+                    // drained and no unpushed buffer). Keep the state,
+                    // shed, and retry at the next sweep, once the host
+                    // has returned buffers.
+                    state.poisoned = true;
+                    state.bufs.clear();
+                    state.buf_fill.clear();
+                    continue;
+                };
+                let desc = Descriptor {
+                    addr: closer.addr,
+                    len: 0,
+                    vci: key.0,
+                    eop: true,
+                    err: true,
+                    ctx,
+                };
+                dp.push_rx(now, page, desc, &mut out);
+                // The closer went to the host with the chain.
+                let skip = pushed_upto + unpushed.is_some() as usize;
+                let (_, state) = rec.open.swap_remove(slot);
+                for d in state.bufs.into_iter().flatten().skip(skip) {
+                    let _ = dp.free_rings[page].push(d);
                 }
-            }
-            for d in unpushed {
-                let _ = self.free_rings[page].push(d);
+            } else {
+                let (_, state) = rec.open.swap_remove(slot);
+                for d in state.bufs.into_iter().flatten() {
+                    let _ = dp.free_rings[page].push(d);
+                }
             }
             // Drop a pending double-cell payload aimed at the dead PDU so
             // it is not flushed into a recycled buffer later.
-            if self.pending.as_ref().is_some_and(|p| p.key == key) {
-                self.pending = None;
+            if dp.pending.as_ref().is_some_and(|p| p.key == key) {
+                dp.pending = None;
             }
-            if let Some(r) = self.reassemblers.get_mut(&key.0) {
-                r.abort(key.1);
-            }
-            self.stats.pdus_dropped_timeout.incr();
+            rec.reasm.abort(key.1);
+            dp.stats.pdus_dropped_timeout.incr();
             if let Some(c) = ctx {
-                self.timeline
-                    .instant_ctx_sym(self.syms.track, self.syms.reasm_timeout, c, now);
+                dp.timeline
+                    .instant_ctx_sym(dp.syms.track, dp.syms.reasm_timeout, c, now);
             }
         }
         out
     }
+}
 
+impl Datapath {
     /// Stores one cell's payload into `state`'s buffers, handling buffer
     /// allocation, buffer-boundary straddles, double-cell combining, and
     /// buffer-full pushes. Returns when the payload is in host memory.
@@ -1323,6 +1367,56 @@ mod tests {
         let cells = cells_for(&data, Vci(42));
         let (outs, _) = feed(&mut r, &cells, SimTime::from_ms(1));
         assert!(outs.last().unwrap().completed.unwrap().crc_ok);
+    }
+
+    #[test]
+    fn unbinding_drops_a_vci_until_the_table_empties() {
+        let mut r = rig(RxConfig::paper_default());
+        for i in 0..4u64 {
+            r.rx.free_ring_mut(3)
+                .push(Descriptor::tx(
+                    PhysAddr(0x20_0000 + i * 0x4000),
+                    16 * 1024,
+                    Vci(0),
+                    false,
+                ))
+                .unwrap();
+        }
+        r.rx.bind_vci(Vci(42), 3);
+        r.rx.bind_vci(Vci(43), 0);
+        let data = vec![1u8; 200];
+        let (outs, t) = feed(&mut r, &cells_for(&data, Vci(42)), SimTime::ZERO);
+        let info = outs.last().unwrap().completed.unwrap();
+        assert_eq!((info.pdu, r.rx.rx_ring(3).len()), (0, 1));
+
+        // Unbinding one of two VCIs drops its later cells on the board.
+        r.rx.unbind_vci(Vci(42));
+        let cells = cells_for(&data, Vci(42));
+        let (outs, t) = feed(&mut r, &cells, t);
+        assert!(outs
+            .iter()
+            .all(|o| o.pushed.is_empty() && o.completed.is_none()));
+        assert_eq!(r.rx.stats().cells_unknown_vci, cells.len() as u64);
+        // The other binding still delivers on its page.
+        let (outs, t) = feed(&mut r, &cells_for(&data, Vci(43)), t);
+        assert!(outs.last().unwrap().completed.unwrap().crc_ok);
+        assert_eq!(r.rx.rx_ring(0).len(), 1);
+
+        // Unbinding the last one makes the board promiscuous again: the
+        // VCI lands on page 0, and its reassembler kept its state (the
+        // PDU numbering continues).
+        r.rx.unbind_vci(Vci(43));
+        let (outs, _) = feed(&mut r, &cells_for(&data, Vci(42)), t);
+        let info = outs
+            .last()
+            .unwrap()
+            .completed
+            .expect("promiscuous delivery");
+        assert!(info.crc_ok);
+        assert_eq!(info.pdu, 1);
+        assert_eq!(r.rx.rx_ring(0).len(), 2);
+        assert_eq!(r.rx.rx_ring(3).len(), 1);
+        assert_eq!(r.rx.stats().cells_unknown_vci, cells.len() as u64);
     }
 
     #[test]

@@ -438,10 +438,11 @@ impl TxProcessor {
             unit: self.cfg.unit,
         };
         let seq = self.pdu_seq.entry(vci).or_insert(0);
-        let cells = segmenter.segment_numbered(vci, *seq, &slices);
+        let cells = segmenter.cells(vci, *seq, &slices);
         *seq = seq.wrapping_add(1);
 
-        // Launch cells: each needs its firmware slot and its bytes fetched.
+        // Launch cells as they are cut: each needs its firmware slot and
+        // its bytes fetched.
         let mut arrivals = Vec::with_capacity(cells.len());
         let mut dropped = 0u32;
         let mut data_cursor = 0u64;
@@ -451,7 +452,7 @@ impl TxProcessor {
         // handed to the lane → last arrival at the peer. Only the timeline
         // reads it, so untraced runs never build it.
         let mut lane_win: Vec<Option<(SimTime, SimTime)>> = Vec::new();
-        for (i, mut cell) in cells.into_iter().enumerate() {
+        for (i, mut cell) in cells.enumerate() {
             let fw_grant = self.engine.acquire(
                 fw_cursor,
                 self.cfg.fw.clock.cycles(self.cfg.fw.tx_cell_cycles),

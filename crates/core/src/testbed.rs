@@ -32,9 +32,9 @@
 use std::collections::{BTreeSet, HashMap};
 
 use osiris_adc::AdcManager;
-use osiris_atm::sar::{ReassemblyMode, SegmentUnit, Segmenter};
+use osiris_atm::sar::{SegmentUnit, Segmenter};
 use osiris_atm::stripe::StripedLink;
-use osiris_atm::{CellRef, CellSlab};
+use osiris_atm::{Cell, CellRef, CellSlab};
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
 use osiris_sim::obs::{Counter, Histogram, Probe, Snapshot};
 use osiris_sim::stats::{LatencyStats, ThroughputMeter};
@@ -44,6 +44,7 @@ use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict, TransportMode};
 
 use crate::config::{DataPath, Layer, TestbedConfig, TouchMode};
 use crate::fabric::Fabric;
+use crate::node::GenPdu;
 use crate::scenario::Scenario;
 
 pub use crate::node::{HostNode, NodeId, Role};
@@ -310,10 +311,11 @@ pub struct Testbed {
     /// Typed span/instant timeline (Chrome trace-event export); disabled
     /// by default, enable with `timeline.set_enabled(true)`.
     pub timeline: Timeline,
-    /// Slab arena every in-flight cell lives in: events and the generator
-    /// rings carry copyable [`CellRef`] handles, so a cell's 44-byte
-    /// payload is written once at segmentation and never cloned again
-    /// (`cells.slab_recycled` counts free-list reuse).
+    /// Slab arena every in-flight cell lives in: events carry copyable
+    /// [`CellRef`] handles, so a cell's 44-byte payload is written once at
+    /// segmentation and never cloned again (`cells.slab_recycled` counts
+    /// free-list reuse). Generated cells skip it: the generator hands
+    /// each one to the board as it is cut.
     pub cells: CellSlab,
     /// Interned timeline keys for the dispatcher's per-event instants and
     /// spans (zero string allocation on the hot path).
@@ -741,22 +743,20 @@ impl Testbed {
         }
     }
 
-    /// Feeds one cell into a node's receive half, consuming its slab
-    /// handle (the slot recycles as soon as the payload is DMAed).
+    /// Feeds one cell into a node's receive half.
     fn cell_arrival(
         &mut self,
         now: SimTime,
         host: NodeId,
         lane: usize,
-        r: CellRef,
+        cell: &Cell,
         q: &mut EventQueue<Event>,
     ) {
         let node = &mut self.nodes[host.0];
-        let out = node.rx.receive_cell_ref(
+        let out = node.rx.receive_cell(
             now,
             lane,
-            r,
-            &mut self.cells,
+            cell,
             &mut node.host.mem_sys,
             &mut node.host.cache,
             &mut node.host.phys,
@@ -1156,7 +1156,7 @@ impl Testbed {
                     node.gen_stalled = false;
                     q.push(t, Event::GenKick);
                 }
-                if node.remaining == 0 && node.gen_frags.is_empty() {
+                if node.remaining == 0 && node.gen_pdus.is_empty() {
                     self.done = true;
                 }
             }
@@ -1164,7 +1164,8 @@ impl Testbed {
         }
     }
 
-    /// Builds the next message's fragments as cells for the generator.
+    /// Queues the next message's fragments for the generator, each with a
+    /// cursor its cells are cut at.
     fn gen_build_next(&mut self, host: NodeId) {
         let cfg_proto = ProtoConfig {
             mtu: self.cfg.mtu,
@@ -1182,33 +1183,16 @@ impl Testbed {
         // Generator PDUs carry the identity the receiving stack re-mints
         // from the wire IP header: (src=1, id) — see `build_wire_pdus`.
         let ctx = TraceCtx { host: 1, pdu: id };
-        match self.cfg.layer {
-            Layer::UdpIp => {
-                // The fictitious sender addresses this host's open path.
-                let pdus = ProtoStack::build_wire_pdus(cfg_proto, id, 2000, 1000, &node.pattern);
-                for p in pdus {
-                    let pseq = node.gen_pdu_seq;
-                    node.gen_pdu_seq = pseq.wrapping_add(1);
-                    let cells = seg.segment_numbered(node.vci, pseq, &[&p]);
-                    let mut refs = Vec::with_capacity(cells.len());
-                    for mut c in cells {
-                        c.ctx = Some(ctx);
-                        refs.push(self.cells.insert(c));
-                    }
-                    node.gen_frags.push_back(refs);
-                }
-            }
-            Layer::RawAtm => {
-                let pseq = node.gen_pdu_seq;
-                node.gen_pdu_seq = pseq.wrapping_add(1);
-                let cells = seg.segment_numbered(node.vci, pseq, &[&node.pattern]);
-                let mut refs = Vec::with_capacity(cells.len());
-                for mut c in cells {
-                    c.ctx = Some(ctx);
-                    refs.push(self.cells.insert(c));
-                }
-                node.gen_frags.push_back(refs);
-            }
+        let pdus = match self.cfg.layer {
+            // The fictitious sender addresses this host's open path.
+            Layer::UdpIp => ProtoStack::build_wire_pdus(cfg_proto, id, 2000, 1000, &node.pattern),
+            Layer::RawAtm => vec![node.pattern.clone()],
+        };
+        for bytes in pdus {
+            let pseq = node.gen_pdu_seq;
+            node.gen_pdu_seq = pseq.wrapping_add(1);
+            let cursor = seg.cursor(node.vci, pseq, &[&bytes]);
+            node.gen_pdus.push_back(GenPdu { bytes, cursor, ctx });
         }
     }
 
@@ -1224,7 +1208,7 @@ impl Testbed {
     fn gen_kick(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
         const BATCH: usize = 32;
         let host = NodeId(0);
-        if self.nodes[host.0].gen_frags.is_empty() {
+        if self.nodes[host.0].gen_pdus.is_empty() {
             if self.nodes[host.0].remaining == 0 {
                 return;
             }
@@ -1248,29 +1232,21 @@ impl Testbed {
             q.push(bus_free - slack, Event::GenKick);
             return;
         }
-        // Feed the batch by handle, one re-borrow per cell — `CellRef` is
-        // Copy, so nothing is cloned out of the fragment (the receive
-        // path consumes each slab slot as it processes the cell).
-        let (start, end, frag_len) = {
-            let node = &self.nodes[host.0];
-            let frag_len = node.gen_frags.front().expect("non-empty").len();
-            let start = node.gen_pos;
-            (start, (start + BATCH).min(frag_len), frag_len)
-        };
-        for idx in start..end {
-            let r = self.nodes[host.0].gen_frags.front().expect("non-empty")[idx];
-            let lane = match self.cfg.reassembly {
-                ReassemblyMode::FourWay { lanes } => idx % lanes as usize,
-                _ => 0,
+        // Cut the batch from the front PDU and hand each cell to the
+        // receive path by reference; a batch never spans two PDUs.
+        // Lanes follow the framing, which mirrors the reassembly mode.
+        for _ in 0..BATCH {
+            let pdu = self.nodes[host.0].gen_pdus.front_mut().expect("non-empty");
+            let lane = pdu.cursor.lane();
+            let Some(mut cell) = pdu.cursor.next_cell(&[&pdu.bytes]) else {
+                break;
             };
-            self.cell_arrival(now, host, lane, r, q);
+            cell.ctx = Some(pdu.ctx);
+            self.cell_arrival(now, host, lane, &cell, q);
         }
         let node = &mut self.nodes[host.0];
-        if end == frag_len {
-            node.gen_frags.pop_front();
-            node.gen_pos = 0;
-        } else {
-            node.gen_pos = end;
+        if node.gen_pdus.front().expect("non-empty").cursor.remaining() == 0 {
+            node.gen_pdus.pop_front();
         }
         let next = self.nodes[host.0].rx.engine_free_at();
         q.push(next.max(now), Event::GenKick);
@@ -1330,7 +1306,10 @@ impl Model for Testbed {
                 self.send_message(now, host, q);
             }
             Event::TxKick { host } => self.tx_kick(now, host, q),
-            Event::CellArrival { to, lane, cell } => self.cell_arrival(now, to, lane, cell, q),
+            Event::CellArrival { to, lane, cell } => {
+                let cell = self.cells.remove(cell);
+                self.cell_arrival(now, to, lane, &cell, q)
+            }
             Event::FabricTransit {
                 from, lane, cell, ..
             } => self.fabric_transit(now, from, lane, cell, q),
@@ -1534,7 +1513,7 @@ mod tests {
     fn skewed_link_with_fourway_reassembly_delivers() {
         let mut cfg = TestbedConfig::ds5000_200_udp();
         cfg.skew = osiris_atm::stripe::SkewConfig::mux_skew(9);
-        cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
+        cfg.reassembly = osiris_atm::sar::ReassemblyMode::FourWay { lanes: 4 };
         cfg.msg_size = 8000;
         let tb = run_pair(cfg);
         assert_eq!(tb.verify_failures, 0);

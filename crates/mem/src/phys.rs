@@ -129,8 +129,11 @@ pub enum AllocPolicy {
 /// Allocates page frames from a [`PhysMemory`].
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
-    free: Vec<usize>,
-    in_use: Vec<bool>,
+    /// Free frames; plain allocation pops from the back.
+    free: Vec<u32>,
+    /// Each frame's position in `free`, or [`IN_USE`]: taking a given
+    /// frame out of the free list is O(1).
+    slot: Vec<u32>,
     policy: AllocPolicy,
     page_size: usize,
     total_frames: usize,
@@ -138,12 +141,16 @@ pub struct FrameAllocator {
     contiguous_hits: u64,
 }
 
+/// [`FrameAllocator::slot`] entry of an allocated frame.
+const IN_USE: u32 = u32::MAX;
+
 impl FrameAllocator {
     /// An allocator over all frames of `mem` using `policy`. `seed` drives
     /// the deterministic shuffle used by [`AllocPolicy::Scattered`].
     pub fn new(mem: &PhysMemory, policy: AllocPolicy, seed: u64) -> Self {
         let n = mem.frames();
-        let mut free: Vec<usize> = (0..n).collect();
+        assert!(n < IN_USE as usize, "too many frames");
+        let mut free: Vec<u32> = (0..n as u32).collect();
         if matches!(
             policy,
             AllocPolicy::Scattered | AllocPolicy::BestEffortContiguous
@@ -153,9 +160,13 @@ impl FrameAllocator {
         }
         // Pop from the back; reverse so Sequential pops ascending.
         free.reverse();
+        let mut slot = vec![0; n];
+        for (pos, &f) in free.iter().enumerate() {
+            slot[f as usize] = pos as u32;
+        }
         FrameAllocator {
             free,
-            in_use: vec![false; n],
+            slot,
             policy,
             page_size: mem.page_size(),
             total_frames: n,
@@ -195,8 +206,8 @@ impl FrameAllocator {
         }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let f = self.free.pop().expect("checked above");
-            self.in_use[f] = true;
+            let f = self.free.pop().expect("checked above") as usize;
+            self.slot[f] = IN_USE;
             out.push(f);
         }
         Some(out)
@@ -225,9 +236,9 @@ impl FrameAllocator {
     /// Panics on double free.
     pub fn free(&mut self, frames: &[usize]) {
         for &f in frames {
-            assert!(self.in_use[f], "double free of frame {f}");
-            self.in_use[f] = false;
-            self.free.push(f);
+            assert!(self.slot[f] == IN_USE, "double free of frame {f}");
+            self.slot[f] = self.free.len() as u32;
+            self.free.push(f as u32);
         }
     }
 
@@ -246,22 +257,24 @@ impl FrameAllocator {
         self.page_size
     }
 
+    /// Takes a given free frame out of the free list: the list's last
+    /// frame moves into its place.
     fn take(&mut self, frame: usize) {
-        let pos = self
-            .free
-            .iter()
-            .position(|&f| f == frame)
-            .expect("frame not free");
-        self.free.swap_remove(pos);
-        self.in_use[frame] = true;
+        let pos = self.slot[frame];
+        assert!(pos != IN_USE, "frame not free");
+        self.free.swap_remove(pos as usize);
+        if let Some(&moved) = self.free.get(pos as usize) {
+            self.slot[moved as usize] = pos;
+        }
+        self.slot[frame] = IN_USE;
     }
 
     fn find_contiguous_run(&self, n: usize) -> Option<Vec<usize>> {
-        // O(frames) scan over an in-use bitmap; fine at simulation scale.
+        // O(frames) scan over the slot index; fine at simulation scale.
         let mut run_start = 0;
         let mut run_len = 0;
         for f in 0..self.total_frames {
-            if self.in_use[f] {
+            if self.slot[f] == IN_USE {
                 run_len = 0;
             } else {
                 if run_len == 0 {

@@ -252,9 +252,10 @@ impl fmt::Display for SimDuration {
 
 /// A fixed-frequency clock used to convert cycle counts to durations.
 ///
-/// Conversion uses 128-bit intermediates: the duration of `n` cycles is
-/// `n * 10^12 / hz` picoseconds rounded to nearest, so long cycle counts do
-/// not accumulate per-cycle rounding error.
+/// Conversion is exact: the duration of `n` cycles is `n * 10^12 / hz`
+/// picoseconds rounded to nearest (with 128-bit intermediates where 64
+/// bits overflow), so long cycle counts do not accumulate per-cycle
+/// rounding error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Clock {
     hz: u64,
@@ -281,7 +282,17 @@ impl Clock {
     }
 
     /// Duration of `n` clock cycles (rounded to the nearest picosecond).
+    ///
+    /// Counts below ~1.8·10⁷ cycles — every per-cell and per-PDU budget —
+    /// keep the product in 64 bits; longer ones take the 128-bit path.
+    /// Both compute the same value.
     pub fn cycles(self, n: u64) -> SimDuration {
+        if let Some(num) = n
+            .checked_mul(PS_PER_S)
+            .and_then(|p| p.checked_add(self.hz / 2))
+        {
+            return SimDuration(num / self.hz);
+        }
         let ps = (n as u128 * PS_PER_S as u128 + self.hz as u128 / 2) / self.hz as u128;
         SimDuration(u64::try_from(ps).expect("cycle count overflows SimDuration"))
     }
@@ -347,6 +358,28 @@ mod tests {
         assert_eq!(alpha.cycles(1).as_ps(), 5714);
         // And 7 cycles is exactly 40 ns (7/175MHz = 40ns).
         assert_eq!(alpha.cycles(7), SimDuration::from_ns(40));
+    }
+
+    #[test]
+    fn cycles_64_bit_path_matches_the_128_bit_formula() {
+        for hz in [1u64, 3, 25_000_000, 40_000_000, 999_999_937, u64::MAX] {
+            let c = Clock::from_hz(hz);
+            for n in [
+                0u64,
+                1,
+                13,
+                24,
+                18_446_743,
+                18_446_744,
+                1 << 40,
+                u64::MAX / PS_PER_S + 1,
+            ] {
+                let wide = (n as u128 * PS_PER_S as u128 + hz as u128 / 2) / hz as u128;
+                if let Ok(ps) = u64::try_from(wide) {
+                    assert_eq!(c.cycles(n), SimDuration(ps), "{n} cycles at {hz} Hz");
+                }
+            }
+        }
     }
 
     #[test]
