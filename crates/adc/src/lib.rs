@@ -315,7 +315,7 @@ mod tests {
             )
             .unwrap();
         assert!(out.violation);
-        assert!(out.arrivals.is_empty(), "nothing transmitted");
+        assert!(tx.arrivals().is_empty(), "nothing transmitted");
         assert_eq!(tx.violations(), 1);
         // Kernel converts the interrupt into an exception.
         let t = mgr.deliver_violation(SimTime::ZERO, &mut host, page);
@@ -359,7 +359,7 @@ mod tests {
             )
             .unwrap();
         assert!(!out.violation);
-        assert_eq!(out.arrivals.len(), 3);
+        assert_eq!(tx.arrivals().len(), 3);
     }
 
     #[test]

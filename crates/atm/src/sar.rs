@@ -52,6 +52,52 @@ use crate::cell::{AalHeader, Cell, CellHeader, Trailer, CELL_PAYLOAD};
 use crate::crc::Crc32;
 use crate::vci::Vci;
 
+/// The widest stripe a framing may name: the paper's four-lane link.
+/// Per-lane segmentation and reassembly state is held inline at this
+/// bound, so a wider [`FramingMode::FourWay`] or
+/// [`ReassemblyMode::FourWay`] is rejected when the segmenter's cursor or
+/// the reassembler is built.
+pub const MAX_LANES: usize = 4;
+
+/// Panics unless `lanes` is a supported stripe width (`1..=MAX_LANES`).
+pub fn check_lanes(lanes: u8) {
+    assert!(
+        (1..=MAX_LANES).contains(&(lanes as usize)),
+        "stripe width {lanes} outside 1..={MAX_LANES}"
+    );
+}
+
+/// A PDU's buffer chain as the segmenter reads it: `count` buffers,
+/// fetched by index. A slice of byte slices is one; the board's transmit
+/// processor reads its descriptor chain straight out of host memory
+/// without collecting the slices first.
+pub trait BufferChain {
+    /// Number of buffers in the chain.
+    fn count(&self) -> usize;
+    /// Buffer `i` (`i < count()`).
+    fn buffer(&self, i: usize) -> &[u8];
+}
+
+impl<T: AsRef<[u8]>> BufferChain for [T] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn buffer(&self, i: usize) -> &[u8] {
+        self[i].as_ref()
+    }
+}
+
+impl<T: AsRef<[u8]>, const N: usize> BufferChain for [T; N] {
+    fn count(&self) -> usize {
+        N
+    }
+
+    fn buffer(&self, i: usize) -> &[u8] {
+        self[i].as_ref()
+    }
+}
+
 /// How end-of-PDU framing is encoded at segmentation time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FramingMode {
@@ -60,7 +106,7 @@ pub enum FramingMode {
     /// Per-lane framing for an `n`-lane striped link: the last cell on
     /// *each lane* carries an EOM bit and a trailer over that lane's bytes.
     FourWay {
-        /// Stripe width (the paper's hardware: 4).
+        /// Stripe width (the paper's hardware: 4; at most [`MAX_LANES`]).
         lanes: u8,
     },
 }
@@ -110,7 +156,12 @@ impl Segmenter {
     ///
     /// # Panics
     /// Panics if the PDU is empty.
-    pub fn cells<'a>(&self, vci: Vci, pdu_seq: u16, buffers: &'a [&'a [u8]]) -> Cells<'a> {
+    pub fn cells<'a, B: BufferChain + ?Sized>(
+        &self,
+        vci: Vci,
+        pdu_seq: u16,
+        buffers: &'a B,
+    ) -> Cells<'a, B> {
         Cells {
             cursor: self.cursor(vci, pdu_seq, buffers),
             buffers,
@@ -133,20 +184,27 @@ impl Segmenter {
     /// trailers are attached per the framing mode.
     ///
     /// # Panics
-    /// Panics if the PDU is empty.
-    pub fn cursor(&self, vci: Vci, pdu_seq: u16, buffers: &[&[u8]]) -> SegCursor {
-        let total: usize = buffers.iter().map(|b| b.len()).sum();
+    /// Panics if the PDU is empty, or if a FourWay framing names more
+    /// than [`MAX_LANES`] lanes.
+    pub fn cursor<B: BufferChain + ?Sized>(
+        &self,
+        vci: Vci,
+        pdu_seq: u16,
+        buffers: &B,
+    ) -> SegCursor {
+        let lens = (0..buffers.count()).map(|i| buffers.buffer(i).len());
+        let total: usize = lens.clone().sum();
         assert!(total > 0, "cannot segment an empty PDU");
         let cells = match self.unit {
             SegmentUnit::Pdu => total.div_ceil(CELL_PAYLOAD),
-            SegmentUnit::Buffer => buffers.iter().map(|b| b.len().div_ceil(CELL_PAYLOAD)).sum(),
+            SegmentUnit::Buffer => lens.map(|l| l.div_ceil(CELL_PAYLOAD)).sum(),
         };
         // EndOfPdu framing is one trailer over the whole PDU: a single
         // lane, in trailer terms.
         let (seq, lanes) = match self.framing {
             FramingMode::EndOfPdu => (None, 1),
             FramingMode::FourWay { lanes } => {
-                assert!(lanes >= 1, "need at least one lane");
+                check_lanes(lanes);
                 (Some(pdu_seq), lanes as usize)
             }
         };
@@ -159,7 +217,8 @@ impl Segmenter {
             cells,
             buf: 0,
             off: 0,
-            lanes: vec![(Crc32::new(), 0); lanes.min(cells)],
+            n_lanes: lanes.min(cells),
+            lanes: [(Crc32::new(), 0); MAX_LANES],
         }
     }
 }
@@ -180,9 +239,11 @@ pub struct SegCursor {
     cells: usize,
     buf: usize,
     off: usize,
-    /// Per trailer lane: CRC and byte count so far (one lane under
-    /// EndOfPdu framing).
-    lanes: Vec<(Crc32, u32)>,
+    /// Trailer lanes in use: the stripe width, or fewer for a PDU of
+    /// fewer cells (one under EndOfPdu framing).
+    n_lanes: usize,
+    /// Per trailer lane: CRC and byte count so far (`lanes[..n_lanes]`).
+    lanes: [(Crc32, u32); MAX_LANES],
 }
 
 impl SegCursor {
@@ -199,7 +260,7 @@ impl SegCursor {
 
     /// Cuts the next cell from `buffers` — the chain this cursor was built
     /// over — or returns `None` once the PDU is exhausted.
-    pub fn next_cell(&mut self, buffers: &[&[u8]]) -> Option<Cell> {
+    pub fn next_cell<B: BufferChain + ?Sized>(&mut self, buffers: &B) -> Option<Cell> {
         if self.next == self.cells {
             return None;
         }
@@ -209,10 +270,8 @@ impl SegCursor {
         let mut fill = 0;
         // Pdu fills across buffer boundaries; Buffer stops at the end of
         // the buffer the cell started in. Empty buffers yield no cells.
-        while fill < CELL_PAYLOAD {
-            let Some(buf) = buffers.get(self.buf) else {
-                break;
-            };
+        while fill < CELL_PAYLOAD && self.buf < buffers.count() {
+            let buf = buffers.buffer(self.buf);
             let rest = &buf[self.off..];
             let take = (CELL_PAYLOAD - fill).min(rest.len());
             if take == CELL_PAYLOAD {
@@ -233,7 +292,7 @@ impl SegCursor {
         }
         debug_assert!(fill > 0, "cursor used over a different buffer chain");
 
-        let n_lanes = self.lanes.len();
+        let n_lanes = self.n_lanes;
         let lane = &mut self.lanes[self.lane];
         self.lane = if self.lane + 1 == n_lanes {
             0
@@ -265,13 +324,12 @@ impl SegCursor {
 }
 
 /// The cells of one PDU, cut on demand (see [`Segmenter::cells`]).
-#[derive(Debug, Clone)]
-pub struct Cells<'a> {
+pub struct Cells<'a, B: BufferChain + ?Sized = [&'a [u8]]> {
     cursor: SegCursor,
-    buffers: &'a [&'a [u8]],
+    buffers: &'a B,
 }
 
-impl Iterator for Cells<'_> {
+impl<B: BufferChain + ?Sized> Iterator for Cells<'_, B> {
     type Item = Cell;
 
     fn next(&mut self) -> Option<Cell> {
@@ -284,7 +342,7 @@ impl Iterator for Cells<'_> {
     }
 }
 
-impl ExactSizeIterator for Cells<'_> {}
+impl<B: BufferChain + ?Sized> ExactSizeIterator for Cells<'_, B> {}
 
 /// Receive-side reassembly strategy (§2.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,9 +431,10 @@ struct PduRecord {
     received_cells: u32,
     received_bytes: u32,
     expected_total_cells: Option<u32>,
-    /// Per-lane CRC accumulators and completion flags (FourWay).
-    lane_crc: Vec<Crc32>,
-    lane_ok: Vec<Option<bool>>,
+    /// Per-lane CRC accumulators and completion flags (FourWay; lanes
+    /// beyond the stripe width stay unused).
+    lane_crc: [Crc32; MAX_LANES],
+    lane_ok: [Option<bool>; MAX_LANES],
     lane_len: u32,
     /// Whole-PDU trailer (EndOfPdu framing), checked at completion.
     pdu_trailer: Option<Trailer>,
@@ -416,9 +475,15 @@ impl Reassembler {
     /// bytes. When `keep_data` is set, completed PDUs carry their bytes
     /// (standalone use and tests); the board integration can disable it and
     /// rely on placement offsets alone.
+    ///
+    /// # Panics
+    /// Panics if a FourWay mode names more than [`MAX_LANES`] lanes.
     pub fn new(mode: ReassemblyMode, max_pdu_bytes: u32, keep_data: bool) -> Self {
         let lanes = match mode {
-            ReassemblyMode::FourWay { lanes } => lanes as usize,
+            ReassemblyMode::FourWay { lanes } => {
+                check_lanes(lanes);
+                lanes as usize
+            }
             _ => 0,
         };
         Reassembler {
@@ -463,12 +528,8 @@ impl Reassembler {
         }
     }
 
-    fn record(&mut self, pdu: u64, lanes: usize) -> &mut PduRecord {
-        self.records.entry(pdu).or_insert_with(|| PduRecord {
-            lane_crc: vec![Crc32::new(); lanes],
-            lane_ok: vec![None; lanes],
-            ..Default::default()
-        })
+    fn record(&mut self, pdu: u64) -> &mut PduRecord {
+        self.records.entry(pdu).or_default()
     }
 
     fn store(
@@ -499,7 +560,7 @@ impl Reassembler {
         let offset = self.inorder_offset;
         let keep = self.keep_data;
         let max = self.max_pdu_bytes;
-        let rec = self.record(pdu, 0);
+        let rec = self.record(pdu);
         Self::store(keep, max, rec, offset, cell.data_bytes())?;
         self.inorder_offset += cell.aal.fill as u32;
         self.inorder_crc.update(cell.data_bytes());
@@ -540,7 +601,7 @@ impl Reassembler {
         let done = {
             let keep = self.keep_data;
             let max = self.max_pdu_bytes;
-            let rec = self.record(pdu, 0);
+            let rec = self.record(pdu);
             // A duplicate sequence number means this cell belongs to the
             // *next* PDU (per-lane FIFO guarantees intra-PDU uniqueness);
             // stash it until the current PDU completes. This is exactly the
@@ -681,7 +742,7 @@ impl Reassembler {
         let keep = self.keep_data;
         let max = self.max_pdu_bytes;
         let done = {
-            let rec = self.record(pdu, lanes);
+            let rec = self.record(pdu);
             Self::store(keep, max, rec, offset, cell.data_bytes())?;
             rec.lane_crc[lane].update(cell.data_bytes());
             rec.lane_len += cell.aal.fill as u32;

@@ -1,9 +1,13 @@
 //! The lazy segmenter against the eager cell-building loop it replaced:
 //! for seeded buffer chains, both framing modes, both segmentation units
 //! and PDU tags around the `u16` wrap, every cell — header, AAL fields,
-//! payload and trailer — must be identical.
+//! payload and trailer — must be identical. FourWay framings of one to
+//! four lanes run through the cutter's inline per-lane state, over byte
+//! slices and over a chain read by index.
 
-use osiris_atm::sar::{FramingMode, SegmentUnit, Segmenter};
+use osiris_atm::sar::{
+    BufferChain, FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter, MAX_LANES,
+};
 use osiris_atm::{Cell, Crc32, Trailer, Vci, CELL_PAYLOAD};
 use osiris_sim::SimRng;
 
@@ -94,8 +98,38 @@ fn chain(rng: &mut SimRng, total: usize) -> Vec<Vec<u8>> {
     out
 }
 
+/// A chain read by index out of one backing store, the way the board's
+/// transmit processor reads descriptors out of host memory.
+struct Indexed {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl BufferChain for Indexed {
+    fn count(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn buffer(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+}
+
 fn assert_same(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[u8]], what: &str) {
     let want = eager_segment_numbered(seg, vci, pdu_seq, buffers);
+    let indexed = Indexed {
+        bytes: buffers.concat(),
+        ends: buffers
+            .iter()
+            .scan(0, |end, b| {
+                *end += b.len();
+                Some(*end)
+            })
+            .collect(),
+    };
+    let by_index: Vec<Cell> = seg.cells(vci, pdu_seq, &indexed).collect();
+    assert_eq!(by_index, want, "{what}: chain read by index");
     let got: Vec<Cell> = seg.cells(vci, pdu_seq, buffers).collect();
     assert_eq!(got.len(), want.len(), "{what}: cell count");
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -157,4 +191,27 @@ fn end_of_pdu_cell_index_wraps_like_the_eager_segmenter() {
         };
         assert_same(&seg, Vci(1), 0, &chain, &format!("wrap {unit:?}"));
     }
+}
+
+#[test]
+fn framings_wider_than_the_stripe_are_rejected_at_construction() {
+    let data = [1u8; 500];
+    for lanes in 1..=MAX_LANES as u8 {
+        let seg = Segmenter {
+            framing: FramingMode::FourWay { lanes },
+            unit: SegmentUnit::Pdu,
+        };
+        assert_eq!(seg.cursor(Vci(1), 0, &[&data[..]]).remaining(), 12);
+        Reassembler::new(ReassemblyMode::FourWay { lanes }, 1 << 16, false);
+    }
+    let wide = Segmenter {
+        framing: FramingMode::FourWay { lanes: 5 },
+        unit: SegmentUnit::Pdu,
+    };
+    let cut = std::panic::catch_unwind(|| wide.cursor(Vci(1), 0, &[&data[..]]));
+    assert!(cut.is_err(), "a 5-lane cursor must not be built");
+    let reasm = std::panic::catch_unwind(|| {
+        Reassembler::new(ReassemblyMode::FourWay { lanes: 5 }, 1 << 16, false)
+    });
+    assert!(reasm.is_err(), "a 5-lane reassembler must not be built");
 }

@@ -61,7 +61,7 @@ fn main() {
     ] {
         let plan = fragment_layout(16 * 1024, mtu);
         let bufs: u32 = (0..plan.count())
-            .map(|i| fragment_buffer_count(plan.offset_of(i) % 4096, plan.sizes[i], 4096))
+            .map(|i| fragment_buffer_count(plan.offset_of(i) % 4096, plan.size(i), 4096))
             .sum();
         println!(
             "{label:<36} {} fragments, {bufs} physical buffers",

@@ -53,7 +53,7 @@ pub const DESC_WORDS: u64 = 3;
 /// address and length". The end-of-PDU flag lets the host pass a PDU as a
 /// chain of discontiguous buffers (§2.5.2), and the VCI carries the
 /// demultiplexing decision (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Descriptor {
     /// Physical address of the buffer.
     pub addr: PhysAddr,

@@ -27,7 +27,7 @@
 
 use std::collections::HashSet;
 
-use osiris_atm::sar::{CellDisposition, Reassembler, ReassemblyMode};
+use osiris_atm::sar::{check_lanes, CellDisposition, Reassembler, ReassemblyMode};
 use osiris_atm::{Cell, CellRef, CellSlab, Vci};
 use osiris_mem::{DataCache, MemorySystem, PhysAddr, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
@@ -126,11 +126,10 @@ pub struct RxPduInfo {
     pub dropped: bool,
 }
 
-/// What one cell's processing did.
-#[derive(Debug, Default)]
+/// What one cell's processing did. The descriptors it pushed to the
+/// receive rings are in [`RxProcessor::pushed`] until the next call.
+#[derive(Debug, Default, Clone, Copy)]
 pub struct RxOutcome {
-    /// Descriptors pushed to receive rings: `(push_time, page, descriptor)`.
-    pub pushed: Vec<(SimTime, usize, Descriptor)>,
     /// If an interrupt must be asserted: when.
     pub interrupt_at: Option<SimTime>,
     /// If a payload is now pending for double-cell combining: the deadline
@@ -140,6 +139,9 @@ pub struct RxOutcome {
     pub completed: Option<RxPduInfo>,
 }
 
+/// One open PDU's receive buffers. Records are recycled through
+/// [`Datapath::spare`], so their two lists keep their capacity across
+/// PDUs.
 #[derive(Debug)]
 struct PduBufState {
     page: usize,
@@ -155,11 +157,16 @@ struct PduBufState {
 }
 
 impl PduBufState {
-    fn new(page: usize, first_at: SimTime) -> Self {
+    /// `spare` reset for a PDU starting now on `page`, or a fresh record.
+    fn reuse(spare: Option<PduBufState>, page: usize, first_at: SimTime) -> Self {
+        let (mut bufs, mut buf_fill) =
+            spare.map_or_else(Default::default, |s| (s.bufs, s.buf_fill));
+        bufs.clear();
+        buf_fill.clear();
         PduBufState {
             page,
-            bufs: Vec::new(),
-            buf_fill: Vec::new(),
+            bufs,
+            buf_fill,
             pushed_upto: 0,
             poisoned: false,
             ctx: None,
@@ -209,11 +216,12 @@ impl RxCounters {
     }
 }
 
+/// A payload held back for double-cell combining; its bytes are in
+/// [`Datapath::pending_data`].
 #[derive(Debug)]
 struct PendingDma {
     key: (Vci, u64),
     addr: PhysAddr,
-    data: Vec<u8>,
     buf_index: usize,
     gen: u64,
     ready: SimTime,
@@ -255,6 +263,8 @@ pub struct RxProcessor {
     /// Everything else. Split from `vcis` so a PDU's state can be updated
     /// in place while the datapath stores its payload.
     dp: Datapath,
+    /// Reap-sweep scratch: the stale `(vci, pdu)` keys, sorted.
+    stale: Vec<(Vci, u64)>,
 }
 
 /// The firmware's shared receive machinery: rings, DMA, counters and
@@ -266,7 +276,13 @@ struct Datapath {
     free_rings: Vec<DescRing>,
     rx_rings: Vec<DescRing>,
     pending: Option<PendingDma>,
+    /// The bytes of `pending` (stale while `pending` is `None`).
+    pending_data: Vec<u8>,
     pending_gen: u64,
+    /// Descriptors the current call pushed: `(push_time, page, descriptor)`.
+    pushed: Vec<(SimTime, usize, Descriptor)>,
+    /// Closed PDUs' buffer records, reused by the next PDU to open.
+    spare: Vec<PduBufState>,
     authorized: Vec<Option<HashSet<u64>>>,
     stats: RxCounters,
     /// Per-PDU tracing sink (detached/disabled until the harness installs
@@ -320,7 +336,15 @@ impl RxProcessor {
     }
 
     /// A receive processor publishing its counters under `<scope>.rx`.
+    ///
+    /// # Panics
+    /// Panics if a FourWay reassembly names more than
+    /// [`osiris_atm::sar::MAX_LANES`] lanes (rejected here, not when the
+    /// first cell of a VCI arrives).
     pub fn with_probe(cfg: RxConfig, layout: DpramLayout, probe: &Probe) -> Self {
+        if let ReassemblyMode::FourWay { lanes } = cfg.reassembly {
+            check_lanes(lanes);
+        }
         let timeline = Timeline::default();
         let track = probe.scoped("rx").scope().to_string();
         let syms = RxSyms::intern(&timeline, &track);
@@ -337,7 +361,10 @@ impl RxProcessor {
                     .map(|_| DescRing::new(layout.rx_ring_slots))
                     .collect(),
                 pending: None,
+                pending_data: Vec::new(),
                 pending_gen: 0,
+                pushed: Vec::new(),
+                spare: Vec::new(),
                 authorized: vec![None; QUEUE_PAGES],
                 stats: RxCounters::with_probe(probe),
                 timeline,
@@ -346,6 +373,7 @@ impl RxProcessor {
                 last_dma_end: SimTime::ZERO,
                 sar_span_floor: SimTime::ZERO,
             },
+            stale: Vec::new(),
         }
     }
 
@@ -461,6 +489,13 @@ impl RxProcessor {
         self.dp.engine.free_at()
     }
 
+    /// The descriptors the last [`RxProcessor::receive_cell`] or
+    /// [`RxProcessor::reap_stale`] call pushed to the receive rings, as
+    /// `(push_time, page, descriptor)` in push order.
+    pub fn pushed(&self) -> &[(SimTime, usize, Descriptor)] {
+        &self.dp.pushed
+    }
+
     /// Processes one cell arriving on `lane` at `now`.
     /// Slab-handle entry point: consumes `r`, returning its slot to the
     /// slab's free list after processing (cells move by [`CellRef`] on
@@ -493,6 +528,7 @@ impl RxProcessor {
     ) -> RxOutcome {
         let dp = &mut self.dp;
         dp.stats.cells.incr();
+        dp.pushed.clear();
         let mut out = RxOutcome::default();
 
         // Firmware budget for this cell.
@@ -537,7 +573,8 @@ impl RxProcessor {
         let slot = match rec.open.iter().position(|(p, _)| *p == disp.pdu) {
             Some(slot) => slot,
             None => {
-                rec.open.push((disp.pdu, PduBufState::new(page, now)));
+                let state = PduBufState::reuse(dp.spare.pop(), page, now);
+                rec.open.push((disp.pdu, state));
                 rec.open.len() - 1
             }
         };
@@ -578,7 +615,7 @@ impl RxProcessor {
         let dropped = state.poisoned;
         if dropped {
             // Shed: recycle the buffers we still hold.
-            for d in state.bufs.into_iter().flatten().skip(state.pushed_upto) {
+            for &d in state.bufs.iter().flatten().skip(state.pushed_upto) {
                 let _ = dp.free_rings[state.page].push(d);
             }
             dp.stats.pdus_dropped_no_buffer.incr();
@@ -595,12 +632,13 @@ impl RxProcessor {
                 dp.sar_span_floor = dp.sar_span_floor.max(t_pdu);
             }
             // Push the remaining buffers in order; EOP on the last.
-            dp.finish_pdu(t_pdu, state, vci, complete.len, complete.crc_ok, &mut out);
+            dp.finish_pdu(t_pdu, &state, vci, complete.len, complete.crc_ok, &mut out);
             dp.stats.pdus_delivered.incr();
             if !complete.crc_ok {
                 dp.stats.pdus_crc_failed.incr();
             }
         }
+        dp.spare.push(state);
         out.completed = Some(RxPduInfo {
             vci,
             pdu: disp.pdu,
@@ -627,7 +665,9 @@ impl RxProcessor {
             _ => return false,
         }
         let p = dp.pending.take().expect("checked");
-        dp.issue_dma(now.max(p.ready), p.addr, &p.data, p.ctx, mem, cache, phys);
+        let data = std::mem::take(&mut dp.pending_data);
+        dp.issue_dma(now.max(p.ready), p.addr, &data, p.ctx, mem, cache, phys);
+        dp.pending_data = data;
         true
     }
 
@@ -652,23 +692,22 @@ impl RxProcessor {
     /// way. A no-op when no timeout is configured.
     pub fn reap_stale(&mut self, now: SimTime) -> RxOutcome {
         let mut out = RxOutcome::default();
+        self.dp.pushed.clear();
         let Some(timeout) = self.dp.cfg.reassembly_timeout else {
             return out;
         };
-        let mut stale: Vec<(Vci, u64)> = self
-            .vcis
-            .iter()
-            .flat_map(|(&vci, r)| {
-                r.open
-                    .iter()
-                    .filter(|(_, s)| s.first_at + timeout <= now)
-                    .map(move |&(pdu, _)| (vci, pdu))
-            })
-            .collect();
+        let mut stale = std::mem::take(&mut self.stale);
+        stale.clear();
+        stale.extend(self.vcis.iter().flat_map(|(&vci, r)| {
+            r.open
+                .iter()
+                .filter(|(_, s)| s.first_at + timeout <= now)
+                .map(move |&(pdu, _)| (vci, pdu))
+        }));
         // HashMap iteration order is arbitrary; sort for determinism.
         stale.sort_unstable_by_key(|&(v, p)| (v.0, p));
         let dp = &mut self.dp;
-        for key in stale {
+        for &key in &stale {
             let rec = self.vcis.get_mut(&key.0).expect("listed above");
             let slot = rec
                 .open
@@ -709,14 +748,16 @@ impl RxProcessor {
                 // The closer went to the host with the chain.
                 let skip = pushed_upto + unpushed.is_some() as usize;
                 let (_, state) = rec.open.swap_remove(slot);
-                for d in state.bufs.into_iter().flatten().skip(skip) {
+                for &d in state.bufs.iter().flatten().skip(skip) {
                     let _ = dp.free_rings[page].push(d);
                 }
+                dp.spare.push(state);
             } else {
                 let (_, state) = rec.open.swap_remove(slot);
-                for d in state.bufs.into_iter().flatten() {
+                for &d in state.bufs.iter().flatten() {
                     let _ = dp.free_rings[page].push(d);
                 }
+                dp.spare.push(state);
             }
             // Drop a pending double-cell payload aimed at the dead PDU so
             // it is not flushed into a recycled buffer later.
@@ -730,6 +771,7 @@ impl RxProcessor {
                     .instant_ctx_sym(dp.syms.track, dp.syms.reasm_timeout, c, now);
             }
         }
+        self.stale = stale;
         out
     }
 }
@@ -843,43 +885,38 @@ impl Datapath {
             .map(|c| c as usize)
             .unwrap_or(self.cfg.page_size as usize);
         if let Some(p) = self.pending.take() {
+            let held = self.pending_data.len();
             let contiguous = p.key == key
                 && p.buf_index == bi
-                && p.addr.offset(p.data.len() as u64) == addr
-                && p.data.len() + bytes.len() <= cap;
+                && p.addr.offset(held as u64) == addr
+                && held + bytes.len() <= cap;
+            let mut data = std::mem::take(&mut self.pending_data);
             if contiguous {
-                let mut merged = p.data;
-                merged.extend_from_slice(bytes);
+                data.extend_from_slice(bytes);
                 self.stats.double_cell_merges.incr();
-                if must_issue || merged.len() + CELL_MAX > cap {
-                    return self.issue_dma(
-                        t_fw.max(p.ready),
-                        p.addr,
-                        &merged,
-                        ctx,
-                        mem,
-                        cache,
-                        phys,
-                    );
+                if must_issue || data.len() + CELL_MAX > cap {
+                    let t = self.issue_dma(t_fw.max(p.ready), p.addr, &data, ctx, mem, cache, phys);
+                    self.pending_data = data;
+                    return t;
                 }
                 // Arbitrary mode: keep accumulating.
+                self.pending_data = data;
                 self.pending_gen += 1;
                 let gen = self.pending_gen;
-                let ready = p.ready;
                 self.pending = Some(PendingDma {
                     key,
                     addr: p.addr,
-                    data: merged,
                     buf_index: bi,
                     gen,
-                    ready,
+                    ready: p.ready,
                     ctx,
                 });
                 out.flush_deadline = Some((gen, t_fw + self.cfg.lookahead_window));
                 return t_fw;
             }
             // Not combinable: flush the pending payload on its own.
-            self.issue_dma(t_fw.max(p.ready), p.addr, &p.data, p.ctx, mem, cache, phys);
+            self.issue_dma(t_fw.max(p.ready), p.addr, &data, p.ctx, mem, cache, phys);
+            self.pending_data = data;
         }
 
         if must_issue {
@@ -889,10 +926,11 @@ impl Datapath {
         // Hold this payload, waiting for a combinable successor.
         self.pending_gen += 1;
         let gen = self.pending_gen;
+        self.pending_data.clear();
+        self.pending_data.extend_from_slice(bytes);
         self.pending = Some(PendingDma {
             key,
             addr,
-            data: bytes.to_vec(),
             buf_index: bi,
             gen,
             ready: t_fw,
@@ -1000,7 +1038,7 @@ impl Datapath {
     fn finish_pdu(
         &mut self,
         t: SimTime,
-        state: PduBufState,
+        state: &PduBufState,
         vci: Vci,
         pdu_len: u32,
         crc_ok: bool,
@@ -1029,9 +1067,9 @@ impl Datapath {
         }
         // Over-allocated buffers (can happen when a shed/short PDU grabbed
         // more slots than its final length needed) go back to the free ring.
-        for d in state
+        for &d in state
             .bufs
-            .into_iter()
+            .iter()
             .flatten()
             .skip(n_bufs.max(state.pushed_upto))
         {
@@ -1046,7 +1084,7 @@ impl Datapath {
         self.rx_rings[page]
             .push(desc)
             .expect("receive ring overflow: host not draining");
-        out.pushed.push((t, page, desc));
+        self.pushed.push((t, page, desc));
         let fire = match self.cfg.interrupt_policy {
             InterruptPolicy::PerPdu => desc.eop,
             InterruptPolicy::OnTransition => len_before == 0,
@@ -1107,7 +1145,21 @@ mod tests {
         .segment(vci, &[data])
     }
 
-    fn feed(rig: &mut Rig, cells: &[Cell], start: SimTime) -> (Vec<RxOutcome>, SimTime) {
+    /// One call's outcome with the descriptors it pushed.
+    struct Fed {
+        out: RxOutcome,
+        pushed: Vec<(SimTime, usize, Descriptor)>,
+    }
+
+    impl std::ops::Deref for Fed {
+        type Target = RxOutcome;
+
+        fn deref(&self) -> &RxOutcome {
+            &self.out
+        }
+    }
+
+    fn feed(rig: &mut Rig, cells: &[Cell], start: SimTime) -> (Vec<Fed>, SimTime) {
         let mut outs = Vec::new();
         let mut t = start;
         for c in cells {
@@ -1116,7 +1168,10 @@ mod tests {
                 .receive_cell(t, 0, c, &mut rig.mem, &mut rig.cache, &mut rig.phys);
             // Pace arrivals at link speed-ish to keep the engine realistic.
             t += SimDuration::from_ns(700);
-            outs.push(out);
+            outs.push(Fed {
+                out,
+                pushed: rig.rx.pushed().to_vec(),
+            });
         }
         (outs, t)
     }
@@ -1215,7 +1270,7 @@ mod tests {
         for c in &cells {
             let out = rx.receive_cell(t, 0, c, &mut mem, &mut cache, &mut phys);
             t += SimDuration::from_ns(700);
-            assert!(out.pushed.is_empty(), "shed PDU must not reach the host");
+            assert!(rx.pushed().is_empty(), "shed PDU must not reach the host");
             assert!(out.interrupt_at.is_none());
             completed = out.completed.or(completed);
         }
@@ -1305,7 +1360,7 @@ mod tests {
             &mut r.phys,
         );
         let (gen, deadline) = out.flush_deadline.expect("first cell must pend");
-        assert!(out.pushed.is_empty());
+        assert!(r.rx.pushed().is_empty());
         // Before the flush the bytes are NOT in host memory yet.
         let flushed =
             r.rx.flush_pending(deadline, gen, &mut r.mem, &mut r.cache, &mut r.phys);
@@ -1434,14 +1489,14 @@ mod tests {
         assert_eq!(r.rx.free_ring(0).len(), free_before - 1);
 
         // Before the deadline nothing is reaped.
-        let out = r.rx.reap_stale(SimTime::from_us(100));
-        assert!(out.pushed.is_empty());
+        r.rx.reap_stale(SimTime::from_us(100));
+        assert!(r.rx.pushed().is_empty());
         assert_eq!(r.rx.partial_pdus(), 1);
 
         // After it, the buffer returns to the free ring and the VCI works
         // again.
-        let out = r.rx.reap_stale(t + SimDuration::from_ms(1));
-        assert!(out.pushed.is_empty(), "nothing was host-visible yet");
+        r.rx.reap_stale(t + SimDuration::from_ms(1));
+        assert!(r.rx.pushed().is_empty(), "nothing was host-visible yet");
         assert_eq!(r.rx.partial_pdus(), 0);
         assert_eq!(r.rx.free_ring(0).len(), free_before);
         assert_eq!(r.rx.stats().pdus_dropped_timeout, 1);
@@ -1464,10 +1519,10 @@ mod tests {
         let (outs, t) = feed(&mut r, &cells[..400], SimTime::ZERO);
         let pushed: Vec<_> = outs.iter().flat_map(|o| o.pushed.iter()).collect();
         assert_eq!(pushed.len(), 1, "first buffer reached the host");
-        let out = r.rx.reap_stale(t + SimDuration::from_ms(1));
+        r.rx.reap_stale(t + SimDuration::from_ms(1));
         // The chain is closed host-side with an errored EOP descriptor.
-        assert_eq!(out.pushed.len(), 1);
-        let (_, _, closer) = out.pushed[0];
+        assert_eq!(r.rx.pushed().len(), 1);
+        let (_, _, closer) = r.rx.pushed()[0];
         assert!(closer.eop && closer.err);
         assert_eq!(r.rx.stats().pdus_dropped_timeout, 1);
         assert_eq!(r.rx.partial_pdus(), 0);

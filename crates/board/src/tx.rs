@@ -22,9 +22,9 @@
 
 use std::collections::HashSet;
 
-use osiris_atm::sar::{FramingMode, SegmentUnit, Segmenter};
+use osiris_atm::sar::{check_lanes, BufferChain, FramingMode, SegmentUnit, Segmenter};
 use osiris_atm::{CellRef, CellSlab, StripedLink, Vci};
-use osiris_mem::{MemorySystem, PhysBuffer, PhysMemory};
+use osiris_mem::{MemorySystem, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
 use osiris_sim::{Clock, FifoResource, FxHashMap, SimTime, SymId, Timeline};
 
@@ -100,8 +100,9 @@ impl TxConfig {
     }
 }
 
-/// The result of servicing one PDU.
-#[derive(Debug)]
+/// The result of servicing one PDU. The PDU's cells are in
+/// [`TxProcessor::arrivals`] until the next service.
+#[derive(Debug, Clone, Copy)]
 pub struct TxOutcome {
     /// Which transmit queue the PDU came from.
     pub queue: usize,
@@ -109,13 +110,6 @@ pub struct TxOutcome {
     pub vci: Vci,
     /// Data bytes transmitted.
     pub pdu_bytes: u64,
-    /// Cells that arrive at the peer: `(arrival_at_peer, lane, cell)`,
-    /// where the cell is a slab handle into the [`CellSlab`] passed to
-    /// [`TxProcessor::service`] — cells move by reference, not by clone.
-    /// Cells the link dropped have no entry here (their slots are freed
-    /// back to the slab) — they are counted in
-    /// [`TxOutcome::cells_dropped`] instead.
-    pub arrivals: Vec<(SimTime, usize, CellRef)>,
     /// Cells the link dropped in flight. The PDU still completes on the
     /// transmit side — the tail pointer advances and the host reuses the
     /// buffers (completed-with-error, never leaked); recovering the data
@@ -167,6 +161,32 @@ pub struct TxProcessor {
     /// every cell with its PDU's number so the peer's reassembler can
     /// detect a lane slipping onto the next PDU after cell loss.
     pdu_seq: FxHashMap<Vci, u16>,
+    /// Per-PDU scratch, kept across services so the datapath allocates
+    /// nothing once warm: the popped descriptor chain, the fetch plan as
+    /// `(cumulative bytes, landed at)`, the per-lane wire windows of a
+    /// traced PDU, and the last PDU's cell arrivals.
+    chain: Vec<Descriptor>,
+    fetch_done_at: Vec<(u64, SimTime)>,
+    lane_win: Vec<Option<(SimTime, SimTime)>>,
+    arrivals: Vec<(SimTime, usize, CellRef)>,
+}
+
+/// A descriptor chain read in place out of host memory: the segmenter's
+/// view of the PDU being transmitted.
+struct PhysChain<'a> {
+    phys: &'a PhysMemory,
+    chain: &'a [Descriptor],
+}
+
+impl BufferChain for PhysChain<'_> {
+    fn count(&self) -> usize {
+        self.chain.len()
+    }
+
+    fn buffer(&self, i: usize) -> &[u8] {
+        let d = &self.chain[i];
+        self.phys.read(d.addr, d.len as usize)
+    }
 }
 
 /// The transmit processor's interned track/name symbols.
@@ -201,7 +221,14 @@ impl TxProcessor {
     }
 
     /// A transmit processor publishing its counters under `<scope>.tx`.
+    ///
+    /// # Panics
+    /// Panics if the framing names more than
+    /// [`osiris_atm::sar::MAX_LANES`] lanes.
     pub fn with_probe(cfg: TxConfig, layout: DpramLayout, probe: &Probe) -> Self {
+        if let FramingMode::FourWay { lanes } = cfg.framing {
+            check_lanes(lanes);
+        }
         let p = probe.scoped("tx");
         let timeline = Timeline::default();
         let track = p.scope().to_string();
@@ -227,6 +254,10 @@ impl TxProcessor {
             lane_tracks: Vec::new(),
             last_dma_end: SimTime::ZERO,
             pdu_seq: FxHashMap::default(),
+            chain: Vec::new(),
+            fetch_done_at: Vec::new(),
+            lane_win: Vec::new(),
+            arrivals: Vec::new(),
         }
     }
 
@@ -319,6 +350,17 @@ impl TxProcessor {
         self.engine.free_at()
     }
 
+    /// The cells of the PDU the last [`TxProcessor::service`] call
+    /// transmitted, as `(arrival_at_peer, lane, cell)`: each cell is a
+    /// slab handle into the [`CellSlab`] passed to `service` — cells move
+    /// by reference, not by clone. Cells the link dropped have no entry
+    /// here (their slots are freed back to the slab); they are counted
+    /// in [`TxOutcome::cells_dropped`] instead. Empty after a protection
+    /// violation.
+    pub fn arrivals(&self) -> &[(SimTime, usize, CellRef)] {
+        &self.arrivals
+    }
+
     /// True if some queue holds a complete descriptor chain.
     pub fn has_work(&self) -> bool {
         self.queues.iter().any(has_complete_chain)
@@ -327,7 +369,7 @@ impl TxProcessor {
     /// Services one PDU: pops the highest-priority complete chain, fetches
     /// its bytes over the host bus, segments, and hands cells to `link`.
     /// Outgoing cells are parked in `slab` and travel as [`CellRef`]
-    /// handles (see [`TxOutcome::arrivals`]). Returns `None` when no
+    /// handles (see [`TxProcessor::arrivals`]). Returns `None` when no
     /// complete chain is queued.
     pub fn service(
         &mut self,
@@ -338,10 +380,12 @@ impl TxProcessor {
         slab: &mut CellSlab,
     ) -> Option<TxOutcome> {
         let q = self.pick_queue()?;
+        self.arrivals.clear();
 
         // Pop the descriptor chain (board-local accesses, folded into the
         // per-PDU firmware budget).
-        let mut chain: Vec<Descriptor> = Vec::new();
+        let mut chain = std::mem::take(&mut self.chain);
+        chain.clear();
         loop {
             let (d, _cost) = self.queues[q].pop().expect("chain verified complete");
             let eop = d.eop;
@@ -362,6 +406,7 @@ impl TxProcessor {
                 (first..=last).any(|f| !frames.contains(&f))
             });
             if bad {
+                self.chain = chain;
                 self.violations.incr();
                 let g = self
                     .engine
@@ -370,7 +415,6 @@ impl TxProcessor {
                     queue: q,
                     vci,
                     pdu_bytes: 0,
-                    arrivals: Vec::new(),
                     cells_dropped: 0,
                     finished_at: g.finish,
                     wake_host_at: None,
@@ -390,13 +434,10 @@ impl TxProcessor {
 
         // Fetch plan: every physically contiguous piece, split by DMA mode
         // and the page-boundary-stop rule.
-        let pieces: Vec<PhysBuffer> = chain
-            .iter()
-            .map(|d| PhysBuffer::new(d.addr, d.len))
-            .collect();
-        let mut fetch_done_at: Vec<(u64, SimTime)> = Vec::new(); // (cumulative bytes, time)
+        let mut fetch_done_at = std::mem::take(&mut self.fetch_done_at);
+        fetch_done_at.clear();
         let mut fetched = 0u64;
-        for piece in &pieces {
+        for piece in &chain {
             for xfer in plan_dma(self.cfg.dma_mode, piece.addr, piece.len, self.cfg.page_size) {
                 let g = mem.dma_read(fw_cursor, xfer.len as u64);
                 if let Some(c) = traced {
@@ -427,31 +468,30 @@ impl TxProcessor {
             }
         }
 
-        // The actual bytes, borrowed in place (contents; timing handled
-        // above).
-        let slices: Vec<&[u8]> = chain
-            .iter()
-            .map(|d| phys.read(d.addr, d.len as usize))
-            .collect();
+        // The actual bytes, read in place (contents; timing handled above).
+        let bytes = PhysChain {
+            phys,
+            chain: &chain,
+        };
         let segmenter = Segmenter {
             framing: self.cfg.framing,
             unit: self.cfg.unit,
         };
         let seq = self.pdu_seq.entry(vci).or_insert(0);
-        let cells = segmenter.cells(vci, *seq, &slices);
+        let cells = segmenter.cells(vci, *seq, &bytes);
         *seq = seq.wrapping_add(1);
 
         // Launch cells as they are cut: each needs its firmware slot and
         // its bytes fetched.
-        let mut arrivals = Vec::with_capacity(cells.len());
         let mut dropped = 0u32;
         let mut data_cursor = 0u64;
         let mut fetch_idx = 0usize;
         let mut last_finish = fw_cursor;
         // Per-lane wire window for this PDU, indexed by lane: first cell
         // handed to the lane → last arrival at the peer. Only the timeline
-        // reads it, so untraced runs never build it.
-        let mut lane_win: Vec<Option<(SimTime, SimTime)>> = Vec::new();
+        // reads it, so untraced runs never fill it.
+        let mut lane_win = std::mem::take(&mut self.lane_win);
+        lane_win.clear();
         for (i, mut cell) in cells.enumerate() {
             let fw_grant = self.engine.acquire(
                 fw_cursor,
@@ -480,7 +520,7 @@ impl TxProcessor {
                     w.0 = w.0.min(ready);
                     w.1 = w.1.max(arrival);
                 }
-                arrivals.push((arrival, lane, r));
+                self.arrivals.push((arrival, lane, r));
             } else {
                 dropped += 1;
                 self.cells_dropped.incr();
@@ -501,13 +541,17 @@ impl TxProcessor {
                 pdu_grant.start,
                 last_finish,
             );
-            for (lane, win) in lane_win.into_iter().enumerate() {
+            for (lane, &win) in lane_win.iter().enumerate() {
                 let Some((from, to)) = win else { continue };
                 let lane_track = self.lane_track(lane);
                 self.timeline
                     .span_ctx_sym(lane_track, self.syms.lane_tx, c, from, to);
             }
         }
+
+        self.chain = chain;
+        self.fetch_done_at = fetch_done_at;
+        self.lane_win = lane_win;
 
         // Full → half-empty wakeup.
         let wake_host_at = if self.host_waiting[q] && self.queues[q].at_most_half_full() {
@@ -522,7 +566,6 @@ impl TxProcessor {
             queue: q,
             vci,
             pdu_bytes,
-            arrivals,
             cells_dropped: dropped,
             finished_at: last_finish,
             wake_host_at,
@@ -602,13 +645,13 @@ mod tests {
             .service(SimTime::ZERO, &mut mem, &phys, &mut link, &mut slab)
             .unwrap();
         assert_eq!(out.pdu_bytes, 1000);
-        assert_eq!(out.arrivals.len(), 1000usize.div_ceil(44));
+        assert_eq!(tx.arrivals().len(), 1000usize.div_ceil(44));
         assert_eq!(out.vci, Vci(7));
         assert!(!out.more_work);
         assert_eq!(tx.pdus_sent(), 1);
         // Data integrity: cells carry the memory contents in order.
         let mut rebuilt = Vec::new();
-        for &(_, _, r) in &out.arrivals {
+        for &(_, _, r) in tx.arrivals() {
             rebuilt.extend_from_slice(slab.get(r).data_bytes());
         }
         assert_eq!(rebuilt.len(), 1000);
@@ -624,8 +667,8 @@ mod tests {
             .unwrap();
         assert_eq!(out.pdu_bytes, 160);
         // Pdu unit: 160 bytes → 4 cells (44+44+44+28), spanning buffers.
-        assert_eq!(out.arrivals.len(), 4);
-        let last = slab.get(out.arrivals[3].2);
+        assert_eq!(tx.arrivals().len(), 4);
+        let last = slab.get(tx.arrivals()[3].2);
         assert!(last.header.last_cell);
         assert!(last.aal.eom);
     }
@@ -638,7 +681,7 @@ mod tests {
         let out = tx
             .service(t0, &mut mem, &phys, &mut link, &mut slab)
             .unwrap();
-        let n = out.arrivals.len() as u64;
+        let n = tx.arrivals().len() as u64;
         assert_eq!(n, (16 * 1024u64).div_ceil(44));
         // Sustained rate can't beat the single-cell DMA ceiling (367 Mbps).
         let span = out.finished_at.since(t0);
@@ -699,7 +742,7 @@ mod tests {
             .unwrap();
         // Nothing arrives, but the PDU is still completed: the drop is
         // surfaced, the tail advances, and the queue slot is reusable.
-        assert!(out.arrivals.is_empty());
+        assert!(tx.arrivals().is_empty());
         assert_eq!(out.cells_dropped, 1000u32.div_ceil(44));
         assert_eq!(tx.cells_dropped(), out.cells_dropped as u64);
         assert!(out.finished_at > SimTime::ZERO);
@@ -738,5 +781,27 @@ mod tests {
             double.finished_at,
             single.finished_at
         );
+    }
+
+    #[test]
+    fn framing_wider_than_the_stripe_is_rejected_when_the_processors_are_built() {
+        use crate::rx::{RxConfig, RxProcessor};
+        use osiris_atm::sar::ReassemblyMode;
+        let layout = DpramLayout::paper_default();
+        let tx = TxConfig {
+            framing: FramingMode::FourWay { lanes: 5 },
+            ..TxConfig::paper_default()
+        };
+        assert!(std::panic::catch_unwind(|| TxProcessor::new(tx, layout)).is_err());
+        let rx = RxConfig {
+            reassembly: ReassemblyMode::FourWay { lanes: 5 },
+            ..RxConfig::paper_default()
+        };
+        assert!(std::panic::catch_unwind(|| RxProcessor::new(rx, layout)).is_err());
+        let four = TxConfig {
+            framing: FramingMode::FourWay { lanes: 4 },
+            ..TxConfig::paper_default()
+        };
+        TxProcessor::new(four, layout);
     }
 }

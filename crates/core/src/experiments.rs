@@ -525,7 +525,7 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
     use osiris_atm::Vci;
     use osiris_board::dpram::DpramLayout;
     use osiris_board::rx::{RxConfig, RxProcessor};
-    use osiris_host::driver::{CacheStrategy, OsirisDriver};
+    use osiris_host::driver::{CacheStrategy, DrainOutcome, OsirisDriver};
     use osiris_host::machine::HostMachine;
     use osiris_host::wiring::{WiringMode, WiringService};
     use osiris_sim::SimDuration;
@@ -569,6 +569,7 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
         shed_on_board: 0,
         host_work_for_shed: 0,
     };
+    let mut drained = DrainOutcome::default();
     for _ in 0..rounds {
         // Offer one PDU on each path.
         for vci in [hi_vci, lo_vci] {
@@ -593,7 +594,7 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
             .dispatch(ti, &mut host)
             .expect("runnable drain thread");
         debug_assert_eq!(tid, hi_thread, "priority must pick the high path");
-        let drained = hi_drv.drain_receive(g.finish, &mut host, &mut rx);
+        hi_drv.drain_receive(g.finish, &mut host, &mut rx, &mut drained);
         for pdu in &drained.delivered {
             debug_assert_eq!(pdu.vci, hi_vci);
             report.hi_delivered += 1;
@@ -608,7 +609,7 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
         .dispatch(t, &mut host)
         .expect("low thread still runnable");
     debug_assert_eq!(tid, lo_thread);
-    let drained = lo_drv.drain_receive(g.finish, &mut host, &mut rx);
+    lo_drv.drain_receive(g.finish, &mut host, &mut rx, &mut drained);
     sched.block(tid);
     report.lo_delivered = drained.delivered.len() as u64;
     report.shed_on_board = rx.stats().pdus_dropped_no_buffer;

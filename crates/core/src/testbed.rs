@@ -38,7 +38,9 @@ use osiris_atm::{Cell, CellRef, CellSlab};
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
 use osiris_sim::obs::{Counter, Histogram, Probe, Snapshot};
 use osiris_sim::stats::{LatencyStats, ThroughputMeter};
-use osiris_sim::{EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timeline, TraceCtx};
+use osiris_sim::{
+    EventQueue, Model, Registry, SimDuration, SimTime, SmallVec, SymId, Timeline, TraceCtx,
+};
 
 use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict, TransportMode};
 
@@ -411,15 +413,20 @@ impl Testbed {
         let data_base = node.msg_region.base.offset(self.cfg.data_offset);
         // Latency test programs construct the message before sending.
         if self.cfg.touch == TouchMode::WritePerMessage && msg_size > 0 {
-            let pieces = node.asp.translate(data_base, msg_size).expect("translate");
-            let pattern = std::mem::take(&mut node.pattern);
+            let mut pieces = node.spare_buf_list();
+            node.asp
+                .translate_into(data_base, msg_size, &mut pieces)
+                .expect("translate");
             let mut off = 0usize;
             for pb in &pieces {
                 let end = off + pb.len as usize;
-                t = node.host.cpu_write(t, pb.addr, &pattern[off..end]).finish;
+                t = node
+                    .host
+                    .cpu_write(t, pb.addr, &node.pattern[off..end])
+                    .finish;
                 off = end;
             }
-            node.pattern = pattern;
+            node.spare_bufs.push(pieces);
         }
         // Application-side work ends here; what follows is stack/driver
         // time charged (and traced) by the layers themselves.
@@ -427,9 +434,9 @@ impl Testbed {
         let ctx;
         match layer {
             Layer::RawAtm => {
-                let bufs = node
-                    .asp
-                    .translate(data_base, msg_size.max(1))
+                let mut bufs = node.spare_buf_list();
+                node.asp
+                    .translate_into(data_base, msg_size.max(1), &mut bufs)
                     .expect("message translate");
                 let c = TraceCtx {
                     host: host.0 as u16,
@@ -452,16 +459,21 @@ impl Testbed {
                     entry.ports.remote_port,
                     entry.ports.remote_host,
                 );
-                let (pkts, t2) = node
+                t = node
                     .stack
-                    .output(t, &mut node.host, &node.asp, data, src, dst, dst_host)
+                    .output_into(
+                        t,
+                        &mut node.host,
+                        &node.asp,
+                        data,
+                        src,
+                        dst,
+                        dst_host,
+                        &mut node.tx_pkts,
+                    )
                     .expect("stack output");
-                t = t2;
-                ctx = pkts.first().map(|p| p.ctx);
-                for p in &pkts {
-                    let bufs = node.stack.to_phys(&node.asp, p).expect("translate packet");
-                    node.pending_pkts.push_back((tx_vci, bufs, Some(p.ctx)));
-                }
+                ctx = node.tx_pkts.first().map(|p| p.ctx);
+                node.queue_tx_pkts(tx_vci);
             }
         }
         if self.timeline.is_enabled() {
@@ -507,19 +519,13 @@ impl Testbed {
     fn retrans_tick(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
         self.retrans_queued[host.0].remove(&now);
         let node = &mut self.nodes[host.0];
-        let pkts = node.stack.poll_retransmit(now);
-        if !pkts.is_empty() {
+        node.stack.poll_retransmit(now, &mut node.tx_pkts);
+        if !node.tx_pkts.is_empty() {
             // Every reliable sender's data travels its primary
             // connection (acks, the only multi-connection traffic, are
             // never registered for retransmission).
             let vci = node.tx_vcis[0];
-            for p in &pkts {
-                let bufs = node
-                    .stack
-                    .to_phys(&node.asp, p)
-                    .expect("translate retransmit");
-                node.pending_pkts.push_back((vci, bufs, Some(p.ctx)));
-            }
+            node.queue_tx_pkts(vci);
             self.pump_tx(now, host, q);
         }
         // Same-time ticks that `arm_retransmit` suppressed must have had
@@ -550,16 +556,23 @@ impl Testbed {
         q: &mut EventQueue<Event>,
     ) -> SimTime {
         let node = &mut self.nodes[host.0];
-        let (pkts, t) = if self.cfg.transport == TransportMode::SelectiveRepeat {
+        let t = if self.cfg.transport == TransportMode::SelectiveRepeat {
             if !node.stack.should_block_ack(dst_host, force) {
                 return now;
             }
             node.stack
-                .output_block_ack(now, &mut node.host, &node.asp, dst_host)
+                .output_block_ack(now, &mut node.host, &node.asp, dst_host, &mut node.tx_pkts)
                 .expect("block-ack output")
         } else {
             node.stack
-                .output_ack(now, &mut node.host, &node.asp, acked_id, dst_host)
+                .output_ack(
+                    now,
+                    &mut node.host,
+                    &node.asp,
+                    acked_id,
+                    dst_host,
+                    &mut node.tx_pkts,
+                )
                 .expect("ack output")
         };
         let vci = node
@@ -567,10 +580,7 @@ impl Testbed {
             .get(&dst_host)
             .copied()
             .unwrap_or(node.tx_vcis[0]);
-        for p in &pkts {
-            let bufs = node.stack.to_phys(&node.asp, p).expect("translate ack");
-            node.pending_pkts.push_back((vci, bufs, Some(p.ctx)));
-        }
+        node.queue_tx_pkts(vci);
         self.pump_tx(t, host, q);
         t
     }
@@ -595,6 +605,7 @@ impl Testbed {
                 node.pending_pkts.push_front((vci, bufs, ctx));
                 break;
             }
+            node.spare_bufs.push(bufs);
             t = out.queued_at;
             queued_any = true;
         }
@@ -619,7 +630,7 @@ impl Testbed {
         if self.tx_meter {
             // Transmit bench: count bytes as the board finishes them. The
             // cells vanish at the far end, so their slab slots recycle now.
-            for (_, _, r) in out.arrivals {
+            for &(_, _, r) in node.tx.arrivals() {
                 self.cells.free(r);
             }
             if node.role == Role::Source && !out.violation {
@@ -632,7 +643,7 @@ impl Testbed {
             // the order the hardware sees — rather than in the order
             // transmit batches happen to finish, and the contention
             // resolves on the shard owning the destination's port block.
-            for (at, lane, r) in out.arrivals {
+            for &(at, lane, r) in node.tx.arrivals() {
                 let to = self
                     .fabric
                     .peek_dest(host, self.cells.get(r))
@@ -653,7 +664,7 @@ impl Testbed {
             // Back-to-back links: routing is stateless (a fixed peer, no
             // queues), so the inline call order cannot matter and the
             // historical transmit-time routing is kept byte-for-byte.
-            for (at, lane, r) in out.arrivals {
+            for &(at, lane, r) in node.tx.arrivals() {
                 if let Some(d) = self.fabric.route(host, at, lane, self.cells.get(r)) {
                     q.push(
                         d.at,
@@ -761,12 +772,12 @@ impl Testbed {
             &mut node.host.cache,
             &mut node.host.phys,
         );
-        node.note_rx_pushes(&out.pushed);
+        node.note_rx_pushes();
         if self.timeline.is_enabled() {
             // Anchor for the interrupt-delivery wait: once the PDU's
             // end-of-PDU descriptor is visible, it sits in the ring until
             // the drain thread runs (§2.1.2 suppression shows up here).
-            for (t, _, d) in &out.pushed {
+            for (t, _, d) in self.nodes[host.0].rx.pushed() {
                 if d.eop {
                     if let Some(c) = d.ctx {
                         self.eop_pushed.insert((host.0, c), *t);
@@ -804,7 +815,7 @@ impl Testbed {
         let node = &mut self.nodes[host.0];
         let before = node.rx.partial_pdus() + node.stack.pending_reassemblies();
         let out = node.rx.reap_stale(now);
-        node.note_rx_pushes(&out.pushed);
+        node.note_rx_pushes();
         if let Some((gen, at)) = out.flush_deadline {
             q.push(at, Event::RxFlush { host, gen });
         }
@@ -822,7 +833,7 @@ impl Testbed {
         }
         let node = &self.nodes[host.0];
         let after = node.rx.partial_pdus() + node.stack.pending_reassemblies();
-        if after < before || !out.pushed.is_empty() {
+        if after < before || !node.rx.pushed().is_empty() {
             self.reap_idle[host.0] = 0;
         } else {
             self.reap_idle[host.0] += 1;
@@ -878,9 +889,12 @@ impl Testbed {
             // restarts empty.
             node.rx_push_horizon = SimTime::ZERO;
         }
-        let drained = {
+        let mut drained = {
             let node = &mut self.nodes[host.0];
-            node.driver.drain_receive(now, &mut node.host, &mut node.rx)
+            let mut drained = std::mem::take(&mut node.drained);
+            node.driver
+                .drain_receive(now, &mut node.host, &mut node.rx, &mut drained);
+            drained
         };
         if self.timeline.is_enabled() {
             self.timeline.span_sym(
@@ -911,9 +925,10 @@ impl Testbed {
                 }
             }
         }
-        for pdu in drained.delivered {
+        for pdu in drained.delivered.drain(..) {
             self.handle_pdu(host, pdu, q);
         }
+        self.nodes[host.0].drained = drained;
     }
 
     fn handle_pdu(&mut self, host: NodeId, pdu: DeliveredPdu, q: &mut EventQueue<Event>) {
@@ -935,9 +950,10 @@ impl Testbed {
             }
             Layer::UdpIp => {
                 let t = pdu.ready_at;
+                let vci = pdu.vci;
                 let (verdict, t2) = {
                     let node = &mut self.nodes[host.0];
-                    node.stack.input(t, &mut node.host, &pdu)
+                    node.stack.input(t, &mut node.host, pdu)
                 };
                 match verdict {
                     RxVerdict::Incomplete => {
@@ -967,16 +983,10 @@ impl Testbed {
                         // and admitted deferred datagrams into the window;
                         // they queue on the sender's primary connection.
                         let node = &mut self.nodes[host.0];
-                        let released = node.stack.take_released();
-                        if !released.is_empty() {
+                        node.stack.take_released(&mut node.tx_pkts);
+                        if !node.tx_pkts.is_empty() {
                             let vci = node.tx_vcis[0];
-                            for p in &released {
-                                let bufs = node
-                                    .stack
-                                    .to_phys(&node.asp, p)
-                                    .expect("translate released");
-                                node.pending_pkts.push_back((vci, bufs, Some(p.ctx)));
-                            }
+                            node.queue_tx_pkts(vci);
                             self.pump_tx(t3, host, q);
                         }
                         self.arm_retransmit(t3, host, q);
@@ -984,7 +994,7 @@ impl Testbed {
                     RxVerdict::Duplicate { src, id, descs } => {
                         // Already delivered once — our ack was lost.
                         // Suppress the duplicate but re-ack it.
-                        if self.nodes[host.0].ecn_marks.remove(&pdu.vci) {
+                        if self.nodes[host.0].ecn_marks.remove(&vci) {
                             self.nodes[host.0].stack.note_ecn(src);
                         }
                         let t3 = {
@@ -1020,7 +1030,7 @@ impl Testbed {
                         // Reliable mode: ack before the app consumes —
                         // the sender's timer is running.
                         let t4 = if self.cfg.reliable {
-                            if self.nodes[host.0].ecn_marks.remove(&pdu.vci) {
+                            if self.nodes[host.0].ecn_marks.remove(&vci) {
                                 self.nodes[host.0].stack.note_ecn(src);
                             }
                             self.send_ack(t3, host, ctx.pdu, src, false, q)
@@ -1181,18 +1191,26 @@ impl Testbed {
             unit: SegmentUnit::Pdu,
         };
         // Generator PDUs carry the identity the receiving stack re-mints
-        // from the wire IP header: (src=1, id) — see `build_wire_pdus`.
+        // from the wire IP header: (src=1, id) — see `wire_fragments`.
         let ctx = TraceCtx { host: 1, pdu: id };
-        let pdus = match self.cfg.layer {
-            // The fictitious sender addresses this host's open path.
-            Layer::UdpIp => ProtoStack::build_wire_pdus(cfg_proto, id, 2000, 1000, &node.pattern),
-            Layer::RawAtm => vec![node.pattern.clone()],
-        };
-        for bytes in pdus {
+        let (vci, pattern) = (node.vci, &node.pattern);
+        let mut queue = |head: &[u8], data: std::ops::Range<usize>| {
             let pseq = node.gen_pdu_seq;
             node.gen_pdu_seq = pseq.wrapping_add(1);
-            let cursor = seg.cursor(node.vci, pseq, &[&bytes]);
-            node.gen_pdus.push_back(GenPdu { bytes, cursor, ctx });
+            let cursor = seg.cursor(vci, pseq, &[head, &pattern[data.clone()]]);
+            node.gen_pdus.push_back(GenPdu {
+                head: SmallVec::from(head),
+                data,
+                cursor,
+                ctx,
+            });
+        };
+        match self.cfg.layer {
+            // The fictitious sender addresses this host's open path.
+            Layer::UdpIp => {
+                ProtoStack::wire_fragments(cfg_proto, id, 2000, 1000, pattern, &mut queue)
+            }
+            Layer::RawAtm => queue(&[], 0..pattern.len()),
         }
     }
 
@@ -1236,9 +1254,11 @@ impl Testbed {
         // receive path by reference; a batch never spans two PDUs.
         // Lanes follow the framing, which mirrors the reassembly mode.
         for _ in 0..BATCH {
-            let pdu = self.nodes[host.0].gen_pdus.front_mut().expect("non-empty");
+            let node = &mut self.nodes[host.0];
+            let pdu = node.gen_pdus.front_mut().expect("non-empty");
             let lane = pdu.cursor.lane();
-            let Some(mut cell) = pdu.cursor.next_cell(&[&pdu.bytes]) else {
+            let bytes = [&pdu.head[..], &node.pattern[pdu.data.clone()]];
+            let Some(mut cell) = pdu.cursor.next_cell(&bytes) else {
                 break;
             };
             cell.ctx = Some(pdu.ctx);

@@ -24,7 +24,7 @@ use osiris_board::rx::RxProcessor;
 use osiris_board::tx::TxProcessor;
 use osiris_mem::{AddressSpace, PhysBuffer, VirtAddr};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{FxHashMap, SimDuration, SimTime, Timeline, TraceCtx};
+use osiris_sim::{FxHashMap, SimDuration, SimTime, SmallVec, Timeline, TraceCtx};
 
 use crate::machine::HostMachine;
 use crate::wiring::WiringService;
@@ -62,13 +62,18 @@ pub struct DriverStats {
     pub recycled: u64,
 }
 
+/// A PDU's receive descriptors, in order: inline up to four buffers (a
+/// 64 KB PDU in the paper's 16 KB receive buffers; every measured PDU
+/// fits in one), spilling to the heap beyond.
+pub type RxChain = SmallVec<Descriptor, 4>;
+
 /// A PDU assembled from receive descriptors, ready for the protocol stack.
 #[derive(Debug, Clone)]
 pub struct DeliveredPdu {
     /// The PDU's VCI (the path key).
     pub vci: Vci,
     /// The buffers holding the data, in order.
-    pub bufs: Vec<Descriptor>,
+    pub bufs: RxChain,
     /// Total data length.
     pub len: u32,
     /// When the driver finished its work on this PDU.
@@ -78,7 +83,8 @@ pub struct DeliveredPdu {
     pub ctx: Option<TraceCtx>,
 }
 
-/// Result of one receive drain.
+/// Result of one receive drain. The caller keeps one and hands it to
+/// every [`OsirisDriver::drain_receive`], so the delivery list is reused.
 #[derive(Debug, Default)]
 pub struct DrainOutcome {
     /// PDUs handed to the protocol stack, in completion order.
@@ -107,7 +113,8 @@ pub struct OsirisDriver {
     /// The dual-port queue page this driver manages (kernel: 0).
     pub page: usize,
     buffer_bytes: u32,
-    partial: FxHashMap<Vci, Vec<Descriptor>>,
+    /// Each VCI's in-progress chain; the entry stays (empty) between PDUs.
+    partial: FxHashMap<Vci, RxChain>,
     /// When each in-progress chain's first descriptor was popped, for the
     /// per-PDU receive span.
     chain_started: FxHashMap<Vci, SimTime>,
@@ -302,14 +309,17 @@ impl OsirisDriver {
 
     /// Drains this page's receive ring: called from the thread the
     /// interrupt handler scheduled (the caller charges interrupt +
-    /// dispatch and passes the resulting start time).
+    /// dispatch and passes the resulting start time). `out` is cleared
+    /// and refilled: the delivered PDUs in completion order, and when
+    /// the drain thread went back to sleep.
     pub fn drain_receive(
         &mut self,
         now: SimTime,
         host: &mut HostMachine,
         rx: &mut RxProcessor,
-    ) -> DrainOutcome {
-        let mut out = DrainOutcome::default();
+        out: &mut DrainOutcome,
+    ) {
+        out.delivered.clear();
         let mut t = now;
         loop {
             // "wait until the receive queue is not empty" — one load.
@@ -337,7 +347,7 @@ impl OsirisDriver {
             }
             chain.push(desc);
             if desc.eop {
-                let bufs = self.partial.remove(&desc.vci).expect("just inserted");
+                let bufs = std::mem::take(chain);
                 let started = self.chain_started.remove(&desc.vci).unwrap_or(now);
                 t = host.run_software(t, host.spec.costs.driver_pdu).finish;
                 if desc.err {
@@ -366,7 +376,6 @@ impl OsirisDriver {
             }
         }
         out.finished_at = t;
-        out
     }
 
     /// Returns consumed buffers to this page's free ring (per-path reuse:
@@ -594,18 +603,17 @@ mod tests {
             None,
             None,
         );
-        let txo =
-            r.tx.service(
-                out.queued_at,
-                &mut r.host.mem_sys,
-                &r.host.phys,
-                &mut r.link,
-                &mut r.slab,
-            )
-            .expect("PDU queued");
+        r.tx.service(
+            out.queued_at,
+            &mut r.host.mem_sys,
+            &r.host.phys,
+            &mut r.link,
+            &mut r.slab,
+        )
+        .expect("PDU queued");
         // Feed arrivals into the same host's rx half (loopback).
         let mut intr_at = None;
-        for &(at, lane, cr) in &txo.arrivals {
+        for &(at, lane, cr) in r.tx.arrivals() {
             let o = r.rx.receive_cell_ref(
                 at,
                 lane,
@@ -620,7 +628,8 @@ mod tests {
             }
         }
         let t = interrupt_to_thread(intr_at.expect("one interrupt"), &mut r.host);
-        let drained = r.drv.drain_receive(t, &mut r.host, &mut r.rx);
+        let mut drained = DrainOutcome::default();
+        r.drv.drain_receive(t, &mut r.host, &mut r.rx, &mut drained);
         assert_eq!(drained.delivered.len(), 1);
         let pdu = &drained.delivered[0];
         assert_eq!(pdu.len, 5000);
@@ -665,7 +674,7 @@ mod tests {
                     &mut r.slab,
                 )
                 .unwrap();
-            for &(at, lane, cr) in &txo.arrivals {
+            for &(at, lane, cr) in r.tx.arrivals() {
                 r.rx.receive_cell_ref(
                     at,
                     lane,
@@ -677,7 +686,8 @@ mod tests {
                 );
             }
             let start = txo.finished_at + SimDuration::from_us(100);
-            let o = r.drv.drain_receive(start, &mut r.host, &mut r.rx);
+            let mut o = DrainOutcome::default();
+            r.drv.drain_receive(start, &mut r.host, &mut r.rx, &mut o);
             o.finished_at.since(start)
         }
         let lazy = run(CacheStrategy::Lazy);
@@ -716,7 +726,7 @@ mod tests {
             )
             .unwrap();
         let free_before = r.rx.free_ring(0).len();
-        for (i, &(at, lane, cr)) in txo.arrivals.iter().enumerate() {
+        for (i, &(at, lane, cr)) in r.tx.arrivals().iter().enumerate() {
             if i == 1 {
                 r.slab.get_mut(cr).corrupt_bit(3, 3);
             }
@@ -730,10 +740,12 @@ mod tests {
                 &mut r.host.phys,
             );
         }
-        let o = r.drv.drain_receive(
+        let mut o = DrainOutcome::default();
+        r.drv.drain_receive(
             txo.finished_at + SimDuration::from_ms(1),
             &mut r.host,
             &mut r.rx,
+            &mut o,
         );
         assert!(o.delivered.is_empty());
         assert_eq!(r.drv.stats().err_pdus, 1);

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::buffer::{coalesce, PhysBuffer};
+use crate::buffer::PhysBuffer;
 use crate::phys::{FrameAllocator, PhysAddr};
 
 /// A virtual byte address (per address space).
@@ -163,20 +163,39 @@ impl AddressSpace {
     /// physically adjacent pages. The length of the returned list is the
     /// §2.2 "physical buffer count" that drives per-PDU driver cost.
     pub fn translate(&self, va: VirtAddr, len: u64) -> Result<Vec<PhysBuffer>, MapError> {
+        let mut bufs = Vec::new();
+        self.translate_into(va, len, &mut bufs)?;
+        Ok(bufs)
+    }
+
+    /// Appends the physical buffers of `[va, va+len)` to `out`, merging
+    /// each page's piece into the last buffer of `out` when they abut —
+    /// exactly what [`crate::buffer::coalesce`] does to the concatenated
+    /// list, with no intermediate list. Translating several ranges into
+    /// one `out` therefore yields the coalesced chain of their
+    /// concatenation. On error `out` may hold a prefix of the range.
+    pub fn translate_into(
+        &self,
+        va: VirtAddr,
+        len: u64,
+        out: &mut Vec<PhysBuffer>,
+    ) -> Result<(), MapError> {
         if len == 0 {
             return Err(MapError::BadRange);
         }
-        let mut bufs = Vec::new();
         let mut cur = va.0;
         let end = va.0.checked_add(len).ok_or(MapError::BadRange)?;
         while cur < end {
             let page_end = (cur / self.page_size + 1) * self.page_size;
             let take = page_end.min(end) - cur;
-            let pa = self.translate_addr(VirtAddr(cur))?;
-            bufs.push(PhysBuffer::new(pa, take as u32));
+            let piece = PhysBuffer::new(self.translate_addr(VirtAddr(cur))?, take as u32);
+            match out.last_mut() {
+                Some(last) if last.abuts(&piece) => last.len += piece.len,
+                _ => out.push(piece),
+            }
             cur += take;
         }
-        Ok(coalesce(&bufs))
+        Ok(())
     }
 
     /// Wires all pages overlapping the range; returns how many pages

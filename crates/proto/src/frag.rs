@@ -22,32 +22,45 @@
 //! let mtu = page_aligned_mtu(4, 4096); // 16 KB of data per fragment
 //! let plan = fragment_layout(256 * 1024, mtu);
 //! assert_eq!(plan.count(), 16);
-//! assert!(plan.sizes.iter().all(|&s| s == 16 * 1024));
+//! assert!(plan.sizes().all(|s| s == 16 * 1024));
 //! ```
 
 use crate::wire::IP_HEADER_BYTES;
 
-/// How one datagram splits into fragments.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How one datagram splits into fragments: every fragment but the last
+/// carries `per` data bytes. The plan is arithmetic only — nothing is
+/// listed, so planning a datagram allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FragPlan {
-    /// Data bytes carried by each fragment, in order.
-    pub sizes: Vec<u32>,
+    total: u64,
+    per: u64,
 }
 
 impl FragPlan {
-    /// Number of fragments.
+    /// Number of fragments (a zero-length datagram is one empty fragment).
     pub fn count(&self) -> usize {
-        self.sizes.len()
+        self.total.div_ceil(self.per).max(1) as usize
+    }
+
+    /// Data bytes carried by fragment `i` (`i < count()`).
+    pub fn size(&self, i: usize) -> u32 {
+        let off = i as u64 * self.per;
+        self.total.saturating_sub(off).min(self.per) as u32
+    }
+
+    /// Data bytes carried by each fragment, in order.
+    pub fn sizes(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.count()).map(|i| self.size(i))
     }
 
     /// Byte offset of fragment `i`.
     pub fn offset_of(&self, i: usize) -> u32 {
-        self.sizes[..i].iter().sum()
+        (i as u64 * self.per).min(self.total) as u32
     }
 
     /// Total bytes across fragments.
     pub fn total(&self) -> u64 {
-        self.sizes.iter().map(|&s| s as u64).sum()
+        self.total
     }
 }
 
@@ -57,17 +70,10 @@ impl FragPlan {
 pub fn fragment_layout(total_len: u64, mtu: u32) -> FragPlan {
     let per = mtu as u64 - IP_HEADER_BYTES as u64;
     assert!(per > 0, "MTU smaller than the IP header");
-    if total_len == 0 {
-        return FragPlan { sizes: vec![0] };
+    FragPlan {
+        total: total_len,
+        per,
     }
-    let mut sizes = Vec::with_capacity((total_len / per + 1) as usize);
-    let mut rest = total_len;
-    while rest > 0 {
-        let take = rest.min(per);
-        sizes.push(take as u32);
-        rest -= take;
-    }
-    FragPlan { sizes }
 }
 
 /// The MTU that makes fragment data portions page-aligned: `k` pages of
@@ -96,7 +102,7 @@ mod tests {
     #[test]
     fn no_fragmentation_below_mtu() {
         let plan = fragment_layout(1000, 16 * 1024 + IP_HEADER_BYTES as u32);
-        assert_eq!(plan.sizes, vec![1000]);
+        assert_eq!(plan.sizes().collect::<Vec<_>>(), vec![1000]);
         assert_eq!(plan.count(), 1);
     }
 
@@ -104,7 +110,7 @@ mod tests {
     fn exact_multiples_split_cleanly() {
         let mtu = page_aligned_mtu(1, 4096); // 4096 + 24
         let plan = fragment_layout(16 * 1024, mtu);
-        assert_eq!(plan.sizes, vec![4096; 4]);
+        assert_eq!(plan.sizes().collect::<Vec<_>>(), vec![4096; 4]);
         assert_eq!(plan.total(), 16 * 1024);
         assert_eq!(plan.offset_of(2), 8192);
     }
@@ -113,7 +119,7 @@ mod tests {
     fn trailing_partial_fragment() {
         let mtu = page_aligned_mtu(1, 4096);
         let plan = fragment_layout(10_000, mtu);
-        assert_eq!(plan.sizes, vec![4096, 4096, 1808]);
+        assert_eq!(plan.sizes().collect::<Vec<_>>(), vec![4096, 4096, 1808]);
     }
 
     #[test]
@@ -121,11 +127,11 @@ mod tests {
         // MTU = 4 KB exactly (page size): data per fragment = 4096 - 24 =
         // 4072, so fragments 2.. start mid-page and straddle two pages.
         let plan = fragment_layout(16 * 1024, 4096);
-        assert_eq!(plan.sizes.len(), 5, "16 KB no longer fits in 4 fragments");
+        assert_eq!(plan.count(), 5, "16 KB no longer fits in 4 fragments");
         // Count buffers: fragment i's data starts at offset 4072*i within
         // the page-aligned message.
         let total: u32 = (0..plan.count())
-            .map(|i| fragment_buffer_count(plan.offset_of(i) % 4096, plan.sizes[i], 4096))
+            .map(|i| fragment_buffer_count(plan.offset_of(i) % 4096, plan.size(i), 4096))
             .sum();
         // The paper says "up to 14": 4 two-page fragments + headers = 12,
         // plus the runt fragment ≈ 13–14 depending on alignment.
@@ -138,7 +144,7 @@ mod tests {
         let mtu = page_aligned_mtu(1, 4096);
         let plan = fragment_layout(16 * 1024, mtu);
         let total: u32 = (0..plan.count())
-            .map(|i| fragment_buffer_count(plan.offset_of(i) % 4096, plan.sizes[i], 4096))
+            .map(|i| fragment_buffer_count(plan.offset_of(i) % 4096, plan.size(i), 4096))
             .sum();
         // 4 fragments × (1 header + 1 page) = 8 buffers.
         assert_eq!(total, 8);
@@ -158,7 +164,7 @@ mod tests {
     #[test]
     fn zero_length_datagram_has_one_empty_fragment() {
         let plan = fragment_layout(0, 4096);
-        assert_eq!(plan.sizes, vec![0]);
+        assert_eq!(plan.sizes().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -168,6 +174,6 @@ mod tests {
         let mtu = page_aligned_mtu(4, 4096);
         let plan = fragment_layout(256 * 1024, mtu);
         assert_eq!(plan.count(), 16);
-        assert!(plan.sizes.iter().all(|&s| s == 16 * 1024));
+        assert!(plan.sizes().all(|s| s == 16 * 1024));
     }
 }

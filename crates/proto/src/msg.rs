@@ -8,9 +8,19 @@
 //! The chain is generic over its address type: `Message<VirtAddr>` on the
 //! transmit side (application/kernel virtual memory), `Message<PhysAddr>`
 //! on the receive side (the driver's physically contiguous buffers).
+//!
+//! The chain lives inline up to [`INLINE_SEGS`] segments — an IP header,
+//! a UDP header and the data, or a reassembled datagram of up to four
+//! fragments — so building, splitting and joining messages on the
+//! per-datagram path allocates nothing.
+
+use osiris_sim::SmallVec;
+
+/// Segments a message holds without touching the heap.
+const INLINE_SEGS: usize = 4;
 
 /// Address types a message can reference.
-pub trait MsgAddr: Copy + std::fmt::Debug {
+pub trait MsgAddr: Copy + Default + std::fmt::Debug {
     /// Address arithmetic.
     fn add(self, bytes: u64) -> Self;
 }
@@ -28,7 +38,7 @@ impl MsgAddr for osiris_mem::PhysAddr {
 }
 
 /// One contiguous segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Seg<A> {
     /// Segment start.
     pub addr: A,
@@ -38,8 +48,8 @@ pub struct Seg<A> {
 
 /// A message: an ordered chain of segments.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message<A> {
-    segs: Vec<Seg<A>>,
+pub struct Message<A: MsgAddr> {
+    segs: SmallVec<Seg<A>, INLINE_SEGS>,
 }
 
 impl<A: MsgAddr> Default for Message<A> {
@@ -51,7 +61,9 @@ impl<A: MsgAddr> Default for Message<A> {
 impl<A: MsgAddr> Message<A> {
     /// The empty message.
     pub fn empty() -> Self {
-        Message { segs: Vec::new() }
+        Message {
+            segs: SmallVec::new(),
+        }
     }
 
     /// A message of one segment.
@@ -141,7 +153,14 @@ impl<A: MsgAddr> Message<A> {
 
     /// Appends another message (x-kernel `msgJoin`).
     pub fn join(&mut self, other: Message<A>) {
-        self.segs.extend(other.segs);
+        self.segs.extend_from_slice(&other.segs);
+    }
+
+    /// Appends one segment (a no-op for `len == 0`).
+    pub fn push_seg(&mut self, addr: A, len: u32) {
+        if len > 0 {
+            self.segs.push(Seg { addr, len });
+        }
     }
 
     /// Number of segments (each becomes at least one physical buffer).

@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use osiris_board::descriptor::Descriptor;
-use osiris_host::driver::DeliveredPdu;
+use osiris_host::driver::{DeliveredPdu, RxChain};
 use osiris_host::machine::{internet_checksum, HostMachine};
 use osiris_mem::{AddressSpace, MapError, PhysAddr, PhysBuffer, VirtAddr};
 use osiris_sim::obs::{Counter, Probe};
@@ -72,6 +72,13 @@ impl BlockAck {
             flags: payload[18],
         }
     }
+}
+
+/// Empties an acked or abandoned datagram's packet list into `spare`, so
+/// the next datagram reuses its capacity.
+fn recycle_packets(spare: &mut Vec<Vec<TxPacket>>, packets: &mut Vec<TxPacket>) {
+    packets.clear();
+    spare.push(std::mem::take(packets));
 }
 
 /// Reliable-mode transport discipline.
@@ -197,7 +204,7 @@ pub enum RxVerdict {
         data: Message<PhysAddr>,
         /// Every receive-buffer descriptor consumed by the datagram, for
         /// recycling once the application is done.
-        descs: Vec<Descriptor>,
+        descs: RxChain,
         /// Data length.
         len: u64,
     },
@@ -206,7 +213,7 @@ pub enum RxVerdict {
         /// Why.
         reason: &'static str,
         /// Descriptors to recycle immediately.
-        descs: Vec<Descriptor>,
+        descs: RxChain,
     },
     /// Reliable mode: an acknowledgement arrived and the matching pending
     /// datagram (if any) was released.
@@ -214,7 +221,7 @@ pub enum RxVerdict {
         /// The acknowledged datagram id.
         acked: u32,
         /// Descriptors to recycle immediately.
-        descs: Vec<Descriptor>,
+        descs: RxChain,
     },
     /// Reliable mode: a datagram that was already delivered arrived again
     /// (its ack was lost, or a retransmission crossed the ack in flight).
@@ -226,7 +233,7 @@ pub enum RxVerdict {
         /// The duplicate datagram's id.
         id: u32,
         /// Descriptors to recycle immediately.
-        descs: Vec<Descriptor>,
+        descs: RxChain,
     },
 }
 
@@ -270,12 +277,16 @@ pub struct StackStats {
     pub reasm_reaped: u64,
 }
 
+/// One fragment held for reassembly: (offset, data-message, descriptors).
+type Fragment = (u64, Message<PhysAddr>, RxChain);
+
 #[derive(Debug, Default)]
 struct IpReassembly {
     total: Option<u64>,
     have: u64,
-    /// (offset, data-message, descriptors), in arrival order.
-    parts: Vec<(u64, Message<PhysAddr>, Vec<Descriptor>)>,
+    /// Fragments in arrival order (the list is recycled through
+    /// `ProtoStack::reasm_spare`).
+    parts: Vec<Fragment>,
     /// Last fragment arrival — stale entries (a gave-up sender's orphaned
     /// fragments) are reaped so their receive buffers recycle.
     last_at: SimTime,
@@ -288,7 +299,8 @@ struct PendingMsg {
     /// the application's (still-mapped) virtual buffers plus the header
     /// slab slots written at `output` time. Dropped the moment the
     /// datagram is acked or abandoned — a gave-up datagram must not keep
-    /// its fragment buffers pinned.
+    /// its fragment buffers pinned. (The emptied list is recycled through
+    /// `ProtoStack::packet_spare`.)
     packets: Vec<TxPacket>,
     /// When the RTO next expires.
     next_at: SimTime,
@@ -419,6 +431,11 @@ pub struct ProtoStack {
     /// Packets admitted by ack processing (window slid, SACK retransmit,
     /// pacing release) for the caller to hand to the driver.
     released: Vec<TxPacket>,
+    /// Emptied fragment lists of completed reassemblies and emptied
+    /// packet lists of acked datagrams, reused by the next datagram so
+    /// steady-state traffic allocates nothing.
+    reasm_spare: Vec<Vec<Fragment>>,
+    packet_spare: Vec<Vec<TxPacket>>,
     stats: StackCounters,
     timeline: Timeline,
     /// Timeline track for this stack's CPU spans (`<scope>.stack`).
@@ -517,6 +534,8 @@ impl ProtoStack {
             delivered_ids: HashSet::new(),
             ack_ip_id: ACK_ID_BASE,
             released: Vec::new(),
+            reasm_spare: Vec::new(),
+            packet_spare: Vec::new(),
             stats: StackCounters::with_probe(probe),
             timeline: Timeline::default(),
             track: probe.scoped("stack").scope().to_string(),
@@ -571,7 +590,8 @@ impl ProtoStack {
     }
 
     /// UDP + IP output: turns application `data` into driver-ready PDUs.
-    /// Returns the packets and the time protocol processing finished.
+    /// Returns the packets and the time protocol processing finished (a
+    /// collecting wrapper over [`ProtoStack::output_into`]).
     #[allow(clippy::too_many_arguments)]
     pub fn output(
         &mut self,
@@ -583,6 +603,28 @@ impl ProtoStack {
         dst_port: u16,
         dst_host: u16,
     ) -> Result<(Vec<TxPacket>, SimTime), MapError> {
+        let mut pkts = Vec::new();
+        let t = self.output_into(
+            now, host, asp, data, src_port, dst_port, dst_host, &mut pkts,
+        )?;
+        Ok((pkts, t))
+    }
+
+    /// UDP + IP output: turns application `data` into driver-ready PDUs,
+    /// appended to `out` (none when reliable mode defers the datagram).
+    /// Returns the time protocol processing finished.
+    #[allow(clippy::too_many_arguments)]
+    pub fn output_into(
+        &mut self,
+        now: SimTime,
+        host: &mut HostMachine,
+        asp: &AddressSpace,
+        data: Message<VirtAddr>,
+        src_port: u16,
+        dst_port: u16,
+        dst_host: u16,
+        out: &mut Vec<TxPacket>,
+    ) -> Result<SimTime, MapError> {
         let data_len = data.len();
         let mut t = now;
 
@@ -629,10 +671,10 @@ impl ProtoStack {
         };
         let total = datagram.len();
         let plan = fragment_layout(total, self.cfg.mtu);
-        let mut packets = Vec::with_capacity(plan.count());
+        let first = out.len();
         let mut rest = datagram;
         let mut offset = 0u64;
-        for (i, &size) in plan.sizes.iter().enumerate() {
+        for (i, size) in plan.sizes().enumerate() {
             let mut frag = rest.split_off_front(size as u64);
             let hdr = IpHeader {
                 id,
@@ -648,7 +690,7 @@ impl ProtoStack {
             t = host.cpu_write(t, ip_pa, &hdr.encode()).finish;
             t = host.run_software(t, host.spec.costs.ip_fixed).finish;
             frag.push_header(ip_va, IP_HEADER_BYTES as u32);
-            packets.push(TxPacket { msg: frag, ctx });
+            out.push(TxPacket { msg: frag, ctx });
             offset += size as u64;
             self.stats.frags_out.incr();
         }
@@ -675,6 +717,9 @@ impl ProtoStack {
             let admit = !sr
                 || (win.pending.len() < win.effective_window(&cfg) as usize
                     && (cfg.cc != CcScheme::Pacing || t >= win.pace_ok_at));
+            let mut held = self.packet_spare.pop().unwrap_or_default();
+            held.reserve_exact(out.len() - first);
+            held.extend_from_slice(&out[first..]);
             if admit {
                 if sr && cfg.cc == CcScheme::Pacing {
                     win.pace_ok_at = win.pace_ok_at.max(t) + win.pace_gap;
@@ -683,7 +728,7 @@ impl ProtoStack {
                 win.pending.insert(
                     id,
                     PendingMsg {
-                        packets: packets.clone(),
+                        packets: held,
                         next_at: t + rto,
                         retries: 0,
                         sack_miss: 0,
@@ -691,16 +736,17 @@ impl ProtoStack {
                 );
             } else {
                 self.stats.w_deferred.incr();
-                win.deferred.push_back((id, packets));
-                return Ok((Vec::new(), t));
+                win.deferred.push_back((id, held));
+                out.truncate(first);
             }
         }
-        Ok((packets, t))
+        Ok(t)
     }
 
     /// Builds the acknowledgement datagram for `acked_id` (stop-and-wait):
     /// a normal 4-byte UDP/IP datagram addressed to [`ACK_PORT`] on the
-    /// sender, paying the usual header-build costs.
+    /// sender, paying the usual header-build costs. The packets are
+    /// appended to `out`.
     pub fn output_ack(
         &mut self,
         now: SimTime,
@@ -708,12 +754,13 @@ impl ProtoStack {
         asp: &AddressSpace,
         acked_id: u32,
         dst_host: u16,
-    ) -> Result<(Vec<TxPacket>, SimTime), MapError> {
+        out: &mut Vec<TxPacket>,
+    ) -> Result<SimTime, MapError> {
         let va = self.slab_slot();
         let pa = asp.translate_addr(va)?;
         let t = host.cpu_write(now, pa, &acked_id.to_be_bytes()).finish;
         let msg = Message::single(va, 4);
-        self.output(t, host, asp, msg, ACK_PORT, ACK_PORT, dst_host)
+        self.output_into(t, host, asp, msg, ACK_PORT, ACK_PORT, dst_host, out)
     }
 
     /// Whether a block ack for `peer` is due: every `ack_every`
@@ -730,13 +777,15 @@ impl ProtoStack {
     /// the receiver's free reassembly slots (window minus partial
     /// datagrams pinned for this peer); the pace field advertises the
     /// smoothed inter-delivery gap; the ECN flag echoes switch marks.
+    /// The packets are appended to `out`.
     pub fn output_block_ack(
         &mut self,
         now: SimTime,
         host: &mut HostMachine,
         asp: &AddressSpace,
         peer: u16,
-    ) -> Result<(Vec<TxPacket>, SimTime), MapError> {
+        out: &mut Vec<TxPacket>,
+    ) -> Result<SimTime, MapError> {
         let pinned = self.reasm.keys().filter(|(src, _)| *src == peer).count() as u32;
         let window = self.cfg.window_cap();
         let win = self.recv.entry(peer).or_insert_with(RecvWindow::new);
@@ -756,7 +805,7 @@ impl ProtoStack {
         let pa = asp.translate_addr(va)?;
         let t = host.cpu_write(now, pa, &payload).finish;
         let msg = Message::single(va, BLOCK_ACK_BYTES as u32);
-        self.output(t, host, asp, msg, ACK_PORT, ACK_PORT, peer)
+        self.output_into(t, host, asp, msg, ACK_PORT, ACK_PORT, peer, out)
     }
 
     /// Marks `peer`'s flow as having crossed the switch ECN threshold;
@@ -789,11 +838,11 @@ impl ProtoStack {
             .any(|w| !w.pending.is_empty() || !w.deferred.is_empty())
     }
 
-    /// Packets admitted as a side effect of ack processing (window slid,
-    /// SACK retransmit, pacing release) — the caller hands them to the
-    /// driver exactly once.
-    pub fn take_released(&mut self) -> Vec<TxPacket> {
-        std::mem::take(&mut self.released)
+    /// Moves the packets admitted as a side effect of ack processing
+    /// (window slid, SACK retransmit, pacing release) onto `out` — the
+    /// caller hands them to the driver exactly once.
+    pub fn take_released(&mut self, out: &mut Vec<TxPacket>) {
+        out.append(&mut self.released);
     }
 
     /// The earliest pending timer: an RTO expiry, or — when pacing holds
@@ -815,18 +864,18 @@ impl ProtoStack {
         at
     }
 
-    /// Admits deferred datagrams into `dst`'s window as far as the
-    /// effective window (and pacing) allow, returning their packets.
-    fn admit_deferred(&mut self, dst: u16, now: SimTime) -> Vec<TxPacket> {
-        let cfg = self.cfg;
-        let mut out = Vec::new();
+    /// Admits deferred datagrams into `win` as far as the effective
+    /// window (and pacing) allow, appending their packets to `out`.
+    fn admit_deferred(
+        cfg: &ProtoConfig,
+        win: &mut SendWindow,
+        now: SimTime,
+        out: &mut Vec<TxPacket>,
+    ) {
         if cfg.transport != TransportMode::SelectiveRepeat {
-            return out;
+            return;
         }
-        let Some(win) = self.send.get_mut(&dst) else {
-            return out;
-        };
-        while win.pending.len() < win.effective_window(&cfg) as usize {
+        while win.pending.len() < win.effective_window(cfg) as usize {
             if cfg.cc == CcScheme::Pacing && now < win.pace_ok_at {
                 break;
             }
@@ -837,18 +886,17 @@ impl ProtoStack {
                 win.pace_ok_at = win.pace_ok_at.max(now) + win.pace_gap;
             }
             let rto = win.rto_cur;
+            out.extend_from_slice(&pkts);
             win.pending.insert(
                 id,
                 PendingMsg {
-                    packets: pkts.clone(),
+                    packets: pkts,
                     next_at: now + rto,
                     retries: 0,
                     sack_miss: 0,
                 },
             );
-            out.extend(pkts);
         }
-        out
     }
 
     /// Collects every datagram whose RTO expired by `now` for
@@ -856,51 +904,47 @@ impl ProtoStack {
     /// per expiry round. Datagrams out of retries are abandoned (counted
     /// as `gave_up`) and their packets freed, which both bounds every run
     /// and unpins the fragment buffers; the freed window slots refill
-    /// from the deferred queue. Returns the packets to re-enqueue, in
-    /// (destination, datagram-id) order for determinism.
-    pub fn poll_retransmit(&mut self, now: SimTime) -> Vec<TxPacket> {
-        let mut out = Vec::new();
-        let dsts: Vec<u16> = self.send.keys().copied().collect();
-        for dst in dsts {
-            let win = self.send.get_mut(&dst).expect("listed above");
-            // BTreeMap iteration: due ids come out sorted.
-            let due: Vec<u32> = win
-                .pending
-                .iter()
-                .filter(|(_, p)| p.next_at <= now)
-                .map(|(&id, _)| id)
-                .collect();
-            if !due.is_empty() {
+    /// from the deferred queue. Appends the packets to re-enqueue to
+    /// `out`, in (destination, datagram-id) order for determinism.
+    pub fn poll_retransmit(&mut self, now: SimTime, out: &mut Vec<TxPacket>) {
+        let cfg = self.cfg;
+        let (stats, timeline, track) = (&self.stats, &self.timeline, &self.track);
+        let spare = &mut self.packet_spare;
+        // BTreeMap iteration: destinations, then due ids, come out sorted.
+        for win in self.send.values_mut() {
+            if win.pending.values().any(|p| p.next_at <= now) {
                 // One backoff escalation per expiry round, not per
                 // datagram — a burst of simultaneous losses is one
                 // congestion signal.
-                win.rto_cur = (win.rto_cur + win.rto_cur).min(self.cfg.rto_max);
+                win.rto_cur = (win.rto_cur + win.rto_cur).min(cfg.rto_max);
             }
-            for id in due {
-                let p = win.pending.get_mut(&id).expect("listed above");
-                if p.retries >= self.cfg.max_retries {
+            let rto = win.rto_cur;
+            win.pending.retain(|_, p| {
+                if p.next_at > now {
+                    return true;
+                }
+                if p.retries >= cfg.max_retries {
                     // Free the packets now: a gave-up datagram must not
                     // keep fragment buffers pinned until some later reap.
-                    win.pending.remove(&id);
-                    self.stats.gave_up.incr();
-                    continue;
+                    recycle_packets(spare, &mut p.packets);
+                    stats.gave_up.incr();
+                    return false;
                 }
                 p.retries += 1;
-                p.next_at = now + win.rto_cur;
+                p.next_at = now + rto;
                 p.sack_miss = 0;
-                self.stats.retransmits.incr();
-                if self.timeline.is_enabled() {
+                stats.retransmits.incr();
+                if timeline.is_enabled() {
                     if let Some(pkt) = p.packets.first() {
-                        self.timeline
-                            .instant_ctx(&self.track, "proto.retransmit", pkt.ctx, now);
+                        timeline.instant_ctx(track, "proto.retransmit", pkt.ctx, now);
                     }
                 }
-                out.extend(p.packets.iter().cloned());
-            }
+                out.extend_from_slice(&p.packets);
+                true
+            });
             // Give-ups (and pacing release) may have opened the window.
-            out.extend(self.admit_deferred(dst, now));
+            Self::admit_deferred(&cfg, win, now, out);
         }
-        out
     }
 
     /// Applies a legacy 4-byte stop-and-wait ack: releases the pending
@@ -911,10 +955,11 @@ impl ProtoStack {
     fn process_legacy_ack(&mut self, acked: u32) {
         let rto_initial = self.cfg.rto_initial;
         for win in self.send.values_mut() {
-            if let Some(p) = win.pending.remove(&acked) {
+            if let Some(mut p) = win.pending.remove(&acked) {
                 if p.retries == 0 {
                     win.rto_cur = rto_initial;
                 }
+                recycle_packets(&mut self.packet_spare, &mut p.packets);
                 break;
             }
         }
@@ -926,6 +971,11 @@ impl ProtoStack {
     /// congestion-control update for the configured scheme, and refills
     /// the window from the deferred queue (released packets go to
     /// [`ProtoStack::take_released`]).
+    ///
+    /// The ack is wire input: one whose `base` lies beyond the next id
+    /// this sender would send to `from`, or whose bitmap names an id it
+    /// never sent, cannot describe this flow and is dropped whole
+    /// (counted in `stack.dropped`) before it touches the window.
     fn process_block_ack(&mut self, now: SimTime, from: u16, ack: BlockAck) {
         let BlockAck {
             base,
@@ -938,37 +988,45 @@ impl ProtoStack {
         let Some(win) = self.send.get_mut(&from) else {
             return;
         };
+        // The highest id the ack shows as received, in u64 so a base near
+        // u32::MAX cannot overflow.
+        let highest_acked = if bitmap != 0 {
+            Some(base as u64 + 63 - bitmap.leading_zeros() as u64)
+        } else {
+            (base as u64).checked_sub(1)
+        };
+        let last_sent = win.last_sent_id as u64;
+        if base as u64 > last_sent + 1 || (bitmap != 0 && highest_acked > Some(last_sent)) {
+            self.stats.dropped.incr();
+            return;
+        }
         let acked_by =
             |id: u32| id < base || (id.wrapping_sub(base) < 64 && (bitmap >> (id - base)) & 1 == 1);
-        let ids: Vec<u32> = win.pending.keys().copied().collect();
         let mut any_acked = false;
         let mut clean_sample = false;
-        for id in &ids {
-            if acked_by(*id) {
-                let p = win.pending.remove(id).expect("listed above");
-                any_acked = true;
-                if p.retries == 0 {
-                    clean_sample = true;
-                }
+        let spare = &mut self.packet_spare;
+        win.pending.retain(|&id, p| {
+            if !acked_by(id) {
+                return true;
             }
-        }
+            any_acked = true;
+            if p.retries == 0 {
+                clean_sample = true;
+            }
+            recycle_packets(spare, &mut p.packets);
+            false
+        });
         if clean_sample {
             win.rto_cur = cfg.rto_initial;
         }
         // SACK: a hole below data this ack shows as received gains one
         // count of evidence; at the threshold it retransmits immediately
         // (no backoff escalation — loss already proven, not congestion
-        // silence) and pushes its RTO out one period.
-        let highest_acked = if bitmap != 0 {
-            Some(base + 63 - bitmap.leading_zeros())
-        } else {
-            base.checked_sub(1)
-        };
+        // silence) and pushes its RTO out one period. `hi` fits in u32:
+        // it is at most `last_sent_id`.
         if let Some(hi) = highest_acked {
-            let holes: Vec<u32> = win.pending.range(..hi).map(|(&id, _)| id).collect();
-            for id in holes {
-                let rto = win.rto_cur;
-                let p = win.pending.get_mut(&id).expect("listed above");
+            let rto = win.rto_cur;
+            for (_, p) in win.pending.range_mut(..hi as u32) {
                 p.sack_miss += 1;
                 if p.sack_miss >= cfg.sack_thresh {
                     p.sack_miss = 0;
@@ -986,7 +1044,7 @@ impl ProtoStack {
                             );
                         }
                     }
-                    self.released.extend(p.packets.iter().cloned());
+                    self.released.extend_from_slice(&p.packets);
                 }
             }
         }
@@ -1010,25 +1068,33 @@ impl ProtoStack {
             }
             CcScheme::None => {}
         }
-        let released = self.admit_deferred(from, now);
-        self.released.extend(released);
+        Self::admit_deferred(&cfg, win, now, &mut self.released);
     }
 
-    /// Translates a driver-ready packet into its physical buffer chain.
-    pub fn to_phys(&self, asp: &AddressSpace, pkt: &TxPacket) -> Result<Vec<PhysBuffer>, MapError> {
-        let mut bufs = Vec::new();
+    /// Writes a driver-ready packet's physical buffer chain into `out`
+    /// (cleared first): each segment is translated straight into the
+    /// chain, merging physically adjacent pieces across segment
+    /// boundaries.
+    pub fn to_phys(
+        &self,
+        asp: &AddressSpace,
+        pkt: &TxPacket,
+        out: &mut Vec<PhysBuffer>,
+    ) -> Result<(), MapError> {
+        out.clear();
         for seg in pkt.msg.segs() {
-            bufs.extend(asp.translate(seg.addr, seg.len as u64)?);
+            asp.translate_into(seg.addr, seg.len as u64, out)?;
         }
-        Ok(osiris_mem::buffer::coalesce(&bufs))
+        Ok(())
     }
 
-    /// IP + UDP input: absorbs one PDU from the driver.
+    /// IP + UDP input: absorbs one PDU from the driver. The stack owns
+    /// the PDU's buffers until a verdict hands them back for recycling.
     pub fn input(
         &mut self,
         now: SimTime,
         host: &mut HostMachine,
-        pdu: &DeliveredPdu,
+        pdu: DeliveredPdu,
     ) -> (RxVerdict, SimTime) {
         self.cur_rx_ctx = pdu.ctx;
         let (verdict, t) = self.input_parse(now, host, pdu);
@@ -1049,10 +1115,10 @@ impl ProtoStack {
         &mut self,
         now: SimTime,
         host: &mut HostMachine,
-        pdu: &DeliveredPdu,
+        pdu: DeliveredPdu,
     ) -> (RxVerdict, SimTime) {
         let mut t = now;
-        let descs: Vec<Descriptor> = pdu.bufs.clone();
+        let descs = pdu.bufs;
 
         // Parse the IP header out of the first buffer (through the cache).
         let mut hdr_bytes = [0u8; IP_HEADER_BYTES];
@@ -1092,7 +1158,7 @@ impl ProtoStack {
         now: SimTime,
         host: &mut HostMachine,
         ip: IpHeader,
-        descs: Vec<Descriptor>,
+        descs: RxChain,
         pdu_len: u32,
     ) -> (RxVerdict, SimTime) {
         let mut t = now;
@@ -1109,7 +1175,7 @@ impl ProtoStack {
         // Strip the IP header from the buffer chain.
         let mut data = Message::<PhysAddr>::empty();
         for d in &descs {
-            data.join(Message::single(d.addr, d.len));
+            data.push_seg(d.addr, d.len);
         }
         let _ = data.pop_header(IP_HEADER_BYTES as u32);
         let frag_data_len = pdu_len as u64 - IP_HEADER_BYTES as u64;
@@ -1152,45 +1218,57 @@ impl ProtoStack {
             }
         }
 
-        let entry = self.reasm.entry(key).or_default();
-        entry.last_at = t;
-        // A retransmission can overlap a partially received datagram;
-        // absorbing the same offset twice would inflate `have` past the
-        // real byte count and wedge the UDP length check. Discard exact
-        // duplicates.
-        if entry
-            .parts
-            .iter()
-            .any(|(off, _, _)| *off == ip.frag_off as u64)
-        {
-            self.stats.dup_frags.incr();
-            return (
-                RxVerdict::Drop {
-                    reason: "duplicate fragment",
-                    descs,
-                },
-                t,
-            );
-        }
-        entry.have += frag_data_len;
-        entry.parts.push((ip.frag_off as u64, data, descs));
-        if !ip.more_frags {
-            entry.total = Some(ip.frag_off as u64 + frag_data_len);
-        }
-        let complete = matches!(entry.total, Some(total) if entry.have >= total);
-        if !complete {
-            return (RxVerdict::Incomplete, t);
-        }
+        let (mut datagram, all_descs) =
+            if ip.frag_off == 0 && !ip.more_frags && !self.reasm.contains_key(&key) {
+                // The whole datagram in one fragment: nothing to reassemble.
+                (data, descs)
+            } else {
+                let spare = &mut self.reasm_spare;
+                let entry = self.reasm.entry(key).or_insert_with(|| IpReassembly {
+                    parts: spare.pop().unwrap_or_default(),
+                    ..IpReassembly::default()
+                });
+                entry.last_at = t;
+                // A retransmission can overlap a partially received datagram;
+                // absorbing the same offset twice would inflate `have` past the
+                // real byte count and wedge the UDP length check. Discard exact
+                // duplicates.
+                if entry
+                    .parts
+                    .iter()
+                    .any(|(off, _, _)| *off == ip.frag_off as u64)
+                {
+                    self.stats.dup_frags.incr();
+                    return (
+                        RxVerdict::Drop {
+                            reason: "duplicate fragment",
+                            descs,
+                        },
+                        t,
+                    );
+                }
+                entry.have += frag_data_len;
+                entry.parts.push((ip.frag_off as u64, data, descs));
+                if !ip.more_frags {
+                    entry.total = Some(ip.frag_off as u64 + frag_data_len);
+                }
+                let complete = matches!(entry.total, Some(total) if entry.have >= total);
+                if !complete {
+                    return (RxVerdict::Incomplete, t);
+                }
 
-        // Datagram complete: stitch fragments in offset order.
-        let mut entry = self.reasm.remove(&key).expect("present");
-        entry.parts.sort_by_key(|&(off, _, _)| off);
-        let mut datagram = Message::<PhysAddr>::empty();
-        let mut all_descs = Vec::new();
-        for (_, m, d) in entry.parts {
-            datagram.join(m);
-            all_descs.extend(d);
-        }
+                // Datagram complete: stitch fragments in offset order.
+                let mut entry = self.reasm.remove(&key).expect("present");
+                entry.parts.sort_by_key(|&(off, _, _)| off);
+                let mut datagram = Message::<PhysAddr>::empty();
+                let mut all_descs = RxChain::new();
+                for (_, m, d) in entry.parts.drain(..) {
+                    datagram.join(m);
+                    all_descs.extend_from_slice(&d);
+                }
+                self.reasm_spare.push(entry.parts);
+                (datagram, all_descs)
+            };
 
         // ── UDP input ──────────────────────────────────────────────────
         let udp_at = datagram.segs()[0].addr;
@@ -1391,10 +1469,11 @@ impl ProtoStack {
         stale.sort_unstable();
         let mut descs = Vec::new();
         for key in stale {
-            let entry = self.reasm.remove(&key).expect("listed above");
-            for (_, _, d) in entry.parts {
-                descs.extend(d);
+            let mut entry = self.reasm.remove(&key).expect("listed above");
+            for (_, _, d) in entry.parts.drain(..) {
+                descs.extend_from_slice(&d);
             }
+            self.reasm_spare.push(entry.parts);
             self.stats.reasm_reaped.incr();
         }
         descs
@@ -1454,6 +1533,7 @@ impl ProtoStack {
     /// would carry. Used by the §4 receive-side experiments, where "the
     /// receiver processor of the OSIRIS board was programmed to generate
     /// fictitious PDUs as fast as the receiving host could absorb them".
+    /// (The collected form of [`ProtoStack::wire_fragments`].)
     pub fn build_wire_pdus(
         cfg: ProtoConfig,
         id: u32,
@@ -1461,6 +1541,27 @@ impl ProtoStack {
         dst_port: u16,
         payload: &[u8],
     ) -> Vec<Vec<u8>> {
+        let mut pdus = Vec::new();
+        Self::wire_fragments(cfg, id, src_port, dst_port, payload, |head, data| {
+            let mut pdu = head.to_vec();
+            pdu.extend_from_slice(&payload[data]);
+            pdus.push(pdu);
+        });
+        pdus
+    }
+
+    /// The wire image of one datagram, fragment by fragment, without
+    /// copying the payload: `emit(head, data)` receives each fragment's
+    /// leading bytes — its IP header, then whatever part of the UDP
+    /// header it carries — and the range of `payload` that follows them.
+    pub fn wire_fragments(
+        cfg: ProtoConfig,
+        id: u32,
+        src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+        mut emit: impl FnMut(&[u8], std::ops::Range<usize>),
+    ) {
         let cksum = if cfg.udp_checksum {
             internet_checksum(payload)
         } else {
@@ -1471,28 +1572,35 @@ impl ProtoStack {
             dst_port,
             len: payload.len() as u32,
             cksum,
-        };
-        let mut datagram = udp.encode().to_vec();
-        datagram.extend_from_slice(payload);
-        let plan = fragment_layout(datagram.len() as u64, cfg.mtu);
-        let mut pdus = Vec::with_capacity(plan.count());
+        }
+        .encode();
+        let total = UDP_HEADER_BYTES + payload.len();
+        let plan = fragment_layout(total as u64, cfg.mtu);
         let mut off = 0usize;
-        for (i, &size) in plan.sizes.iter().enumerate() {
+        for (i, size) in plan.sizes().enumerate() {
             let hdr = IpHeader {
                 id,
-                total_len: datagram.len() as u32,
+                total_len: total as u32,
                 frag_off: off as u32,
                 more_frags: i + 1 < plan.count(),
                 proto: IPPROTO_UDP,
                 src: 1,
                 dst: 0,
             };
-            let mut pdu = hdr.encode().to_vec();
-            pdu.extend_from_slice(&datagram[off..off + size as usize]);
-            pdus.push(pdu);
-            off += size as usize;
+            // The fragment covers datagram bytes `off..end`: the UDP
+            // header is datagram bytes `0..UDP_HEADER_BYTES`, the payload
+            // the rest.
+            let end = off + size as usize;
+            let mut head = [0u8; IP_HEADER_BYTES + UDP_HEADER_BYTES];
+            head[..IP_HEADER_BYTES].copy_from_slice(&hdr.encode());
+            let udp_part = &udp[off.min(UDP_HEADER_BYTES)..end.min(UDP_HEADER_BYTES)];
+            let head_len = IP_HEADER_BYTES + udp_part.len();
+            head[IP_HEADER_BYTES..head_len].copy_from_slice(udp_part);
+            let data = off.max(UDP_HEADER_BYTES) - UDP_HEADER_BYTES
+                ..end.max(UDP_HEADER_BYTES) - UDP_HEADER_BYTES;
+            emit(&head[..head_len], data);
+            off = end;
         }
-        pdus
     }
 }
 
@@ -1598,17 +1706,19 @@ mod tests {
             host.phys.write(addr, p);
             let pdu = DeliveredPdu {
                 vci: osiris_atm::Vci(33),
-                bufs: vec![Descriptor::tx(
+                bufs: [Descriptor::tx(
                     addr,
                     p.len() as u32,
                     osiris_atm::Vci(33),
                     true,
-                )],
+                )]
+                .into_iter()
+                .collect(),
                 len: p.len() as u32,
                 ready_at: t,
                 ctx: None,
             };
-            let (v, t2) = stack.input(t, host, &pdu);
+            let (v, t2) = stack.input(t, host, pdu.clone());
             t = t2;
             if let RxVerdict::Deliver {
                 dst_port,
@@ -1685,17 +1795,19 @@ mod tests {
         // bytes, recovers via invalidation, and delivers.
         let pdu = DeliveredPdu {
             vci: osiris_atm::Vci(1),
-            bufs: vec![Descriptor::tx(
+            bufs: [Descriptor::tx(
                 addr,
                 pdu_bytes.len() as u32,
                 osiris_atm::Vci(1),
                 true,
-            )],
+            )]
+            .into_iter()
+            .collect(),
             len: pdu_bytes.len() as u32,
             ready_at: SimTime::ZERO,
             ctx: None,
         };
-        let (v, _) = stack.input(SimTime::from_us(100), &mut host, &pdu);
+        let (v, _) = stack.input(SimTime::from_us(100), &mut host, pdu.clone());
         match v {
             RxVerdict::Deliver { len, .. } => assert_eq!(len, 1500),
             other => panic!("expected delivery after lazy recovery, got {other:?}"),
@@ -1726,12 +1838,14 @@ mod tests {
         host.phys.write(PhysAddr(addr), bytes);
         DeliveredPdu {
             vci: osiris_atm::Vci(33),
-            bufs: vec![Descriptor::tx(
+            bufs: [Descriptor::tx(
                 PhysAddr(addr),
                 bytes.len() as u32,
                 osiris_atm::Vci(33),
                 true,
-            )],
+            )]
+            .into_iter()
+            .collect(),
             len: bytes.len() as u32,
             ready_at: SimTime::ZERO,
             ctx: None,
@@ -1750,10 +1864,10 @@ mod tests {
         assert!(stack.has_unacked());
 
         // Before the RTO nothing is due.
-        assert!(stack.poll_retransmit(t).is_empty());
+        assert!(retransmits(&mut stack, t).is_empty());
         // After it, the same packets come back and the backoff doubles.
         let due1 = stack.next_retransmit_at().unwrap();
-        let again = stack.poll_retransmit(due1);
+        let again = retransmits(&mut stack, due1);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].ctx.pdu, id);
         assert_eq!(stack.stats().retransmits, 1);
@@ -1765,7 +1879,7 @@ mod tests {
             ProtoStack::build_wire_pdus(stack.cfg, 77, ACK_PORT, ACK_PORT, &id.to_be_bytes());
         assert_eq!(ack_wire.len(), 1);
         let pdu = pdu_at(&mut host, &ack_wire[0], 0x50_0000);
-        let (v, _) = stack.input(due2, &mut host, &pdu);
+        let (v, _) = stack.input(due2, &mut host, pdu.clone());
         match v {
             RxVerdict::Ack { acked, .. } => assert_eq!(acked, id),
             other => panic!("expected Ack, got {other:?}"),
@@ -1784,7 +1898,7 @@ mod tests {
             .unwrap();
         let mut polls = 0;
         while let Some(at) = stack.next_retransmit_at() {
-            stack.poll_retransmit(at);
+            retransmits(&mut stack, at);
             polls += 1;
             assert!(polls < 10, "must terminate");
         }
@@ -1800,10 +1914,10 @@ mod tests {
         let wire = ProtoStack::build_wire_pdus(stack.cfg, 5, 9, 40, &data);
         assert_eq!(wire.len(), 1);
         let pdu = pdu_at(&mut host, &wire[0], 0x60_0000);
-        let (v1, t1) = stack.input(SimTime::ZERO, &mut host, &pdu);
+        let (v1, t1) = stack.input(SimTime::ZERO, &mut host, pdu.clone());
         assert!(matches!(v1, RxVerdict::Deliver { .. }));
         // The retransmission of the same datagram is not re-delivered.
-        let (v2, _) = stack.input(t1, &mut host, &pdu);
+        let (v2, _) = stack.input(t1, &mut host, pdu.clone());
         match v2 {
             RxVerdict::Duplicate { src, id, .. } => {
                 assert_eq!((src, id), (1, 5));
@@ -1827,7 +1941,7 @@ mod tests {
         let mut delivered = None;
         for (i, &fi) in order.iter().enumerate() {
             let pdu = pdu_at(&mut host, &wire[fi], 0x70_0000 + (i as u64) * 0x10000);
-            let (v, t2) = stack.input(t, &mut host, &pdu);
+            let (v, t2) = stack.input(t, &mut host, pdu.clone());
             t = t2;
             if let RxVerdict::Deliver { data: msg, len, .. } = v {
                 let mut bytes = Vec::new();
@@ -1857,6 +1971,20 @@ mod tests {
             &mut asp,
         );
         (host, asp, stack)
+    }
+
+    /// The packets a retransmit poll at `now` re-sends, collected.
+    fn retransmits(stack: &mut ProtoStack, now: SimTime) -> Vec<TxPacket> {
+        let mut out = Vec::new();
+        stack.poll_retransmit(now, &mut out);
+        out
+    }
+
+    /// The packets ack processing released, collected.
+    fn released(stack: &mut ProtoStack) -> Vec<TxPacket> {
+        let mut out = Vec::new();
+        stack.take_released(&mut out);
+        out
     }
 
     /// Hand-built block-ack wire image (as node 1 would send it).
@@ -1914,15 +2042,15 @@ mod tests {
         // datagram is admitted and comes back via take_released.
         let ack = block_ack_wire(stack.cfg, 0, 3, 0, 0);
         let pdu = pdu_at(&mut host, &ack, 0x90_0000);
-        let (v, _) = stack.input(t3, &mut host, &pdu);
+        let (v, _) = stack.input(t3, &mut host, pdu.clone());
         assert!(matches!(v, RxVerdict::Ack { acked: 3, .. }));
-        let released = stack.take_released();
+        let released = released(&mut stack);
         assert_eq!(released.len(), 1);
         assert_eq!(released[0].ctx.pdu, 3);
         assert!(stack.has_unacked(), "the admitted datagram now awaits ack");
         let ack2 = block_ack_wire(stack.cfg, 1, 4, 0, 0);
         let pdu2 = pdu_at(&mut host, &ack2, 0x91_0000);
-        stack.input(t3, &mut host, &pdu2);
+        stack.input(t3, &mut host, pdu2.clone());
         assert!(!stack.has_unacked());
     }
 
@@ -1938,16 +2066,16 @@ mod tests {
         for seq in 0..2u32 {
             let ack = block_ack_wire(stack.cfg, seq, 1, 0b110, 0);
             let pdu = pdu_at(&mut host, &ack, 0xA0_0000 + (seq as u64) * 0x10000);
-            let (_, t2) = stack.input(t, &mut host, &pdu);
+            let (_, t2) = stack.input(t, &mut host, pdu.clone());
             t = t2;
             if seq == 0 {
                 assert!(
-                    stack.take_released().is_empty(),
+                    released(&mut stack).is_empty(),
                     "one SACK miss is below the threshold"
                 );
             }
         }
-        let released = stack.take_released();
+        let released = released(&mut stack);
         assert_eq!(released.len(), 1, "second miss fast-retransmits the hole");
         assert_eq!(released[0].ctx.pdu, 1);
         assert_eq!(stack.stats().sack_retransmits, 1);
@@ -1960,23 +2088,23 @@ mod tests {
         let data = vec![0x11u8; 300];
         let w1 = ProtoStack::build_wire_pdus(stack.cfg, 1, 9, 40, &data);
         let pdu = pdu_at(&mut host, &w1[0], 0xB0_0000);
-        let (v, t) = stack.input(SimTime::ZERO, &mut host, &pdu);
+        let (v, t) = stack.input(SimTime::ZERO, &mut host, pdu.clone());
         assert!(matches!(v, RxVerdict::Deliver { .. }));
         // The same id again: resolved below the advanced base.
-        let (v2, t2) = stack.input(t, &mut host, &pdu);
+        let (v2, t2) = stack.input(t, &mut host, pdu.clone());
         assert!(matches!(v2, RxVerdict::Duplicate { .. }));
 
         // Id 70 forces the window past ids 2..=6 (sender gave them up).
         let w70 = ProtoStack::build_wire_pdus(stack.cfg, 70, 9, 40, &data);
         let pdu70 = pdu_at(&mut host, &w70[0], 0xB1_0000);
-        let (v3, t3) = stack.input(t2, &mut host, &pdu70);
+        let (v3, t3) = stack.input(t2, &mut host, pdu70.clone());
         assert!(matches!(v3, RxVerdict::Deliver { .. }));
         assert_eq!(stack.stats().holes_abandoned, 5);
 
         // An abandoned id is now a duplicate, not a re-delivery.
         let w3 = ProtoStack::build_wire_pdus(stack.cfg, 3, 9, 40, &data);
         let pdu3 = pdu_at(&mut host, &w3[0], 0xB2_0000);
-        let (v4, _) = stack.input(t3, &mut host, &pdu3);
+        let (v4, _) = stack.input(t3, &mut host, pdu3.clone());
         assert!(matches!(v4, RxVerdict::Duplicate { .. }));
         assert_eq!(stack.stats().delivered, 2);
     }
@@ -1992,11 +2120,11 @@ mod tests {
         // RTO expires: backoff doubles, the datagram is retransmitted.
         let due = stack.next_retransmit_at().unwrap();
         assert_eq!(due, t1 + rto);
-        assert_eq!(stack.poll_retransmit(due).len(), 1);
+        assert_eq!(retransmits(&mut stack, due).len(), 1);
         // The ack that was crossing in flight arrives now.
         let ack = block_ack_wire(stack.cfg, 0, 2, 0, 0);
         let pdu = pdu_at(&mut host, &ack, 0xC0_0000);
-        let (_, t2) = stack.input(due, &mut host, &pdu);
+        let (_, t2) = stack.input(due, &mut host, pdu.clone());
         assert!(!stack.has_unacked());
         // The next datagram's timer runs at the carried (doubled) RTO.
         let (_, _, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
@@ -2004,7 +2132,7 @@ mod tests {
         // A clean ack for it snaps the backoff home again.
         let ack2 = block_ack_wire(stack.cfg, 1, 3, 0, 0);
         let pdu2 = pdu_at(&mut host, &ack2, 0xC1_0000);
-        let (_, t4) = stack.input(t3, &mut host, &pdu2);
+        let (_, t4) = stack.input(t3, &mut host, pdu2.clone());
         let (_, _, t5) = send_one(&mut host, &mut asp, &mut stack, t4);
         assert_eq!(stack.next_retransmit_at().unwrap(), t5 + rto);
     }
@@ -2025,8 +2153,7 @@ mod tests {
             // Poll once past every datagram's first expiry so the whole
             // backlog comes due in a single scan.
             let due = t + stack.cfg.rto_initial + stack.cfg.rto_initial;
-            stack
-                .poll_retransmit(due)
+            retransmits(&mut stack, due)
                 .iter()
                 .map(|p| p.ctx.pdu)
                 .collect::<Vec<u32>>()
@@ -2042,7 +2169,7 @@ mod tests {
         let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         let ack = block_ack_wire(stack.cfg, 0, 2, 0, ACK_FLAG_ECN);
         let pdu = pdu_at(&mut host, &ack, 0xD0_0000);
-        let (_, t2) = stack.input(t1, &mut host, &pdu);
+        let (_, t2) = stack.input(t1, &mut host, pdu.clone());
         assert_eq!(stack.stats().ecn_halvings, 1);
         // cwnd halved to 1: the second concurrent datagram defers.
         let (_, a2, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
@@ -2057,7 +2184,7 @@ mod tests {
         let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         let ack = block_ack_wire_cc(stack.cfg, 0, 2, 0, 1, 0, 0);
         let pdu = pdu_at(&mut host, &ack, 0xE0_0000);
-        let (_, t2) = stack.input(t1, &mut host, &pdu);
+        let (_, t2) = stack.input(t1, &mut host, pdu.clone());
         let (_, a2, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
         let (_, a3, _) = send_one(&mut host, &mut asp, &mut stack, t3);
         assert!(a2);
@@ -2071,7 +2198,7 @@ mod tests {
         // The receiver advertises a 1 ms inter-delivery gap.
         let ack = block_ack_wire_cc(stack.cfg, 0, 2, 0, u16::MAX, 1_000_000, 0);
         let pdu = pdu_at(&mut host, &ack, 0xF0_0000);
-        let (_, t2) = stack.input(t1, &mut host, &pdu);
+        let (_, t2) = stack.input(t1, &mut host, pdu.clone());
         let (_, a2, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
         let (_, a3, _) = send_one(&mut host, &mut asp, &mut stack, t3);
         assert!(a2, "the first admission starts the pacing clock");
@@ -2080,7 +2207,7 @@ mod tests {
         // deferred datagram.
         let release = stack.next_retransmit_at().unwrap();
         assert!(release <= t3 + SimDuration::from_ms(1));
-        let out = stack.poll_retransmit(release);
+        let out = retransmits(&mut stack, release);
         assert!(
             out.iter().any(|p| p.ctx.pdu == 3),
             "pacing release admits the deferred datagram"
@@ -2114,12 +2241,15 @@ mod tests {
                 }
             }
             let pdu = pdu_at(&mut rhost, &wire, 0x150_0000 + i * 0x10000);
-            let (v, _) = receiver.input(t, &mut rhost, &pdu);
+            let (v, _) = receiver.input(t, &mut rhost, pdu.clone());
             assert!(matches!(v, RxVerdict::Deliver { .. }));
         }
         assert!(sender.has_unacked());
         assert!(receiver.should_block_ack(0, false));
-        let (apkts, t3) = receiver.output_block_ack(t, &mut rhost, &rasp, 0).unwrap();
+        let mut apkts = Vec::new();
+        let t3 = receiver
+            .output_block_ack(t, &mut rhost, &rasp, 0, &mut apkts)
+            .unwrap();
         assert_eq!(apkts.len(), 1);
         assert_eq!(receiver.stats().block_acks, 1);
         let mut wire = Vec::new();
@@ -2129,7 +2259,7 @@ mod tests {
             }
         }
         let pdu = pdu_at(&mut shost, &wire, 0x160_0000);
-        let (v, _) = sender.input(t3, &mut shost, &pdu);
+        let (v, _) = sender.input(t3, &mut shost, pdu.clone());
         match v {
             RxVerdict::Ack { acked, .. } => {
                 assert_eq!(acked, ids[1] + 1, "base sits past both deliveries")
@@ -2148,7 +2278,7 @@ mod tests {
         stack.cfg.max_retries = 1;
         let (_, _, _) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         while let Some(at) = stack.next_retransmit_at() {
-            stack.poll_retransmit(at);
+            retransmits(&mut stack, at);
         }
         assert_eq!(stack.stats().gave_up, 1);
         assert!(!stack.has_unacked(), "abandoned packets are freed");
@@ -2161,7 +2291,7 @@ mod tests {
         let frags = ProtoStack::build_wire_pdus(rstack.cfg, 1, 9, 40, &big);
         assert!(frags.len() > 1);
         let pdu = pdu_at(&mut rhost, &frags[0], 0x170_0000);
-        let (v, t) = rstack.input(SimTime::ZERO, &mut rhost, &pdu);
+        let (v, t) = rstack.input(SimTime::ZERO, &mut rhost, pdu.clone());
         assert!(matches!(v, RxVerdict::Incomplete));
         assert_eq!(rstack.pending_reassemblies(), 1);
         // Ids 2..=65 deliver, forcing the base past the stranded id 1.
@@ -2169,7 +2299,7 @@ mod tests {
         for id in 2..=65u32 {
             let w = ProtoStack::build_wire_pdus(rstack.cfg, id, 9, 40, &[0x22u8; 100]);
             let pdu = pdu_at(&mut rhost, &w[0], 0x180_0000 + (id as u64) * 0x8000);
-            let (v, t2) = rstack.input(t, &mut rhost, &pdu);
+            let (v, t2) = rstack.input(t, &mut rhost, pdu.clone());
             assert!(matches!(v, RxVerdict::Deliver { .. }), "id {id}");
             t = t2;
         }
@@ -2199,6 +2329,158 @@ mod tests {
             "checksumming 16 KB on a 5000/200 must dominate: {} vs {}",
             t_cksum.since(t0),
             t_plain.since(t0)
+        );
+    }
+
+    /// The ids `stack` still holds for acknowledgement toward host 1.
+    fn pending_ids(stack: &ProtoStack) -> Vec<u32> {
+        stack
+            .send
+            .get(&1)
+            .map(|w| w.pending.keys().copied().collect())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn block_ack_beyond_the_sent_ids_is_dropped_whole() {
+        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::Ecn, 16);
+        let mut t = SimTime::ZERO;
+        for _ in 0..3 {
+            t = send_one(&mut host, &mut asp, &mut stack, t).2;
+        }
+        // Ids 1..=3 are in flight. A base past 4 or a bitmap bit above 3
+        // names an unsent id; a base near u32::MAX once overflowed.
+        let bad = [(5, 0), (2, 0b100), (u32::MAX, 1), (u32::MAX - 63, 1 << 63)];
+        for (seq, (base, bitmap)) in bad.into_iter().enumerate() {
+            let ack = block_ack_wire(stack.cfg, seq as u32, base, bitmap, ACK_FLAG_ECN);
+            let pdu = pdu_at(&mut host, &ack, 0x90_0000 + seq as u64 * 0x100);
+            let (v, t2) = stack.input(t, &mut host, pdu);
+            t = t2;
+            assert!(matches!(v, RxVerdict::Ack { .. }));
+            assert_eq!(pending_ids(&stack), vec![1, 2, 3], "ack {base}/{bitmap:#x}");
+            assert_eq!(stack.stats().dropped, seq as u64 + 1);
+            assert_eq!(
+                stack.stats().ecn_halvings,
+                0,
+                "a dropped ack sets no window"
+            );
+        }
+        // The edge of the valid range is accepted: base 4 acks all three.
+        let ack = block_ack_wire(stack.cfg, 9, 4, 0, 0);
+        let pdu = pdu_at(&mut host, &ack, 0x91_0000);
+        stack.input(t, &mut host, pdu);
+        assert!(pending_ids(&stack).is_empty());
+        assert_eq!(stack.stats().dropped, 4);
+    }
+
+    /// Seeded mutation fuzz of the 19 block-ack payload bytes (flips,
+    /// truncations, splices) fed through `input` as real ack datagrams:
+    /// input never panics, an ack never releases a datagram it does not
+    /// name (it may admit deferred ones), and an ack naming an id above
+    /// the highest one sent changes nothing and counts as dropped.
+    #[test]
+    fn mutated_block_acks_never_panic_or_ack_unsent_ids() {
+        use osiris_sim::SimRng;
+        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::Ecn, 16);
+        let mut rng = SimRng::new(0x0B10_CAC4);
+        let data = payload(&mut host, &mut asp, &[6u8; 200]);
+        let mut t = SimTime::ZERO;
+        let mut last_sent = 0u32;
+        let image = |rng: &mut SimRng, last_sent: u32| {
+            let base = match rng.gen_range(4) {
+                0 => rng.next_u64() as u32,
+                1 => u32::MAX - rng.gen_range(70) as u32,
+                // Around the ids in flight.
+                _ => last_sent.saturating_sub(rng.gen_range(8) as u32) + 1,
+            };
+            // Mostly bits for sent ids only (`base..=last_sent`).
+            let span = last_sent.saturating_sub(base).saturating_add(1).min(64);
+            let mut bitmap = rng.next_u64() >> rng.gen_range(64);
+            if rng.gen_bool(0.75) {
+                bitmap &= u64::MAX.checked_shr(64 - span).unwrap_or(0);
+            }
+            let mut p = [0u8; BLOCK_ACK_BYTES];
+            p[0..4].copy_from_slice(&base.to_be_bytes());
+            p[4..12].copy_from_slice(&bitmap.to_be_bytes());
+            p[12..].copy_from_slice(&rng.next_u64().to_be_bytes()[..7]);
+            p.to_vec()
+        };
+        let (mut dropped_acks, mut releases) = (0, 0);
+        for i in 0..3000u32 {
+            // Keep a few datagrams in flight (an ECN-halved window defers
+            // the rest, which acks admit later).
+            let held = stack
+                .send
+                .get(&1)
+                .map_or(0, |w| w.pending.len() + w.deferred.len());
+            for _ in held..4 {
+                t = stack
+                    .output(t, &mut host, &asp, data.clone(), 5, 7, 1)
+                    .unwrap()
+                    .1;
+                last_sent = stack.send[&1].last_sent_id;
+            }
+            let mut bytes = image(&mut rng, last_sent);
+            match rng.gen_range(4) {
+                0 => {}
+                1 => {
+                    for _ in 0..1 + rng.gen_range(3) {
+                        let at = rng.gen_range(bytes.len() as u64) as usize;
+                        bytes[at] ^= 1 + rng.gen_range(255) as u8;
+                    }
+                }
+                2 => bytes.truncate(rng.gen_range(bytes.len() as u64 + 1) as usize),
+                _ => {
+                    let other = image(&mut rng, last_sent);
+                    let a = rng.gen_range(bytes.len() as u64 + 1) as usize;
+                    let b = rng.gen_range(other.len() as u64 + 1) as usize;
+                    bytes.truncate(a);
+                    bytes.extend_from_slice(&other[b..]);
+                }
+            }
+            let wire =
+                ProtoStack::build_wire_pdus(stack.cfg, ACK_ID_BASE + i, ACK_PORT, ACK_PORT, &bytes);
+            let before = pending_ids(&stack);
+            let dropped = stack.stats().dropped;
+            // A fresh address per datagram: the lazy cache never holds a
+            // line of it, so the stack reads exactly these bytes.
+            let pdu = pdu_at(&mut host, &wire[0], 0x180_0000 + i as u64 * 0x100);
+            let (v, t2) = stack.input(t, &mut host, pdu);
+            t = t2;
+            let after = pending_ids(&stack);
+            assert!(
+                after.iter().all(|&id| id <= last_sent),
+                "ack {i}: {after:?}"
+            );
+            if bytes.len() >= BLOCK_ACK_BYTES {
+                assert!(matches!(v, RxVerdict::Ack { .. }), "ack {i}: {v:?}");
+                let ack = BlockAck::parse(bytes[..BLOCK_ACK_BYTES].try_into().unwrap());
+                let top = match ack.bitmap {
+                    0 => ack.base as u64,
+                    m => ack.base as u64 + 63 - m.leading_zeros() as u64,
+                };
+                let names_unsent = ack.base as u64 > last_sent as u64 + 1
+                    || (ack.bitmap != 0 && top > last_sent as u64);
+                if names_unsent {
+                    assert_eq!(after, before, "ack {i} naming unsent ids released some");
+                    assert_eq!(stack.stats().dropped, dropped + 1);
+                    dropped_acks += 1;
+                } else {
+                    for id in before.iter().filter(|id| !after.contains(id)) {
+                        let named = *id < ack.base
+                            || (id - ack.base < 64 && (ack.bitmap >> (id - ack.base)) & 1 == 1);
+                        assert!(named, "ack {i} released unnamed id {id}");
+                    }
+                    releases += (after.len() < before.len()) as u32;
+                }
+            }
+            let mut out = Vec::new();
+            stack.take_released(&mut out);
+        }
+        // The mix reaches both outcomes often.
+        assert!(
+            dropped_acks > 200 && releases > 200,
+            "{dropped_acks} {releases}"
         );
     }
 }

@@ -38,12 +38,14 @@ fn deliver(
     host.phys.write(addr, pdu_bytes);
     let pdu = DeliveredPdu {
         vci: Vci(9),
-        bufs: vec![Descriptor::tx(addr, pdu_bytes.len() as u32, Vci(9), true)],
+        bufs: [Descriptor::tx(addr, pdu_bytes.len() as u32, Vci(9), true)]
+            .into_iter()
+            .collect(),
         len: pdu_bytes.len() as u32,
         ready_at: t,
         ctx: None,
     };
-    stack.input(t, host, &pdu).0
+    stack.input(t, host, pdu.clone()).0
 }
 
 #[test]

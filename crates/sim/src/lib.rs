@@ -22,6 +22,9 @@
 //! * [`FxHashMap`] — a keyless multiply-rotate hasher for the per-cell
 //!   maps: fast on small integer keys, and iteration order depends only on
 //!   the insert sequence.
+//! * [`SmallVec`] — the one inline small vector: the datapath's per-PDU
+//!   lists (segments, descriptors) live inline up to a structural bound,
+//!   so steady-state messages never touch the allocator.
 //!
 //! Everything is deterministic: given the same configuration and seed, a
 //! simulation produces bit-identical results, which the test suite relies on.
@@ -34,6 +37,7 @@ pub mod obs;
 pub mod pdes;
 pub mod resource;
 pub mod rng;
+pub mod smallvec;
 pub mod stats;
 pub mod time;
 
@@ -51,6 +55,7 @@ pub use obs::{
 pub use pdes::{PushKey, ShardQueue};
 pub use resource::FifoResource;
 pub use rng::SimRng;
+pub use smallvec::SmallVec;
 pub use time::{Clock, SimDuration, SimTime};
 
 /// Simulation-kernel configuration shared by harnesses: the sizing knobs

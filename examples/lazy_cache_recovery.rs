@@ -61,12 +61,14 @@ fn main() {
     //    STALE bytes, mismatches, invalidates, re-reads, and delivers.
     let pdu = DeliveredPdu {
         vci: Vci(5),
-        bufs: vec![Descriptor::tx(buffer, wire.len() as u32, Vci(5), true)],
+        bufs: [Descriptor::tx(buffer, wire.len() as u32, Vci(5), true)]
+            .into_iter()
+            .collect(),
         len: wire.len() as u32,
         ready_at: t0,
         ctx: None,
     };
-    let (verdict, t1) = stack.input(t0, &mut host, &pdu);
+    let (verdict, t1) = stack.input(t0, &mut host, pdu.clone());
     match verdict {
         RxVerdict::Deliver { len, data, .. } => {
             println!("t={t1}: delivered {len} bytes after lazy recovery");

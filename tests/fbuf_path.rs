@@ -54,7 +54,7 @@ fn receive_pdu(rig: &mut Rig, vci: Vci, data: &[u8]) -> Descriptor {
     let mut t = SimTime::ZERO;
     let mut desc = None;
     for c in &cells {
-        let out = rig.rx.receive_cell(
+        rig.rx.receive_cell(
             t,
             0,
             c,
@@ -62,7 +62,7 @@ fn receive_pdu(rig: &mut Rig, vci: Vci, data: &[u8]) -> Descriptor {
             &mut rig.host.cache,
             &mut rig.host.phys,
         );
-        for (_, _, d) in out.pushed {
+        for &(_, _, d) in rig.rx.pushed() {
             if d.eop {
                 desc = Some(d);
             }
