@@ -103,22 +103,17 @@ pub struct Switch {
     /// historical behavior). Set from the run's `FaultPlan`.
     max_queue_cells: Option<u32>,
     /// Output-queue depth (cells) above which departing cells carry an
-    /// ECN mark (`None` = never mark). Marking is per-port state only,
-    /// so it is partition-invariant under the sharded engine (every cell
-    /// for a port is routed on that port's owning shard).
+    /// ECN mark (`None` = never mark). Marking is per-port state only.
     ecn_threshold: Option<u32>,
     unrouted: Counter,
     overflow_dropped: Counter,
     ecn_marked: Counter,
     /// Instantaneous backlog (in cell times) of the port a cell was just
     /// queued on — a last-writer gauge the telemetry plane samples into
-    /// a queue-depth time series. Partition-*dependent* (which write is
-    /// last depends on shard interleaving), so the semantic snapshot
-    /// strips it; the high-water companion below is the invariant form.
+    /// a queue-depth time series; the high-water companion below is its
+    /// run summary.
     queue_depth: Gauge,
-    /// Largest backlog any `depart` ever observed, in cells. Invariant
-    /// under the sharded engine's gauge-max merge, so it stays in the
-    /// semantic snapshot.
+    /// Largest backlog any `depart` ever observed, in cells.
     queue_high_water: Gauge,
     hw_cells: u64,
 }
@@ -200,14 +195,6 @@ impl Switch {
             base + lanes
         );
         self.lane_routes.insert(vci, base);
-    }
-
-    /// The installed port-block base for `vci`, if any — the routing
-    /// *decision* without the routing *side effects*. The sharded
-    /// engine uses this to pick the owning shard of a cell in flight
-    /// before the stateful forward happens at arrival time.
-    pub fn lane_route_base(&self, vci: Vci) -> Option<usize> {
-        self.lane_routes.get(&vci).copied()
     }
 
     /// Declares a striped port group (used by coordinated mode).

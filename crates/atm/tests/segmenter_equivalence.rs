@@ -69,6 +69,8 @@ fn eager_segment_numbered(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[
                     last_idx = i;
                     i += lanes;
                 }
+                // The lane CRC ends with the PDU's tag.
+                crc.update(&pdu_seq.to_le_bytes());
                 let c = &mut cells[last_idx];
                 c.aal.eom = true;
                 c.trailer = Some(Trailer {

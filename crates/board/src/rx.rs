@@ -27,7 +27,7 @@
 
 use std::collections::HashSet;
 
-use osiris_atm::sar::{check_lanes, CellDisposition, Reassembler, ReassemblyMode};
+use osiris_atm::sar::{check_lanes, CellDisposition, PduComplete, Reassembler, ReassemblyMode};
 use osiris_atm::{Cell, CellRef, CellSlab, Vci};
 use osiris_mem::{DataCache, MemorySystem, PhysAddr, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
@@ -135,7 +135,8 @@ pub struct RxOutcome {
     /// If a payload is now pending for double-cell combining: the deadline
     /// by which [`RxProcessor::flush_pending`] must be called.
     pub flush_deadline: Option<(u64, SimTime)>,
-    /// Set when the cell completed (or finished shedding) a PDU.
+    /// Set when the cell completed (or finished shedding) a PDU: the
+    /// last one, when a SeqNum cell completed several.
     pub completed: Option<RxPduInfo>,
 }
 
@@ -601,51 +602,19 @@ impl RxProcessor {
 
         // Completion (also reached while shedding: the reassembler still
         // tracks cell counts so the stream stays framed).
-        let Some(complete) = disp.completed else {
-            return out;
-        };
-        let (_, state) = rec.open.swap_remove(slot);
-        // The completion bookkeeping runs on the 80960 right after the
-        // cell's own processing; the descriptor push additionally waits
-        // for the payload DMA to land (t_done).
-        let pdu_fw = dp
-            .engine
-            .acquire(t_fw, dp.cfg.fw.clock.cycles(dp.cfg.fw.rx_pdu_cycles));
-        let t_pdu = pdu_fw.finish.max(t_done);
-        let dropped = state.poisoned;
-        if dropped {
-            // Shed: recycle the buffers we still hold.
-            for &d in state.bufs.iter().flatten().skip(state.pushed_upto) {
-                let _ = dp.free_rings[state.page].push(d);
-            }
-            dp.stats.pdus_dropped_no_buffer.incr();
-        } else {
-            // The PDU's reassembly window: first cell at the firmware to
-            // descriptor push. DMA/bus spans nest inside it; the residue
-            // is genuine waiting for the PDU's other cells.
-            if let Some(ctx) = state.ctx {
-                let from = state.first_at.max(dp.sar_span_floor);
-                if t_pdu > from {
-                    dp.timeline
-                        .span_ctx_sym(dp.syms.track, dp.syms.sar_reasm, ctx, from, t_pdu);
-                }
-                dp.sar_span_floor = dp.sar_span_floor.max(t_pdu);
-            }
-            // Push the remaining buffers in order; EOP on the last.
-            dp.finish_pdu(t_pdu, &state, vci, complete.len, complete.crc_ok, &mut out);
-            dp.stats.pdus_delivered.incr();
-            if !complete.crc_ok {
-                dp.stats.pdus_crc_failed.incr();
+        if let Some(complete) = disp.completed {
+            let (_, state) = rec.open.swap_remove(slot);
+            dp.complete_pdu(t_fw, t_done, vci, state, complete, &mut out);
+        }
+        // Under SeqNum the cell may also have completed PDUs whose cells
+        // overtook it; they close right behind it. Their cells were
+        // stored under the PDU number their stash disposition named.
+        while let Some(complete) = rec.reasm.take_replayed() {
+            if let Some(slot) = rec.open.iter().position(|(p, _)| *p == complete.pdu) {
+                let (_, state) = rec.open.swap_remove(slot);
+                dp.complete_pdu(t_fw, t_done, vci, state, complete, &mut out);
             }
         }
-        dp.spare.push(state);
-        out.completed = Some(RxPduInfo {
-            vci,
-            pdu: disp.pdu,
-            len: complete.len,
-            crc_ok: complete.crc_ok,
-            dropped,
-        });
         out
     }
 
@@ -1033,6 +1002,68 @@ impl Datapath {
         }
     }
 
+    /// Closes a PDU the reassembler completed: `t_fw` is when its last
+    /// cell left the firmware and `t_done` when that cell's payload DMA
+    /// landed. A shed PDU recycles its buffers; a delivered one pushes
+    /// its remaining descriptors. Either way the record goes back to
+    /// [`Datapath::spare`] and `out.completed` names the PDU.
+    fn complete_pdu(
+        &mut self,
+        t_fw: SimTime,
+        t_done: SimTime,
+        vci: Vci,
+        state: PduBufState,
+        complete: PduComplete,
+        out: &mut RxOutcome,
+    ) {
+        // The completion bookkeeping runs on the 80960 right after the
+        // cell's own processing; the descriptor push additionally waits
+        // for the payload DMA to land (t_done).
+        let pdu_fw = self
+            .engine
+            .acquire(t_fw, self.cfg.fw.clock.cycles(self.cfg.fw.rx_pdu_cycles));
+        let t_pdu = pdu_fw.finish.max(t_done);
+        let dropped = state.poisoned;
+        if dropped {
+            // Shed: recycle the buffers we still hold.
+            for &d in state.bufs.iter().flatten().skip(state.pushed_upto) {
+                let _ = self.free_rings[state.page].push(d);
+            }
+            self.stats.pdus_dropped_no_buffer.incr();
+        } else {
+            // The PDU's reassembly window: first cell at the firmware to
+            // descriptor push. DMA/bus spans nest inside it; the residue
+            // is genuine waiting for the PDU's other cells.
+            if let Some(ctx) = state.ctx {
+                let from = state.first_at.max(self.sar_span_floor);
+                if t_pdu > from {
+                    self.timeline.span_ctx_sym(
+                        self.syms.track,
+                        self.syms.sar_reasm,
+                        ctx,
+                        from,
+                        t_pdu,
+                    );
+                }
+                self.sar_span_floor = self.sar_span_floor.max(t_pdu);
+            }
+            // Push the remaining buffers in order; EOP on the last.
+            self.finish_pdu(t_pdu, &state, vci, complete.len, complete.crc_ok, out);
+            self.stats.pdus_delivered.incr();
+            if !complete.crc_ok {
+                self.stats.pdus_crc_failed.incr();
+            }
+        }
+        self.spare.push(state);
+        out.completed = Some(RxPduInfo {
+            vci,
+            pdu: complete.pdu,
+            len: complete.len,
+            crc_ok: complete.crc_ok,
+            dropped,
+        });
+    }
+
     /// Pushes remaining buffers of a completed PDU (EOP + error flag on the
     /// last) to the receive ring.
     fn finish_pdu(
@@ -1195,6 +1226,37 @@ mod tests {
         assert!(!desc.err);
         assert_eq!(desc.len, 1000);
         assert_eq!(r.phys.read(desc.addr, 1000), &data[..]);
+    }
+
+    #[test]
+    fn seqnum_delivers_a_pdu_that_overtook_its_predecessor() {
+        // PDU 1 (one cell) overtakes PDU 0's tail: arrivals a0, b0, a1.
+        // The cell a1 closes both PDUs, each with its own EOP.
+        let mut cfg = RxConfig::paper_default();
+        cfg.reassembly = ReassemblyMode::SeqNum { max_cells: 64 };
+        let mut r = rig(cfg);
+        let a: Vec<u8> = (0..80u32).map(|i| i as u8).collect();
+        let b = vec![0xb5u8; 20];
+        let (ca, cb) = (cells_for(&a, Vci(0)), cells_for(&b, Vci(0)));
+        let (outs, _) = feed(
+            &mut r,
+            &[ca[0].clone(), cb[0].clone(), ca[1].clone()],
+            SimTime::ZERO,
+        );
+        let info = outs[2].completed.expect("a1 completes");
+        assert_eq!((info.pdu, info.len, info.crc_ok), (1, 20, true));
+        let eops: Vec<Descriptor> = outs
+            .iter()
+            .flat_map(|o| o.pushed.iter())
+            .map(|&(_, _, d)| d)
+            .filter(|d| d.eop)
+            .collect();
+        assert_eq!(eops.len(), 2, "both PDUs delivered");
+        assert_eq!((eops[0].len, eops[1].len), (80, 20));
+        assert!(eops.iter().all(|d| !d.err));
+        assert_eq!(r.phys.read(eops[0].addr, 80), &a[..]);
+        assert_eq!(r.phys.read(eops[1].addr, 20), &b[..]);
+        assert_eq!(r.rx.partial_pdus(), 0);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use osiris_sim::{CriticalPath, FaultPlan, HistSummary, SimDuration, SimTime, Sta
 
 use crate::config::{Layer, TestbedConfig};
 use crate::scenario::Scenario;
-use crate::testbed::Testbed;
 
 /// Hard wall for runaway simulations (virtual time).
 const DEADLINE: SimTime = SimTime::from_secs(30);
@@ -99,15 +98,6 @@ pub fn transmit_throughput(cfg: &TestbedConfig) -> f64 {
         cfg.msg_size
     );
     sim.model.meter.mbps()
-}
-
-impl Testbed {
-    /// The seeded `AppSend` counts as the first message of a Source run.
-    pub fn nodes_remaining_decrement(&mut self) {
-        if let Some(n) = self.nodes.first_mut() {
-            n.decrement_remaining();
-        }
-    }
 }
 
 /// The incast result bundle (N senders onto one receive path through the

@@ -50,13 +50,6 @@ pub trait Fabric: std::fmt::Debug {
     /// `None` means the cell vanishes (no peer, or no route installed).
     fn route(&mut self, from: NodeId, at: SimTime, lane: usize, cell: &Cell) -> Option<Delivery>;
 
-    /// The destination node a cell leaving `from` would be routed to —
-    /// the pure routing decision, with none of `route`'s side effects
-    /// (no queueing, no counters). The dispatcher uses this to address
-    /// an in-flight cell to its destination's shard; the stateful
-    /// `route` then runs there, at arrival time.
-    fn peek_dest(&self, from: NodeId, cell: &Cell) -> Option<NodeId>;
-
     /// Whether routing passes through a stateful switch. When true, the
     /// dispatcher must call `route` in cell-*arrival* order (the order
     /// the hardware's output queues see), not in transmit-batch order.
@@ -87,7 +80,7 @@ fn build_links(cfg: &TestbedConfig, n: usize, registry: &Registry) -> Vec<Stripe
             link.reseed(cfg.seed.wrapping_add(1000 + i as u64));
             // The fault seed comes from the pure (node, component)
             // derivation, never from wiring or insertion order, so no
-            // fabric partitioning can perturb a node's fault stream.
+            // change to the wiring can perturb a node's fault stream.
             link.set_fault_plan(&cfg.sim.faults, component_seed(i, FaultComponent::LinkTx));
             link
         })
@@ -130,10 +123,6 @@ impl Fabric for BackToBack {
             at,
             marked: false,
         })
-    }
-
-    fn peek_dest(&self, from: NodeId, _cell: &Cell) -> Option<NodeId> {
-        (self.links.len() == 2).then_some(NodeId(1 - from.0))
     }
 }
 
@@ -200,14 +189,6 @@ impl Fabric for SwitchedFabric {
                 at: departure,
                 marked,
             })
-    }
-
-    fn peek_dest(&self, _from: NodeId, cell: &Cell) -> Option<NodeId> {
-        // The port block base is to.0 * lanes, so the base alone names
-        // the destination node regardless of which lane the cell rides.
-        self.switch
-            .lane_route_base(cell.header.vci)
-            .map(|base| NodeId(base / self.lanes))
     }
 
     fn is_switched(&self) -> bool {

@@ -44,7 +44,6 @@ pub mod fabric;
 pub mod node;
 pub mod report;
 pub mod scenario;
-pub mod shard;
 pub mod telemetry;
 pub mod testbed;
 
@@ -55,8 +54,7 @@ pub use experiments::{
 };
 pub use fabric::{BackToBack, Delivery, Fabric, SwitchedFabric};
 pub use node::{HostNode, NodeId, Role};
-pub use scenario::Scenario;
-pub use shard::{RunOutcome, ShardStats};
+pub use scenario::{RunOutcome, Scenario};
 pub use telemetry::{run_sampled, Sampler};
 pub use testbed::Testbed;
 

@@ -5,8 +5,6 @@ use std::fmt::Write as _;
 
 use osiris_sim::{HistSummary, SeriesDump, Snapshot, Stage};
 
-use crate::shard::RunOutcome;
-
 /// Renders a table with a header row and aligned columns.
 pub fn table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -248,46 +246,6 @@ pub fn series_summary(title: &str, dump: &SeriesDump) -> String {
         }
     );
     out
-}
-
-/// Renders the sharded engine's self-profile: per-shard dispatch
-/// counts, barrier rounds, wall-clock stall, ring pressure, and the
-/// closing `max/mean` imbalance headline the scale bench publishes.
-pub fn shard_profile(title: &str, out: &RunOutcome) -> String {
-    let rows: Vec<Vec<String>> = out
-        .per_shard
-        .iter()
-        .map(|s| {
-            vec![
-                s.shard.to_string(),
-                s.events_dispatched.to_string(),
-                s.events_scheduled.to_string(),
-                s.rounds.to_string(),
-                format!("{:.2}", s.barrier_stall_ns as f64 / 1e6),
-                format!("{:.0}", s.ring_high_water),
-                s.spills.to_string(),
-            ]
-        })
-        .collect();
-    let mut text = table(
-        title,
-        &[
-            "shard",
-            "dispatched",
-            "scheduled",
-            "rounds",
-            "stall ms",
-            "ring hw",
-            "spills",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        text,
-        "  shard imbalance (max/mean dispatched): {:.3}",
-        out.shard_imbalance()
-    );
-    text
 }
 
 /// Formats `paper` vs `measured` with the ratio, for EXPERIMENTS.md rows.

@@ -6,16 +6,19 @@
 //! [`Scenario::launch`] additionally wraps it in a
 //! [`osiris_sim::Simulation`], attaches the event-queue probe, and seeds
 //! the initial events — the way every experiment starts.
+//! [`Scenario::run`] runs a launched scenario to the end and returns its
+//! [`RunOutcome`].
 
 use osiris_adc::AdcManager;
 use osiris_atm::{CellSlab, Vci};
-use osiris_sim::obs::Histogram;
+use osiris_sim::obs::{Histogram, Snapshot};
 use osiris_sim::stats::{LatencyStats, ThroughputMeter};
-use osiris_sim::{Registry, SimDuration, SimTime, Simulation, Timeline};
+use osiris_sim::{Registry, SeriesDump, SimDuration, SimTime, Simulation, Timeline};
 
 use crate::config::{Layer, TestbedConfig};
 use crate::fabric::{BackToBack, Fabric, SwitchedFabric};
 use crate::node::{Endpoint, HostNode, NodeId, Role};
+use crate::telemetry::{run_sampled, Sampler};
 use crate::testbed::{DispatchCounters, Event, TbSyms, Testbed};
 
 /// A topology + workload the testbed can assemble.
@@ -43,9 +46,8 @@ pub enum Scenario {
     },
     /// `pairs` independent source→sink streams through the switched
     /// fabric: node `2k` streams `cfg.messages` messages at node
-    /// `2k+1`. The embarrassingly-parallel counterpart to `Incast` —
-    /// every stream owns its own receiver, so this is the workload the
-    /// sharded engine's `scale` bench uses to measure speedup.
+    /// `2k+1`. The contention-free counterpart to `Incast` — every
+    /// stream owns its own receiver.
     ManyPairs {
         /// Number of source→sink pairs (the fabric has `2 * pairs` nodes).
         pairs: usize,
@@ -353,59 +355,128 @@ impl Scenario {
         tb
     }
 
-    /// The scenario's initial events at time zero, in seeding order,
-    /// with each event tagged by the node it drives. Performs the
-    /// budget side effects (a seeded `AppSend` is message 1), so call
-    /// it exactly once per built testbed. Shared by the sequential
-    /// launch path and the per-shard replicas of the parallel engine —
-    /// both must seed identically for the runs to match.
-    pub(crate) fn seed_events(&self, tb: &mut Testbed) -> Vec<(NodeId, Event)> {
-        match *self {
-            Scenario::Pair => vec![(NodeId(0), Event::AppSend { host: NodeId(0) })],
-            Scenario::RxBench => vec![(NodeId(0), Event::GenKick)],
-            Scenario::TxBench | Scenario::FanOut { .. } => {
-                // The seeded AppSend is message 1.
-                tb.nodes[0].decrement_remaining();
-                vec![(NodeId(0), Event::AppSend { host: NodeId(0) })]
-            }
-            Scenario::Incast { senders } => (0..senders)
-                .map(|s| {
-                    tb.nodes[s].decrement_remaining();
-                    (NodeId(s), Event::AppSend { host: NodeId(s) })
-                })
-                .collect(),
-            Scenario::ManyPairs { pairs } => (0..pairs)
-                .map(|k| {
-                    let src = NodeId(2 * k);
-                    tb.nodes[src.0].decrement_remaining();
-                    (src, Event::AppSend { host: src })
-                })
-                .collect(),
-        }
-    }
-
     /// Builds the testbed, wraps it in a simulation, attaches the
     /// event-queue probe (`engine.events.scheduled`), and seeds the
-    /// scenario's initial events.
+    /// scenario's initial events at time zero. A seeded `AppSend` is
+    /// message 1, so it takes one from the sender's budget.
     pub fn launch(&self, cfg: TestbedConfig) -> Simulation<Testbed> {
         let tb = self.build(cfg);
         let mut sim = Simulation::new(tb);
         sim.queue.attach_probe(&sim.model.registry.probe("engine"));
-        for (_owner, ev) in self.seed_events(&mut sim.model) {
-            sim.queue.push(SimTime::ZERO, ev);
+        let (tb, q) = (&mut sim.model, &mut sim.queue);
+        let mut send = |src: NodeId| {
+            tb.nodes[src.0].decrement_remaining();
+            q.push(SimTime::ZERO, Event::AppSend { host: src });
+        };
+        match *self {
+            // The ping client's budget counts completed round trips, so
+            // its first send takes nothing from it.
+            Scenario::Pair => q.push(SimTime::ZERO, Event::AppSend { host: NodeId(0) }),
+            Scenario::RxBench => q.push(SimTime::ZERO, Event::GenKick),
+            Scenario::TxBench | Scenario::FanOut { .. } => send(NodeId(0)),
+            Scenario::Incast { senders } => (0..senders).for_each(|s| send(NodeId(s))),
+            Scenario::ManyPairs { pairs } => (0..pairs).for_each(|k| send(NodeId(2 * k))),
         }
         sim
     }
 
-    /// Runs the scenario to event-queue exhaustion under
-    /// `cfg.sim.shards` shards and returns the merged outcome:
-    /// `shards <= 1` is exactly [`Scenario::launch`] +
-    /// `run_to_completion` (the historical engine, untouched);
-    /// `shards >= 2` runs the conservative-lookahead parallel engine
-    /// (see [`crate::shard`]), which produces byte-identical semantic
-    /// snapshots by construction and by test.
-    pub fn run(&self, cfg: TestbedConfig) -> crate::shard::RunOutcome {
-        crate::shard::run_scenario(*self, cfg)
+    /// Runs the scenario to event-queue exhaustion: [`Scenario::launch`]
+    /// plus the run loop. When `cfg.sim.sample_every` is set, the loop
+    /// also samples the telemetry grid between dispatches — same
+    /// dispatch order, same final time, registry untouched but for the
+    /// sampler's own `obs.*` scope.
+    pub fn run(&self, cfg: TestbedConfig) -> RunOutcome {
+        let mut sim = self.launch(cfg);
+        let sampler = sim.model.cfg.sim.sample_every.map(|every| {
+            Sampler::new(
+                &sim.model.registry,
+                &sim.model.registry.probe("obs"),
+                every,
+                sim.model.cfg.sim.series_capacity,
+            )
+        });
+        match &sampler {
+            Some(s) => run_sampled(&mut sim, s),
+            None => sim.run_to_completion(),
+        }
+        let series = sampler.map(|s| s.finish(sim.now()));
+        let tb = &sim.model;
+        RunOutcome {
+            snapshot: tb.snapshot(),
+            latency: tb.latency.clone(),
+            latency_hist: tb.latency_hist.clone(),
+            meter: tb.meter.clone(),
+            done: tb.done,
+            verify_failures: tb.verify_failures,
+            delivered: tb.delivered_count,
+            scheduled: sim.queue.total_pushed(),
+            dispatched: sim.steps(),
+            last_event_time: sim.now(),
+            series,
+        }
+    }
+}
+
+/// The result of [`Scenario::run`].
+#[derive(Debug)]
+pub struct RunOutcome {
+    /// The testbed's registry snapshot at the end of the run.
+    pub snapshot: Snapshot,
+    /// End-to-end latency moments.
+    pub latency: LatencyStats,
+    /// End-to-end latency histogram (bucket-exact).
+    pub latency_hist: Histogram,
+    /// Goodput meter.
+    pub meter: ThroughputMeter,
+    /// Whether the scenario's completion condition was met.
+    pub done: bool,
+    /// Payload verification failures.
+    pub verify_failures: u64,
+    /// PDUs delivered to sinks.
+    pub delivered: u64,
+    /// Events scheduled (equals `engine.events.scheduled`).
+    pub scheduled: u64,
+    /// Events dispatched.
+    pub dispatched: u64,
+    /// Timestamp of the last dispatched event.
+    pub last_event_time: SimTime,
+    /// Sampled time series when `cfg.sim.sample_every` was set (`None`
+    /// otherwise).
+    pub series: Option<SeriesDump>,
+}
+
+impl RunOutcome {
+    /// The snapshot without the telemetry plane's own bookkeeping
+    /// (`obs.*`, present only when sampling is on). Byte-compare its
+    /// rendered JSON across sampling on and off.
+    pub fn semantic_snapshot(&self) -> Snapshot {
+        let mut s = self.snapshot.clone();
+        s.counters.retain(|k, _| !k.starts_with("obs."));
+        s.gauges.retain(|k, _| !k.starts_with("obs."));
+        s
+    }
+
+    /// A `BENCH_loss`-style one-line summary of the run's outcome.
+    pub fn goodput_line(&self) -> String {
+        let s = &self.snapshot;
+        let sum = |suffix: &str| -> u64 {
+            s.counters
+                .iter()
+                .filter(|(k, _)| k.ends_with(suffix))
+                .map(|(_, v)| *v)
+                .sum()
+        };
+        format!(
+            "goodput {:>7.1} Mbps, p99 {:>8.1} us, {} delivered, {} retrans, {} reaps, {} dropped, {} corrupted, {} gave up",
+            self.meter.mbps(),
+            self.latency_hist.percentile_us(0.99),
+            self.delivered,
+            sum("stack.retransmits"),
+            sum("board.rx.pdus_dropped_timeout"),
+            sum("link.cells_dropped"),
+            sum("link.cells_corrupted"),
+            sum("stack.gave_up"),
+        )
     }
 }
 

@@ -10,34 +10,30 @@
 //! (rates), gauge series record instantaneous values.
 //!
 //! Sampling is **passive**: no event ever enters the model queue on its
-//! behalf. The sequential engine samples between dispatches — a grid
-//! point `T` is sampled exactly when the next pending event is strictly
-//! beyond `T`, i.e. when the registry already holds its final
-//! state-at-`T`. The sharded engine does the same per shard at round
-//! boundaries, below the global minimum next-event time (see
-//! `crate::shard`). Either way the sampled values are pure functions of
-//! the deterministic event history, so runs with sampling on are
-//! byte-identical to runs with it off, at every shard count.
+//! behalf. The run loop samples between dispatches — a grid point `T`
+//! is sampled exactly when the next pending event is strictly beyond
+//! `T`, i.e. when the registry already holds its final state-at-`T`.
+//! The sampled values are pure functions of the deterministic event
+//! history, so runs with sampling on are byte-identical to runs with it
+//! off.
 //!
 //! The default tracked set is the engine's own health: total events
-//! scheduled, events dispatched (a synthetic per-sampler counter, so
-//! each shard's dispatch rate is its own series), the per-event-type
-//! `engine.dispatch.*` mix, the cell-slab high water, the switch
-//! output-queue depth and high water, and the event queue's pending
-//! high water.
+//! scheduled, events dispatched (a synthetic per-sampler counter), the
+//! per-event-type `engine.dispatch.*` mix, the cell-slab high water,
+//! the switch output-queue depth and high water, and the event queue's
+//! pending high water.
 
 use osiris_sim::obs::{Counter, Probe, Registry};
 use osiris_sim::{Model, SeriesDump, SeriesSet, SimDuration, SimTime, Simulation};
 
 /// Gauges the default tracked set samples when present in the registry
 /// (absent keys are skipped — e.g. no `fabric.switch.*` on a
-/// back-to-back fabric, no `profile.*` on the sequential engine).
+/// back-to-back fabric).
 const TRACKED_GAUGES: &[&str] = &[
     "cells.slab_high_water",
     "fabric.switch.queue_depth_cells",
     "fabric.switch.queue_high_water_cells",
     "engine.queue.pending_high_water",
-    "profile.gmin_ps",
 ];
 
 /// A sampling plane bound to one engine's registry: the series set plus
@@ -51,8 +47,8 @@ pub struct Sampler {
 
 impl Sampler {
     /// Builds the default tracked set over `registry`. Call *after* the
-    /// engine probes are attached (post-`launch`, or inside a shard
-    /// after `ShardQueue::attach_probe`) so the `engine.*` keys exist.
+    /// engine probes are attached (post-`launch`) so the `engine.*` keys
+    /// exist.
     ///
     /// `probe` scopes the sampler's own drop counter
     /// (`<scope>.samples_dropped` — ring evictions); pass the
@@ -84,7 +80,7 @@ impl Sampler {
     }
 
     /// Samples every grid point strictly before `t` (call with the next
-    /// pending event time, or the round's global minimum).
+    /// pending event time).
     pub fn sample_grid_before(&self, t: SimTime) {
         self.set.sample_grid_before(t);
     }
@@ -98,7 +94,7 @@ impl Sampler {
 }
 
 /// Runs `sim` to queue exhaustion, sampling `sampler`'s grid between
-/// dispatches — the sequential engine's sampling loop. Equivalent to
+/// dispatches. Equivalent to
 /// [`Simulation::run_to_completion`] in every observable way (same
 /// dispatch order, same final `now`): the only addition is passive
 /// registry reads at grid points.

@@ -109,11 +109,6 @@ pub enum Event {
     FabricTransit {
         /// Transmitting node.
         from: NodeId,
-        /// Destination node (owner of the contended port block; the
-        /// sharded engine dispatches the event on its shard). For a
-        /// cell with no installed route this is `from` — the drop is
-        /// counted wherever the sender lives.
-        to: NodeId,
         /// Physical lane the cell rides.
         lane: usize,
         /// Slab handle of the in-flight cell.
@@ -133,27 +128,6 @@ pub enum Event {
         /// Node address.
         host: NodeId,
     },
-}
-
-impl Event {
-    /// The node whose private state this event's handler mutates — the
-    /// shard that must dispatch it under the parallel engine. `GenKick`
-    /// drives node 0's generator (see `Testbed::gen_kick`).
-    pub fn owner(&self) -> NodeId {
-        match *self {
-            Event::AppSend { host }
-            | Event::TxKick { host }
-            | Event::RxFlush { host, .. }
-            | Event::RxInterrupt { host }
-            | Event::RxDrain { host }
-            | Event::TxWake { host }
-            | Event::RxReapTick { host }
-            | Event::RetransTick { host } => host,
-            Event::CellArrival { to, .. } => to,
-            Event::FabricTransit { to, .. } => to,
-            Event::GenKick => NodeId(0),
-        }
-    }
 }
 
 /// Per-node interned track keys (see [`TbSyms`]).
@@ -225,13 +199,10 @@ impl TbSyms {
 }
 
 /// Per-event-type dispatch counters, registered under
-/// `engine.dispatch.<event>`. Every event is dispatched exactly once —
-/// on the one shard owning its node under the parallel engine, or on
-/// the single sequential queue — so these counters are
-/// partition-invariant: the merged sharded values equal the sequential
-/// ones, and the equivalence suite byte-compares them. They are the
-/// engine's own workload mix made registry-visible (and sampleable as
-/// rates by the telemetry plane).
+/// `engine.dispatch.<event>`. Every event is dispatched exactly once,
+/// so the equivalence suites byte-compare them. They are the engine's
+/// own workload mix made registry-visible (and sampleable as rates by
+/// the telemetry plane).
 #[derive(Debug, Clone)]
 pub struct DispatchCounters {
     app_send: Counter,
@@ -641,20 +612,12 @@ impl Testbed {
             // wire-arrival time, not a call at transmit-kick time. The
             // switch's output queues then contend in arrival order —
             // the order the hardware sees — rather than in the order
-            // transmit batches happen to finish, and the contention
-            // resolves on the shard owning the destination's port block.
+            // transmit batches happen to finish.
             for &(at, lane, r) in node.tx.arrivals() {
-                let to = self
-                    .fabric
-                    .peek_dest(host, self.cells.get(r))
-                    // No route installed: dispatch (and count the drop)
-                    // on the sender's own shard.
-                    .unwrap_or(host);
                 q.push(
                     at,
                     Event::FabricTransit {
                         from: host,
-                        to,
                         lane,
                         cell: r,
                     },
@@ -719,8 +682,6 @@ impl Testbed {
             if d.marked {
                 // ECN: remember the mark against the cell's connection;
                 // the receiving stack echoes it in its next block ack.
-                // Runs on the destination's shard (this event is addressed
-                // to `d.to`), so the set is partition-invariant.
                 let vci = self.cells.get(r).header.vci;
                 self.nodes[d.to.0].ecn_marks.insert(vci);
             }
@@ -1330,9 +1291,9 @@ impl Model for Testbed {
                 let cell = self.cells.remove(cell);
                 self.cell_arrival(now, to, lane, &cell, q)
             }
-            Event::FabricTransit {
-                from, lane, cell, ..
-            } => self.fabric_transit(now, from, lane, cell, q),
+            Event::FabricTransit { from, lane, cell } => {
+                self.fabric_transit(now, from, lane, cell, q)
+            }
             Event::RxFlush { host, gen } => {
                 let node = &mut self.nodes[host.0];
                 node.rx.flush_pending(

@@ -11,13 +11,19 @@
 //! agrees with the reference in isolation; this one proves the whole
 //! dispatcher — slab cell arena, interned timeline keys, striped links,
 //! the bounded switch, reassembly, retransmission, metering — observes
-//! no difference either.
+//! no difference either. The scenario shapes below cover every fabric
+//! and workload the testbed builds: back-to-back and switched pairs,
+//! fan-out, many pairs, incast up to 64 senders, and the lossy
+//! windowed, paced and faulty shapes where timers, retransmissions and
+//! switch drops interleave with cell arrivals.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use osiris::atm::sar::ReassemblyMode;
 use osiris::config::TestbedConfig;
-use osiris::sim::{EventQueue, Model, SimTime, Simulation};
+use osiris::proto::stack::{CcScheme, TransportMode};
+use osiris::sim::{EventQueue, FaultPlan, Model, SimDuration, SimTime, Simulation};
 use osiris::testbed::{Event, Testbed};
 use osiris::Scenario;
 
@@ -34,9 +40,8 @@ fn semantic_json(sim: &Simulation<Testbed>) -> String {
 /// The reference dispatch loop. Handlers push into the simulation's own
 /// queue (its probe counts `engine.events.scheduled`), which only ever
 /// holds one dispatch's pushes; they are popped and re-keyed with a
-/// global sequence number into the reference heap, the way the sharded
-/// engine re-keys its staging queue. Events live in a side table the
-/// heap indexes, since `Event` has no order of its own.
+/// global sequence number into the reference heap. Events live in a
+/// side table the heap indexes, since `Event` has no order of its own.
 fn run_reference(sim: &mut Simulation<Testbed>) {
     type Heap = BinaryHeap<Reverse<(SimTime, usize)>>;
     fn stage(q: &mut EventQueue<Event>, heap: &mut Heap, events: &mut Vec<Option<Event>>) {
@@ -89,23 +94,36 @@ fn rx_bench_snapshot_matches_the_reference_heap() {
     assert!(snap.counter("engine.events.scheduled") > 0);
 }
 
+/// A reliable selective-repeat incast through the bounded switch (512
+/// cells) at 1 % cell loss, with FourWay reassembly and a 1 ms reap
+/// timeout. A `cc` scheme other than `None` also marks ECN above 128
+/// queued cells: the congestion-control matrix's shape.
+fn lossy_incast_cfg(cc: CcScheme, messages: u64, window: u32) -> TestbedConfig {
+    let mut cfg = TestbedConfig::ds5000_200_udp();
+    cfg.msg_size = 1024;
+    cfg.messages = messages;
+    cfg.window = window;
+    cfg.reliable = true;
+    cfg.transport = TransportMode::SelectiveRepeat;
+    cfg.cc = cc;
+    cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
+    cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
+    if cc != CcScheme::None {
+        cfg.ecn_threshold_cells = Some(128);
+    }
+    cfg.sim.faults.switch_max_queue_cells = Some(512);
+    let plan = FaultPlan::uniform_loss(1e-2, 4, cfg.seed);
+    cfg.sim.faults.lane_drop_prob = plan.lane_drop_prob;
+    cfg.sim.faults.seed = cfg.seed;
+    cfg
+}
+
 #[test]
 fn lossy_incast_snapshot_matches_the_reference_heap() {
     // A small reliable incast through the bounded switch at 1 % cell
     // loss: millisecond retransmit and reap timers among nanosecond
     // cell arrivals, switch drops and retransmissions.
-    let mut cfg = TestbedConfig::ds5000_200_udp();
-    cfg.msg_size = 1024;
-    cfg.messages = 4;
-    cfg.window = 8;
-    cfg.reliable = true;
-    cfg.transport = osiris::proto::stack::TransportMode::SelectiveRepeat;
-    cfg.reassembly = osiris::atm::sar::ReassemblyMode::FourWay { lanes: 4 };
-    cfg.reassembly_timeout = Some(osiris::sim::SimDuration::from_us(1000));
-    cfg.sim.faults.switch_max_queue_cells = Some(512);
-    let plan = osiris::sim::FaultPlan::uniform_loss(1e-2, 4, cfg.seed);
-    cfg.sim.faults.lane_drop_prob = plan.lane_drop_prob;
-    cfg.sim.faults.seed = cfg.seed;
+    let cfg = lossy_incast_cfg(CcScheme::None, 4, 8);
     let snap = assert_identical(Scenario::Incast { senders: 8 }, cfg);
     // The slab arena is live on this path: tx and fabric cells were
     // recycled through the free list, not leaked and reallocated.
@@ -118,4 +136,100 @@ fn lossy_incast_snapshot_matches_the_reference_heap() {
         .iter()
         .any(|(k, &v)| k.ends_with(".retransmits") && v > 0);
     assert!(recovered, "expected retransmissions on the lossy incast");
+}
+
+/// `messages` UDP/IP messages of `kb` KB each, under `seed`.
+fn udp(kb: u64, messages: u64, seed: u64) -> TestbedConfig {
+    let mut cfg = TestbedConfig::ds5000_200_udp();
+    cfg.msg_size = kb * 1024;
+    cfg.messages = messages;
+    cfg.seed = seed;
+    cfg
+}
+
+/// The same with FourWay reassembly, as striped switched runs use.
+fn udp_fourway(kb: u64, messages: u64, seed: u64) -> TestbedConfig {
+    let mut cfg = udp(kb, messages, seed);
+    cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
+    cfg
+}
+
+#[test]
+fn pairs_snapshot_matches_the_reference_heap() {
+    // Back-to-back (routing inline at transmit time) and switched
+    // (routing as a FabricTransit event at wire arrival), two seeds each.
+    for seed in [1, 42] {
+        assert_identical(Scenario::Pair, udp(8, 4, seed));
+        let mut cfg = udp_fourway(8, 4, seed);
+        cfg.switched_fabric = true;
+        assert_identical(Scenario::Pair, cfg);
+    }
+}
+
+#[test]
+fn fan_out_snapshot_matches_the_reference_heap() {
+    // One raw-ATM source spraying eight receivers through the switch.
+    for seed in [1, 42] {
+        let mut cfg = TestbedConfig::ds5000_200_atm();
+        cfg.msg_size = 4 * 1024;
+        cfg.messages = 3;
+        cfg.seed = seed;
+        assert_identical(Scenario::FanOut { receivers: 8 }, cfg);
+    }
+}
+
+#[test]
+fn many_pairs_and_incast_16_snapshots_match_the_reference_heap() {
+    assert_identical(Scenario::ManyPairs { pairs: 4 }, udp_fourway(4, 2, 42));
+    for seed in [1, 42] {
+        assert_identical(Scenario::Incast { senders: 16 }, udp_fourway(4, 2, seed));
+    }
+}
+
+#[test]
+fn incast_64_snapshot_matches_the_reference_heap() {
+    // 64 concurrent PDUs overrun even a maxed-out 63-buffer free ring;
+    // reliable mode reaps and retransmits whatever the overrun sheds.
+    let mut cfg = udp_fourway(2, 1, 42);
+    cfg.rx_buffers = 63;
+    cfg.reliable = true;
+    cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
+    let snap = assert_identical(Scenario::Incast { senders: 64 }, cfg);
+    assert_eq!(snap.counter("node64.stack.delivered"), 64);
+}
+
+#[test]
+fn lossy_paced_incast_snapshot_matches_the_reference_heap() {
+    // Receiver-driven pacing: `RetransTick` is also the pacing-release
+    // timer, so a tick with no RTO due still admits deferred datagrams.
+    // At 16 messages per sender the window (8) fills and deferred
+    // datagrams leave on pacing releases.
+    assert_identical(
+        Scenario::Incast { senders: 8 },
+        lossy_incast_cfg(CcScheme::Pacing, 16, 8),
+    );
+}
+
+#[test]
+fn lossy_windowed_incast_with_an_unfilled_window_matches_the_reference_heap() {
+    // Window 16 over 16 messages per sender: the window never fills, so
+    // every datagram leaves at once and the run is paced by loss
+    // recovery alone.
+    assert_identical(
+        Scenario::Incast { senders: 8 },
+        lossy_incast_cfg(CcScheme::Ecn, 16, 16),
+    );
+}
+
+#[test]
+fn faulty_pair_snapshot_matches_the_reference_heap() {
+    // Per-lane loss and corruption with reliable recovery.
+    let mut cfg = udp(8, 4, 42);
+    cfg.reliable = true;
+    cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
+    cfg.sim.faults.lane_drop_prob = vec![1e-3; 4];
+    cfg.sim.faults.lane_corrupt_prob = vec![1e-4; 4];
+    cfg.sim.faults.seed = 7;
+    let snap = assert_identical(Scenario::Pair, cfg);
+    assert!(snap.counter("node1.stack.delivered") > 0);
 }

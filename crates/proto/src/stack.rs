@@ -312,8 +312,8 @@ struct PendingMsg {
 
 /// Per-destination sender state (reliable mode). The pending map is a
 /// `BTreeMap` on purpose: every scan (RTO expiry, SACK walk) iterates in
-/// id order, so retransmit ordering is identical across runs and shard
-/// counts — a `HashMap` here would break the bit-identity contract.
+/// id order, so retransmit ordering is identical across runs — a
+/// `HashMap` here would break the bit-identity contract.
 #[derive(Debug)]
 struct SendWindow {
     /// In-flight datagrams by id.
@@ -1452,7 +1452,7 @@ impl ProtoStack {
     /// past (they can never complete; retransmissions of those ids are
     /// rejected as duplicates before reaching reassembly). Keys are
     /// processed in sorted order so the recycle order, and therefore the
-    /// free-ring layout, is identical across runs and shard counts.
+    /// free-ring layout, is identical across runs.
     pub fn reap_reassembly(&mut self, now: SimTime, older_than: SimDuration) -> Vec<Descriptor> {
         let sr = self.cfg.reliable && self.cfg.transport == TransportMode::SelectiveRepeat;
         let mut stale: Vec<(u16, u32)> = self

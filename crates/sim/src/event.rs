@@ -30,9 +30,9 @@
 //! The `queue_equivalence` integration test holds the queue to a
 //! `(time, seq)` binary-heap reference pop by pop.
 //!
-//! A push below `last` is legal on a standalone queue (the sharded
-//! engine's per-dispatch staging queue sees one after every far-future
-//! push). On an empty queue it only re-anchors `last`; on a non-empty
+//! A push below `last` is legal on a standalone queue (a reference
+//! dispatch loop that stages each dispatch's pushes through one sees
+//! one after every far-future push). On an empty queue it only re-anchors `last`; on a non-empty
 //! one it re-files every entry against the new anchor, which keeps both
 //! properties above.
 //!
@@ -105,9 +105,9 @@ impl<E> EventQueue<E> {
     ///
     /// The most entries ever pending at once rides along as the
     /// `<scope>.queue.pending_high_water` gauge. It is a diagnostic of
-    /// the engine, not a result: the sharded engine's queues see other
-    /// pending sets, so equivalence comparisons strip `<scope>.queue.*`
-    /// before byte-comparing.
+    /// the engine, not a result: a reference loop that stages through
+    /// the queue sees another pending set, so equivalence comparisons
+    /// strip `<scope>.queue.*` before byte-comparing.
     pub fn attach_probe(&mut self, probe: &Probe) {
         self.scheduled = probe.scoped("events").counter("scheduled");
         self.scheduled.add(self.pushed);
@@ -338,12 +338,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_internals_are_probed_on_both_backends() {
+    fn queue_pending_high_water_is_probed() {
         use crate::obs::Registry;
-        use crate::pdes::{PushKey, ShardQueue};
-        // The sequential queue and the sharded engine's ShardQueue
-        // register the same `engine.queue.*` key set, and both report
-        // their real pending high water.
+        // The queue registers one `engine.queue.*` key and reports its
+        // real pending high water, not its current length.
         let reg = Registry::new();
         let mut q = EventQueue::new();
         q.attach_probe(&reg.probe("engine"));
@@ -354,28 +352,15 @@ mod tests {
             q.pop();
         }
         q.push(SimTime::from_us(9), 0);
-        let shard_reg = Registry::new();
-        let mut sq = ShardQueue::new();
-        sq.attach_probe(&shard_reg.probe("engine"));
-        for i in 0..200u64 {
-            sq.push(SimTime::from_us(i % 7), PushKey::seed(0, i), i);
-        }
-        let queue_keys = |snap: &crate::obs::Snapshot| -> Vec<String> {
-            let counters = snap
-                .counters
-                .keys()
-                .filter(|k| k.starts_with("engine.queue."));
-            let gauges = snap
-                .gauges
-                .keys()
-                .filter(|k| k.starts_with("engine.queue."));
-            counters.chain(gauges).cloned().collect()
-        };
-        let (snap, shard_snap) = (reg.snapshot(), shard_reg.snapshot());
-        assert_eq!(queue_keys(&snap), vec!["engine.queue.pending_high_water"]);
-        assert_eq!(queue_keys(&snap), queue_keys(&shard_snap));
+        let snap = reg.snapshot();
+        let queue_keys: Vec<&String> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .filter(|k| k.starts_with("engine.queue."))
+            .collect();
+        assert_eq!(queue_keys, vec!["engine.queue.pending_high_water"]);
         assert_eq!(snap.gauge("engine.queue.pending_high_water"), 200.0);
-        assert_eq!(shard_snap.gauge("engine.queue.pending_high_water"), 200.0);
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod faults;
 pub mod fxhash;
 pub mod json;
 pub mod obs;
-pub mod pdes;
 pub mod resource;
 pub mod rng;
 pub mod smallvec;
@@ -52,7 +51,6 @@ pub use obs::{
     CriticalPath, HistSummary, Histogram, PduPath, Probe, Registry, Snapshot, Stage, SymId,
     Timeline, TimelineEvent, TraceCtx,
 };
-pub use pdes::{PushKey, ShardQueue};
 pub use resource::FifoResource;
 pub use rng::SimRng;
 pub use smallvec::SmallVec;
@@ -68,12 +66,6 @@ pub struct SimConfig {
     pub timeline_capacity: usize,
     /// The seeded fault-injection plan (defaults to injecting nothing).
     pub faults: FaultPlan,
-    /// How many parallel shards the harness partitions the model into.
-    /// `1` (the default) is the exact single-threaded engine path;
-    /// `N ≥ 2` opts a scenario into the conservative-lookahead parallel
-    /// engine (see `osiris::shard`), which produces the same results —
-    /// the shard-equivalence suite holds it to byte-identical snapshots.
-    pub shards: usize,
     /// Period of the deterministic telemetry sampler
     /// ([`obs::series::SeriesSet`]) in simulated time; `None` (the
     /// default) disables sampling. Sampling is passive — it can never
@@ -90,7 +82,6 @@ impl Default for SimConfig {
         SimConfig {
             timeline_capacity: 1 << 16,
             faults: FaultPlan::default(),
-            shards: 1,
             sample_every: None,
             series_capacity: 4096,
         }

@@ -134,9 +134,6 @@ fn bucket_upper(idx: usize) -> u64 {
 /// never below the exact percentile and at most 1/32 above it. That
 /// resolution is finer than the 5 % `regress` gates that watch the
 /// percentile headlines.
-///
-/// A plain `Clone + Send` value: shard threads hand theirs back and the
-/// merge [`absorb`](Histogram::absorb)s them bucket by bucket.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples: u64,
@@ -165,30 +162,6 @@ impl Histogram {
             self.buckets.resize(idx + 1, 0);
         }
         self.buckets[idx] += 1;
-    }
-
-    /// Folds another histogram into this one. Counts, min, max, and
-    /// buckets merge exactly, so the merged percentiles equal those of
-    /// one histogram fed every sample; the mean's float sum merges up to
-    /// rounding.
-    pub fn absorb(&mut self, other: &Histogram) {
-        if other.samples == 0 {
-            return;
-        }
-        if self.samples == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.samples += other.samples;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum_us += other.sum_us;
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
     }
 
     /// The `p`-th quantile (`0.0..=1.0`) in microseconds: the upper bound
@@ -1444,29 +1417,6 @@ mod tests {
                 let ratio = b.percentile_us(p) / a.percentile_us(p);
                 assert!(ratio > 1.05, "seed {seed} p{p}: moved only {ratio}");
             }
-        }
-    }
-
-    #[test]
-    fn absorbing_two_halves_equals_the_whole() {
-        for seed in 0..8 {
-            let samples = seeded_samples(seed, 1001);
-            let (lo, hi) = samples.split_at(seed as usize * 100 + 1);
-            let mut merged = histogram_of(lo);
-            merged.absorb(&histogram_of(hi));
-            let whole = histogram_of(&samples);
-            assert_eq!(merged.buckets, whole.buckets);
-            let (m, w) = (merged.summary(), whole.summary());
-            assert_eq!(
-                (m.samples, m.min, m.max, m.p50, m.p95, m.p99),
-                (w.samples, w.min, w.max, w.p50, w.p95, w.p99)
-            );
-            assert!((m.mean - w.mean).abs() <= 1e-9 * w.mean);
-            // Absorbing into or from an empty histogram is the identity.
-            let mut empty = Histogram::default();
-            empty.absorb(&whole);
-            empty.absorb(&Histogram::default());
-            assert_eq!(empty.summary(), w);
         }
     }
 

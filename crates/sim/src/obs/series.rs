@@ -15,13 +15,12 @@
 //!
 //! * The sample grid lives in sim time, not wall time, so the set of
 //!   grid points is a pure function of the period and the run's last
-//!   event time — identical across hosts, shard counts, and reruns.
+//!   event time — identical across hosts and reruns.
 //! * Sampling is *passive*: no `SampleTick` event ever enters the model
 //!   queue. The sequential engine samples between event dispatches
 //!   (every grid point `T` is sampled exactly when the next pending
 //!   event is strictly beyond `T`, i.e. once the state at `T` is
-//!   final); the sharded engine samples at round boundaries, below the
-//!   agreed horizon, with the same grid. Event order, push counts, and
+//!   final). Event order, push counts, and
 //!   `last_event_time` are untouched — the equivalence suite
 //!   byte-compares semantic snapshots with sampling on and off.
 //!
@@ -259,10 +258,9 @@ impl SeriesSet {
         }
     }
 
-    /// Samples every grid point strictly before `t` — the engines call
-    /// this with the timestamp of the next pending event (sequential)
-    /// or the round's `gmin` (sharded): in both cases the model state
-    /// at each such grid point is final, so the sample is exact.
+    /// Samples every grid point strictly before `t` — the run loop calls
+    /// this with the timestamp of the next pending event, so the model
+    /// state at each such grid point is final and the sample is exact.
     pub fn sample_grid_before(&self, t: SimTime) {
         loop {
             let next = {
@@ -303,8 +301,8 @@ impl SeriesSet {
         }
     }
 
-    /// Plain-data copy of everything recorded: the form that crosses
-    /// thread boundaries (shard results) and feeds every exporter.
+    /// Plain-data copy of everything recorded: the form a run returns
+    /// and every exporter reads.
     pub fn dump(&self) -> SeriesDump {
         let s = self.inner.borrow();
         SeriesDump {
@@ -398,33 +396,6 @@ pub struct SeriesDump {
 }
 
 impl SeriesDump {
-    /// An empty dump (period is nominal; merging replaces it).
-    pub fn empty(every: SimDuration) -> SeriesDump {
-        SeriesDump {
-            every,
-            samples: 0,
-            dropped: 0,
-            series: Vec::new(),
-        }
-    }
-
-    /// The same dump with every series name prefixed `prefix.` — how
-    /// the sharded engine namespaces per-shard samplers before
-    /// concatenating them.
-    pub fn prefixed(mut self, prefix: &str) -> SeriesDump {
-        for s in &mut self.series {
-            s.name = format!("{prefix}.{}", s.name);
-        }
-        self
-    }
-
-    /// Appends `other`'s series (summing sample/drop tallies).
-    pub fn absorb(&mut self, other: SeriesDump) {
-        self.samples += other.samples;
-        self.dropped += other.dropped;
-        self.series.extend(other.series);
-    }
-
     /// The series named exactly `name`, if tracked.
     pub fn series_named(&self, name: &str) -> Option<&SeriesData> {
         self.series.iter().find(|s| s.name == name)
@@ -555,14 +526,6 @@ impl SeriesDump {
             }
         }
         events
-    }
-
-    /// A standalone chrome-trace document holding only the counter
-    /// events (used when no Timeline was recorded, e.g. sharded runs).
-    pub fn to_chrome_json(&self) -> Json {
-        Json::obj()
-            .with("traceEvents", Json::Arr(self.chrome_counter_events()))
-            .with("displayTimeUnit", "ms")
     }
 
     /// Appends this dump's counter events into an existing chrome-trace
@@ -762,20 +725,5 @@ mod tests {
         let merged = dump.merge_into_chrome(doc);
         assert_eq!(merged.get("traceEvents").unwrap().items().len(), 2);
         assert_eq!(merged.get("displayTimeUnit").unwrap().as_str(), Some("ms"));
-    }
-
-    #[test]
-    fn prefix_and_absorb_namespace_shards() {
-        let (a, c) = set_with_counter();
-        c.incr();
-        a.sample_at(SimTime::from_us(10));
-        let (b, _c2) = set_with_counter();
-        b.sample_at(SimTime::from_us(10));
-        let mut merged = a.dump().prefixed("shard0");
-        merged.absorb(b.dump().prefixed("shard1"));
-        assert_eq!(merged.series[0].name, "shard0.engine.events");
-        assert_eq!(merged.series[1].name, "shard1.engine.events");
-        assert_eq!(merged.samples, 2);
-        assert!(merged.series_named("shard1.engine.events").is_some());
     }
 }

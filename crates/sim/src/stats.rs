@@ -71,28 +71,6 @@ impl RunningStats {
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
     }
-
-    /// Folds another accumulator into this one (parallel Welford /
-    /// Chan et al. pairwise merge). Count, min, and max combine
-    /// exactly; mean and m2 combine up to floating-point rounding, so
-    /// shard-merged statistics are for display — byte-exact comparisons
-    /// use the integer histogram, never these floats.
-    pub fn absorb(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        self.mean += d * other.n as f64 / n as f64;
-        self.m2 += other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Measures sustained throughput: bytes delivered over a simulated window,
@@ -164,26 +142,6 @@ impl ThroughputMeter {
         }
         w.mbps_for_bytes(self.bytes)
     }
-
-    /// Folds another meter into this one: bytes and deliveries sum,
-    /// the window opens at the earliest start and closes at the latest
-    /// delivery — all exact integer/time arithmetic. Only meaningful
-    /// for fully warmed meters (scenario meters use warm-up 0); a
-    /// meter still inside its warm-up would have discarded deliveries
-    /// no merge can reconstruct, so that case is a debug assertion.
-    pub fn absorb(&mut self, other: &ThroughputMeter) {
-        debug_assert!(
-            self.warmup_remaining == 0 || self.deliveries + other.deliveries == 0,
-            "merging a meter still inside warm-up loses samples"
-        );
-        self.bytes += other.bytes;
-        self.deliveries += other.deliveries;
-        self.started = match (self.started, other.started) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last = self.last.max(other.last);
-    }
 }
 
 /// Latency sample collector reporting in microseconds.
@@ -228,12 +186,6 @@ impl LatencyStats {
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.stats.count()
-    }
-
-    /// Folds another collector into this one (see
-    /// [`RunningStats::absorb`] for the exactness caveat).
-    pub fn absorb(&mut self, other: &LatencyStats) {
-        self.stats.absorb(&other.stats);
     }
 }
 
@@ -295,54 +247,5 @@ mod tests {
         assert!((l.mean_us() - 200.0).abs() < 1e-9);
         assert_eq!(l.min_us(), 100.0);
         assert_eq!(l.max_us(), 300.0);
-    }
-
-    #[test]
-    fn absorb_matches_sequential_recording() {
-        // Split one sample stream across two accumulators of each kind
-        // and check the merge matches recording everything into one.
-        let samples: Vec<u64> = (1..=40).map(|i| i * 37 % 1000 + 1).collect();
-        let (lo, hi) = samples.split_at(17);
-
-        let mut m_all = ThroughputMeter::new(0);
-        let mut m_a = ThroughputMeter::new(0);
-        let mut m_b = ThroughputMeter::new(0);
-        // Meters are always fed in non-decreasing time order (the
-        // simulator's dispatch order), so stamp by sample index.
-        for (base, part, m) in [(0, lo, &mut m_a), (17, hi, &mut m_b)] {
-            for (i, &us) in part.iter().enumerate() {
-                m.record(SimTime::from_us((base + i as u64 + 1) * 10), us);
-            }
-        }
-        for (i, &us) in samples.iter().enumerate() {
-            m_all.record(SimTime::from_us((i as u64 + 1) * 10), us);
-        }
-        m_a.absorb(&m_b);
-        assert_eq!(m_a.bytes(), m_all.bytes());
-        assert_eq!(m_a.deliveries(), m_all.deliveries());
-        assert_eq!(m_a.window(), m_all.window());
-
-        let mut s_a = RunningStats::new();
-        let mut s_b = RunningStats::new();
-        let mut s_all = RunningStats::new();
-        for &us in lo {
-            s_a.record(us as f64);
-        }
-        for &us in hi {
-            s_b.record(us as f64);
-        }
-        for &us in &samples {
-            s_all.record(us as f64);
-        }
-        s_a.absorb(&s_b);
-        assert_eq!(s_a.count(), s_all.count());
-        assert_eq!(s_a.min(), s_all.min());
-        assert_eq!(s_a.max(), s_all.max());
-        assert!((s_a.mean() - s_all.mean()).abs() < 1e-9);
-        assert!((s_a.std_dev() - s_all.std_dev()).abs() < 1e-9);
-        // Absorbing into an empty accumulator is the identity.
-        let mut empty = RunningStats::new();
-        empty.absorb(&s_all);
-        assert_eq!(empty.mean(), s_all.mean());
     }
 }

@@ -17,24 +17,17 @@
 //! reassembly → interrupt → delivery) plus its per-stage latency
 //! attribution, which sums exactly to the measured end-to-end latency.
 //!
-//! Pass `--shards N` to run a many-pairs workload on the sharded
-//! conservative-lookahead engine (N threads) and print its goodput
-//! line — which is byte-identical to the single-threaded line, the
-//! sharded engine's core guarantee.
-//!
 //! Pass `--sample-every <period>` (`100us`, `2ms`, or a bare number =
 //! microseconds) to run an incast with the runtime telemetry plane on:
 //! deterministic time-series sampling of the engine's own registry —
 //! per-event-type dispatch rates, switch queue depth, slab high water.
-//! Prints the per-series summary table (plus the shard self-profile
-//! when `--shards N` > 1). Composes with:
+//! Prints the per-series summary table. Composes with:
 //!
 //! * `--senders N` — incast fan-in (default 64);
 //! * `--series-out <path>` — write the series (`.csv` → CSV, `.jsonl`
 //!   → JSON-lines, anything else → one JSON document);
-//! * `--trace-out <path>` — write a Chrome trace: sequentially, the
-//!   full span timeline with the sampled counter tracks merged in;
-//!   sharded, the counter tracks alone.
+//! * `--trace-out <path>` — write a Chrome trace: the full span
+//!   timeline with the sampled counter tracks merged in.
 
 use osiris::board::dma::DmaMode;
 use osiris::config::{TestbedConfig, TouchMode};
@@ -91,29 +84,6 @@ fn print_pdu_trace() {
     }
 }
 
-/// Runs an 8-pair switched workload on the sharded engine and shows
-/// the partition-invariant goodput line next to the shard layout.
-fn run_sharded(shards: usize) {
-    let mut cfg = TestbedConfig::ds5000_200_udp();
-    cfg.msg_size = 8 * 1024;
-    cfg.messages = 4;
-    cfg.reassembly = osiris::atm::sar::ReassemblyMode::FourWay { lanes: 4 };
-    cfg.sim.shards = shards;
-    let out = osiris::Scenario::ManyPairs { pairs: 8 }.run(cfg);
-    assert!(out.done, "many-pairs must complete");
-    println!(
-        "8 source->sink pairs through the switch on {} shard(s): {}",
-        out.shards,
-        out.goodput_line()
-    );
-    for s in &out.per_shard {
-        println!(
-            "  shard {}: {} events scheduled, {} dispatched, slab high-water {}",
-            s.shard, s.events_scheduled, s.events_dispatched, s.slab_high_water
-        );
-    }
-}
-
 /// Parses a `--sample-every` period: `100us`, `2ms`, `500ns`, or a
 /// bare number of microseconds.
 fn parse_period(s: &str) -> SimDuration {
@@ -132,11 +102,10 @@ fn parse_period(s: &str) -> SimDuration {
 }
 
 /// The telemetry workload: an N-sender switched incast sampled on the
-/// `every` grid. Reports the series table (and shard profile), then
-/// writes the optional series file and Chrome counter trace.
+/// `every` grid. Reports the series table, then writes the optional
+/// series file and Chrome counter trace.
 fn run_telemetry(
     senders: usize,
-    shards: usize,
     every: SimDuration,
     series_out: Option<&str>,
     trace_out: Option<&str>,
@@ -151,19 +120,15 @@ fn run_telemetry(
     cfg.rx_buffers = 63;
     cfg.reliable = true;
     cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
-    cfg.sim.shards = shards;
     cfg.sim.sample_every = Some(every);
     let out = osiris::Scenario::Incast { senders }.run(cfg.clone());
     assert!(out.done, "incast must complete");
     let dump = out.series.as_ref().expect("sampling was on");
     let title = format!(
-        "{senders}-sender switched incast on {shards} shard(s), sampled every {:.0} us:",
+        "{senders}-sender switched incast, sampled every {:.0} us:",
         every.as_us_f64()
     );
     print!("{}", report::series_summary(&title, dump));
-    if shards > 1 {
-        print!("{}", report::shard_profile("engine self-profile:", &out));
-    }
     println!("  {}", out.goodput_line());
 
     if let Some(path) = series_out {
@@ -179,27 +144,22 @@ fn run_telemetry(
     }
 
     if let Some(path) = trace_out {
-        let doc = if shards <= 1 {
-            // Re-run the same deterministic history with the span
-            // timeline enabled and merge the sampled counter tracks
-            // into the span export — one Chrome document showing both.
-            cfg.sim.sample_every = None;
-            let mut sim = osiris::Scenario::Incast { senders }.launch(cfg);
-            sim.model.timeline.set_enabled(true);
-            let sampler = Sampler::new(
-                &sim.model.registry,
-                &sim.model.registry.probe("obs"),
-                every,
-                sim.model.cfg.sim.series_capacity,
-            );
-            run_sampled(&mut sim, &sampler);
-            let dump = sampler.finish(sim.now());
-            dump.merge_into_chrome(sim.model.timeline.to_chrome_json())
-        } else {
-            // Sharded runs have no merged span timeline; the counter
-            // tracks stand alone.
-            dump.to_chrome_json()
-        };
+        // Re-run the same deterministic history with the span timeline
+        // enabled and merge the sampled counter tracks into the span
+        // export — one Chrome document showing both.
+        cfg.sim.sample_every = None;
+        let mut sim = osiris::Scenario::Incast { senders }.launch(cfg);
+        sim.model.timeline.set_enabled(true);
+        let sampler = Sampler::new(
+            &sim.model.registry,
+            &sim.model.registry.probe("obs"),
+            every,
+            sim.model.cfg.sim.series_capacity,
+        );
+        run_sampled(&mut sim, &sampler);
+        let doc = sampler
+            .finish(sim.now())
+            .merge_into_chrome(sim.model.timeline.to_chrome_json());
         std::fs::write(path, doc.render_pretty()).expect("write trace file");
         println!("wrote counter trace to {path} (open in chrome://tracing or Perfetto)");
     }
@@ -216,10 +176,9 @@ fn main() {
             })
         };
         let senders: usize = flag_val("--senders").map_or(64, |v| v.parse().expect("--senders"));
-        let shards: usize = flag_val("--shards").map_or(1, |v| v.parse().expect("--shards"));
         let series_out = flag_val("--series-out").map(String::as_str);
         let trace_out = flag_val("--trace-out").map(String::as_str);
-        run_telemetry(senders, shards, every, series_out, trace_out);
+        run_telemetry(senders, every, series_out, trace_out);
         return;
     }
     if let Some(i) = args.iter().position(|a| a == "--trace-out") {
@@ -229,15 +188,6 @@ fn main() {
     }
     if args.iter().any(|a| a == "--pdu-trace") {
         print_pdu_trace();
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        let shards: usize = args
-            .get(i + 1)
-            .expect("--shards needs a thread count")
-            .parse()
-            .expect("--shards takes an integer");
-        run_sharded(shards);
         return;
     }
     // ── Round-trip latency (Table 1 style) ─────────────────────────────

@@ -44,9 +44,9 @@ if grep -q '"partial export"' "$tmp/trace.json"; then
 fi
 
 echo "==> smoke: telemetry plane (sampled incast, series + counter trace)"
-# The sequential path writes a series document (archived with the bench
-# snapshots) and a Chrome trace with the sampled counter tracks merged
-# into the span timeline; the sharded path writes shard-prefixed series.
+# The run writes a series document (archived with the bench snapshots)
+# and a Chrome trace with the sampled counter tracks merged into the
+# span timeline.
 mkdir -p target/bench
 cargo run --release -q --example quickstart -- --sample-every 100us --senders 64 \
   --series-out target/bench/BENCH_series.json --trace-out "$tmp/telemetry.json"
@@ -60,13 +60,6 @@ fi
 # obs.samples_dropped makes that visible and the gate makes it fatal.
 if ! grep -q '"samples_dropped": 0' target/bench/BENCH_series.json; then
   echo "FAIL: telemetry series rings evicted samples (obs.samples_dropped != 0)" >&2
-  exit 1
-fi
-cargo run --release -q --example quickstart -- --sample-every 100us --senders 64 \
-  --shards 2 --series-out "$tmp/series_sharded.jsonl"
-grep -q '"name":"shard1.events_dispatched"' "$tmp/series_sharded.jsonl"
-if ! grep -q '"samples_dropped":0' "$tmp/series_sharded.jsonl"; then
-  echo "FAIL: sharded telemetry series rings evicted samples" >&2
   exit 1
 fi
 
@@ -115,27 +108,6 @@ cargo run --release -q -p osiris-bench --bin engine -- --quick --bench-out targe
 test -s target/bench/BENCH_engine.json
 cargo run --release -q -p osiris-bench --bin regress -- \
   crates/bench/baselines/BENCH_engine.json target/bench/BENCH_engine.json --threshold 50
-
-echo "==> sharded engine: byte-identity across shard counts (release)"
-# The parallel engine's whole contract: shards ∈ {1,2,4} produce
-# byte-identical semantic snapshots and goodput lines. Run in release —
-# the sweep covers five scenarios × multiple seeds × three shard counts.
-cargo test --release -q --test shard_equivalence
-
-echo "==> smoke: sharded engine --threads 2"
-# Exercises the multi-threaded path end to end (barriers, SPSC rings,
-# merge) and its internal byte-identity assertion against 1 thread.
-cargo run --release -q -p osiris-bench --bin scale -- --quick --threads 2
-
-echo "==> smoke: scaling bench gate (scale --quick)"
-# Wall-clock headlines like engine's, so the threshold is generous; the
-# gate catches the sharded engine becoming order-of-magnitude slower
-# (e.g. a lookahead bug collapsing every round to one event), not
-# host-load jitter. Byte-identity is asserted inside the bench itself.
-cargo run --release -q -p osiris-bench --bin scale -- --quick --bench-out target/bench/BENCH_scale.json
-test -s target/bench/BENCH_scale.json
-cargo run --release -q -p osiris-bench --bin regress -- \
-  crates/bench/baselines/BENCH_scale.json target/bench/BENCH_scale.json --threshold 50
 
 echo "==> smoke: bench harness compiles (criterion-free micro benches)"
 cargo build --release -p osiris-bench --benches

@@ -174,57 +174,3 @@ fn every_layer_publishes_into_one_registry() {
         );
     }
 }
-
-#[test]
-fn sharded_scheduling_and_slab_metrics_merge_correctly() {
-    // Satellite: the merged snapshot's `engine.events.scheduled` is the
-    // sum of every shard's queue pushes, and the partition-dependent
-    // slab metrics are re-scoped per shard with a fabric-level maximum
-    // kept under the sequential name.
-    let mut cfg = TestbedConfig::ds5000_200_udp();
-    cfg.msg_size = 4 * 1024;
-    cfg.messages = 2;
-    cfg.reassembly = osiris::atm::sar::ReassemblyMode::FourWay { lanes: 4 };
-    cfg.sim.shards = 2;
-    let out = osiris::Scenario::ManyPairs { pairs: 4 }.run(cfg);
-    assert!(out.done, "many-pairs must complete");
-    let snap = &out.snapshot;
-
-    // Merged counter == Σ per-shard total_pushed == outcome total.
-    let per_shard_sum: u64 = out.per_shard.iter().map(|s| s.events_scheduled).sum();
-    assert_eq!(
-        snap.counter("engine.events.scheduled"),
-        per_shard_sum,
-        "merged engine.events.scheduled must equal the per-shard sum"
-    );
-    assert_eq!(out.scheduled, per_shard_sum);
-    assert!(
-        out.per_shard.iter().all(|s| s.events_scheduled > 0),
-        "round-robin sharding must give every shard work: {:?}",
-        out.per_shard
-    );
-
-    // Slab placement is per-shard scoped…
-    for k in 0..2 {
-        assert!(
-            snap.gauges
-                .contains_key(&format!("shard{k}.cells.slab_high_water")),
-            "shard {k} must publish its own slab high-water"
-        );
-        assert!(
-            snap.counters
-                .contains_key(&format!("shard{k}.cells.slab_recycled")),
-            "shard {k} must publish its own slab recycling"
-        );
-    }
-    // …and the fabric-level gauge is the max across shards.
-    let max_hw = (0..2)
-        .map(|k| snap.gauge(&format!("shard{k}.cells.slab_high_water")))
-        .fold(0.0f64, f64::max);
-    assert!(max_hw > 0.0, "cells must have lived in some arena");
-    assert_eq!(
-        snap.gauge("cells.slab_high_water"),
-        max_hw,
-        "fabric-level slab high-water must be the per-shard max"
-    );
-}

@@ -2,9 +2,8 @@
 //!
 //! 1. **Sampling is passive.** Turning `sample_every` on produces a
 //!    byte-identical semantic snapshot and goodput line to sampling
-//!    off, at every shard count — the sampler only reads the registry
-//!    between dispatches (sequentially) or below the round's global
-//!    minimum (sharded), never perturbing the event history.
+//!    off — the sampler only reads the registry between dispatches,
+//!    never perturbing the event history.
 //! 2. **Per-window deltas are exact.** A counter series' window deltas
 //!    sum to exactly `total - base`, regardless of ring eviction, so
 //!    rates integrate back to the final registry totals.
@@ -12,9 +11,8 @@
 //!    `SeriesDump::from_json` is the identity.
 
 use osiris::config::TestbedConfig;
-use osiris::shard::RunOutcome;
 use osiris::sim::{Json, SeriesDump, SeriesKind, SimDuration};
-use osiris::Scenario;
+use osiris::{RunOutcome, Scenario};
 
 /// A quick switched incast with enough concurrency to exercise every
 /// tracked series: switch queues, slab pressure, all event types.
@@ -26,48 +24,43 @@ fn incast_cfg() -> TestbedConfig {
     cfg
 }
 
-fn run(cfg: &TestbedConfig, shards: usize, sample_every: Option<SimDuration>) -> RunOutcome {
+fn run(cfg: &TestbedConfig, sample_every: Option<SimDuration>) -> RunOutcome {
     let mut cfg = cfg.clone();
-    cfg.sim.shards = shards;
     cfg.sim.sample_every = sample_every;
     let out = Scenario::Incast { senders: 16 }.run(cfg);
-    assert!(out.done, "incast under {shards} shard(s) completed");
+    assert!(out.done, "incast completed");
     assert_eq!(out.verify_failures, 0);
     out
 }
 
 #[test]
-fn sampling_is_invisible_at_every_shard_count() {
+fn sampling_is_invisible() {
     let cfg = incast_cfg();
-    let reference = run(&cfg, 1, None);
-    let ref_json = reference.semantic_snapshot().to_json().render_pretty();
-    let ref_line = reference.goodput_line();
+    let reference = run(&cfg, None);
     assert!(reference.series.is_none(), "sampling off returns no series");
-    for shards in [1usize, 2, 4] {
-        let sampled = run(&cfg, shards, Some(SimDuration::from_us(100)));
-        assert_eq!(
-            ref_json,
-            sampled.semantic_snapshot().to_json().render_pretty(),
-            "sampling on at {shards} shard(s) changed the semantic snapshot"
-        );
-        assert_eq!(
-            ref_line,
-            sampled.goodput_line(),
-            "sampling on at {shards} shard(s) changed the goodput line"
-        );
-        assert_eq!(reference.scheduled, sampled.scheduled);
-        assert_eq!(reference.dispatched, sampled.dispatched);
-        assert_eq!(reference.last_event_time, sampled.last_event_time);
-        let series = sampled.series.expect("sampling on returns series");
-        assert!(series.samples > 0, "grid produced samples");
-        assert!(!series.series.is_empty());
-    }
+    let sampled = run(&cfg, Some(SimDuration::from_us(100)));
+    assert_eq!(
+        reference.semantic_snapshot().to_json().render_pretty(),
+        sampled.semantic_snapshot().to_json().render_pretty(),
+        "sampling on changed the semantic snapshot"
+    );
+    assert_eq!(
+        reference.goodput_line(),
+        sampled.goodput_line(),
+        "sampling on changed the goodput line"
+    );
+    assert_eq!(reference.scheduled, sampled.scheduled);
+    assert_eq!(reference.dispatched, sampled.dispatched);
+    assert_eq!(reference.last_event_time, sampled.last_event_time);
+    let series = sampled.series.expect("sampling on returns series");
+    assert!(series.samples > 0, "grid produced samples");
+    assert!(!series.series.is_empty());
 }
 
 #[test]
 fn counter_window_deltas_sum_to_registry_totals() {
     let cfg = incast_cfg();
-    let out = run(&cfg, 1, Some(SimDuration::from_us(50)));
+    let out = run(&cfg, Some(SimDuration::from_us(50)));
     let dump = out.series.as_ref().expect("series collected");
 
     // The synthetic dispatch series accounts for every dispatched event.
@@ -106,51 +99,12 @@ fn counter_window_deltas_sum_to_registry_totals() {
 }
 
 #[test]
-fn sharded_series_are_prefixed_and_cover_all_shards() {
-    let cfg = incast_cfg();
-    let shards = 4;
-    let out = run(&cfg, shards, Some(SimDuration::from_us(100)));
-    let dump = out.series.as_ref().expect("series collected");
-    for k in 0..shards {
-        let name = format!("shard{k}.events_dispatched");
-        let s = dump.series_named(&name).expect("per-shard dispatch series");
-        assert_eq!(
-            s.sum, out.per_shard[k].events_dispatched as f64,
-            "{name} must integrate to the shard's dispatch count"
-        );
-    }
-    let total: f64 = (0..shards)
-        .map(|k| {
-            dump.series_named(&format!("shard{k}.events_dispatched"))
-                .unwrap()
-                .sum
-        })
-        .sum();
-    assert_eq!(total, out.dispatched as f64);
-}
-
-#[test]
 fn series_dump_round_trips_through_json() {
     let cfg = incast_cfg();
-    let out = run(&cfg, 2, Some(SimDuration::from_us(100)));
+    let out = run(&cfg, Some(SimDuration::from_us(100)));
     let dump = out.series.expect("series collected");
     let rendered = dump.to_json().render_pretty();
     let parsed = Json::parse(&rendered).expect("rendered dump parses");
     let back = SeriesDump::from_json(&parsed).expect("dump deserializes");
     assert_eq!(dump, back, "SeriesDump JSON round-trip must be identity");
-}
-
-#[test]
-fn shard_imbalance_is_deterministic_and_sane() {
-    let cfg = incast_cfg();
-    let seq = run(&cfg, 1, None);
-    assert_eq!(
-        seq.shard_imbalance(),
-        1.0,
-        "one shard is perfectly balanced"
-    );
-    let a = run(&cfg, 4, None);
-    let b = run(&cfg, 4, None);
-    assert_eq!(a.shard_imbalance(), b.shard_imbalance(), "deterministic");
-    assert!(a.shard_imbalance() >= 1.0, "max/mean is at least 1");
 }
