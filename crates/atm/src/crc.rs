@@ -128,6 +128,77 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finish()
 }
 
+/// `a · b mod P` in the reflected bit order CRC-32 values are kept in
+/// (bit 31 is `x^0`): one 32-step shift-and-add, the step zlib's
+/// `multmodp` does.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC32_POLY
+        } else {
+            b >> 1
+        };
+        m >>= 1;
+    }
+    p
+}
+
+/// `X2N[k]` is `x^(2^k) mod P`, so a shift by any bit count is a product
+/// of them. The order of `x` modulo P divides `2^32 − 1`, so
+/// `x^(2^32) = x` and the powers repeat with period 32 (a unit test
+/// checks it): `X2N[k % 32]` serves every `k`.
+static X2N: [u32; 32] = x2n_table();
+
+const fn x2n_table() -> [u32; 32] {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    t
+}
+
+/// The operator `x^(8·len) mod P` that carries a CRC-32 past `len` more
+/// bytes: what [`crc32_combine`] multiplies the first part's CRC by.
+/// Building one costs a multiply per set bit of `len`; a caller that
+/// combines at one length many times keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrcShift(u32);
+
+impl CrcShift {
+    /// The shift past `len` bytes.
+    pub fn bytes(len: u64) -> CrcShift {
+        let mut p = 1u32 << 31; // x^0
+        let mut n = len;
+        let mut k = 3; // one byte is 2^3 bits
+        while n != 0 {
+            if n & 1 != 0 {
+                p = mul_mod_p(X2N[k % 32], p);
+            }
+            n >>= 1;
+            k += 1;
+        }
+        CrcShift(p)
+    }
+}
+
+/// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and the shift for
+/// `b`'s length. CRC-32 is linear over GF(2), so
+/// `crc(a ‖ b) = crc(a) · x^(8|b|) mod P ⊕ crc(b)`: the all-ones preset
+/// and final complement cancel between the two parts (zlib's
+/// `crc32_combine_op`).
+pub fn crc32_combine(crc_a: u32, crc_b: u32, shift_b: CrcShift) -> u32 {
+    mul_mod_p(shift_b.0, crc_a) ^ crc_b
+}
+
 /// One-shot CRC-10 of a byte slice (bit-serial MSB-first; used for the
 /// cell-header-style integrity check in tests and fault injection).
 pub fn crc10(data: &[u8]) -> u16 {
@@ -186,6 +257,36 @@ mod tests {
             }
             assert_eq!(inc.finish(), !reference);
         }
+    }
+
+    #[test]
+    fn combine_matches_crc_of_the_concatenation() {
+        // Every length 0..=4096 split at a seeded random point, plus both
+        // empty-half splits: the combine must equal the CRC of the whole.
+        let mut rng = SimRng::new(0xC0B1_4E32);
+        let data: Vec<u8> = (0..4096).map(|_| rng.next_u64() as u8).collect();
+        for len in 0..=4096usize {
+            let whole = crc32(&data[..len]);
+            let random = rng.gen_range(len as u64 + 1) as usize;
+            for at in [0, random, len] {
+                let (a, b) = data[..len].split_at(at);
+                let shift = CrcShift::bytes(b.len() as u64);
+                assert_eq!(
+                    crc32_combine(crc32(a), crc32(b), shift),
+                    whole,
+                    "len {len} split at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn powers_of_x_repeat_with_period_32() {
+        // x^(2^32) = x^(2^0): the wrap `CrcShift::bytes` relies on.
+        assert_eq!(mul_mod_p(X2N[31], X2N[31]), X2N[0]);
+        // So the largest length still shifts like its bit pattern says:
+        // 2^63 bytes is 2^66 bits, the same operator as 2^2 bits.
+        assert_eq!(CrcShift::bytes(1 << 63).0, X2N[2]);
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! Compares two `BENCH_*.json` snapshots headline by headline:
 //!
 //! ```text
-//! cargo run -p osiris-bench --bin regress -- <old.json> <new.json> [--threshold pct]
+//! cargo run -p osiris-bench --bin regress -- <old.json> <new.json> [--threshold pct | --exact]
 //! ```
 //!
 //! Exits 0 when every guarded metric held (moves in the good direction
 //! are always fine), 1 when any metric regressed past the threshold or
-//! vanished from the new snapshot, 2 on usage/parse errors. CI runs
-//! this against the committed baseline after the bench smoke.
+//! vanished from the new snapshot, 2 on usage/parse errors. With
+//! `--exact`, for benches whose output is deterministic, any change to a
+//! headline, a series point or a stage row fails and the diff is
+//! printed; counters are listed but not gated. CI runs this against the
+//! committed baselines after the bench smoke.
 
-use osiris_bench::snapshot::{compare, BenchSnapshot, HostRecord};
+use osiris_bench::snapshot::{compare, compare_exact, BenchSnapshot, HostRecord};
 
 fn fail(msg: &str) -> ! {
     eprintln!("regress: {msg}");
-    eprintln!("usage: regress <old.json> <new.json> [--threshold pct]");
+    eprintln!("usage: regress <old.json> <new.json> [--threshold pct | --exact]");
     std::process::exit(2);
 }
 
@@ -33,10 +36,13 @@ fn describe(host: Option<&HostRecord>) -> String {
 
 fn main() {
     let mut threshold = 5.0f64;
+    let mut exact = false;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--threshold" {
+        if a == "--exact" {
+            exact = true;
+        } else if a == "--threshold" {
             let v = args
                 .next()
                 .unwrap_or_else(|| fail("--threshold needs a value"));
@@ -66,13 +72,20 @@ fn main() {
     if old.host != new.host {
         println!("WARN: different hosts — wall-clock headlines are not comparable");
     }
-    let report = compare(&old, &new, threshold);
-    print!("{}", report.render());
+    let failures = if exact {
+        let report = compare_exact(&old, &new);
+        print!("{}", report.render());
+        report.failures()
+    } else {
+        let report = compare(&old, &new, threshold);
+        print!("{}", report.render());
+        report.failures()
+    };
     if new.dropped_spans > 0 {
         println!(
             "WARN: candidate dropped {} spans — its stage rows are incomplete",
             new.dropped_spans
         );
     }
-    std::process::exit(if report.failures() > 0 { 1 } else { 0 });
+    std::process::exit(if failures > 0 { 1 } else { 0 });
 }

@@ -102,6 +102,37 @@ impl ExperimentResult {
             .with("series", Json::Arr(series))
     }
 
+    /// Reads a document back from the tree [`Self::to_json_value`] builds.
+    pub fn from_json_value(v: &Json) -> Result<ExperimentResult, String> {
+        let text = |v: &Json, k: &str| v.get(k).and_then(|x| x.as_str()).map(str::to_string);
+        let mut series = Vec::new();
+        for s in v.get("series").map(|s| s.items()).unwrap_or(&[]) {
+            let mut points = Vec::new();
+            for p in s.get("points").map(|p| p.items()).unwrap_or(&[]) {
+                points.push(Point {
+                    x: p.get("x")
+                        .and_then(|x| x.as_u64())
+                        .ok_or("point without x")?,
+                    measured: p
+                        .get("measured")
+                        .and_then(|m| m.as_f64())
+                        .ok_or("point without measured value")?,
+                    paper: p.get("paper").and_then(|x| x.as_f64()),
+                });
+            }
+            series.push(Series {
+                name: text(s, "name").ok_or("series without name")?,
+                points,
+            });
+        }
+        Ok(ExperimentResult {
+            id: text(v, "id").ok_or("result without id")?,
+            title: text(v, "title").unwrap_or_default(),
+            unit: text(v, "unit").unwrap_or_default(),
+            series,
+        })
+    }
+
     /// Serialises to pretty JSON.
     pub fn to_json(&self) -> String {
         self.to_json_value().render_pretty()
@@ -151,6 +182,8 @@ mod tests {
             .idx(0)
             .unwrap();
         assert!(s1p0.get("paper").is_none());
+        let back = ExperimentResult::from_json_value(&v).unwrap();
+        assert_eq!(back.to_json(), j);
     }
 
     #[test]

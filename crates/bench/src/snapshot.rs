@@ -6,8 +6,10 @@
 //! stage percentiles of a traced representative run — as one JSON
 //! document. `osiris-bench regress <old.json> <new.json>` compares two
 //! snapshots headline by headline and exits non-zero when any metric
-//! moved the wrong way by more than the threshold, which is what CI runs
-//! against the committed baseline.
+//! moved the wrong way by more than the threshold; with `--exact` it
+//! fails on any change to a headline, a series point or a stage row,
+//! which is what CI runs against the committed baselines of the
+//! deterministic (virtual-time) benches.
 
 use osiris::experiments::StageAnatomy;
 use osiris::sim::{Json, Snapshot};
@@ -231,10 +233,8 @@ impl BenchSnapshot {
             .render_pretty()
     }
 
-    /// Parses the fields the comparator needs (name, host, headlines,
-    /// stages, counters, drop count) back out of a snapshot document. The
-    /// archived `results` series are not reconstructed; a document
-    /// without a `host` record parses with `host: None`.
+    /// Parses a snapshot document back. A document without a `host`
+    /// record parses with `host: None`.
     pub fn parse(text: &str) -> Result<BenchSnapshot, String> {
         let v = Json::parse(text).map_err(|e| format!("bad snapshot JSON: {e:?}"))?;
         let name = v
@@ -290,6 +290,9 @@ impl BenchSnapshot {
                 out.counters.push((k.to_string(), n));
             }
         }
+        for r in v.get("results").map(|r| r.items()).unwrap_or(&[]) {
+            out.results.push(ExperimentResult::from_json_value(r)?);
+        }
         out.dropped_spans = v.get("dropped_spans").and_then(|d| d.as_u64()).unwrap_or(0);
         Ok(out)
     }
@@ -304,8 +307,9 @@ pub struct CompareRow {
     pub old: f64,
     /// Candidate value.
     pub new: f64,
-    /// Signed change in percent of the baseline.
-    pub delta_pct: f64,
+    /// Signed change in percent of the baseline; `None` from a zero
+    /// baseline, where the change is reported absolute.
+    pub delta_pct: Option<f64>,
     /// True when the metric moved the wrong way past the threshold.
     pub regressed: bool,
 }
@@ -334,10 +338,14 @@ impl CompareReport {
         let mut out = String::new();
         for r in &self.rows {
             let verdict = if r.regressed { "REGRESSED" } else { "ok" };
+            let change = match r.delta_pct {
+                Some(pct) => format!("{pct:>+6.1}%"),
+                None => format!("{:>+6.1} abs", r.new - r.old),
+            };
             let _ = writeln!(
                 out,
-                "  {:<32} {:>10.1} -> {:>10.1}  ({:>+6.1}%)  {verdict}",
-                r.name, r.old, r.new, r.delta_pct
+                "  {:<32} {:>10.1} -> {:>10.1}  ({change})  {verdict}",
+                r.name, r.old, r.new
             );
         }
         for m in &self.missing {
@@ -356,7 +364,8 @@ impl CompareReport {
 
 /// Compares every baseline headline against the candidate. A metric
 /// regresses when it moves in its bad direction by more than
-/// `threshold_pct` percent of the baseline value.
+/// `threshold_pct` percent of the baseline value; from a zero baseline,
+/// where no percentage exists, any move in the bad direction regresses.
 pub fn compare(old: &BenchSnapshot, new: &BenchSnapshot, threshold_pct: f64) -> CompareReport {
     let mut report = CompareReport {
         rows: Vec::new(),
@@ -368,15 +377,17 @@ pub fn compare(old: &BenchSnapshot, new: &BenchSnapshot, threshold_pct: f64) -> 
             report.missing.push(h.name.clone());
             continue;
         };
-        let delta_pct = if h.value != 0.0 {
-            (n.value - h.value) / h.value * 100.0
-        } else {
-            0.0
+        let delta_pct = (h.value != 0.0).then(|| (n.value - h.value) / h.value * 100.0);
+        let worse = match h.better {
+            Better::Higher => n.value < h.value,
+            Better::Lower => n.value > h.value,
         };
-        let regressed = match h.better {
-            Better::Higher => delta_pct < -threshold_pct,
-            Better::Lower => delta_pct > threshold_pct,
-        };
+        let regressed = worse
+            && match delta_pct {
+                Some(pct) => pct.abs() > threshold_pct,
+                // No percentage of a zero baseline exists: any move counts.
+                None => true,
+            };
         report.rows.push(CompareRow {
             name: h.name.clone(),
             old: h.value,
@@ -386,6 +397,115 @@ pub fn compare(old: &BenchSnapshot, new: &BenchSnapshot, threshold_pct: f64) -> 
         });
     }
     report
+}
+
+/// The `--exact` verdict over two snapshots of a deterministic bench.
+#[derive(Debug, Clone)]
+pub struct ExactReport {
+    /// Every changed, vanished or added headline, series point and stage
+    /// row (`what: old -> new`). Each one fails the gate.
+    pub diffs: Vec<String>,
+    /// Changed counters, in the same form: listed for diagnosis, not
+    /// gated.
+    pub counters: Vec<String>,
+}
+
+impl ExactReport {
+    /// Number of failed checks.
+    pub fn failures(&self) -> usize {
+        self.diffs.len()
+    }
+
+    /// Human-readable diff.
+    pub fn render(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for d in &self.diffs {
+            let _ = writeln!(out, "  CHANGED {d}");
+        }
+        if !self.counters.is_empty() {
+            let _ = writeln!(out, "  counters (diagnostic, not gated):");
+            for c in &self.counters {
+                let _ = writeln!(out, "    {c}");
+            }
+        }
+        let _ = writeln!(
+            out,
+            "  exact: {} change(s) in headlines, series and stages",
+            self.failures()
+        );
+        out
+    }
+}
+
+/// A snapshot's gated values under `--exact`, each under a name that
+/// says where it sits, rendered exactly (`{:?}` of an `f64` round-trips).
+fn exact_values(s: &BenchSnapshot) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for h in &s.headlines {
+        out.push((format!("headline {}", h.name), format!("{:?}", h.value)));
+    }
+    for r in &s.results {
+        for series in &r.series {
+            for p in &series.points {
+                let at = format!("{} / {} @ x={}", r.id, series.name, p.x);
+                out.push((format!("{at} measured"), format!("{:?}", p.measured)));
+                if let Some(paper) = p.paper {
+                    out.push((format!("{at} paper"), format!("{paper:?}")));
+                }
+            }
+        }
+    }
+    for st in &s.stages {
+        for (col, v) in [
+            ("mean_us", st.mean_us),
+            ("p50_us", st.p50_us),
+            ("p95_us", st.p95_us),
+            ("p99_us", st.p99_us),
+        ] {
+            out.push((format!("stage {} {col}", st.stage), format!("{v:?}")));
+        }
+    }
+    out
+}
+
+/// `what: old -> new` for every key whose value differs, vanished or
+/// appeared between `old` and `new`.
+fn keyed_diff(old: &[(String, String)], new: &[(String, String)]) -> Vec<String> {
+    fn find<'a>(list: &'a [(String, String)], k: &str) -> Option<&'a String> {
+        list.iter().find(|(key, _)| key == k).map(|(_, v)| v)
+    }
+    let mut out = Vec::new();
+    for (k, v) in old {
+        match find(new, k) {
+            Some(n) if n == v => {}
+            Some(n) => out.push(format!("{k}: {v} -> {n}")),
+            None => out.push(format!("{k}: {v} -> missing")),
+        }
+    }
+    for (k, v) in new {
+        if find(old, k).is_none() {
+            out.push(format!("{k}: absent -> {v}"));
+        }
+    }
+    out
+}
+
+/// Compares two snapshots of a deterministic bench value for value: any
+/// change to a headline, a series point or a stage row is a failure.
+/// Counters are compared too but only listed — they carry diagnostic
+/// detail that older baselines may lack or hold in excess.
+pub fn compare_exact(old: &BenchSnapshot, new: &BenchSnapshot) -> ExactReport {
+    let counters = |s: &BenchSnapshot| -> Vec<(String, String)> {
+        s.counters
+            .iter()
+            .map(|(k, v)| (k.clone(), v.to_string()))
+            .collect()
+    };
+    ExactReport {
+        diffs: keyed_diff(&exact_values(old), &exact_values(new)),
+        counters: keyed_diff(&counters(old), &counters(new)),
+    }
 }
 
 /// The path given with `--bench-out <path>`, when the process arguments
@@ -486,6 +606,70 @@ mod tests {
         new.headlines[0].value = 380.0 * 1.2; // faster
         new.headlines[1].value = 600.0 * 0.8; // lower latency
         assert_eq!(compare(&old, &new, 5.0).failures(), 0);
+    }
+
+    #[test]
+    fn any_rise_from_a_zero_baseline_regresses() {
+        let mut old = sample();
+        old.headline("gave_up_total", 0.0, "count", Better::Lower);
+        let mut new = old.clone();
+        new.headlines[2].value = 12.0;
+        let r = compare(&old, &new, 5.0);
+        assert_eq!(r.failures(), 1, "{}", r.render());
+        assert!(r.rows[2].regressed);
+        assert_eq!(r.rows[2].delta_pct, None);
+        assert!(r.render().contains("+12.0 abs"), "{}", r.render());
+        // Holding at zero passes, and so does a fall where lower is better.
+        assert_eq!(compare(&old, &old, 5.0).failures(), 0);
+        new.headlines[2].value = -1.0;
+        assert_eq!(compare(&old, &new, 5.0).failures(), 0);
+    }
+
+    fn with_series(mut s: BenchSnapshot) -> BenchSnapshot {
+        let mut r = ExperimentResult::new("fig2", "receive throughput", "Mbps");
+        r.push_series(
+            "double",
+            &[1024, 65536],
+            &[83.2, 447.4],
+            Some(&[80.0, 379.0]),
+        );
+        s.push_result(&r);
+        s
+    }
+
+    #[test]
+    fn exact_passes_identical_snapshots_through_json() {
+        let s = with_series(sample());
+        let parsed = BenchSnapshot::parse(&s.to_json()).unwrap();
+        assert_eq!(parsed.results.len(), 1);
+        let r = compare_exact(&s, &parsed);
+        assert_eq!(r.failures(), 0, "{}", r.render());
+        assert!(r.counters.is_empty());
+    }
+
+    #[test]
+    fn exact_fails_a_one_ulp_series_change() {
+        let old = with_series(sample());
+        let mut new = old.clone();
+        let p = &mut new.results[0].series[0].points[1];
+        p.measured = f64::from_bits(p.measured.to_bits() + 1);
+        let r = compare_exact(&old, &new);
+        assert_eq!(r.failures(), 1, "{}", r.render());
+        assert!(r.diffs[0].starts_with("fig2 / double @ x=65536 measured"));
+        // The threshold gate cannot see it.
+        assert_eq!(compare(&old, &new, 5.0).failures(), 0);
+    }
+
+    #[test]
+    fn exact_gates_headlines_and_stages_but_only_lists_counters() {
+        let old = with_series(sample());
+        let mut new = old.clone();
+        new.headlines[0].value += 1.0; // an improvement still changes it
+        new.stages[0].p99_us += 1.0;
+        new.counters.clear();
+        let r = compare_exact(&old, &new);
+        assert_eq!(r.failures(), 2, "{}", r.render());
+        assert_eq!(r.counters, vec!["node0.board.rx.cells: 1234 -> missing"]);
     }
 
     #[test]

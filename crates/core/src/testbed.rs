@@ -38,15 +38,12 @@ use osiris_atm::{Cell, CellRef, CellSlab};
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
 use osiris_sim::obs::{Counter, Histogram, Probe, Snapshot};
 use osiris_sim::stats::{LatencyStats, ThroughputMeter};
-use osiris_sim::{
-    EventQueue, Model, Registry, SimDuration, SimTime, SmallVec, SymId, Timeline, TraceCtx,
-};
+use osiris_sim::{EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timeline, TraceCtx};
 
 use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict, TransportMode};
 
 use crate::config::{DataPath, Layer, TestbedConfig, TouchMode};
 use crate::fabric::Fabric;
-use crate::node::GenPdu;
 use crate::scenario::Scenario;
 
 pub use crate::node::{HostNode, NodeId, Role};
@@ -1123,11 +1120,11 @@ impl Testbed {
             }
             Role::Generator => {
                 let node = &mut self.nodes[host.0];
-                if node.gen_stalled {
-                    node.gen_stalled = false;
+                if node.gen.stalled {
+                    node.gen.stalled = false;
                     q.push(t, Event::GenKick);
                 }
-                if node.remaining == 0 && node.gen_pdus.is_empty() {
+                if node.remaining == 0 && node.gen.is_idle() {
                     self.done = true;
                 }
             }
@@ -1135,8 +1132,7 @@ impl Testbed {
         }
     }
 
-    /// Queues the next message's fragments for the generator, each with a
-    /// cursor its cells are cut at.
+    /// Queues the next message's fragments for the generator.
     fn gen_build_next(&mut self, host: NodeId) {
         let cfg_proto = ProtoConfig {
             mtu: self.cfg.mtu,
@@ -1144,28 +1140,17 @@ impl Testbed {
             ..ProtoConfig::paper_default()
         };
         let node = &mut self.nodes[host.0];
-        let id = node.gen_next_id;
-        node.gen_next_id += 1;
-        let framing = HostNode::framing(&self.cfg);
+        let id = node.gen.next_id;
+        node.gen.next_id += 1;
         let seg = Segmenter {
-            framing,
+            framing: HostNode::framing(&self.cfg),
             unit: SegmentUnit::Pdu,
         };
         // Generator PDUs carry the identity the receiving stack re-mints
         // from the wire IP header: (src=1, id) — see `wire_fragments`.
         let ctx = TraceCtx { host: 1, pdu: id };
-        let (vci, pattern) = (node.vci, &node.pattern);
-        let mut queue = |head: &[u8], data: std::ops::Range<usize>| {
-            let pseq = node.gen_pdu_seq;
-            node.gen_pdu_seq = pseq.wrapping_add(1);
-            let cursor = seg.cursor(vci, pseq, &[head, &pattern[data.clone()]]);
-            node.gen_pdus.push_back(GenPdu {
-                head: SmallVec::from(head),
-                data,
-                cursor,
-                ctx,
-            });
-        };
+        let (vci, pattern, gen) = (node.vci, &node.pattern, &mut node.gen);
+        let mut queue = |head: &[u8], data| gen.queue(seg, vci, pattern, head, data, ctx);
         match self.cfg.layer {
             // The fictitious sender addresses this host's open path.
             Layer::UdpIp => {
@@ -1187,7 +1172,7 @@ impl Testbed {
     fn gen_kick(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
         const BATCH: usize = 32;
         let host = NodeId(0);
-        if self.nodes[host.0].gen_pdus.is_empty() {
+        if self.nodes[host.0].gen.is_idle() {
             if self.nodes[host.0].remaining == 0 {
                 return;
             }
@@ -1199,7 +1184,7 @@ impl Testbed {
             let node = &mut self.nodes[host.0];
             let page = node.driver.page;
             if node.rx.free_ring(page).len() < 2 {
-                node.gen_stalled = true;
+                node.gen.stalled = true;
                 return;
             }
         }
@@ -1211,24 +1196,16 @@ impl Testbed {
             q.push(bus_free - slack, Event::GenKick);
             return;
         }
-        // Cut the batch from the front PDU and hand each cell to the
-        // receive path by reference; a batch never spans two PDUs.
-        // Lanes follow the framing, which mirrors the reassembly mode.
+        // Hand the batch from the front fragment to the receive path by
+        // reference; a batch never spans two fragments. Lanes follow the
+        // framing, which mirrors the reassembly mode.
         for _ in 0..BATCH {
-            let node = &mut self.nodes[host.0];
-            let pdu = node.gen_pdus.front_mut().expect("non-empty");
-            let lane = pdu.cursor.lane();
-            let bytes = [&pdu.head[..], &node.pattern[pdu.data.clone()]];
-            let Some(mut cell) = pdu.cursor.next_cell(&bytes) else {
+            let Some((lane, cell)) = self.nodes[host.0].gen.next_cell() else {
                 break;
             };
-            cell.ctx = Some(pdu.ctx);
             self.cell_arrival(now, host, lane, &cell, q);
         }
-        let node = &mut self.nodes[host.0];
-        if node.gen_pdus.front().expect("non-empty").cursor.remaining() == 0 {
-            node.gen_pdus.pop_front();
-        }
+        self.nodes[host.0].gen.pop_exhausted();
         let next = self.nodes[host.0].rx.engine_free_at();
         q.push(next.max(now), Event::GenKick);
     }
@@ -1406,6 +1383,100 @@ mod tests {
             "DS receive throughput {mbps} Mbps out of plausible band"
         );
         assert_eq!(sim.model.verify_failures, 0);
+    }
+
+    /// Every cell the generator hands to the board, over several
+    /// consecutive messages, equals the cell a fresh segmenter cursor cuts
+    /// from the same headers and payload range: under each framing the
+    /// reassembly modes imply, on both layers, and for a one-cell
+    /// fragment, one ending on a cell boundary, one a byte past it, and a
+    /// two-fragment 16 KB datagram.
+    #[test]
+    fn generator_cells_match_a_fresh_cursor() {
+        use osiris_atm::sar::ReassemblyMode;
+        let modes = [
+            ReassemblyMode::InOrder,
+            ReassemblyMode::SeqNum { max_cells: 1024 },
+            ReassemblyMode::FourWay { lanes: 1 },
+            ReassemblyMode::FourWay { lanes: 2 },
+            ReassemblyMode::FourWay { lanes: 3 },
+            ReassemblyMode::FourWay { lanes: 4 },
+        ];
+        for reassembly in modes {
+            for (layer, overhead) in [(Layer::UdpIp, 28), (Layer::RawAtm, 0)] {
+                for msg_size in [1, 220 - overhead, 221 - overhead, 16 * 1024] {
+                    let mut cfg = match layer {
+                        Layer::UdpIp => TestbedConfig::ds5000_200_udp(),
+                        Layer::RawAtm => TestbedConfig::ds5000_200_atm(),
+                    };
+                    cfg.reassembly = reassembly;
+                    cfg.msg_size = msg_size;
+                    let mut tb = Testbed::new_rx_bench(cfg.clone());
+                    let seg = Segmenter {
+                        framing: HostNode::framing(&cfg),
+                        unit: SegmentUnit::Pdu,
+                    };
+                    let cfg_proto = ProtoConfig {
+                        mtu: cfg.mtu,
+                        udp_checksum: cfg.udp_checksum,
+                        ..ProtoConfig::paper_default()
+                    };
+                    let (vci, pattern) = (tb.nodes[0].vci, tb.nodes[0].pattern.clone());
+                    let mut pdu_seq = 0u16;
+                    for id in 1..=4u32 {
+                        let mut frags = Vec::new();
+                        match layer {
+                            Layer::UdpIp => ProtoStack::wire_fragments(
+                                cfg_proto,
+                                id,
+                                2000,
+                                1000,
+                                &pattern,
+                                |head, data| frags.push((head.to_vec(), data)),
+                            ),
+                            Layer::RawAtm => frags.push((Vec::new(), 0..pattern.len())),
+                        }
+                        tb.gen_build_next(NodeId(0));
+                        for (f, (head, data)) in frags.iter().enumerate() {
+                            let bytes = [&head[..], &pattern[data.clone()]];
+                            let mut cursor = seg.cursor(vci, pdu_seq, &bytes);
+                            pdu_seq = pdu_seq.wrapping_add(1);
+                            let gen = &mut tb.nodes[0].gen;
+                            for i in 0.. {
+                                let at = format!(
+                                    "{reassembly:?} {layer:?} {msg_size} B: \
+                                     message {id} fragment {f} cell {i}"
+                                );
+                                let want_lane = cursor.lane();
+                                let want = cursor.next_cell(&bytes).map(|mut c| {
+                                    c.ctx = Some(TraceCtx { host: 1, pdu: id });
+                                    (want_lane, c)
+                                });
+                                let ((lane, got), (want_lane, want)) = match (gen.next_cell(), want)
+                                {
+                                    (Some(got), Some(want)) => (got, want),
+                                    (None, None) => break,
+                                    _ => panic!("{at}: cell counts differ"),
+                                };
+                                assert_eq!(lane, want_lane, "{at}: lane");
+                                assert_eq!(got.header, want.header, "{at}: header");
+                                assert_eq!(got.aal.seq, want.aal.seq, "{at}: AAL seq");
+                                assert_eq!(got.aal.eom, want.aal.eom, "{at}: AAL eom");
+                                assert_eq!(got.aal.fill, want.aal.fill, "{at}: AAL fill");
+                                assert_eq!(got.payload, want.payload, "{at}: payload");
+                                let len = |c: &Cell| c.trailer.map(|t| t.len);
+                                let crc = |c: &Cell| c.trailer.map(|t| t.crc);
+                                assert_eq!(len(&got), len(&want), "{at}: trailer len");
+                                assert_eq!(crc(&got), crc(&want), "{at}: trailer CRC");
+                                assert_eq!(got.ctx, want.ctx, "{at}: ctx");
+                            }
+                            gen.pop_exhausted();
+                        }
+                        assert!(tb.nodes[0].gen.is_idle(), "extra fragments queued");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

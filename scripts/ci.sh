@@ -65,22 +65,23 @@ fi
 
 echo "==> smoke: bench snapshot + regression gate (fig2 --quick)"
 # The simulator is deterministic, so the quick sweep reproduces the
-# committed baseline exactly; the gate exists to catch code changes that
-# move a headline metric the wrong way. Snapshots land in target/bench
-# so the workflow can archive them as artifacts.
+# committed baseline exactly, and the gate is exact: any change to a
+# headline, a series point or a stage row fails and prints the diff (a
+# change that moves a result regenerates the baseline and says why).
+# Snapshots land in target/bench so the workflow can archive them.
 mkdir -p target/bench
 cargo run --release -q -p osiris-bench --bin fig2 -- --quick --bench-out target/bench/BENCH_fig2.json
 test -s target/bench/BENCH_fig2.json
 cargo run --release -q -p osiris-bench --bin regress -- \
-  crates/bench/baselines/BENCH_fig2.json target/bench/BENCH_fig2.json --threshold 5
+  crates/bench/baselines/BENCH_fig2.json target/bench/BENCH_fig2.json --exact
 
 echo "==> smoke: loss sweep + regression gate (loss --quick)"
-# Fault-plane gate: goodput under seeded cell loss must not sag and the
-# recovery tail must not grow. Same determinism argument as fig2.
+# Fault-plane gate: goodput under seeded cell loss, the recovery tail
+# and the give-up count are locked exactly, as for fig2.
 cargo run --release -q -p osiris-bench --bin loss -- --quick --bench-out target/bench/BENCH_loss.json
 test -s target/bench/BENCH_loss.json
 cargo run --release -q -p osiris-bench --bin regress -- \
-  crates/bench/baselines/BENCH_loss.json target/bench/BENCH_loss.json --threshold 5
+  crates/bench/baselines/BENCH_loss.json target/bench/BENCH_loss.json --exact
 
 echo "==> smoke: congestion-control smoke (cc --quick)"
 # Fast sanity pass: one small lossy incast per scheme, with the bench's
@@ -89,14 +90,13 @@ cargo run --release -q -p osiris-bench --bin cc -- --quick > /dev/null
 
 echo "==> congestion-control matrix + regression gate (cc, full)"
 # The full matrix is virtual-time, deterministic, and cheap (~4 s), so
-# the gate locks the headline itself: at 64 senders and 1% cell loss
-# the best selective-repeat scheme must hold its goodput and tail, and
-# the stop-and-wait collapse must stay collapsed (the ratio headline
-# regresses if either side moves the wrong way).
+# the gate locks it exactly: at 64 senders and 1% cell loss the best
+# selective-repeat scheme's goodput and tail and the stop-and-wait
+# collapse ratio may not move at all.
 cargo run --release -q -p osiris-bench --bin cc -- --bench-out target/bench/BENCH_cc.json > /dev/null
 test -s target/bench/BENCH_cc.json
 cargo run --release -q -p osiris-bench --bin regress -- \
-  crates/bench/baselines/BENCH_cc.json target/bench/BENCH_cc.json --threshold 5
+  crates/bench/baselines/BENCH_cc.json target/bench/BENCH_cc.json --exact
 
 echo "==> smoke: event-engine throughput gate (engine --quick)"
 # Unlike fig2/loss, these headlines are wall-clock (events/sec), so the

@@ -3,13 +3,27 @@
 //! bytes that *were* at that address before a DMA; invalidation always
 //! restores truth; a coherent cache never serves stale bytes at all.
 //!
-//! Requires the `proptest-tests` feature (and its dev-dependencies,
-//! which offline builds cannot fetch — see the manifest note).
-#![cfg(feature = "proptest-tests")]
+//! Each property runs 64 seeded cases drawn with `SimRng`; a failing case
+//! prints its seed, and `SimRng::new(seed)` replays it.
 
-use proptest::prelude::*;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use osiris::mem::{CacheSpec, DataCache, PhysAddr, PhysMemory};
+use osiris::sim::SimRng;
+
+/// Cases per property.
+const CASES: u64 = 64;
+
+/// Runs `property` on `CASES` generators seeded `base`, `base + 1`, …,
+/// naming the seed of the first case that panics.
+fn for_each_case(base: u64, property: impl Fn(&mut SimRng)) {
+    for seed in base..base + CASES {
+        if let Err(e) = catch_unwind(AssertUnwindSafe(|| property(&mut SimRng::new(seed)))) {
+            eprintln!("property failed on seed {seed:#x}");
+            resume_unwind(e);
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -19,21 +33,24 @@ enum Op {
     Read { at: u16, len: u8 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u16>(), any::<u8>(), 1u8..64).prop_map(|(at, val, len)| Op::CpuWrite {
-            at,
-            val,
-            len
-        }),
-        (any::<u16>(), any::<u8>(), 1u8..64).prop_map(|(at, val, len)| Op::DmaWrite {
-            at,
-            val,
-            len
-        }),
-        (any::<u16>(), 1u8..64).prop_map(|(at, len)| Op::Invalidate { at, len }),
-        (any::<u16>(), 1u8..64).prop_map(|(at, len)| Op::Read { at, len }),
-    ]
+/// One op, each kind equally likely: any address, any value, a length in
+/// `1..64`.
+fn gen_op(rng: &mut SimRng) -> Op {
+    let at = rng.next_u64() as u16;
+    let val = rng.next_u64() as u8;
+    let len = 1 + rng.gen_range(63) as u8;
+    match rng.gen_range(4) {
+        0 => Op::CpuWrite { at, val, len },
+        1 => Op::DmaWrite { at, val, len },
+        2 => Op::Invalidate { at, len },
+        _ => Op::Read { at, len },
+    }
+}
+
+/// A sequence of `1..120` ops.
+fn gen_ops(rng: &mut SimRng) -> Vec<Op> {
+    let n = 1 + rng.gen_range(119);
+    (0..n).map(|_| gen_op(rng)).collect()
 }
 
 /// A shadow model: `truth` is memory contents; `cpu_view` is what the CPU
@@ -103,33 +120,32 @@ fn run_ops(coherent: bool, ops: &[Op]) {
     assert_eq!(&buf[..], mem.read(PhysAddr(0), 4096));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn incoherent_cache_serves_only_historical_bytes() {
+    for_each_case(0xCAC4_0000, |rng| run_ops(false, &gen_ops(rng)));
+}
 
-    #[test]
-    fn incoherent_cache_serves_only_historical_bytes(
-        ops in proptest::collection::vec(op_strategy(), 1..120)
-    ) {
-        run_ops(false, &ops);
-    }
+#[test]
+fn coherent_cache_is_never_stale() {
+    for_each_case(0xCAC4_1000, |rng| run_ops(true, &gen_ops(rng)));
+}
 
-    #[test]
-    fn coherent_cache_is_never_stale(
-        ops in proptest::collection::vec(op_strategy(), 1..120)
-    ) {
-        run_ops(true, &ops);
-    }
-
-    /// Invalidation cost equals the word count of the covered lines,
-    /// resident or not (the §2.3 per-word price).
-    #[test]
-    fn invalidation_cost_is_word_exact(at in any::<u16>(), len in 1usize..4096) {
-        let spec = CacheSpec { size: 1024, line_size: 16, coherent_dma: false };
+/// Invalidation cost equals the word count of the covered lines,
+/// resident or not (the §2.3 per-word price).
+#[test]
+fn invalidation_cost_is_word_exact() {
+    for_each_case(0xCAC4_2000, |rng| {
+        let at = rng.next_u64() as u16 as u64;
+        let len = 1 + rng.gen_range(4095) as usize;
+        let spec = CacheSpec {
+            size: 1024,
+            line_size: 16,
+            coherent_dma: false,
+        };
         let mut cache = DataCache::new(spec);
-        let at = at as u64;
         let words = cache.invalidate(PhysAddr(at), len);
         let first = at / 16;
         let last = (at + len as u64 - 1) / 16;
-        prop_assert_eq!(words, (last - first + 1) * 4);
-    }
+        assert_eq!(words, (last - first + 1) * 4, "at {at} len {len}");
+    });
 }
