@@ -463,7 +463,11 @@ pub struct Reassembler {
     mode: ReassemblyMode,
     keep_data: bool,
     max_pdu_bytes: u32,
+    /// SeqNum/FourWay: every open PDU's record.
     records: FxHashMap<u64, PduRecord>,
+    /// InOrder: the one open PDU's record (always `current_pdu`'s),
+    /// kept out of `records` so a cell needs no map probe.
+    inorder: Option<PduRecord>,
     /// InOrder/SeqNum: the PDU currently being assembled.
     current_pdu: u64,
     /// InOrder: running byte offset.
@@ -507,6 +511,7 @@ impl Reassembler {
             keep_data,
             max_pdu_bytes,
             records: FxHashMap::default(),
+            inorder: None,
             current_pdu: 0,
             inorder_offset: 0,
             inorder_crc: Crc32::new(),
@@ -538,7 +543,7 @@ impl Reassembler {
 
     /// Number of PDUs currently in flight (diagnostics).
     pub fn in_flight(&self) -> usize {
-        self.records.len()
+        self.records.len() + self.inorder.is_some() as usize
     }
 
     /// Processes one received cell. `lane` is the physical link the cell
@@ -601,10 +606,14 @@ impl Reassembler {
         };
         let pdu = self.current_pdu;
         let offset = self.inorder_offset;
-        let keep = self.keep_data;
-        let max = self.max_pdu_bytes;
-        let rec = self.record(pdu);
-        Self::store(keep, max, rec, offset, cell.data_bytes())?;
+        let rec = self.inorder.get_or_insert_with(PduRecord::default);
+        Self::store(
+            self.keep_data,
+            self.max_pdu_bytes,
+            rec,
+            offset,
+            cell.data_bytes(),
+        )?;
         self.inorder_offset += cell.aal.fill as u32;
         self.inorder_crc.update(cell.data_bytes());
 
@@ -612,7 +621,7 @@ impl Reassembler {
         if let Some(trailer) = trailer {
             let crc_ok = std::mem::take(&mut self.inorder_crc).finish() == trailer.crc
                 && trailer.len == self.inorder_offset;
-            let rec = self.records.remove(&pdu).expect("record exists");
+            let rec = self.inorder.take().expect("record exists");
             completed = Some(PduComplete {
                 pdu,
                 len: rec.received_bytes,
@@ -837,6 +846,7 @@ impl Reassembler {
         match self.mode {
             ReassemblyMode::InOrder => {
                 if pdu == self.current_pdu {
+                    self.inorder = None;
                     self.current_pdu += 1;
                     self.inorder_offset = 0;
                     self.inorder_crc = Crc32::new();
@@ -1330,6 +1340,76 @@ mod tests {
         assert!(p.crc_ok);
         assert_eq!(p.pdu, 1);
         assert_eq!(p.data.unwrap(), d2);
+    }
+
+    /// InOrder keeps its one open PDU's record outside the map, with or
+    /// without the bytes: both reassemblers give the same verdict for
+    /// every cell and report the same PDUs open. Seeded streams of short
+    /// and oversized PDUs, with dropped cells, cells stripped of their
+    /// trailer (`NoTrailer` on an EOM cell and on a bare last-cell mark)
+    /// and aborts in mid-PDU.
+    #[test]
+    fn inorder_keep_data_does_not_change_dispositions() {
+        use osiris_sim::SimRng;
+        let (mut completed, mut too_large, mut no_trailer, mut aborts) = (0, 0, 0, 0);
+        for seed in 0..64u64 {
+            let mut rng = SimRng::new(seed);
+            let max = 44 * 20;
+            let mut kept = Reassembler::new(ReassemblyMode::InOrder, max, true);
+            let mut lean = Reassembler::new(ReassemblyMode::InOrder, max, false);
+            let s = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu);
+            let mut cells = Vec::new();
+            for _ in 0..1 + rng.gen_range(8) {
+                let len = 1 + rng.gen_range(44 * 30) as usize;
+                let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                cells.extend(s.segment(Vci(5), &[&data]));
+            }
+            let mut open = None;
+            for mut cell in cells {
+                match rng.gen_range(20) {
+                    0 => continue,
+                    1 => cell.trailer = None,
+                    2 => {
+                        cell.trailer = None;
+                        cell.aal.eom = false;
+                        cell.header.last_cell = true;
+                    }
+                    3 => {
+                        if let Some(pdu) = open {
+                            kept.abort(pdu);
+                            lean.abort(pdu);
+                            aborts += 1;
+                        }
+                    }
+                    _ => {}
+                }
+                let (a, b) = (kept.receive(0, &cell), lean.receive(0, &cell));
+                match (&a, &b) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!((a.pdu, a.offset), (b.pdu, b.offset), "seed {seed}");
+                        let verdict = |c: &PduComplete| (c.pdu, c.len, c.crc_ok);
+                        let (ca, cb) = (a.completed.as_ref(), b.completed.as_ref());
+                        assert_eq!(ca.map(verdict), cb.map(verdict), "seed {seed}");
+                        if let Some(c) = ca {
+                            assert_eq!(c.data.as_ref().map(Vec::len), Some(c.len as usize));
+                            assert!(cb.is_some_and(|c| c.data.is_none()));
+                            completed += 1;
+                        }
+                        open = a.completed.is_none().then_some(a.pdu);
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b, "seed {seed}");
+                        too_large += (*a == RxError::PduTooLarge) as u32;
+                        no_trailer += (*a == RxError::NoTrailer) as u32;
+                    }
+                    _ => panic!("seed {seed}: {a:?} vs {b:?}"),
+                }
+                assert_eq!(kept.in_flight(), lean.in_flight(), "seed {seed}");
+                assert!(kept.in_flight() <= 1, "seed {seed}");
+            }
+        }
+        // Every branch the property speaks for was taken.
+        assert!(completed > 50 && too_large > 50 && no_trailer > 50 && aborts > 50);
     }
 
     #[test]

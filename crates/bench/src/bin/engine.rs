@@ -1,32 +1,25 @@
 //! Regenerates the **event-engine** snapshot: how many events per second
-//! the simulator's event queue sustains, and how fast a real receive
-//! bench runs end to end.
+//! the simulator's event queue sustains.
 //!
-//! Two workloads:
-//!
-//! * A classic *hold model* — prefill a large pending set, then pop one
-//!   event and push its successor, over and over. This is the steady
-//!   state of a saturated simulation and isolates the queue. It runs on
-//!   the engine's [`EventQueue`] (a monotone radix heap: `O(1)` push,
-//!   amortised `O(log range)` pop) and on a bench-local reference, a
-//!   `std` binary heap keyed on `(time, seq)` that pays `O(log n)` sifts
-//!   against the pending-set size. The `queue_speedup` headline is
-//!   their ratio; CI guards it (a ratio of two runs on the same machine,
-//!   so it is far more stable than absolute ns).
-//! * The quick Figure-2 receive bench — real events through the real
-//!   dispatcher, with the slab cell arena and interned timeline keys on
-//!   the path. Its events/sec headline guards the end-to-end hot path,
-//!   not just the queue in isolation.
+//! The workload is a classic *hold model* — prefill a large pending set,
+//! then pop one event and push its successor, over and over. This is the
+//! steady state of a saturated simulation and isolates the queue. It runs
+//! on the engine's [`EventQueue`] (a monotone radix heap: `O(1)` push,
+//! amortised `O(log range)` pop) and on a bench-local reference, a `std`
+//! binary heap keyed on `(time, seq)` that pays `O(log n)` sifts against
+//! the pending-set size. The `queue_speedup` headline is their ratio; CI
+//! guards it (a ratio of two runs on the same machine, so it is far more
+//! stable than absolute ns).
 //!
 //! Both queues pop the same `(time, push order)` sequence, so this
 //! bench guards wall-clock only. Timing is wall-clock and therefore
-//! noisy; CI compares with a generous threshold.
+//! noisy; CI compares with a generous threshold. The end-to-end event
+//! counts of real workloads are exact and live in the `events` bench.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use osiris::config::TestbedConfig;
 use osiris::sim::{EventQueue, SimDuration, SimRng, SimTime};
 use osiris_bench::{
     bench_out_path, json_requested, quick_requested, BenchSnapshot, Better, ExperimentResult,
@@ -88,32 +81,6 @@ fn hold_model(q: &mut impl HoldQueue, pending: usize, ops: u64) -> f64 {
     ops as f64 / secs
 }
 
-/// The receive bench wall-clock, best of three runs (least scheduler
-/// noise): returns `(events_per_sec, wall_ms, events)`.
-fn rx_bench_wall(messages: u64) -> (f64, f64, u64) {
-    let mut best: Option<(f64, f64, u64)> = None;
-    for _ in 0..3 {
-        let mut cfg = TestbedConfig::ds5000_200_udp();
-        cfg.msg_size = 16 * 1024;
-        cfg.messages = messages;
-        cfg.warmup = 2;
-        let t0 = Instant::now();
-        let events = {
-            let mut sim = osiris::Scenario::RxBench.launch(cfg);
-            sim.model.meter = osiris::sim::stats::ThroughputMeter::new(2);
-            while !sim.model.done && sim.step() {}
-            assert!(sim.model.done, "rx bench did not complete");
-            assert_eq!(sim.model.verify_failures, 0);
-            sim.queue.total_pushed()
-        };
-        let secs = t0.elapsed().as_secs_f64();
-        if best.is_none_or(|(_, ms, _)| secs * 1e3 < ms) {
-            best = Some((events as f64 / secs, secs * 1e3, events));
-        }
-    }
-    best.expect("three runs")
-}
-
 fn main() {
     let quick = quick_requested();
     // The pending set is what separates the queues: the heap's sifts
@@ -124,7 +91,6 @@ fn main() {
     } else {
         (1 << 22, 2_000_000)
     };
-    let messages = if quick { 24 } else { 96 };
 
     // Best of two passes per queue — same noise treatment as the micro
     // harness (report the least-disturbed measurement).
@@ -136,30 +102,16 @@ fn main() {
         .fold(0.0, f64::max);
     let speedup = queue / heap;
 
-    let (rx_eps, rx_ms, rx_events) = rx_bench_wall(messages);
-
-    let mut r = ExperimentResult::new(
-        "engine",
-        "Event-engine throughput (hold model + quick rx bench)",
-        "events/s",
-    );
+    let mut r = ExperimentResult::new("engine", "Event-engine throughput (hold model)", "events/s");
     let x = [pending as u64];
     r.push_series("heap", &x, &[heap], None);
     r.push_series("queue", &x, &[queue], None);
-    r.push_series("rx_bench", &[rx_events], &[rx_eps], None);
 
     if let Some(path) = bench_out_path() {
         let mut snap = BenchSnapshot::new("engine");
         snap.headline("hold_events_per_sec", queue, "events/s", Better::Higher);
         snap.headline("hold_heap_events_per_sec", heap, "events/s", Better::Higher);
         snap.headline("queue_speedup", speedup, "x", Better::Higher);
-        snap.headline(
-            "rx_bench_events_per_sec",
-            rx_eps,
-            "events/s",
-            Better::Higher,
-        );
-        snap.headline("rx_bench_wall_ms", rx_ms, "ms", Better::Lower);
         snap.push_result(&r);
         std::fs::write(&path, snap.to_json()).expect("write bench snapshot");
         eprintln!("wrote {path}");
@@ -171,5 +123,4 @@ fn main() {
     println!("event engine, hold model ({pending} pending, {ops} ops):");
     println!("  reference heap  {heap:>12.0} events/s");
     println!("  event queue     {queue:>12.0} events/s   ({speedup:.1}x)");
-    println!("quick rx bench: {rx_events} events in {rx_ms:.1} ms = {rx_eps:.0} events/s");
 }

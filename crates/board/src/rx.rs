@@ -273,6 +273,11 @@ pub struct RxProcessor {
 #[derive(Debug)]
 struct Datapath {
     cfg: RxConfig,
+    /// The firmware's per-cell budget (`rx_cell_cycles`, plus
+    /// `rx_reorder_extra_cycles` off InOrder) and per-PDU completion
+    /// budget, costed once from `cfg.fw`.
+    cell_time: SimDuration,
+    pdu_time: SimDuration,
     engine: FifoResource,
     free_rings: Vec<DescRing>,
     rx_rings: Vec<DescRing>,
@@ -349,10 +354,16 @@ impl RxProcessor {
         let timeline = Timeline::default();
         let track = probe.scoped("rx").scope().to_string();
         let syms = RxSyms::intern(&timeline, &track);
+        let extra = match cfg.reassembly {
+            ReassemblyMode::InOrder => 0,
+            _ => cfg.fw.rx_reorder_extra_cycles,
+        };
         RxProcessor {
             vcis: FxHashMap::default(),
             bound: 0,
             dp: Datapath {
+                cell_time: cfg.fw.clock.cycles(cfg.fw.rx_cell_cycles + extra),
+                pdu_time: cfg.fw.clock.cycles(cfg.fw.rx_pdu_cycles),
                 cfg,
                 engine: FifoResource::new("rx-80960"),
                 free_rings: (0..QUEUE_PAGES)
@@ -474,17 +485,6 @@ impl RxProcessor {
         }
     }
 
-    /// Interrupt opportunities seen by the receive half (pushes that a
-    /// fire-always policy would have interrupted on).
-    pub fn interrupts_raised(&self) -> u64 {
-        self.dp.stats.intr_raised.get()
-    }
-
-    /// Opportunities the configured policy suppressed (§2.1.2).
-    pub fn interrupts_suppressed(&self) -> u64 {
-        self.dp.stats.intr_suppressed.get()
-    }
-
     /// When the receive engine next goes idle.
     pub fn engine_free_at(&self) -> SimTime {
         self.dp.engine.free_at()
@@ -533,15 +533,7 @@ impl RxProcessor {
         let mut out = RxOutcome::default();
 
         // Firmware budget for this cell.
-        let extra = match dp.cfg.reassembly {
-            ReassemblyMode::InOrder => 0,
-            _ => dp.cfg.fw.rx_reorder_extra_cycles,
-        };
-        let fw = dp.engine.acquire(
-            now,
-            dp.cfg.fw.clock.cycles(dp.cfg.fw.rx_cell_cycles + extra),
-        );
-        let t_fw = fw.finish;
+        let t_fw = dp.engine.acquire(now, dp.cell_time).finish;
 
         let vci = cell.header.vci;
         // Early demultiplexing: an unbound VCI must not alias onto page 0's
@@ -1019,9 +1011,7 @@ impl Datapath {
         // The completion bookkeeping runs on the 80960 right after the
         // cell's own processing; the descriptor push additionally waits
         // for the payload DMA to land (t_done).
-        let pdu_fw = self
-            .engine
-            .acquire(t_fw, self.cfg.fw.clock.cycles(self.cfg.fw.rx_pdu_cycles));
+        let pdu_fw = self.engine.acquire(t_fw, self.pdu_time);
         let t_pdu = pdu_fw.finish.max(t_done);
         let dropped = state.poisoned;
         if dropped {

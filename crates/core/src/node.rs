@@ -237,16 +237,19 @@ impl Generator {
     }
 
     /// The front fragment's next cell and its framing lane, or `None` once
-    /// that fragment is exhausted: the template cell, restamped with the
-    /// fragment's header bytes, tag, trailer CRC and trace identity.
+    /// that fragment is exhausted: the template cell, restamped in place
+    /// with the fragment's header bytes, tag, trailer CRC and trace
+    /// identity, and lent until the next call. (Every field a fragment
+    /// changes is restamped on every use, so no earlier fragment's values
+    /// survive in the template.)
     ///
     /// # Panics
     /// Panics if no fragment is queued.
-    pub(crate) fn next_cell(&mut self) -> Option<(usize, Cell)> {
+    pub(crate) fn next_cell(&mut self) -> Option<(usize, &Cell)> {
         let pdu = self.pdus.front_mut().expect("a queued fragment");
-        let t = &self.templates[pdu.template];
+        let t = &mut self.templates[pdu.template];
         let i = pdu.next;
-        let mut cell = t.cells.get(i)?.clone();
+        let cell = t.cells.get_mut(i)?;
         pdu.next += 1;
         let lane = i % t.lanes;
         if i == 0 {

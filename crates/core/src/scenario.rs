@@ -268,7 +268,7 @@ impl Scenario {
             .unwrap_or(cfg.machine.page_size as u64)
             .min(cfg.buffer_bytes as u64)
             .max(1);
-        let drain_ahead_bound = nodes[0].host.mem_sys.spec.dma_write_time(max_xfer);
+        let drain_ahead_bound = nodes[0].host.mem_sys.spec().dma_write_time(max_xfer);
 
         // The cell arena and the dispatcher's interned timeline keys.
         let mut cells = CellSlab::new();

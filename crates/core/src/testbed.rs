@@ -1198,14 +1198,18 @@ impl Testbed {
         }
         // Hand the batch from the front fragment to the receive path by
         // reference; a batch never spans two fragments. Lanes follow the
-        // framing, which mirrors the reassembly mode.
+        // framing, which mirrors the reassembly mode. The generator is
+        // out of its node for the batch, so its lent template cell and
+        // the receive path's `&mut self` do not overlap.
+        let mut gen = std::mem::take(&mut self.nodes[host.0].gen);
         for _ in 0..BATCH {
-            let Some((lane, cell)) = self.nodes[host.0].gen.next_cell() else {
+            let Some((lane, cell)) = gen.next_cell() else {
                 break;
             };
-            self.cell_arrival(now, host, lane, &cell, q);
+            self.cell_arrival(now, host, lane, cell, q);
         }
-        self.nodes[host.0].gen.pop_exhausted();
+        gen.pop_exhausted();
+        self.nodes[host.0].gen = gen;
         let next = self.nodes[host.0].rx.engine_free_at();
         q.push(next.max(now), Event::GenKick);
     }
@@ -1466,8 +1470,8 @@ mod tests {
                                 assert_eq!(got.payload, want.payload, "{at}: payload");
                                 let len = |c: &Cell| c.trailer.map(|t| t.len);
                                 let crc = |c: &Cell| c.trailer.map(|t| t.crc);
-                                assert_eq!(len(&got), len(&want), "{at}: trailer len");
-                                assert_eq!(crc(&got), crc(&want), "{at}: trailer CRC");
+                                assert_eq!(len(got), len(&want), "{at}: trailer len");
+                                assert_eq!(crc(got), crc(&want), "{at}: trailer CRC");
                                 assert_eq!(got.ctx, want.ctx, "{at}: ctx");
                             }
                             gen.pop_exhausted();

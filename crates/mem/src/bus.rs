@@ -127,6 +127,26 @@ impl BusSpec {
     }
 }
 
+/// One direction's most recently costed DMA transfer length, so a run of
+/// equal-length transfers (one per cell) costs its words and duration
+/// once.
+#[derive(Debug, Clone, Copy)]
+struct DmaCost {
+    bytes: u64,
+    words: u64,
+    time: SimDuration,
+}
+
+impl DmaCost {
+    fn of(spec: &BusSpec, bytes: u64, time: fn(&BusSpec, u64) -> SimDuration) -> DmaCost {
+        DmaCost {
+            bytes,
+            words: spec.words(bytes),
+            time: time(spec, bytes),
+        }
+    }
+}
+
 /// The arbitrated bus plus (on crossbar machines) a separate memory port.
 ///
 /// Word traffic is published through `osiris-sim::obs` under the probe's
@@ -136,8 +156,11 @@ impl BusSpec {
 /// consumers and the cross-layer consistency tests rely on.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
-    /// Cost constants.
-    pub spec: BusSpec,
+    /// Cost constants; private so the cached transfer costs below cannot
+    /// go stale.
+    spec: BusSpec,
+    last_read: DmaCost,
+    last_write: DmaCost,
     bus: FifoResource,
     mem_port: FifoResource,
     c_words: Counter,
@@ -157,6 +180,8 @@ impl MemorySystem {
         let p = probe.scoped("bus");
         MemorySystem {
             spec,
+            last_read: DmaCost::of(&spec, 0, BusSpec::dma_read_time),
+            last_write: DmaCost::of(&spec, 0, BusSpec::dma_write_time),
             bus: FifoResource::new("turbochannel"),
             mem_port: FifoResource::new("mem-port"),
             c_words: p.counter("words"),
@@ -164,6 +189,11 @@ impl MemorySystem {
             c_cpu_words: p.counter("cpu_words"),
             c_dma_transactions: p.counter("dma_transactions"),
         }
+    }
+
+    /// The cost constants in force.
+    pub fn spec(&self) -> &BusSpec {
+        &self.spec
     }
 
     #[inline]
@@ -181,14 +211,22 @@ impl MemorySystem {
 
     /// DMA read of `bytes` from host memory (transmit direction).
     pub fn dma_read(&mut self, now: SimTime, bytes: u64) -> Grant {
-        self.count_dma(self.spec.words(bytes));
-        self.bus.acquire(now, self.spec.dma_read_time(bytes))
+        if self.last_read.bytes != bytes {
+            self.last_read = DmaCost::of(&self.spec, bytes, BusSpec::dma_read_time);
+        }
+        let DmaCost { words, time, .. } = self.last_read;
+        self.count_dma(words);
+        self.bus.acquire(now, time)
     }
 
     /// DMA write of `bytes` to host memory (receive direction).
     pub fn dma_write(&mut self, now: SimTime, bytes: u64) -> Grant {
-        self.count_dma(self.spec.words(bytes));
-        self.bus.acquire(now, self.spec.dma_write_time(bytes))
+        if self.last_write.bytes != bytes {
+            self.last_write = DmaCost::of(&self.spec, bytes, BusSpec::dma_write_time);
+        }
+        let DmaCost { words, time, .. } = self.last_write;
+        self.count_dma(words);
+        self.bus.acquire(now, time)
     }
 
     /// One CPU↔memory transaction (cache-line fill or write-back) of
@@ -333,7 +371,7 @@ mod tests {
     #[test]
     fn burst_reserves_n_transactions() {
         let mut ms = MemorySystem::new(BusSpec::ds5000_200());
-        let one = ms.spec.mem_access_time(4);
+        let one = ms.spec().mem_access_time(4);
         let g = ms.cpu_mem_burst(SimTime::ZERO, 10, 4);
         assert_eq!(g.finish.since(g.start).as_ps(), one.as_ps() * 10);
     }
@@ -359,6 +397,30 @@ mod tests {
         assert_eq!(snap.counter("node0.bus.words"), 49);
         assert_eq!(snap.counter("node0.bus.dma_words"), 33);
         assert_eq!(snap.counter("node0.bus.cpu_words"), 16);
+    }
+
+    /// The per-direction cost cache never changes a grant: alternating
+    /// lengths over one page (every access a miss) and repeats of each
+    /// (every access a hit) both match the spec's closed forms.
+    #[test]
+    fn cached_dma_costs_match_the_spec() {
+        for spec in [BusSpec::ds5000_200(), BusSpec::dec3000_600()] {
+            let mut ms = MemorySystem::new(spec);
+            let mut t = SimTime::ZERO;
+            let mut words = 0;
+            for len in 1..=4096u64 {
+                let other = 4097 - len;
+                for bytes in [len, other, other, len, len] {
+                    let w = ms.dma_write(t, bytes);
+                    assert_eq!(w.finish.since(w.start), spec.dma_write_time(bytes));
+                    let r = ms.dma_read(w.finish, bytes);
+                    assert_eq!(r.finish.since(r.start), spec.dma_read_time(bytes));
+                    t = r.finish;
+                    words += 2 * spec.words(bytes);
+                }
+            }
+            assert_eq!(ms.dma_words(), words);
+        }
     }
 
     #[test]

@@ -98,6 +98,16 @@ test -s target/bench/BENCH_cc.json
 cargo run --release -q -p osiris-bench --bin regress -- \
   crates/bench/baselines/BENCH_cc.json target/bench/BENCH_cc.json --exact
 
+echo "==> event counts + regression gate (events)"
+# Events dispatched per workload message, in total and per event type,
+# for the benchmark's four shapes at quick length. The counts are exact,
+# so the gate is too: one extra event per cell fails it, where the
+# wall-clock rx-bench headlines it replaces moved 3x between runs.
+cargo run --release -q -p osiris-bench --bin events -- --bench-out target/bench/BENCH_events.json > /dev/null
+test -s target/bench/BENCH_events.json
+cargo run --release -q -p osiris-bench --bin regress -- \
+  crates/bench/baselines/BENCH_events.json target/bench/BENCH_events.json --exact
+
 echo "==> smoke: event-engine throughput gate (engine --quick)"
 # Unlike fig2/loss, these headlines are wall-clock (events/sec), so the
 # threshold is generous — the gate exists to catch order-of-magnitude
@@ -111,5 +121,15 @@ cargo run --release -q -p osiris-bench --bin regress -- \
 
 echo "==> smoke: bench harness compiles (criterion-free micro benches)"
 cargo build --release -p osiris-bench --benches
+
+echo "==> smoke: per-module sampler (scripts/profile, one rx_stream child)"
+# The in-tree profiler must keep attributing the receive path: one
+# full-length rx_stream child gives about 100 in-loop samples, and the
+# board's receive module must hold a nonzero share of them.
+scripts/profile/profile.sh rx_stream | tee "$tmp/profile.txt"
+if ! grep -Eq '^board/rx +[1-9]' "$tmp/profile.txt"; then
+  echo "FAIL: the sampler attributed no samples to board/rx" >&2
+  exit 1
+fi
 
 echo "CI OK"

@@ -1,10 +1,9 @@
-//! Property-based tests over the core data structures and invariants.
+//! Property tests over the core data structures and invariants.
 //!
-//! Requires the `proptest-tests` feature (and its dev-dependencies,
-//! which offline builds cannot fetch — see the manifest note).
-#![cfg(feature = "proptest-tests")]
+//! Each property runs 64 seeded cases drawn with `SimRng`; a failing case
+//! prints its seed, and `SimRng::new(seed)` replays it.
 
-use proptest::prelude::*;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter};
 use osiris::atm::stripe::{SkewConfig, StripedLink};
@@ -16,13 +15,39 @@ use osiris::mem::{AddressSpace, AllocPolicy, FrameAllocator, PhysAddr, PhysMemor
 use osiris::proto::frag::fragment_layout;
 use osiris::proto::msg::Message;
 use osiris::proto::wire::{IpHeader, UdpHeader, IPPROTO_UDP};
-use osiris::sim::{SimDuration, SimTime};
+use osiris::sim::{SimDuration, SimRng, SimTime};
 
-proptest! {
-    /// The lock-free ring is a FIFO for any interleaving of pushes/pops.
-    #[test]
-    fn desc_ring_matches_a_vecdeque(ops in proptest::collection::vec(any::<bool>(), 1..200),
-                                    size in 2u32..16) {
+/// Cases per property.
+const CASES: u64 = 64;
+
+/// Runs `property` on `CASES` generators seeded `base`, `base + 1`, …,
+/// naming the seed of the first case that panics.
+fn for_each_case(base: u64, property: impl Fn(&mut SimRng)) {
+    for seed in base..base + CASES {
+        if let Err(e) = catch_unwind(AssertUnwindSafe(|| property(&mut SimRng::new(seed)))) {
+            eprintln!("property failed on seed {seed:#x}");
+            resume_unwind(e);
+        }
+    }
+}
+
+/// A uniform value in `lo..hi`.
+fn range(rng: &mut SimRng, lo: u64, hi: u64) -> u64 {
+    lo + rng.gen_range(hi - lo)
+}
+
+/// `lo..hi` uniformly random bytes.
+fn bytes(rng: &mut SimRng, lo: u64, hi: u64) -> Vec<u8> {
+    let n = range(rng, lo, hi);
+    (0..n).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// The lock-free ring is a FIFO for any interleaving of pushes/pops.
+#[test]
+fn desc_ring_matches_a_vecdeque() {
+    for_each_case(0x1000, |rng| {
+        let ops: Vec<bool> = (0..range(rng, 1, 200)).map(|_| rng.gen_bool(0.5)).collect();
+        let size = range(rng, 2, 16) as u32;
         let mut ring = DescRing::new(size);
         let mut model = std::collections::VecDeque::new();
         let mut counter = 0u32;
@@ -32,60 +57,71 @@ proptest! {
                 counter += 1;
                 match ring.push(d) {
                     Ok(_) => model.push_back(d),
-                    Err(_) => prop_assert!(ring.is_full()),
+                    Err(_) => assert!(ring.is_full()),
                 }
             } else {
                 match ring.pop() {
-                    Some((d, _)) => prop_assert_eq!(Some(d), model.pop_front()),
-                    None => prop_assert!(model.is_empty()),
+                    Some((d, _)) => assert_eq!(Some(d), model.pop_front()),
+                    None => assert!(model.is_empty()),
                 }
             }
-            prop_assert_eq!(ring.len() as usize, model.len());
-            prop_assert_eq!(ring.is_empty(), model.is_empty());
+            assert_eq!(ring.len() as usize, model.len());
+            assert_eq!(ring.is_empty(), model.is_empty());
         }
-    }
+    });
+}
 
-    /// Segmentation followed by in-order reassembly is the identity, for
-    /// both unit disciplines and any buffer split.
-    #[test]
-    fn sar_roundtrip_in_order(data in proptest::collection::vec(any::<u8>(), 1..6000),
-                              split in 0usize..6000,
-                              buffer_unit in any::<bool>()) {
-        let split = split.min(data.len());
+/// Segmentation followed by in-order reassembly is the identity, for
+/// both unit disciplines and any buffer split.
+#[test]
+fn sar_roundtrip_in_order() {
+    for_each_case(0x2000, |rng| {
+        let data = bytes(rng, 1, 6000);
+        let split = (range(rng, 0, 6000) as usize).min(data.len());
+        let unit = match rng.gen_bool(0.5) {
+            true => SegmentUnit::Buffer,
+            false => SegmentUnit::Pdu,
+        };
         let (a, b) = data.split_at(split);
-        let bufs: Vec<&[u8]> = [a, b].iter().copied().filter(|s| !s.is_empty()).collect();
-        prop_assume!(!bufs.is_empty());
-        let unit = if buffer_unit { SegmentUnit::Buffer } else { SegmentUnit::Pdu };
-        let cells = Segmenter { framing: FramingMode::EndOfPdu, unit }.segment(Vci(3), &bufs);
+        let bufs: Vec<&[u8]> = [a, b].into_iter().filter(|s| !s.is_empty()).collect();
+        let cells = Segmenter {
+            framing: FramingMode::EndOfPdu,
+            unit,
+        }
+        .segment(Vci(3), &bufs);
         let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
         let mut out = None;
         for c in &cells {
             out = r.receive(0, c).unwrap().completed.or(out);
         }
         let p = out.expect("must complete");
-        prop_assert!(p.crc_ok);
-        prop_assert_eq!(p.data.unwrap(), data);
-    }
+        assert!(p.crc_ok);
+        assert_eq!(p.data.unwrap(), data);
+        assert_eq!(r.in_flight(), 0);
+    });
+}
 
-    /// Four-way reassembly is the identity under ANY skew in the
-    /// per-lane-FIFO class (generated by a real skewed striped link).
-    #[test]
-    fn sar_roundtrip_under_arbitrary_lane_skew(
-        data in proptest::collection::vec(any::<u8>(), 1..5000),
-        offsets in proptest::collection::vec(0u64..30, 4),
-        jitter_us in 0u64..25,
-        seed in any::<u64>(),
-    ) {
+/// Four-way reassembly is the identity under ANY skew in the
+/// per-lane-FIFO class (generated by a real skewed striped link).
+#[test]
+fn sar_roundtrip_under_arbitrary_lane_skew() {
+    for_each_case(0x3000, |rng| {
+        let data = bytes(rng, 1, 5000);
         let skew = SkewConfig {
-            lane_offsets: offsets.iter().map(|&o| SimDuration::from_us(o)).collect(),
-            queue_jitter_max: SimDuration::from_us(jitter_us),
+            lane_offsets: (0..4)
+                .map(|_| SimDuration::from_us(range(rng, 0, 30)))
+                .collect(),
+            queue_jitter_max: SimDuration::from_us(range(rng, 0, 25)),
             drop_prob: 0.0,
             corrupt_prob: 0.0,
-            seed,
+            seed: rng.next_u64(),
         };
-        let cells = Segmenter { framing: FramingMode::FourWay { lanes: 4 }, unit: SegmentUnit::Pdu }
-            .segment(Vci(1), &[&data]);
-        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), skew);
+        let cells = Segmenter {
+            framing: FramingMode::FourWay { lanes: 4 },
+            unit: SegmentUnit::Pdu,
+        }
+        .segment(Vci(1), &[&data]);
+        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &skew);
         let mut arrivals = Vec::new();
         for (i, mut c) in cells.into_iter().enumerate() {
             let (lane, at) = link.send_cell(SimTime::ZERO, i as u32, &mut c).unwrap();
@@ -98,26 +134,34 @@ proptest! {
             out = r.receive(*lane, c).unwrap().completed.or(out);
         }
         let p = out.expect("must complete under bounded skew");
-        prop_assert!(p.crc_ok);
-        prop_assert_eq!(p.data.unwrap(), data);
-    }
+        assert!(p.crc_ok);
+        assert_eq!(p.data.unwrap(), data);
+    });
+}
 
-    /// Back-to-back PDUs stay correctly framed under skew — for PDUs at
-    /// least as long as the stripe is wide. (Shorter PDUs under deep skew
-    /// are ambiguous by lane position alone; the per-VCI PDU tag resolves
-    /// them — see `short_pdu_under_deep_skew_resolves_via_pdu_tag`.)
-    #[test]
-    fn sar_multiple_pdus_under_skew(
-        lens in proptest::collection::vec(133usize..2000, 1..5),
-        seed in any::<u64>(),
-    ) {
-        let seg = Segmenter { framing: FramingMode::FourWay { lanes: 4 }, unit: SegmentUnit::Pdu };
-        let skew = SkewConfig::switch_queueing(seed, SimDuration::from_us(12));
-        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), skew);
+/// Back-to-back PDUs stay correctly framed under skew — for PDUs at
+/// least as long as the stripe is wide. (Shorter PDUs under deep skew
+/// are ambiguous by lane position alone; the per-VCI PDU tag resolves
+/// them — see `short_pdu_under_deep_skew_resolves_via_pdu_tag`.)
+#[test]
+fn sar_multiple_pdus_under_skew() {
+    for_each_case(0x4000, |rng| {
+        let lens: Vec<usize> = (0..range(rng, 1, 5))
+            .map(|_| range(rng, 133, 2000) as usize)
+            .collect();
+        let seg = Segmenter {
+            framing: FramingMode::FourWay { lanes: 4 },
+            unit: SegmentUnit::Pdu,
+        };
+        let skew = SkewConfig::switch_queueing(rng.next_u64(), SimDuration::from_us(12));
+        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &skew);
         let mut arrivals = Vec::new();
         let mut t = SimTime::ZERO;
-        let datasets: Vec<Vec<u8>> =
-            lens.iter().enumerate().map(|(k, &l)| vec![(k + 1) as u8; l]).collect();
+        let datasets: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(k, &l)| vec![(k + 1) as u8; l])
+            .collect();
         for (k, data) in datasets.iter().enumerate() {
             for (i, mut c) in seg
                 .segment_numbered(Vci(1), k as u16, &[data])
@@ -137,45 +181,49 @@ proptest! {
                 done.push(p);
             }
         }
-        prop_assert_eq!(done.len(), datasets.len());
+        assert_eq!(done.len(), datasets.len());
         done.sort_by_key(|p| p.pdu);
         for (p, data) in done.iter().zip(&datasets) {
-            prop_assert!(p.crc_ok);
-            prop_assert_eq!(p.data.as_ref().unwrap(), data);
+            assert!(p.crc_ok);
+            assert_eq!(p.data.as_ref().unwrap(), data);
         }
-    }
+    });
+}
 
-    /// DMA plans conserve bytes, never cross pages, and respect caps.
-    #[test]
-    fn dma_plans_are_sound(addr in 0u64..100_000, len in 1u32..40_000, mode in 0u8..3) {
-        let mode = [DmaMode::SingleCell, DmaMode::DoubleCell, DmaMode::Arbitrary][mode as usize];
+/// DMA plans conserve bytes, never cross pages, and respect caps.
+#[test]
+fn dma_plans_are_sound() {
+    for_each_case(0x5000, |rng| {
+        let addr = range(rng, 0, 100_000);
+        let len = range(rng, 1, 40_000) as u32;
+        let modes = [DmaMode::SingleCell, DmaMode::DoubleCell, DmaMode::Arbitrary];
+        let mode = modes[rng.gen_range(3) as usize];
         let plan: Vec<_> = plan_dma(mode, PhysAddr(addr), len, 4096).collect();
-        prop_assert_eq!(plan.iter().map(|x| x.len as u64).sum::<u64>(), len as u64);
+        assert_eq!(plan.iter().map(|x| x.len as u64).sum::<u64>(), len as u64);
         let mut cur = addr;
         for x in &plan {
-            prop_assert_eq!(x.addr.0, cur);
+            assert_eq!(x.addr.0, cur);
             cur += x.len as u64;
-            prop_assert_eq!(x.addr.0 / 4096, (x.addr.0 + x.len as u64 - 1) / 4096);
+            assert_eq!(x.addr.0 / 4096, (x.addr.0 + x.len as u64 - 1) / 4096);
             if let Some(cap) = mode.max_len() {
-                prop_assert!(x.len <= cap);
+                assert!(x.len <= cap);
             }
         }
-    }
+    });
+}
 
-    /// The message tool preserves the byte-position → address mapping
-    /// through any sequence of header pushes, pops and splits.
-    #[test]
-    fn message_tool_preserves_layout(
-        base_len in 1u32..50_000,
-        hdr in 1u32..64,
-        pop in 0u32..32,
-        split in any::<u64>(),
-    ) {
+/// The message tool preserves the byte-position → address mapping
+/// through any sequence of header pushes, pops and splits.
+#[test]
+fn message_tool_preserves_layout() {
+    for_each_case(0x6000, |rng| {
+        let base_len = range(rng, 1, 50_000) as u32;
+        let hdr = range(rng, 1, 64) as u32;
+        let pop = (range(rng, 0, 32) as u32).min(hdr);
         let mut m = Message::single(VirtAddr(1 << 20), base_len);
         m.push_header(VirtAddr(1 << 10), hdr);
-        let pop = pop.min(hdr);
         let _ = m.pop_header(pop);
-        let split = split % (m.len() + 1);
+        let split = rng.next_u64() % (m.len() + 1);
         let front = m.split_off_front(split);
         let mut whole = front;
         whole.join(m);
@@ -193,89 +241,113 @@ proptest! {
                 got.push(seg.addr.0 + i as u64);
             }
         }
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    /// IP fragmentation plans tile the datagram exactly.
-    #[test]
-    fn fragment_layout_tiles(total in 0u64..1_000_000, pages in 1u32..5) {
-        let mtu = pages * 4096 + osiris::proto::wire::IP_HEADER_BYTES as u32;
+/// IP fragmentation plans tile the datagram exactly.
+#[test]
+fn fragment_layout_tiles() {
+    use osiris::proto::wire::IP_HEADER_BYTES;
+    for_each_case(0x7000, |rng| {
+        let total = range(rng, 0, 1_000_000);
+        let mtu = range(rng, 1, 5) as u32 * 4096 + IP_HEADER_BYTES as u32;
         let plan = fragment_layout(total, mtu);
-        prop_assert_eq!(plan.total(), total);
+        assert_eq!(plan.total(), total);
         for (i, s) in plan.sizes().enumerate() {
-            prop_assert!(s as u64 + osiris::proto::wire::IP_HEADER_BYTES as u64 <= mtu as u64);
+            assert!(s as u64 + IP_HEADER_BYTES as u64 <= mtu as u64);
             if i + 1 < plan.count() {
-                prop_assert_eq!(s, mtu - osiris::proto::wire::IP_HEADER_BYTES as u32);
+                assert_eq!(s, mtu - IP_HEADER_BYTES as u32);
             }
         }
-    }
+    });
+}
 
-    /// Headers round-trip and single-bit corruption never decodes.
-    #[test]
-    fn ip_header_roundtrip_and_corruption(id in any::<u32>(), total in any::<u32>(),
-                                          off in any::<u32>(), mf in any::<bool>(),
-                                          src in any::<u16>(), dst in any::<u16>(),
-                                          bit in 0usize..(8 * 19)) {
-        let h = IpHeader { id, total_len: total, frag_off: off, more_frags: mf,
-                           proto: IPPROTO_UDP, src, dst };
+/// Headers round-trip and single-bit corruption never decodes.
+#[test]
+fn ip_header_roundtrip_and_corruption() {
+    for_each_case(0x8000, |rng| {
+        let h = IpHeader {
+            id: rng.next_u64() as u32,
+            total_len: rng.next_u64() as u32,
+            frag_off: rng.next_u64() as u32,
+            more_frags: rng.gen_bool(0.5),
+            proto: IPPROTO_UDP,
+            src: rng.next_u64() as u16,
+            dst: rng.next_u64() as u16,
+        };
+        let bit = rng.gen_range(8 * 19) as usize;
         let enc = h.encode();
-        prop_assert_eq!(IpHeader::decode(&enc), Some(h));
-        let (byte, b) = (bit / 8, bit % 8);
+        assert_eq!(IpHeader::decode(&enc), Some(h));
         let mut bad = enc;
-        bad[byte] ^= 1 << b;
+        bad[bit / 8] ^= 1 << (bit % 8);
         // Any flip in the live bytes (0..19) must be rejected.
-        prop_assert_eq!(IpHeader::decode(&bad), None);
-    }
+        assert_eq!(IpHeader::decode(&bad), None);
+    });
+}
 
-    /// UDP headers round-trip.
-    #[test]
-    fn udp_header_roundtrip(sp in any::<u16>(), dp in any::<u16>(),
-                            len in any::<u32>(), ck in any::<u16>()) {
-        let h = UdpHeader { src_port: sp, dst_port: dp, len, cksum: ck };
-        prop_assert_eq!(UdpHeader::decode(&h.encode()), Some(h));
-    }
+/// UDP headers round-trip.
+#[test]
+fn udp_header_roundtrip() {
+    for_each_case(0x9000, |rng| {
+        let h = UdpHeader {
+            src_port: rng.next_u64() as u16,
+            dst_port: rng.next_u64() as u16,
+            len: rng.next_u64() as u32,
+            cksum: rng.next_u64() as u16,
+        };
+        assert_eq!(UdpHeader::decode(&h.encode()), Some(h));
+    });
+}
 
-    /// CRC-32 detects every single-bit error.
-    #[test]
-    fn crc32_detects_single_bit_errors(data in proptest::collection::vec(any::<u8>(), 1..2000),
-                                       bit in any::<usize>()) {
-        let good = crc32(&data);
-        let mut bad = data.clone();
-        let i = bit % (data.len() * 8);
-        bad[i / 8] ^= 1 << (i % 8);
-        prop_assert_ne!(crc32(&bad), good);
-    }
+/// `data` with one bit flipped, at a position drawn from `rng`.
+fn flip_one_bit(rng: &mut SimRng, data: &[u8]) -> Vec<u8> {
+    let mut bad = data.to_vec();
+    let i = rng.gen_range(data.len() as u64 * 8) as usize;
+    bad[i / 8] ^= 1 << (i % 8);
+    bad
+}
 
-    /// The Internet checksum detects every single-bit error.
-    #[test]
-    fn internet_checksum_detects_single_bit_errors(
-        data in proptest::collection::vec(any::<u8>(), 1..2000),
-        bit in any::<usize>(),
-    ) {
-        let good = internet_checksum(&data);
-        let mut bad = data.clone();
-        let i = bit % (data.len() * 8);
-        bad[i / 8] ^= 1 << (i % 8);
-        prop_assert_ne!(internet_checksum(&bad), good);
-    }
+/// CRC-32 detects every single-bit error.
+#[test]
+fn crc32_detects_single_bit_errors() {
+    for_each_case(0xa000, |rng| {
+        let data = bytes(rng, 1, 2000);
+        let bad = flip_one_bit(rng, &data);
+        assert_ne!(crc32(&bad), crc32(&data));
+    });
+}
 
-    /// VM translation tiles a mapped region exactly, one buffer per
-    /// physically contiguous run, and unmap restores the allocator.
-    #[test]
-    fn vm_translate_tiles_regions(len in 1u64..200_000, offset in 0u64..4096, seed in any::<u64>()) {
+/// The Internet checksum detects every single-bit error.
+#[test]
+fn internet_checksum_detects_single_bit_errors() {
+    for_each_case(0xb000, |rng| {
+        let data = bytes(rng, 1, 2000);
+        let bad = flip_one_bit(rng, &data);
+        assert_ne!(internet_checksum(&bad), internet_checksum(&data));
+    });
+}
+
+/// VM translation tiles a mapped region exactly, one buffer per
+/// physically contiguous run, and unmap restores the allocator.
+#[test]
+fn vm_translate_tiles_regions() {
+    for_each_case(0xc000, |rng| {
+        let len = range(rng, 1, 200_000);
+        let offset = range(rng, 0, 4096);
         let mem = PhysMemory::new(256 * 4096, 4096);
-        let mut alloc = FrameAllocator::new(&mem, AllocPolicy::Scattered, seed);
+        let mut alloc = FrameAllocator::new(&mem, AllocPolicy::Scattered, rng.next_u64());
         let mut asp = AddressSpace::new(4096);
         let free0 = alloc.free_frames();
         let region = asp.alloc_and_map(len + offset, &mut alloc).unwrap();
         let bufs = asp.translate(region.base.offset(offset), len).unwrap();
-        prop_assert_eq!(bufs.iter().map(|b| b.len as u64).sum::<u64>(), len);
+        assert_eq!(bufs.iter().map(|b| b.len as u64).sum::<u64>(), len);
         for w in bufs.windows(2) {
-            prop_assert!(w[0].end() != w[1].addr, "coalesce must have merged these");
+            assert!(w[0].end() != w[1].addr, "coalesce must have merged these");
         }
         asp.unmap(region, &mut alloc);
-        prop_assert_eq!(alloc.free_frames(), free0);
-    }
+        assert_eq!(alloc.free_frames(), free0);
+    });
 }
 
 /// The §2.6 corner the paper leaves open: a PDU with fewer cells than
