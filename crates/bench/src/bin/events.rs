@@ -9,7 +9,10 @@
 //! (cell trains, say) regenerates the baseline and says why.
 //!
 //! Each shape runs the benchmark's configuration at its `--quick` length
-//! (seed 42) through `Scenario::run`:
+//! (seed 42) through `Scenario::run`. The configurations and lengths are
+//! copies of `benchmark/src/workload.rs` (`Workload::build` and
+//! `Workload::length(true)`), which this crate cannot depend on; nothing
+//! checks that the two agree, so a change to either must change both:
 //!
 //! * `rx_stream`: `RxBench`, 16 KB UDP/IP messages into one DS5000/200;
 //! * `pingpong`: `Pair`, 1-byte round trips, the client writing each
@@ -31,6 +34,8 @@ use osiris_bench::{bench_out_path, BenchSnapshot, Better};
 const SEED: u64 = 42;
 
 /// One shape: its name, scenario, configuration and workload messages.
+/// Mirrors `benchmark/src/workload.rs::{Workload::build, Workload::length}`
+/// at quick length; keep the two equal by hand.
 fn shapes() -> Vec<(&'static str, Scenario, TestbedConfig, u64)> {
     let base = |messages| {
         let mut cfg = TestbedConfig::ds5000_200_udp();
