@@ -31,7 +31,7 @@ use osiris_board::rx::RxProcessor;
 use osiris_board::tx::TxProcessor;
 use osiris_host::domain::DomainId;
 use osiris_host::machine::HostMachine;
-use osiris_sim::{SimDuration, SimTime};
+use osiris_sim::SimTime;
 
 /// One open channel.
 #[derive(Debug, Clone)]
@@ -181,14 +181,6 @@ impl AdcManager {
         // Exception dispatch into the application.
         let d = host.run_cpu(g.finish, host.spec.costs.syscall);
         d.finish
-    }
-
-    /// The data-path cost advantage of an ADC (used by the experiment
-    /// harness): per message, the kernel-mediated path pays two domain
-    /// crossings (send trap + receive wakeup crossing) that the ADC does
-    /// not. Interrupts are fielded by the kernel either way.
-    pub fn crossings_saved_per_message(host: &HostMachine) -> SimDuration {
-        SimDuration::from_ps(host.spec.costs.syscall.as_ps() * 2)
     }
 }
 

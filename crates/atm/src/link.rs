@@ -61,7 +61,7 @@ impl LinkLane {
     pub fn with_probe(spec: LinkSpec, offset: SimDuration, probe: &Probe) -> Self {
         LinkLane {
             spec,
-            tx: FifoResource::new("link-lane"),
+            tx: FifoResource::default(),
             offset,
             last_arrival: SimTime::ZERO,
             cells_sent: probe.counter("cells_sent"),
@@ -85,11 +85,6 @@ impl LinkLane {
     /// Cells sent over this lane's lifetime.
     pub fn cells_sent(&self) -> u64 {
         self.cells_sent.get()
-    }
-
-    /// When the lane's transmitter next goes idle.
-    pub fn tx_free_at(&self) -> SimTime {
-        self.tx.free_at()
     }
 
     /// The lane's physical parameters.

@@ -524,11 +524,6 @@ impl Reassembler {
         }
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> ReassemblyMode {
-        self.mode
-    }
-
     /// Number of PDUs completed so far.
     pub fn completed(&self) -> u64 {
         self.completed_count

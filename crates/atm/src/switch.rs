@@ -21,7 +21,6 @@ use osiris_sim::obs::{Counter, Gauge, Probe};
 use osiris_sim::{FifoResource, FxHashMap, SimDuration, SimTime};
 
 use crate::cell::{Cell, CELL_BYTES_ON_WIRE};
-use crate::slab::{CellRef, CellSlab};
 use crate::vci::Vci;
 
 /// Switch geometry and timing.
@@ -129,9 +128,7 @@ impl Switch {
     pub fn with_probe(spec: SwitchSpec, probe: &Probe) -> Self {
         let p = probe.scoped("switch");
         Switch {
-            outputs: (0..spec.ports)
-                .map(|_| FifoResource::new("switch-port"))
-                .collect(),
+            outputs: (0..spec.ports).map(|_| FifoResource::default()).collect(),
             stats: (0..spec.ports)
                 .map(|i| {
                     let pp = p.scoped(&format!("port{i}"));
@@ -247,24 +244,6 @@ impl Switch {
         assert!(port < self.spec.ports, "lane {lane} overruns port block");
         self.depart(now, port)
             .map(|(at, marked)| (port, at, marked))
-    }
-
-    /// Slab-handle form of [`forward_on_lane`](Self::forward_on_lane):
-    /// the cell stays parked in `slab` and moves through the switch as a
-    /// handle; an unrouted or overflow-dropped cell's slot is freed
-    /// immediately so the slab recycles it.
-    pub fn forward_on_lane_ref(
-        &mut self,
-        now: SimTime,
-        r: CellRef,
-        lane: usize,
-        slab: &mut CellSlab,
-    ) -> Option<(usize, SimTime)> {
-        let out = self.forward_on_lane(now, slab.get(r), lane);
-        if out.is_none() {
-            slab.free(r);
-        }
-        out
     }
 
     /// Queues one cell on `port`'s output and returns its departure time

@@ -40,7 +40,6 @@ pub struct TrafficSource {
     rng: SimRng,
     next: SimTime,
     burst_left: u32,
-    cells_emitted: u64,
 }
 
 impl TrafficSource {
@@ -55,7 +54,6 @@ impl TrafficSource {
             rng: SimRng::new(seed),
             next: start,
             burst_left: 0,
-            cells_emitted: 0,
         }
     }
 
@@ -72,7 +70,7 @@ impl TrafficSource {
 
     /// The next cell's arrival instant.
     pub fn next_arrival(&mut self) -> SimTime {
-        let at = match self.model {
+        match self.model {
             TrafficModel::Cbr { load_permille } => {
                 let load = load_permille.clamp(1, 1000) as u64;
                 let gap = SimDuration::from_ps(self.cell_time.as_ps() * 1000 / load);
@@ -95,9 +93,7 @@ impl TrafficSource {
                 self.next = at + self.cell_time;
                 at
             }
-        };
-        self.cells_emitted += 1;
-        at
+        }
     }
 
     /// Arrival instants up to (and excluding) `until`.
@@ -117,11 +113,6 @@ impl TrafficSource {
             }
         }
         out
-    }
-
-    /// Cells generated so far.
-    pub fn cells_emitted(&self) -> u64 {
-        self.cells_emitted
     }
 }
 

@@ -1,8 +1,8 @@
 //! Regenerates the **congestion-control matrix**: incast degree × cell
 //! loss × transport scheme → goodput and tail. The matrix pits the PR 4
 //! stop-and-wait baseline (`saw`) against the windowed selective-repeat
-//! transport (`sr`) and its three congestion controllers (`sr+credit`,
-//! `sr+ecn`, `sr+pace`) on an N-to-1 incast through the bounded switch.
+//! transport (`sr`) and its two congestion controllers (`sr+ecn`,
+//! `sr+pace`) on an N-to-1 incast through the bounded switch.
 //!
 //! The headline CI locks: at 64 senders and 1% cell loss, the best
 //! selective-repeat scheme must hold at least 3× the stop-and-wait
@@ -52,6 +52,22 @@ fn main() {
             .all(|p| p.converged && p.gave_up == 0),
         "every selective-repeat scheme must converge without abandoning datagrams"
     );
+    // A congestion controller that leaves every cell of the full matrix
+    // exactly as plain `sr` left it never binds. The quick smoke is too
+    // small for this: 8 senders under window 8 defer no datagram, so all
+    // selective-repeat columns coincide there.
+    if !quick_requested() {
+        for (name, _, _) in CC_SCHEMES.iter().filter(|(n, _, _)| n.starts_with("sr+")) {
+            let binds = points.iter().filter(|p| p.scheme == *name).any(|p| {
+                let sr = at(p.senders, p.loss_rate, "sr");
+                p.goodput_mbps != sr.goodput_mbps || p.p99_gap_us != sr.p99_gap_us
+            });
+            assert!(
+                binds,
+                "{name} equals sr in every cell: the scheme never binds"
+            );
+        }
+    }
 
     // Series per scheme: goodput across the (senders × rate) grid,
     // x = senders * 1000 + loss permille (a flat deterministic axis).

@@ -257,14 +257,9 @@ impl LockedRing {
     pub fn new(size: u32) -> Self {
         LockedRing {
             ring: DescRing::new(size),
-            lock: FifoResource::new("tset-lock"),
+            lock: FifoResource::default(),
             lock_acquire_loads: 1,
         }
-    }
-
-    /// Access to the underlying ring state (checks only).
-    pub fn ring(&self) -> &DescRing {
-        &self.ring
     }
 
     /// Performs `op` under the lock. `hold` is how long the critical

@@ -365,7 +365,7 @@ impl RxProcessor {
                 cell_time: cfg.fw.clock.cycles(cfg.fw.rx_cell_cycles + extra),
                 pdu_time: cfg.fw.clock.cycles(cfg.fw.rx_pdu_cycles),
                 cfg,
-                engine: FifoResource::new("rx-80960"),
+                engine: FifoResource::default(),
                 free_rings: (0..QUEUE_PAGES)
                     .map(|_| DescRing::new(layout.free_ring_slots))
                     .collect(),
@@ -397,11 +397,6 @@ impl RxProcessor {
         self.dp.syms = RxSyms::intern(&self.dp.timeline, &self.dp.track);
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &RxConfig {
-        &self.dp.cfg
-    }
-
     /// Binds a VCI to a queue page (the early-demultiplexing table).
     ///
     /// While the table is empty the board is promiscuous: every VCI lands
@@ -431,11 +426,6 @@ impl RxProcessor {
     /// violations) instead of being used for DMA.
     pub fn set_authorized_frames(&mut self, page: usize, frames: Option<HashSet<u64>>) {
         self.dp.authorized[page] = frames;
-    }
-
-    /// Protection violations detected on free-buffer queues.
-    pub fn violations(&self) -> u64 {
-        self.dp.stats.violations.get()
     }
 
     /// Host-side access to the free-buffer ring of `page`.

@@ -45,11 +45,6 @@ impl<T> SpscRing<T> {
         }
     }
 
-    /// Usable capacity.
-    pub fn capacity(&self) -> u32 {
-        self.size - 1
-    }
-
     /// Producer side: attempts to enqueue. Returns the value back if full.
     pub fn push(&self, value: T) -> Result<(), T> {
         // The producer owns `head`; a relaxed read of our own variable is

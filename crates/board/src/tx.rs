@@ -26,7 +26,7 @@ use osiris_atm::sar::{check_lanes, BufferChain, FramingMode, SegmentUnit, Segmen
 use osiris_atm::{CellRef, CellSlab, StripedLink, Vci};
 use osiris_mem::{MemorySystem, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{Clock, FifoResource, FxHashMap, SimTime, SymId, Timeline};
+use osiris_sim::{Clock, FifoResource, FxHashMap, SimDuration, SimTime, SymId, Timeline};
 
 use crate::descriptor::{DescRing, Descriptor};
 use crate::dma::{plan_dma, DmaMode};
@@ -133,6 +133,11 @@ pub struct TxOutcome {
 #[derive(Debug)]
 pub struct TxProcessor {
     cfg: TxConfig,
+    /// The firmware's per-cell and per-PDU budgets (`tx_cell_cycles`,
+    /// `tx_pdu_cycles`), costed once: `cfg` never changes after
+    /// construction.
+    cell_time: SimDuration,
+    pdu_time: SimDuration,
     queues: Vec<DescRing>,
     priorities: Vec<u8>,
     host_waiting: Vec<bool>,
@@ -234,6 +239,8 @@ impl TxProcessor {
         let track = p.scope().to_string();
         let syms = TxSyms::intern(&timeline, &track);
         TxProcessor {
+            cell_time: cfg.fw.clock.cycles(cfg.fw.tx_cell_cycles),
+            pdu_time: cfg.fw.clock.cycles(cfg.fw.tx_pdu_cycles),
             cfg,
             queues: (0..QUEUE_PAGES)
                 .map(|_| DescRing::new(layout.tx_ring_slots))
@@ -242,7 +249,7 @@ impl TxProcessor {
             host_waiting: vec![false; QUEUE_PAGES],
             authorized: vec![None; QUEUE_PAGES],
             violations: p.counter("violations"),
-            engine: FifoResource::new("tx-80960"),
+            engine: FifoResource::default(),
             pdus_sent: p.counter("pdus_sent"),
             cells_sent: p.counter("cells_sent"),
             cells_dropped: p.counter("cells_dropped"),
@@ -279,11 +286,6 @@ impl TxProcessor {
                 .push(self.timeline.intern(&format!("{}.lane{l}", self.track)));
         }
         self.lane_tracks[lane]
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &TxConfig {
-        &self.cfg
     }
 
     /// Host-side access to transmit queue `q` (the driver pays the
@@ -325,29 +327,9 @@ impl TxProcessor {
         self.pdus_sent.get()
     }
 
-    /// Cells transmitted.
-    pub fn cells_sent(&self) -> u64 {
-        self.cells_sent.get()
-    }
-
     /// Cells the link dropped in flight (lifetime total).
     pub fn cells_dropped(&self) -> u64 {
         self.cells_dropped.get()
-    }
-
-    /// Data bytes transmitted.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.get()
-    }
-
-    /// Full → half-empty wakeup interrupts raised (§2.1.2).
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups.get()
-    }
-
-    /// When the transmit engine next goes idle.
-    pub fn engine_free_at(&self) -> SimTime {
-        self.engine.free_at()
     }
 
     /// The cells of the PDU the last [`TxProcessor::service`] call
@@ -408,9 +390,7 @@ impl TxProcessor {
             if bad {
                 self.chain = chain;
                 self.violations.incr();
-                let g = self
-                    .engine
-                    .acquire(now, self.cfg.fw.clock.cycles(self.cfg.fw.tx_pdu_cycles));
+                let g = self.engine.acquire(now, self.pdu_time);
                 return Some(TxOutcome {
                     queue: q,
                     vci,
@@ -425,9 +405,7 @@ impl TxProcessor {
         }
 
         // Per-PDU firmware work.
-        let pdu_grant = self
-            .engine
-            .acquire(now, self.cfg.fw.clock.cycles(self.cfg.fw.tx_pdu_cycles));
+        let pdu_grant = self.engine.acquire(now, self.pdu_time);
         let mut fw_cursor = pdu_grant.finish;
         let ctx = chain.iter().find_map(|d| d.ctx);
         let traced = ctx.filter(|_| self.timeline.is_enabled());
@@ -493,10 +471,7 @@ impl TxProcessor {
         let mut lane_win = std::mem::take(&mut self.lane_win);
         lane_win.clear();
         for (i, mut cell) in cells.enumerate() {
-            let fw_grant = self.engine.acquire(
-                fw_cursor,
-                self.cfg.fw.clock.cycles(self.cfg.fw.tx_cell_cycles),
-            );
+            let fw_grant = self.engine.acquire(fw_cursor, self.cell_time);
             fw_cursor = fw_grant.finish;
             data_cursor += cell.aal.fill as u64;
             while fetch_idx < fetch_done_at.len() && fetch_done_at[fetch_idx].0 < data_cursor {

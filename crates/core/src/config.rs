@@ -90,8 +90,6 @@ pub struct TestbedConfig {
     pub switched_fabric: bool,
     /// Experiment seed (frame-allocator fragmentation, skew jitter).
     pub seed: u64,
-    /// Verify delivered payloads against the sent pattern.
-    pub verify_data: bool,
     /// Application data-touch behaviour.
     pub touch: TouchMode,
     /// Byte offset of message data within its first page. §2.2: "the data
@@ -113,8 +111,6 @@ pub struct TestbedConfig {
     /// Selective-repeat window: datagrams in flight per destination
     /// (clamped to 64, the block-ack bitmap width).
     pub window: u32,
-    /// Deliveries coalesced per block ack (1 = ack every datagram).
-    pub ack_every: u32,
     /// Switch output-queue depth (cells) above which departing cells are
     /// ECN-marked (`None` = never mark; the ECN scheme needs it set).
     pub ecn_threshold_cells: Option<u32>,
@@ -155,14 +151,12 @@ impl TestbedConfig {
             data_path: DataPath::Kernel,
             switched_fabric: false,
             seed: 42,
-            verify_data: true,
             touch: TouchMode::None,
             data_offset: 2048,
             reliable: false,
             transport: TransportMode::SelectiveRepeat,
             cc: CcScheme::None,
             window: 16,
-            ack_every: 1,
             ecn_threshold_cells: None,
             reassembly_timeout: None,
             sim: SimConfig::default(),
@@ -192,15 +186,6 @@ impl TestbedConfig {
             layer: Layer::RawAtm,
             ..Self::dec3000_600_udp()
         }
-    }
-
-    /// Cells per message at the configured sizes (diagnostic).
-    pub fn cells_per_message(&self) -> u64 {
-        let overhead = match self.layer {
-            Layer::RawAtm => 0,
-            Layer::UdpIp => 36, // UDP + one IP header for small messages
-        };
-        (self.msg_size + overhead).div_ceil(44)
     }
 }
 

@@ -8,7 +8,8 @@ use osiris_host::machine::MachineSpec;
 use osiris_mem::BusSpec;
 use osiris_proto::stack::{CcScheme, TransportMode};
 use osiris_proto::wire::{IP_HEADER_BYTES, UDP_HEADER_BYTES};
-use osiris_sim::stats::{LatencyStats, ThroughputMeter};
+use osiris_sim::obs::Histogram;
+use osiris_sim::stats::ThroughputMeter;
 use osiris_sim::{CriticalPath, FaultPlan, HistSummary, SimDuration, SimTime, Stage};
 
 use crate::config::{Layer, TestbedConfig};
@@ -18,7 +19,7 @@ use crate::scenario::Scenario;
 const DEADLINE: SimTime = SimTime::from_secs(30);
 
 /// Table 1: round-trip latency between two test programs.
-pub fn round_trip_latency(cfg: &TestbedConfig) -> LatencyStats {
+pub fn round_trip_latency(cfg: &TestbedConfig) -> Histogram {
     let mut sim = Scenario::Pair.launch(cfg.clone());
     loop {
         if sim.model.done || sim.now() > DEADLINE {
@@ -239,7 +240,6 @@ pub fn loss_sweep(base: &TestbedConfig, rates: &[f64]) -> Vec<LossSweepPoint> {
             cfg.reliable = true;
             cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
             cfg.udp_checksum = true;
-            cfg.verify_data = true;
             let mut plan = FaultPlan::uniform_loss(rate, 4, cfg.seed);
             plan.lane_corrupt_prob = vec![rate; 4];
             cfg.sim.faults = plan;
@@ -267,7 +267,7 @@ pub fn loss_sweep(base: &TestbedConfig, rates: &[f64]) -> Vec<LossSweepPoint> {
                 loss_rate: rate,
                 goodput_mbps: elapsed.mbps_for_bytes(cfg.messages * cfg.msg_size),
                 rtt_mean_us: m.latency.mean_us(),
-                rtt_p99_us: m.latency_hist.percentile_us(0.99),
+                rtt_p99_us: m.latency.percentile_us(0.99),
                 retransmits: both("stack.retransmits"),
                 acks: both("stack.acks_received"),
                 timeout_reaps: both("board.rx.pdus_dropped_timeout"),
@@ -286,11 +286,6 @@ pub fn loss_sweep(base: &TestbedConfig, rates: &[f64]) -> Vec<LossSweepPoint> {
 pub const CC_SCHEMES: &[(&str, TransportMode, CcScheme)] = &[
     ("saw", TransportMode::StopAndWait, CcScheme::None),
     ("sr", TransportMode::SelectiveRepeat, CcScheme::None),
-    (
-        "sr+credit",
-        TransportMode::SelectiveRepeat,
-        CcScheme::Credit,
-    ),
     ("sr+ecn", TransportMode::SelectiveRepeat, CcScheme::Ecn),
     ("sr+pace", TransportMode::SelectiveRepeat, CcScheme::Pacing),
 ];
@@ -401,7 +396,7 @@ pub fn cc_point(base: &TestbedConfig, senders: usize, rate: f64, scheme: &str) -
         scheme: scheme.to_string(),
         converged: m.done,
         goodput_mbps,
-        p99_gap_us: m.latency_hist.percentile_us(0.99),
+        p99_gap_us: m.latency.percentile_us(0.99),
         delivered: snap.counter(&format!("{recv}.stack.delivered")),
         retransmits: all("stack.retransmits"),
         sack_retransmits: all("stack.window.sack_retransmits"),

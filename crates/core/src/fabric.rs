@@ -157,14 +157,6 @@ impl SwitchedFabric {
     pub fn connect(&mut self, vci: Vci, to: NodeId) {
         self.switch.route_group(vci, to.0 * self.lanes, self.lanes);
     }
-
-    /// Injects `cells` cell times of cross traffic on one lane of node
-    /// `to`'s port block, starting at `now` (other flows contending for
-    /// the receiver's output port).
-    pub fn cross_traffic(&mut self, now: SimTime, to: NodeId, lane: usize, cells: u64) {
-        self.switch
-            .background_load(now, to.0 * self.lanes + lane, cells);
-    }
 }
 
 impl Fabric for SwitchedFabric {

@@ -118,23 +118,6 @@ pub fn ascii_plot(
     out
 }
 
-/// Renders every non-zero counter under `prefix` (a dotted registry
-/// scope, e.g. `node0.board.rx`) as an aligned two-column table.
-pub fn snapshot_counters(title: &str, snap: &Snapshot, prefix: &str) -> String {
-    let rows: Vec<Vec<String>> = snap
-        .counters
-        .iter()
-        .filter(|(k, &v)| {
-            v != 0
-                && (prefix.is_empty()
-                    || k.as_str() == prefix
-                    || (k.starts_with(prefix) && k[prefix.len()..].starts_with('.')))
-        })
-        .map(|(k, v)| vec![k.clone(), v.to_string()])
-        .collect();
-    table(title, &["counter", "value"], &rows)
-}
-
 /// Renders the §4 one-way-trip anatomy (`latency_budget` stages) as the
 /// `lessons` binary prints it: one indented row per stage.
 pub fn latency_anatomy(stages: &[(&str, f64)]) -> String {

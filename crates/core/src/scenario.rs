@@ -12,7 +12,7 @@
 use osiris_adc::AdcManager;
 use osiris_atm::{CellSlab, Vci};
 use osiris_sim::obs::{Histogram, Snapshot};
-use osiris_sim::stats::{LatencyStats, ThroughputMeter};
+use osiris_sim::stats::ThroughputMeter;
 use osiris_sim::{Registry, SeriesDump, SimDuration, SimTime, Simulation, Timeline};
 
 use crate::config::{Layer, TestbedConfig};
@@ -280,8 +280,7 @@ impl Scenario {
             cfg,
             nodes,
             fabric,
-            latency: LatencyStats::new(),
-            latency_hist: Histogram::default(),
+            latency: Histogram::default(),
             meter: ThroughputMeter::new(0),
             done: false,
             verify_failures: 0,
@@ -404,7 +403,6 @@ impl Scenario {
         RunOutcome {
             snapshot: tb.snapshot(),
             latency: tb.latency.clone(),
-            latency_hist: tb.latency_hist.clone(),
             meter: tb.meter.clone(),
             done: tb.done,
             verify_failures: tb.verify_failures,
@@ -422,10 +420,10 @@ impl Scenario {
 pub struct RunOutcome {
     /// The testbed's registry snapshot at the end of the run.
     pub snapshot: Snapshot,
-    /// End-to-end latency moments.
-    pub latency: LatencyStats,
-    /// End-to-end latency histogram (bucket-exact).
-    pub latency_hist: Histogram,
+    /// The testbed's latency record (see [`Testbed::latency`]).
+    ///
+    /// [`Testbed::latency`]: crate::testbed::Testbed::latency
+    pub latency: Histogram,
     /// Goodput meter.
     pub meter: ThroughputMeter,
     /// Whether the scenario's completion condition was met.
@@ -469,7 +467,7 @@ impl RunOutcome {
         format!(
             "goodput {:>7.1} Mbps, p99 {:>8.1} us, {} delivered, {} retrans, {} reaps, {} dropped, {} corrupted, {} gave up",
             self.meter.mbps(),
-            self.latency_hist.percentile_us(0.99),
+            self.latency.percentile_us(0.99),
             self.delivered,
             sum("stack.retransmits"),
             sum("board.rx.pdus_dropped_timeout"),

@@ -37,7 +37,7 @@ use osiris_atm::stripe::StripedLink;
 use osiris_atm::{Cell, CellRef, CellSlab};
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
 use osiris_sim::obs::{Counter, Histogram, Probe, Snapshot};
-use osiris_sim::stats::{LatencyStats, ThroughputMeter};
+use osiris_sim::stats::ThroughputMeter;
 use osiris_sim::{EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timeline, TraceCtx};
 
 use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict, TransportMode};
@@ -261,12 +261,10 @@ pub struct Testbed {
     pub nodes: Vec<HostNode>,
     /// The cell transport between nodes.
     pub fabric: Box<dyn Fabric>,
-    /// Round-trip samples (latency experiments).
-    pub latency: LatencyStats,
-    /// Round-trip distribution over the same samples — the tail
-    /// (p99) is what loss turns pathological, so the loss sweep reads
-    /// it from here rather than from the mean/min/max accumulator.
-    pub latency_hist: Histogram,
+    /// The ping client's round trips (latency experiments), or the
+    /// sinks' inter-delivery gaps (streams): exact count, min, max and
+    /// mean, and the tail (p99) that loss turns pathological.
+    pub latency: Histogram,
     /// Delivered-byte meter (throughput experiments).
     pub meter: ThroughputMeter,
     /// Set when the experiment's message budget is exhausted.
@@ -512,22 +510,18 @@ impl Testbed {
     /// `dst_host`, enqueued like any other packet on the VCI that
     /// reaches that host. Stop-and-wait sends the legacy 4-byte
     /// per-datagram ack; selective repeat sends a block ack covering the
-    /// whole receive window (subject to `ack_every` coalescing — `force`
-    /// overrides it, e.g. to re-ack a duplicate immediately).
+    /// whole receive window. Either is sent after every delivery and
+    /// every duplicate.
     fn send_ack(
         &mut self,
         now: SimTime,
         host: NodeId,
         acked_id: u32,
         dst_host: u16,
-        force: bool,
         q: &mut EventQueue<Event>,
     ) -> SimTime {
         let node = &mut self.nodes[host.0];
         let t = if self.cfg.transport == TransportMode::SelectiveRepeat {
-            if !node.stack.should_block_ack(dst_host, force) {
-                return now;
-            }
             node.stack
                 .output_block_ack(now, &mut node.host, &node.asp, dst_host, &mut node.tx_pkts)
                 .expect("block-ack output")
@@ -895,8 +889,7 @@ impl Testbed {
                 let t = pdu.ready_at;
                 let len = pdu.len as u64;
                 let ctx = pdu.ctx;
-                let ok = !self.cfg.verify_data || self.verify_raw(host, &pdu);
-                if !ok {
+                if !self.verify_raw(host, &pdu) {
                     self.verify_failures += 1;
                 }
                 let descs = pdu.bufs;
@@ -960,7 +953,7 @@ impl Testbed {
                             node.driver
                                 .recycle(t2, &mut node.host, &mut node.rx, &descs)
                         };
-                        self.send_ack(t3, host, id, src, true, q);
+                        self.send_ack(t3, host, id, src, q);
                     }
                     RxVerdict::Deliver {
                         src,
@@ -977,7 +970,7 @@ impl Testbed {
                             self.nodes[host.0].paths.by_local_port(dst_port).is_some(),
                             "no path for port {dst_port}"
                         );
-                        if self.cfg.verify_data && !self.verify_msg(host, src, &data, len) {
+                        if !self.verify_msg(host, src, &data, len) {
                             self.verify_failures += 1;
                         }
                         let t3 = {
@@ -991,7 +984,7 @@ impl Testbed {
                             if self.nodes[host.0].ecn_marks.remove(&vci) {
                                 self.nodes[host.0].stack.note_ecn(src);
                             }
-                            self.send_ack(t3, host, ctx.pdu, src, false, q)
+                            self.send_ack(t3, host, ctx.pdu, src, q)
                         } else {
                             t3
                         };
@@ -1092,8 +1085,7 @@ impl Testbed {
             Role::PingClient => {
                 if let Some(sent) = self.ping_sent_at.take() {
                     let rtt = t.since(sent);
-                    self.latency.record(rtt);
-                    self.latency_hist.observe(rtt);
+                    self.latency.observe(rtt);
                 }
                 let node = &mut self.nodes[host.0];
                 node.remaining = node.remaining.saturating_sub(1);
@@ -1109,7 +1101,7 @@ impl Testbed {
                 // before it shows up in aggregate goodput.
                 let node = &mut self.nodes[host.0];
                 if let Some(last) = node.last_delivery_at {
-                    self.latency_hist.observe(t.saturating_since(last));
+                    self.latency.observe(t.saturating_since(last));
                 }
                 node.last_delivery_at = Some(t);
                 self.delivered_count += 1;

@@ -147,7 +147,6 @@ impl FbufCounters {
 #[derive(Debug)]
 pub struct FbufAllocator {
     costs: FbufCosts,
-    buf_len: u32,
     /// MRU-ordered (front = most recent) path queues, at most
     /// [`CACHED_PATHS`] of them.
     paths: Vec<PathQueue>,
@@ -183,7 +182,6 @@ impl FbufAllocator {
             .collect();
         FbufAllocator {
             costs,
-            buf_len,
             paths: Vec::new(),
             uncached,
             stats: FbufCounters::with_probe(probe),
@@ -197,11 +195,6 @@ impl FbufAllocator {
             uncached_allocs: self.stats.uncached_allocs.get(),
             evictions: self.stats.evictions.get(),
         }
-    }
-
-    /// Buffer size.
-    pub fn buf_len(&self) -> u32 {
-        self.buf_len
     }
 
     /// Fbufs waiting in the uncached pool.

@@ -176,7 +176,7 @@ impl HostMachine {
             cache: DataCache::new(spec.cache),
             phys,
             alloc,
-            cpu: FifoResource::new("host-cpu"),
+            cpu: FifoResource::default(),
             interrupts_taken: p.counter("interrupts_taken"),
             invalidated_words: p.counter("invalidated_words"),
             spec,

@@ -78,11 +78,6 @@ impl Scheduler {
         id
     }
 
-    /// Current state of a thread.
-    pub fn state(&self, id: ThreadId) -> ThreadState {
-        self.threads[&id].state
-    }
-
     /// Thread's diagnostic name.
     pub fn name(&self, id: ThreadId) -> &'static str {
         self.threads[&id].name

@@ -183,8 +183,8 @@ impl MemorySystem {
         MemorySystem {
             spec,
             last_write: WriteCost::of(&spec, 0),
-            bus: FifoResource::new("turbochannel"),
-            mem_port: FifoResource::new("mem-port"),
+            bus: FifoResource::default(),
+            mem_port: FifoResource::default(),
             c_words: p.counter("words"),
             c_dma_words: p.counter("dma_words"),
             c_cpu_words: p.counter("cpu_words"),

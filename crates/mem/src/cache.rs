@@ -94,15 +94,6 @@ pub struct CacheAccess {
     pub stale_bytes: u64,
 }
 
-impl CacheAccess {
-    /// Accumulates another access.
-    pub fn merge(&mut self, other: CacheAccess) {
-        self.hit_bytes += other.hit_bytes;
-        self.missed_lines += other.missed_lines;
-        self.stale_bytes += other.stale_bytes;
-    }
-}
-
 /// A direct-mapped, write-through, no-write-allocate data cache.
 #[derive(Clone)]
 pub struct DataCache {
@@ -134,11 +125,6 @@ impl DataCache {
             data: vec![0; spec.size],
             spec,
         }
-    }
-
-    /// The cache's geometry.
-    pub fn spec(&self) -> &CacheSpec {
-        &self.spec
     }
 
     fn line_no(&self, addr: PhysAddr) -> u64 {

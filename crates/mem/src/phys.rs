@@ -66,16 +66,6 @@ impl PhysMemory {
         }
     }
 
-    /// Total size in bytes.
-    pub fn size(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Number of page frames.
     pub fn frames(&self) -> usize {
         self.bytes.len() / self.page_size
@@ -135,7 +125,6 @@ pub struct FrameAllocator {
     /// frame out of the free list is O(1).
     slot: Vec<u32>,
     policy: AllocPolicy,
-    page_size: usize,
     total_frames: usize,
     allocations: u64,
     contiguous_hits: u64,
@@ -168,16 +157,10 @@ impl FrameAllocator {
             free,
             slot,
             policy,
-            page_size: mem.page_size(),
             total_frames: n,
             allocations: 0,
             contiguous_hits: 0,
         }
-    }
-
-    /// Current policy.
-    pub fn policy(&self) -> AllocPolicy {
-        self.policy
     }
 
     /// Number of free frames.
@@ -250,11 +233,6 @@ impl FrameAllocator {
         } else {
             self.contiguous_hits as f64 / self.allocations as f64
         }
-    }
-
-    /// Page size the allocator was built with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Takes a given free frame out of the free list: the list's last

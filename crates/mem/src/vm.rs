@@ -85,11 +85,6 @@ impl AddressSpace {
         }
     }
 
-    /// Page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
-    }
-
     /// Allocates frames for `len` bytes and maps them at a fresh
     /// page-aligned virtual base.
     pub fn alloc_and_map(
@@ -217,11 +212,6 @@ impl AddressSpace {
         let first = va.0 / self.page_size;
         let last = (va.0 + len - 1) / self.page_size;
         (first..=last).all(|vpn| self.table.get(&vpn).is_some_and(|e| e.wired))
-    }
-
-    /// Number of mapped pages (diagnostics).
-    pub fn mapped_pages(&self) -> usize {
-        self.table.len()
     }
 
     fn set_wired(&mut self, va: VirtAddr, len: u64, wired: bool) -> Result<u64, MapError> {

@@ -37,9 +37,21 @@ pub const ACK_PORT: u16 = 1;
 pub const ACK_ID_BASE: u32 = 0x8000_0000;
 
 /// Wire size of a selective-repeat block acknowledgement payload:
-/// `[base u32][bitmap u64][credits u16][pace_ns u32][flags u8]`. A legacy
-/// stop-and-wait ack is 4 bytes; the receiver dispatches on length.
+/// `[base u32][bitmap u64][reserved u16][pace_ns u32][flags u8]`. The
+/// reserved field is sent as zero, and an ack that carries anything else
+/// there is dropped. A legacy stop-and-wait ack is 4 bytes; the receiver
+/// dispatches on length.
 pub const BLOCK_ACK_BYTES: usize = 19;
+
+/// Initial retransmission timeout, doubled per expiry round.
+pub const RTO_INITIAL: SimDuration = SimDuration::from_ms(2);
+
+/// Ceiling of the retransmission backoff.
+pub const RTO_MAX: SimDuration = SimDuration::from_ms(64);
+
+/// Selective repeat: block acks showing a hole below newer acked data
+/// before the hole is retransmitted without waiting for its RTO.
+pub const SACK_THRESH: u32 = 2;
 
 /// Block-ack flag bit: at least one cell of this flow crossed a switch
 /// output queue above the ECN mark threshold since the last ack.
@@ -53,8 +65,8 @@ struct BlockAck {
     base: u32,
     /// Selective bits for ids `base..base + 64`.
     bitmap: u64,
-    /// Receiver's free reassembly slots (credit-based flow control).
-    credits: u16,
+    /// Sent as zero; anything else marks the ack malformed.
+    reserved: u16,
     /// Receiver's smoothed inter-delivery gap (receiver-driven pacing).
     pace_ns: u32,
     /// [`ACK_FLAG_ECN`] and future flag bits.
@@ -67,7 +79,7 @@ impl BlockAck {
         Self {
             base: u32::from_be_bytes(payload[0..4].try_into().expect("4 bytes")),
             bitmap: u64::from_be_bytes(payload[4..12].try_into().expect("8 bytes")),
-            credits: u16::from_be_bytes(payload[12..14].try_into().expect("2 bytes")),
+            reserved: u16::from_be_bytes(payload[12..14].try_into().expect("2 bytes")),
             pace_ns: u32::from_be_bytes(payload[14..18].try_into().expect("4 bytes")),
             flags: payload[18],
         }
@@ -99,10 +111,6 @@ pub enum TransportMode {
 pub enum CcScheme {
     /// Window-limited only.
     None,
-    /// ATM-era credit-based flow control: every block ack advertises how
-    /// many reassembly slots the receiver has free; the sender never has
-    /// more datagrams in flight than the latest grant.
-    Credit,
     /// ECN-style: the switch marks cells that cross an output-queue
     /// threshold, the receiver echoes the mark on its next block ack, and
     /// the sender halves its congestion window (at most once per window
@@ -122,16 +130,13 @@ pub struct ProtoConfig {
     /// Whether UDP checksums the data (off in the latency experiments).
     pub udp_checksum: bool,
     /// Opt-in reliable mode: every outgoing datagram is held for
-    /// acknowledgement and retransmitted with exponential backoff until
-    /// acked or [`ProtoConfig::max_retries`] is exhausted; the receiver
-    /// acks each delivered datagram on [`ACK_PORT`] and suppresses (but
-    /// re-acks) duplicates. The paper's stack is unreliable UDP — this
-    /// exists for the loss-sweep experiments.
+    /// acknowledgement and retransmitted with exponential backoff
+    /// ([`RTO_INITIAL`] up to [`RTO_MAX`]) until acked or
+    /// [`ProtoConfig::max_retries`] is exhausted; the receiver acks each
+    /// delivered datagram on [`ACK_PORT`] and suppresses (but re-acks)
+    /// duplicates. The paper's stack is unreliable UDP — this exists for
+    /// the loss-sweep experiments.
     pub reliable: bool,
-    /// Initial retransmission timeout (doubles per retry).
-    pub rto_initial: SimDuration,
-    /// Backoff ceiling.
-    pub rto_max: SimDuration,
     /// Retries before a datagram is abandoned (bounds every run).
     pub max_retries: u32,
     /// Reliable-mode transport discipline.
@@ -141,12 +146,6 @@ pub struct ProtoConfig {
     /// Selective repeat: max datagrams in flight per destination (clamped
     /// to 64, the block-ack bitmap width).
     pub window: u32,
-    /// Selective repeat: deliveries coalesced per block ack (1 = ack every
-    /// datagram; duplicates always force an immediate ack).
-    pub ack_every: u32,
-    /// Selective repeat: block acks showing a hole below newer acked data
-    /// before the hole is retransmitted without waiting for its RTO.
-    pub sack_thresh: u32,
 }
 
 impl ProtoConfig {
@@ -157,14 +156,10 @@ impl ProtoConfig {
             mtu: 16 * 1024 + IP_HEADER_BYTES as u32,
             udp_checksum: false,
             reliable: false,
-            rto_initial: SimDuration::from_ms(2),
-            rto_max: SimDuration::from_ms(64),
             max_retries: 16,
             transport: TransportMode::StopAndWait,
             cc: CcScheme::None,
             window: 16,
-            ack_every: 1,
-            sack_thresh: 2,
         }
     }
 
@@ -327,8 +322,6 @@ struct SendWindow {
     rto_cur: SimDuration,
     /// Congestion window in datagrams (ECN halves, clean acks grow).
     cwnd: u32,
-    /// Latest advertised credit grant (credit scheme).
-    credits: u32,
     /// Receiver-advertised admission gap (pacing scheme).
     pace_gap: SimDuration,
     /// Earliest time pacing admits the next datagram.
@@ -345,9 +338,8 @@ impl SendWindow {
         SendWindow {
             pending: BTreeMap::new(),
             deferred: VecDeque::new(),
-            rto_cur: cfg.rto_initial,
+            rto_cur: RTO_INITIAL,
             cwnd: cfg.window_cap(),
-            credits: cfg.window_cap(),
             pace_gap: SimDuration::ZERO,
             pace_ok_at: SimTime::ZERO,
             last_sent_id: 0,
@@ -360,7 +352,6 @@ impl SendWindow {
         let mut w = cfg.window_cap();
         match cfg.cc {
             CcScheme::Ecn => w = w.min(self.cwnd),
-            CcScheme::Credit => w = w.min(self.credits),
             CcScheme::None | CcScheme::Pacing => {}
         }
         w.max(1)
@@ -377,8 +368,6 @@ struct RecvWindow {
     base: u32,
     /// Bit `k` set ⇔ id `base + k` delivered.
     bitmap: u64,
-    /// Deliveries since the last block ack (ack_every coalescing).
-    since_ack: u32,
     /// A cell of this flow was ECN-marked at the switch; echoed (and
     /// cleared) by the next block ack.
     ecn_pending: bool,
@@ -392,7 +381,6 @@ impl RecvWindow {
         RecvWindow {
             base: 1, // data ids start at 1
             bitmap: 0,
-            since_ack: 0,
             ecn_pending: false,
             gap_ewma: SimDuration::ZERO,
             last_deliver: None,
@@ -763,21 +751,11 @@ impl ProtoStack {
         self.output_into(t, host, asp, msg, ACK_PORT, ACK_PORT, dst_host, out)
     }
 
-    /// Whether a block ack for `peer` is due: every `ack_every`
-    /// deliveries, or immediately when `force` (a duplicate arrived — the
-    /// sender is resending state we already have).
-    pub fn should_block_ack(&mut self, peer: u16, force: bool) -> bool {
-        let win = self.recv.entry(peer).or_insert_with(RecvWindow::new);
-        force || win.since_ack >= self.cfg.ack_every
-    }
-
     /// Builds the selective-repeat block acknowledgement for `peer`:
-    /// `[base][bitmap][credits][pace_ns][flags]` ([`BLOCK_ACK_BYTES`]) on
-    /// [`ACK_PORT`], paying the usual header-build costs. Credits count
-    /// the receiver's free reassembly slots (window minus partial
-    /// datagrams pinned for this peer); the pace field advertises the
-    /// smoothed inter-delivery gap; the ECN flag echoes switch marks.
-    /// The packets are appended to `out`.
+    /// `[base][bitmap][reserved][pace_ns][flags]` ([`BLOCK_ACK_BYTES`]) on
+    /// [`ACK_PORT`], paying the usual header-build costs. The pace field
+    /// advertises the smoothed inter-delivery gap; the ECN flag echoes
+    /// switch marks. The packets are appended to `out`.
     pub fn output_block_ack(
         &mut self,
         now: SimTime,
@@ -786,18 +764,13 @@ impl ProtoStack {
         peer: u16,
         out: &mut Vec<TxPacket>,
     ) -> Result<SimTime, MapError> {
-        let pinned = self.reasm.keys().filter(|(src, _)| *src == peer).count() as u32;
-        let window = self.cfg.window_cap();
         let win = self.recv.entry(peer).or_insert_with(RecvWindow::new);
-        let credits = window.saturating_sub(pinned).max(1).min(u16::MAX as u32) as u16;
         let pace_ns = (win.gap_ewma.as_ps() / 1_000).min(u32::MAX as u64) as u32;
         let flags = if win.ecn_pending { ACK_FLAG_ECN } else { 0 };
         win.ecn_pending = false;
-        win.since_ack = 0;
         let mut payload = [0u8; BLOCK_ACK_BYTES];
         payload[0..4].copy_from_slice(&win.base.to_be_bytes());
         payload[4..12].copy_from_slice(&win.bitmap.to_be_bytes());
-        payload[12..14].copy_from_slice(&credits.to_be_bytes());
         payload[14..18].copy_from_slice(&pace_ns.to_be_bytes());
         payload[18] = flags;
         self.stats.w_block_acks.incr();
@@ -817,13 +790,7 @@ impl ProtoStack {
             .ecn_pending = true;
     }
 
-    /// The receive window for `peer`, as `(base, bitmap)` — what the next
-    /// block ack would carry. `None` until the first datagram from `peer`.
-    pub fn recv_window(&self, peer: u16) -> Option<(u32, u64)> {
-        self.recv.get(&peer).map(|w| (w.base, w.bitmap))
-    }
-
-    /// The sender's current RTO toward `peer` — `rto_initial` until loss
+    /// The sender's current RTO toward `peer` — [`RTO_INITIAL`] until loss
     /// backs it off, and carried (not reset) across acks of retransmitted
     /// datagrams so a crossed ack can't collapse the backoff. `None`
     /// until the first reliable send to `peer`.
@@ -916,7 +883,7 @@ impl ProtoStack {
                 // One backoff escalation per expiry round, not per
                 // datagram — a burst of simultaneous losses is one
                 // congestion signal.
-                win.rto_cur = (win.rto_cur + win.rto_cur).min(cfg.rto_max);
+                win.rto_cur = (win.rto_cur + win.rto_cur).min(RTO_MAX);
             }
             let rto = win.rto_cur;
             win.pending.retain(|_, p| {
@@ -953,11 +920,10 @@ impl ProtoStack {
     /// backoff back to the initial RTO; an ack that crossed a
     /// retransmission in flight is ambiguous and leaves it alone.
     fn process_legacy_ack(&mut self, acked: u32) {
-        let rto_initial = self.cfg.rto_initial;
         for win in self.send.values_mut() {
             if let Some(mut p) = win.pending.remove(&acked) {
                 if p.retries == 0 {
-                    win.rto_cur = rto_initial;
+                    win.rto_cur = RTO_INITIAL;
                 }
                 recycle_packets(&mut self.packet_spare, &mut p.packets);
                 break;
@@ -972,18 +938,23 @@ impl ProtoStack {
     /// the window from the deferred queue (released packets go to
     /// [`ProtoStack::take_released`]).
     ///
-    /// The ack is wire input: one whose `base` lies beyond the next id
-    /// this sender would send to `from`, or whose bitmap names an id it
-    /// never sent, cannot describe this flow and is dropped whole
-    /// (counted in `stack.dropped`) before it touches the window.
+    /// The ack is wire input: one with a nonzero reserved field, one
+    /// whose `base` lies beyond the next id this sender would send to
+    /// `from`, or one whose bitmap names an id it never sent, cannot
+    /// describe this flow and is dropped whole (counted in
+    /// `stack.dropped`) before it touches the window.
     fn process_block_ack(&mut self, now: SimTime, from: u16, ack: BlockAck) {
         let BlockAck {
             base,
             bitmap,
-            credits,
+            reserved,
             pace_ns,
             flags,
         } = ack;
+        if reserved != 0 {
+            self.stats.dropped.incr();
+            return;
+        }
         let cfg = self.cfg;
         let Some(win) = self.send.get_mut(&from) else {
             return;
@@ -1017,7 +988,7 @@ impl ProtoStack {
             false
         });
         if clean_sample {
-            win.rto_cur = cfg.rto_initial;
+            win.rto_cur = RTO_INITIAL;
         }
         // SACK: a hole below data this ack shows as received gains one
         // count of evidence; at the threshold it retransmits immediately
@@ -1028,7 +999,7 @@ impl ProtoStack {
             let rto = win.rto_cur;
             for (_, p) in win.pending.range_mut(..hi as u32) {
                 p.sack_miss += 1;
-                if p.sack_miss >= cfg.sack_thresh {
+                if p.sack_miss >= SACK_THRESH {
                     p.sack_miss = 0;
                     p.retries += 1;
                     p.next_at = now + rto;
@@ -1059,9 +1030,6 @@ impl ProtoStack {
                 } else if any_acked {
                     win.cwnd = (win.cwnd + 1).min(cfg.window_cap());
                 }
-            }
-            CcScheme::Credit => {
-                win.credits = (credits as u32).max(1);
             }
             CcScheme::Pacing => {
                 win.pace_gap = SimDuration::from_ps(pace_ns as u64 * 1_000);
@@ -1432,7 +1400,6 @@ impl ProtoStack {
             win.bitmap >>= 1;
             win.base += 1;
         }
-        win.since_ack += 1;
         if let Some(last) = win.last_deliver {
             let gap = now.saturating_since(last);
             win.gap_ewma = SimDuration::from_ps((win.gap_ewma.as_ps() * 7 + gap.as_ps()) / 8);
@@ -1872,7 +1839,7 @@ mod tests {
         assert_eq!(again[0].ctx.pdu, id);
         assert_eq!(stack.stats().retransmits, 1);
         let due2 = stack.next_retransmit_at().unwrap();
-        assert!(due2.since(due1) > stack.cfg.rto_initial);
+        assert!(due2.since(due1) > RTO_INITIAL);
 
         // An arriving ack releases the datagram.
         let ack_wire =
@@ -1989,22 +1956,22 @@ mod tests {
 
     /// Hand-built block-ack wire image (as node 1 would send it).
     fn block_ack_wire(cfg: ProtoConfig, seq: u32, base: u32, bitmap: u64, flags: u8) -> Vec<u8> {
-        block_ack_wire_cc(cfg, seq, base, bitmap, u16::MAX, 0, flags)
+        block_ack_wire_full(cfg, seq, base, bitmap, 0, 0, flags)
     }
 
-    fn block_ack_wire_cc(
+    fn block_ack_wire_full(
         cfg: ProtoConfig,
         seq: u32,
         base: u32,
         bitmap: u64,
-        credits: u16,
+        reserved: u16,
         pace_ns: u32,
         flags: u8,
     ) -> Vec<u8> {
         let mut payload = [0u8; BLOCK_ACK_BYTES];
         payload[0..4].copy_from_slice(&base.to_be_bytes());
         payload[4..12].copy_from_slice(&bitmap.to_be_bytes());
-        payload[12..14].copy_from_slice(&credits.to_be_bytes());
+        payload[12..14].copy_from_slice(&reserved.to_be_bytes());
         payload[14..18].copy_from_slice(&pace_ns.to_be_bytes());
         payload[18] = flags;
         let pdus =
@@ -2115,7 +2082,7 @@ mod tests {
     #[test]
     fn crossed_ack_does_not_reset_backoff() {
         let (mut host, mut asp, mut stack) = setup_sr(CcScheme::None, 16);
-        let rto = stack.cfg.rto_initial;
+        let rto = RTO_INITIAL;
         let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         // RTO expires: backoff doubles, the datagram is retransmitted.
         let due = stack.next_retransmit_at().unwrap();
@@ -2152,7 +2119,7 @@ mod tests {
             }
             // Poll once past every datagram's first expiry so the whole
             // backlog comes due in a single scan.
-            let due = t + stack.cfg.rto_initial + stack.cfg.rto_initial;
+            let due = t + RTO_INITIAL + RTO_INITIAL;
             retransmits(&mut stack, due)
                 .iter()
                 .map(|p| p.ctx.pdu)
@@ -2179,24 +2146,11 @@ mod tests {
     }
 
     #[test]
-    fn credit_ack_clamps_the_window() {
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::Credit, 8);
-        let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
-        let ack = block_ack_wire_cc(stack.cfg, 0, 2, 0, 1, 0, 0);
-        let pdu = pdu_at(&mut host, &ack, 0xE0_0000);
-        let (_, t2) = stack.input(t1, &mut host, pdu.clone());
-        let (_, a2, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
-        let (_, a3, _) = send_one(&mut host, &mut asp, &mut stack, t3);
-        assert!(a2);
-        assert!(!a3, "one granted credit admits one datagram");
-    }
-
-    #[test]
     fn pacing_ack_spaces_admissions() {
         let (mut host, mut asp, mut stack) = setup_sr(CcScheme::Pacing, 8);
         let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         // The receiver advertises a 1 ms inter-delivery gap.
-        let ack = block_ack_wire_cc(stack.cfg, 0, 2, 0, u16::MAX, 1_000_000, 0);
+        let ack = block_ack_wire_full(stack.cfg, 0, 2, 0, 0, 1_000_000, 0);
         let pdu = pdu_at(&mut host, &ack, 0xF0_0000);
         let (_, t2) = stack.input(t1, &mut host, pdu.clone());
         let (_, a2, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
@@ -2245,7 +2199,6 @@ mod tests {
             assert!(matches!(v, RxVerdict::Deliver { .. }));
         }
         assert!(sender.has_unacked());
-        assert!(receiver.should_block_ack(0, false));
         let mut apkts = Vec::new();
         let t3 = receiver
             .output_block_ack(t, &mut rhost, &rasp, 0, &mut apkts)
@@ -2365,19 +2318,28 @@ mod tests {
                 "a dropped ack sets no window"
             );
         }
+        // A nonzero reserved field marks an otherwise valid ack malformed.
+        let ack = block_ack_wire_full(stack.cfg, 8, 4, 0, 1, 0, 0);
+        let pdu = pdu_at(&mut host, &ack, 0x90_8000);
+        let (v, t2) = stack.input(t, &mut host, pdu);
+        t = t2;
+        assert!(matches!(v, RxVerdict::Ack { .. }));
+        assert_eq!(pending_ids(&stack), vec![1, 2, 3]);
+        assert_eq!(stack.stats().dropped, 5);
         // The edge of the valid range is accepted: base 4 acks all three.
         let ack = block_ack_wire(stack.cfg, 9, 4, 0, 0);
         let pdu = pdu_at(&mut host, &ack, 0x91_0000);
         stack.input(t, &mut host, pdu);
         assert!(pending_ids(&stack).is_empty());
-        assert_eq!(stack.stats().dropped, 4);
+        assert_eq!(stack.stats().dropped, 5);
     }
 
     /// Seeded mutation fuzz of the 19 block-ack payload bytes (flips,
     /// truncations, splices) fed through `input` as real ack datagrams:
     /// input never panics, an ack never releases a datagram it does not
     /// name (it may admit deferred ones), and an ack naming an id above
-    /// the highest one sent changes nothing and counts as dropped.
+    /// the highest one sent, or with a nonzero reserved field, changes
+    /// nothing and counts as dropped.
     #[test]
     fn mutated_block_acks_never_panic_or_ack_unsent_ids() {
         use osiris_sim::SimRng;
@@ -2403,9 +2365,12 @@ mod tests {
             p[0..4].copy_from_slice(&base.to_be_bytes());
             p[4..12].copy_from_slice(&bitmap.to_be_bytes());
             p[12..].copy_from_slice(&rng.next_u64().to_be_bytes()[..7]);
+            // A well-formed image has a zero reserved field; byte flips
+            // and splices below make malformed ones.
+            p[12..14].fill(0);
             p.to_vec()
         };
-        let (mut dropped_acks, mut releases) = (0, 0);
+        let (mut dropped_acks, mut releases, mut reserved_drops) = (0, 0, 0);
         for i in 0..3000u32 {
             // Keep a few datagrams in flight (an ECN-halved window defers
             // the rest, which acks admit later).
@@ -2459,10 +2424,12 @@ mod tests {
                     0 => ack.base as u64,
                     m => ack.base as u64 + 63 - m.leading_zeros() as u64,
                 };
-                let names_unsent = ack.base as u64 > last_sent as u64 + 1
+                let malformed = ack.reserved != 0
+                    || ack.base as u64 > last_sent as u64 + 1
                     || (ack.bitmap != 0 && top > last_sent as u64);
-                if names_unsent {
-                    assert_eq!(after, before, "ack {i} naming unsent ids released some");
+                if malformed {
+                    reserved_drops += (ack.reserved != 0) as u32;
+                    assert_eq!(after, before, "malformed ack {i} released some");
                     assert_eq!(stack.stats().dropped, dropped + 1);
                     dropped_acks += 1;
                 } else {
@@ -2477,10 +2444,11 @@ mod tests {
             let mut out = Vec::new();
             stack.take_released(&mut out);
         }
-        // The mix reaches both outcomes often.
+        // The mix reaches both outcomes often, and flips and splices reach
+        // the reserved field.
         assert!(
-            dropped_acks > 200 && releases > 200,
-            "{dropped_acks} {releases}"
+            dropped_acks > 200 && releases > 200 && reserved_drops > 100,
+            "{dropped_acks} {releases} {reserved_drops}"
         );
     }
 }

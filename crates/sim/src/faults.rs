@@ -196,11 +196,6 @@ impl FaultInjector {
         FaultInjector::new(plan, component_seed(node, component))
     }
 
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Whether `lane` is inside an outage window at `now`.
     pub fn lane_down(&self, lane: usize, now: SimTime) -> bool {
         self.plan

@@ -102,14 +102,6 @@ impl Json {
         }
     }
 
-    /// Boolean value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Compact single-line rendering.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();

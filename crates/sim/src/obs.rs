@@ -185,16 +185,37 @@ impl Histogram {
         SimDuration::from_ps(ps).as_us_f64()
     }
 
+    /// Number of samples.
+    pub fn count(&self) -> u64 {
+        self.samples
+    }
+
+    /// Plain mean in microseconds, summed in observe order (zero when
+    /// empty).
+    pub fn mean_us(&self) -> f64 {
+        if self.samples == 0 {
+            0.0
+        } else {
+            self.sum_us / self.samples as f64
+        }
+    }
+
+    /// Smallest sample in microseconds (zero when empty).
+    pub fn min_us(&self) -> f64 {
+        self.min.as_us_f64()
+    }
+
+    /// Largest sample in microseconds (zero when empty).
+    pub fn max_us(&self) -> f64 {
+        self.max.as_us_f64()
+    }
+
     /// Summary of every sample so far, in microseconds.
     pub fn summary(&self) -> HistSummary {
         HistSummary {
-            mean: if self.samples == 0 {
-                0.0
-            } else {
-                self.sum_us / self.samples as f64
-            },
-            min: self.min.as_us_f64(),
-            max: self.max.as_us_f64(),
+            mean: self.mean_us(),
+            min: self.min_us(),
+            max: self.max_us(),
             samples: self.samples,
             p50: self.percentile_us(0.50),
             p95: self.percentile_us(0.95),
@@ -334,11 +355,6 @@ impl Probe {
         &self.scope
     }
 
-    /// The registry this probe feeds.
-    pub fn registry(&self) -> &Registry {
-        &self.reg
-    }
-
     /// A child probe: `probe("board").scoped("rx")` → scope `board.rx`.
     pub fn scoped(&self, sub: &str) -> Probe {
         Probe {
@@ -363,11 +379,6 @@ impl Probe {
     /// The gauge `scope.name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         self.reg.gauge(&self.join(name))
-    }
-
-    /// Snapshot of the **whole** registry this probe feeds.
-    pub fn snapshot(&self) -> Snapshot {
-        self.reg.snapshot()
     }
 }
 
@@ -800,11 +811,6 @@ impl Timeline {
     /// Events evicted because the timeline was full.
     pub fn dropped(&self) -> u64 {
         self.inner.borrow().dropped.get()
-    }
-
-    /// Clears recorded events (keeps the enabled flag and capacity).
-    pub fn clear(&self) {
-        self.inner.borrow_mut().events.clear();
     }
 
     /// All spans on `track` whose name equals `name`, oldest first.

@@ -191,21 +191,6 @@ impl SeriesSet {
         });
     }
 
-    /// Number of tracked series.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().series.len()
-    }
-
-    /// True when nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sampling period.
-    pub fn every(&self) -> SimDuration {
-        self.inner.borrow().every
-    }
-
     /// Grid samples taken so far.
     pub fn samples(&self) -> u64 {
         self.inner.borrow().samples

@@ -21,7 +21,7 @@
 //! ```
 //! use osiris_sim::{FifoResource, SimDuration, SimTime};
 //!
-//! let mut bus = FifoResource::new("turbochannel");
+//! let mut bus = FifoResource::default();
 //! let dma = bus.acquire(SimTime::ZERO, SimDuration::from_ns(760));
 //! let cpu = bus.acquire(SimTime::ZERO, SimDuration::from_ns(280));
 //! assert_eq!(cpu.start, dma.finish); // FIFO: the CPU waits out the DMA
@@ -45,31 +45,16 @@ impl Grant {
     }
 }
 
-/// A serially shared resource with FIFO service discipline.
-#[derive(Debug, Clone)]
+/// A serially shared resource with FIFO service discipline; a new one
+/// (`FifoResource::default()`) is idle.
+#[derive(Debug, Clone, Default)]
 pub struct FifoResource {
-    name: &'static str,
     free_at: SimTime,
     busy: SimDuration,
     grants: u64,
 }
 
 impl FifoResource {
-    /// A new, idle resource. `name` appears in diagnostics only.
-    pub fn new(name: &'static str) -> Self {
-        FifoResource {
-            name,
-            free_at: SimTime::ZERO,
-            busy: SimDuration::ZERO,
-            grants: 0,
-        }
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Reserves `duration` of exclusive service at the earliest instant not
     /// before `now`. Returns when service starts and finishes.
     pub fn acquire(&mut self, now: SimTime, duration: SimDuration) -> Grant {
@@ -120,7 +105,7 @@ mod tests {
 
     #[test]
     fn idle_resource_serves_immediately() {
-        let mut r = FifoResource::new("bus");
+        let mut r = FifoResource::default();
         let g = r.acquire(SimTime::from_us(5), SimDuration::from_us(2));
         assert_eq!(g.start, SimTime::from_us(5));
         assert_eq!(g.finish, SimTime::from_us(7));
@@ -129,7 +114,7 @@ mod tests {
 
     #[test]
     fn contended_requests_queue_fifo() {
-        let mut r = FifoResource::new("bus");
+        let mut r = FifoResource::default();
         let a = r.acquire(SimTime::from_us(0), SimDuration::from_us(10));
         let b = r.acquire(SimTime::from_us(1), SimDuration::from_us(5));
         let c = r.acquire(SimTime::from_us(2), SimDuration::from_us(1));
@@ -145,7 +130,7 @@ mod tests {
 
     #[test]
     fn resource_goes_idle_between_bursts() {
-        let mut r = FifoResource::new("cpu");
+        let mut r = FifoResource::default();
         r.acquire(SimTime::from_us(0), SimDuration::from_us(1));
         assert!(r.is_idle_at(SimTime::from_us(1)));
         let g = r.acquire(SimTime::from_us(50), SimDuration::from_us(1));
@@ -154,7 +139,7 @@ mod tests {
 
     #[test]
     fn busy_accounting() {
-        let mut r = FifoResource::new("fw");
+        let mut r = FifoResource::default();
         r.acquire(SimTime::from_us(0), SimDuration::from_us(3));
         r.acquire(SimTime::from_us(10), SimDuration::from_us(4));
         assert_eq!(r.total_busy(), SimDuration::from_us(7));

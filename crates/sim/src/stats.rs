@@ -5,73 +5,8 @@
 //! quantities from simulated time, with warm-up trimming so that steady
 //! state — not queue-fill transients — is what gets reported.
 
+use crate::obs::Histogram;
 use crate::time::{SimDuration, SimTime};
-
-/// Streaming mean/min/max/variance (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation (0 for fewer than two observations).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
 
 /// Measures sustained throughput: bytes delivered over a simulated window,
 /// with the first `warmup` deliveries discarded.
@@ -144,77 +79,13 @@ impl ThroughputMeter {
     }
 }
 
-/// Latency sample collector reporting in microseconds.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyStats {
-    stats: RunningStats,
-}
-
-impl LatencyStats {
-    /// An empty collector.
-    pub fn new() -> Self {
-        LatencyStats {
-            stats: RunningStats::new(),
-        }
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.stats.record(d.as_us_f64());
-    }
-
-    /// Mean latency in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Standard deviation in microseconds.
-    pub fn std_dev_us(&self) -> f64 {
-        self.stats.std_dev()
-    }
-
-    /// Minimum sample in microseconds.
-    pub fn min_us(&self) -> f64 {
-        self.stats.min().unwrap_or(0.0)
-    }
-
-    /// Maximum sample in microseconds.
-    pub fn max_us(&self) -> f64 {
-        self.stats.max().unwrap_or(0.0)
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-}
+/// Latency samples in microseconds: the [`Histogram`] under its older
+/// name.
+pub type LatencyStats = Histogram;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_stats_mean_and_bounds() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 6.0, 8.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(8.0));
-        // population std dev of {2,4,6,8} = sqrt(5)
-        assert!((s.std_dev() - 5f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_benign() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
 
     #[test]
     fn throughput_meter_basic_rate() {
@@ -236,16 +107,5 @@ mod tests {
         let mut m = ThroughputMeter::new(0);
         m.record(SimTime::from_us(5), 100);
         assert_eq!(m.mbps(), 0.0);
-    }
-
-    #[test]
-    fn latency_stats_in_us() {
-        let mut l = LatencyStats::new();
-        l.record(SimDuration::from_us(100));
-        l.record(SimDuration::from_us(300));
-        assert_eq!(l.count(), 2);
-        assert!((l.mean_us() - 200.0).abs() < 1e-9);
-        assert_eq!(l.min_us(), 100.0);
-        assert_eq!(l.max_us(), 300.0);
     }
 }

@@ -63,10 +63,6 @@ impl SimTime {
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
     }
-    /// Time since the epoch in (fractional) seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_S as f64
-    }
 
     /// Duration elapsed since `earlier`.
     ///
@@ -109,14 +105,6 @@ impl SimDuration {
     /// `s` seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * PS_PER_S)
-    }
-    /// Fractional microseconds, rounded to the nearest picosecond.
-    pub fn from_us_f64(us: f64) -> Self {
-        assert!(
-            us >= 0.0 && us.is_finite(),
-            "duration must be finite and non-negative"
-        );
-        SimDuration((us * PS_PER_US as f64).round() as u64)
     }
 
     /// Raw picosecond count.
@@ -274,11 +262,6 @@ impl Clock {
     /// A clock ticking `mhz` million times per second.
     pub const fn from_mhz(mhz: u64) -> Self {
         Clock::from_hz(mhz * 1_000_000)
-    }
-
-    /// The clock frequency in hertz.
-    pub const fn hz(self) -> u64 {
-        self.hz
     }
 
     /// Duration of `n` clock cycles (rounded to the nearest picosecond).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline-safe CI gate: format, lint, build, test, and a smoke run.
 # Everything here works with zero network access — the workspace has no
-# external dependencies by design (see Cargo.toml's proptest-tests note).
+# external dependencies by design.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -4,7 +4,7 @@
 
 use osiris::atm::sar::ReassemblyMode;
 use osiris::config::{TestbedConfig, TouchMode};
-use osiris::proto::stack::TransportMode;
+use osiris::proto::stack::{TransportMode, RTO_INITIAL};
 use osiris::sim::faults::{LaneOutage, PointFault, PointFaultKind};
 use osiris::sim::{FaultPlan, SimDuration, SimTime, Simulation};
 use osiris::testbed::{Event, NodeId, Testbed};
@@ -135,7 +135,6 @@ fn reliable_mode_survives_arbitrary_fault_plans() {
         cfg.msg_size = 4096;
         cfg.messages = 8;
         cfg.udp_checksum = true;
-        cfg.verify_data = true;
         cfg.reliable = true;
         cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
         cfg.sim.faults = FaultPlan {
@@ -258,7 +257,7 @@ fn switch_overflow_is_counted_and_recovered() {
 /// loses *its* first lane-0 cell too. The sender retransmits again, the
 /// receiver suppresses the duplicate and re-acks, and that re-ack is for
 /// a datagram with `retries > 0`: not a clean RTT sample, so the carried
-/// backoff must survive it rather than snap back to `rto_initial`.
+/// backoff must survive it rather than snap back to `RTO_INITIAL`.
 #[test]
 fn crossed_ack_does_not_reset_rto_backoff() {
     let mut cfg = TestbedConfig::ds5000_200_udp();
@@ -308,7 +307,7 @@ fn crossed_ack_does_not_reset_rto_backoff() {
     // of a retried datagram must leave that carried value alone.
     let rto = sender.current_rto(1).expect("sender opened a window to 1");
     assert!(
-        rto > sender.cfg.rto_initial,
+        rto > RTO_INITIAL,
         "backoff must survive the crossed ack (rto {rto:?})"
     );
 }
