@@ -75,6 +75,19 @@ test -s target/bench/BENCH_fig2.json
 cargo run --release -q -p osiris-bench --bin regress -- \
   crates/bench/baselines/BENCH_fig2.json target/bench/BENCH_fig2.json --exact
 
+echo "==> paper bins + regression gates (table1, fig3, fig4, lessons, ablation)"
+# The bins that reproduce the paper's Table 1, Figures 3 and 4, the §4
+# narrative and the feature ablation run in well under a second each at
+# full length, so each is gated exactly against its committed baseline:
+# a calibration or datapath change that moves any paper number fails
+# here and prints the diff.
+for bin in table1 fig3 fig4 lessons ablation; do
+  cargo run --release -q -p osiris-bench --bin "$bin" -- --bench-out "target/bench/BENCH_$bin.json" > /dev/null
+  test -s "target/bench/BENCH_$bin.json"
+  cargo run --release -q -p osiris-bench --bin regress -- \
+    "crates/bench/baselines/BENCH_$bin.json" "target/bench/BENCH_$bin.json" --exact
+done
+
 echo "==> smoke: loss sweep + regression gate (loss --quick)"
 # Fault-plane gate: goodput under seeded cell loss, the recovery tail
 # and the give-up count are locked exactly, as for fig2.
