@@ -1,13 +1,14 @@
 //! Regenerates the **congestion-control matrix**: incast degree × cell
-//! loss × transport scheme → goodput and tail. The matrix pits the PR 4
-//! stop-and-wait baseline (`saw`) against the windowed selective-repeat
-//! transport (`sr`) and its two congestion controllers (`sr+ecn`,
-//! `sr+pace`) on an N-to-1 incast through the bounded switch.
+//! loss × scheme → goodput and tail, on an N-to-1 incast through the
+//! bounded switch. Every column runs the one selective-repeat transport:
+//! `saw` is stop-and-wait ARQ (a window of 1), `sr` the base window of 8,
+//! and `sr+ecn` / `sr+pace` add a congestion controller to it.
 //!
-//! The headline CI locks: at 64 senders and 1% cell loss, the best
-//! selective-repeat scheme must hold at least 3× the stop-and-wait
-//! goodput — the collapse ROADMAP item 5 flagged, fixed. Deterministic:
-//! the same config and seed reproduce `BENCH_cc.json` bit-identically.
+//! Every column must converge with no datagram abandoned. The headlines
+//! CI locks exactly: at 64 senders and 1% cell loss, stop-and-wait's
+//! goodput, the best windowed scheme's goodput and tail, and their ratio.
+//! Deterministic: the same config and seed reproduce `BENCH_cc.json`
+//! bit-identically.
 
 use osiris::config::TestbedConfig;
 use osiris::experiments::{cc_sweep, CcSweepPoint, CC_SCHEMES};
@@ -46,11 +47,8 @@ fn main() {
         .expect("an sr scheme ran");
     let ratio = best_sr.goodput_mbps / saw.goodput_mbps.max(1e-9);
     assert!(
-        points
-            .iter()
-            .filter(|p| p.scheme != "saw")
-            .all(|p| p.converged && p.gave_up == 0),
-        "every selective-repeat scheme must converge without abandoning datagrams"
+        points.iter().all(|p| p.converged && p.gave_up == 0),
+        "every scheme must converge without abandoning datagrams"
     );
     // A congestion controller that leaves every cell of the full matrix
     // exactly as plain `sr` left it never binds. The quick smoke is too

@@ -7,7 +7,7 @@ use osiris_board::interrupt::InterruptPolicy;
 use osiris_host::driver::CacheStrategy;
 use osiris_host::machine::MachineSpec;
 use osiris_host::wiring::WiringMode;
-use osiris_proto::stack::{CcScheme, TransportMode};
+use osiris_proto::stack::CcScheme;
 use osiris_proto::wire::IP_HEADER_BYTES;
 use osiris_sim::{SimConfig, SimDuration};
 
@@ -102,10 +102,6 @@ pub struct TestbedConfig {
     /// until acknowledged (loss-sweep experiments; the paper's stack is
     /// plain UDP, so this defaults off).
     pub reliable: bool,
-    /// Reliable-mode transport discipline: windowed selective repeat with
-    /// block acks (the default — stop-and-wait collapses at incast
-    /// scale), or the per-datagram stop-and-wait baseline.
-    pub transport: TransportMode,
     /// Congestion control layered on the selective-repeat window.
     pub cc: CcScheme,
     /// Selective-repeat window: datagrams in flight per destination
@@ -154,7 +150,6 @@ impl TestbedConfig {
             touch: TouchMode::None,
             data_offset: 2048,
             reliable: false,
-            transport: TransportMode::SelectiveRepeat,
             cc: CcScheme::None,
             window: 16,
             ecn_threshold_cells: None,

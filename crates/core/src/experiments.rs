@@ -6,7 +6,7 @@ use osiris_atm::sar::ReassemblyMode;
 use osiris_board::dma::DmaMode;
 use osiris_host::machine::MachineSpec;
 use osiris_mem::BusSpec;
-use osiris_proto::stack::{CcScheme, TransportMode};
+use osiris_proto::stack::CcScheme;
 use osiris_proto::wire::{IP_HEADER_BYTES, UDP_HEADER_BYTES};
 use osiris_sim::obs::Histogram;
 use osiris_sim::stats::ThroughputMeter;
@@ -217,7 +217,7 @@ pub struct LossSweepPoint {
     pub cells_dropped: u64,
     /// Cells the fault plan corrupted on the wire (both links).
     pub cells_corrupted: u64,
-    /// Datagrams abandoned after `max_retries` (must stay 0 for the
+    /// Datagrams abandoned after `MAX_RETRIES` (must stay 0 for the
     /// sweep to be a goodput measurement at all).
     pub gave_up: u64,
     /// Payload verification failures (must always be 0: every corrupted
@@ -280,14 +280,16 @@ pub fn loss_sweep(base: &TestbedConfig, rates: &[f64]) -> Vec<LossSweepPoint> {
         .collect()
 }
 
-/// The transport/congestion-control schemes of the CC sweep, by name.
-/// `saw` is the stop-and-wait baseline PR 4 shipped; the rest run the
-/// windowed selective-repeat transport with one CC scheme each.
-pub const CC_SCHEMES: &[(&str, TransportMode, CcScheme)] = &[
-    ("saw", TransportMode::StopAndWait, CcScheme::None),
-    ("sr", TransportMode::SelectiveRepeat, CcScheme::None),
-    ("sr+ecn", TransportMode::SelectiveRepeat, CcScheme::Ecn),
-    ("sr+pace", TransportMode::SelectiveRepeat, CcScheme::Pacing),
+/// The congestion-control schemes of the CC sweep, by name, each with
+/// the window it pins (`None` keeps the base config's). Every scheme runs
+/// the one selective-repeat transport. `saw` is stop-and-wait ARQ: a
+/// window of 1, so each datagram waits out its own round trip; the rest
+/// run the base window with one CC scheme each.
+pub const CC_SCHEMES: &[(&str, CcScheme, Option<u32>)] = &[
+    ("saw", CcScheme::None, Some(1)),
+    ("sr", CcScheme::None, None),
+    ("sr+ecn", CcScheme::Ecn, None),
+    ("sr+pace", CcScheme::Pacing, None),
 ];
 
 /// One cell of the congestion-control matrix: an N-sender incast at a
@@ -317,7 +319,7 @@ pub struct CcSweepPoint {
     pub retransmits: u64,
     /// SACK-driven fast retransmits (subset of `retransmits`).
     pub sack_retransmits: u64,
-    /// Block acks the receiver emitted (0 under stop-and-wait).
+    /// Block acks the receiver emitted.
     pub block_acks: u64,
     /// Datagrams held back by the window/CC gate at send time.
     pub deferred: u64,
@@ -325,7 +327,7 @@ pub struct CcSweepPoint {
     pub ecn_marked: u64,
     /// Cells the bounded switch queue dropped on overflow.
     pub switch_overflow: u64,
-    /// Datagrams abandoned after `max_retries` (0 when converged).
+    /// Datagrams abandoned after `MAX_RETRIES` (0 when converged).
     pub gave_up: u64,
 }
 
@@ -333,15 +335,15 @@ pub struct CcSweepPoint {
 /// switch with uniform cell loss, every sender in reliable mode under
 /// `scheme`. Deterministic for a fixed config and seed.
 pub fn cc_point(base: &TestbedConfig, senders: usize, rate: f64, scheme: &str) -> CcSweepPoint {
-    let (_, transport, cc) = CC_SCHEMES
+    let (_, cc, window) = CC_SCHEMES
         .iter()
         .find(|(name, _, _)| *name == scheme)
         .unwrap_or_else(|| panic!("unknown CC scheme {scheme}"));
     let mut cfg = base.clone();
     cfg.layer = Layer::UdpIp;
     cfg.reliable = true;
-    cfg.transport = *transport;
     cfg.cc = *cc;
+    cfg.window = window.unwrap_or(cfg.window);
     cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
     cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
     // The bounded switch: deep enough that clean runs never overflow,
@@ -367,11 +369,11 @@ pub fn cc_point(base: &TestbedConfig, senders: usize, rate: f64, scheme: &str) -
         }
     }
     let m = &sim.model;
-    // A run that fails to converge is a *result*, not an error: the
-    // stop-and-wait collapse shows up as gave-up datagrams starving the
-    // sink until the deadline. Goodput is therefore unique delivered
-    // bytes over wall-clock-to-completion (or to the deadline), so a
-    // collapsed run cannot hide behind its own early final delivery.
+    // A run that fails to converge is a *result*, not an error: a
+    // collapse shows up as gave-up datagrams starving the sink until the
+    // deadline. Goodput is therefore unique delivered bytes over
+    // wall-clock-to-completion (or to the deadline), so a collapsed run
+    // cannot hide behind its own early final delivery.
     assert_eq!(m.verify_failures, 0, "payload corruption under {scheme}");
     let elapsed = if m.done {
         m.meter.window()
@@ -409,8 +411,8 @@ pub fn cc_point(base: &TestbedConfig, senders: usize, rate: f64, scheme: &str) -
 }
 
 /// The full congestion-control matrix: incast degree × loss rate ×
-/// scheme. The `BENCH_cc` headline — selective repeat beating the
-/// stop-and-wait collapse at 1% loss — falls out of the 64-sender row.
+/// scheme. The `BENCH_cc` headline — the best windowed scheme against
+/// stop-and-wait at 1% loss — falls out of the 64-sender row.
 pub fn cc_sweep(base: &TestbedConfig, senders: &[usize], rates: &[f64]) -> Vec<CcSweepPoint> {
     let mut out = Vec::new();
     for &n in senders {

@@ -40,7 +40,7 @@ use osiris_sim::obs::{Counter, Histogram, Probe, Snapshot};
 use osiris_sim::stats::ThroughputMeter;
 use osiris_sim::{EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timeline, TraceCtx};
 
-use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict, TransportMode};
+use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict};
 
 use crate::config::{DataPath, Layer, TestbedConfig, TouchMode};
 use crate::fabric::Fabric;
@@ -480,7 +480,7 @@ impl Testbed {
 
     /// A retransmission timer fires: re-send every datagram whose RTO
     /// expired (the stack doubles its backoff), then re-arm at the next
-    /// expiry. Abandoned datagrams (`max_retries`) stop re-arming, which
+    /// expiry. Abandoned datagrams (`MAX_RETRIES`) stop re-arming, which
     /// bounds every run.
     fn retrans_tick(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
         self.retrans_queued[host.0].remove(&now);
@@ -506,37 +506,22 @@ impl Testbed {
         self.arm_retransmit(now, host, q);
     }
 
-    /// Receiver half of reliable mode: an ack datagram back to
-    /// `dst_host`, enqueued like any other packet on the VCI that
-    /// reaches that host. Stop-and-wait sends the legacy 4-byte
-    /// per-datagram ack; selective repeat sends a block ack covering the
-    /// whole receive window. Either is sent after every delivery and
-    /// every duplicate.
+    /// Receiver half of reliable mode: a block ack covering the whole
+    /// receive window back to `dst_host`, enqueued like any other packet
+    /// on the VCI that reaches that host. One is sent after every
+    /// delivery and every duplicate.
     fn send_ack(
         &mut self,
         now: SimTime,
         host: NodeId,
-        acked_id: u32,
         dst_host: u16,
         q: &mut EventQueue<Event>,
     ) -> SimTime {
         let node = &mut self.nodes[host.0];
-        let t = if self.cfg.transport == TransportMode::SelectiveRepeat {
-            node.stack
-                .output_block_ack(now, &mut node.host, &node.asp, dst_host, &mut node.tx_pkts)
-                .expect("block-ack output")
-        } else {
-            node.stack
-                .output_ack(
-                    now,
-                    &mut node.host,
-                    &node.asp,
-                    acked_id,
-                    dst_host,
-                    &mut node.tx_pkts,
-                )
-                .expect("ack output")
-        };
+        let t = node
+            .stack
+            .output_block_ack(now, &mut node.host, &node.asp, dst_host, &mut node.tx_pkts)
+            .expect("block-ack output");
         let vci = node
             .tx_vci_of_host
             .get(&dst_host)
@@ -942,7 +927,7 @@ impl Testbed {
                         }
                         self.arm_retransmit(t3, host, q);
                     }
-                    RxVerdict::Duplicate { src, id, descs } => {
+                    RxVerdict::Duplicate { src, descs } => {
                         // Already delivered once — our ack was lost.
                         // Suppress the duplicate but re-ack it.
                         if self.nodes[host.0].ecn_marks.remove(&vci) {
@@ -953,7 +938,7 @@ impl Testbed {
                             node.driver
                                 .recycle(t2, &mut node.host, &mut node.rx, &descs)
                         };
-                        self.send_ack(t3, host, id, src, q);
+                        self.send_ack(t3, host, src, q);
                     }
                     RxVerdict::Deliver {
                         src,
@@ -984,7 +969,7 @@ impl Testbed {
                             if self.nodes[host.0].ecn_marks.remove(&vci) {
                                 self.nodes[host.0].stack.note_ecn(src);
                             }
-                            self.send_ack(t3, host, ctx.pdu, src, q)
+                            self.send_ack(t3, host, src, q)
                         } else {
                             t3
                         };

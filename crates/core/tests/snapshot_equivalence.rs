@@ -22,7 +22,7 @@ use std::collections::BinaryHeap;
 
 use osiris::atm::sar::ReassemblyMode;
 use osiris::config::TestbedConfig;
-use osiris::proto::stack::{CcScheme, TransportMode};
+use osiris::proto::stack::CcScheme;
 use osiris::sim::{EventQueue, FaultPlan, Model, SimDuration, SimTime, Simulation};
 use osiris::testbed::{Event, Testbed};
 use osiris::Scenario;
@@ -104,7 +104,6 @@ fn lossy_incast_cfg(cc: CcScheme, messages: u64, window: u32) -> TestbedConfig {
     cfg.messages = messages;
     cfg.window = window;
     cfg.reliable = true;
-    cfg.transport = TransportMode::SelectiveRepeat;
     cfg.cc = cc;
     cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
     cfg.reassembly_timeout = Some(SimDuration::from_us(1000));

@@ -66,29 +66,6 @@ impl PathTable {
         }
     }
 
-    /// Opens a path: binds a fresh VCI for the connection's lifetime.
-    pub fn open(
-        &mut self,
-        ports: PortAddr,
-        domain: DomainId,
-        queue_page: usize,
-    ) -> Option<(PathId, Vci)> {
-        let id = PathId(self.next_id);
-        let vci = self.vcis.bind_fresh(id.0)?;
-        self.next_id += 1;
-        self.paths.insert(
-            id,
-            PathEntry {
-                vci,
-                ports,
-                domain,
-                queue_page,
-            },
-        );
-        self.by_port.insert(ports.local_port, id);
-        Some((id, vci))
-    }
-
     /// Opens a path on a *specific* VCI (the passive side agrees on the
     /// initiator's choice out of band, as the testbed harness does).
     pub fn open_on_vci(
@@ -116,33 +93,10 @@ impl PathTable {
         Some(id)
     }
 
-    /// Path lookup by id.
-    pub fn get(&self, id: PathId) -> Option<&PathEntry> {
-        self.paths.get(&id)
-    }
-
     /// Delivery demultiplexing by local port.
     pub fn by_local_port(&self, port: u16) -> Option<(PathId, &PathEntry)> {
         let id = *self.by_port.get(&port)?;
         Some((id, self.paths.get(&id)?))
-    }
-
-    /// Tears a path down, releasing its VCI.
-    pub fn close(&mut self, id: PathId) {
-        if let Some(e) = self.paths.remove(&id) {
-            self.vcis.unbind(e.vci);
-            self.by_port.remove(&e.ports.local_port);
-        }
-    }
-
-    /// Number of live paths.
-    pub fn len(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// True when no paths are open.
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
     }
 }
 
@@ -159,43 +113,48 @@ mod tests {
     }
 
     #[test]
-    fn open_binds_fresh_vcis() {
+    fn open_on_vci_refuses_a_bound_vci() {
         let mut t = PathTable::new();
-        let (a, va) = t.open(ports(100), DomainId::KERNEL, 0).unwrap();
-        let (b, vb) = t.open(ports(200), DomainId(1), 3).unwrap();
-        assert_ne!(va, vb);
+        let a = t
+            .open_on_vci(Vci(40), ports(100), DomainId::KERNEL, 0)
+            .unwrap();
+        let b = t.open_on_vci(Vci(41), ports(200), DomainId(1), 3).unwrap();
         assert_ne!(a, b);
-        assert_eq!(t.get(a).unwrap().queue_page, 0);
-        assert_eq!(t.get(b).unwrap().domain, DomainId(1));
+        assert!(t
+            .open_on_vci(Vci(40), ports(300), DomainId::KERNEL, 0)
+            .is_none());
+        assert!(
+            t.by_local_port(300).is_none(),
+            "a refused path is not registered"
+        );
+        assert_eq!(t.by_local_port(100).unwrap().1.queue_page, 0);
+        assert_eq!(t.by_local_port(200).unwrap().1.domain, DomainId(1));
     }
 
     #[test]
     fn port_demux() {
         let mut t = PathTable::new();
-        let (id, _) = t.open(ports(7), DomainId::KERNEL, 0).unwrap();
+        let id = t
+            .open_on_vci(Vci(40), ports(7), DomainId::KERNEL, 0)
+            .unwrap();
         let (found, entry) = t.by_local_port(7).unwrap();
         assert_eq!(found, id);
         assert_eq!(entry.ports.remote_port, 8);
+        assert_eq!(entry.vci, Vci(40));
         assert!(t.by_local_port(99).is_none());
-    }
-
-    #[test]
-    fn close_releases_everything() {
-        let mut t = PathTable::new();
-        let (id, vci) = t.open(ports(7), DomainId::KERNEL, 0).unwrap();
-        t.close(id);
-        assert!(t.is_empty());
-        assert!(t.by_local_port(7).is_none());
-        // The VCI can be reused by an explicit binding.
-        assert!(t.open_on_vci(vci, ports(9), DomainId::KERNEL, 0).is_some());
     }
 
     #[test]
     fn hundreds_of_paths() {
         let mut t = PathTable::new();
         for i in 0..500u16 {
-            assert!(t.open(ports(1000 + i), DomainId::KERNEL, 0).is_some());
+            let vci = Vci(32 + i);
+            assert!(t
+                .open_on_vci(vci, ports(1000 + i), DomainId::KERNEL, 0)
+                .is_some());
         }
-        assert_eq!(t.len(), 500);
+        for i in 0..500u16 {
+            assert_eq!(t.by_local_port(1000 + i).unwrap().1.vci, Vci(32 + i));
+        }
     }
 }

@@ -162,11 +162,6 @@ impl<A: MsgAddr> Message<A> {
             self.segs.push(Seg { addr, len });
         }
     }
-
-    /// Number of segments (each becomes at least one physical buffer).
-    pub fn seg_count(&self) -> usize {
-        self.segs.len()
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +177,7 @@ mod tests {
     fn single_and_len() {
         let m = Message::single(va(0x1000), 500);
         assert_eq!(m.len(), 500);
-        assert_eq!(m.seg_count(), 1);
+        assert_eq!(m.segs().len(), 1);
         assert!(Message::<VirtAddr>::single(va(0), 0).is_empty());
     }
 
@@ -191,7 +186,7 @@ mod tests {
         let mut m = Message::single(va(0x1000), 100);
         m.push_header(va(0x2000), 24);
         assert_eq!(m.len(), 124);
-        assert_eq!(m.seg_count(), 2);
+        assert_eq!(m.segs().len(), 2);
         let hdr = m.pop_header(24);
         assert_eq!(hdr.len(), 24);
         assert_eq!(hdr.segs()[0].addr, va(0x2000));
@@ -205,7 +200,7 @@ mod tests {
         m.push_header(va(0x2000), 4);
         let popped = m.pop_header(7); // all of the header + 3 data bytes
         assert_eq!(popped.len(), 7);
-        assert_eq!(popped.seg_count(), 2);
+        assert_eq!(popped.segs().len(), 2);
         assert_eq!(m.len(), 7);
         assert_eq!(m.segs()[0].addr, va(0x1003));
     }

@@ -4,7 +4,7 @@
 
 use osiris::atm::sar::ReassemblyMode;
 use osiris::config::{TestbedConfig, TouchMode};
-use osiris::proto::stack::{TransportMode, RTO_INITIAL};
+use osiris::proto::stack::RTO_INITIAL;
 use osiris::sim::faults::{LaneOutage, PointFault, PointFaultKind};
 use osiris::sim::{FaultPlan, SimDuration, SimTime, Simulation};
 use osiris::testbed::{Event, NodeId, Testbed};
@@ -264,7 +264,6 @@ fn crossed_ack_does_not_reset_rto_backoff() {
     cfg.msg_size = 1024;
     cfg.messages = 1;
     cfg.reliable = true;
-    cfg.transport = TransportMode::StopAndWait;
     cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
     cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
     cfg.sim.faults.point_faults = vec![PointFault {

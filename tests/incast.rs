@@ -118,14 +118,13 @@ fn cc_cfg() -> TestbedConfig {
 
 #[test]
 fn selective_repeat_beats_stop_and_wait_3x_under_lossy_incast() {
-    // The stop-and-wait collapse ROADMAP item 5 flagged, and its fix: a
-    // reliable 16-to-1 incast through the bounded switch at 1% cell loss.
-    // Stop-and-wait admits every sender's whole burst with no window; the
-    // 512-cell switch queue and the receiver's free ring overflow, and
-    // goodput sinks into the RTO backoff tail. Windowed selective repeat
-    // with block acks bounds the in-flight load and recovers holes via
-    // SACK. The 3× floor here is the same bound `BENCH_cc.json` locks in
-    // CI at 64 senders.
+    // A reliable 16-to-1 incast through the bounded switch at 1% cell
+    // loss. Stop-and-wait (`saw`, a window of 1) serializes each sender
+    // on its round trips: every lost cell costs a full RTO with nothing
+    // else in flight, and no SACK evidence can arrive for a lone
+    // datagram. A window of 8 keeps the link busy across a loss and
+    // recovers holes via SACK before the RTO fires, so it must hold at
+    // least 3x stop-and-wait's goodput here.
     let cfg = cc_cfg();
     let saw = cc_point(&cfg, 16, 1e-2, "saw");
     let sr = cc_point(&cfg, 16, 1e-2, "sr");
@@ -144,9 +143,10 @@ fn selective_repeat_beats_stop_and_wait_3x_under_lossy_incast() {
 
 #[test]
 fn stop_and_wait_remains_selectable() {
-    // The baseline stays selectable (the bench matrix and the ratio
-    // headline depend on it): stop-and-wait still completes a *clean*
-    // low-degree incast, just serialized on round trips.
+    // Stop-and-wait is selective repeat at window 1: a clean 4-way
+    // incast converges, the window defers every datagram queued behind
+    // the one in flight, and with one datagram in flight no block ack
+    // can show a hole below newer data, so SACK never fires.
     let mut cfg = cc_cfg();
     cfg.messages = 8;
     let saw = cc_point(&cfg, 4, 0.0, "saw");
@@ -154,24 +154,36 @@ fn stop_and_wait_remains_selectable() {
         saw.converged,
         "stop-and-wait completes a clean 4-way incast"
     );
-    assert_eq!(saw.block_acks, 0, "stop-and-wait never emits block acks");
     assert_eq!(saw.gave_up, 0);
+    assert_eq!(
+        saw.sack_retransmits, 0,
+        "one datagram in flight leaves no SACK evidence"
+    );
+    assert!(
+        saw.deferred > 0,
+        "window 1 defers the datagrams behind the one in flight"
+    );
+    assert!(saw.block_acks > 0, "acks travel the one block-ack path");
 }
 
 #[test]
 fn selective_repeat_window_bounds_switch_pressure() {
-    // The mechanism, not just the outcome: at the same offered load the
-    // windowed transport must put less pressure on the bounded switch
-    // queue than stop-and-wait's unwindowed burst, and the window gate
-    // must actually defer sends.
+    // The mechanism, not just the outcome: at the same offered load a
+    // window of 8 must put less pressure on the bounded switch queue
+    // than a window of 64, which does not bind at 16 messages per sender
+    // (every datagram is admitted at once), and the window-8 gate must
+    // actually defer sends.
     let cfg = cc_cfg();
-    let saw = cc_point(&cfg, 16, 1e-2, "saw");
     let sr = cc_point(&cfg, 16, 1e-2, "sr");
+    let mut open = cfg.clone();
+    open.window = 64;
+    let unbound = cc_point(&open, 16, 1e-2, "sr");
+    assert_eq!(unbound.deferred, 0, "window 64 must not bind");
     assert!(
-        sr.switch_overflow < saw.switch_overflow,
-        "windowing must shrink switch overflow (sr {} vs saw {})",
+        sr.switch_overflow < unbound.switch_overflow,
+        "windowing must shrink switch overflow (window 8 {} vs 64 {})",
         sr.switch_overflow,
-        saw.switch_overflow
+        unbound.switch_overflow
     );
     assert!(sr.deferred > 0, "the window gate must actually defer sends");
 }
