@@ -19,13 +19,18 @@
 //! * [`stack`] — the cost-charging protocol engine: builds real packets in
 //!   host memory on output, parses and reassembles on input, and — when
 //!   UDP checksumming meets a stale cache (§2.3) — performs the paper's
-//!   lazy invalidate-and-re-evaluate recovery.
+//!   lazy invalidate-and-re-evaluate recovery. Its opt-in reliable mode
+//!   (the windowed selective repeat with block acks the loss and
+//!   congestion-control experiments run) lives in the private `reliable`
+//!   module; its constants and [`stack::CcScheme`] are re-exported by
+//!   [`stack`].
 //! * [`graph`] — protocol paths: the connection ↔ VCI binding that feeds
 //!   early demultiplexing (§3.1).
 
 pub mod frag;
 pub mod graph;
 pub mod msg;
+mod reliable;
 pub mod stack;
 pub mod wire;
 
