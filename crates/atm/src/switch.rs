@@ -90,10 +90,14 @@ struct PortCounters {
 #[derive(Debug)]
 pub struct Switch {
     spec: SwitchSpec,
+    /// [`SwitchSpec::cell_time`], costed once at construction.
+    cell_time: SimDuration,
     routes: FxHashMap<Vci, usize>,
-    /// Striped routes: a VCI whose four lanes land on a contiguous block
-    /// of output ports starting at the stored base (multi-node fabrics).
-    lane_routes: FxHashMap<Vci, usize>,
+    /// Striped routes: a VCI whose lanes land on a contiguous block of
+    /// output ports, stored as `(base, lanes)` (multi-node fabrics).
+    lane_routes: FxHashMap<Vci, (usize, usize)>,
+    /// Routes installed onto each output port, plain and striped.
+    feeders: Vec<u32>,
     outputs: Vec<FifoResource>,
     stats: Vec<PortCounters>,
     /// Port group used by the coordinated mode (all members share fate).
@@ -140,6 +144,8 @@ impl Switch {
                 .collect(),
             routes: FxHashMap::default(),
             lane_routes: FxHashMap::default(),
+            feeders: vec![0; spec.ports],
+            cell_time: spec.cell_time(),
             group: Vec::new(),
             max_queue_cells: None,
             ecn_threshold: None,
@@ -175,7 +181,10 @@ impl Switch {
     /// Panics if `port` is out of range.
     pub fn route(&mut self, vci: Vci, port: usize) {
         assert!(port < self.spec.ports, "port {port} out of range");
-        self.routes.insert(vci, port);
+        if let Some(old) = self.routes.insert(vci, port) {
+            self.feeders[old] -= 1;
+        }
+        self.feeders[port] += 1;
     }
 
     /// Installs a striped route: cells of `vci` arriving on lane `l` leave
@@ -191,7 +200,31 @@ impl Switch {
             "port block {base}..{} out of range",
             base + lanes
         );
-        self.lane_routes.insert(vci, base);
+        if let Some((b, l)) = self.lane_routes.insert(vci, (base, lanes)) {
+            self.feeders[b..b + l].iter_mut().for_each(|f| *f -= 1);
+        }
+        self.feeders[base..base + lanes]
+            .iter_mut()
+            .for_each(|f| *f += 1);
+    }
+
+    /// Whether `vci`'s striped route is the only input of every output
+    /// port it uses, and nothing but that route's own cells can change
+    /// what those ports do: no ECN marking, no queue bound and no port
+    /// coordination. Then the ports see one link's cells in that link's
+    /// order whenever they are forwarded, so a caller may forward them
+    /// ahead of their arrival time, in arrival order per lane, and get
+    /// the departure each would get if forwarded at arrival.
+    /// A route is one feeder because a connection's cells come from one
+    /// sender's link; [`Switch::background_load`] is the caller's own
+    /// input and is not counted. False for a VCI without a striped route.
+    pub fn single_feeder(&self, vci: Vci) -> bool {
+        if self.ecn_threshold.is_some() || self.max_queue_cells.is_some() || self.spec.coordinated {
+            return false;
+        }
+        self.lane_routes
+            .get(&vci)
+            .is_some_and(|&(base, lanes)| self.feeders[base..base + lanes].iter().all(|&f| f == 1))
     }
 
     /// Declares a striped port group (used by coordinated mode).
@@ -236,7 +269,7 @@ impl Switch {
         cell: &Cell,
         lane: usize,
     ) -> Option<(usize, SimTime, bool)> {
-        let Some(&base) = self.lane_routes.get(&cell.header.vci) else {
+        let Some(&(base, _)) = self.lane_routes.get(&cell.header.vci) else {
             self.unrouted.incr();
             return None;
         };
@@ -254,19 +287,19 @@ impl Switch {
         let at = now + self.spec.fabric_latency;
         if let Some(max) = self.max_queue_cells {
             let backlog = self.outputs[port].free_at().saturating_since(at);
-            if backlog.as_ps() >= self.spec.cell_time().as_ps().saturating_mul(max as u64) {
+            if backlog.as_ps() >= self.cell_time.as_ps().saturating_mul(max as u64) {
                 self.overflow_dropped.incr();
                 return None;
             }
         }
-        let grant = self.outputs[port].acquire(at, self.spec.cell_time());
+        let grant = self.outputs[port].acquire(at, self.cell_time);
         // Backlog of this port the instant the cell joined it, in cell
         // times (1 = the cell itself is in service with nothing ahead).
         let depth = grant
             .finish
             .saturating_since(at)
             .as_ps()
-            .div_ceil(self.spec.cell_time().as_ps().max(1));
+            .div_ceil(self.cell_time.as_ps().max(1));
         let marked = self.ecn_threshold.is_some_and(|th| depth > th as u64);
         if marked {
             self.ecn_marked.incr();
@@ -298,7 +331,7 @@ impl Switch {
     /// Occupies an output port with cross traffic for `cells` cell times
     /// starting at `now` (other flows sharing the port).
     pub fn background_load(&mut self, now: SimTime, port: usize, cells: u64) {
-        let d = SimDuration::from_ps(self.spec.cell_time().as_ps() * cells);
+        let d = SimDuration::from_ps(self.cell_time.as_ps() * cells);
         self.outputs[port].acquire(now, d);
     }
 
@@ -480,6 +513,45 @@ mod tests {
         assert!(marks[3..].iter().all(|&m| m));
         assert_eq!(sw.ecn_marked(), 5);
         assert_eq!(sw.overflow_dropped(), 0);
+    }
+
+    #[test]
+    fn single_feeder_needs_one_route_per_port_and_a_plain_switch() {
+        let striped = |spec: SwitchSpec| {
+            let mut sw = Switch::new(spec);
+            sw.route_group(Vci(100), 0, 4);
+            sw.route_group(Vci(101), 4, 4);
+            sw
+        };
+        let sw = striped(SwitchSpec::sts3c(8));
+        assert!(sw.single_feeder(Vci(100)) && sw.single_feeder(Vci(101)));
+        assert!(!sw.single_feeder(Vci(7)), "no route, no answer");
+
+        // A second VCI on the block: two feeders contend there.
+        let mut sw = striped(SwitchSpec::sts3c(8));
+        sw.route_group(Vci(102), 0, 4);
+        assert!(!sw.single_feeder(Vci(100)) && !sw.single_feeder(Vci(102)));
+        assert!(sw.single_feeder(Vci(101)), "the other block is untouched");
+        // A plain route onto one port of the block counts as well.
+        let mut sw = striped(SwitchSpec::sts3c(8));
+        sw.route(Vci(9), 6);
+        assert!(!sw.single_feeder(Vci(101)) && sw.single_feeder(Vci(100)));
+        // Re-routing a VCI moves its feeder count with it.
+        let mut sw = striped(SwitchSpec::sts3c(12));
+        sw.route_group(Vci(102), 0, 4);
+        sw.route_group(Vci(102), 8, 4);
+        assert!(sw.single_feeder(Vci(100)) && sw.single_feeder(Vci(102)));
+
+        // Settings whose effects show at forwarding time.
+        let mut sw = striped(SwitchSpec::sts3c(8));
+        sw.set_ecn_threshold(Some(128));
+        assert!(!sw.single_feeder(Vci(100)));
+        let mut sw = striped(SwitchSpec::sts3c(8));
+        sw.set_max_queue_cells(Some(512));
+        assert!(!sw.single_feeder(Vci(100)));
+        let mut sw = striped(SwitchSpec::coordinated());
+        sw.set_group(vec![0, 1, 2, 3]);
+        assert!(!sw.single_feeder(Vci(100)));
     }
 
     #[test]

@@ -50,17 +50,13 @@ pub trait Fabric: std::fmt::Debug {
     /// `None` means the cell vanishes (no peer, or no route installed).
     fn route(&mut self, from: NodeId, at: SimTime, lane: usize, cell: &Cell) -> Option<Delivery>;
 
-    /// Whether routing passes through a stateful switch. When true, the
-    /// dispatcher must call `route` in cell-*arrival* order (the order
-    /// the hardware's output queues see), not in transmit-batch order.
-    fn is_switched(&self) -> bool {
-        false
-    }
-
-    /// The switch in the middle, if this fabric has one.
-    fn switch_mut(&mut self) -> Option<&mut Switch> {
-        None
-    }
+    /// Whether the cells of `vci` may be routed when they are sent rather
+    /// than when they reach the fabric: true where each output they use
+    /// has this connection as its only feeder, so it sees one link's
+    /// cells in that link's order (§2.6) whatever moment routing runs.
+    /// Elsewhere the dispatcher must call `route` in cell-*arrival*
+    /// order, the order the hardware's output queues see.
+    fn single_feeder(&self, vci: Vci) -> bool;
 }
 
 /// Per-node transmit links with per-node deterministic skew seeds —
@@ -124,6 +120,11 @@ impl Fabric for BackToBack {
             marked: false,
         })
     }
+
+    /// A direct link has no queue: routing is stateless.
+    fn single_feeder(&self, _vci: Vci) -> bool {
+        true
+    }
 }
 
 /// An output-queued switch between the nodes. Node `i`'s four stripe
@@ -183,11 +184,7 @@ impl Fabric for SwitchedFabric {
             })
     }
 
-    fn is_switched(&self) -> bool {
-        true
-    }
-
-    fn switch_mut(&mut self) -> Option<&mut Switch> {
-        Some(&mut self.switch)
+    fn single_feeder(&self, vci: Vci) -> bool {
+        self.switch.single_feeder(vci)
     }
 }

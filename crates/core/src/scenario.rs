@@ -298,6 +298,7 @@ impl Scenario {
             drain_ahead_bound,
             eop_pushed: std::collections::HashMap::new(),
             switch_span_floor: std::collections::HashMap::new(),
+            route_order: Vec::new(),
             reap_scheduled: vec![false; n],
             reap_idle: vec![0; n],
             retrans_queued: vec![std::collections::BTreeSet::new(); n],

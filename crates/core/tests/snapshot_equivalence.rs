@@ -121,7 +121,8 @@ fn lossy_incast_cfg(cc: CcScheme, messages: u64, window: u32) -> TestbedConfig {
 fn lossy_incast_snapshot_matches_the_reference_heap() {
     // A small reliable incast through the bounded switch at 1 % cell
     // loss: millisecond retransmit and reap timers among nanosecond
-    // cell arrivals, switch drops and retransmissions.
+    // cell arrivals, switch drops and retransmissions. A bounded switch
+    // routes every cell, acks included, on arrival.
     let cfg = lossy_incast_cfg(CcScheme::None, 4, 8);
     let snap = assert_identical(Scenario::Incast { senders: 8 }, cfg);
     // The slab arena is live on this path: tx and fabric cells were
@@ -155,8 +156,9 @@ fn udp_fourway(kb: u64, messages: u64, seed: u64) -> TestbedConfig {
 
 #[test]
 fn pairs_snapshot_matches_the_reference_heap() {
-    // Back-to-back (routing inline at transmit time) and switched
-    // (routing as a FabricTransit event at wire arrival), two seeds each.
+    // Back-to-back and switched, two seeds each. Both route every cell
+    // when it is sent: a direct link, and a pair's port block on the
+    // switch, each have a single feeder.
     for seed in [1, 42] {
         assert_identical(Scenario::Pair, udp(8, 4, seed));
         let mut cfg = udp_fourway(8, 4, seed);
@@ -189,12 +191,17 @@ fn many_pairs_and_incast_16_snapshots_match_the_reference_heap() {
 fn incast_64_snapshot_matches_the_reference_heap() {
     // 64 concurrent PDUs overrun even a maxed-out 63-buffer free ring;
     // reliable mode reaps and retransmits whatever the overrun sheds.
+    // Both routing moments occur in this run: the unbounded switch routes
+    // the data cells, which share the receiver's ports, on arrival, and
+    // each sender's acks, which have its ports to themselves, when sent.
     let mut cfg = udp_fourway(2, 1, 42);
     cfg.rx_buffers = 63;
     cfg.reliable = true;
     cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
     let snap = assert_identical(Scenario::Incast { senders: 64 }, cfg);
     assert_eq!(snap.counter("node64.stack.delivered"), 64);
+    let transits = snap.counter("engine.dispatch.fabric_transit");
+    assert!(transits > 0 && transits < snap.counter("engine.dispatch.cell_arrival"));
 }
 
 #[test]
