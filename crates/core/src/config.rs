@@ -59,9 +59,8 @@ pub struct TestbedConfig {
     pub messages: u64,
     /// Deliveries discarded before the throughput window opens.
     pub warmup: u64,
-    /// DMA transfer-length rule, transmit direction.
-    pub tx_dma: DmaMode,
-    /// DMA transfer-length rule, receive direction.
+    /// DMA transfer-length rule, receive direction (the transmit
+    /// direction is always single-cell, as on the paper's board).
     pub rx_dma: DmaMode,
     /// Cache strategy in the receive driver (§2.3).
     pub cache_strategy: CacheStrategy,
@@ -84,10 +83,6 @@ pub struct TestbedConfig {
     pub rx_buffers: usize,
     /// Application placement.
     pub data_path: DataPath,
-    /// Route the pair's cells through the AURORA switch model instead of
-    /// back-to-back links (ablation; incast/fan-out scenarios always
-    /// use the switch).
-    pub switched_fabric: bool,
     /// Experiment seed (frame-allocator fragmentation, skew jitter).
     pub seed: u64,
     /// Application data-touch behaviour.
@@ -130,7 +125,6 @@ impl TestbedConfig {
             msg_size: 1024,
             messages: 16,
             warmup: 2,
-            tx_dma: DmaMode::SingleCell,
             rx_dma: DmaMode::SingleCell,
             cache_strategy: CacheStrategy::Lazy,
             wiring: WiringMode::LowLevel,
@@ -145,7 +139,6 @@ impl TestbedConfig {
             buffer_bytes: 16 * 1024 + 64,
             rx_buffers: 48,
             data_path: DataPath::Kernel,
-            switched_fabric: false,
             seed: 42,
             touch: TouchMode::None,
             data_offset: 2048,

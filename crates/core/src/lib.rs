@@ -13,7 +13,7 @@
 //!   links ([`fabric::BackToBack`]) or an output-queued AURORA switch
 //!   routing by VCI ([`fabric::SwitchedFabric`]).
 //! * [`scenario::Scenario`] — declarative topology + workload (`Pair`,
-//!   `RxBench`, `TxBench`, `Incast`, `FanOut`) that assembles and seeds
+//!   `RxBench`, `TxBench`, `Incast`, `ManyPairs`) that assembles and seeds
 //!   a testbed.
 //! * [`testbed::Testbed`] — the discrete-event dispatcher over nodes and
 //!   the fabric.

@@ -15,7 +15,7 @@ use osiris_sim::obs::{Histogram, Snapshot};
 use osiris_sim::stats::ThroughputMeter;
 use osiris_sim::{Registry, SeriesDump, SimDuration, SimTime, Simulation, Timeline};
 
-use crate::config::{Layer, TestbedConfig};
+use crate::config::TestbedConfig;
 use crate::fabric::{BackToBack, Fabric, SwitchedFabric};
 use crate::node::{Endpoint, HostNode, NodeId, Role};
 use crate::telemetry::{run_sampled, Sampler};
@@ -38,12 +38,6 @@ pub enum Scenario {
         /// Number of sending nodes (the receiver is one more node).
         senders: usize,
     },
-    /// One source spraying messages round-robin at `receivers` sinks
-    /// through the switched fabric (raw ATM only).
-    FanOut {
-        /// Number of receiving nodes (the source is one more node).
-        receivers: usize,
-    },
     /// `pairs` independent source→sink streams through the switched
     /// fabric: node `2k` streams `cfg.messages` messages at node
     /// `2k+1`. The contention-free counterpart to `Incast` — every
@@ -61,27 +55,20 @@ impl Scenario {
             Scenario::Pair => 2,
             Scenario::RxBench | Scenario::TxBench => 1,
             Scenario::Incast { senders } => senders + 1,
-            Scenario::FanOut { receivers } => receivers + 1,
             Scenario::ManyPairs { pairs } => 2 * pairs,
         }
     }
 
     /// The connection table: `endpoints[i]` are node `i`'s connections.
-    fn endpoints(&self, cfg: &TestbedConfig) -> Vec<Vec<Endpoint>> {
+    fn endpoints(&self) -> Vec<Vec<Endpoint>> {
         match *self {
+            // Back-to-back, both directions use VCI 100 (separate
+            // physical links).
             Scenario::Pair => (0..2)
                 .map(|i| {
-                    // Back-to-back, both directions use VCI 100 (separate
-                    // physical links); through the switch each receiver
-                    // owns a distinct VCI so directions stay separable.
-                    let (tx_vci, rx_vci) = if cfg.switched_fabric {
-                        (Vci(100 + (1 - i) as u16), Vci(100 + i as u16))
-                    } else {
-                        (Vci(100), Vci(100))
-                    };
                     vec![Endpoint {
-                        tx_vci,
-                        rx_vci,
+                        tx_vci: Vci(100),
+                        rx_vci: Vci(100),
                         local_port: if i == 0 { 1000 } else { 2000 },
                         remote_port: if i == 0 { 2000 } else { 1000 },
                         remote_host: 1 - i as u16,
@@ -130,29 +117,6 @@ impl Scenario {
                 );
                 eps
             }
-            Scenario::FanOut { receivers } => {
-                let mut eps: Vec<Vec<Endpoint>> = vec![(1..=receivers)
-                    .map(|j| Endpoint {
-                        tx_vci: Vci(100 + j as u16),
-                        rx_vci: Vci(100 + j as u16),
-                        local_port: 1000,
-                        remote_port: 2000 + j as u16,
-                        remote_host: j as u16,
-                        src: NodeId(j),
-                    })
-                    .collect()];
-                for j in 1..=receivers {
-                    eps.push(vec![Endpoint {
-                        tx_vci: Vci(100 + j as u16),
-                        rx_vci: Vci(100 + j as u16),
-                        local_port: 2000 + j as u16,
-                        remote_port: 1000,
-                        remote_host: 0,
-                        src: NodeId(0),
-                    }]);
-                }
-                eps
-            }
             Scenario::ManyPairs { pairs } => (0..2 * pairs)
                 .map(|i| {
                     // Pair k: forward data on VCI 100+2k (source 2k →
@@ -189,15 +153,6 @@ impl Scenario {
     pub fn build(&self, cfg: TestbedConfig) -> Testbed {
         match *self {
             Scenario::Incast { senders } => assert!(senders >= 1, "incast needs a sender"),
-            Scenario::FanOut { receivers } => {
-                assert!(receivers >= 1, "fan-out needs a receiver");
-                assert_eq!(
-                    cfg.layer,
-                    Layer::RawAtm,
-                    "fan-out sprays one source at many remotes; the UDP \
-                     path binding is per-connection (use RawAtm)"
-                );
-            }
             Scenario::ManyPairs { pairs } => assert!(pairs >= 1, "many-pairs needs a pair"),
             _ => {}
         }
@@ -207,7 +162,7 @@ impl Scenario {
         // Created before the nodes so every layer can hold a handle to
         // the one shared timeline (disabled until a caller opts in).
         let timeline = Timeline::with_probe(cfg.sim.timeline_capacity, &sim_probe);
-        let endpoints = self.endpoints(&cfg);
+        let endpoints = self.endpoints();
         let mut nodes: Vec<HostNode> = Vec::with_capacity(n);
         let mut adc_mgrs: Vec<AdcManager> = Vec::new();
         for (i, eps) in endpoints.iter().enumerate() {
@@ -218,31 +173,18 @@ impl Scenario {
             }
         }
 
-        // The fabric: back-to-back links by default; a switch when the
-        // scenario (or the config, for pairs) asks for one.
-        let switched = matches!(
-            self,
-            Scenario::Incast { .. } | Scenario::FanOut { .. } | Scenario::ManyPairs { .. }
-        ) || (cfg.switched_fabric && *self == Scenario::Pair);
+        // The fabric: a switch for the multi-node scenarios, back-to-back
+        // links otherwise.
+        let switched = matches!(self, Scenario::Incast { .. } | Scenario::ManyPairs { .. });
         let fabric: Box<dyn Fabric> = if switched {
             let mut f = SwitchedFabric::new(&cfg, &registry, n);
             // Each connection's VCI routes to the node that binds it.
             match *self {
-                Scenario::Pair => {
-                    for i in 0..2 {
-                        f.connect(Vci(100 + i as u16), NodeId(i));
-                    }
-                }
                 Scenario::Incast { senders } => {
                     for s in 0..senders {
                         f.connect(Vci(100 + s as u16), NodeId(senders));
                         // The reverse (ack) path back to each sender.
                         f.connect(Vci(200 + s as u16), NodeId(s));
-                    }
-                }
-                Scenario::FanOut { receivers } => {
-                    for j in 1..=receivers {
-                        f.connect(Vci(100 + j as u16), NodeId(j));
                     }
                 }
                 Scenario::ManyPairs { pairs } => {
@@ -251,7 +193,7 @@ impl Scenario {
                         f.connect(Vci(101 + 2 * k as u16), NodeId(2 * k));
                     }
                 }
-                Scenario::RxBench | Scenario::TxBench => {}
+                Scenario::Pair | Scenario::RxBench | Scenario::TxBench => {}
             }
             Box::new(f)
         } else {
@@ -331,17 +273,6 @@ impl Scenario {
                 tb.deliver_to_meter = true;
                 tb.expected_deliveries = senders as u64 * tb.cfg.messages;
             }
-            Scenario::FanOut { receivers } => {
-                tb.nodes[0].role = Role::Source;
-                tb.nodes[0].remaining = tb.cfg.messages;
-                // The source rotates over its connections per message.
-                tb.nodes[0].tx_vcis = (1..=receivers).map(|j| Vci(100 + j as u16)).collect();
-                for j in 1..=receivers {
-                    tb.nodes[j].role = Role::Sink;
-                }
-                tb.deliver_to_meter = true;
-                tb.expected_deliveries = tb.cfg.messages;
-            }
             Scenario::ManyPairs { pairs } => {
                 for k in 0..pairs {
                     tb.nodes[2 * k].role = Role::Source;
@@ -373,7 +304,7 @@ impl Scenario {
             // its first send takes nothing from it.
             Scenario::Pair => q.push(SimTime::ZERO, Event::AppSend { host: NodeId(0) }),
             Scenario::RxBench => q.push(SimTime::ZERO, Event::GenKick),
-            Scenario::TxBench | Scenario::FanOut { .. } => send(NodeId(0)),
+            Scenario::TxBench => send(NodeId(0)),
             Scenario::Incast { senders } => (0..senders).for_each(|s| send(NodeId(s))),
             Scenario::ManyPairs { pairs } => (0..pairs).for_each(|k| send(NodeId(2 * k))),
         }
@@ -488,7 +419,7 @@ mod tests {
         assert_eq!(Scenario::Pair.node_count(), 2);
         assert_eq!(Scenario::RxBench.node_count(), 1);
         assert_eq!(Scenario::Incast { senders: 4 }.node_count(), 5);
-        assert_eq!(Scenario::FanOut { receivers: 3 }.node_count(), 4);
+        assert_eq!(Scenario::ManyPairs { pairs: 3 }.node_count(), 6);
     }
 
     #[test]
@@ -510,7 +441,7 @@ mod tests {
             assert_eq!(tb.nodes[s].role, Role::Source);
             // Data goes out on 100+s; the reverse (ack) VCI 200+s is
             // what the sender binds for receive.
-            assert_eq!(tb.nodes[s].tx_vcis, vec![Vci(100 + s as u16)]);
+            assert_eq!(tb.nodes[s].tx_vci, Vci(100 + s as u16));
             assert_eq!(tb.nodes[s].vci, Vci(200 + s as u16));
         }
         assert_eq!(tb.nodes[4].role, Role::Sink);

@@ -34,7 +34,8 @@ use osiris::config::{TestbedConfig, TouchMode};
 use osiris::experiments::{receive_throughput, round_trip_latency};
 use osiris::report;
 use osiris::sim::{CriticalPath, SimDuration, SimTime, Simulation};
-use osiris::testbed::{Event, NodeId, Testbed};
+use osiris::testbed::{Event, NodeId};
+use osiris::Scenario;
 use osiris::{run_sampled, Sampler};
 
 /// Runs one 1 KB ping-pong with the timeline enabled and writes the
@@ -43,7 +44,7 @@ fn dump_chrome_trace(path: &str) {
     let mut cfg = TestbedConfig::ds5000_200_udp();
     cfg.msg_size = 1024;
     cfg.messages = 1;
-    let tb = Testbed::new_pair(cfg);
+    let tb = Scenario::Pair.build(cfg);
     tb.timeline.set_enabled(true);
     let mut sim = Simulation::new(tb);
     sim.queue
@@ -64,7 +65,7 @@ fn print_pdu_trace() {
     let mut cfg = TestbedConfig::ds5000_200_udp();
     cfg.msg_size = 1024;
     cfg.messages = 1;
-    let tb = Testbed::new_pair(cfg);
+    let tb = Scenario::Pair.build(cfg);
     tb.timeline.set_enabled(true);
     let mut sim = Simulation::new(tb);
     sim.queue
@@ -121,7 +122,7 @@ fn run_telemetry(
     cfg.reliable = true;
     cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
     cfg.sim.sample_every = Some(every);
-    let out = osiris::Scenario::Incast { senders }.run(cfg.clone());
+    let out = Scenario::Incast { senders }.run(cfg.clone());
     assert!(out.done, "incast must complete");
     let dump = out.series.as_ref().expect("sampling was on");
     let title = format!(
@@ -148,7 +149,7 @@ fn run_telemetry(
         // enabled and merge the sampled counter tracks into the span
         // export — one Chrome document showing both.
         cfg.sim.sample_every = None;
-        let mut sim = osiris::Scenario::Incast { senders }.launch(cfg);
+        let mut sim = Scenario::Incast { senders }.launch(cfg);
         sim.model.timeline.set_enabled(true);
         let sampler = Sampler::new(
             &sim.model.registry,

@@ -13,7 +13,7 @@ use osiris::Scenario;
 /// Runs a ping-pong testbed until `pings` round trips complete or the
 /// budget is exhausted; returns the finished testbed.
 fn run_pings(cfg: TestbedConfig) -> Testbed {
-    let tb = Testbed::new_pair(cfg);
+    let tb = Scenario::Pair.build(cfg);
     let mut sim = Simulation::new(tb);
     sim.queue
         .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
@@ -33,7 +33,7 @@ fn run_pings(cfg: TestbedConfig) -> Testbed {
 /// reap sweeps. Buffer-conservation checks need the *quiesced* testbed:
 /// right at `done` a retransmitted PDU can still hold receive buffers.
 fn run_pings_to_quiescence(cfg: TestbedConfig) -> Testbed {
-    let tb = Testbed::new_pair(cfg);
+    let tb = Scenario::Pair.build(cfg);
     let mut sim = Simulation::new(tb);
     sim.queue
         .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });

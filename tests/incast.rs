@@ -142,18 +142,16 @@ fn routing_at_send_matches_routing_on_arrival() {
     cfg.msg_size = 8 * 1024;
     cfg.messages = 2;
     cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
-    let mut pair = cfg.clone();
-    pair.switched_fabric = true;
     // Skewed lanes deliver a PDU's cells out of send order, which is
     // where routing at send has to sort them by arrival time.
-    let mut skewed = pair.clone();
+    let mut skewed = cfg.clone();
     skewed.skew = SkewConfig::mux_skew(9);
     let mut incast = cfg.clone();
     incast.reliable = true;
     let runs = [
-        (Scenario::ManyPairs { pairs: 4 }, cfg),
-        (Scenario::Pair, pair),
-        (Scenario::Pair, skewed),
+        (Scenario::ManyPairs { pairs: 4 }, cfg.clone()),
+        (Scenario::ManyPairs { pairs: 1 }, cfg),
+        (Scenario::ManyPairs { pairs: 1 }, skewed),
         (Scenario::Incast { senders: 4 }, incast),
     ];
     for (scenario, cfg) in runs {

@@ -5,6 +5,7 @@
 use osiris::config::{TestbedConfig, TouchMode};
 use osiris::sim::{Json, SimTime, Simulation};
 use osiris::testbed::{Event, NodeId, Testbed};
+use osiris::Scenario;
 
 /// Runs the Table 1 ping-pong (1 KB UDP/IP on a 5000/200 pair) and
 /// returns the finished testbed.
@@ -13,7 +14,7 @@ fn run_ping_pong() -> Testbed {
     cfg.msg_size = 1024;
     cfg.messages = 8;
     cfg.touch = TouchMode::WritePerMessage;
-    let tb = Testbed::new_pair(cfg);
+    let tb = Scenario::Pair.build(cfg);
     let mut sim = Simulation::new(tb);
     sim.queue
         .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
@@ -81,7 +82,7 @@ fn timeline_chrome_export_round_trips() {
     let mut cfg = TestbedConfig::ds5000_200_udp();
     cfg.msg_size = 1024;
     cfg.messages = 1;
-    let tb = Testbed::new_pair(cfg);
+    let tb = Scenario::Pair.build(cfg);
     tb.timeline.set_enabled(true);
     let mut sim = Simulation::new(tb);
     sim.queue
@@ -110,7 +111,7 @@ fn timeline_ring_capacity_follows_sim_config() {
         cfg.sim.timeline_capacity = capacity;
         cfg.msg_size = 1024;
         cfg.messages = 2;
-        let tb = Testbed::new_pair(cfg);
+        let tb = Scenario::Pair.build(cfg);
         tb.timeline.set_enabled(true);
         let mut sim = Simulation::new(tb);
         sim.queue
@@ -142,7 +143,7 @@ fn event_queue_scheduling_is_registry_visible() {
     cfg.msg_size = 1024;
     cfg.messages = 8;
     cfg.touch = TouchMode::WritePerMessage;
-    let mut sim = osiris::Scenario::Pair.launch(cfg);
+    let mut sim = Scenario::Pair.launch(cfg);
     assert!(sim.run_while(|m| !m.done), "ping-pong did not complete");
     let scheduled = sim.model.snapshot().counter("engine.events.scheduled");
     assert!(scheduled > 0, "the run must have scheduled events");
