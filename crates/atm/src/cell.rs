@@ -77,8 +77,7 @@ pub struct Cell {
     pub trailer: Option<Trailer>,
     /// Simulation-side causal identity of the PDU this cell carries a
     /// piece of — metadata for per-PDU tracing, **not** wire bytes (it
-    /// does not survive `wire::encode`/`decode` and costs nothing in the
-    /// 44/53 throughput arithmetic).
+    /// costs nothing in the 44/53 throughput arithmetic).
     pub ctx: Option<TraceCtx>,
 }
 

@@ -20,7 +20,6 @@ pub mod stripe;
 pub mod switch;
 pub mod traffic;
 pub mod vci;
-pub mod wire;
 
 pub use cell::{AalHeader, Cell, CellHeader, Trailer, CELL_BYTES_ON_WIRE, CELL_PAYLOAD};
 pub use crc::{crc10, crc32, Crc32};

@@ -52,11 +52,6 @@ pub struct LinkLane {
 }
 
 impl LinkLane {
-    /// A lane with the given fixed skew offset and a detached counter.
-    pub fn new(spec: LinkSpec, offset: SimDuration) -> Self {
-        LinkLane::with_probe(spec, offset, &Probe::detached())
-    }
-
     /// A lane publishing `<scope>.cells_sent` through `probe`.
     pub fn with_probe(spec: LinkSpec, offset: SimDuration, probe: &Probe) -> Self {
         LinkLane {
@@ -81,21 +76,16 @@ impl LinkLane {
         self.cells_sent.incr();
         arrival
     }
-
-    /// Cells sent over this lane's lifetime.
-    pub fn cells_sent(&self) -> u64 {
-        self.cells_sent.get()
-    }
-
-    /// The lane's physical parameters.
-    pub fn spec(&self) -> &LinkSpec {
-        &self.spec
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osiris_sim::Registry;
+
+    fn detached(spec: LinkSpec, offset: SimDuration) -> LinkLane {
+        LinkLane::with_probe(spec, offset, &Probe::detached())
+    }
 
     #[test]
     fn cell_time_matches_line_rate() {
@@ -108,18 +98,19 @@ mod tests {
     #[test]
     fn back_to_back_cells_serialise() {
         let spec = LinkSpec::sts3c_back_to_back();
-        let mut lane = LinkLane::new(spec, SimDuration::ZERO);
+        let reg = Registry::new();
+        let mut lane = LinkLane::with_probe(spec, SimDuration::ZERO, &reg.probe("lane"));
         let a1 = lane.send(SimTime::ZERO, SimDuration::ZERO);
         let a2 = lane.send(SimTime::ZERO, SimDuration::ZERO);
         assert_eq!(a2.since(a1), spec.cell_time());
-        assert_eq!(lane.cells_sent(), 2);
+        assert_eq!(reg.snapshot().counter("lane.cells_sent"), 2);
     }
 
     #[test]
     fn offset_delays_every_cell() {
         let spec = LinkSpec::sts3c_back_to_back();
-        let mut a = LinkLane::new(spec, SimDuration::ZERO);
-        let mut b = LinkLane::new(spec, SimDuration::from_us(10));
+        let mut a = detached(spec, SimDuration::ZERO);
+        let mut b = detached(spec, SimDuration::from_us(10));
         let ta = a.send(SimTime::ZERO, SimDuration::ZERO);
         let tb = b.send(SimTime::ZERO, SimDuration::ZERO);
         assert_eq!(tb.since(ta), SimDuration::from_us(10));
@@ -128,7 +119,7 @@ mod tests {
     #[test]
     fn jitter_never_reorders_a_lane() {
         let spec = LinkSpec::sts3c_back_to_back();
-        let mut lane = LinkLane::new(spec, SimDuration::ZERO);
+        let mut lane = detached(spec, SimDuration::ZERO);
         // First cell gets huge jitter; second gets none. The second must
         // NOT overtake (per-link FIFO — the property §2.6 relies on).
         let a1 = lane.send(SimTime::ZERO, SimDuration::from_ms(1));
@@ -139,7 +130,7 @@ mod tests {
     #[test]
     fn idle_lane_resumes_at_now() {
         let spec = LinkSpec::sts3c_back_to_back();
-        let mut lane = LinkLane::new(spec, SimDuration::ZERO);
+        let mut lane = detached(spec, SimDuration::ZERO);
         lane.send(SimTime::ZERO, SimDuration::ZERO);
         let late = SimTime::from_ms(5);
         let a = lane.send(late, SimDuration::ZERO);

@@ -487,7 +487,6 @@ pub struct Reassembler {
     /// already-completed PDUs that carried no cells on its lane — the
     /// short-PDU / skew interaction §2.6 calls "significant complexity".
     completed_totals: FxHashMap<u64, u32>,
-    completed_count: u64,
 }
 
 impl Reassembler {
@@ -520,13 +519,7 @@ impl Reassembler {
             replayed: VecDeque::new(),
             lane_pos: vec![(0, 0); lanes],
             completed_totals: FxHashMap::default(),
-            completed_count: 0,
         }
-    }
-
-    /// Number of PDUs completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed_count
     }
 
     /// The oldest PDU completed by SeqNum stash replay and not yet taken.
@@ -623,7 +616,6 @@ impl Reassembler {
                 crc_ok,
                 data: self.keep_data.then_some(rec.data),
             });
-            self.completed_count += 1;
             self.current_pdu += 1;
             self.inorder_offset = 0;
         }
@@ -733,7 +725,6 @@ impl Reassembler {
             }
             None => false,
         };
-        self.completed_count += 1;
         self.current_pdu += 1;
         PduComplete {
             pdu,
@@ -878,7 +869,6 @@ impl Reassembler {
         // passed their per-lane CRC.
         let contributing = (total as usize).min(lanes);
         let mut crc_ok = (0..contributing).all(|l| rec.lane_ok[l] == Some(true));
-        self.completed_count += 1;
         self.completed_totals.insert(pdu, total);
         // Fast-forward lanes that carried no cells for this PDU (short-PDU
         // case) and are already waiting on it; lanes still busy with an
@@ -1129,7 +1119,7 @@ mod tests {
         assert_eq!((p1.pdu, p1.crc_ok), (1, true));
         assert_eq!(p1.data.as_deref(), Some(&b[..]));
         assert_eq!(r.take_replayed(), None);
-        assert_eq!((r.completed(), r.in_flight()), (2, 0));
+        assert_eq!(r.in_flight(), 0);
     }
 
     #[test]

@@ -30,13 +30,6 @@ use osiris_sim::Probe;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellRef(u32);
 
-impl CellRef {
-    /// The raw slot index (diagnostics only).
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
 /// A free-list slab of [`Cell`]s addressed by [`CellRef`] handles.
 ///
 /// Not a general-purpose allocator: it is single-threaded like the rest of
@@ -120,26 +113,6 @@ impl CellSlab {
             .as_mut()
             .expect("CellRef used after free")
     }
-
-    /// Number of live (parked) cells.
-    pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// True when no cells are parked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total slots ever allocated (the high-water working set).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Inserts from the free list so far (the recycling counter's value).
-    pub fn recycled(&self) -> u64 {
-        self.recycled.get()
-    }
 }
 
 #[cfg(test)]
@@ -157,12 +130,10 @@ mod tests {
         let mut slab = CellSlab::new();
         let a = slab.insert(cell(1));
         let b = slab.insert(cell(2));
-        assert_eq!(slab.len(), 2);
         assert_eq!(slab.get(a).aal.seq, 1);
         assert_eq!(slab.get(b).aal.seq, 2);
         let out = slab.remove(a);
         assert_eq!(out.aal.seq, 1);
-        assert_eq!(slab.len(), 1);
         assert_eq!(slab.get(b).aal.seq, 2);
     }
 
@@ -175,10 +146,8 @@ mod tests {
         slab.free(a);
         let b = slab.insert(cell(2));
         // Same physical slot, fresh contents.
-        assert_eq!(a.index(), b.index());
+        assert_eq!(a, b);
         assert_eq!(slab.get(b).aal.seq, 2);
-        assert_eq!(slab.recycled(), 1);
-        assert_eq!(slab.capacity(), 1, "steady state must not grow the slab");
         let snap = reg.snapshot();
         assert_eq!(snap.counter("cells.slab_recycled"), 1);
         assert_eq!(snap.gauge("cells.slab_high_water"), 1.0);
@@ -186,7 +155,9 @@ mod tests {
 
     #[test]
     fn steady_state_traffic_reuses_a_bounded_working_set() {
+        let reg = Registry::new();
         let mut slab = CellSlab::new();
+        slab.attach_probe(&reg.probe("cells"));
         // 32 in flight at a time, 100 generations.
         let mut live = Vec::new();
         for gen in 0..100u16 {
@@ -197,9 +168,9 @@ mod tests {
                 slab.remove(r);
             }
         }
-        assert_eq!(slab.capacity(), 32);
-        assert_eq!(slab.recycled(), 99 * 32);
-        assert!(slab.is_empty());
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("cells.slab_high_water"), 32.0);
+        assert_eq!(snap.counter("cells.slab_recycled"), 99 * 32);
     }
 
     #[test]

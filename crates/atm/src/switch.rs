@@ -343,26 +343,17 @@ impl Switch {
             queueing: SimDuration::from_ps(c.queueing_ps.get()),
         }
     }
-
-    /// Cells dropped for lack of a route.
-    pub fn unrouted(&self) -> u64 {
-        self.unrouted.get()
-    }
-
-    /// Cells dropped by bounded output queues.
-    pub fn overflow_dropped(&self) -> u64 {
-        self.overflow_dropped.get()
-    }
-
-    /// Cells that departed with an ECN mark.
-    pub fn ecn_marked(&self) -> u64 {
-        self.ecn_marked.get()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osiris_sim::Registry;
+
+    /// A switch whose counters land in `reg` under `sw.switch.*`.
+    fn probed(spec: SwitchSpec, reg: &Registry) -> Switch {
+        Switch::with_probe(spec, &reg.probe("sw"))
+    }
 
     fn cell(vci: u16, seq: u16) -> Cell {
         Cell::data(Vci(vci), seq, &[seq as u8; 44])
@@ -370,14 +361,15 @@ mod tests {
 
     #[test]
     fn routes_by_vci() {
-        let mut sw = Switch::new(SwitchSpec::sts3c_16port());
+        let reg = Registry::new();
+        let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
         sw.route(Vci(1), 3);
         sw.route(Vci(2), 7);
         let (p1, _) = sw.forward(SimTime::ZERO, &cell(1, 0)).unwrap();
         let (p2, _) = sw.forward(SimTime::ZERO, &cell(2, 0)).unwrap();
         assert_eq!((p1, p2), (3, 7));
         assert!(sw.forward(SimTime::ZERO, &cell(9, 0)).is_none());
-        assert_eq!(sw.unrouted(), 1);
+        assert_eq!(reg.snapshot().counter("sw.switch.unrouted"), 1);
     }
 
     #[test]
@@ -434,7 +426,8 @@ mod tests {
 
     #[test]
     fn striped_routes_spread_lanes_over_a_port_block() {
-        let mut sw = Switch::new(SwitchSpec::sts3c(8));
+        let reg = Registry::new();
+        let mut sw = probed(SwitchSpec::sts3c(8), &reg);
         // Two connections to two different "nodes": VCI 100 → ports 0..4,
         // VCI 101 → ports 4..8, no per-lane transit retagging needed.
         sw.route_group(Vci(100), 0, 4);
@@ -451,7 +444,7 @@ mod tests {
         }
         // A VCI with no striped route is dropped and counted.
         assert!(sw.forward_on_lane(SimTime::ZERO, &cell(7, 0), 0).is_none());
-        assert_eq!(sw.unrouted(), 1);
+        assert_eq!(reg.snapshot().counter("sw.switch.unrouted"), 1);
     }
 
     #[test]
@@ -475,7 +468,8 @@ mod tests {
 
     #[test]
     fn bounded_output_queue_drops_on_overflow() {
-        let mut sw = Switch::new(SwitchSpec::sts3c_16port());
+        let reg = Registry::new();
+        let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
         sw.route(Vci(1), 0);
         sw.set_max_queue_cells(Some(4));
         // Offer 12 cells at the same instant: four fit in the bounded
@@ -487,7 +481,7 @@ mod tests {
             }
         }
         assert_eq!(forwarded, 4, "bound covers in-service + waiting cells");
-        assert_eq!(sw.overflow_dropped(), 8);
+        assert_eq!(reg.snapshot().counter("sw.switch.overflow_dropped"), 8);
         assert_eq!(sw.port_stats(0).cells, 4, "dropped cells never count");
         // Once the queue drains, cells flow again.
         let later = SimTime::from_secs(1);
@@ -496,7 +490,8 @@ mod tests {
 
     #[test]
     fn ecn_marks_above_threshold_before_overflow_drops() {
-        let mut sw = Switch::new(SwitchSpec::sts3c_16port());
+        let reg = Registry::new();
+        let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
         sw.route_group(Vci(1), 0, 4);
         sw.set_max_queue_cells(Some(8));
         sw.set_ecn_threshold(Some(3));
@@ -511,8 +506,8 @@ mod tests {
         // marked — congestion is signalled well before the queue bound.
         assert_eq!(&marks[..3], &[false, false, false]);
         assert!(marks[3..].iter().all(|&m| m));
-        assert_eq!(sw.ecn_marked(), 5);
-        assert_eq!(sw.overflow_dropped(), 0);
+        assert_eq!(reg.snapshot().counter("sw.switch.ecn_marked"), 5);
+        assert_eq!(reg.snapshot().counter("sw.switch.overflow_dropped"), 0);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! §3.1: "we treat VCIs as a fairly abundant resource; each of the
 //! potentially hundreds of paths (connections) on a given host is bound to
-//! a VCI for the duration of the path". The table below is the board-side
-//! structure the receive processor consults to make its early
-//! demultiplexing decision: VCI → path identifier.
+//! a VCI for the duration of the path". The table below holds those
+//! bindings: VCI → path identifier.
 
 use std::collections::HashMap;
 
@@ -12,48 +11,13 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Vci(pub u16);
 
-/// Board-resident VCI → path binding table with free-VCI allocation.
-#[derive(Debug, Clone)]
+/// VCI → path binding table: each VCI binds to at most one path.
+#[derive(Debug, Clone, Default)]
 pub struct VciTable {
     bindings: HashMap<Vci, u32>,
-    next: u16,
-    limit: u16,
 }
 
 impl VciTable {
-    /// A table that allocates VCIs from `[first, limit)`. VCIs below
-    /// `first` are reserved (VCI 0 is never used, mirroring ATM practice).
-    pub fn new(first: u16, limit: u16) -> Self {
-        assert!(first > 0 && first < limit);
-        VciTable {
-            bindings: HashMap::new(),
-            next: first,
-            limit,
-        }
-    }
-
-    /// Binds a fresh VCI to `path`. Returns `None` when the space is
-    /// exhausted (which the abundant-resource regime assumes never happens
-    /// in practice).
-    pub fn bind_fresh(&mut self, path: u32) -> Option<Vci> {
-        // Linear probe from `next`, skipping bound VCIs freed out of order.
-        let span = self.limit - self.next;
-        let _ = span;
-        let mut probe = self.next;
-        loop {
-            if probe >= self.limit {
-                return None;
-            }
-            let vci = Vci(probe);
-            probe += 1;
-            if !self.bindings.contains_key(&vci) {
-                self.next = probe;
-                self.bindings.insert(vci, path);
-                return Some(vci);
-            }
-        }
-    }
-
     /// Binds a specific VCI (used by the passive side of a connection).
     ///
     /// Returns `false` if the VCI was already bound to a different path.
@@ -66,26 +30,6 @@ impl VciTable {
             }
         }
     }
-
-    /// The early-demultiplexing lookup: which path owns this VCI?
-    pub fn lookup(&self, vci: Vci) -> Option<u32> {
-        self.bindings.get(&vci).copied()
-    }
-
-    /// Releases a binding (connection teardown).
-    pub fn unbind(&mut self, vci: Vci) {
-        self.bindings.remove(&vci);
-    }
-
-    /// Number of live bindings.
-    pub fn len(&self) -> usize {
-        self.bindings.len()
-    }
-
-    /// True if no bindings exist.
-    pub fn is_empty(&self) -> bool {
-        self.bindings.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -93,60 +37,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_vcis_are_distinct() {
-        let mut t = VciTable::new(32, 1024);
-        let a = t.bind_fresh(1).unwrap();
-        let b = t.bind_fresh(2).unwrap();
-        assert_ne!(a, b);
-        assert_eq!(t.lookup(a), Some(1));
-        assert_eq!(t.lookup(b), Some(2));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn hundreds_of_paths_fit() {
-        // The paper's regime: hundreds of connections, each with a VCI.
-        let mut t = VciTable::new(32, 1024);
-        for path in 0..500 {
-            assert!(t.bind_fresh(path).is_some(), "path {path} failed");
-        }
-        assert_eq!(t.len(), 500);
-    }
-
-    #[test]
-    fn exhaustion_returns_none() {
-        let mut t = VciTable::new(1, 4);
-        assert!(t.bind_fresh(0).is_some());
-        assert!(t.bind_fresh(1).is_some());
-        assert!(t.bind_fresh(2).is_some());
-        assert!(t.bind_fresh(3).is_none());
-    }
-
-    #[test]
-    fn unbind_frees_for_explicit_bind() {
-        let mut t = VciTable::new(1, 4);
-        let v = t.bind_fresh(7).unwrap();
-        t.unbind(v);
-        assert_eq!(t.lookup(v), None);
-        assert!(t.bind(v, 8));
-        assert_eq!(t.lookup(v), Some(8));
-    }
-
-    #[test]
     fn bind_conflict_rejected() {
-        let mut t = VciTable::new(1, 100);
+        let mut t = VciTable::default();
         assert!(t.bind(Vci(50), 1));
         assert!(
             !t.bind(Vci(50), 2),
             "rebinding to a different path must fail"
         );
         assert!(t.bind(Vci(50), 1), "idempotent rebind is fine");
-    }
-
-    #[test]
-    fn lookup_unknown_is_none() {
-        let t = VciTable::new(1, 100);
-        assert_eq!(t.lookup(Vci(99)), None);
-        assert!(t.is_empty());
     }
 }

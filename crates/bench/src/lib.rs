@@ -14,7 +14,6 @@
 
 use osiris::config::TestbedConfig;
 
-pub mod micro;
 pub mod results;
 pub mod snapshot;
 pub use results::{json_requested, ExperimentResult};

@@ -129,7 +129,6 @@ pub struct DescRing {
     head: u32,
     tail: u32,
     size: u32,
-    high_water: u32,
 }
 
 impl DescRing {
@@ -142,7 +141,6 @@ impl DescRing {
             head: 0,
             tail: 0,
             size,
-            high_water: 0,
         }
     }
 
@@ -188,7 +186,6 @@ impl DescRing {
         }
         self.slots[self.head as usize] = Some(d);
         self.head = (self.head + 1) % self.size;
-        self.high_water = self.high_water.max(self.len());
         // Descriptor words + the head-pointer store. The fullness load is
         // charged by `producer_check`.
         Ok(RingCosts::new(0, DESC_WORDS + 1))
@@ -220,11 +217,6 @@ impl DescRing {
         } else {
             self.slots[self.tail as usize].as_ref()
         }
-    }
-
-    /// Largest occupancy ever observed.
-    pub fn high_water(&self) -> u32 {
-        self.high_water
     }
 
     /// Iterates over queued descriptors, oldest (tail) first. Used by the
@@ -358,16 +350,6 @@ mod tests {
         assert_eq!(r.peek().unwrap().len, 42);
         assert_eq!(r.len(), 1);
         assert_eq!(r.pop().unwrap().0.len, 42);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut r = DescRing::new(8);
-        r.push(d(0)).unwrap();
-        r.push(d(1)).unwrap();
-        r.pop().unwrap();
-        r.push(d(2)).unwrap();
-        assert_eq!(r.high_water(), 2);
     }
 
     #[test]

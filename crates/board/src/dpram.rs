@@ -15,9 +15,6 @@
 /// Queue pages per half (16 × 4 KB = 64 KB per half, 128 KB total).
 pub const QUEUE_PAGES: usize = 16;
 
-/// Bytes per dual-port page.
-pub const DPRAM_PAGE_BYTES: usize = 4096;
-
 /// Geometry of the shared memory region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DpramLayout {
@@ -48,15 +45,6 @@ impl DpramLayout {
     pub fn adc_pages() -> impl Iterator<Item = usize> {
         1..QUEUE_PAGES
     }
-
-    /// Verifies the rings fit their 4 KB pages (descriptors are 3 words +
-    /// head/tail pointers).
-    pub fn fits(&self) -> bool {
-        let desc_bytes = (crate::descriptor::DESC_WORDS as usize) * 4;
-        let tx = self.tx_ring_slots as usize * desc_bytes + 8;
-        let rxpair = (self.free_ring_slots + self.rx_ring_slots) as usize * desc_bytes + 16;
-        tx <= DPRAM_PAGE_BYTES && rxpair <= DPRAM_PAGE_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -64,26 +52,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_layout_fits_pages() {
-        let l = DpramLayout::paper_default();
-        assert!(l.fits());
-        assert_eq!(l.tx_ring_slots, 64);
-    }
-
-    #[test]
     fn adc_pages_exclude_kernel_page() {
         let pages: Vec<usize> = DpramLayout::adc_pages().collect();
         assert_eq!(pages.len(), QUEUE_PAGES - 1);
         assert!(!pages.contains(&DpramLayout::KERNEL_PAGE));
-    }
-
-    #[test]
-    fn oversized_rings_do_not_fit() {
-        let l = DpramLayout {
-            tx_ring_slots: 4096,
-            free_ring_slots: 64,
-            rx_ring_slots: 64,
-        };
-        assert!(!l.fits());
     }
 }

@@ -25,17 +25,6 @@ pub enum InterruptPolicy {
     OnTransition,
 }
 
-impl InterruptPolicy {
-    /// Given the receive queue's occupancy *before* this PDU was enqueued,
-    /// should an interrupt be asserted?
-    pub fn should_interrupt(self, queue_len_before: u32) -> bool {
-        match self {
-            InterruptPolicy::PerPdu => true,
-            InterruptPolicy::OnTransition => queue_len_before == 0,
-        }
-    }
-}
-
 /// Interrupt accounting for an experiment run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InterruptStats {
@@ -47,45 +36,4 @@ pub struct InterruptStats {
     pub pdus_delivered: u64,
     /// Access-violation interrupts (ADC protection, §3.2).
     pub violations: u64,
-}
-
-impl InterruptStats {
-    /// Interrupts per delivered PDU — the paper's figure of merit ("much
-    /// lower than the traditional one-per-PDU" under bursts).
-    pub fn rx_interrupts_per_pdu(&self) -> f64 {
-        if self.pdus_delivered == 0 {
-            0.0
-        } else {
-            self.rx_interrupts as f64 / self.pdus_delivered as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn per_pdu_always_fires() {
-        assert!(InterruptPolicy::PerPdu.should_interrupt(0));
-        assert!(InterruptPolicy::PerPdu.should_interrupt(5));
-    }
-
-    #[test]
-    fn transition_fires_only_from_empty() {
-        assert!(InterruptPolicy::OnTransition.should_interrupt(0));
-        assert!(!InterruptPolicy::OnTransition.should_interrupt(1));
-        assert!(!InterruptPolicy::OnTransition.should_interrupt(63));
-    }
-
-    #[test]
-    fn stats_ratio() {
-        let s = InterruptStats {
-            rx_interrupts: 5,
-            pdus_delivered: 100,
-            ..Default::default()
-        };
-        assert!((s.rx_interrupts_per_pdu() - 0.05).abs() < 1e-12);
-        assert_eq!(InterruptStats::default().rx_interrupts_per_pdu(), 0.0);
-    }
 }

@@ -28,7 +28,7 @@
 use std::collections::HashSet;
 
 use osiris_atm::sar::{check_lanes, CellDisposition, PduComplete, Reassembler, ReassemblyMode};
-use osiris_atm::{Cell, CellRef, CellSlab, Vci};
+use osiris_atm::{Cell, Vci};
 use osiris_mem::{DataCache, MemorySystem, PhysAddr, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
 use osiris_sim::{FifoResource, FxHashMap, SimDuration, SimTime, SymId, Timeline, TraceCtx};
@@ -234,8 +234,8 @@ struct PendingDma {
 /// its open PDUs.
 #[derive(Debug)]
 struct VciRecord {
-    /// The queue page the VCI is bound to; `None` once unbound (the
-    /// reassembly state stays).
+    /// The queue page the VCI is bound to; `None` for a VCI first seen
+    /// while no binding existed (promiscuous, page 0).
     page: Option<usize>,
     reasm: Reassembler,
     /// Open PDUs by reassembler-local number — usually one, a few when
@@ -412,15 +412,6 @@ impl RxProcessor {
         }
     }
 
-    /// Removes a VCI binding. The VCI's reassembly state stays.
-    pub fn unbind_vci(&mut self, vci: Vci) {
-        if let Some(rec) = self.vcis.get_mut(&vci) {
-            if rec.page.take().is_some() {
-                self.bound -= 1;
-            }
-        }
-    }
-
     /// Restricts `page`'s free buffers to the given frames (§3.2).
     /// Unauthorized free-buffer descriptors are discarded (and counted as
     /// violations) instead of being used for DMA.
@@ -485,26 +476,6 @@ impl RxProcessor {
     /// `(push_time, page, descriptor)` in push order.
     pub fn pushed(&self) -> &[(SimTime, usize, Descriptor)] {
         &self.dp.pushed
-    }
-
-    /// Processes one cell arriving on `lane` at `now`.
-    /// Slab-handle entry point: consumes `r`, returning its slot to the
-    /// slab's free list after processing (cells move by [`CellRef`] on
-    /// the hot path; the payload is copied exactly once — into the host
-    /// buffer by DMA).
-    #[allow(clippy::too_many_arguments)]
-    pub fn receive_cell_ref(
-        &mut self,
-        now: SimTime,
-        lane: usize,
-        r: CellRef,
-        slab: &mut CellSlab,
-        mem: &mut MemorySystem,
-        cache: &mut DataCache,
-        phys: &mut PhysMemory,
-    ) -> RxOutcome {
-        let cell = slab.remove(r);
-        self.receive_cell(now, lane, &cell, mem, cache, phys)
     }
 
     /// Processes one cell arriving on `lane` at `now`.
@@ -1142,7 +1113,7 @@ mod tests {
         }
         Rig {
             rx,
-            mem: MemorySystem::new(BusSpec::ds5000_200()),
+            mem: MemorySystem::with_probe(BusSpec::ds5000_200(), &Probe::detached()),
             cache: DataCache::new(CacheSpec::dec_3000_600()),
             phys,
         }
@@ -1301,7 +1272,7 @@ mod tests {
         let mut cfg = RxConfig::paper_default();
         cfg.interrupt_policy = InterruptPolicy::OnTransition;
         let mut rx = RxProcessor::new(cfg, DpramLayout::paper_default());
-        let mut mem = MemorySystem::new(BusSpec::ds5000_200());
+        let mut mem = MemorySystem::with_probe(BusSpec::ds5000_200(), &Probe::detached());
         let mut cache = DataCache::new(CacheSpec::dec_3000_600());
         let mut phys = PhysMemory::new(1 << 20, 4096);
         // No buffers in any free ring.
@@ -1464,56 +1435,6 @@ mod tests {
         let cells = cells_for(&data, Vci(42));
         let (outs, _) = feed(&mut r, &cells, SimTime::from_ms(1));
         assert!(outs.last().unwrap().completed.unwrap().crc_ok);
-    }
-
-    #[test]
-    fn unbinding_drops_a_vci_until_the_table_empties() {
-        let mut r = rig(RxConfig::paper_default());
-        for i in 0..4u64 {
-            r.rx.free_ring_mut(3)
-                .push(Descriptor::tx(
-                    PhysAddr(0x20_0000 + i * 0x4000),
-                    16 * 1024,
-                    Vci(0),
-                    false,
-                ))
-                .unwrap();
-        }
-        r.rx.bind_vci(Vci(42), 3);
-        r.rx.bind_vci(Vci(43), 0);
-        let data = vec![1u8; 200];
-        let (outs, t) = feed(&mut r, &cells_for(&data, Vci(42)), SimTime::ZERO);
-        let info = outs.last().unwrap().completed.unwrap();
-        assert_eq!((info.pdu, r.rx.rx_ring(3).len()), (0, 1));
-
-        // Unbinding one of two VCIs drops its later cells on the board.
-        r.rx.unbind_vci(Vci(42));
-        let cells = cells_for(&data, Vci(42));
-        let (outs, t) = feed(&mut r, &cells, t);
-        assert!(outs
-            .iter()
-            .all(|o| o.pushed.is_empty() && o.completed.is_none()));
-        assert_eq!(r.rx.stats().cells_unknown_vci, cells.len() as u64);
-        // The other binding still delivers on its page.
-        let (outs, t) = feed(&mut r, &cells_for(&data, Vci(43)), t);
-        assert!(outs.last().unwrap().completed.unwrap().crc_ok);
-        assert_eq!(r.rx.rx_ring(0).len(), 1);
-
-        // Unbinding the last one makes the board promiscuous again: the
-        // VCI lands on page 0, and its reassembler kept its state (the
-        // PDU numbering continues).
-        r.rx.unbind_vci(Vci(43));
-        let (outs, _) = feed(&mut r, &cells_for(&data, Vci(42)), t);
-        let info = outs
-            .last()
-            .unwrap()
-            .completed
-            .expect("promiscuous delivery");
-        assert!(info.crc_ok);
-        assert_eq!(info.pdu, 1);
-        assert_eq!(r.rx.rx_ring(0).len(), 2);
-        assert_eq!(r.rx.rx_ring(3).len(), 1);
-        assert_eq!(r.rx.stats().cells_unknown_vci, cells.len() as u64);
     }
 
     #[test]

@@ -539,8 +539,8 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
 
     // §3.1: one drain thread per path, with the path's traffic priority.
     let mut sched = osiris_host::thread::Scheduler::new(host.spec.costs.thread_dispatch);
-    let hi_thread = sched.spawn("drain-hi", 7);
-    let lo_thread = sched.spawn("drain-lo", 1);
+    let hi_thread = sched.spawn(7);
+    let lo_thread = sched.spawn(1);
 
     let seg = Segmenter {
         framing: FramingMode::EndOfPdu,

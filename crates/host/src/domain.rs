@@ -3,11 +3,9 @@
 //! Mach is a microkernel: "device drivers, network protocols, and
 //! application software might all reside in different protection domains"
 //! (§3.1), and the x-kernel lets the protocol graph span them. A domain
-//! here is an address space plus an identity; crossing between domains
+//! here is an identity owning an address space; crossing between domains
 //! costs a trap (`SoftwareCosts::syscall`), which is exactly the cost
 //! fbufs amortise and ADCs eliminate from the data path.
-
-use osiris_mem::AddressSpace;
 
 /// Domain identity (0 = the kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,28 +21,10 @@ impl DomainId {
     }
 }
 
-/// One protection domain.
-#[derive(Debug)]
-pub struct Domain {
-    /// Identity.
-    pub id: DomainId,
-    /// The domain's address space.
-    pub space: AddressSpace,
-}
-
-impl Domain {
-    /// A fresh domain with an empty address space.
-    pub fn new(id: DomainId, page_size: usize) -> Self {
-        Domain {
-            id,
-            space: AddressSpace::new(page_size),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osiris_mem::AddressSpace;
 
     #[test]
     fn kernel_identity() {
@@ -57,14 +37,14 @@ mod tests {
         let mut mem = osiris_mem::PhysMemory::new(64 * 4096, 4096);
         let mut alloc =
             osiris_mem::FrameAllocator::new(&mem, osiris_mem::AllocPolicy::Sequential, 0);
-        let mut a = Domain::new(DomainId(1), 4096);
-        let mut b = Domain::new(DomainId(2), 4096);
-        let ra = a.space.alloc_and_map(4096, &mut alloc).unwrap();
-        let rb = b.space.alloc_and_map(4096, &mut alloc).unwrap();
+        let mut a = AddressSpace::new(4096);
+        let mut b = AddressSpace::new(4096);
+        let ra = a.alloc_and_map(4096, &mut alloc).unwrap();
+        let rb = b.alloc_and_map(4096, &mut alloc).unwrap();
         // Same virtual base (separate spaces), different frames.
         assert_eq!(ra.base, rb.base);
-        let pa = a.space.translate_addr(ra.base).unwrap();
-        let pb = b.space.translate_addr(rb.base).unwrap();
+        let pa = a.translate_addr(ra.base).unwrap();
+        let pb = b.translate_addr(rb.base).unwrap();
         assert_ne!(pa, pb);
         mem.write(pa, b"aa");
         mem.write(pb, b"bb");

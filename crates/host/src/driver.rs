@@ -614,11 +614,10 @@ mod tests {
         // Feed arrivals into the same host's rx half (loopback).
         let mut intr_at = None;
         for &(at, lane, cr) in r.tx.arrivals() {
-            let o = r.rx.receive_cell_ref(
+            let o = r.rx.receive_cell(
                 at,
                 lane,
-                cr,
-                &mut r.slab,
+                &r.slab.remove(cr),
                 &mut r.host.mem_sys,
                 &mut r.host.cache,
                 &mut r.host.phys,
@@ -675,11 +674,10 @@ mod tests {
                 )
                 .unwrap();
             for &(at, lane, cr) in r.tx.arrivals() {
-                r.rx.receive_cell_ref(
+                r.rx.receive_cell(
                     at,
                     lane,
-                    cr,
-                    &mut r.slab,
+                    &r.slab.remove(cr),
                     &mut r.host.mem_sys,
                     &mut r.host.cache,
                     &mut r.host.phys,
@@ -730,11 +728,10 @@ mod tests {
             if i == 1 {
                 r.slab.get_mut(cr).corrupt_bit(3, 3);
             }
-            r.rx.receive_cell_ref(
+            r.rx.receive_cell(
                 at,
                 lane,
-                cr,
-                &mut r.slab,
+                &r.slab.remove(cr),
                 &mut r.host.mem_sys,
                 &mut r.host.cache,
                 &mut r.host.phys,

@@ -27,7 +27,7 @@ pub mod machine;
 pub mod thread;
 pub mod wiring;
 
-pub use domain::{Domain, DomainId};
+pub use domain::DomainId;
 pub use driver::{
     CacheStrategy, DeliveredPdu, DrainOutcome, DriverStats, OsirisDriver, SendOutcome,
 };

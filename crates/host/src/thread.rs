@@ -33,10 +33,8 @@ pub enum ThreadState {
 
 #[derive(Debug)]
 struct Thread {
-    name: &'static str,
     priority: u8,
     state: ThreadState,
-    dispatches: u64,
 }
 
 /// A non-preemptive priority scheduler.
@@ -47,7 +45,6 @@ pub struct Scheduler {
     queues: Vec<VecDeque<ThreadId>>,
     next_id: u32,
     ctx_switch: SimDuration,
-    dispatches: u64,
 }
 
 impl Scheduler {
@@ -58,34 +55,21 @@ impl Scheduler {
             queues: (0..=u8::MAX as usize).map(|_| VecDeque::new()).collect(),
             next_id: 1,
             ctx_switch,
-            dispatches: 0,
         }
     }
 
     /// Creates a blocked thread.
-    pub fn spawn(&mut self, name: &'static str, priority: u8) -> ThreadId {
+    pub fn spawn(&mut self, priority: u8) -> ThreadId {
         let id = ThreadId(self.next_id);
         self.next_id += 1;
         self.threads.insert(
             id,
             Thread {
-                name,
                 priority,
                 state: ThreadState::Blocked,
-                dispatches: 0,
             },
         );
         id
-    }
-
-    /// Thread's diagnostic name.
-    pub fn name(&self, id: ThreadId) -> &'static str {
-        self.threads[&id].name
-    }
-
-    /// Times a thread has been dispatched.
-    pub fn dispatches_of(&self, id: ThreadId) -> u64 {
-        self.threads[&id].dispatches
     }
 
     /// Makes a thread runnable (idempotent: a second wake while runnable
@@ -98,11 +82,6 @@ impl Scheduler {
         }
     }
 
-    /// True if any thread is runnable.
-    pub fn has_runnable(&self) -> bool {
-        self.queues.iter().any(|q| !q.is_empty())
-    }
-
     /// Picks the highest-priority runnable thread (FIFO within a level),
     /// charges the context switch on the CPU, and marks it running.
     /// Returns the thread and the grant covering the switch.
@@ -110,8 +89,6 @@ impl Scheduler {
         let id = self.queues.iter_mut().rev().find_map(|q| q.pop_front())?;
         let t = self.threads.get_mut(&id).expect("queued thread exists");
         t.state = ThreadState::Running;
-        t.dispatches += 1;
-        self.dispatches += 1;
         let g = host.run_software(now, self.ctx_switch);
         Some((id, g))
     }
@@ -125,11 +102,6 @@ impl Scheduler {
             "only the running thread blocks"
         );
         t.state = ThreadState::Blocked;
-    }
-
-    /// Total dispatches (diagnostics).
-    pub fn total_dispatches(&self) -> u64 {
-        self.dispatches
     }
 }
 
@@ -145,8 +117,8 @@ mod tests {
     #[test]
     fn higher_priority_runs_first() {
         let mut s = Scheduler::new(SimDuration::from_us(14));
-        let lo = s.spawn("lo", 1);
-        let hi = s.spawn("hi", 7);
+        let lo = s.spawn(1);
+        let hi = s.spawn(7);
         let mut h = host();
         s.wake(lo);
         s.wake(hi);
@@ -155,15 +127,14 @@ mod tests {
         s.block(hi);
         let (second, _) = s.dispatch(SimTime::ZERO, &mut h).unwrap();
         assert_eq!(second, lo);
-        assert_eq!(s.name(first), "hi");
     }
 
     #[test]
     fn fifo_within_a_priority_level() {
         let mut s = Scheduler::new(SimDuration::from_us(1));
-        let a = s.spawn("a", 3);
-        let b = s.spawn("b", 3);
-        let c = s.spawn("c", 3);
+        let a = s.spawn(3);
+        let b = s.spawn(3);
+        let c = s.spawn(3);
         let mut h = host();
         for id in [b, a, c] {
             s.wake(id);
@@ -181,7 +152,7 @@ mod tests {
     #[test]
     fn wake_is_idempotent() {
         let mut s = Scheduler::new(SimDuration::from_us(1));
-        let t = s.spawn("t", 0);
+        let t = s.spawn(0);
         let mut h = host();
         s.wake(t);
         s.wake(t); // absorbed
@@ -193,20 +164,17 @@ mod tests {
     #[test]
     fn dispatch_charges_the_cpu() {
         let mut s = Scheduler::new(SimDuration::from_us(14));
-        let t = s.spawn("t", 0);
+        let t = s.spawn(0);
         let mut h = host();
         s.wake(t);
         let (_, g) = s.dispatch(SimTime::ZERO, &mut h).unwrap();
         assert_eq!(g.finish.since(g.start), SimDuration::from_us(14));
-        assert_eq!(s.total_dispatches(), 1);
-        assert_eq!(s.dispatches_of(t), 1);
     }
 
     #[test]
     fn empty_scheduler_dispatches_nothing() {
         let mut s = Scheduler::new(SimDuration::from_us(1));
         let mut h = host();
-        assert!(!s.has_runnable());
         assert!(s.dispatch(SimTime::ZERO, &mut h).is_none());
     }
 
@@ -214,7 +182,7 @@ mod tests {
     #[should_panic(expected = "only the running thread blocks")]
     fn blocking_a_blocked_thread_is_a_bug() {
         let mut s = Scheduler::new(SimDuration::from_us(1));
-        let t = s.spawn("t", 0);
+        let t = s.spawn(0);
         s.block(t);
     }
 }

@@ -68,21 +68,6 @@ impl WiringService {
         let cost = SimDuration::from_ps(self.mode.cost_per_page(h).as_ps() * changed);
         Ok((h.run_cpu(now, cost), changed))
     }
-
-    /// Unwires, charging a quarter of the wire cost per changed page
-    /// (release is cheaper than acquire in both services).
-    pub fn unwire(
-        &self,
-        now: SimTime,
-        h: &mut HostMachine,
-        asp: &mut AddressSpace,
-        va: VirtAddr,
-        len: u64,
-    ) -> Result<(Grant, u64), MapError> {
-        let changed = asp.unwire(va, len)?;
-        let cost = SimDuration::from_ps(self.mode.cost_per_page(h).as_ps() * changed / 4);
-        Ok((h.run_cpu(now, cost), changed))
-    }
 }
 
 #[cfg(test)]
@@ -137,23 +122,6 @@ mod tests {
             .unwrap();
         assert_eq!(n2, 0);
         assert_eq!(g.finish.since(g.start), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn unwire_is_cheaper_than_wire() {
-        let (mut h, mut asp) = setup();
-        let r = asp.alloc_and_map(4096, &mut h.alloc).unwrap();
-        let svc = WiringService {
-            mode: WiringMode::LowLevel,
-        };
-        let (gw, _) = svc
-            .wire(SimTime::ZERO, &mut h, &mut asp, r.base, r.len)
-            .unwrap();
-        let (gu, n) = svc
-            .unwire(gw.finish, &mut h, &mut asp, r.base, r.len)
-            .unwrap();
-        assert_eq!(n, 1);
-        assert!(gu.finish.since(gu.start) < gw.finish.since(gw.start));
     }
 
     #[test]

@@ -31,22 +31,6 @@ impl PhysBuffer {
     pub fn abuts(&self, other: &PhysBuffer) -> bool {
         self.end() == other.addr
     }
-
-    /// Splits at `at` bytes, returning `(head, tail)`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < at < len` (degenerate splits are caller bugs).
-    pub fn split_at(&self, at: u32) -> (PhysBuffer, PhysBuffer) {
-        assert!(
-            at > 0 && at < self.len,
-            "split point {at} outside (0, {})",
-            self.len
-        );
-        (
-            PhysBuffer::new(self.addr, at),
-            PhysBuffer::new(self.addr.offset(at as u64), self.len - at),
-        )
-    }
 }
 
 /// Merges physically adjacent buffers, preserving order.
@@ -68,11 +52,6 @@ pub fn coalesce(buffers: &[PhysBuffer]) -> Vec<PhysBuffer> {
     out
 }
 
-/// Total byte length of a buffer list.
-pub fn total_len(buffers: &[PhysBuffer]) -> u64 {
-    buffers.iter().map(|b| b.len as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,33 +71,12 @@ mod tests {
     }
 
     #[test]
-    fn split_preserves_bytes() {
-        let x = b(4096, 1000);
-        let (h, t) = x.split_at(300);
-        assert_eq!(h, b(4096, 300));
-        assert_eq!(t, b(4396, 700));
-        assert_eq!(h.len + t.len, x.len);
-        assert!(h.abuts(&t));
-    }
-
-    #[test]
-    #[should_panic]
-    fn split_at_zero_panics() {
-        b(0, 10).split_at(0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn split_at_len_panics() {
-        b(0, 10).split_at(10);
-    }
-
-    #[test]
     fn coalesce_merges_adjacent() {
         let list = vec![b(0, 4096), b(4096, 4096), b(16384, 100)];
         let merged = coalesce(&list);
         assert_eq!(merged, vec![b(0, 8192), b(16384, 100)]);
-        assert_eq!(total_len(&merged), total_len(&list));
+        let bytes = |l: &[PhysBuffer]| l.iter().map(|b| b.len).sum::<u32>();
+        assert_eq!(bytes(&merged), bytes(&list));
     }
 
     #[test]

@@ -172,11 +172,6 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// A new, idle memory system with a detached probe (standalone use).
-    pub fn new(spec: BusSpec) -> Self {
-        MemorySystem::with_probe(spec, &Probe::detached())
-    }
-
     /// A memory system publishing its counters under `<scope>.bus`.
     pub fn with_probe(spec: BusSpec, probe: &Probe) -> Self {
         let p = probe.scoped("bus");
@@ -278,40 +273,21 @@ impl MemorySystem {
         self.bus.acquire(now, d)
     }
 
-    /// Total 32-bit words moved (`dma_words + cpu_words`, always).
-    pub fn words(&self) -> u64 {
-        self.c_words.get()
-    }
-
-    /// Words moved by board-mastered DMA.
-    pub fn dma_words(&self) -> u64 {
-        self.c_dma_words.get()
-    }
-
-    /// Words moved by CPU-driven traffic (fills, write-backs, PIO).
-    pub fn cpu_words(&self) -> u64 {
-        self.c_cpu_words.get()
-    }
-
-    /// Number of DMA transactions (each pays the fixed overhead).
-    pub fn dma_transactions(&self) -> u64 {
-        self.c_dma_transactions.get()
-    }
-
     /// The underlying bus resource (utilisation diagnostics).
     pub fn bus(&self) -> &FifoResource {
         &self.bus
-    }
-
-    /// The memory-port resource (crossbar machines; idle otherwise).
-    pub fn mem_port(&self) -> &FifoResource {
-        &self.mem_port
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osiris_sim::Registry;
+
+    /// An idle memory system with detached counters.
+    fn detached(spec: BusSpec) -> MemorySystem {
+        MemorySystem::with_probe(spec, &Probe::detached())
+    }
 
     #[test]
     fn paper_dma_ceilings() {
@@ -335,7 +311,7 @@ mod tests {
 
     #[test]
     fn shared_bus_serialises_dma_and_cpu() {
-        let mut ms = MemorySystem::new(BusSpec::ds5000_200());
+        let mut ms = detached(BusSpec::ds5000_200());
         let t0 = SimTime::ZERO;
         let g1 = ms.dma_write(t0, 44); // (8 + 11) * 40 ns = 760 ns
         assert_eq!(g1.finish, SimTime::from_ns(760));
@@ -346,7 +322,7 @@ mod tests {
 
     #[test]
     fn crossbar_lets_dma_and_cpu_overlap() {
-        let mut ms = MemorySystem::new(BusSpec::dec3000_600());
+        let mut ms = detached(BusSpec::dec3000_600());
         let t0 = SimTime::ZERO;
         let g1 = ms.dma_write(t0, 44);
         let g2 = ms.cpu_mem_access(t0, 32);
@@ -357,7 +333,7 @@ mod tests {
 
     #[test]
     fn pio_reads_are_expensive() {
-        let mut ms = MemorySystem::new(BusSpec::ds5000_200());
+        let mut ms = detached(BusSpec::ds5000_200());
         // 11 words at 15 cycles/word = 165 cycles = 6.6 us per 44 bytes:
         // ~53 Mbps, the paper's reason to prefer DMA on this machine.
         let g = ms.pio_read(SimTime::ZERO, 11);
@@ -367,7 +343,7 @@ mod tests {
 
     #[test]
     fn burst_reserves_n_transactions() {
-        let mut ms = MemorySystem::new(BusSpec::ds5000_200());
+        let mut ms = detached(BusSpec::ds5000_200());
         let one = ms.spec().mem_access_time(4);
         let g = ms.cpu_mem_burst(SimTime::ZERO, 10, 4);
         assert_eq!(g.finish.since(g.start).as_ps(), one.as_ps() * 10);
@@ -375,7 +351,6 @@ mod tests {
 
     #[test]
     fn word_counters_split_exhaustively() {
-        use osiris_sim::Registry;
         let reg = Registry::new();
         let mut ms = MemorySystem::with_probe(BusSpec::ds5000_200(), &reg.probe("node0"));
         let t0 = SimTime::ZERO;
@@ -386,14 +361,11 @@ mod tests {
         ms.pio_read(t0, 5);
         ms.pio_write(t0, 7);
         ms.pio_like_mem(t0, SimDuration::from_ns(100)); // duration only: no words
-        assert_eq!(ms.dma_words(), 33);
-        assert_eq!(ms.cpu_words(), 16);
-        assert_eq!(ms.words(), ms.dma_words() + ms.cpu_words());
-        assert_eq!(ms.dma_transactions(), 2);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("node0.bus.words"), 49);
         assert_eq!(snap.counter("node0.bus.dma_words"), 33);
         assert_eq!(snap.counter("node0.bus.cpu_words"), 16);
+        assert_eq!(snap.counter("node0.bus.dma_transactions"), 2);
     }
 
     /// The write cost cache never changes a grant: alternating lengths
@@ -403,7 +375,8 @@ mod tests {
     #[test]
     fn cached_dma_costs_match_the_spec() {
         for spec in [BusSpec::ds5000_200(), BusSpec::dec3000_600()] {
-            let mut ms = MemorySystem::new(spec);
+            let reg = Registry::new();
+            let mut ms = MemorySystem::with_probe(spec, &reg.probe("n"));
             let mut t = SimTime::ZERO;
             let mut words = 0;
             for len in 1..=4096u64 {
@@ -417,15 +390,14 @@ mod tests {
                     words += 2 * spec.words(bytes);
                 }
             }
-            assert_eq!(ms.dma_words(), words);
+            assert_eq!(reg.snapshot().counter("n.bus.dma_words"), words);
         }
     }
 
     #[test]
     fn utilisation_tracks_busy_time() {
-        let mut ms = MemorySystem::new(BusSpec::ds5000_200());
+        let mut ms = detached(BusSpec::ds5000_200());
         ms.dma_write(SimTime::ZERO, 44);
         assert_eq!(ms.bus().total_busy(), SimDuration::from_ns(760));
-        assert_eq!(ms.mem_port().total_busy(), SimDuration::ZERO);
     }
 }

@@ -135,12 +135,6 @@ impl DataCache {
         (line_no % self.spec.lines() as u64) as usize
     }
 
-    /// True if the line containing `addr` is resident.
-    pub fn probe(&self, addr: PhysAddr) -> bool {
-        let ln = self.line_no(addr);
-        self.tags[self.slot_of_line(ln)] == Some(ln)
-    }
-
     /// CPU read of `buf.len()` bytes at `addr` through the cache.
     ///
     /// Hit bytes come from the cache's own copy (possibly stale); misses
@@ -226,11 +220,6 @@ impl DataCache {
     /// Invalidates the entire cache (the DECstation's cache-swap trick).
     pub fn invalidate_all(&mut self) {
         self.tags.fill(None);
-    }
-
-    /// Number of currently resident lines (diagnostics).
-    pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|t| t.is_some()).count()
     }
 
     fn refresh_resident(&mut self, addr: PhysAddr, data: &[u8]) {
@@ -352,11 +341,12 @@ mod tests {
         m.write(PhysAddr(1024), &[2u8; 16]);
         let mut buf = [0u8; 16];
         c.read(&m, PhysAddr(0), &mut buf);
-        assert!(c.probe(PhysAddr(0)));
+        assert_eq!(c.read(&m, PhysAddr(0), &mut buf).hit_bytes, 16);
         c.read(&m, PhysAddr(1024), &mut buf);
-        assert!(!c.probe(PhysAddr(0)), "aliasing read must evict");
-        assert!(c.probe(PhysAddr(1024)));
         assert_eq!(buf, [2u8; 16]);
+        assert_eq!(c.read(&m, PhysAddr(1024), &mut buf).hit_bytes, 16);
+        let a = c.read(&m, PhysAddr(0), &mut buf);
+        assert_eq!(a.hit_bytes, 0, "aliasing read must evict");
     }
 
     #[test]
@@ -373,9 +363,9 @@ mod tests {
         m.write(PhysAddr(0), &[3u8; 64]);
         let mut buf = [0u8; 64];
         c.read(&m, PhysAddr(0), &mut buf);
-        assert!(c.resident_lines() > 0);
+        assert_eq!(c.read(&m, PhysAddr(0), &mut buf).hit_bytes, 64);
         c.invalidate_all();
-        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.read(&m, PhysAddr(0), &mut buf).hit_bytes, 0);
     }
 
     #[test]

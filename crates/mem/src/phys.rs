@@ -77,11 +77,6 @@ impl PhysMemory {
         PhysAddr((f * self.page_size) as u64)
     }
 
-    /// Frame containing `addr`.
-    pub fn frame_of(&self, addr: PhysAddr) -> usize {
-        (addr.0 as usize) / self.page_size
-    }
-
     /// Reads `len` bytes at `addr`.
     ///
     /// # Panics
@@ -126,8 +121,6 @@ pub struct FrameAllocator {
     slot: Vec<u32>,
     policy: AllocPolicy,
     total_frames: usize,
-    allocations: u64,
-    contiguous_hits: u64,
 }
 
 /// [`FrameAllocator::slot`] entry of an allocated frame.
@@ -158,8 +151,6 @@ impl FrameAllocator {
             slot,
             policy,
             total_frames: n,
-            allocations: 0,
-            contiguous_hits: 0,
         }
     }
 
@@ -177,10 +168,8 @@ impl FrameAllocator {
         if self.free.len() < n {
             return None;
         }
-        self.allocations += 1;
         if self.policy == AllocPolicy::BestEffortContiguous {
             if let Some(run) = self.find_contiguous_run(n) {
-                self.contiguous_hits += 1;
                 for &f in &run {
                     self.take(f);
                 }
@@ -205,8 +194,6 @@ impl FrameAllocator {
             return Some(Vec::new());
         }
         let run = self.find_contiguous_run(n)?;
-        self.allocations += 1;
-        self.contiguous_hits += 1;
         for &f in &run {
             self.take(f);
         }
@@ -222,16 +209,6 @@ impl FrameAllocator {
             assert!(self.slot[f] == IN_USE, "double free of frame {f}");
             self.slot[f] = self.free.len() as u32;
             self.free.push(f as u32);
-        }
-    }
-
-    /// Fraction of allocations that found a contiguous run (diagnostics for
-    /// the best-effort policy).
-    pub fn contiguous_hit_rate(&self) -> f64 {
-        if self.allocations == 0 {
-            0.0
-        } else {
-            self.contiguous_hits as f64 / self.allocations as f64
         }
     }
 
@@ -290,7 +267,6 @@ mod tests {
         let m = mem();
         assert_eq!(m.frames(), 64);
         assert_eq!(m.frame_addr(3), PhysAddr(3 * 4096));
-        assert_eq!(m.frame_of(PhysAddr(3 * 4096 + 17)), 3);
     }
 
     #[test]
@@ -363,7 +339,6 @@ mod tests {
         let mut a = FrameAllocator::new(&m, AllocPolicy::BestEffortContiguous, 3);
         let frames = a.alloc(4).unwrap();
         assert!(frames.windows(2).all(|w| w[1] == w[0] + 1), "{frames:?}");
-        assert_eq!(a.contiguous_hit_rate(), 1.0);
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub struct SgMap {
     table: HashMap<u64, usize>, // bus page -> physical frame
     next_bus_page: u64,
     loads: u64,
-    invalidations: u64,
 }
 
 impl SgMap {
@@ -72,13 +71,7 @@ impl SgMap {
             table: HashMap::new(),
             next_bus_page: 1, // bus page 0 stays invalid (catches null DMA)
             loads: 0,
-            invalidations: 0,
         }
-    }
-
-    /// Free entry slots.
-    pub fn free_entries(&self) -> usize {
-        self.entries - self.table.len()
     }
 
     /// Entry loads performed (each costs [`Self::PIO_WORDS_PER_ENTRY`]
@@ -86,11 +79,6 @@ impl SgMap {
     /// about).
     pub fn loads(&self) -> u64 {
         self.loads
-    }
-
-    /// Entries invalidated.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
     }
 
     /// Maps a buffer's physical pages into consecutive bus pages,
@@ -128,14 +116,6 @@ impl SgMap {
         let off = bus.0 % self.page_size;
         let frame = *self.table.get(&page).ok_or(SgError::NotMapped)?;
         Ok(PhysAddr(frame as u64 * self.page_size + off))
-    }
-
-    /// Invalidates every entry (the per-message teardown when application
-    /// buffers change under a copy-free path).
-    pub fn invalidate_all(&mut self) {
-        self.invalidations += self.table.len() as u64;
-        self.table.clear();
-        self.next_bus_page = 1;
     }
 }
 
@@ -189,7 +169,6 @@ mod tests {
         m.map_buffer(b(0, 4096)).unwrap();
         m.map_buffer(b(4096, 4096)).unwrap();
         assert_eq!(m.map_buffer(b(8192, 1)).unwrap_err(), SgError::MapFull);
-        assert_eq!(m.free_entries(), 0);
     }
 
     #[test]
@@ -200,19 +179,6 @@ mod tests {
             m.translate(BusAddr(5 * 4096)).unwrap_err(),
             SgError::NotMapped
         );
-    }
-
-    #[test]
-    fn invalidate_recycles_entries() {
-        let mut m = SgMap::new(4, 4096);
-        for i in 0..4u64 {
-            m.map_buffer(b(i * 4096, 4096)).unwrap();
-        }
-        assert_eq!(m.free_entries(), 0);
-        m.invalidate_all();
-        assert_eq!(m.free_entries(), 4);
-        assert_eq!(m.invalidations(), 4);
-        assert!(m.map_buffer(b(0, 4096)).is_ok());
     }
 
     #[test]

@@ -196,25 +196,6 @@ impl AddressSpace {
     /// Wires all pages overlapping the range; returns how many pages
     /// changed state (the wiring service is charged per page).
     pub fn wire(&mut self, va: VirtAddr, len: u64) -> Result<u64, MapError> {
-        self.set_wired(va, len, true)
-    }
-
-    /// Unwires all pages overlapping the range; returns pages changed.
-    pub fn unwire(&mut self, va: VirtAddr, len: u64) -> Result<u64, MapError> {
-        self.set_wired(va, len, false)
-    }
-
-    /// True if every page of the range is wired.
-    pub fn is_wired(&self, va: VirtAddr, len: u64) -> bool {
-        if len == 0 {
-            return false;
-        }
-        let first = va.0 / self.page_size;
-        let last = (va.0 + len - 1) / self.page_size;
-        (first..=last).all(|vpn| self.table.get(&vpn).is_some_and(|e| e.wired))
-    }
-
-    fn set_wired(&mut self, va: VirtAddr, len: u64, wired: bool) -> Result<u64, MapError> {
         if len == 0 {
             return Err(MapError::BadRange);
         }
@@ -223,8 +204,8 @@ impl AddressSpace {
         let mut changed = 0;
         for vpn in first..=last {
             let e = self.table.get_mut(&vpn).ok_or(MapError::Unmapped)?;
-            if e.wired != wired {
-                e.wired = wired;
+            if !e.wired {
+                e.wired = true;
                 changed += 1;
             }
         }
@@ -315,15 +296,12 @@ mod tests {
     #[test]
     fn wiring_state_machine() {
         let (mut asp, mut alloc, _m) = setup(AllocPolicy::Sequential);
-        let r = asp.alloc_and_map(2 * 4096, &mut alloc).unwrap();
-        assert!(!asp.is_wired(r.base, r.len));
+        let r = asp.alloc_and_map(3 * 4096, &mut alloc).unwrap();
+        assert_eq!(asp.wire(r.base, 4096).unwrap(), 1);
+        // Re-wiring is idempotent: only the two unwired pages change.
         assert_eq!(asp.wire(r.base, r.len).unwrap(), 2);
-        assert!(asp.is_wired(r.base, r.len));
-        // Re-wiring is idempotent: zero pages change.
         assert_eq!(asp.wire(r.base, r.len).unwrap(), 0);
-        assert_eq!(asp.unwire(r.base, 4096).unwrap(), 1);
-        assert!(!asp.is_wired(r.base, r.len));
-        assert!(asp.is_wired(r.base.offset(4096), 4096));
+        assert_eq!(asp.wire(r.base, 0), Err(MapError::BadRange));
     }
 
     #[test]

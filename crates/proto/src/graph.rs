@@ -59,7 +59,7 @@ impl PathTable {
     /// A table treating VCIs as abundant (hundreds available).
     pub fn new() -> Self {
         PathTable {
-            vcis: VciTable::new(32, 1024),
+            vcis: VciTable::default(),
             paths: HashMap::new(),
             by_port: HashMap::new(),
             next_id: 1,

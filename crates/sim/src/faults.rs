@@ -189,13 +189,6 @@ impl FaultInjector {
         }
     }
 
-    /// Builds the injector for `component` of node `node`: exactly
-    /// [`FaultInjector::new`] with the seed from [`component_seed`], so
-    /// the stream depends only on `(plan.seed, node, component)`.
-    pub fn for_component(plan: &FaultPlan, node: usize, component: FaultComponent) -> Self {
-        FaultInjector::new(plan, component_seed(node, component))
-    }
-
     /// Whether `lane` is inside an outage window at `now`.
     pub fn lane_down(&self, lane: usize, now: SimTime) -> bool {
         self.plan
@@ -344,7 +337,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let stream = |node| -> Vec<CellFate> {
-            let mut inj = FaultInjector::for_component(&plan, node, FaultComponent::LinkTx);
+            let mut inj = FaultInjector::new(&plan, component_seed(node, FaultComponent::LinkTx));
             (0..12).map(|i| inj.offer(i % 4, 44)).collect()
         };
         use CellFate::{Corrupt, Deliver, Drop};

@@ -71,11 +71,6 @@ impl FifoResource {
         self.free_at
     }
 
-    /// True if the resource would serve a request at `now` immediately.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
     /// Total busy time accumulated over the resource's lifetime.
     pub fn total_busy(&self) -> SimDuration {
         self.busy
@@ -132,7 +127,7 @@ mod tests {
     fn resource_goes_idle_between_bursts() {
         let mut r = FifoResource::default();
         r.acquire(SimTime::from_us(0), SimDuration::from_us(1));
-        assert!(r.is_idle_at(SimTime::from_us(1)));
+        assert_eq!(r.free_at(), SimTime::from_us(1));
         let g = r.acquire(SimTime::from_us(50), SimDuration::from_us(1));
         assert_eq!(g.start, SimTime::from_us(50));
     }

@@ -49,11 +49,6 @@ impl ThroughputMeter {
         self.last = now;
     }
 
-    /// Counted (post-warm-up) deliveries.
-    pub fn deliveries(&self) -> u64 {
-        self.deliveries
-    }
-
     /// Counted bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -97,7 +92,6 @@ mod tests {
         // Warm-up consumed delivery 0 and opened the window at t=0;
         // 10 counted deliveries of 1000 B over 100 us = exactly the
         // steady-state rate of 1000 B / 10 us = 800 Mbps.
-        assert_eq!(m.deliveries(), 10);
         assert_eq!(m.bytes(), 10_000);
         assert!((m.mbps() - 800.0).abs() < 1e-6);
     }

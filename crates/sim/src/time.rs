@@ -102,11 +102,6 @@ impl SimDuration {
     pub const fn from_ms(ms: u64) -> Self {
         SimDuration(ms * PS_PER_MS)
     }
-    /// `s` seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * PS_PER_S)
-    }
-
     /// Raw picosecond count.
     pub const fn as_ps(self) -> u64 {
         self.0
@@ -279,11 +274,6 @@ impl Clock {
         let ps = (n as u128 * PS_PER_S as u128 + self.hz as u128 / 2) / self.hz as u128;
         SimDuration(u64::try_from(ps).expect("cycle count overflows SimDuration"))
     }
-
-    /// Number of whole cycles that fit in `d` (rounded down).
-    pub fn cycles_in(self, d: SimDuration) -> u64 {
-        u64::try_from(d.0 as u128 * self.hz as u128 / PS_PER_S as u128).unwrap_or(u64::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +326,7 @@ mod tests {
         // exact to the picosecond rather than accumulating rounding error.
         let alpha = Clock::from_mhz(175);
         let d = alpha.cycles(175_000_000);
-        assert_eq!(d, SimDuration::from_secs(1));
+        assert_eq!(d, SimDuration::from_ms(1000));
         // One cycle rounds to 5714 ps.
         assert_eq!(alpha.cycles(1).as_ps(), 5714);
         // And 7 cycles is exactly 40 ns (7/175MHz = 40ns).
@@ -362,14 +352,6 @@ mod tests {
                     assert_eq!(c.cycles(n), SimDuration(ps), "{n} cycles at {hz} Hz");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn cycles_in_inverts_cycles() {
-        let c = Clock::from_mhz(25);
-        for n in [0u64, 1, 13, 1000, 123_456] {
-            assert_eq!(c.cycles_in(c.cycles(n)), n);
         }
     }
 
