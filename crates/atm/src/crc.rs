@@ -87,7 +87,7 @@ impl Crc32 {
 
     /// Absorbs bytes.
     ///
-    /// Slicing-by-16: sixteen bytes per step through [`CRC32_TABLES`],
+    /// Slicing-by-16: sixteen bytes per step through `CRC32_TABLES`,
     /// then at most one 8-byte step, one 4-byte step and three single
     /// bytes — a 44-byte cell payload takes four dependent steps.
     /// Bit-identical to the one-byte-per-step loop.

@@ -32,4 +32,4 @@ pub use slab::{CellRef, CellSlab};
 pub use stripe::{SkewConfig, StripedLink};
 pub use switch::{Switch, SwitchSpec};
 pub use traffic::{TrafficModel, TrafficSource};
-pub use vci::{Vci, VciTable};
+pub use vci::Vci;

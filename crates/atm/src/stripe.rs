@@ -107,7 +107,8 @@ impl StripedLink {
     }
 
     /// A striped link publishing per-lane `lane<i>.cells_sent` plus
-    /// `cells_dropped` / `cells_corrupted` under `<scope>.link`.
+    /// `cells_dropped` / `cells_corrupted` / `cells_remapped` under
+    /// `<scope>.link`.
     pub fn with_probe(spec: LinkSpec, skew: &SkewConfig, probe: &Probe) -> Self {
         assert!(!skew.lane_offsets.is_empty(), "need at least one lane");
         let p = probe.scoped("link");
@@ -232,22 +233,6 @@ impl StripedLink {
         }
         sent
     }
-
-    /// Cells dropped by fault injection.
-    pub fn cells_dropped(&self) -> u64 {
-        self.cells_dropped.get()
-    }
-
-    /// Cells corrupted by fault injection.
-    pub fn cells_corrupted(&self) -> u64 {
-        self.cells_corrupted.get()
-    }
-
-    /// Cells carried over a live lane while their logical lane was in an
-    /// outage window (graceful stripe degradation).
-    pub fn cells_remapped(&self) -> u64 {
-        self.cells_remapped.get()
-    }
 }
 
 #[cfg(test)]
@@ -351,26 +336,34 @@ mod tests {
             StripedLink::with_probe(LinkSpec::sts3c_back_to_back(), &cfg, &reg.probe("n"));
         let mut c = mk_cell(0);
         assert!(link.send_cell(SimTime::ZERO, 0, &mut c).is_none());
-        assert_eq!(link.cells_dropped(), 1);
-        assert_eq!(reg.snapshot().counter("n.link.lane0.cells_sent"), 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["n.link.cells_dropped"], 1);
+        assert_eq!(snap.counters["n.link.lane0.cells_sent"], 0);
     }
 
     #[test]
     fn corruption_flips_payload() {
         let mut cfg = SkewConfig::none();
         cfg.corrupt_prob = 1.0;
-        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &cfg);
+        let reg = Registry::new();
+        let mut link =
+            StripedLink::with_probe(LinkSpec::sts3c_back_to_back(), &cfg, &reg.probe("n"));
         let mut c = mk_cell(3);
         let before = c.payload;
         link.send_cell(SimTime::ZERO, 0, &mut c).unwrap();
         assert_ne!(c.payload, before);
-        assert_eq!(link.cells_corrupted(), 1);
+        assert_eq!(reg.snapshot().counters["n.link.cells_corrupted"], 1);
     }
 
     #[test]
     fn fault_plan_point_drop_kills_exactly_one_cell() {
         use osiris_sim::faults::{PointFault, PointFaultKind};
-        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &SkewConfig::none());
+        let reg = Registry::new();
+        let mut link = StripedLink::with_probe(
+            LinkSpec::sts3c_back_to_back(),
+            &SkewConfig::none(),
+            &reg.probe("n"),
+        );
         link.set_fault_plan(
             &FaultPlan {
                 // The 2nd cell offered to lane 1 (= global cell index 5).
@@ -390,13 +383,18 @@ mod tests {
         }
         let expected: Vec<bool> = (0..8).map(|i| i != 5).collect();
         assert_eq!(outcomes, expected);
-        assert_eq!(link.cells_dropped(), 1);
+        assert_eq!(reg.snapshot().counters["n.link.cells_dropped"], 1);
     }
 
     #[test]
     fn outage_without_remap_drops_the_lane() {
         use osiris_sim::faults::LaneOutage;
-        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &SkewConfig::none());
+        let reg = Registry::new();
+        let mut link = StripedLink::with_probe(
+            LinkSpec::sts3c_back_to_back(),
+            &SkewConfig::none(),
+            &reg.probe("n"),
+        );
         link.set_fault_plan(
             &FaultPlan {
                 outages: vec![LaneOutage {
@@ -413,14 +411,20 @@ mod tests {
             let sent = link.send_cell(SimTime::ZERO, i, &mut c);
             assert_eq!(sent.is_none(), i % 4 == 2, "only lane 2 goes dark");
         }
-        assert_eq!(link.cells_dropped(), 2);
-        assert_eq!(link.cells_remapped(), 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["n.link.cells_dropped"], 2);
+        assert_eq!(snap.counters["n.link.cells_remapped"], 0);
     }
 
     #[test]
     fn outage_with_remap_keeps_the_logical_lane_and_loses_nothing() {
         use osiris_sim::faults::LaneOutage;
-        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &SkewConfig::none());
+        let reg = Registry::new();
+        let mut link = StripedLink::with_probe(
+            LinkSpec::sts3c_back_to_back(),
+            &SkewConfig::none(),
+            &reg.probe("n"),
+        );
         link.set_fault_plan(
             &FaultPlan {
                 outages: vec![LaneOutage {
@@ -444,8 +448,9 @@ mod tests {
                 lane0_arrivals.push(at);
             }
         }
-        assert_eq!(link.cells_dropped(), 0);
-        assert_eq!(link.cells_remapped(), 4);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["n.link.cells_dropped"], 0);
+        assert_eq!(snap.counters["n.link.cells_remapped"], 4);
         // Remapped cells still arrive in order (they share one live
         // transmitter for the whole window).
         assert!(lane0_arrivals.windows(2).all(|w| w[0] <= w[1]));

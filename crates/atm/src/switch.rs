@@ -68,15 +68,6 @@ impl SwitchSpec {
     }
 }
 
-/// Per-port statistics, read back from the observability registry.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PortStats {
-    /// Cells forwarded through this port.
-    pub cells: u64,
-    /// Accumulated queueing delay (excludes serialisation and fabric).
-    pub queueing: SimDuration,
-}
-
 /// One port's registry-visible counters.
 #[derive(Debug, Clone)]
 struct PortCounters {
@@ -111,11 +102,6 @@ pub struct Switch {
     unrouted: Counter,
     overflow_dropped: Counter,
     ecn_marked: Counter,
-    /// Instantaneous backlog (in cell times) of the port a cell was just
-    /// queued on — a last-writer gauge the telemetry plane samples into
-    /// a queue-depth time series; the high-water companion below is its
-    /// run summary.
-    queue_depth: Gauge,
     /// Largest backlog any `depart` ever observed, in cells.
     queue_high_water: Gauge,
     hw_cells: u64,
@@ -152,7 +138,6 @@ impl Switch {
             unrouted: p.counter("unrouted"),
             overflow_dropped: p.counter("overflow_dropped"),
             ecn_marked: p.counter("ecn_marked"),
-            queue_depth: p.gauge("queue_depth_cells"),
             queue_high_water: p.gauge("queue_high_water_cells"),
             hw_cells: 0,
             spec,
@@ -304,7 +289,6 @@ impl Switch {
         if marked {
             self.ecn_marked.incr();
         }
-        self.queue_depth.set(depth as f64);
         if depth > self.hw_cells {
             self.hw_cells = depth;
             self.queue_high_water.set(depth as f64);
@@ -333,15 +317,6 @@ impl Switch {
     pub fn background_load(&mut self, now: SimTime, port: usize, cells: u64) {
         let d = SimDuration::from_ps(self.cell_time.as_ps() * cells);
         self.outputs[port].acquire(now, d);
-    }
-
-    /// Per-port statistics.
-    pub fn port_stats(&self, port: usize) -> PortStats {
-        let c = &self.stats[port];
-        PortStats {
-            cells: c.cells.get(),
-            queueing: SimDuration::from_ps(c.queueing_ps.get()),
-        }
     }
 }
 
@@ -385,7 +360,8 @@ mod tests {
     #[test]
     fn cross_traffic_creates_queueing_skew() {
         // Four lanes on four ports; cross traffic loads port 2 only.
-        let mut sw = Switch::new(SwitchSpec::sts3c_16port());
+        let reg = Registry::new();
+        let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
         for lane in 0..4u16 {
             sw.route(Vci(10 + lane), lane as usize);
         }
@@ -396,8 +372,10 @@ mod tests {
         }
         // Lane 2's cell departs far later than its peers: skew.
         assert!(departures[2] > departures[0] + SimDuration::from_us(30));
-        assert!(sw.port_stats(2).queueing > SimDuration::from_us(30));
-        assert_eq!(sw.port_stats(0).queueing, SimDuration::ZERO);
+        let snap = reg.snapshot();
+        let queued = SimDuration::from_ps(snap.counters["sw.switch.port2.queueing_ps"]);
+        assert!(queued > SimDuration::from_us(30));
+        assert_eq!(snap.counters["sw.switch.port0.queueing_ps"], 0);
     }
 
     #[test]
@@ -450,7 +428,8 @@ mod tests {
     #[test]
     fn striped_route_ports_are_fifo_under_contention() {
         // Incast: two VCIs share the same destination block (same node).
-        let mut sw = Switch::new(SwitchSpec::sts3c(4));
+        let reg = Registry::new();
+        let mut sw = probed(SwitchSpec::sts3c(4), &reg);
         sw.route_group(Vci(100), 0, 4);
         sw.route_group(Vci(101), 0, 4);
         let mut last = SimTime::ZERO;
@@ -463,7 +442,7 @@ mod tests {
             assert!(dep > last, "shared output port must serialise in order");
             last = dep;
         }
-        assert_eq!(sw.port_stats(2).cells, 20);
+        assert_eq!(reg.snapshot().counters["sw.switch.port2.cells"], 20);
     }
 
     #[test]
@@ -482,7 +461,11 @@ mod tests {
         }
         assert_eq!(forwarded, 4, "bound covers in-service + waiting cells");
         assert_eq!(reg.snapshot().counter("sw.switch.overflow_dropped"), 8);
-        assert_eq!(sw.port_stats(0).cells, 4, "dropped cells never count");
+        assert_eq!(
+            reg.snapshot().counters["sw.switch.port0.cells"],
+            4,
+            "dropped cells never count"
+        );
         // Once the queue drains, cells flow again.
         let later = SimTime::from_secs(1);
         assert!(sw.forward(later, &cell(1, 99)).is_some());
@@ -551,7 +534,8 @@ mod tests {
 
     #[test]
     fn per_lane_order_survives_any_load_pattern() {
-        let mut sw = Switch::new(SwitchSpec::sts3c_16port());
+        let reg = Registry::new();
+        let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
         sw.route(Vci(5), 1);
         sw.background_load(SimTime::from_us(10), 1, 7);
         let mut last = SimTime::ZERO;
@@ -561,6 +545,6 @@ mod tests {
             assert!(dep >= last, "output queue must be FIFO");
             last = dep;
         }
-        assert_eq!(sw.port_stats(1).cells, 50);
+        assert_eq!(reg.snapshot().counters["sw.switch.port1.cells"], 50);
     }
 }

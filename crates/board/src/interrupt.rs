@@ -24,16 +24,3 @@ pub enum InterruptPolicy {
     /// empty to non-empty.
     OnTransition,
 }
-
-/// Interrupt accounting for an experiment run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InterruptStats {
-    /// Interrupts asserted by the receive half.
-    pub rx_interrupts: u64,
-    /// Interrupts asserted by the transmit half (queue-drain wakeups).
-    pub tx_interrupts: u64,
-    /// PDUs delivered to the host.
-    pub pdus_delivered: u64,
-    /// Access-violation interrupts (ADC protection, §3.2).
-    pub violations: u64,
-}

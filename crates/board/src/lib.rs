@@ -41,6 +41,6 @@ pub mod tx;
 pub use descriptor::{DescRing, Descriptor, LockedRing, RingCosts, RingFull, DESC_WORDS};
 pub use dma::{plan_dma, DmaMode, DmaPlan, DmaXfer};
 pub use dpram::{DpramLayout, QUEUE_PAGES};
-pub use interrupt::{InterruptPolicy, InterruptStats};
+pub use interrupt::InterruptPolicy;
 pub use rx::{RxConfig, RxOutcome, RxProcessor};
 pub use tx::{FirmwareSpec, TxConfig, TxOutcome, TxProcessor};

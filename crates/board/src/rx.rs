@@ -39,7 +39,7 @@ use crate::descriptor::{DescRing, Descriptor};
 const CELL_MAX: usize = 44;
 use crate::dma::{plan_dma, DmaMode};
 use crate::dpram::{DpramLayout, QUEUE_PAGES};
-use crate::interrupt::{InterruptPolicy, InterruptStats};
+use crate::interrupt::InterruptPolicy;
 use crate::tx::FirmwareSpec;
 
 /// Receive-half configuration.
@@ -85,30 +85,6 @@ impl RxConfig {
             fw: FirmwareSpec::paper_default(),
         }
     }
-}
-
-/// Receive statistics — a point-in-time copy of the processor's
-/// registry counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RxStats {
-    /// Cells processed by the firmware.
-    pub cells: u64,
-    /// PDUs completed and delivered (descriptors pushed).
-    pub pdus_delivered: u64,
-    /// PDUs dropped for lack of free buffers.
-    pub pdus_dropped_no_buffer: u64,
-    /// PDUs delivered with a failed CRC (`err` flag set).
-    pub pdus_crc_failed: u64,
-    /// Cells rejected by the reassembler (typed errors).
-    pub cells_rejected: u64,
-    /// Cells dropped because their VCI had no demultiplexing entry.
-    pub cells_unknown_vci: u64,
-    /// PDUs abandoned by the reassembly timeout (buffers reclaimed).
-    pub pdus_dropped_timeout: u64,
-    /// DMA transactions issued.
-    pub dma_transactions: u64,
-    /// Payload pairs merged into double-cell transactions.
-    pub double_cell_merges: u64,
 }
 
 /// Completion information surfaced to the experiment harness.
@@ -437,33 +413,6 @@ impl RxProcessor {
     /// Read-only free-ring access.
     pub fn free_ring(&self, page: usize) -> &DescRing {
         &self.dp.free_rings[page]
-    }
-
-    /// Receive statistics (a copy of the current counter values).
-    pub fn stats(&self) -> RxStats {
-        let s = &self.dp.stats;
-        RxStats {
-            cells: s.cells.get(),
-            pdus_delivered: s.pdus_delivered.get(),
-            pdus_dropped_no_buffer: s.pdus_dropped_no_buffer.get(),
-            pdus_crc_failed: s.pdus_crc_failed.get(),
-            cells_rejected: s.cells_rejected.get(),
-            cells_unknown_vci: s.cells_unknown_vci.get(),
-            pdus_dropped_timeout: s.pdus_dropped_timeout.get(),
-            dma_transactions: s.dma_transactions.get(),
-            double_cell_merges: s.double_cell_merges.get(),
-        }
-    }
-
-    /// Interrupt statistics (a copy of the current counter values).
-    pub fn interrupt_stats(&self) -> InterruptStats {
-        let s = &self.dp.stats;
-        InterruptStats {
-            rx_interrupts: s.intr_raised.get() - s.intr_suppressed.get(),
-            tx_interrupts: 0,
-            pdus_delivered: s.pdus_delivered.get(),
-            violations: s.violations.get(),
-        }
     }
 
     /// When the receive engine next goes idle.
@@ -1088,16 +1037,21 @@ mod tests {
     use super::*;
     use osiris_atm::sar::{FramingMode, SegmentUnit, Segmenter};
     use osiris_mem::{BusSpec, CacheSpec};
+    use osiris_sim::Registry;
 
     struct Rig {
         rx: RxProcessor,
+        /// Holds the processor's counters under `board.rx.*`.
+        reg: Registry,
         mem: MemorySystem,
         cache: DataCache,
         phys: PhysMemory,
     }
 
     fn rig(cfg: RxConfig) -> Rig {
-        let mut rx = RxProcessor::new(cfg, DpramLayout::paper_default());
+        let reg = Registry::new();
+        let mut rx =
+            RxProcessor::with_probe(cfg, DpramLayout::paper_default(), &reg.probe("board"));
         let phys = PhysMemory::new(4 << 20, 4096);
         // Load the kernel page's free ring with 16 KB buffers at known
         // addresses (physically contiguous, as the paper's driver uses).
@@ -1113,6 +1067,7 @@ mod tests {
         }
         Rig {
             rx,
+            reg,
             mem: MemorySystem::with_probe(BusSpec::ds5000_200(), &Probe::detached()),
             cache: DataCache::new(CacheSpec::dec_3000_600()),
             phys,
@@ -1224,8 +1179,10 @@ mod tests {
         }
         // The host never drains the ring, so only the first PDU fires.
         assert_eq!(interrupts, 1);
-        assert_eq!(r.rx.interrupt_stats().rx_interrupts, 1);
-        assert_eq!(r.rx.interrupt_stats().pdus_delivered, 5);
+        let snap = r.reg.snapshot();
+        let raised = snap.counters["board.rx.intr_raised"];
+        assert_eq!(raised - snap.counters["board.rx.intr_suppressed"], 1);
+        assert_eq!(snap.counters["board.rx.pdus_delivered"], 5);
     }
 
     #[test]
@@ -1240,7 +1197,9 @@ mod tests {
             let (_, t2) = feed(&mut r, &cells, t);
             t = t2;
         }
-        assert_eq!(r.rx.interrupt_stats().rx_interrupts, 5);
+        let snap = r.reg.snapshot();
+        let raised = snap.counters["board.rx.intr_raised"];
+        assert_eq!(raised - snap.counters["board.rx.intr_suppressed"], 5);
     }
 
     #[test]
@@ -1271,7 +1230,9 @@ mod tests {
     fn no_free_buffer_sheds_pdu_on_board() {
         let mut cfg = RxConfig::paper_default();
         cfg.interrupt_policy = InterruptPolicy::OnTransition;
-        let mut rx = RxProcessor::new(cfg, DpramLayout::paper_default());
+        let reg = Registry::new();
+        let mut rx =
+            RxProcessor::with_probe(cfg, DpramLayout::paper_default(), &reg.probe("board"));
         let mut mem = MemorySystem::with_probe(BusSpec::ds5000_200(), &Probe::detached());
         let mut cache = DataCache::new(CacheSpec::dec_3000_600());
         let mut phys = PhysMemory::new(1 << 20, 4096);
@@ -1289,8 +1250,9 @@ mod tests {
         }
         let info = completed.expect("shedding still frames the stream");
         assert!(info.dropped);
-        assert_eq!(rx.stats().pdus_dropped_no_buffer, 1);
-        assert_eq!(rx.stats().pdus_delivered, 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["board.rx.pdus_dropped_no_buffer"], 1);
+        assert_eq!(snap.counters["board.rx.pdus_delivered"], 0);
     }
 
     #[test]
@@ -1332,7 +1294,7 @@ mod tests {
             pushed.last().unwrap().2.err,
             "EOP descriptor must carry the error"
         );
-        assert_eq!(r.rx.stats().pdus_crc_failed, 1);
+        assert_eq!(r.reg.snapshot().counters["board.rx.pdus_crc_failed"], 1);
     }
 
     #[test]
@@ -1345,9 +1307,9 @@ mod tests {
         let (outs, _) = feed(&mut r, &cells, SimTime::ZERO);
         assert!(outs.last().unwrap().completed.unwrap().crc_ok);
         // 8 cells pair into 4 merges.
-        assert_eq!(r.rx.stats().double_cell_merges, 4);
+        assert_eq!(r.reg.snapshot().counters["board.rx.double_cell_merges"], 4);
         assert!(
-            r.rx.stats().dma_transactions < 8,
+            r.reg.snapshot().counters["board.rx.dma_transactions"] < 8,
             "fewer transactions than cells"
         );
         // Data integrity preserved through merging.
@@ -1429,8 +1391,11 @@ mod tests {
         assert!(outs
             .iter()
             .all(|o| o.pushed.is_empty() && o.completed.is_none()));
-        assert_eq!(r.rx.stats().cells_unknown_vci, cells.len() as u64);
-        assert_eq!(r.rx.stats().pdus_delivered, 0);
+        assert_eq!(
+            r.reg.snapshot().counters["board.rx.cells_unknown_vci"],
+            cells.len() as u64
+        );
+        assert_eq!(r.reg.snapshot().counters["board.rx.pdus_delivered"], 0);
         // Bound traffic still flows.
         let cells = cells_for(&data, Vci(42));
         let (outs, _) = feed(&mut r, &cells, SimTime::from_ms(1));
@@ -1462,7 +1427,10 @@ mod tests {
         assert!(r.rx.pushed().is_empty(), "nothing was host-visible yet");
         assert_eq!(r.rx.partial_pdus(), 0);
         assert_eq!(r.rx.free_ring(0).len(), free_before);
-        assert_eq!(r.rx.stats().pdus_dropped_timeout, 1);
+        assert_eq!(
+            r.reg.snapshot().counters["board.rx.pdus_dropped_timeout"],
+            1
+        );
 
         let (outs, _) = feed(&mut r, &cells, t + SimDuration::from_ms(2));
         let info = outs.last().unwrap().completed.expect("VCI unwedged");
@@ -1487,7 +1455,10 @@ mod tests {
         assert_eq!(r.rx.pushed().len(), 1);
         let (_, _, closer) = r.rx.pushed()[0];
         assert!(closer.eop && closer.err);
-        assert_eq!(r.rx.stats().pdus_dropped_timeout, 1);
+        assert_eq!(
+            r.reg.snapshot().counters["board.rx.pdus_dropped_timeout"],
+            1
+        );
         assert_eq!(r.rx.partial_pdus(), 0);
         // Conservation: two descriptors live in the rx-ring chain, every
         // other buffer is back on (or still in) the free ring.
@@ -1529,7 +1500,10 @@ mod tests {
             }
             if dma_mode == DmaMode::SingleCell {
                 // One DMA per cell plus one per straddle.
-                assert_eq!(r.rx.stats().dma_transactions, 57 + 2);
+                assert_eq!(
+                    r.reg.snapshot().counters["board.rx.dma_transactions"],
+                    57 + 2
+                );
             }
             assert_eq!(r.rx.partial_pdus(), 0);
         }
@@ -1541,7 +1515,7 @@ mod tests {
         let data = vec![1u8; 44 * 4];
         let cells = cells_for(&data, Vci(0));
         feed(&mut r, &cells, SimTime::ZERO);
-        assert_eq!(r.rx.stats().double_cell_merges, 0);
-        assert_eq!(r.rx.stats().dma_transactions, 4);
+        assert_eq!(r.reg.snapshot().counters["board.rx.double_cell_merges"], 0);
+        assert_eq!(r.reg.snapshot().counters["board.rx.dma_transactions"], 4);
     }
 }

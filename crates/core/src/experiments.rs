@@ -10,25 +10,31 @@ use osiris_proto::stack::CcScheme;
 use osiris_proto::wire::{IP_HEADER_BYTES, UDP_HEADER_BYTES};
 use osiris_sim::obs::Histogram;
 use osiris_sim::stats::ThroughputMeter;
-use osiris_sim::{CriticalPath, FaultPlan, HistSummary, SimDuration, SimTime, Stage};
+use osiris_sim::{CriticalPath, FaultPlan, HistSummary, SimDuration, SimTime, Simulation, Stage};
 
 use crate::config::{Layer, TestbedConfig};
 use crate::scenario::Scenario;
+use crate::testbed::Testbed;
 
 /// Hard wall for runaway simulations (virtual time).
 const DEADLINE: SimTime = SimTime::from_secs(30);
 
+/// Launches `scenario` on `cfg`, arms the goodput meter from
+/// `cfg.warmup`, records the timeline if `traced`, and steps until the
+/// scenario is done or virtual time passes [`DEADLINE`]. Unlike
+/// [`Scenario::run`], it stops at `done`, not at queue exhaustion.
+fn run_until_done(scenario: Scenario, cfg: TestbedConfig, traced: bool) -> Simulation<Testbed> {
+    let warmup = cfg.warmup;
+    let mut sim = scenario.launch(cfg);
+    sim.model.meter = ThroughputMeter::new(warmup);
+    sim.model.timeline.set_enabled(traced);
+    while !sim.model.done && sim.now() <= DEADLINE && sim.step() {}
+    sim
+}
+
 /// Table 1: round-trip latency between two test programs.
 pub fn round_trip_latency(cfg: &TestbedConfig) -> Histogram {
-    let mut sim = Scenario::Pair.launch(cfg.clone());
-    loop {
-        if sim.model.done || sim.now() > DEADLINE {
-            break;
-        }
-        if !sim.step() {
-            break;
-        }
-    }
+    let sim = run_until_done(Scenario::Pair, cfg.clone(), false);
     assert!(sim.model.done, "latency experiment did not complete");
     assert_eq!(sim.model.verify_failures, 0, "payload corruption");
     sim.model.latency.clone()
@@ -50,16 +56,7 @@ pub struct RxThroughputReport {
 /// Figures 2 and 3: receive-side throughput with the receive processor
 /// generating fictitious PDUs as fast as the host absorbs them.
 pub fn receive_throughput(cfg: &TestbedConfig) -> RxThroughputReport {
-    let mut sim = Scenario::RxBench.launch(cfg.clone());
-    sim.model.meter = ThroughputMeter::new(cfg.warmup);
-    loop {
-        if sim.model.done || sim.now() > DEADLINE {
-            break;
-        }
-        if !sim.step() {
-            break;
-        }
-    }
+    let sim = run_until_done(Scenario::RxBench, cfg.clone(), false);
     let m = &sim.model;
     assert!(
         m.done,
@@ -83,16 +80,7 @@ pub fn receive_throughput(cfg: &TestbedConfig) -> RxThroughputReport {
 /// Figure 4: transmit-side throughput (host streams; cells leave the
 /// board into the link and are not received by anyone).
 pub fn transmit_throughput(cfg: &TestbedConfig) -> f64 {
-    let mut sim = Scenario::TxBench.launch(cfg.clone());
-    sim.model.meter = ThroughputMeter::new(cfg.warmup);
-    loop {
-        if sim.model.done || sim.now() > DEADLINE {
-            break;
-        }
-        if !sim.step() {
-            break;
-        }
-    }
+    let sim = run_until_done(Scenario::TxBench, cfg.clone(), false);
     assert!(
         sim.model.done,
         "transmit bench did not complete (size {})",
@@ -155,16 +143,7 @@ pub fn incast_throughput(cfg: &TestbedConfig, senders: usize) -> IncastReport {
             "raw-ATM incast requires PDUs that span all four lanes"
         ),
     }
-    let mut sim = Scenario::Incast { senders }.launch(cfg.clone());
-    sim.model.meter = ThroughputMeter::new(cfg.warmup);
-    loop {
-        if sim.model.done || sim.now() > DEADLINE {
-            break;
-        }
-        if !sim.step() {
-            break;
-        }
-    }
+    let sim = run_until_done(Scenario::Incast { senders }, cfg.clone(), false);
     let m = &sim.model;
     assert!(m.done, "incast did not complete ({senders} senders)");
     assert_eq!(m.verify_failures, 0, "payload corruption");
@@ -243,15 +222,7 @@ pub fn loss_sweep(base: &TestbedConfig, rates: &[f64]) -> Vec<LossSweepPoint> {
             let mut plan = FaultPlan::uniform_loss(rate, 4, cfg.seed);
             plan.lane_corrupt_prob = vec![rate; 4];
             cfg.sim.faults = plan;
-            let mut sim = Scenario::Pair.launch(cfg.clone());
-            loop {
-                if sim.model.done || sim.now() > DEADLINE {
-                    break;
-                }
-                if !sim.step() {
-                    break;
-                }
-            }
+            let sim = run_until_done(Scenario::Pair, cfg.clone(), false);
             let m = &sim.model;
             assert!(m.done, "loss sweep did not converge at rate {rate}");
             assert_eq!(
@@ -358,16 +329,7 @@ pub fn cc_point(base: &TestbedConfig, senders: usize, rate: f64, scheme: &str) -
         cfg.sim.faults.lane_drop_prob = plan.lane_drop_prob;
         cfg.sim.faults.seed = seed;
     }
-    let mut sim = Scenario::Incast { senders }.launch(cfg.clone());
-    sim.model.meter = ThroughputMeter::new(cfg.warmup);
-    loop {
-        if sim.model.done || sim.now() > DEADLINE {
-            break;
-        }
-        if !sim.step() {
-            break;
-        }
-    }
+    let sim = run_until_done(Scenario::Incast { senders }, cfg, false);
     let m = &sim.model;
     // A run that fails to converge is a *result*, not an error: a
     // collapse shows up as gave-up datagrams starving the sink until the
@@ -466,15 +428,7 @@ pub fn skew_vs_merging(machine: MachineSpec) -> (f64, f64) {
             cfg.skew = osiris_atm::stripe::SkewConfig::mux_skew(17);
             cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
         }
-        let mut sim = Scenario::Pair.launch(cfg);
-        loop {
-            if sim.model.done || sim.now() > DEADLINE {
-                break;
-            }
-            if !sim.step() {
-                break;
-            }
-        }
+        let sim = run_until_done(Scenario::Pair, cfg, false);
         assert!(sim.model.done, "skew experiment did not complete");
         let snap = sim.model.snapshot();
         snap.counter("node1.board.rx.double_cell_merges") as f64
@@ -515,15 +469,17 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
     use osiris_host::driver::{CacheStrategy, DrainOutcome, OsirisDriver};
     use osiris_host::machine::HostMachine;
     use osiris_host::wiring::{WiringMode, WiringService};
-    use osiris_sim::SimDuration;
+    use osiris_sim::{Registry, SimDuration};
 
+    let reg = Registry::new();
     let mut host = HostMachine::boot(machine, 17);
-    let mut rx = RxProcessor::new(
+    let mut rx = RxProcessor::with_probe(
         RxConfig {
             buffer_bytes: 4096,
             ..RxConfig::paper_default()
         },
         DpramLayout::paper_default(),
+        &reg.probe("board"),
     );
     let (hi_vci, lo_vci) = (Vci(100), Vci(101));
     let (hi_page, lo_page) = (1usize, 2usize);
@@ -532,8 +488,9 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
     let wiring = WiringService {
         mode: WiringMode::LowLevel,
     };
-    let mut hi_drv = OsirisDriver::new(hi_page, 4096, CacheStrategy::Lazy, wiring);
-    let mut lo_drv = OsirisDriver::new(lo_page, 4096, CacheStrategy::Lazy, wiring);
+    let lazy = CacheStrategy::Lazy;
+    let mut hi_drv = OsirisDriver::with_probe(hi_page, 4096, lazy, wiring, &reg.probe("hi"));
+    let mut lo_drv = OsirisDriver::with_probe(lo_page, 4096, lazy, wiring, &reg.probe("lo"));
     hi_drv.provision_receive_buffers(SimTime::ZERO, &mut host, &mut rx, 8);
     lo_drv.provision_receive_buffers(SimTime::ZERO, &mut host, &mut rx, 8);
 
@@ -599,10 +556,13 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
     lo_drv.drain_receive(g.finish, &mut host, &mut rx, &mut drained);
     sched.block(tid);
     report.lo_delivered = drained.delivered.len() as u64;
-    report.shed_on_board = rx.stats().pdus_dropped_no_buffer;
+    // Indexing, not `Snapshot::counter`: an unregistered path panics
+    // rather than reading as a zero that looks like a result.
+    let snap = reg.snapshot();
+    report.shed_on_board = snap.counters["board.rx.pdus_dropped_no_buffer"];
     // Host work attributable to shed PDUs: the drivers only ever popped
     // descriptors that were delivered, so anything shed cost zero pops.
-    let pops = hi_drv.stats().rx_buffers + lo_drv.stats().rx_buffers;
+    let pops = snap.counters["hi.driver.rx_buffers"] + snap.counters["lo.driver.rx_buffers"];
     let delivered_bufs = report.hi_delivered + report.lo_delivered; // 1 buffer each
     report.host_work_for_shed = pops.saturating_sub(delivered_bufs);
     report
@@ -657,16 +617,7 @@ pub fn virtual_dma_setup_cost(machine: MachineSpec, data_pages: u64) -> (f64, f6
 pub fn latency_budget(cfg: &TestbedConfig) -> Vec<(&'static str, f64)> {
     let mut cfg = cfg.clone();
     cfg.messages = 1;
-    let mut sim = Scenario::Pair.launch(cfg);
-    sim.model.timeline.set_enabled(true);
-    loop {
-        if sim.model.done || sim.now() > DEADLINE {
-            break;
-        }
-        if !sim.step() {
-            break;
-        }
-    }
+    let sim = run_until_done(Scenario::Pair, cfg, true);
     assert!(sim.model.done, "budget ping did not complete");
     // Stage boundaries on the forward (host 0 → host 1) direction, read
     // off the typed timeline.
@@ -745,16 +696,7 @@ pub struct StageAnatomy {
 /// ping — this covers *all* PDUs and is exhaustive by construction:
 /// each PDU's stage durations sum exactly to its measured latency.
 pub fn stage_anatomy(scenario: Scenario, cfg: &TestbedConfig) -> StageAnatomy {
-    let mut sim = scenario.launch(cfg.clone());
-    sim.model.timeline.set_enabled(true);
-    loop {
-        if sim.model.done || sim.now() > DEADLINE {
-            break;
-        }
-        if !sim.step() {
-            break;
-        }
-    }
+    let sim = run_until_done(scenario, cfg.clone(), true);
     assert!(sim.model.done, "stage-anatomy run did not complete");
     assert_eq!(sim.model.verify_failures, 0, "payload corruption");
     let paths = CriticalPath::analyze_all(&sim.model.timeline);

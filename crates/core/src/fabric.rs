@@ -8,8 +8,8 @@
 //!   vanish at the far end).
 //! * [`SwitchedFabric`] — an output-queued AURORA switch in the middle
 //!   ([`osiris_atm::switch::Switch`]): each node's four stripe lanes own
-//!   a contiguous block of switch ports, connections are routed by VCI,
-//!   and per-port cross traffic can be injected to model contention.
+//!   a contiguous block of switch ports, and connections are routed by
+//!   VCI.
 
 use osiris_atm::stripe::StripedLink;
 use osiris_atm::switch::{Switch, SwitchSpec};
@@ -38,9 +38,6 @@ pub struct Delivery {
 pub trait Fabric: std::fmt::Debug {
     /// Number of nodes attached.
     fn node_count(&self) -> usize;
-
-    /// Every node's transmit link, indexed by node (read-only view).
-    fn links(&self) -> &[StripedLink];
 
     /// The link node `from` transmits into (the transmit processor
     /// serialises cells onto it; lane skew is applied here).
@@ -104,10 +101,6 @@ impl Fabric for BackToBack {
         self.links.len()
     }
 
-    fn links(&self) -> &[StripedLink] {
-        &self.links
-    }
-
     fn link_mut(&mut self, from: NodeId) -> &mut StripedLink {
         &mut self.links[from.0]
     }
@@ -163,10 +156,6 @@ impl SwitchedFabric {
 impl Fabric for SwitchedFabric {
     fn node_count(&self) -> usize {
         self.links.len()
-    }
-
-    fn links(&self) -> &[StripedLink] {
-        &self.links
     }
 
     fn link_mut(&mut self, from: NodeId) -> &mut StripedLink {

@@ -339,7 +339,6 @@ impl Scenario {
             done: tb.done,
             verify_failures: tb.verify_failures,
             delivered: tb.delivered_count,
-            scheduled: sim.queue.total_pushed(),
             dispatched: sim.steps(),
             last_event_time: sim.now(),
             series,
@@ -364,8 +363,6 @@ pub struct RunOutcome {
     pub verify_failures: u64,
     /// PDUs delivered to sinks.
     pub delivered: u64,
-    /// Events scheduled (equals `engine.events.scheduled`).
-    pub scheduled: u64,
     /// Events dispatched.
     pub dispatched: u64,
     /// Timestamp of the last dispatched event.

@@ -20,8 +20,8 @@
 //! The default tracked set is the engine's own health: total events
 //! scheduled, events dispatched (a synthetic per-sampler counter), the
 //! per-event-type `engine.dispatch.*` mix, the cell-slab high water,
-//! the switch output-queue depth and high water, and the event queue's
-//! pending high water.
+//! the switch output-queue high water, and the event queue's pending
+//! high water.
 
 use osiris_sim::obs::{Counter, Probe, Registry};
 use osiris_sim::{Model, SeriesDump, SeriesSet, SimDuration, SimTime, Simulation};
@@ -31,7 +31,6 @@ use osiris_sim::{Model, SeriesDump, SeriesSet, SimDuration, SimTime, Simulation}
 /// back-to-back fabric).
 const TRACKED_GAUGES: &[&str] = &[
     "cells.slab_high_water",
-    "fabric.switch.queue_depth_cells",
     "fabric.switch.queue_high_water_cells",
     "engine.queue.pending_high_water",
 ];

@@ -29,7 +29,6 @@ use std::collections::{BTreeSet, HashMap};
 
 use osiris_adc::AdcManager;
 use osiris_atm::sar::{SegmentUnit, Segmenter};
-use osiris_atm::stripe::StripedLink;
 use osiris_atm::{Cell, CellRef, CellSlab};
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
 use osiris_sim::obs::{Counter, Histogram, Probe, Snapshot};
@@ -331,11 +330,6 @@ impl Testbed {
     /// the testbed's components registered.
     pub fn snapshot(&self) -> Snapshot {
         self.registry.snapshot()
-    }
-
-    /// Every node's transmit link (fault-injection statistics).
-    pub fn links(&self) -> &[StripedLink] {
-        self.fabric.links()
     }
 
     /// One domain crossing if the application is a plain user process.

@@ -111,18 +111,6 @@ struct PathQueue {
     bufs: VecDeque<Fbuf>,
 }
 
-/// fbuf allocation statistics — a point-in-time copy of the allocator's
-/// registry counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FbufStats {
-    /// Allocations served from a path's cached queue.
-    pub cached_hits: u64,
-    /// Allocations that fell back to the uncached pool.
-    pub uncached_allocs: u64,
-    /// Path-cache evictions (17th path pushes out the LRU).
-    pub evictions: u64,
-}
-
 /// The allocator's registry-visible counters (scope `<probe>.fbuf`).
 #[derive(Debug, Clone)]
 struct FbufCounters {
@@ -185,15 +173,6 @@ impl FbufAllocator {
             paths: Vec::new(),
             uncached,
             stats: FbufCounters::with_probe(probe),
-        }
-    }
-
-    /// Allocation statistics (a copy of the current values).
-    pub fn stats(&self) -> FbufStats {
-        FbufStats {
-            cached_hits: self.stats.cached_hits.get(),
-            uncached_allocs: self.stats.uncached_allocs.get(),
-            evictions: self.stats.evictions.get(),
         }
     }
 
@@ -278,17 +257,22 @@ impl FbufAllocator {
 mod tests {
     use super::*;
     use osiris_host::machine::MachineSpec;
+    use osiris_sim::Registry;
 
-    fn setup() -> (HostMachine, FbufAllocator) {
+    /// A host and an allocator whose counters land in the returned
+    /// registry under `fbuf.*`.
+    fn setup() -> (HostMachine, FbufAllocator, Registry) {
         let host = HostMachine::boot(MachineSpec::ds5000_200(), 2);
         let costs = FbufCosts::for_machine(&host);
-        let alloc = FbufAllocator::new(costs, PhysAddr(0x10_0000), 16 * 1024, 64);
-        (host, alloc)
+        let reg = Registry::new();
+        let alloc =
+            FbufAllocator::with_probe(costs, PhysAddr(0x10_0000), 16 * 1024, 64, &reg.probe(""));
+        (host, alloc, reg)
     }
 
     #[test]
     fn first_use_is_uncached_then_cached() {
-        let (mut host, mut alloc) = setup();
+        let (mut host, mut alloc, reg) = setup();
         let (mut buf, src) = alloc.alloc_for_path(5).unwrap();
         assert_eq!(src, FbufSource::Uncached);
         alloc.transfer(SimTime::ZERO, &mut host, &mut buf, 5);
@@ -297,13 +281,13 @@ mod tests {
         let (buf2, src2) = alloc.alloc_for_path(5).unwrap();
         assert_eq!(src2, FbufSource::Cached);
         assert_eq!(buf2.cached_for, Some(5));
-        assert_eq!(alloc.stats().cached_hits, 1);
-        assert_eq!(alloc.stats().uncached_allocs, 1);
+        assert_eq!(reg.snapshot().counters["fbuf.cached_hits"], 1);
+        assert_eq!(reg.snapshot().counters["fbuf.uncached_allocs"], 1);
     }
 
     #[test]
     fn cached_transfer_is_order_of_magnitude_faster() {
-        let (mut host, mut alloc) = setup();
+        let (mut host, mut alloc, _) = setup();
         let (mut buf, _) = alloc.alloc_for_path(1).unwrap();
         let g1 = alloc.transfer(SimTime::ZERO, &mut host, &mut buf, 1);
         let uncached_cost = g1.finish.since(g1.start);
@@ -317,14 +301,14 @@ mod tests {
 
     #[test]
     fn mru_eviction_at_17_paths() {
-        let (mut host, mut alloc) = setup();
+        let (mut host, mut alloc, reg) = setup();
         // Cache one buffer for paths 0..16.
         for path in 0..17u32 {
             let (mut buf, _) = alloc.alloc_for_path(path).unwrap();
             alloc.transfer(SimTime::ZERO, &mut host, &mut buf, path);
             alloc.release(buf);
         }
-        assert_eq!(alloc.stats().evictions, 1);
+        assert_eq!(reg.snapshot().counters["fbuf.evictions"], 1);
         // Path 0 was least recently used → evicted → next alloc uncached.
         let (_, src) = alloc.alloc_for_path(0).unwrap();
         assert_eq!(src, FbufSource::Uncached);
@@ -335,7 +319,7 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_returns_none() {
-        let (_, mut alloc) = setup();
+        let (_, mut alloc, _) = setup();
         for _ in 0..64 {
             assert!(alloc.alloc_for_path(9).is_some());
         }
@@ -344,7 +328,7 @@ mod tests {
 
     #[test]
     fn release_uncached_goes_back_to_pool() {
-        let (_, mut alloc) = setup();
+        let (_, mut alloc, _) = setup();
         let (buf, _) = alloc.alloc_for_path(3).unwrap();
         alloc.release(buf); // never transferred → still uncached
                             // The whole pool of 64 is available again.
@@ -356,7 +340,7 @@ mod tests {
 
     #[test]
     fn touching_a_path_refreshes_mru_order() {
-        let (mut host, mut alloc) = setup();
+        let (mut host, mut alloc, _) = setup();
         for path in 0..16u32 {
             let (mut b, _) = alloc.alloc_for_path(path).unwrap();
             alloc.transfer(SimTime::ZERO, &mut host, &mut b, path);

@@ -42,26 +42,6 @@ pub enum CacheStrategy {
     HardwareCoherent,
 }
 
-/// Driver counters — a point-in-time copy of the driver's registry
-/// counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DriverStats {
-    /// PDUs queued for transmission.
-    pub pdus_sent: u64,
-    /// Descriptors (physical buffers) queued for transmission.
-    pub tx_buffers: u64,
-    /// Times the transmit path found the ring full and blocked.
-    pub tx_blocks: u64,
-    /// PDUs delivered upward.
-    pub pdus_received: u64,
-    /// Receive buffers processed.
-    pub rx_buffers: u64,
-    /// PDUs discarded because the board flagged a CRC error.
-    pub err_pdus: u64,
-    /// Buffers recycled to free rings.
-    pub recycled: u64,
-}
-
 /// A PDU's receive descriptors, in order: inline up to four buffers (a
 /// 64 KB PDU in the paper's 16 KB receive buffers; every measured PDU
 /// fits in one), spilling to the heap beyond.
@@ -155,24 +135,8 @@ impl DriverCounters {
 }
 
 impl OsirisDriver {
-    /// A driver for `page` using `buffer_bytes` receive buffers, with
-    /// detached counters (standalone use).
-    pub fn new(
-        page: usize,
-        buffer_bytes: u32,
-        cache_strategy: CacheStrategy,
-        wiring: WiringService,
-    ) -> Self {
-        OsirisDriver::with_probe(
-            page,
-            buffer_bytes,
-            cache_strategy,
-            wiring,
-            &Probe::detached(),
-        )
-    }
-
-    /// A driver publishing its counters under `<scope>.driver`.
+    /// A driver for `page` using `buffer_bytes` receive buffers,
+    /// publishing its counters under `<scope>.driver`.
     pub fn with_probe(
         page: usize,
         buffer_bytes: u32,
@@ -198,19 +162,6 @@ impl OsirisDriver {
     /// (disabled/detached by default).
     pub fn set_timeline(&mut self, timeline: &Timeline) {
         self.timeline = timeline.clone();
-    }
-
-    /// Driver counters (a copy of the current values).
-    pub fn stats(&self) -> DriverStats {
-        DriverStats {
-            pdus_sent: self.stats.pdus_sent.get(),
-            tx_buffers: self.stats.tx_buffers.get(),
-            tx_blocks: self.stats.tx_blocks.get(),
-            pdus_received: self.stats.pdus_received.get(),
-            rx_buffers: self.stats.rx_buffers.get(),
-            err_pdus: self.stats.err_pdus.get(),
-            recycled: self.stats.recycled.get(),
-        }
     }
 
     /// Allocates `count` physically contiguous, permanently wired receive
@@ -457,12 +408,15 @@ mod tests {
     use osiris_board::rx::RxConfig;
     use osiris_board::tx::TxConfig;
     use osiris_mem::PhysAddr;
+    use osiris_sim::Registry;
 
     struct Rig {
         host: HostMachine,
         tx: TxProcessor,
         rx: RxProcessor,
         drv: OsirisDriver,
+        /// Holds the driver's counters under `driver.*`.
+        reg: Registry,
         link: StripedLink,
         slab: CellSlab,
     }
@@ -471,13 +425,15 @@ mod tests {
         let host = HostMachine::boot(MachineSpec::ds5000_200(), 5);
         let tx = TxProcessor::new(TxConfig::paper_default(), DpramLayout::paper_default());
         let rx = RxProcessor::new(RxConfig::paper_default(), DpramLayout::paper_default());
-        let drv = OsirisDriver::new(
+        let reg = Registry::new();
+        let drv = OsirisDriver::with_probe(
             0,
             16 * 1024,
             CacheStrategy::Lazy,
             WiringService {
                 mode: WiringMode::LowLevel,
             },
+            &reg.probe(""),
         );
         let link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &SkewConfig::none());
         Rig {
@@ -485,6 +441,7 @@ mod tests {
             tx,
             rx,
             drv,
+            reg,
             link,
             slab: CellSlab::new(),
         }
@@ -521,7 +478,7 @@ mod tests {
         let descs: Vec<_> = r.tx.queue(0).iter_live().copied().collect();
         assert!(!descs[0].eop);
         assert!(descs[1].eop);
-        assert_eq!(r.drv.stats().pdus_sent, 1);
+        assert_eq!(r.reg.snapshot().counters["driver.pdus_sent"], 1);
         // The board can now transmit it.
         let t = r.tx.service(
             out.queued_at,
@@ -550,7 +507,7 @@ mod tests {
             }
         }
         assert!(blocked, "63-slot ring must fill");
-        assert_eq!(r.drv.stats().tx_blocks, 1);
+        assert_eq!(r.reg.snapshot().counters["driver.tx_blocks"], 1);
     }
 
     #[test]
@@ -745,7 +702,7 @@ mod tests {
             &mut o,
         );
         assert!(o.delivered.is_empty());
-        assert_eq!(r.drv.stats().err_pdus, 1);
+        assert_eq!(r.reg.snapshot().counters["driver.err_pdus"], 1);
         assert_eq!(r.rx.free_ring(0).len(), free_before, "buffer recycled");
     }
 

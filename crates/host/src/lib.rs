@@ -28,9 +28,7 @@ pub mod thread;
 pub mod wiring;
 
 pub use domain::DomainId;
-pub use driver::{
-    CacheStrategy, DeliveredPdu, DrainOutcome, DriverStats, OsirisDriver, SendOutcome,
-};
+pub use driver::{CacheStrategy, DeliveredPdu, DrainOutcome, OsirisDriver, SendOutcome};
 pub use machine::{HostMachine, MachineSpec, SoftwareCosts};
 pub use thread::{Scheduler, ThreadId, ThreadState};
 pub use wiring::{WiringMode, WiringService};

@@ -225,11 +225,6 @@ impl HostMachine {
         self.run_software(now, self.spec.costs.interrupt_service)
     }
 
-    /// Interrupts fielded so far.
-    pub fn interrupts_taken(&self) -> u64 {
-        self.interrupts_taken.get()
-    }
-
     /// CPU read of `buf.len()` bytes at `addr` through the cache, charging
     /// hit cycles on the CPU and line fills on the memory system. Returns
     /// the (possibly stale!) bytes in `buf`.
@@ -297,6 +292,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osiris_sim::Registry;
 
     #[test]
     fn specs_reflect_the_paper() {
@@ -310,10 +306,11 @@ mod tests {
 
     #[test]
     fn interrupt_charges_cpu() {
-        let mut h = HostMachine::boot(MachineSpec::ds5000_200(), 1);
+        let reg = Registry::new();
+        let mut h = HostMachine::boot_with_probe(MachineSpec::ds5000_200(), 1, &reg.probe(""));
         let g = h.take_interrupt(SimTime::ZERO);
         assert_eq!(g.finish, SimTime::from_us(75));
-        assert_eq!(h.interrupts_taken(), 1);
+        assert_eq!(reg.snapshot().counters["host.interrupts_taken"], 1);
         // A second interrupt queues behind the first on the CPU.
         let g2 = h.take_interrupt(SimTime::from_us(10));
         assert_eq!(g2.start, SimTime::from_us(75));

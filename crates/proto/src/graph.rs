@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use osiris_atm::{Vci, VciTable};
+use osiris_atm::Vci;
 use osiris_host::domain::DomainId;
 
 /// A path (connection) identifier.
@@ -40,10 +40,9 @@ pub struct PathEntry {
     pub queue_page: usize,
 }
 
-/// Host-side path registry + VCI allocation.
+/// Host-side path registry: each VCI binds to at most one path.
 #[derive(Debug)]
 pub struct PathTable {
-    vcis: VciTable,
     paths: HashMap<PathId, PathEntry>,
     by_port: HashMap<u16, PathId>,
     next_id: u32,
@@ -59,7 +58,6 @@ impl PathTable {
     /// A table treating VCIs as abundant (hundreds available).
     pub fn new() -> Self {
         PathTable {
-            vcis: VciTable::default(),
             paths: HashMap::new(),
             by_port: HashMap::new(),
             next_id: 1,
@@ -68,6 +66,7 @@ impl PathTable {
 
     /// Opens a path on a *specific* VCI (the passive side agrees on the
     /// initiator's choice out of band, as the testbed harness does).
+    /// Returns `None` if another path already holds the VCI.
     pub fn open_on_vci(
         &mut self,
         vci: Vci,
@@ -75,7 +74,7 @@ impl PathTable {
         domain: DomainId,
         queue_page: usize,
     ) -> Option<PathId> {
-        if !self.vcis.bind(vci, self.next_id) {
+        if self.paths.values().any(|p| p.vci == vci) {
             return None;
         }
         let id = PathId(self.next_id);

@@ -9,7 +9,7 @@
 //! transmit side (application/kernel virtual memory), `Message<PhysAddr>`
 //! on the receive side (the driver's physically contiguous buffers).
 //!
-//! The chain lives inline up to [`INLINE_SEGS`] segments — an IP header,
+//! The chain lives inline up to `INLINE_SEGS` segments — an IP header,
 //! a UDP header and the data, or a reassembled datagram of up to four
 //! fragments — so building, splitting and joining messages on the
 //! per-datagram path allocates nothing.

@@ -132,46 +132,6 @@ pub enum RxVerdict {
     },
 }
 
-/// Stack counters — a point-in-time copy of the stack's registry
-/// counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StackStats {
-    /// Datagrams delivered.
-    pub delivered: u64,
-    /// Datagrams dropped (bad header, bad checksum, …).
-    pub dropped: u64,
-    /// Checksum failures that lazy invalidation repaired (§2.3).
-    pub lazy_recoveries: u64,
-    /// Fragments emitted.
-    pub frags_out: u64,
-    /// Fragments absorbed.
-    pub frags_in: u64,
-    /// Reliable mode: datagrams retransmitted after an RTO expiry.
-    pub retransmits: u64,
-    /// Reliable mode: acknowledgements received.
-    pub acks_received: u64,
-    /// Reliable mode: duplicate datagrams suppressed at the receiver.
-    pub dup_datagrams: u64,
-    /// Duplicate fragments discarded during IP reassembly (retransmission
-    /// overlapping a partially received datagram).
-    pub dup_frags: u64,
-    /// Reliable mode: datagrams abandoned after [`MAX_RETRIES`].
-    pub gave_up: u64,
-    /// Selective repeat: datagrams built but deferred by the window.
-    pub window_deferred: u64,
-    /// Selective repeat: holes retransmitted on SACK evidence (before RTO).
-    pub sack_retransmits: u64,
-    /// Selective repeat: block acks sent.
-    pub block_acks: u64,
-    /// ECN scheme: congestion-window halvings on echoed marks.
-    pub ecn_halvings: u64,
-    /// Selective repeat: window slots abandoned when a gave-up sender's
-    /// data forced the receive window past an undelivered hole.
-    pub holes_abandoned: u64,
-    /// Orphaned partial reassemblies reaped (their buffers recycled).
-    pub reasm_reaped: u64,
-}
-
 /// One fragment held for reassembly: (offset, data-message, descriptors).
 type Fragment = (u64, Message<PhysAddr>, RxChain);
 
@@ -305,29 +265,6 @@ impl ProtoStack {
     /// Sets the source-host address stamped into outgoing IP headers.
     pub fn set_src_host(&mut self, src: u16) {
         self.src_host = src;
-    }
-
-    /// Stack counters (a copy of the current values).
-    pub fn stats(&self) -> StackStats {
-        let rel = &self.rel.stats;
-        StackStats {
-            delivered: self.stats.delivered.get(),
-            dropped: self.stats.dropped.get(),
-            lazy_recoveries: self.stats.lazy_recoveries.get(),
-            frags_out: self.stats.frags_out.get(),
-            frags_in: self.stats.frags_in.get(),
-            retransmits: rel.retransmits.get(),
-            acks_received: self.stats.acks_received.get(),
-            dup_datagrams: self.stats.dup_datagrams.get(),
-            dup_frags: self.stats.dup_frags.get(),
-            gave_up: rel.gave_up.get(),
-            window_deferred: rel.w_deferred.get(),
-            sack_retransmits: rel.w_sack_retransmits.get(),
-            block_acks: rel.w_block_acks.get(),
-            ecn_halvings: rel.w_ecn_halvings.get(),
-            holes_abandoned: rel.w_holes_abandoned.get(),
-            reasm_reaped: self.stats.reasm_reaped.get(),
-        }
     }
 
     /// The header slab's virtual region (ADC setup authorizes its frames).
@@ -976,19 +913,22 @@ impl ProtoStack {
 mod tests {
     use super::*;
     use osiris_host::machine::MachineSpec;
+    use osiris_sim::Registry;
 
-    fn setup(checksum: bool) -> (HostMachine, AddressSpace, ProtoStack) {
+    fn setup(checksum: bool) -> (HostMachine, AddressSpace, ProtoStack, Registry) {
         let mut host = HostMachine::boot(MachineSpec::ds5000_200(), 11);
         let mut asp = AddressSpace::new(host.spec.page_size);
-        let stack = ProtoStack::new(
+        let reg = Registry::new();
+        let stack = ProtoStack::with_probe(
             ProtoConfig {
                 udp_checksum: checksum,
                 ..ProtoConfig::paper_default()
             },
             &mut host,
             &mut asp,
+            &reg.probe(""),
         );
-        (host, asp, stack)
+        (host, asp, stack, reg)
     }
 
     /// Writes a payload into a fresh VM region and returns its message.
@@ -1031,7 +971,7 @@ mod tests {
 
     #[test]
     fn small_message_is_one_packet() {
-        let (mut host, mut asp, mut stack) = setup(false);
+        let (mut host, mut asp, mut stack, _) = setup(false);
         let data = payload(&mut host, &mut asp, &[7u8; 1000]);
         let (pkts, t) = output(&mut stack, SimTime::ZERO, &mut host, &asp, data, 5, 7, 2);
         assert_eq!(pkts.len(), 1);
@@ -1044,7 +984,7 @@ mod tests {
 
     #[test]
     fn large_message_fragments_at_mtu() {
-        let (mut host, mut asp, mut stack) = setup(false);
+        let (mut host, mut asp, mut stack, reg) = setup(false);
         let data = payload(&mut host, &mut asp, &vec![1u8; 40_000]);
         let (pkts, _) = output(&mut stack, SimTime::ZERO, &mut host, &asp, data, 5, 7, 2);
         // 40_012 bytes of datagram at 16 KB per fragment = 3 fragments.
@@ -1052,7 +992,7 @@ mod tests {
         for p in &pkts {
             assert!(p.msg.len() <= stack.cfg.mtu as u64);
         }
-        assert_eq!(stack.stats().frags_out, 3);
+        assert_eq!(reg.snapshot().counters["stack.frags_out"], 3);
     }
 
     #[test]
@@ -1126,37 +1066,37 @@ mod tests {
 
     #[test]
     fn input_reassembles_and_delivers() {
-        let (mut host, _asp, mut stack) = setup(false);
+        let (mut host, _asp, mut stack, reg) = setup(false);
         let data: Vec<u8> = (0..50_000u32).map(|i| (i % 239) as u8).collect();
         let pdus = ProtoStack::build_wire_pdus(stack.cfg, 7, 1, 99, &data);
         let (port, bytes) = feed_pdus(&mut host, &mut stack, &pdus, 0x10_0000).unwrap();
         assert_eq!(port, 99);
         assert_eq!(bytes, data);
-        assert_eq!(stack.stats().delivered, 1);
-        assert_eq!(stack.stats().frags_in, pdus.len() as u64);
+        assert_eq!(reg.snapshot().counters["stack.delivered"], 1);
+        assert_eq!(reg.snapshot().counters["stack.frags_in"], pdus.len() as u64);
     }
 
     #[test]
     fn checksum_validates_good_data() {
-        let (mut host, _asp, mut stack) = setup(true);
+        let (mut host, _asp, mut stack, reg) = setup(true);
         let data = vec![0x5Au8; 9000];
         let pdus = ProtoStack::build_wire_pdus(stack.cfg, 8, 1, 50, &data);
         let out = feed_pdus(&mut host, &mut stack, &pdus, 0x20_0000);
         assert!(out.is_some());
-        assert_eq!(stack.stats().dropped, 0);
+        assert_eq!(reg.snapshot().counters["stack.dropped"], 0);
     }
 
     #[test]
     fn checksum_drops_corrupt_data() {
-        let (mut host, _asp, mut stack) = setup(true);
+        let (mut host, _asp, mut stack, reg) = setup(true);
         let data = vec![0x5Au8; 9000];
         let mut pdus = ProtoStack::build_wire_pdus(stack.cfg, 9, 1, 50, &data);
         let n = pdus[0].len();
         pdus[0][n - 10] ^= 0xFF; // corrupt payload, not headers
         let out = feed_pdus(&mut host, &mut stack, &pdus, 0x30_0000);
         assert!(out.is_none());
-        assert_eq!(stack.stats().dropped, 1);
-        assert_eq!(stack.stats().lazy_recoveries, 0);
+        assert_eq!(reg.snapshot().counters["stack.dropped"], 1);
+        assert_eq!(reg.snapshot().counters["stack.lazy_recoveries"], 0);
     }
 
     #[test]
@@ -1169,7 +1109,7 @@ mod tests {
     }
 
     fn lazy_recovery_from_stale(stale: u8) {
-        let (mut host, _asp, mut stack) = setup(true);
+        let (mut host, _asp, mut stack, reg) = setup(true);
         let addr = PhysAddr(0x40_0000);
         // Step 1: put OLD bytes at the buffer address and read them so the
         // (incoherent) cache holds them.
@@ -1209,15 +1149,15 @@ mod tests {
             }
         }
         assert!(
-            stack.stats().lazy_recoveries >= 1,
+            reg.snapshot().counters["stack.lazy_recoveries"] >= 1,
             "recovery must be counted"
         );
-        assert_eq!(stack.stats().dropped, 0);
+        assert_eq!(reg.snapshot().counters["stack.dropped"], 0);
     }
 
     #[test]
     fn udp_header_with_nonzero_padding_is_dropped_and_counted() {
-        let (mut host, _asp, mut stack) = setup(false);
+        let (mut host, _asp, mut stack, reg) = setup(false);
         let mut pdus = ProtoStack::build_wire_pdus(stack.cfg, 10, 1, 60, &[0xC3u8; 100]);
         // UDP header bytes 10–11 (after the IP header) are padding.
         pdus[0][IP_HEADER_BYTES + 10] = 1;
@@ -1229,22 +1169,24 @@ mod tests {
             RxVerdict::Drop { reason, .. } => assert_eq!(reason, "bad UDP header"),
             other => panic!("expected a drop, got {other:?}"),
         }
-        assert_eq!(stack.stats().dropped, 1);
-        assert_eq!(stack.stats().lazy_recoveries, 0);
+        assert_eq!(reg.snapshot().counters["stack.dropped"], 1);
+        assert_eq!(reg.snapshot().counters["stack.lazy_recoveries"], 0);
     }
 
-    fn setup_reliable() -> (HostMachine, AddressSpace, ProtoStack) {
+    fn setup_reliable() -> (HostMachine, AddressSpace, ProtoStack, Registry) {
         let mut host = HostMachine::boot(MachineSpec::ds5000_200(), 23);
         let mut asp = AddressSpace::new(host.spec.page_size);
-        let stack = ProtoStack::new(
+        let reg = Registry::new();
+        let stack = ProtoStack::with_probe(
             ProtoConfig {
                 reliable: true,
                 ..ProtoConfig::paper_default()
             },
             &mut host,
             &mut asp,
+            &reg.probe(""),
         );
-        (host, asp, stack)
+        (host, asp, stack, reg)
     }
 
     /// Wraps raw wire bytes as one delivered PDU at `addr`.
@@ -1268,7 +1210,7 @@ mod tests {
 
     #[test]
     fn reliable_output_retransmits_until_acked() {
-        let (mut host, mut asp, mut stack) = setup_reliable();
+        let (mut host, mut asp, mut stack, reg) = setup_reliable();
         let data = payload(&mut host, &mut asp, &[9u8; 500]);
         // Host 1 is the source of the hand-built ack below.
         let (pkts, t) = output(&mut stack, SimTime::ZERO, &mut host, &asp, data, 5, 7, 1);
@@ -1283,7 +1225,7 @@ mod tests {
         let again = retransmits(&mut stack, due1);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].ctx.pdu, id);
-        assert_eq!(stack.stats().retransmits, 1);
+        assert_eq!(reg.snapshot().counters["stack.retransmits"], 1);
         let due2 = stack.next_retransmit_at().unwrap();
         assert!(due2.since(due1) > RTO_INITIAL);
 
@@ -1296,12 +1238,12 @@ mod tests {
             "expected Ack, got {v:?}"
         );
         assert!(!stack.has_unacked());
-        assert_eq!(stack.stats().acks_received, 1);
+        assert_eq!(reg.snapshot().counters["stack.acks_received"], 1);
     }
 
     #[test]
     fn reliable_gives_up_after_max_retries() {
-        let (mut host, mut asp, mut stack) = setup_reliable();
+        let (mut host, mut asp, mut stack, reg) = setup_reliable();
         let data = payload(&mut host, &mut asp, &[4u8; 100]);
         output(&mut stack, SimTime::ZERO, &mut host, &asp, data, 5, 7, 2);
         let mut polls = 0;
@@ -1311,13 +1253,16 @@ mod tests {
             assert!(polls <= MAX_RETRIES + 1, "must terminate");
         }
         assert!(!stack.has_unacked());
-        assert_eq!(stack.stats().retransmits, MAX_RETRIES as u64);
-        assert_eq!(stack.stats().gave_up, 1);
+        assert_eq!(
+            reg.snapshot().counters["stack.retransmits"],
+            MAX_RETRIES as u64
+        );
+        assert_eq!(reg.snapshot().counters["stack.gave_up"], 1);
     }
 
     #[test]
     fn duplicate_datagram_is_suppressed_and_reackable() {
-        let (mut host, asp, mut stack) = setup_reliable();
+        let (mut host, asp, mut stack, reg) = setup_reliable();
         let data = vec![0xA1u8; 800];
         let wire = ProtoStack::build_wire_pdus(stack.cfg, 5, 9, 40, &data);
         assert_eq!(wire.len(), 1);
@@ -1330,8 +1275,8 @@ mod tests {
             RxVerdict::Duplicate { src, .. } => assert_eq!(src, 1),
             other => panic!("expected Duplicate, got {other:?}"),
         }
-        assert_eq!(stack.stats().delivered, 1);
-        assert_eq!(stack.stats().dup_datagrams, 1);
+        assert_eq!(reg.snapshot().counters["stack.delivered"], 1);
+        assert_eq!(reg.snapshot().counters["stack.dup_datagrams"], 1);
         // The re-ack names the duplicate: id 5 is bit 4 above base 1.
         let mut apkts = Vec::new();
         stack
@@ -1343,7 +1288,7 @@ mod tests {
 
     #[test]
     fn duplicate_fragment_does_not_wedge_reassembly() {
-        let (mut host, _asp, mut stack) = setup_reliable();
+        let (mut host, _asp, mut stack, reg) = setup_reliable();
         let data: Vec<u8> = (0..40_000u32).map(|i| (i % 233) as u8).collect();
         let wire = ProtoStack::build_wire_pdus(stack.cfg, 6, 9, 41, &data);
         assert_eq!(wire.len(), 3);
@@ -1366,13 +1311,14 @@ mod tests {
             }
         }
         assert_eq!(delivered.expect("datagram completes"), data);
-        assert_eq!(stack.stats().dup_frags, 1);
+        assert_eq!(reg.snapshot().counters["stack.dup_frags"], 1);
     }
 
-    fn setup_sr(cc: CcScheme, window: u32) -> (HostMachine, AddressSpace, ProtoStack) {
+    fn setup_sr(cc: CcScheme, window: u32) -> (HostMachine, AddressSpace, ProtoStack, Registry) {
         let mut host = HostMachine::boot(MachineSpec::ds5000_200(), 29);
         let mut asp = AddressSpace::new(host.spec.page_size);
-        let stack = ProtoStack::new(
+        let reg = Registry::new();
+        let stack = ProtoStack::with_probe(
             ProtoConfig {
                 reliable: true,
                 cc,
@@ -1381,8 +1327,9 @@ mod tests {
             },
             &mut host,
             &mut asp,
+            &reg.probe(""),
         );
-        (host, asp, stack)
+        (host, asp, stack, reg)
     }
 
     /// The packets a retransmit poll at `now` re-sends, collected.
@@ -1461,14 +1408,14 @@ mod tests {
 
     #[test]
     fn sr_window_defers_beyond_cap_and_block_ack_slides() {
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::None, 2);
+        let (mut host, mut asp, mut stack, reg) = setup_sr(CcScheme::None, 2);
         let (id1, a1, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         let (id2, a2, t2) = send_one(&mut host, &mut asp, &mut stack, t1);
         let (_, a3, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
         assert_eq!((id1, id2), (1, 2));
         assert!(a1 && a2, "the first two fit the window");
         assert!(!a3, "the third defers");
-        assert_eq!(stack.stats().window_deferred, 1);
+        assert_eq!(reg.snapshot().counters["stack.window.deferred"], 1);
 
         // A block ack with base 3 releases 1 and 2; the deferred third
         // datagram is admitted and comes back via take_released.
@@ -1488,7 +1435,7 @@ mod tests {
 
     #[test]
     fn sr_sack_retransmits_hole_at_threshold() {
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::None, 16);
+        let (mut host, mut asp, mut stack, reg) = setup_sr(CcScheme::None, 16);
         let mut t = SimTime::ZERO;
         for _ in 0..3 {
             let (_, _, t2) = send_one(&mut host, &mut asp, &mut stack, t);
@@ -1510,13 +1457,13 @@ mod tests {
         let released = released(&mut stack);
         assert_eq!(released.len(), 1, "second miss fast-retransmits the hole");
         assert_eq!(released[0].ctx.pdu, 1);
-        assert_eq!(stack.stats().sack_retransmits, 1);
-        assert_eq!(stack.stats().retransmits, 1);
+        assert_eq!(reg.snapshot().counters["stack.window.sack_retransmits"], 1);
+        assert_eq!(reg.snapshot().counters["stack.retransmits"], 1);
     }
 
     #[test]
     fn sr_receive_window_suppresses_duplicates_and_abandons_holes() {
-        let (mut host, _asp, mut stack) = setup_sr(CcScheme::None, 16);
+        let (mut host, _asp, mut stack, reg) = setup_sr(CcScheme::None, 16);
         let data = vec![0x11u8; 300];
         let w1 = ProtoStack::build_wire_pdus(stack.cfg, 1, 9, 40, &data);
         let pdu = pdu_at(&mut host, &w1[0], 0xB0_0000);
@@ -1531,14 +1478,14 @@ mod tests {
         let pdu70 = pdu_at(&mut host, &w70[0], 0xB1_0000);
         let (v3, t3) = stack.input(t2, &mut host, pdu70.clone());
         assert!(matches!(v3, RxVerdict::Deliver { .. }));
-        assert_eq!(stack.stats().holes_abandoned, 5);
+        assert_eq!(reg.snapshot().counters["stack.window.holes_abandoned"], 5);
 
         // An abandoned id is now a duplicate, not a re-delivery.
         let w3 = ProtoStack::build_wire_pdus(stack.cfg, 3, 9, 40, &data);
         let pdu3 = pdu_at(&mut host, &w3[0], 0xB2_0000);
         let (v4, _) = stack.input(t3, &mut host, pdu3.clone());
         assert!(matches!(v4, RxVerdict::Duplicate { .. }));
-        assert_eq!(stack.stats().delivered, 2);
+        assert_eq!(reg.snapshot().counters["stack.delivered"], 2);
     }
 
     /// Satellite: a retransmission that crosses its ack in flight must
@@ -1546,7 +1493,7 @@ mod tests {
     /// ack does.
     #[test]
     fn crossed_ack_does_not_reset_backoff() {
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::None, 16);
+        let (mut host, mut asp, mut stack, _) = setup_sr(CcScheme::None, 16);
         let rto = RTO_INITIAL;
         let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         // RTO expires: backoff doubles, the datagram is retransmitted.
@@ -1574,7 +1521,7 @@ mod tests {
     #[test]
     fn retransmit_order_is_sorted_and_reproducible() {
         let run = || {
-            let (mut host, mut asp, mut stack) = setup_sr(CcScheme::None, 16);
+            let (mut host, mut asp, mut stack, _) = setup_sr(CcScheme::None, 16);
             let mut t = SimTime::ZERO;
             // Interleave two destinations; ids are minted globally.
             for dst in [1u16, 2, 1, 2, 1, 2] {
@@ -1597,12 +1544,12 @@ mod tests {
 
     #[test]
     fn ecn_ack_halves_the_window() {
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::Ecn, 2);
+        let (mut host, mut asp, mut stack, reg) = setup_sr(CcScheme::Ecn, 2);
         let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         let ack = block_ack_wire(stack.cfg, 0, 2, 0, ACK_FLAG_ECN);
         let pdu = pdu_at(&mut host, &ack, 0xD0_0000);
         let (_, t2) = stack.input(t1, &mut host, pdu.clone());
-        assert_eq!(stack.stats().ecn_halvings, 1);
+        assert_eq!(reg.snapshot().counters["stack.window.ecn_halvings"], 1);
         // cwnd halved to 1: the second concurrent datagram defers.
         let (_, a2, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
         let (_, a3, _) = send_one(&mut host, &mut asp, &mut stack, t3);
@@ -1612,7 +1559,7 @@ mod tests {
 
     #[test]
     fn pacing_ack_spaces_admissions() {
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::Pacing, 8);
+        let (mut host, mut asp, mut stack, reg) = setup_sr(CcScheme::Pacing, 8);
         let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         // The receiver advertises a 1 ms inter-delivery gap.
         let ack = block_ack_wire_full(stack.cfg, 0, 2, 0, 0, 1_000_000, 0);
@@ -1632,7 +1579,7 @@ mod tests {
             "pacing release admits the deferred datagram"
         );
         assert_eq!(
-            stack.stats().retransmits,
+            reg.snapshot().counters["stack.retransmits"],
             0,
             "admission, not retransmission"
         );
@@ -1642,8 +1589,8 @@ mod tests {
     /// ack fed back — the sender's window empties.
     #[test]
     fn block_ack_round_trip_between_stacks() {
-        let (mut shost, mut sasp, mut sender) = setup_sr(CcScheme::None, 16);
-        let (mut rhost, rasp, mut receiver) = setup_sr(CcScheme::None, 16);
+        let (mut shost, mut sasp, mut sender, sreg) = setup_sr(CcScheme::None, 16);
+        let (mut rhost, rasp, mut receiver, rreg) = setup_sr(CcScheme::None, 16);
         receiver.set_src_host(1);
         let mut t = SimTime::ZERO;
         let mut ids = Vec::new();
@@ -1663,7 +1610,7 @@ mod tests {
             .output_block_ack(t, &mut rhost, &rasp, 0, &mut apkts)
             .unwrap();
         assert_eq!(apkts.len(), 1);
-        assert_eq!(receiver.stats().block_acks, 1);
+        assert_eq!(rreg.snapshot().counters["stack.window.block_acks"], 1);
         let ack = sent_block_ack(&rhost, &rasp, &apkts[0]);
         assert_eq!(ack.base, ids[1] + 1, "base sits past both deliveries");
         let wire = wire_of(&rhost, &rasp, &apkts[0]);
@@ -1674,27 +1621,30 @@ mod tests {
             "expected Ack, got {v:?}"
         );
         assert!(!sender.has_unacked(), "one block ack released the window");
-        assert_eq!(sender.stats().acks_received, 1);
+        assert_eq!(sreg.snapshot().counters["stack.acks_received"], 1);
     }
 
     /// Satellite: gave-up datagrams free their packets immediately, and
     /// the receiver-side reap unpins reassemblies the window passed by.
     #[test]
     fn give_up_frees_packets_and_reap_unpins_reassembly() {
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::None, 16);
+        let (mut host, mut asp, mut stack, reg) = setup_sr(CcScheme::None, 16);
         let (_, _, _) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
         // Drive the retransmit timer until the datagram gives up.
         while let Some(at) = stack.next_retransmit_at() {
             retransmits(&mut stack, at);
         }
-        assert_eq!(stack.stats().retransmits, MAX_RETRIES as u64);
-        assert_eq!(stack.stats().gave_up, 1);
+        assert_eq!(
+            reg.snapshot().counters["stack.retransmits"],
+            MAX_RETRIES as u64
+        );
+        assert_eq!(reg.snapshot().counters["stack.gave_up"], 1);
         assert!(!stack.has_unacked(), "abandoned packets are freed");
 
         // Receiver side: fragment 1 of datagram 1 arrives, datagram 2
         // completes and advances the window past it — the reap reclaims
         // the stranded fragment's buffers without waiting for idleness.
-        let (mut rhost, _rasp, mut rstack) = setup_sr(CcScheme::None, 16);
+        let (mut rhost, _rasp, mut rstack, rreg) = setup_sr(CcScheme::None, 16);
         let big: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
         let frags = ProtoStack::build_wire_pdus(rstack.cfg, 1, 9, 40, &big);
         assert!(frags.len() > 1);
@@ -1717,17 +1667,17 @@ mod tests {
             "the stranded fragment's buffers come back"
         );
         assert_eq!(rstack.pending_reassemblies(), 0);
-        assert_eq!(rstack.stats().reasm_reaped, 1);
+        assert_eq!(rreg.snapshot().counters["stack.reasm_reaped"], 1);
     }
 
     #[test]
     fn tx_checksum_charges_time() {
-        let (mut host, mut asp, mut stack) = setup(true);
+        let (mut host, mut asp, mut stack, _) = setup(true);
         let data = payload(&mut host, &mut asp, &vec![3u8; 16 * 1024]);
         let t0 = SimTime::ZERO;
         let (_, t_cksum) = output(&mut stack, t0, &mut host, &asp, data, 1, 2, 3);
 
-        let (mut host2, mut asp2, mut stack2) = setup(false);
+        let (mut host2, mut asp2, mut stack2, _) = setup(false);
         let data2 = payload(&mut host2, &mut asp2, &vec![3u8; 16 * 1024]);
         let (_, t_plain) = output(&mut stack2, t0, &mut host2, &asp2, data2, 1, 2, 3);
         assert!(
@@ -1745,7 +1695,7 @@ mod tests {
 
     #[test]
     fn block_ack_beyond_the_sent_ids_is_dropped_whole() {
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::Ecn, 16);
+        let (mut host, mut asp, mut stack, reg) = setup_sr(CcScheme::Ecn, 16);
         let mut t = SimTime::ZERO;
         for _ in 0..3 {
             t = send_one(&mut host, &mut asp, &mut stack, t).2;
@@ -1760,9 +1710,9 @@ mod tests {
             t = t2;
             assert!(matches!(v, RxVerdict::Ack { .. }));
             assert_eq!(pending_ids(&stack), vec![1, 2, 3], "ack {base}/{bitmap:#x}");
-            assert_eq!(stack.stats().dropped, seq as u64 + 1);
+            assert_eq!(reg.snapshot().counters["stack.dropped"], seq as u64 + 1);
             assert_eq!(
-                stack.stats().ecn_halvings,
+                reg.snapshot().counters["stack.window.ecn_halvings"],
                 0,
                 "a dropped ack sets no window"
             );
@@ -1774,13 +1724,13 @@ mod tests {
         t = t2;
         assert!(matches!(v, RxVerdict::Ack { .. }));
         assert_eq!(pending_ids(&stack), vec![1, 2, 3]);
-        assert_eq!(stack.stats().dropped, 5);
+        assert_eq!(reg.snapshot().counters["stack.dropped"], 5);
         // The edge of the valid range is accepted: base 4 acks all three.
         let ack = block_ack_wire(stack.cfg, 9, 4, 0, 0);
         let pdu = pdu_at(&mut host, &ack, 0x91_0000);
         stack.input(t, &mut host, pdu);
         assert!(pending_ids(&stack).is_empty());
-        assert_eq!(stack.stats().dropped, 5);
+        assert_eq!(reg.snapshot().counters["stack.dropped"], 5);
     }
 
     /// Seeded mutation fuzz of the 19 block-ack payload bytes (flips,
@@ -1793,7 +1743,7 @@ mod tests {
     #[test]
     fn mutated_block_acks_never_panic_or_ack_unsent_ids() {
         use osiris_sim::SimRng;
-        let (mut host, mut asp, mut stack) = setup_sr(CcScheme::Ecn, 16);
+        let (mut host, mut asp, mut stack, reg) = setup_sr(CcScheme::Ecn, 16);
         let mut rng = SimRng::new(0x0B10_CAC4);
         let data = payload(&mut host, &mut asp, &[6u8; 200]);
         let mut t = SimTime::ZERO;
@@ -1860,7 +1810,7 @@ mod tests {
             let wire =
                 ProtoStack::build_wire_pdus(stack.cfg, ACK_ID_BASE + i, ACK_PORT, ACK_PORT, &bytes);
             let before = pending_ids(&stack);
-            let dropped = stack.stats().dropped;
+            let dropped = reg.snapshot().counters["stack.dropped"];
             // A fresh address per datagram: the lazy cache never holds a
             // line of it, so the stack reads exactly these bytes.
             let pdu = pdu_at(&mut host, &wire[0], 0x180_0000 + i as u64 * 0x100);
@@ -1874,7 +1824,7 @@ mod tests {
             if bytes.len() != BLOCK_ACK_BYTES {
                 assert!(matches!(v, RxVerdict::Drop { .. }), "ack {i}: {v:?}");
                 assert_eq!(after, before, "{}-byte ack {i} released some", bytes.len());
-                assert_eq!(stack.stats().dropped, dropped + 1);
+                assert_eq!(reg.snapshot().counters["stack.dropped"], dropped + 1);
                 if bytes.len() < BLOCK_ACK_BYTES {
                     short_drops += 1;
                 } else {
@@ -1894,7 +1844,7 @@ mod tests {
             if malformed {
                 reserved_drops += (ack.reserved != 0) as u32;
                 assert_eq!(after, before, "malformed ack {i} released some");
-                assert_eq!(stack.stats().dropped, dropped + 1);
+                assert_eq!(reg.snapshot().counters["stack.dropped"], dropped + 1);
                 dropped_acks += 1;
             } else {
                 let named = |id: u32| {

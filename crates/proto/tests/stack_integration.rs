@@ -11,20 +11,24 @@ use osiris_mem::AddressSpace;
 use osiris_mem::PhysAddr;
 use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict};
 use osiris_proto::wire::IP_HEADER_BYTES;
-use osiris_sim::SimTime;
+use osiris_sim::{Registry, SimTime};
 
-fn rig(checksum: bool) -> (HostMachine, AddressSpace, ProtoStack) {
+/// A host and a stack whose counters land in the returned registry
+/// under `stack.*`.
+fn rig(checksum: bool) -> (HostMachine, AddressSpace, ProtoStack, Registry) {
     let mut host = HostMachine::boot(MachineSpec::dec3000_600(), 21);
     let mut asp = AddressSpace::new(host.spec.page_size);
-    let stack = ProtoStack::new(
+    let reg = Registry::new();
+    let stack = ProtoStack::with_probe(
         ProtoConfig {
             udp_checksum: checksum,
             ..ProtoConfig::paper_default()
         },
         &mut host,
         &mut asp,
+        &reg.probe(""),
     );
-    (host, asp, stack)
+    (host, asp, stack, reg)
 }
 
 fn deliver(
@@ -50,7 +54,7 @@ fn deliver(
 
 #[test]
 fn interleaved_datagrams_reassemble_by_id() {
-    let (mut host, _asp, mut stack) = rig(false);
+    let (mut host, _asp, mut stack, _) = rig(false);
     let a: Vec<u8> = (0..40_000).map(|i| (i % 13) as u8).collect();
     let b: Vec<u8> = (0..40_000).map(|i| (i % 7) as u8).collect();
     let pdus_a = ProtoStack::build_wire_pdus(stack.cfg, 1, 10, 20, &a);
@@ -91,7 +95,7 @@ fn interleaved_datagrams_reassemble_by_id() {
 
 #[test]
 fn out_of_order_fragments_still_assemble() {
-    let (mut host, _asp, mut stack) = rig(true);
+    let (mut host, _asp, mut stack, reg) = rig(true);
     let data: Vec<u8> = (0..50_000).map(|i| (i % 251) as u8).collect();
     let mut pdus = ProtoStack::build_wire_pdus(stack.cfg, 5, 1, 2, &data);
     pdus.reverse(); // worst-case fragment arrival order
@@ -110,12 +114,12 @@ fn out_of_order_fragments_still_assemble() {
         t += osiris_sim::SimDuration::from_us(3);
     }
     assert_eq!(got.expect("delivered"), data);
-    assert_eq!(stack.stats().dropped, 0);
+    assert_eq!(reg.snapshot().counters["stack.dropped"], 0);
 }
 
 #[test]
 fn junk_pdu_is_dropped_not_crashed() {
-    let (mut host, _asp, mut stack) = rig(false);
+    let (mut host, _asp, mut stack, reg) = rig(false);
     let junk = vec![0xFFu8; 4000];
     match deliver(&mut host, &mut stack, 0x30_0000, &junk, SimTime::ZERO) {
         RxVerdict::Drop { reason, descs } => {
@@ -124,12 +128,12 @@ fn junk_pdu_is_dropped_not_crashed() {
         }
         other => panic!("junk must be dropped, got {other:?}"),
     }
-    assert_eq!(stack.stats().dropped, 1);
+    assert_eq!(reg.snapshot().counters["stack.dropped"], 1);
 }
 
 #[test]
 fn truncated_fragment_fails_length_check() {
-    let (mut host, _asp, mut stack) = rig(false);
+    let (mut host, _asp, mut stack, _) = rig(false);
     let data = vec![1u8; 1000];
     let mut pdus = ProtoStack::build_wire_pdus(stack.cfg, 6, 1, 2, &data);
     // Chop the tail off the single fragment: UDP length disagrees.

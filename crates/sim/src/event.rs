@@ -68,7 +68,8 @@ pub struct EventQueue<E> {
     /// The anchor, in picoseconds: no pending entry is earlier.
     last: u64,
     len: usize,
-    pushed: u64,
+    /// Lifetime push count; mirrored to `<scope>.events.scheduled` once
+    /// a probe is attached.
     scheduled: Counter,
     /// Most entries ever pending at once (mirrored to
     /// `queue.pending_high_water`).
@@ -92,7 +93,6 @@ impl<E> EventQueue<E> {
             occupied: 0,
             last: 0,
             len: 0,
-            pushed: 0,
             scheduled: Counter::detached(),
             pending_hw: 0,
             high_water: Gauge::default(),
@@ -109,15 +109,15 @@ impl<E> EventQueue<E> {
     /// the queue sees another pending set, so equivalence comparisons
     /// strip `<scope>.queue.*` before byte-comparing.
     pub fn attach_probe(&mut self, probe: &Probe) {
+        let pushed = self.scheduled.get();
         self.scheduled = probe.scoped("events").counter("scheduled");
-        self.scheduled.add(self.pushed);
+        self.scheduled.add(pushed);
         self.high_water = probe.scoped("queue").gauge("pending_high_water");
         self.high_water.set(self.pending_hw as f64);
     }
 
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        self.pushed += 1;
         self.scheduled.incr();
         self.len += 1;
         if self.len > self.pending_hw {
@@ -185,7 +185,7 @@ impl<E> EventQueue<E> {
 
     /// Total number of events ever pushed (diagnostic).
     pub fn total_pushed(&self) -> u64 {
-        self.pushed
+        self.scheduled.get()
     }
 
     /// Discards all pending events.
@@ -257,7 +257,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
-            .field("total_pushed", &self.pushed)
+            .field("total_pushed", &self.total_pushed())
             .field("next_time", &self.peek_time())
             .finish()
     }

@@ -649,7 +649,8 @@ impl Timeline {
         });
     }
 
-    /// [`Timeline::span`] with pre-interned symbols — the hot-path form.
+    /// Records a span outside any PDU, on pre-interned symbols — the
+    /// hot-path form.
     pub fn span_sym(&self, track: SymId, name: SymId, start: SimTime, end: SimTime) {
         let mut t = self.inner.borrow_mut();
         if !t.enabled {
@@ -686,7 +687,7 @@ impl Timeline {
         });
     }
 
-    /// [`Timeline::instant`] with pre-interned symbols.
+    /// Records an instant outside any PDU, on pre-interned symbols.
     pub fn instant_sym(&self, track: SymId, name: SymId, at: SimTime) {
         let mut t = self.inner.borrow_mut();
         if !t.enabled {

@@ -12,7 +12,7 @@ use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Se
 use osiris::atm::switch::{Switch, SwitchSpec};
 use osiris::atm::traffic::{TrafficModel, TrafficSource};
 use osiris::atm::Vci;
-use osiris::sim::{SimDuration, SimTime};
+use osiris::sim::{Registry, SimDuration, SimTime};
 
 fn main() {
     for (label, spec) in [
@@ -25,7 +25,8 @@ fn main() {
             SwitchSpec::coordinated(),
         ),
     ] {
-        let mut sw = Switch::new(spec);
+        let reg = Registry::new();
+        let mut sw = Switch::with_probe(spec, &reg.probe("fabric"));
         for lane in 0..4u16 {
             sw.route(Vci(10 + lane), lane as usize);
         }
@@ -67,8 +68,10 @@ fn main() {
 
         // Per-lane queueing the stripe experienced.
         print!("{label}: per-port queueing =");
+        let snap = reg.snapshot();
         for p in 0..4 {
-            print!(" {:.0}us", sw.port_stats(p).queueing.as_us_f64());
+            let ps = snap.counters[&format!("fabric.switch.port{p}.queueing_ps")];
+            print!(" {:.0}us", SimDuration::from_ps(ps).as_us_f64());
         }
         let first = arrivals.first().unwrap().0;
         let last = arrivals.last().unwrap().0;

@@ -20,7 +20,7 @@
 //! Pass `--sample-every <period>` (`100us`, `2ms`, or a bare number =
 //! microseconds) to run an incast with the runtime telemetry plane on:
 //! deterministic time-series sampling of the engine's own registry —
-//! per-event-type dispatch rates, switch queue depth, slab high water.
+//! per-event-type dispatch rates, switch queue high water, slab high water.
 //! Prints the per-series summary table. Composes with:
 //!
 //! * `--senders N` — incast fan-in (default 64);

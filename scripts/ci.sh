@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings)"
+# A deleted item leaves doc links to it behind, and a public doc may not
+# link a private item; rustdoc reports both, and the step makes them fatal.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

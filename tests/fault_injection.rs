@@ -67,10 +67,18 @@ fn corrupted_cells_are_dropped_by_the_board_crc() {
         tb.verify_failures, 0,
         "corrupt data must never reach the app"
     );
-    let corrupted: u64 = tb.links().iter().map(|l| l.cells_corrupted()).sum();
-    assert!(corrupted > 0, "fault injection must have fired");
-    let err_pdus: u64 = tb.nodes.iter().map(|n| n.driver.stats().err_pdus).sum();
-    let crc_failed: u64 = tb.nodes.iter().map(|n| n.rx.stats().pdus_crc_failed).sum();
+    let snap = tb.snapshot();
+    let sum = |counter: &str| -> u64 {
+        (0..tb.nodes.len())
+            .map(|i| snap.counters[&format!("node{i}.{counter}")])
+            .sum()
+    };
+    assert!(
+        sum("link.cells_corrupted") > 0,
+        "fault injection must have fired"
+    );
+    let err_pdus = sum("driver.err_pdus");
+    let crc_failed = sum("board.rx.pdus_crc_failed");
     assert!(crc_failed > 0, "the AAL CRC must have caught something");
     assert_eq!(
         err_pdus, crc_failed,
@@ -86,9 +94,13 @@ fn clean_run_has_no_crc_failures() {
     let tb = run_pings(cfg);
     assert!(tb.done);
     assert_eq!(tb.verify_failures, 0);
-    for n in &tb.nodes {
-        assert_eq!(n.rx.stats().pdus_crc_failed, 0);
-        assert_eq!(n.driver.stats().err_pdus, 0);
+    let snap = tb.snapshot();
+    for i in 0..tb.nodes.len() {
+        assert_eq!(
+            snap.counters[&format!("node{i}.board.rx.pdus_crc_failed")],
+            0
+        );
+        assert_eq!(snap.counters[&format!("node{i}.driver.err_pdus")], 0);
     }
 }
 
@@ -102,8 +114,13 @@ fn checksummed_transfers_survive_and_verify() {
     let tb = run_pings(cfg);
     assert!(tb.done);
     assert_eq!(tb.verify_failures, 0);
-    for n in &tb.nodes {
-        assert_eq!(n.stack.stats().dropped, 0, "no false checksum failures");
+    let snap = tb.snapshot();
+    for i in 0..tb.nodes.len() {
+        assert_eq!(
+            snap.counters[&format!("node{i}.stack.dropped")],
+            0,
+            "no false checksum failures"
+        );
     }
 }
 
@@ -113,9 +130,11 @@ fn interrupt_accounting_is_conserved() {
     cfg.msg_size = 2048;
     cfg.messages = 8;
     let tb = run_pings(cfg);
-    for n in &tb.nodes {
-        let asserted = n.rx.interrupt_stats().rx_interrupts;
-        let taken = n.host.interrupts_taken();
+    let snap = tb.snapshot();
+    for i in 0..tb.nodes.len() {
+        let count = |counter: &str| snap.counters[&format!("node{i}.{counter}")];
+        let asserted = count("board.rx.intr_raised") - count("board.rx.intr_suppressed");
+        let taken = count("host.interrupts_taken");
         // Every asserted receive interrupt is fielded (transmit wakeups
         // would add to `taken`, but these runs never fill the ring).
         assert_eq!(asserted, taken, "asserted {asserted} vs taken {taken}");
@@ -167,10 +186,12 @@ fn reliable_mode_survives_arbitrary_fault_plans() {
             tb.verify_failures, 0,
             "seed {seed}: every delivered payload must be byte-exact"
         );
-        let hit: u64 = tb
-            .links()
-            .iter()
-            .map(|l| l.cells_dropped() + l.cells_corrupted())
+        let snap = tb.snapshot();
+        let hit: u64 = (0..tb.nodes.len())
+            .map(|i| {
+                snap.counters[&format!("node{i}.link.cells_dropped")]
+                    + snap.counters[&format!("node{i}.link.cells_corrupted")]
+            })
             .sum();
         assert!(hit > 0, "seed {seed}: the fault plan must have fired");
         for (i, n) in tb.nodes.iter().enumerate() {
@@ -205,17 +226,22 @@ fn lane_outage_with_remap_degrades_gracefully() {
     let tb = run_pings(cfg);
     assert!(tb.done, "remap must keep the connection alive");
     assert_eq!(tb.verify_failures, 0);
-    let remapped: u64 = tb.links().iter().map(|l| l.cells_remapped()).sum();
-    assert!(remapped > 0, "the outage window must have remapped traffic");
-    let dropped: u64 = tb.links().iter().map(|l| l.cells_dropped()).sum();
-    assert_eq!(dropped, 0, "remap is loss-free");
-    for n in &tb.nodes {
-        assert_eq!(
-            n.rx.stats().pdus_crc_failed,
-            0,
-            "logical-lane remap must be invisible to reassembly"
-        );
-    }
+    let snap = tb.snapshot();
+    let sum = |counter: &str| -> u64 {
+        (0..tb.nodes.len())
+            .map(|i| snap.counters[&format!("node{i}.{counter}")])
+            .sum()
+    };
+    assert!(
+        sum("link.cells_remapped") > 0,
+        "the outage window must have remapped traffic"
+    );
+    assert_eq!(sum("link.cells_dropped"), 0, "remap is loss-free");
+    assert_eq!(
+        sum("board.rx.pdus_crc_failed"),
+        0,
+        "logical-lane remap must be invisible to reassembly"
+    );
 }
 
 /// Bounded switch output queues under fan-in: two senders overload one
@@ -288,13 +314,13 @@ fn crossed_ack_does_not_reset_rto_backoff() {
     assert_eq!(m.verify_failures, 0);
 
     let sender = &m.nodes[0].stack;
-    let receiver = &m.nodes[1].stack;
+    let snap = m.snapshot();
     assert!(
-        sender.stats().retransmits >= 2,
+        snap.counters["node0.stack.retransmits"] >= 2,
         "one data retransmit and one ack-loss retransmit"
     );
     assert!(
-        receiver.stats().dup_datagrams >= 1,
+        snap.counters["node1.stack.dup_datagrams"] >= 1,
         "the ack-loss retransmit must arrive as a duplicate"
     );
     assert!(
@@ -340,22 +366,21 @@ fn give_up_frees_sender_packets_and_conserves_receive_buffers() {
     assert!(!tb.done, "a permanently dark lane must starve the transfer");
     assert_eq!(tb.verify_failures, 0, "nothing torn may be delivered");
 
-    let sender = &tb.nodes[0];
+    let snap = tb.snapshot();
     assert!(
-        sender.stack.stats().gave_up >= 1,
+        snap.counters["node0.stack.gave_up"] >= 1,
         "the retry budget must exhaust into a give-up"
     );
     assert!(
-        !sender.stack.has_unacked(),
+        !tb.nodes[0].stack.has_unacked(),
         "give-up must free the pending datagram and its packets"
     );
-    let receiver = &tb.nodes[1];
     assert!(
-        receiver.stack.stats().delivered == 0,
+        snap.counters["node1.stack.delivered"] == 0,
         "no three-lane PDU may complete"
     );
     assert!(
-        receiver.rx.stats().pdus_dropped_timeout >= 1,
+        snap.counters["node1.board.rx.pdus_dropped_timeout"] >= 1,
         "the reap sweep must reclaim the partial reassemblies"
     );
     for (i, n) in tb.nodes.iter().enumerate() {

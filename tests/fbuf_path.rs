@@ -10,7 +10,7 @@ use osiris::board::rx::{RxConfig, RxProcessor};
 use osiris::fbuf::{FbufAllocator, FbufCosts, FbufSource};
 use osiris::host::machine::{HostMachine, MachineSpec};
 use osiris::mem::PhysAddr;
-use osiris::sim::{SimDuration, SimTime};
+use osiris::sim::{Registry, SimDuration, SimTime};
 
 const BUF: u32 = 16 * 1024;
 
@@ -18,6 +18,8 @@ struct Rig {
     host: HostMachine,
     rx: RxProcessor,
     fbufs: FbufAllocator,
+    /// Holds the allocator's counters under `fbuf.*`.
+    reg: Registry,
 }
 
 fn rig() -> Rig {
@@ -30,8 +32,14 @@ fn rig() -> Rig {
         DpramLayout::paper_default(),
     );
     let costs = FbufCosts::for_machine(&host);
-    let fbufs = FbufAllocator::new(costs, PhysAddr(0x40_0000), BUF, 16);
-    Rig { host, rx, fbufs }
+    let reg = Registry::new();
+    let fbufs = FbufAllocator::with_probe(costs, PhysAddr(0x40_0000), BUF, 16, &reg.probe(""));
+    Rig {
+        host,
+        rx,
+        fbufs,
+        reg,
+    }
 }
 
 /// The driver's per-PDU buffer provisioning: take an fbuf for the path
@@ -139,7 +147,11 @@ fn sixteen_paths_stay_cached_the_seventeenth_evicts() {
     assert_eq!(src, FbufSource::Cached);
     r.fbufs.transfer(SimTime::ZERO, &mut r.host, &mut fb, 16);
     r.fbufs.release(fb);
-    assert_eq!(r.fbufs.stats().evictions, 1, "the 17th path evicts the LRU");
+    assert_eq!(
+        r.reg.snapshot().counters["fbuf.evictions"],
+        1,
+        "the 17th path evicts the LRU"
+    );
     // The evicted path's next allocation falls back to the uncached pool.
     let (_, src) = r
         .fbufs

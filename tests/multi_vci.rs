@@ -10,17 +10,19 @@ use osiris::board::dpram::DpramLayout;
 use osiris::board::rx::{RxConfig, RxProcessor};
 use osiris::host::machine::{HostMachine, MachineSpec};
 use osiris::mem::PhysAddr;
-use osiris::sim::{SimDuration, SimRng, SimTime};
+use osiris::sim::{Registry, SimDuration, SimRng, SimTime};
 
 #[test]
 fn sixty_interleaved_connections_reassemble_independently() {
     let mut host = HostMachine::boot(MachineSpec::ds5000_200(), 5);
-    let mut rx = RxProcessor::new(
+    let reg = Registry::new();
+    let mut rx = RxProcessor::with_probe(
         RxConfig {
             buffer_bytes: 4096,
             ..RxConfig::paper_default()
         },
         DpramLayout::paper_default(),
+        &reg.probe("board"),
     );
     // One shared kernel page with a deep free ring (cell interleaving
     // means many PDUs are in flight at once).
@@ -88,8 +90,9 @@ fn sixty_interleaved_connections_reassemble_independently() {
         completed, n_conn as u64,
         "every connection's message completes"
     );
-    assert_eq!(rx.stats().pdus_delivered, n_conn as u64);
-    assert_eq!(rx.stats().cells_rejected, 0);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counters["board.rx.pdus_delivered"], n_conn as u64);
+    assert_eq!(snap.counters["board.rx.cells_rejected"], 0);
 
     // Each delivered buffer holds exactly its own connection's bytes.
     let mut seen_vcis = std::collections::HashSet::new();

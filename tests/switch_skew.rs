@@ -5,7 +5,7 @@
 use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter};
 use osiris::atm::switch::{Switch, SwitchSpec};
 use osiris::atm::Vci;
-use osiris::sim::{SimDuration, SimTime};
+use osiris::sim::{Registry, SimDuration, SimTime};
 
 /// Sends `data` as one striped PDU through four switch ports (one per
 /// lane), with `cross` cells of background load on port 1, and returns
@@ -97,7 +97,8 @@ fn four_sender_incast_preserves_per_lane_fifo_and_per_vci_reassembly() {
     // across VCIs.
     use std::collections::HashMap;
 
-    let mut sw = Switch::new(SwitchSpec::sts3c_16port());
+    let reg = Registry::new();
+    let mut sw = Switch::with_probe(SwitchSpec::sts3c_16port(), &reg.probe("fabric"));
     for s in 0..4u16 {
         sw.route_group(Vci(100 + s), 0, 4);
     }
@@ -152,7 +153,10 @@ fn four_sender_incast_preserves_per_lane_fifo_and_per_vci_reassembly() {
         );
     }
     // Four senders on one port block must actually contend.
-    let queued: u64 = (0..4).map(|p| sw.port_stats(p).queueing.as_ps()).sum();
+    let snap = reg.snapshot();
+    let queued: u64 = (0..4)
+        .map(|p| snap.counters[&format!("fabric.switch.port{p}.queueing_ps")])
+        .sum();
     assert!(queued > 0, "incast must queue at the shared ports");
 
     // Receiver side: demux by VCI (as the board does) into per-VCI
