@@ -24,12 +24,17 @@ pub struct SpscRing<T> {
     size: u32,
 }
 
+// SAFETY: the ring owns its slots and the `T`s in them; moving it to
+// another thread moves those `T`s, which `T: Send` allows. The atomics
+// and `size` are plain data.
+unsafe impl<T: Send> Send for SpscRing<T> {}
 // SAFETY: the SPSC discipline (one producer thread, one consumer thread)
 // partitions slot access: the producer only writes slots in
 // [head, head+1) when they are empty (consumer has advanced past), the
 // consumer only reads slots in [tail, tail+1) when they are full. The
-// acquire/release pairs on head/tail order the payload accesses.
-unsafe impl<T: Send> Send for SpscRing<T> {}
+// acquire/release pairs on head/tail order the payload accesses. A `T`
+// crosses threads by value (written by one, taken by the other), never
+// by shared reference, so `T: Send` suffices.
 unsafe impl<T: Send> Sync for SpscRing<T> {}
 
 impl<T> SpscRing<T> {

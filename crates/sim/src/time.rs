@@ -238,10 +238,13 @@ impl fmt::Display for SimDuration {
 /// Conversion is exact: the duration of `n` cycles is `n * 10^12 / hz`
 /// picoseconds rounded to nearest (with 128-bit intermediates where 64
 /// bits overflow), so long cycle counts do not accumulate per-cycle
-/// rounding error.
+/// rounding error. When `hz` divides `10^12` the period is a whole
+/// number of picoseconds and that value is `n * period`: one multiply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Clock {
     hz: u64,
+    /// `10^12 / hz` when it is a whole number of picoseconds.
+    period_ps: Option<u64>,
 }
 
 impl Clock {
@@ -251,7 +254,13 @@ impl Clock {
     /// Panics if `hz` is zero.
     pub const fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "clock frequency must be non-zero");
-        Clock { hz }
+        let period = PS_PER_S / hz;
+        let period_ps = if period * hz == PS_PER_S {
+            Some(period)
+        } else {
+            None
+        };
+        Clock { hz, period_ps }
     }
 
     /// A clock ticking `mhz` million times per second.
@@ -261,11 +270,17 @@ impl Clock {
 
     /// Duration of `n` clock cycles (rounded to the nearest picosecond).
     ///
-    /// Counts below ~1.8·10⁷ cycles — every per-cell and per-PDU budget —
-    /// keep the product in 64 bits; longer ones take the 128-bit path.
-    /// Both compute the same value.
+    /// A whole-picosecond period multiplies (`(n·10^12 + hz/2) / hz` is
+    /// exactly `n·period` when `hz` divides `10^12`). Otherwise counts
+    /// below ~1.8·10⁷ cycles — every per-cell and per-PDU budget — keep
+    /// the product in 64 bits, and longer ones take the 128-bit path.
+    /// All compute the same value.
     pub fn cycles(self, n: u64) -> SimDuration {
-        if let Some(num) = n
+        if let Some(period) = self.period_ps {
+            if let Some(ps) = n.checked_mul(period) {
+                return SimDuration(ps);
+            }
+        } else if let Some(num) = n
             .checked_mul(PS_PER_S)
             .and_then(|p| p.checked_add(self.hz / 2))
         {
@@ -351,6 +366,34 @@ mod tests {
                 if let Ok(ps) = u64::try_from(wide) {
                     assert_eq!(c.cycles(n), SimDuration(ps), "{n} cycles at {hz} Hz");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn whole_picosecond_periods_multiply_to_the_rounded_quotient() {
+        // 25 MHz (the TURBOchannel and the DS5000's CPU) has a 40 000 ps
+        // period and multiplies; 33 MHz and 175 MHz do not divide 10^12
+        // and divide. Each must give the rounded 128-bit quotient on
+        // seeded counts and across the 64/128-bit boundary at ~1.8·10^7.
+        assert_eq!(Clock::from_mhz(25).period_ps, Some(40_000));
+        assert_eq!(Clock::from_mhz(33).period_ps, None);
+        assert_eq!(Clock::from_mhz(175).period_ps, None);
+        let boundary = u64::MAX / PS_PER_S;
+        let mut rng = crate::SimRng::new(0xC10C_2525);
+        let mut counts: Vec<u64> = (boundary - 3..=boundary + 3).collect();
+        counts.extend((0..2_000).map(|_| rng.gen_range(1 << 32)));
+        counts.extend((0..2_000).map(|_| rng.gen_range(100_000)));
+        for mhz in [25, 33, 175] {
+            let clock = Clock::from_mhz(mhz);
+            let hz = mhz as u128 * 1_000_000;
+            for &n in &counts {
+                let wide = (n as u128 * PS_PER_S as u128 + hz / 2) / hz;
+                assert_eq!(
+                    clock.cycles(n).as_ps() as u128,
+                    wide,
+                    "{n} cycles at {mhz} MHz"
+                );
             }
         }
     }

@@ -9,7 +9,9 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+# Every `unsafe` block and impl must say why it is sound in a
+# `// SAFETY:` comment.
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
 echo "==> rustdoc (deny warnings)"
 # A deleted item leaves doc links to it behind, and a public doc may not
