@@ -11,8 +11,8 @@
 //! 2. delays in multiplexing equipment (→ fixed per-lane `lane_offsets`),
 //! 3. queueing in switch ports (→ random per-cell `queue_jitter`).
 //!
-//! The striper also injects cell loss and corruption for the fault-
-//! handling tests (CRC detection, lazy cache invalidation recovery).
+//! Every cell loss, corruption and lane outage on the link comes from the
+//! run's [`FaultPlan`], applied through one [`FaultInjector`] per link.
 
 use osiris_sim::faults::{CellFate, FaultInjector, FaultPlan};
 use osiris_sim::obs::{Counter, Probe};
@@ -22,7 +22,9 @@ use crate::cell::Cell;
 use crate::link::{LinkLane, LinkSpec};
 use crate::slab::{CellRef, CellSlab};
 
-/// Skew and fault configuration for a striped link.
+/// Skew configuration for a striped link. Faults come from the run's
+/// [`FaultPlan`] (see [`StripedLink::set_fault_plan`]), and the jitter
+/// seed from [`StripedLink::reseed`].
 #[derive(Debug, Clone)]
 pub struct SkewConfig {
     /// Fixed extra delay per lane (multiplexing equipment).
@@ -30,30 +32,21 @@ pub struct SkewConfig {
     /// Maximum random per-cell queueing delay (switch ports); uniform in
     /// `[0, max]`.
     pub queue_jitter_max: SimDuration,
-    /// Probability a cell is silently dropped.
-    pub drop_prob: f64,
-    /// Probability one payload bit of a cell is flipped.
-    pub corrupt_prob: f64,
-    /// RNG seed for jitter and faults.
-    pub seed: u64,
 }
 
 impl SkewConfig {
-    /// Perfectly aligned lanes: no skew, no faults (back-to-back boards on
-    /// one fibre — the paper's measurement setup).
+    /// Perfectly aligned lanes: no skew (back-to-back boards on one
+    /// fibre — the paper's measurement setup).
     pub fn none() -> Self {
         SkewConfig {
             lane_offsets: vec![SimDuration::ZERO; 4],
             queue_jitter_max: SimDuration::ZERO,
-            drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            seed: 1,
         }
     }
 
     /// Mux-equipment skew: lanes shifted by a few cell times each — the
     /// surprise the authors "were not within our power to eliminate".
-    pub fn mux_skew(seed: u64) -> Self {
+    pub fn mux_skew() -> Self {
         SkewConfig {
             lane_offsets: vec![
                 SimDuration::ZERO,
@@ -62,21 +55,15 @@ impl SkewConfig {
                 SimDuration::from_us(9),
             ],
             queue_jitter_max: SimDuration::ZERO,
-            drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            seed,
         }
     }
 
     /// Switch-queueing skew: random per-cell delays up to several cell
     /// times (essentially unbounded in the paper's analysis).
-    pub fn switch_queueing(seed: u64, max_jitter: SimDuration) -> Self {
+    pub fn switch_queueing(max_jitter: SimDuration) -> Self {
         SkewConfig {
             lane_offsets: vec![SimDuration::ZERO; 4],
             queue_jitter_max: max_jitter,
-            drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            seed,
         }
     }
 }
@@ -87,10 +74,8 @@ pub struct StripedLink {
     lanes: Vec<LinkLane>,
     rng: SimRng,
     queue_jitter_max: SimDuration,
-    drop_prob: f64,
-    corrupt_prob: f64,
-    /// Structured fault injection on top of the legacy uniform
-    /// probabilities (`None` when the run's `FaultPlan` is empty).
+    /// Fault injection from the run's `FaultPlan` (`None` when the plan
+    /// cannot touch a lane).
     injector: Option<FaultInjector>,
     cells_dropped: Counter,
     cells_corrupted: Counter,
@@ -120,10 +105,8 @@ impl StripedLink {
             .collect::<Vec<_>>();
         StripedLink {
             lanes,
-            rng: SimRng::new(skew.seed),
+            rng: SimRng::new(1),
             queue_jitter_max: skew.queue_jitter_max,
-            drop_prob: skew.drop_prob,
-            corrupt_prob: skew.corrupt_prob,
             injector: None,
             cells_dropped: p.counter("cells_dropped"),
             cells_corrupted: p.counter("cells_corrupted"),
@@ -131,10 +114,9 @@ impl StripedLink {
         }
     }
 
-    /// Replaces the jitter/fault RNG stream with one seeded by `seed`.
-    /// Lets a harness derive per-node seeds from one shared, borrowed
-    /// [`SkewConfig`] instead of cloning the config per node just to
-    /// rewrite its `seed` field.
+    /// Replaces the queue-jitter RNG stream (seeded 1 at construction)
+    /// with one seeded by `seed`, so a harness derives per-node streams
+    /// from one shared, borrowed [`SkewConfig`].
     pub fn reseed(&mut self, seed: u64) {
         self.rng = SimRng::new(seed);
     }
@@ -170,16 +152,6 @@ impl StripedLink {
         index_in_pdu: u32,
         cell: &mut Cell,
     ) -> Option<(usize, SimTime)> {
-        if self.drop_prob > 0.0 && self.rng.gen_bool(self.drop_prob) {
-            self.cells_dropped.incr();
-            return None;
-        }
-        if self.corrupt_prob > 0.0 && self.rng.gen_bool(self.corrupt_prob) {
-            let byte = self.rng.gen_range(44) as usize;
-            let bit = self.rng.gen_range(8) as u8;
-            cell.corrupt_bit(byte, bit);
-            self.cells_corrupted.incr();
-        }
         let lane = (index_in_pdu as usize) % self.lanes.len();
         let mut physical = lane;
         if let Some(inj) = &mut self.injector {
@@ -293,7 +265,7 @@ mod tests {
 
     #[test]
     fn mux_skew_reorders_across_lanes_only() {
-        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &SkewConfig::mux_skew(7));
+        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &SkewConfig::mux_skew());
         let mut by_lane: Vec<Vec<SimTime>> = vec![vec![]; 4];
         let mut all: Vec<(u32, SimTime)> = Vec::new();
         for i in 0..32u32 {
@@ -314,9 +286,11 @@ mod tests {
 
     #[test]
     fn switch_queueing_jitter_is_deterministic_per_seed() {
-        let cfg = SkewConfig::switch_queueing(9, SimDuration::from_us(20));
+        let cfg = SkewConfig::switch_queueing(SimDuration::from_us(20));
         let mut a = StripedLink::new(LinkSpec::sts3c_back_to_back(), &cfg);
         let mut b = StripedLink::new(LinkSpec::sts3c_back_to_back(), &cfg);
+        a.reseed(9);
+        b.reseed(9);
         for i in 0..64u32 {
             let mut ca = mk_cell(i as u16);
             let mut cb = mk_cell(i as u16);
@@ -329,11 +303,13 @@ mod tests {
 
     #[test]
     fn drop_injection_counts() {
-        let mut cfg = SkewConfig::none();
-        cfg.drop_prob = 1.0;
         let reg = Registry::new();
-        let mut link =
-            StripedLink::with_probe(LinkSpec::sts3c_back_to_back(), &cfg, &reg.probe("n"));
+        let mut link = StripedLink::with_probe(
+            LinkSpec::sts3c_back_to_back(),
+            &SkewConfig::none(),
+            &reg.probe("n"),
+        );
+        link.set_fault_plan(&FaultPlan::uniform_loss(1.0, 4, 0), 0);
         let mut c = mk_cell(0);
         assert!(link.send_cell(SimTime::ZERO, 0, &mut c).is_none());
         let snap = reg.snapshot();
@@ -343,11 +319,19 @@ mod tests {
 
     #[test]
     fn corruption_flips_payload() {
-        let mut cfg = SkewConfig::none();
-        cfg.corrupt_prob = 1.0;
         let reg = Registry::new();
-        let mut link =
-            StripedLink::with_probe(LinkSpec::sts3c_back_to_back(), &cfg, &reg.probe("n"));
+        let mut link = StripedLink::with_probe(
+            LinkSpec::sts3c_back_to_back(),
+            &SkewConfig::none(),
+            &reg.probe("n"),
+        );
+        link.set_fault_plan(
+            &FaultPlan {
+                lane_corrupt_prob: vec![1.0; 4],
+                ..FaultPlan::default()
+            },
+            0,
+        );
         let mut c = mk_cell(3);
         let before = c.payload;
         link.send_cell(SimTime::ZERO, 0, &mut c).unwrap();

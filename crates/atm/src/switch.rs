@@ -13,9 +13,13 @@
 //! coordinate the different ports to keep all queue lengths equal.
 //! However, adding this complexity has the undesirable effect of negating
 //! the advantage of striping". [`SwitchSpec::coordinated`] models that
-//! rejected design for the ablation benches: it equalises queue delay
-//! across a port group, eliminating skew at the cost of making every
-//! lane as slow as the busiest.
+//! rejected design: it equalises queue delay across the port block a
+//! striped route uses, eliminating skew at the cost of making every lane
+//! as slow as the busiest.
+//!
+//! One routing table serves every user: [`Switch::route_group`] maps a
+//! VCI onto a block of output ports, and [`Switch::forward`] sends a cell
+//! arriving on stripe lane `l` out of port `base + l`.
 
 use osiris_sim::obs::{Counter, Gauge, Probe};
 use osiris_sim::{FifoResource, FxHashMap, SimDuration, SimTime};
@@ -32,8 +36,8 @@ pub struct SwitchSpec {
     pub port_rate_bps: u64,
     /// Fixed fabric transit latency.
     pub fabric_latency: SimDuration,
-    /// If true, port groups are coordinated to equal queueing delay
-    /// (the rejected anti-skew design).
+    /// If true, the ports of each route's block are coordinated to equal
+    /// queueing delay (the rejected anti-skew design).
     pub coordinated: bool,
 }
 
@@ -53,7 +57,7 @@ impl SwitchSpec {
         Self::sts3c(16)
     }
 
-    /// The same switch with coordinated port groups.
+    /// The same switch with coordinated port blocks.
     pub fn coordinated() -> Self {
         SwitchSpec {
             coordinated: true,
@@ -83,16 +87,13 @@ pub struct Switch {
     spec: SwitchSpec,
     /// [`SwitchSpec::cell_time`], costed once at construction.
     cell_time: SimDuration,
-    routes: FxHashMap<Vci, usize>,
-    /// Striped routes: a VCI whose lanes land on a contiguous block of
-    /// output ports, stored as `(base, lanes)` (multi-node fabrics).
-    lane_routes: FxHashMap<Vci, (usize, usize)>,
-    /// Routes installed onto each output port, plain and striped.
+    /// Routes: a VCI whose lanes land on a contiguous block of output
+    /// ports, stored as `(base, lanes)`.
+    routes: FxHashMap<Vci, (usize, usize)>,
+    /// Routes installed onto each output port.
     feeders: Vec<u32>,
     outputs: Vec<FifoResource>,
     stats: Vec<PortCounters>,
-    /// Port group used by the coordinated mode (all members share fate).
-    group: Vec<usize>,
     /// Bound on each output queue in cells (`None` = unbounded, the
     /// historical behavior). Set from the run's `FaultPlan`.
     max_queue_cells: Option<u32>,
@@ -129,10 +130,8 @@ impl Switch {
                 })
                 .collect(),
             routes: FxHashMap::default(),
-            lane_routes: FxHashMap::default(),
             feeders: vec![0; spec.ports],
             cell_time: spec.cell_time(),
-            group: Vec::new(),
             max_queue_cells: None,
             ecn_threshold: None,
             unrouted: p.counter("unrouted"),
@@ -160,22 +159,11 @@ impl Switch {
         self.ecn_threshold = cells;
     }
 
-    /// Installs `vci → port`.
-    ///
-    /// # Panics
-    /// Panics if `port` is out of range.
-    pub fn route(&mut self, vci: Vci, port: usize) {
-        assert!(port < self.spec.ports, "port {port} out of range");
-        if let Some(old) = self.routes.insert(vci, port) {
-            self.feeders[old] -= 1;
-        }
-        self.feeders[port] += 1;
-    }
-
-    /// Installs a striped route: cells of `vci` arriving on lane `l` leave
-    /// through port `base + l`. This is how a multi-node fabric maps one
+    /// Installs a route: cells of `vci` arriving on lane `l` leave through
+    /// port `base + l`, for `l < lanes`. This is how a fabric maps one
     /// connection's four lanes onto the destination node's port block
-    /// without retagging cells with per-lane transit VCIs.
+    /// without retagging cells with per-lane transit VCIs; a one-lane
+    /// route (`lanes` = 1) sends a VCI to a single port.
     ///
     /// # Panics
     /// Panics if any port of the block is out of range.
@@ -185,7 +173,7 @@ impl Switch {
             "port block {base}..{} out of range",
             base + lanes
         );
-        if let Some((b, l)) = self.lane_routes.insert(vci, (base, lanes)) {
+        if let Some((b, l)) = self.routes.insert(vci, (base, lanes)) {
             self.feeders[b..b + l].iter_mut().for_each(|f| *f -= 1);
         }
         self.feeders[base..base + lanes]
@@ -202,73 +190,49 @@ impl Switch {
     /// the departure each would get if forwarded at arrival.
     /// A route is one feeder because a connection's cells come from one
     /// sender's link; [`Switch::background_load`] is the caller's own
-    /// input and is not counted. False for a VCI without a striped route.
+    /// input and is not counted. False for a VCI without a route.
     pub fn single_feeder(&self, vci: Vci) -> bool {
         if self.ecn_threshold.is_some() || self.max_queue_cells.is_some() || self.spec.coordinated {
             return false;
         }
-        self.lane_routes
+        self.routes
             .get(&vci)
             .is_some_and(|&(base, lanes)| self.feeders[base..base + lanes].iter().all(|&f| f == 1))
     }
 
-    /// Declares a striped port group (used by coordinated mode).
-    pub fn set_group(&mut self, ports: Vec<usize>) {
-        for &p in &ports {
-            assert!(p < self.spec.ports);
-        }
-        self.group = ports;
-    }
-
-    /// Forwards a cell arriving at `now`. Returns the output port and the
-    /// departure time (after queueing + serialisation + fabric), or
-    /// `None` if the VCI has no route (the cell is dropped).
-    pub fn forward(&mut self, now: SimTime, cell: &Cell) -> Option<(usize, SimTime)> {
-        let Some(&port) = self.routes.get(&cell.header.vci) else {
-            self.unrouted.incr();
-            return None;
-        };
-        self.depart(now, port).map(|(at, _)| (port, at))
-    }
-
-    /// Forwards a cell that arrived on stripe lane `lane`, using the
-    /// striped routes installed by [`Switch::route_group`]. Returns the
-    /// output port (`base + lane`) and the departure time, or `None` if
-    /// the VCI has no striped route (the cell is dropped).
-    pub fn forward_on_lane(
-        &mut self,
-        now: SimTime,
-        cell: &Cell,
-        lane: usize,
-    ) -> Option<(usize, SimTime)> {
-        self.forward_on_lane_marked(now, cell, lane)
-            .map(|(port, at, _)| (port, at))
-    }
-
-    /// [`forward_on_lane`](Self::forward_on_lane) plus the cell's ECN
-    /// mark: the third element is true when the output queue's backlog
-    /// crossed [`Switch::set_ecn_threshold`].
-    pub fn forward_on_lane_marked(
+    /// Forwards a cell that arrived on stripe lane `lane` at `now`.
+    /// Returns the output port (`base + lane` of the VCI's route), the
+    /// departure time (after queueing + serialisation + fabric) and the
+    /// cell's ECN mark: true when the output queue's backlog crossed
+    /// [`Switch::set_ecn_threshold`]. `None` if the VCI has no route or
+    /// the bounded output queue overflows (the cell is dropped).
+    pub fn forward(
         &mut self,
         now: SimTime,
         cell: &Cell,
         lane: usize,
     ) -> Option<(usize, SimTime, bool)> {
-        let Some(&(base, _)) = self.lane_routes.get(&cell.header.vci) else {
+        let Some(&(base, lanes)) = self.routes.get(&cell.header.vci) else {
             self.unrouted.incr();
             return None;
         };
+        assert!(lane < lanes, "lane {lane} overruns port block");
         let port = base + lane;
-        assert!(port < self.spec.ports, "lane {lane} overruns port block");
-        self.depart(now, port)
+        self.depart(now, port, base..base + lanes)
             .map(|(at, marked)| (port, at, marked))
     }
 
     /// Queues one cell on `port`'s output and returns its departure time
     /// (after queueing + serialisation + fabric latency) plus its ECN
     /// mark, or `None` when the bounded output queue overflows and the
-    /// cell is dropped.
-    fn depart(&mut self, now: SimTime, port: usize) -> Option<(SimTime, bool)> {
+    /// cell is dropped. `block` is the route's port block, which the
+    /// coordinated mode equalises over.
+    fn depart(
+        &mut self,
+        now: SimTime,
+        port: usize,
+        block: std::ops::Range<usize>,
+    ) -> Option<(SimTime, bool)> {
         let at = now + self.spec.fabric_latency;
         if let Some(max) = self.max_queue_cells {
             let backlog = self.outputs[port].free_at().saturating_since(at);
@@ -298,13 +262,12 @@ impl Switch {
             .queueing_ps
             .add(grant.queueing_delay(at).as_ps());
         let mut departure = grant.finish;
-        if self.spec.coordinated && self.group.contains(&port) {
-            // The rejected design: hold the cell until the slowest group
-            // member's queue would also have drained, equalising delay.
-            let worst = self
-                .group
+        if self.spec.coordinated {
+            // The rejected design: hold the cell until the slowest port of
+            // its block would also have drained, equalising delay.
+            let worst = self.outputs[block]
                 .iter()
-                .map(|&p| self.outputs[p].free_at())
+                .map(FifoResource::free_at)
                 .max()
                 .unwrap_or(departure);
             departure = departure.max(worst);
@@ -338,21 +301,21 @@ mod tests {
     fn routes_by_vci() {
         let reg = Registry::new();
         let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
-        sw.route(Vci(1), 3);
-        sw.route(Vci(2), 7);
-        let (p1, _) = sw.forward(SimTime::ZERO, &cell(1, 0)).unwrap();
-        let (p2, _) = sw.forward(SimTime::ZERO, &cell(2, 0)).unwrap();
+        sw.route_group(Vci(1), 3, 1);
+        sw.route_group(Vci(2), 7, 1);
+        let (p1, _, _) = sw.forward(SimTime::ZERO, &cell(1, 0), 0).unwrap();
+        let (p2, _, _) = sw.forward(SimTime::ZERO, &cell(2, 0), 0).unwrap();
         assert_eq!((p1, p2), (3, 7));
-        assert!(sw.forward(SimTime::ZERO, &cell(9, 0)).is_none());
+        assert!(sw.forward(SimTime::ZERO, &cell(9, 0), 0).is_none());
         assert_eq!(reg.snapshot().counter("sw.switch.unrouted"), 1);
     }
 
     #[test]
     fn output_port_is_fifo_and_serialises() {
         let mut sw = Switch::new(SwitchSpec::sts3c_16port());
-        sw.route(Vci(1), 0);
-        let a = sw.forward(SimTime::ZERO, &cell(1, 0)).unwrap().1;
-        let b = sw.forward(SimTime::ZERO, &cell(1, 1)).unwrap().1;
+        sw.route_group(Vci(1), 0, 1);
+        let a = sw.forward(SimTime::ZERO, &cell(1, 0), 0).unwrap().1;
+        let b = sw.forward(SimTime::ZERO, &cell(1, 1), 0).unwrap().1;
         assert!(b > a);
         assert_eq!(b.since(a), sw.spec.cell_time());
     }
@@ -362,13 +325,11 @@ mod tests {
         // Four lanes on four ports; cross traffic loads port 2 only.
         let reg = Registry::new();
         let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
-        for lane in 0..4u16 {
-            sw.route(Vci(10 + lane), lane as usize);
-        }
+        sw.route_group(Vci(10), 0, 4);
         sw.background_load(SimTime::ZERO, 2, 20); // ~55 us of foreign cells
         let mut departures = Vec::new();
-        for lane in 0..4u16 {
-            departures.push(sw.forward(SimTime::ZERO, &cell(10 + lane, 0)).unwrap().1);
+        for lane in 0..4 {
+            departures.push(sw.forward(SimTime::ZERO, &cell(10, 0), lane).unwrap().1);
         }
         // Lane 2's cell departs far later than its peers: skew.
         assert!(departures[2] > departures[0] + SimDuration::from_us(30));
@@ -381,14 +342,11 @@ mod tests {
     #[test]
     fn coordinated_mode_equalises_but_slows_everyone() {
         let mut sw = Switch::new(SwitchSpec::coordinated());
-        for lane in 0..4u16 {
-            sw.route(Vci(10 + lane), lane as usize);
-        }
-        sw.set_group(vec![0, 1, 2, 3]);
+        sw.route_group(Vci(10), 0, 4);
         sw.background_load(SimTime::ZERO, 2, 20);
         let mut departures = Vec::new();
-        for lane in 0..4u16 {
-            departures.push(sw.forward(SimTime::ZERO, &cell(10 + lane, 0)).unwrap().1);
+        for lane in 0..4 {
+            departures.push(sw.forward(SimTime::ZERO, &cell(10, 0), lane).unwrap().1);
         }
         // No skew between lanes...
         let min = departures.iter().min().unwrap();
@@ -403,6 +361,35 @@ mod tests {
     }
 
     #[test]
+    fn coordinated_mode_equalises_each_route_block_on_its_own() {
+        // Two routes on disjoint blocks: loading a port of one block
+        // delays that block's lanes and leaves the other's departures
+        // exactly as on an idle switch.
+        let departures = |load: bool| {
+            let mut sw = Switch::new(SwitchSpec::coordinated());
+            sw.route_group(Vci(10), 0, 4);
+            sw.route_group(Vci(11), 4, 4);
+            if load {
+                sw.background_load(SimTime::ZERO, 2, 20);
+            }
+            let mut out = Vec::new();
+            for vci in [10, 11] {
+                for lane in 0..4 {
+                    out.push(sw.forward(SimTime::ZERO, &cell(vci, 0), lane).unwrap().1);
+                }
+            }
+            out
+        };
+        let idle = departures(false);
+        let loaded = departures(true);
+        assert_eq!(loaded[4..], idle[4..], "the unloaded block is untouched");
+        assert!(
+            loaded[..4].iter().all(|&t| t > SimTime::from_us(50)),
+            "every lane of the loaded block waits out port 2"
+        );
+    }
+
+    #[test]
     fn striped_routes_spread_lanes_over_a_port_block() {
         let reg = Registry::new();
         let mut sw = probed(SwitchSpec::sts3c(8), &reg);
@@ -411,17 +398,13 @@ mod tests {
         sw.route_group(Vci(100), 0, 4);
         sw.route_group(Vci(101), 4, 4);
         for lane in 0..4usize {
-            let (p0, _) = sw
-                .forward_on_lane(SimTime::ZERO, &cell(100, 0), lane)
-                .unwrap();
-            let (p1, _) = sw
-                .forward_on_lane(SimTime::ZERO, &cell(101, 0), lane)
-                .unwrap();
+            let (p0, _, _) = sw.forward(SimTime::ZERO, &cell(100, 0), lane).unwrap();
+            let (p1, _, _) = sw.forward(SimTime::ZERO, &cell(101, 0), lane).unwrap();
             assert_eq!(p0, lane);
             assert_eq!(p1, 4 + lane);
         }
         // A VCI with no striped route is dropped and counted.
-        assert!(sw.forward_on_lane(SimTime::ZERO, &cell(7, 0), 0).is_none());
+        assert!(sw.forward(SimTime::ZERO, &cell(7, 0), 0).is_none());
         assert_eq!(reg.snapshot().counter("sw.switch.unrouted"), 1);
     }
 
@@ -435,9 +418,7 @@ mod tests {
         let mut last = SimTime::ZERO;
         for seq in 0..20u16 {
             let vci = 100 + (seq % 2);
-            let (port, dep) = sw
-                .forward_on_lane(SimTime::ZERO, &cell(vci, seq), 2)
-                .unwrap();
+            let (port, dep, _) = sw.forward(SimTime::ZERO, &cell(vci, seq), 2).unwrap();
             assert_eq!(port, 2);
             assert!(dep > last, "shared output port must serialise in order");
             last = dep;
@@ -449,13 +430,13 @@ mod tests {
     fn bounded_output_queue_drops_on_overflow() {
         let reg = Registry::new();
         let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
-        sw.route(Vci(1), 0);
+        sw.route_group(Vci(1), 0, 1);
         sw.set_max_queue_cells(Some(4));
         // Offer 12 cells at the same instant: four fit in the bounded
         // queue (in service + waiting), the rest overflow.
         let mut forwarded = 0;
         for seq in 0..12u16 {
-            if sw.forward(SimTime::ZERO, &cell(1, seq)).is_some() {
+            if sw.forward(SimTime::ZERO, &cell(1, seq), 0).is_some() {
                 forwarded += 1;
             }
         }
@@ -468,7 +449,7 @@ mod tests {
         );
         // Once the queue drains, cells flow again.
         let later = SimTime::from_secs(1);
-        assert!(sw.forward(later, &cell(1, 99)).is_some());
+        assert!(sw.forward(later, &cell(1, 99), 0).is_some());
     }
 
     #[test]
@@ -480,9 +461,7 @@ mod tests {
         sw.set_ecn_threshold(Some(3));
         let mut marks = Vec::new();
         for seq in 0..8u16 {
-            let (_, _, marked) = sw
-                .forward_on_lane_marked(SimTime::ZERO, &cell(1, seq), 0)
-                .unwrap();
+            let (_, _, marked) = sw.forward(SimTime::ZERO, &cell(1, seq), 0).unwrap();
             marks.push(marked);
         }
         // Depth runs 1..=8: the first three cells are unmarked, the rest
@@ -510,9 +489,9 @@ mod tests {
         sw.route_group(Vci(102), 0, 4);
         assert!(!sw.single_feeder(Vci(100)) && !sw.single_feeder(Vci(102)));
         assert!(sw.single_feeder(Vci(101)), "the other block is untouched");
-        // A plain route onto one port of the block counts as well.
+        // A one-port route onto a port of the block counts as well.
         let mut sw = striped(SwitchSpec::sts3c(8));
-        sw.route(Vci(9), 6);
+        sw.route_group(Vci(9), 6, 1);
         assert!(!sw.single_feeder(Vci(101)) && sw.single_feeder(Vci(100)));
         // Re-routing a VCI moves its feeder count with it.
         let mut sw = striped(SwitchSpec::sts3c(12));
@@ -527,8 +506,7 @@ mod tests {
         let mut sw = striped(SwitchSpec::sts3c(8));
         sw.set_max_queue_cells(Some(512));
         assert!(!sw.single_feeder(Vci(100)));
-        let mut sw = striped(SwitchSpec::coordinated());
-        sw.set_group(vec![0, 1, 2, 3]);
+        let sw = striped(SwitchSpec::coordinated());
         assert!(!sw.single_feeder(Vci(100)));
     }
 
@@ -536,12 +514,12 @@ mod tests {
     fn per_lane_order_survives_any_load_pattern() {
         let reg = Registry::new();
         let mut sw = probed(SwitchSpec::sts3c_16port(), &reg);
-        sw.route(Vci(5), 1);
+        sw.route_group(Vci(5), 1, 1);
         sw.background_load(SimTime::from_us(10), 1, 7);
         let mut last = SimTime::ZERO;
         for seq in 0..50u16 {
             let t = SimTime::from_us(seq as u64 * 2);
-            let (_, dep) = sw.forward(t, &cell(5, seq)).unwrap();
+            let (_, dep, _) = sw.forward(t, &cell(5, seq), 0).unwrap();
             assert!(dep >= last, "output queue must be FIFO");
             last = dep;
         }

@@ -13,9 +13,7 @@
 use osiris::config::TestbedConfig;
 use osiris::experiments::{cc_sweep, CcSweepPoint, CC_SCHEMES};
 use osiris::report;
-use osiris_bench::{
-    bench_out_path, json_requested, quick_requested, BenchSnapshot, Better, ExperimentResult,
-};
+use osiris_bench::{bench_out_path, quick_requested, BenchSnapshot, Better, ExperimentResult};
 
 fn main() {
     // The full matrix runs the headline incast degrees at a clean link
@@ -112,10 +110,6 @@ fn main() {
         snap.push_result(&r);
         std::fs::write(&path, snap.to_json()).expect("write bench snapshot");
         eprintln!("wrote {path}");
-    }
-    if json_requested() {
-        println!("{}", r.to_json());
-        return;
     }
     println!(
         "{}",

@@ -21,9 +21,7 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use osiris::sim::{EventQueue, SimDuration, SimRng, SimTime};
-use osiris_bench::{
-    bench_out_path, json_requested, quick_requested, BenchSnapshot, Better, ExperimentResult,
-};
+use osiris_bench::{bench_out_path, quick_requested, BenchSnapshot, Better, ExperimentResult};
 
 /// The pop/push surface the hold model drives.
 trait HoldQueue {
@@ -115,10 +113,6 @@ fn main() {
         snap.push_result(&r);
         std::fs::write(&path, snap.to_json()).expect("write bench snapshot");
         eprintln!("wrote {path}");
-    }
-    if json_requested() {
-        println!("{}", r.to_json());
-        return;
     }
     println!("event engine, hold model ({pending} pending, {ops} ops):");
     println!("  reference heap  {heap:>12.0} events/s");

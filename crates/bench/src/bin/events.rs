@@ -9,11 +9,10 @@
 //! regenerates the baseline and says why, as routing single-feeder cells
 //! when they are sent did for `pairs32` (378 → 191 events per message).
 //!
-//! Each shape runs the benchmark's configuration at its `--quick` length
-//! (seed 42) through `Scenario::run`. The configurations and lengths are
-//! copies of `benchmark/src/workload.rs` (`Workload::build` and
-//! `Workload::length(true)`), which this crate cannot depend on; nothing
-//! checks that the two agree, so a change to either must change both:
+//! Each shape runs the benchmark's own configuration at its `--quick`
+//! length (seed 42) through `Scenario::run`: the bin compiles
+//! `benchmark/src/workload.rs` itself, so the shapes are the benchmark's
+//! by construction:
 //!
 //! * `rx_stream`: `RxBench`, 16 KB UDP/IP messages into one DS5000/200;
 //! * `pingpong`: `Pair`, 1-byte round trips, the client writing each
@@ -24,61 +23,18 @@
 //!
 //! Writes the snapshot when `--bench-out` is given.
 
-use osiris::atm::sar::ReassemblyMode;
-use osiris::config::{TestbedConfig, TouchMode};
-use osiris::proto::stack::CcScheme;
-use osiris::sim::{FaultPlan, SimDuration};
-use osiris::Scenario;
 use osiris_bench::{bench_out_path, BenchSnapshot, Better};
+
+// The bin uses only the workload table, not every helper the benchmark
+// needs, hence the allow on this one item.
+#[allow(dead_code)]
+#[path = "../../../../benchmark/src/workload.rs"]
+mod workload;
+
+use workload::Workload;
 
 /// The seed the benchmark uses by default.
 const SEED: u64 = 42;
-
-/// One shape: its name, scenario, configuration and workload messages.
-/// Mirrors `benchmark/src/workload.rs::{Workload::build, Workload::length}`
-/// at quick length; keep the two equal by hand.
-fn shapes() -> Vec<(&'static str, Scenario, TestbedConfig, u64)> {
-    let base = |messages| {
-        let mut cfg = TestbedConfig::ds5000_200_udp();
-        cfg.seed = SEED;
-        cfg.messages = messages;
-        cfg.warmup = 0;
-        cfg
-    };
-    let mut rx = base(70);
-    rx.msg_size = 16 * 1024;
-
-    let mut pingpong = base(1000);
-    pingpong.msg_size = 1;
-    pingpong.touch = TouchMode::WritePerMessage;
-
-    let mut incast = base(2);
-    incast.msg_size = 1024;
-    incast.reliable = true;
-    incast.cc = CcScheme::Ecn;
-    incast.window = 4;
-    incast.reassembly = ReassemblyMode::FourWay { lanes: 4 };
-    incast.reassembly_timeout = Some(SimDuration::from_us(1000));
-    incast.sim.faults = FaultPlan::uniform_loss(0.01, 4, SEED);
-    incast.sim.faults.switch_max_queue_cells = Some(512);
-    incast.ecn_threshold_cells = Some(128);
-
-    let mut pairs = base(2);
-    pairs.msg_size = 8 * 1024;
-    pairs.reassembly = ReassemblyMode::FourWay { lanes: 4 };
-
-    vec![
-        ("rx_stream", Scenario::RxBench, rx, 70),
-        ("pingpong", Scenario::Pair, pingpong, 1000),
-        (
-            "incast64_lossy",
-            Scenario::Incast { senders: 64 },
-            incast,
-            2 * 64,
-        ),
-        ("pairs32", Scenario::ManyPairs { pairs: 32 }, pairs, 2 * 32),
-    ]
-}
 
 fn main() {
     const PREFIX: &str = "engine.dispatch.";
@@ -87,7 +43,11 @@ fn main() {
         "{:<16} {:>9} {:>14}  per type",
         "shape", "events", "events/msg"
     );
-    for (name, scenario, cfg, messages) in shapes() {
+    for w in Workload::ALL {
+        let name = w.name();
+        let length = w.length(true);
+        let (scenario, cfg) = w.build(SEED, length);
+        let messages = w.messages(length);
         let out = scenario.run(cfg);
         assert!(out.done, "{name} did not complete");
         assert_eq!(out.verify_failures, 0, "{name} delivered corrupt data");

@@ -14,7 +14,7 @@ use osiris::experiments::{receive_throughput, stage_anatomy};
 use osiris::report;
 use osiris::Scenario;
 use osiris_bench::{
-    at_size, bench_out_path, figure_sizes, json_requested, BenchSnapshot, Better, ExperimentResult,
+    at_size, bench_out_path, figure_sizes, BenchSnapshot, Better, ExperimentResult,
 };
 
 fn main() {
@@ -69,10 +69,6 @@ fn main() {
         snap.set_anatomy(&stage_anatomy(Scenario::RxBench, &cfg));
         std::fs::write(&path, snap.to_json()).expect("write bench snapshot");
         eprintln!("wrote {path}");
-    }
-    if json_requested() {
-        println!("{}", r.to_json());
-        return;
     }
     let kb: Vec<u64> = sizes.iter().map(|s| s / 1024).collect();
     if std::env::args().any(|a| a == "--plot") {

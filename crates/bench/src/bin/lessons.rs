@@ -1,7 +1,6 @@
 //! Regenerates the in-text numbers and "lessons" of §2 and §3: the
 //! results the paper states in prose rather than in a table or figure.
 
-use osiris::atm::stripe::SkewConfig;
 use osiris::board::descriptor::{DescRing, Descriptor, LockedRing};
 use osiris::config::TestbedConfig;
 use osiris::experiments::{dma_ceilings, interrupt_suppression, pio_vs_dma, skew_vs_merging};
@@ -108,7 +107,6 @@ fn main() {
     );
     println!("  ('once skew is introduced, the probability that two successive cells");
     println!("    will be received in order is greatly reduced')");
-    let _ = SkewConfig::none();
 
     section("§2.7 DMA versus PIO (application access rate, 64 KB)");
     for m in [MachineSpec::ds5000_200(), MachineSpec::dec3000_600()] {

@@ -12,9 +12,7 @@
 use osiris::config::TestbedConfig;
 use osiris::experiments::loss_sweep;
 use osiris::report;
-use osiris_bench::{
-    bench_out_path, json_requested, quick_requested, BenchSnapshot, Better, ExperimentResult,
-};
+use osiris_bench::{bench_out_path, quick_requested, BenchSnapshot, Better, ExperimentResult};
 
 fn main() {
     // Full sweep spans four decades of per-cell loss; `--quick` keeps the
@@ -81,12 +79,6 @@ fn main() {
         snap.push_result(&rt);
         std::fs::write(&path, snap.to_json()).expect("write bench snapshot");
         eprintln!("wrote {path}");
-    }
-    // One document on stdout, per the --json contract; the p99/counter
-    // series are archived in the --bench-out snapshot alongside it.
-    if json_requested() {
-        println!("{}", r.to_json());
-        return;
     }
     println!(
         "{}",

@@ -16,7 +16,7 @@ use osiris::config::TestbedConfig;
 
 pub mod results;
 pub mod snapshot;
-pub use results::{json_requested, ExperimentResult};
+pub use results::ExperimentResult;
 pub use snapshot::{bench_out_path, quick_requested, BenchSnapshot, Better};
 
 /// The message sizes of Figures 2–4 (bytes): 1 KB to 256 KB, or a

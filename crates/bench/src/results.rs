@@ -1,11 +1,11 @@
 //! Machine-readable experiment results.
 //!
-//! Every regeneration binary accepts `--json`; instead of the paper-style
-//! text tables it then emits one [`ExperimentResult`] document on stdout,
-//! so EXPERIMENTS.md refreshes and downstream analysis (plotting,
-//! regression tracking in CI) work from the same source of truth. The
-//! document is built with the in-tree serializer (`osiris::sim::Json`) —
-//! no external dependencies — and parses back with the same module.
+//! A regeneration binary's series are one [`ExperimentResult`] document,
+//! stored under `results` in the `--bench-out` snapshot next to the
+//! headlines, so regression tracking and downstream analysis (plotting)
+//! work from the same source of truth as the text tables. The document is
+//! built with the in-tree serializer (`osiris::sim::Json`) — no external
+//! dependencies — and parses back with the same module.
 
 use osiris::sim::Json;
 
@@ -132,16 +132,6 @@ impl ExperimentResult {
             series,
         })
     }
-
-    /// Serialises to pretty JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render_pretty()
-    }
-}
-
-/// True if the process arguments request JSON output.
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
 }
 
 #[cfg(test)]
@@ -158,7 +148,7 @@ mod tests {
             Some(&[70.0, 120.0]),
         );
         r.push_series("double", &[1024, 2048], &[74.0, 127.7], None);
-        let j = r.to_json();
+        let j = r.to_json_value().render_pretty();
         let v = Json::parse(&j).unwrap();
         assert_eq!(v.get("id").unwrap().as_str(), Some("fig2"));
         let s0p1 = v
@@ -183,7 +173,7 @@ mod tests {
             .unwrap();
         assert!(s1p0.get("paper").is_none());
         let back = ExperimentResult::from_json_value(&v).unwrap();
-        assert_eq!(back.to_json(), j);
+        assert_eq!(back.to_json_value().render_pretty(), j);
     }
 
     #[test]

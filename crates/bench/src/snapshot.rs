@@ -106,7 +106,7 @@ pub struct BenchSnapshot {
     pub name: String,
     /// The guarded metrics.
     pub headlines: Vec<Headline>,
-    /// The full series the bench printed (same shape as `--json`).
+    /// The full series the bench printed, one document per table.
     pub results: Vec<ExperimentResult>,
     /// Critical-path stage percentiles from a traced representative run
     /// (ends with the `end-to-end` row when present).

@@ -558,7 +558,7 @@ mod tests {
     use osiris_atm::stripe::SkewConfig;
     use osiris_atm::LinkSpec;
     use osiris_mem::{BusSpec, PhysAddr};
-    use osiris_sim::Registry;
+    use osiris_sim::{FaultPlan, Registry};
 
     fn setup() -> (TxProcessor, MemorySystem, PhysMemory, StripedLink, CellSlab) {
         let tx = TxProcessor::new(TxConfig::paper_default(), DpramLayout::paper_default());
@@ -704,11 +704,8 @@ mod tests {
         let reg = Registry::new();
         let mut tx = probed(&reg);
         // A link that drops every cell.
-        let skew = SkewConfig {
-            drop_prob: 1.0,
-            ..SkewConfig::none()
-        };
-        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &skew);
+        let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &SkewConfig::none());
+        link.set_fault_plan(&FaultPlan::uniform_loss(1.0, 4, 0), 0);
         queue_pdu(&mut tx, 0, &[(0x4000, 1000)], Vci(7));
         let out = tx
             .service(SimTime::ZERO, &mut mem, &phys, &mut link, &mut slab)

@@ -9,7 +9,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use osiris_atm::Vci;
 use osiris_board::descriptor::{DescRing, Descriptor, DESC_WORDS};
-use osiris_board::spsc::SpscRing;
+use osiris_board::spsc::ring;
 use osiris_mem::PhysAddr;
 use osiris_sim::SimRng;
 
@@ -35,22 +35,22 @@ fn both_rings_agree() {
         let size = rng.gen_range_inclusive(2, 31) as u32;
         let ops = rng.gen_range_inclusive(1, 299);
         let mut des = DescRing::new(size);
-        let spsc = SpscRing::<u32>::new(size);
+        let (mut tx, mut rx) = ring::<u32>(size);
         let mut n = 0u32;
         for _ in 0..ops {
             if rng.gen_bool(0.5) {
                 let des_ok = des
                     .push(Descriptor::tx(PhysAddr(n as u64), n, Vci(1), false))
                     .is_ok();
-                let spsc_ok = spsc.push(n).is_ok();
+                let spsc_ok = tx.push(n).is_ok();
                 assert_eq!(des_ok, spsc_ok, "full disagreement at {n}");
                 n += 1;
             } else {
                 let a = des.pop().map(|(d, _)| d.len);
-                let b = spsc.pop();
+                let b = rx.pop();
                 assert_eq!(a, b, "pop disagreement");
             }
-            assert_eq!(des.len(), spsc.len());
+            assert_eq!(des.len(), rx.len());
         }
     });
 }
@@ -97,7 +97,7 @@ fn ring_costs_are_constant() {
 fn wraparound_equivalence_long_run() {
     // Deterministic long interleaving crossing the wrap point many times.
     let mut des = DescRing::new(5);
-    let spsc = SpscRing::<u32>::new(5);
+    let (mut tx, mut rx) = ring::<u32>(5);
     let mut next = 0u32;
     for round in 0..1000u32 {
         let pushes = (round % 4) + 1;
@@ -105,7 +105,7 @@ fn wraparound_equivalence_long_run() {
             let a = des
                 .push(Descriptor::tx(PhysAddr(0), next, Vci(1), false))
                 .is_ok();
-            let b = spsc.push(next).is_ok();
+            let b = tx.push(next).is_ok();
             assert_eq!(a, b);
             if a {
                 next += 1;
@@ -113,7 +113,7 @@ fn wraparound_equivalence_long_run() {
         }
         let pops = (round % 3) + 1;
         for _ in 0..pops {
-            assert_eq!(des.pop().map(|(d, _)| d.len), spsc.pop());
+            assert_eq!(des.pop().map(|(d, _)| d.len), rx.pop());
         }
     }
 }

@@ -70,7 +70,7 @@ pub struct TestbedConfig {
     pub interrupt_policy: InterruptPolicy,
     /// Reassembly strategy (§2.6).
     pub reassembly: ReassemblyMode,
-    /// Link skew and fault injection.
+    /// Link skew (faults come from `sim.faults`).
     pub skew: SkewConfig,
     /// UDP data checksumming.
     pub udp_checksum: bool,
@@ -110,7 +110,8 @@ pub struct TestbedConfig {
     /// buffers reclaimed, and the VCI unwedged (`None` = never, the
     /// paper's behaviour).
     pub reassembly_timeout: Option<SimDuration>,
-    /// Simulation-kernel observability sizing (trace ring, timeline).
+    /// Simulation-kernel settings: timeline capacity, the fault plan and
+    /// the telemetry sampler.
     pub sim: SimConfig,
 }
 

@@ -425,7 +425,7 @@ pub fn skew_vs_merging(machine: MachineSpec) -> (f64, f64) {
         cfg.messages = 6;
         cfg.rx_dma = DmaMode::DoubleCell;
         if skewed {
-            cfg.skew = osiris_atm::stripe::SkewConfig::mux_skew(17);
+            cfg.skew = osiris_atm::stripe::SkewConfig::mux_skew();
             cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
         }
         let sim = run_until_done(Scenario::Pair, cfg, false);

@@ -14,7 +14,7 @@
 use osiris_atm::stripe::StripedLink;
 use osiris_atm::switch::{Switch, SwitchSpec};
 use osiris_atm::{Cell, LinkSpec, Vci};
-use osiris_sim::faults::{component_seed, FaultComponent};
+use osiris_sim::faults::component_seed;
 use osiris_sim::{Registry, SimTime};
 
 use crate::config::TestbedConfig;
@@ -71,10 +71,10 @@ fn build_links(cfg: &TestbedConfig, n: usize, registry: &Registry) -> Vec<Stripe
             );
             // Per-node jitter stream, derived without cloning the config.
             link.reseed(cfg.seed.wrapping_add(1000 + i as u64));
-            // The fault seed comes from the pure (node, component)
-            // derivation, never from wiring or insertion order, so no
-            // change to the wiring can perturb a node's fault stream.
-            link.set_fault_plan(&cfg.sim.faults, component_seed(i, FaultComponent::LinkTx));
+            // The fault seed is a pure function of the node index, never
+            // of wiring or insertion order, so no change to the wiring can
+            // perturb a node's fault stream.
+            link.set_fault_plan(&cfg.sim.faults, component_seed(i));
             link
         })
         .collect()
@@ -164,7 +164,7 @@ impl Fabric for SwitchedFabric {
 
     fn route(&mut self, _from: NodeId, at: SimTime, lane: usize, cell: &Cell) -> Option<Delivery> {
         self.switch
-            .forward_on_lane_marked(at, cell, lane)
+            .forward(at, cell, lane)
             .map(|(port, departure, marked)| Delivery {
                 to: NodeId(port / self.lanes),
                 lane: port % self.lanes,

@@ -42,9 +42,6 @@ use crate::fabric::Fabric;
 
 pub use crate::node::{HostNode, NodeId, Role};
 
-/// Back-compat alias for the pre-refactor name.
-pub use crate::node::HostNode as Node;
-
 /// Testbed events.
 #[derive(Debug, Clone)]
 pub enum Event {
@@ -1531,7 +1528,7 @@ mod tests {
     #[test]
     fn skewed_link_with_fourway_reassembly_delivers() {
         let mut cfg = TestbedConfig::ds5000_200_udp();
-        cfg.skew = osiris_atm::stripe::SkewConfig::mux_skew(9);
+        cfg.skew = osiris_atm::stripe::SkewConfig::mux_skew();
         cfg.reassembly = osiris_atm::sar::ReassemblyMode::FourWay { lanes: 4 };
         cfg.msg_size = 8000;
         let tb = run_pair(cfg);

@@ -15,8 +15,9 @@
 //!   infinite queues into a drop point.
 //!
 //! The plan lives in [`crate::SimConfig`] so every harness shares one
-//! source of truth; injection happens in `atm::{stripe,switch}` through a
-//! [`FaultInjector`] built from the plan.
+//! source of truth, and it is the only source of wire faults: each
+//! striped link (`atm::stripe`) applies it through a [`FaultInjector`],
+//! and the switch (`atm::switch`) takes its queue bound from it.
 //!
 //! # Determinism contract
 //!
@@ -121,31 +122,18 @@ impl FaultPlan {
     }
 }
 
-/// Which fault-injectable component of a node an injector drives. Each
-/// component gets its own independent fault stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultComponent {
-    /// The node's transmit-side striped link (the only injection point
-    /// today; the enum exists so future components — switch ports, DMA
-    /// engines — get their own disjoint seed ranges instead of
-    /// colliding with the link's).
-    LinkTx,
-}
-
-/// The component seed for `component` of node `node` — a pure function
-/// of its arguments, independent of wiring or insertion order, so no
-/// partitioning of the fabric can perturb a component's fault stream.
+/// The fault seed of node `node`'s transmit link — a pure function of
+/// the node index, independent of wiring or insertion order, so no
+/// partitioning of the fabric can perturb a link's fault stream.
 ///
-/// The `LinkTx` value is pinned to `2000 + node`: that is the seed the
-/// fabric builder has always fed `StripedLink::set_fault_plan`, and the
+/// The value is pinned to `2000 + node`: that is the seed the fabric
+/// builder has always fed `StripedLink::set_fault_plan`, and the
 /// committed `BENCH_loss` baseline (and every fault-plane golden) is a
 /// function of the resulting streams. Changing these numerics is a
 /// baseline-breaking change; the `component_seed_is_pure_and_pinned`
 /// regression test holds them in place.
-pub fn component_seed(node: usize, component: FaultComponent) -> u64 {
-    match component {
-        FaultComponent::LinkTx => 2000 + node as u64,
-    }
+pub fn component_seed(node: usize) -> u64 {
+    2000 + node as u64
 }
 
 /// What the injector decided for one offered cell.
@@ -319,17 +307,17 @@ mod tests {
 
     #[test]
     fn component_seed_is_pure_and_pinned() {
-        // The derivation is a pure function of (node, component) with the
+        // The derivation is a pure function of the node with the
         // historical numerics: 2000 + node for the transmit link. These
         // exact values feed every committed fault-plane baseline
         // (BENCH_loss), so they must never move.
-        assert_eq!(component_seed(0, FaultComponent::LinkTx), 2000);
-        assert_eq!(component_seed(1, FaultComponent::LinkTx), 2001);
-        assert_eq!(component_seed(63, FaultComponent::LinkTx), 2063);
+        assert_eq!(component_seed(0), 2000);
+        assert_eq!(component_seed(1), 2001);
+        assert_eq!(component_seed(63), 2063);
 
         // The resulting stream is pinned too: wiring order, injector
         // construction order, or fabric partitioning cannot perturb it,
-        // because nothing but (plan.seed, node, component) enters the RNG.
+        // because nothing but (plan.seed, node) enters the RNG.
         let plan = FaultPlan {
             lane_drop_prob: vec![0.25; 4],
             lane_corrupt_prob: vec![0.1; 4],
@@ -337,7 +325,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let stream = |node| -> Vec<CellFate> {
-            let mut inj = FaultInjector::new(&plan, component_seed(node, FaultComponent::LinkTx));
+            let mut inj = FaultInjector::new(&plan, component_seed(node));
             (0..12).map(|i| inj.offer(i % 4, 44)).collect()
         };
         use CellFate::{Corrupt, Deliver, Drop};

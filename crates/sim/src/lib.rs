@@ -15,8 +15,8 @@
 //!   state machine, the kernel just dispatches events in time order.
 //! * [`FifoResource`] — reservation-based modelling of serially shared
 //!   hardware (a bus, a CPU, a firmware engine, a link lane).
-//! * [`stats`] — running moments and throughput meters used by the
-//!   experiment harness; distributions use [`obs::Histogram`].
+//! * [`stats`] — the throughput meter used by the experiment harness;
+//!   latency distributions use [`obs::Histogram`].
 //! * [`SimRng`] — a tiny, dependency-free, fully deterministic RNG
 //!   (SplitMix64) used for skew jitter and fault injection.
 //! * [`FxHashMap`] — a keyless multiply-rotate hasher for the per-cell
@@ -41,9 +41,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use faults::{
-    CellFate, FaultComponent, FaultInjector, FaultPlan, LaneOutage, PointFault, PointFaultKind,
-};
+pub use faults::{CellFate, FaultInjector, FaultPlan, LaneOutage, PointFault, PointFaultKind};
 pub use fxhash::{FxHashMap, FxHasher};
 pub use json::Json;
 pub use obs::series::{SeriesData, SeriesDump, SeriesKind, SeriesSet};

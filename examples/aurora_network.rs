@@ -27,10 +27,8 @@ fn main() {
     ] {
         let reg = Registry::new();
         let mut sw = Switch::with_probe(spec, &reg.probe("fabric"));
-        for lane in 0..4u16 {
-            sw.route(Vci(10 + lane), lane as usize);
-        }
-        sw.set_group(vec![0, 1, 2, 3]);
+        // Lane l leaves through port l (the stripe crosses distinct ports).
+        sw.route_group(Vci(0), 0, 4);
 
         // Bursty cross traffic hammers ports 1 and 3.
         for (port, seed) in [(1usize, 11u64), (3, 13)] {
@@ -56,12 +54,9 @@ fn main() {
         }
         .segment(Vci(0), &[&data]);
         let mut arrivals = Vec::new();
-        for (i, mut cell) in cells.into_iter().enumerate() {
-            let lane = i % 4;
-            cell.header.vci = Vci(10 + lane as u16);
+        for (i, cell) in cells.into_iter().enumerate() {
             let t = SimTime::from_us(300) + SimDuration::from_ns(700 * i as u64);
-            let (port, dep) = sw.forward(t, &cell).expect("routed");
-            cell.header.vci = Vci(0);
+            let (port, dep, _) = sw.forward(t, &cell, i % 4).expect("routed");
             arrivals.push((dep, port, cell));
         }
         arrivals.sort_by_key(|&(at, _, _)| at);

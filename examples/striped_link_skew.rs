@@ -63,7 +63,7 @@ fn reassemble(mode: ReassemblyMode, arrivals: &[(usize, osiris::atm::Cell)]) -> 
 
 fn main() {
     let data: Vec<u8> = (0..44 * 40).map(|i| (i % 251) as u8).collect();
-    let skew = SkewConfig::mux_skew(33);
+    let skew = SkewConfig::mux_skew();
 
     // 1. In-order reassembly under skew: corrupted, CRC catches it.
     let arrivals = send_over(skew.clone(), FramingMode::EndOfPdu, &data);

@@ -2,7 +2,7 @@
 //!
 //! The paper's claim: a one-reader-one-writer ring needs only atomic
 //! 32-bit loads and stores. On a modern memory model that means one
-//! release/acquire pair per side; `SpscRing` encodes exactly that, and
+//! release/acquire pair per side; `spsc::ring` encodes exactly that, and
 //! these tests hammer it from a producer and a consumer thread.
 //!
 //! Each property runs 64 seeded cases drawn with `SimRng` (ring size,
@@ -13,7 +13,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread;
 
-use osiris::board::spsc::SpscRing;
+use osiris::board::spsc::{ring, Consumer, Producer};
 use osiris::sim::SimRng;
 
 /// Cases per property.
@@ -42,9 +42,9 @@ fn ring_size(rng: &mut SimRng) -> u32 {
 
 /// Pushes `items` in order from one thread, spinning while the ring is
 /// full.
-fn produce<T>(ring: &SpscRing<T>, items: impl Iterator<Item = T>) {
+fn produce<T>(tx: &mut Producer<T>, items: impl Iterator<Item = T>) {
     for mut item in items {
-        while let Err(back) = ring.push(item) {
+        while let Err(back) = tx.push(item) {
             item = back;
             thread::yield_now();
         }
@@ -54,10 +54,10 @@ fn produce<T>(ring: &SpscRing<T>, items: impl Iterator<Item = T>) {
 /// Pops `n` values on one thread, spinning while the ring is empty. The
 /// caller checks them after both threads joined: a consumer that
 /// panicked mid-run would leave the producer spinning on a full ring.
-fn consume<T>(ring: &SpscRing<T>, n: u64) -> Vec<T> {
+fn consume<T>(rx: &mut Consumer<T>, n: u64) -> Vec<T> {
     let mut out = Vec::with_capacity(n as usize);
     while (out.len() as u64) < n {
-        match ring.pop() {
+        match rx.pop() {
             Some(v) => out.push(v),
             None => thread::yield_now(),
         }
@@ -70,13 +70,13 @@ fn spsc_ring_is_linearizable_across_threads() {
     for_each_case(0x5C00, |rng| {
         let size = ring_size(rng);
         let n = rng.gen_range_inclusive(1, 4_000);
-        let ring = SpscRing::<u64>::new(size);
+        let (mut tx, mut rx) = ring::<u64>(size);
         let got = thread::scope(|s| {
-            s.spawn(|| produce(&ring, 0..n));
-            s.spawn(|| consume(&ring, n)).join().expect("consumer")
+            s.spawn(|| produce(&mut tx, 0..n));
+            s.spawn(|| consume(&mut rx, n)).join().expect("consumer")
         });
         assert!(got.into_iter().eq(0..n), "FIFO violation at size {size}");
-        assert!(ring.is_empty());
+        assert!(rx.is_empty());
     });
 }
 
@@ -87,16 +87,16 @@ fn spsc_ring_transfers_owned_payloads_safely() {
     for_each_case(0x5D00, |rng| {
         let size = ring_size(rng);
         let n = rng.gen_range_inclusive(1, 2_000);
-        let ring = SpscRing::<Box<[u8; 44]>>::new(size);
+        let (mut tx, mut rx) = ring::<Box<[u8; 44]>>(size);
         let fill = |i: u64| (i % 251) as u8;
         let got = thread::scope(|s| {
-            s.spawn(|| produce(&ring, (0..n).map(|i| Box::new([fill(i); 44]))));
-            s.spawn(|| consume(&ring, n)).join().expect("consumer")
+            s.spawn(|| produce(&mut tx, (0..n).map(|i| Box::new([fill(i); 44]))));
+            s.spawn(|| consume(&mut rx, n)).join().expect("consumer")
         });
         for (i, cell) in (0..n).zip(got) {
             assert_eq!(*cell, [fill(i); 44], "payload {i} at size {size}");
         }
-        assert!(ring.is_empty());
+        assert!(rx.is_empty());
     });
 }
 
@@ -112,19 +112,19 @@ fn spsc_ring_survives_bursty_producers() {
             .map(|_| rng.gen_range_inclusive(1, 2 * size as u64))
             .collect();
         let n: u64 = bursts.iter().sum();
-        let ring = SpscRing::<u64>::new(size);
+        let (mut tx, mut rx) = ring::<u64>(size);
         let got = thread::scope(|s| {
             s.spawn(|| {
                 let mut v = 0u64;
                 for &burst in &bursts {
-                    produce(&ring, v..v + burst);
+                    produce(&mut tx, v..v + burst);
                     v += burst;
                     thread::yield_now();
                 }
             });
-            s.spawn(|| consume(&ring, n)).join().expect("consumer")
+            s.spawn(|| consume(&mut rx, n)).join().expect("consumer")
         });
         assert!(got.into_iter().eq(0..n), "FIFO violation at size {size}");
-        assert!(ring.is_empty());
+        assert!(rx.is_empty());
     });
 }

@@ -140,7 +140,7 @@ fn skewed_stripes_work_with_both_strategies() {
         let mut cfg = base();
         cfg.msg_size = 10_000;
         cfg.messages = 4;
-        cfg.skew = SkewConfig::mux_skew(5);
+        cfg.skew = SkewConfig::mux_skew();
         cfg.reassembly = reassembly;
         let lat = round_trip_latency(&cfg);
         assert_eq!(lat.count(), 4, "{reassembly:?} under skew");
@@ -152,7 +152,7 @@ fn switch_queueing_jitter_is_survivable_with_fourway() {
     let mut cfg = base();
     cfg.msg_size = 6000;
     cfg.messages = 4;
-    cfg.skew = SkewConfig::switch_queueing(11, SimDuration::from_us(15));
+    cfg.skew = SkewConfig::switch_queueing(SimDuration::from_us(15));
     cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
     let lat = round_trip_latency(&cfg);
     assert_eq!(lat.count(), 4);

@@ -58,8 +58,8 @@ fn corrupted_cells_are_dropped_by_the_board_crc() {
     let mut cfg = TestbedConfig::ds5000_200_udp();
     cfg.msg_size = 4096;
     cfg.messages = 30;
-    cfg.skew.corrupt_prob = 0.02;
-    cfg.skew.seed = 1234;
+    cfg.sim.faults.lane_corrupt_prob = vec![0.02; 4];
+    cfg.sim.faults.seed = 1234;
     let tb = run_pings(cfg);
     // The experiment may stall (a lost ping is never retransmitted — UDP!)
     // but nothing corrupt may have been delivered.

@@ -145,7 +145,7 @@ fn routing_at_send_matches_routing_on_arrival() {
     // Skewed lanes deliver a PDU's cells out of send order, which is
     // where routing at send has to sort them by arrival time.
     let mut skewed = cfg.clone();
-    skewed.skew = SkewConfig::mux_skew(9);
+    skewed.skew = SkewConfig::mux_skew();
     let mut incast = cfg.clone();
     incast.reliable = true;
     let runs = [

@@ -22,11 +22,8 @@ fn via_switch(
         SwitchSpec::sts3c_16port()
     };
     let mut sw = Switch::new(spec);
-    // Lane l travels VCI 10+l → port l (the stripe crosses distinct ports).
-    for lane in 0..4u16 {
-        sw.route(Vci(10 + lane), lane as usize);
-    }
-    sw.set_group(vec![0, 1, 2, 3]);
+    // Lane l leaves through port l (the stripe crosses distinct ports).
+    sw.route_group(Vci(0), 0, 4);
     sw.background_load(SimTime::ZERO, 1, cross);
 
     let cells = Segmenter {
@@ -35,14 +32,9 @@ fn via_switch(
     }
     .segment(Vci(0), &[data]);
     let mut arrivals = Vec::new();
-    for (i, mut cell) in cells.into_iter().enumerate() {
-        let lane = i % 4;
-        // Tag the cell with its lane's transit VCI for routing, restoring
-        // the logical VCI on arrival (the boards agree on the stripe).
-        cell.header.vci = Vci(10 + lane as u16);
+    for (i, cell) in cells.into_iter().enumerate() {
         let t = SimTime::ZERO + SimDuration::from_ns(700 * i as u64); // wire pacing
-        let (port, departure) = sw.forward(t, &cell).expect("routed");
-        cell.header.vci = Vci(0);
+        let (port, departure, _) = sw.forward(t, &cell, i % 4).expect("routed");
         arrivals.push((departure, port, cell));
     }
     arrivals.sort_by_key(|&(at, _, _)| at);
@@ -133,7 +125,7 @@ fn four_sender_incast_preserves_per_lane_fifo_and_per_vci_reassembly() {
     // (port, offer_seq, departure, lane, cell)
     let mut arrivals = Vec::new();
     for (seq, (t, _, lane, cell)) in offers.into_iter().enumerate() {
-        let (port, at) = sw.forward_on_lane(t, &cell, lane).expect("routed");
+        let (port, at, _) = sw.forward(t, &cell, lane).expect("routed");
         assert_eq!(port, lane, "stripe lane must map onto its block port");
         arrivals.push((port, seq, at, lane, cell));
     }
