@@ -7,7 +7,10 @@
 //! moves `<shape>.events_per_msg`, where a wall-clock events/s headline
 //! would vanish into scheduler noise. A change that means to move a count
 //! regenerates the baseline and says why, as routing single-feeder cells
-//! when they are sent did for `pairs32` (378 → 191 events per message).
+//! when they are sent did for `pairs32` (378 → 191 events per message),
+//! and then cell trains, one `CellArrival` per run of a PDU's cells at
+//! its receiver, did again (191 → 6 at this length, two arrival events
+//! per PDU; 7.89 at the benchmark's full length, 3.89 per PDU).
 //!
 //! Each shape runs the benchmark's own configuration at its `--quick`
 //! length (seed 42) through `Scenario::run`: the bin compiles

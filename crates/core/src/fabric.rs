@@ -15,6 +15,7 @@ use osiris_atm::stripe::StripedLink;
 use osiris_atm::switch::{Switch, SwitchSpec};
 use osiris_atm::{Cell, LinkSpec, Vci};
 use osiris_sim::faults::component_seed;
+use osiris_sim::fxhash::FxHashMap;
 use osiris_sim::{Registry, SimTime};
 
 use crate::config::TestbedConfig;
@@ -54,6 +55,9 @@ pub trait Fabric: std::fmt::Debug {
     /// Elsewhere the dispatcher must call `route` in cell-*arrival*
     /// order, the order the hardware's output queues see.
     fn single_feeder(&self, vci: Vci) -> bool;
+
+    /// The node `from`'s cells on `vci` reach, if any (no routing runs).
+    fn dest(&self, from: NodeId, vci: Vci) -> Option<NodeId>;
 }
 
 /// Per-node transmit links with per-node deterministic skew seeds —
@@ -118,6 +122,10 @@ impl Fabric for BackToBack {
     fn single_feeder(&self, _vci: Vci) -> bool {
         true
     }
+
+    fn dest(&self, from: NodeId, _vci: Vci) -> Option<NodeId> {
+        (self.links.len() == 2).then(|| NodeId(1 - from.0))
+    }
 }
 
 /// An output-queued switch between the nodes. Node `i`'s four stripe
@@ -128,6 +136,8 @@ pub struct SwitchedFabric {
     links: Vec<StripedLink>,
     lanes: usize,
     switch: Switch,
+    /// The node each connected VCI routes to.
+    dests: FxHashMap<Vci, NodeId>,
 }
 
 impl SwitchedFabric {
@@ -144,12 +154,14 @@ impl SwitchedFabric {
             links,
             lanes,
             switch,
+            dests: FxHashMap::default(),
         }
     }
 
     /// Routes connection `vci` to node `to`'s port block.
     pub fn connect(&mut self, vci: Vci, to: NodeId) {
         self.switch.route_group(vci, to.0 * self.lanes, self.lanes);
+        self.dests.insert(vci, to);
     }
 }
 
@@ -175,5 +187,9 @@ impl Fabric for SwitchedFabric {
 
     fn single_feeder(&self, vci: Vci) -> bool {
         self.switch.single_feeder(vci)
+    }
+
+    fn dest(&self, _from: NodeId, vci: Vci) -> Option<NodeId> {
+        self.dests.get(&vci).copied()
     }
 }

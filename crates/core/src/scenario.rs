@@ -10,16 +10,18 @@
 //! [`RunOutcome`].
 
 use osiris_adc::AdcManager;
-use osiris_atm::{CellSlab, Vci};
+use osiris_atm::sar::{SegmentUnit, Segmenter};
+use osiris_atm::{CellSlab, Vci, CELL_PAYLOAD};
+use osiris_proto::{IP_HEADER_BYTES, UDP_HEADER_BYTES};
 use osiris_sim::obs::{Histogram, Snapshot};
 use osiris_sim::stats::ThroughputMeter;
 use osiris_sim::{Registry, SeriesDump, SimDuration, SimTime, Simulation, Timeline};
 
-use crate::config::TestbedConfig;
+use crate::config::{Layer, TestbedConfig};
 use crate::fabric::{BackToBack, Fabric, SwitchedFabric};
 use crate::node::{Endpoint, HostNode, NodeId, Role};
 use crate::telemetry::{run_sampled, Sampler};
-use crate::testbed::{DispatchCounters, Event, TbSyms, Testbed};
+use crate::testbed::{DispatchCounters, Event, Ledger, TbSyms, Testbed, Trains};
 
 /// A topology + workload the testbed can assemble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,6 +243,8 @@ impl Scenario {
             eop_pushed: std::collections::HashMap::new(),
             switch_span_floor: std::collections::HashMap::new(),
             route_order: Vec::new(),
+            ledger: Ledger::default(),
+            trains: Trains::default(),
             reap_scheduled: vec![false; n],
             reap_idle: vec![0; n],
             retrans_queued: vec![std::collections::BTreeSet::new(); n],
@@ -283,6 +287,9 @@ impl Scenario {
                 tb.expected_deliveries = pairs as u64 * tb.cfg.messages;
             }
         }
+        let (takes_trains, feeders) = cell_paths(&tb);
+        tb.ledger = Ledger::new(takes_trains.contains(&true), n);
+        tb.trains = Trains::new(takes_trains, feeders, send_to_arrival_lookahead());
         tb
     }
 
@@ -297,13 +304,13 @@ impl Scenario {
         let (tb, q) = (&mut sim.model, &mut sim.queue);
         let mut send = |src: NodeId| {
             tb.nodes[src.0].decrement_remaining();
-            q.push(SimTime::ZERO, Event::AppSend { host: src });
+            tb.schedule(q, SimTime::ZERO, Event::AppSend { host: src });
         };
         match *self {
             // The ping client's budget counts completed round trips, so
             // its first send takes nothing from it.
-            Scenario::Pair => q.push(SimTime::ZERO, Event::AppSend { host: NodeId(0) }),
-            Scenario::RxBench => q.push(SimTime::ZERO, Event::GenKick),
+            Scenario::Pair => tb.schedule(q, SimTime::ZERO, Event::AppSend { host: NodeId(0) }),
+            Scenario::RxBench => tb.schedule(q, SimTime::ZERO, Event::GenKick),
             Scenario::TxBench => send(NodeId(0)),
             Scenario::Incast { senders } => (0..senders).for_each(|s| send(NodeId(s))),
             Scenario::ManyPairs { pairs } => (0..pairs).for_each(|k| send(NodeId(2 * k))),
@@ -344,6 +351,83 @@ impl Scenario {
             series,
         }
     }
+}
+
+/// Which nodes' cells reach which: per node, every other node with a
+/// path to it, directly or through further nodes, and whether it takes
+/// cell trains. A node does where every cell reaching it or any of those
+/// nodes is routed when it is sent: a node fed through a shared switch
+/// output has transit events due all the time, which would stop every
+/// train at its first cell (the lookahead bound, see `Testbed`).
+fn cell_paths(tb: &Testbed) -> (Vec<bool>, Vec<Vec<usize>>) {
+    let n = tb.nodes.len();
+    let mut senders = vec![Vec::new(); n];
+    let mut routed_at_send = vec![!tb.tx_meter && pdus_span_cells(&tb.cfg); n];
+    for (i, node) in tb.nodes.iter().enumerate() {
+        let vcis = std::iter::once(node.tx_vci).chain(node.tx_vci_of_host.values().copied());
+        for vci in vcis {
+            if let Some(to) = tb.fabric.dest(NodeId(i), vci) {
+                senders[to.0].push(i);
+                routed_at_send[to.0] &= tb.fabric.single_feeder(vci);
+            }
+        }
+    }
+    let feeders: Vec<Vec<usize>> = (0..n)
+        .map(|r| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![r];
+            while let Some(x) = stack.pop() {
+                for &s in &senders[x] {
+                    if !seen[s] {
+                        seen[s] = true;
+                        stack.push(s);
+                    }
+                }
+            }
+            (0..n).filter(|&x| x != r && seen[x]).collect()
+        })
+        .collect();
+    let takes_trains = (0..n)
+        .map(|r| {
+            !senders[r].is_empty()
+                && routed_at_send[r]
+                && feeders[r].iter().all(|&f| routed_at_send[f])
+        })
+        .collect();
+    (takes_trains, feeders)
+}
+
+/// Whether some PDU can span more than one cell, and so reach its
+/// receiver as a train: the largest a node sends is a message with its
+/// headers or, in reliable mode, a block ack (55 bytes, never one cell).
+/// Where every PDU is one cell (the ping-pong's 1-byte messages), no
+/// node keeps a ledger.
+fn pdus_span_cells(cfg: &TestbedConfig) -> bool {
+    let largest = match cfg.layer {
+        Layer::RawAtm => cfg.msg_size.max(1),
+        Layer::UdpIp => cfg.msg_size + (IP_HEADER_BYTES + UDP_HEADER_BYTES) as u64,
+    };
+    if cfg.reliable || largest > CELL_PAYLOAD as u64 {
+        return true;
+    }
+    let seg = Segmenter {
+        framing: HostNode::framing(cfg),
+        unit: SegmentUnit::Pdu,
+    };
+    seg.segment(Vci(0), &[&vec![0; largest as usize]]).len() > 1
+}
+
+/// The least time from a node's event to a cell it sends reaching the
+/// fabric (or, back to back, the peer): the transmit firmware's per-PDU
+/// and per-cell work, then one cell on a lane and the propagation delay.
+/// `tx_kick` checks every cell against it.
+fn send_to_arrival_lookahead() -> SimDuration {
+    let fw = osiris_board::tx::FirmwareSpec::paper_default();
+    let link = osiris_atm::LinkSpec::sts3c_back_to_back();
+    fw.clock.cycles(fw.tx_pdu_cycles)
+        + fw.clock.cycles(fw.tx_cell_cycles)
+        + link.cell_time()
+        + link.propagation
 }
 
 /// The result of [`Scenario::run`].

@@ -24,8 +24,56 @@
 //! horizon. `rx_drain` enforces exactly this with a debug assertion
 //! ([`Testbed::max_drain_ahead`] records the worst case); the skew does
 //! not affect any reported steady-state number.
+//!
+//! # Cell trains
+//!
+//! A PDU routed when it is sent reaches its receiver as one
+//! `CellArrival` event, a *train*, instead of one event per cell. The
+//! dispatcher still behaves exactly as if each cell were its own event,
+//! popped in the queue's order (time, then FIFO within an instant), the
+//! *per-cell order*: every output but the dispatch counts is the same.
+//! Each cell runs through the unchanged receive path at its own arrival
+//! time, either at its *turn* in the per-cell order or ahead of it.
+//!
+//! To know turns without reading the queue, the testbed keeps a ledger:
+//! per node, the time and push number of each pending event. Push
+//! numbers follow the order the per-cell dispatcher would push in (a
+//! routed cell takes one at routing), so at one instant the smaller
+//! number pops first. Before any event is handled, every train cell
+//! whose turn comes earlier runs; a train's own event is queued again at
+//! the time of whatever it still has due.
+//!
+//! A cell of receiver `r` at time `t` may run *ahead* of its turn only
+//! when nothing can tell:
+//! 1. **`r`'s own events.** No other event of `r` is pending before the
+//!    cell's position; at `t` itself, the push numbers decide. Another
+//!    train's held push (below) blocks from its instant on.
+//! 2. **Events not yet created.** Only cells cross nodes, and a cell
+//!    reaches the fabric at least a lookahead after the event that sends
+//!    it (the transmit firmware's per-PDU and per-cell work, one cell on
+//!    a lane, and propagation, from the specs). So `t` may not pass any
+//!    node's earliest pending event plus that lookahead, over every node
+//!    with a path to `r`. This is the per-node lookahead the sharded
+//!    engine used (DESIGN.md "Why there is one engine").
+//! 3. **State shared across nodes.** Whatever the cell does outside `r`
+//!    waits for its turn: its pushes (`RxFlush`, `RxInterrupt`,
+//!    `RxReapTick`) are held and queued at the turn, with the push
+//!    numbers they would have had, and its slab slot is freed by the
+//!    first transmit kick after the turn. So the queue's order, the
+//!    switch, the latency record, the meter and the slab counts see the
+//!    per-cell order exactly. The timeline's record order would not:
+//!    with the timeline on, no cell runs ahead.
+//!
+//! Debug builds check the rule as it runs: an event that pops, or a cell
+//! that is routed, behind a cell of its node that ran ahead fails an
+//! assertion, as does a cell or held push that runs out of turn.
+//! Trains form only at nodes whose every inbound path, and every inbound
+//! path of a node with a path to them, routes at send (elsewhere transit
+//! events are always due and bound 2 would stop every train at once),
+//! and only where some PDU spans more than one cell. Elsewhere no ledger
+//! is kept and every arrival is a train of one, as before.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use osiris_adc::AdcManager;
 use osiris_atm::sar::{SegmentUnit, Segmenter};
@@ -38,7 +86,7 @@ use osiris_sim::{EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timel
 use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict};
 
 use crate::config::{DataPath, Layer, TestbedConfig, TouchMode};
-use crate::fabric::Fabric;
+use crate::fabric::{Delivery, Fabric};
 
 pub use crate::node::{HostNode, NodeId, Role};
 
@@ -55,15 +103,21 @@ pub enum Event {
         /// Node address.
         host: NodeId,
     },
-    /// A cell lands at `to`'s receive FIFO.
+    /// Routed cells land at `to`'s receive FIFO: one event per *train*,
+    /// a run of cells bound for `to` in the order their per-cell events
+    /// would pop (arrival time, then routing order). A cell routed on
+    /// arrival, or a PDU's only cell, is a train of one and travels in
+    /// the event; a PDU routed when it is sent is one train per
+    /// receiver. Each cell goes through the receive path at its own
+    /// arrival time, either at its turn in the per-cell order or ahead
+    /// of it where that provably changes nothing (see the
+    /// [module docs](self), "Cell trains"); the event is queued again for
+    /// what must wait for its turn.
     CellArrival {
         /// Destination node.
         to: NodeId,
-        /// Physical lane the cell arrived on.
-        lane: usize,
-        /// Slab handle of the in-flight cell ([`Testbed::cells`]); the
-        /// receive path consumes it and recycles the slot.
-        cell: CellRef,
+        /// The cell, or the train.
+        cars: Cars,
     },
     /// Double-cell lookahead window expired on `host`.
     RxFlush {
@@ -119,6 +173,47 @@ pub enum Event {
         /// Node address.
         host: NodeId,
     },
+}
+
+/// What a [`Event::CellArrival`] carries.
+#[derive(Debug, Clone, Copy)]
+pub enum Cars {
+    /// A train of one: the lane the cell arrived on and its slab handle
+    /// ([`Testbed::cells`]); the receive path consumes it and recycles
+    /// the slot.
+    One {
+        /// Physical lane the cell arrived on (`u32` keeps [`Event`] as
+        /// small as the per-cell event it replaces).
+        lane: u32,
+        /// Slab handle of the in-flight cell.
+        cell: CellRef,
+    },
+    /// A longer train, by its slot in the testbed's train pool.
+    Train(u32),
+}
+
+// A train of one costs the queue no more than the per-cell event did.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
+impl Event {
+    /// The node whose state the event's handler touches: a `GenKick`
+    /// feeds node 0; a `FabricTransit` belongs to the node its cell
+    /// routes to, which only the fabric knows (`None` here).
+    pub(crate) fn node(&self) -> Option<NodeId> {
+        match *self {
+            Event::AppSend { host }
+            | Event::TxKick { host }
+            | Event::RxFlush { host, .. }
+            | Event::RxInterrupt { host }
+            | Event::RxDrain { host }
+            | Event::TxWake { host }
+            | Event::RxReapTick { host }
+            | Event::RetransTick { host } => Some(host),
+            Event::CellArrival { to, .. } => Some(to),
+            Event::GenKick => Some(NodeId(0)),
+            Event::FabricTransit { .. } => None,
+        }
+    }
 }
 
 /// Per-node interned track keys (see [`TbSyms`]).
@@ -246,6 +341,214 @@ impl DispatchCounters {
     }
 }
 
+/// Where an event stands in the per-cell dispatcher's order: its time,
+/// then its push number ([`Ledger`]). A smaller position pops first.
+pub(crate) type Pos = (SimTime, u64);
+
+/// The dispatcher's record of what is pending, kept so that cell trains
+/// can decide without reading the event queue (which callers such as a
+/// reference loop or a timing harness may drive differently).
+///
+/// Push numbers are handed out in the order the per-cell dispatcher
+/// would push its events, one per routed cell included, so at one
+/// instant the smaller number pops first: the queue's FIFO order.
+/// Wake-ups of trains take no number. Off (nothing recorded) when no
+/// PDU can reach a receiver as a train of more than one cell.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    pub(crate) on: bool,
+    /// The next push number.
+    seq: u64,
+    /// Per node, the positions of its pending events other than trains,
+    /// in ascending order; the front is the next to pop.
+    pending: Vec<VecDeque<Pos>>,
+    /// Set while a cell runs ahead of its turn: its pushes collect in
+    /// `held` instead of the queue.
+    holding: bool,
+    held: Vec<(SimTime, Event)>,
+}
+
+impl Ledger {
+    pub(crate) fn new(on: bool, nodes: usize) -> Ledger {
+        Ledger {
+            on,
+            pending: vec![VecDeque::new(); nodes],
+            ..Ledger::default()
+        }
+    }
+
+    /// Queues `ev` for node `owner` (the node whose state it touches).
+    fn push_for(&mut self, q: &mut EventQueue<Event>, owner: usize, at: SimTime, ev: Event) {
+        if self.holding {
+            self.held.push((at, ev));
+            return;
+        }
+        if self.on {
+            let pos = (at, self.take_seq());
+            let p = &mut self.pending[owner];
+            if p.back().is_none_or(|&b| b < pos) {
+                p.push_back(pos);
+            } else {
+                let i = p.partition_point(|&x| x < pos);
+                p.insert(i, pos);
+            }
+        }
+        q.push(at, ev);
+    }
+
+    /// Queues `ev`, an event naming its node.
+    fn push(&mut self, q: &mut EventQueue<Event>, at: SimTime, ev: Event) {
+        if self.on {
+            let owner = ev.node().expect("event names its node").0;
+            self.push_for(q, owner, at, ev);
+        } else {
+            q.push(at, ev);
+        }
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// The push number of `owner`'s event popping at `now`: the front of
+    /// its record, since its earlier events have all popped and at one
+    /// instant the queue pops them in push order.
+    ///
+    /// # Panics
+    /// Panics when the event is not in the ledger: it was pushed into
+    /// the queue directly rather than through [`Testbed::schedule`].
+    fn pop(&mut self, owner: usize, now: SimTime) -> u64 {
+        match self.pending[owner].pop_front() {
+            Some((at, key)) if at == now => key,
+            _ => panic!(
+                "node {owner}'s event at {now:?} is not in the ledger \
+                 (queue events through `Testbed::schedule`)"
+            ),
+        }
+    }
+
+    /// Position of `node`'s next pending event other than trains.
+    fn front(&self, node: usize) -> Option<Pos> {
+        self.pending[node].front().copied()
+    }
+}
+
+/// One receiver's pending run of routed cells (see `Event::CellArrival`).
+#[derive(Debug, Default)]
+pub(crate) struct Train {
+    to: usize,
+    /// `(arrival, push number, lane, cell)` in pop order.
+    cells: Vec<(SimTime, u64, usize, CellRef)>,
+    /// The next cell to run.
+    head: usize,
+    /// Pushes made by cells that ran ahead of their turn, each with the
+    /// position of the cell that made it: they join the queue at that
+    /// position.
+    held: VecDeque<(Pos, SimTime, Event)>,
+    /// Slab slots of cells that ran ahead, freed once their turn has
+    /// passed (the slab's recycling counts see the per-cell order).
+    frees: VecDeque<(Pos, CellRef)>,
+    /// Whether this train's wake-up is queued, and its place: it pops
+    /// after every queued event whose push number is below `wake_key`.
+    queued: bool,
+    wake_key: u64,
+}
+
+impl Train {
+    /// Position of the next thing due: a held push, or the head cell.
+    fn next(&self) -> Option<Pos> {
+        match self.held.front() {
+            Some(&(pos, ..)) => Some(pos),
+            None => self.cells.get(self.head).map(|&(at, key, ..)| (at, key)),
+        }
+    }
+
+    /// Earliest time at which this train touches its receiver again:
+    /// its head cell, or an event one of its held pushes queues.
+    fn earliest(&self) -> SimTime {
+        let head = self.cells.get(self.head).map_or(SimTime::MAX, |c| c.0);
+        self.held.iter().fold(head, |t, &(_, at, _)| t.min(at))
+    }
+}
+
+/// The pool of cell trains and what the validity rule needs about the
+/// topology.
+#[derive(Debug, Default)]
+pub(crate) struct Trains {
+    pool: Vec<Train>,
+    spare: Vec<u32>,
+    /// Trains holding cells, pushes or slots to free.
+    live: Vec<u32>,
+    /// No live train has anything due before this time.
+    due: SimTime,
+    /// Per node, whether routed cells reach it as trains (elsewhere each
+    /// is a train of one).
+    takes_trains: Vec<bool>,
+    /// Per node, every other node with a path to it, directly or through
+    /// further nodes.
+    feeders: Vec<Vec<usize>>,
+    /// Lower bound on the time from any event of a node to the arrival
+    /// (or switch transit) of a cell it sends.
+    lookahead: SimDuration,
+    /// Per node, the latest position of a cell that ran ahead of its
+    /// turn: no event of the node may be queued or pop before it.
+    ahead: Vec<Option<Pos>>,
+}
+
+impl Trains {
+    pub(crate) fn new(
+        takes_trains: Vec<bool>,
+        feeders: Vec<Vec<usize>>,
+        lookahead: SimDuration,
+    ) -> Trains {
+        Trains {
+            due: SimTime::MAX,
+            ahead: vec![None; feeders.len()],
+            takes_trains,
+            feeders,
+            lookahead,
+            ..Trains::default()
+        }
+    }
+
+    fn open(&mut self, to: usize) -> u32 {
+        let id = self.spare.pop().unwrap_or_else(|| {
+            self.pool.push(Train::default());
+            self.pool.len() as u32 - 1
+        });
+        let t = &mut self.pool[id as usize];
+        t.to = to;
+        t.cells.clear();
+        t.head = 0;
+        self.live.push(id);
+        id
+    }
+
+    /// Returns a train with nothing left to the pool.
+    fn retire_if_spent(&mut self, id: u32) {
+        let t = &self.pool[id as usize];
+        if t.queued || t.next().is_some() || !t.frees.is_empty() {
+            return;
+        }
+        let i = self.live.iter().position(|&x| x == id).expect("live train");
+        self.live.swap_remove(i);
+        self.spare.push(id);
+    }
+
+    /// Recomputes `due` from the live trains.
+    fn refresh_due(&mut self) {
+        let pool = &self.pool;
+        self.due = self
+            .live
+            .iter()
+            .filter_map(|&id| pool[id as usize].next())
+            .map(|p| p.0)
+            .min()
+            .unwrap_or(SimTime::MAX);
+    }
+}
+
 /// The assembled testbed (implements [`Model`]).
 #[derive(Debug)]
 pub struct Testbed {
@@ -273,11 +576,13 @@ pub struct Testbed {
     /// Typed span/instant timeline (Chrome trace-event export); disabled
     /// by default, enable with `timeline.set_enabled(true)`.
     pub timeline: Timeline,
-    /// Slab arena every in-flight cell lives in: events carry copyable
-    /// [`CellRef`] handles, so a cell's 44-byte payload is written once at
-    /// segmentation and never cloned again (`cells.slab_recycled` counts
-    /// free-list reuse). Generated cells skip it: the generator hands
-    /// each one to the board as it is cut.
+    /// Slab arena every in-flight cell lives in: events and trains carry
+    /// copyable [`CellRef`] handles, so a cell's 44-byte payload is
+    /// written once at segmentation and copied again only when a train
+    /// runs it ahead of its turn (`cells.slab_recycled` counts free-list
+    /// reuse). A cell's slot is freed at its turn in the per-cell order,
+    /// so the counts match one event per cell. Generated cells skip it:
+    /// the generator hands each one to the board as it is cut.
     pub cells: CellSlab,
     /// Interned timeline keys for the dispatcher's per-event instants and
     /// spans (zero string allocation on the hot path).
@@ -308,6 +613,10 @@ pub struct Testbed {
     /// `(arrival, send index, lane, cell)` in routing order, reused so
     /// the per-message path stays allocation-free.
     pub(crate) route_order: Vec<(SimTime, usize, usize, CellRef)>,
+    /// Record of pending events in the per-cell dispatcher's order.
+    pub(crate) ledger: Ledger,
+    /// Cell trains in flight, and the topology facts their rule reads.
+    pub(crate) trains: Trains,
     /// Whether a reap sweep is already scheduled per node (one pending
     /// sweep at a time keeps the event queue bounded).
     pub(crate) reap_scheduled: Vec<bool>,
@@ -449,7 +758,7 @@ impl Testbed {
         if let Some(at) = self.nodes[host.0].stack.next_retransmit_at() {
             let at = at.max(now);
             if self.retrans_queued[host.0].insert(at) {
-                q.push(at, Event::RetransTick { host });
+                self.ledger.push(q, at, Event::RetransTick { host });
             }
         }
     }
@@ -533,7 +842,7 @@ impl Testbed {
             queued_any = true;
         }
         if queued_any {
-            q.push(t, Event::TxKick { host });
+            self.ledger.push(q, t, Event::TxKick { host });
         }
     }
 
@@ -563,10 +872,9 @@ impl Testbed {
             // Every output the PDU uses has this link as its only feeder,
             // so routing now leaves the switch in the state routing at
             // arrival would (§2.6: one link's cells never overtake each
-            // other); only same-instant ties with later events can pop
-            // in another order (see `Event::FabricTransit`). The cells go
-            // through the transit body in the order their events would
-            // have popped: arrival time, then send index.
+            // other). The cells go through the switch in the order their
+            // transit events would have popped: arrival time, then send
+            // index. The routed cells reach their receiver as one train.
             let mut order = std::mem::take(&mut self.route_order);
             order.clear();
             order.extend(
@@ -579,17 +887,56 @@ impl Testbed {
             if !order.is_sorted_by_key(|&(at, ..)| at) {
                 order.sort_unstable_by_key(|&(at, i, ..)| (at, i));
             }
+            // A PDU's cells share one VCI, so they reach one receiver.
+            let mut train = None;
+            let lone = order.len() == 1;
             for &(at, _, lane, r) in &order {
-                self.fabric_transit(at, host, lane, r, q);
+                debug_assert!(
+                    at >= now + self.trains.lookahead,
+                    "cell sent at {now:?} reaches the fabric at {at:?}, inside the lookahead"
+                );
+                let Some(d) = self.route_cell(at, host, lane, r) else {
+                    continue;
+                };
+                if lone || !self.trains.takes_trains[d.to.0] {
+                    let cars = Cars::One {
+                        lane: d.lane as u32,
+                        cell: r,
+                    };
+                    self.ledger
+                        .push(q, d.at, Event::CellArrival { to: d.to, cars });
+                    continue;
+                }
+                let id = *train.get_or_insert_with(|| self.trains.open(d.to.0));
+                debug_assert_eq!(self.trains.pool[id as usize].to, d.to.0);
+                self.add_cell(id, d, r);
+            }
+            if let Some(id) = train {
+                let t = &mut self.trains.pool[id as usize];
+                if !t.cells.is_sorted_by_key(|c| (c.0, c.1)) {
+                    t.cells.sort_unstable_by_key(|c| (c.0, c.1));
+                }
+                self.settle(id, q);
             }
             self.route_order = order;
         } else {
             // Outputs with more than one feeder: routing is an *event* at
             // the cell's wire-arrival time, so their queues contend in
             // arrival order — the order the hardware sees — rather than
-            // in the order transmit batches happen to finish.
+            // in the order transmit batches happen to finish. The event
+            // belongs to the node the cell routes to.
+            let owner = match self.ledger.on {
+                true => self.fabric.dest(host, out.vci).unwrap_or(host).0,
+                false => host.0,
+            };
             for &(at, lane, r) in node.tx.arrivals() {
-                q.push(
+                debug_assert!(
+                    at >= now + self.trains.lookahead,
+                    "cell sent at {now:?} reaches the fabric at {at:?}, inside the lookahead"
+                );
+                self.ledger.push_for(
+                    q,
+                    owner,
                     at,
                     Event::FabricTransit {
                         from: host,
@@ -600,10 +947,10 @@ impl Testbed {
             }
         }
         if let Some(at) = out.wake_host_at {
-            q.push(at, Event::TxWake { host });
+            self.ledger.push(q, at, Event::TxWake { host });
         }
         if out.more_work {
-            q.push(out.finished_at, Event::TxKick { host });
+            self.ledger.push(q, out.finished_at, Event::TxKick { host });
         }
         // A Source starts its next message once the current one is fully
         // queued (pending empty) — the ring, not the app, is the governor.
@@ -611,7 +958,8 @@ impl Testbed {
         if node.role == Role::Source && node.pending_pkts.is_empty() {
             if node.remaining > 0 {
                 node.remaining -= 1;
-                q.push(out.finished_at, Event::AppSend { host });
+                self.ledger
+                    .push(q, out.finished_at, Event::AppSend { host });
             } else if !out.more_work && self.expected_deliveries == 0 {
                 // Sink-terminated runs (incast, many pairs) finish when the
                 // receivers have seen everything, not when a source idles.
@@ -621,55 +969,283 @@ impl Testbed {
     }
 
     /// A cell reaches the fabric at `now`: run the route (queueing, port
-    /// counters, overflow) and schedule the resulting arrival at the
-    /// destination, or recycle the slot if the cell has nowhere to go.
-    /// Runs as the `FabricTransit` event, or from `tx_kick` for a
-    /// single-feeder PDU with `now` its cell's arrival time.
+    /// counters, overflow) and return where and when it lands, or
+    /// recycle the slot if the cell has nowhere to go. Runs as the
+    /// `FabricTransit` event, or from `tx_kick` for a single-feeder PDU
+    /// with `now` its cell's arrival time.
     /// `switch.q` timeline spans are emitted per cell here, clamped by
     /// the same `(ctx, destination)` floor the transmit-batch windows
     /// used, so spans on one port track never run backwards.
-    fn fabric_transit(
+    fn route_cell(
         &mut self,
         now: SimTime,
         from: NodeId,
         lane: usize,
         r: CellRef,
-        q: &mut EventQueue<Event>,
-    ) {
-        if let Some(d) = self.fabric.route(from, now, lane, self.cells.get(r)) {
-            if d.marked {
-                // ECN: remember the mark against the cell's connection;
-                // the receiving stack echoes it in its next block ack.
-                let vci = self.cells.get(r).header.vci;
-                self.nodes[d.to.0].ecn_marks.insert(vci);
-            }
-            if self.timeline.is_enabled() && d.at > now {
-                if let Some(c) = self.cells.get(r).ctx {
-                    let floor = self.switch_span_floor.entry((c, d.to.0)).or_default();
-                    let span_from = now.max(*floor);
-                    if d.at > span_from {
-                        self.timeline.span_ctx(
-                            &format!("fabric.switch.port{}", d.to.0),
-                            "switch.q",
-                            c,
-                            span_from,
-                            d.at,
-                        );
-                        *floor = d.at;
-                    }
-                }
-            }
-            q.push(
-                d.at,
-                Event::CellArrival {
-                    to: d.to,
-                    lane: d.lane,
-                    cell: r,
-                },
-            );
-        } else {
+    ) -> Option<Delivery> {
+        let Some(d) = self.fabric.route(from, now, lane, self.cells.get(r)) else {
             // Unrouted or overflow-dropped: recycle the slot.
             self.cells.free(r);
+            return None;
+        };
+        if d.marked {
+            // ECN: remember the mark against the cell's connection;
+            // the receiving stack echoes it in its next block ack.
+            let vci = self.cells.get(r).header.vci;
+            self.nodes[d.to.0].ecn_marks.insert(vci);
+        }
+        if self.timeline.is_enabled() && d.at > now {
+            if let Some(c) = self.cells.get(r).ctx {
+                let floor = self.switch_span_floor.entry((c, d.to.0)).or_default();
+                let span_from = now.max(*floor);
+                if d.at > span_from {
+                    self.timeline.span_ctx(
+                        &format!("fabric.switch.port{}", d.to.0),
+                        "switch.q",
+                        c,
+                        span_from,
+                        d.at,
+                    );
+                    *floor = d.at;
+                }
+            }
+        }
+        Some(d)
+    }
+
+    /// Appends a routed cell to train `id`, taking the push number its
+    /// per-cell arrival event would have had.
+    fn add_cell(&mut self, id: u32, d: Delivery, r: CellRef) {
+        let key = self.ledger.take_seq();
+        debug_assert!(
+            self.trains.ahead[d.to.0].is_none_or(|a| (d.at, key) > a),
+            "a cell for node {} lands at {:?}, behind a cell that ran ahead of it",
+            d.to.0,
+            d.at
+        );
+        self.trains.pool[id as usize]
+            .cells
+            .push((d.at, key, d.lane, r));
+    }
+
+    /// Queues train `id`'s wake-up for its next due item, or retires
+    /// the train when nothing is left.
+    fn settle(&mut self, id: u32, q: &mut EventQueue<Event>) {
+        let t = &mut self.trains.pool[id as usize];
+        match t.next() {
+            Some((at, _)) if !t.queued => {
+                t.queued = true;
+                t.wake_key = self.ledger.seq;
+                let to = NodeId(t.to);
+                self.trains.due = self.trains.due.min(at);
+                q.push(
+                    at,
+                    Event::CellArrival {
+                        to,
+                        cars: Cars::Train(id),
+                    },
+                );
+            }
+            Some(_) => {}
+            None => self.trains.retire_if_spent(id),
+        }
+    }
+
+    /// Runs train `id`'s next item at its own turn in the per-cell
+    /// order: a held push joins the queue, or the head cell arrives.
+    fn step_train(&mut self, id: u32, q: &mut EventQueue<Event>) {
+        let t = &mut self.trains.pool[id as usize];
+        let to = t.to;
+        if let Some((pos, at, ev)) = t.held.pop_front() {
+            debug_assert!(self.is_next(pos), "held push at {pos:?} is late");
+            self.ledger.push_for(q, to, at, ev);
+            return;
+        }
+        let (at, key, lane, r) = t.cells[t.head];
+        t.head += 1;
+        debug_assert!(self.is_next((at, key)), "cell at {at:?} runs out of turn");
+        self.arrive(at, NodeId(to), lane, r, q);
+    }
+
+    /// A routed cell arrives at its turn: it leaves the slab and goes
+    /// through the receive path.
+    fn arrive(
+        &mut self,
+        now: SimTime,
+        to: NodeId,
+        lane: usize,
+        r: CellRef,
+        q: &mut EventQueue<Event>,
+    ) {
+        if self.timeline.is_enabled() {
+            let track = self.syms.nodes[to.0].board_rx;
+            self.timeline.instant_sym(track, self.syms.cell, now);
+        }
+        let cell = self.cells.remove(r);
+        self.cell_arrival(now, to, lane, &cell, q);
+    }
+
+    /// Whether nothing pending precedes `pos` in the per-cell order (the
+    /// check behind the "runs at its turn" debug assertions).
+    fn is_next(&self, pos: Pos) -> bool {
+        (0..self.nodes.len()).all(|n| self.ledger.front(n).is_none_or(|p| p > pos))
+            && self.trains.live.iter().all(|&id| {
+                let t = &self.trains.pool[id as usize];
+                t.next().is_none_or(|p| p >= pos)
+            })
+    }
+
+    /// Runs every train item whose turn comes before `limit`, in the
+    /// per-cell order, so that the event at `limit` sees them done.
+    fn catch_up(&mut self, limit: Pos, q: &mut EventQueue<Event>) {
+        loop {
+            let pool = &self.trains.pool;
+            let first = self
+                .trains
+                .live
+                .iter()
+                .filter_map(|&id| pool[id as usize].next().map(|p| (p, id)))
+                .min();
+            match first {
+                Some((pos, id)) if pos < limit => self.step_train(id, q),
+                _ => break,
+            }
+        }
+        self.trains.refresh_due();
+    }
+
+    /// Frees the slab slots of cells that ran ahead and whose turn comes
+    /// before `limit`, so an insert at `limit` sees the slab's per-cell
+    /// occupancy.
+    fn free_passed(&mut self, limit: Pos) {
+        let mut i = 0;
+        while i < self.trains.live.len() {
+            let id = self.trains.live[i];
+            let t = &mut self.trains.pool[id as usize];
+            while t.frees.front().is_some_and(|f| f.0 < limit) {
+                let (_, r) = t.frees.pop_front().expect("front checked");
+                self.cells.free(r);
+            }
+            let before = self.trains.live.len();
+            self.trains.retire_if_spent(id);
+            if self.trains.live.len() == before {
+                i += 1;
+            }
+        }
+    }
+
+    /// Condition 2 of the train rule for receiver `to`: the latest time
+    /// a cell may run ahead of its turn. Only cells cross nodes, and a
+    /// cell reaches a receiver at least `lookahead` after the event that
+    /// sends it, so no event yet to be created for `to` comes before
+    /// the earliest pending event of any node with a path to `to`, plus
+    /// the lookahead.
+    fn lookahead_bound(&self, to: usize) -> SimTime {
+        let mut bound = SimTime::MAX;
+        for &n in &self.trains.feeders[to] {
+            let mut e = self.ledger.front(n).map_or(SimTime::MAX, |p| p.0);
+            for &id in &self.trains.live {
+                let t = &self.trains.pool[id as usize];
+                if t.to == n {
+                    e = e.min(t.earliest());
+                }
+            }
+            bound = bound.min(SimTime(e.0.saturating_add(self.trains.lookahead.0)));
+        }
+        bound
+    }
+
+    /// Condition 1 of the train rule for train `id`: the position every
+    /// cell it runs ahead must precede, so that nothing else of its
+    /// receiver `to` comes first — the receiver's next queued event, the
+    /// next cell of another of its trains, and any event another train's
+    /// held push will queue (whose order against the cell at one instant
+    /// is not recorded, so it blocks from that instant on). The train's
+    /// own held pushes queue events after its cells at their instant
+    /// (they take later numbers); `run_train` folds them in as they come.
+    fn ahead_limit(&self, id: u32, to: usize) -> Pos {
+        let mut limit = self.ledger.front(to).unwrap_or((SimTime::MAX, u64::MAX));
+        for &other in &self.trains.live {
+            let t = &self.trains.pool[other as usize];
+            if other == id || t.to != to {
+                continue;
+            }
+            if let Some(&(at, key, ..)) = t.cells.get(t.head) {
+                limit = limit.min((at, key));
+            }
+            for &(_, at, _) in &t.held {
+                limit = limit.min((at, 0));
+            }
+        }
+        for &(_, at, _) in &self.trains.pool[id as usize].held {
+            limit = limit.min((at, u64::MAX));
+        }
+        limit
+    }
+
+    /// A train's wake-up pops: run what is due, run further cells ahead
+    /// of their turn while the rule allows, and queue the rest.
+    ///
+    /// A cell runs ahead of its turn only while running it early is
+    /// invisible: (1) no other event of its receiver comes first, (2) no
+    /// event yet to be created can come first, and (3) everything the
+    /// cell does outside its receiver waits for its turn — its pushes
+    /// are held and queued at that turn, and its slab slot is freed then.
+    /// With the timeline on, record order is visible too, so every cell
+    /// waits for its turn.
+    fn run_train(&mut self, now: SimTime, id: u32, q: &mut EventQueue<Event>) {
+        self.trains.pool[id as usize].queued = false;
+        // Without a ledger the head is the train's one cell, due now;
+        // with one, `catch_up` has already run everything due.
+        while self.trains.pool[id as usize]
+            .next()
+            .is_some_and(|(at, _)| at <= now)
+        {
+            self.step_train(id, q);
+        }
+        if self.ledger.on && !self.timeline.is_enabled() {
+            let to = self.trains.pool[id as usize].to;
+            let bound = self.lookahead_bound(to);
+            let mut limit = self.ahead_limit(id, to);
+            while let Some(&(at, key, lane, r)) = {
+                let t = &self.trains.pool[id as usize];
+                t.cells.get(t.head)
+            } {
+                if at > bound || (at, key) >= limit {
+                    break;
+                }
+                let cell = self.cells.get(r).clone();
+                self.ledger.holding = true;
+                self.cell_arrival(at, NodeId(to), lane, &cell, q);
+                self.ledger.holding = false;
+                let t = &mut self.trains.pool[id as usize];
+                t.head += 1;
+                for (t_ev, ev) in self.ledger.held.drain(..) {
+                    limit = limit.min((t_ev, u64::MAX));
+                    t.held.push_back(((at, key), t_ev, ev));
+                }
+                t.frees.push_back(((at, key), r));
+                self.trains.ahead[to] = Some((at, key));
+            }
+        }
+        self.settle(id, q);
+        self.trains.refresh_due();
+    }
+
+    /// Queues `ev` at `at` from outside a handler (a scenario's seeds, a
+    /// test's first event), so the dispatcher's ledger knows it.
+    pub fn schedule(&mut self, q: &mut EventQueue<Event>, at: SimTime, ev: Event) {
+        self.ledger.push(q, at, ev);
+    }
+
+    /// The node whose record `ev` belongs to (see [`Event::node`]).
+    fn owner(&self, ev: &Event) -> usize {
+        match *ev {
+            Event::FabricTransit { from, cell, .. } => {
+                let vci = self.cells.get(cell).header.vci;
+                self.fabric.dest(from, vci).unwrap_or(from).0
+            }
+            _ => ev.node().expect("event names its node").0,
         }
     }
 
@@ -705,17 +1281,17 @@ impl Testbed {
             }
         }
         if let Some((gen, at)) = out.flush_deadline {
-            q.push(at, Event::RxFlush { host, gen });
+            self.ledger.push(q, at, Event::RxFlush { host, gen });
         }
         if let Some(at) = out.interrupt_at {
-            q.push(at, Event::RxInterrupt { host });
+            self.ledger.push(q, at, Event::RxInterrupt { host });
         }
         // A partial PDU now exists (or may); make sure a reap sweep is
         // scheduled one timeout from now.
         if let Some(to) = self.cfg.reassembly_timeout {
             if !self.reap_scheduled[host.0] {
                 self.reap_scheduled[host.0] = true;
-                q.push(now + to, Event::RxReapTick { host });
+                self.ledger.push(q, now + to, Event::RxReapTick { host });
             }
         }
     }
@@ -736,10 +1312,10 @@ impl Testbed {
         let out = node.rx.reap_stale(now);
         node.note_rx_pushes();
         if let Some((gen, at)) = out.flush_deadline {
-            q.push(at, Event::RxFlush { host, gen });
+            self.ledger.push(q, at, Event::RxFlush { host, gen });
         }
         if let Some(at) = out.interrupt_at {
-            q.push(at, Event::RxInterrupt { host });
+            self.ledger.push(q, at, Event::RxInterrupt { host });
         }
         // Stack-level reassembly reap: datagrams stuck waiting for a
         // fragment whose sender gave up (or that fell behind the receive
@@ -759,7 +1335,7 @@ impl Testbed {
         }
         if after > 0 && self.reap_idle[host.0] < MAX_IDLE_SWEEPS {
             self.reap_scheduled[host.0] = true;
-            q.push(now + to, Event::RxReapTick { host });
+            self.ledger.push(q, now + to, Event::RxReapTick { host });
         }
     }
 
@@ -774,7 +1350,7 @@ impl Testbed {
             self.timeline
                 .span_sym(self.syms.nodes[host.0].host, self.syms.intr_service, now, t);
         }
-        q.push(t, Event::RxDrain { host });
+        self.ledger.push(q, t, Event::RxDrain { host });
     }
 
     /// The drain thread: pop everything, run protocol input, deliver.
@@ -881,7 +1457,7 @@ impl Testbed {
                         if let Some(to) = self.cfg.reassembly_timeout {
                             if !self.reap_scheduled[host.0] {
                                 self.reap_scheduled[host.0] = true;
-                                q.push(t2 + to, Event::RxReapTick { host });
+                                self.ledger.push(q, t2 + to, Event::RxReapTick { host });
                             }
                         }
                     }
@@ -1057,7 +1633,7 @@ impl Testbed {
                 let node = &mut self.nodes[host.0];
                 node.remaining = node.remaining.saturating_sub(1);
                 if node.remaining > 0 {
-                    q.push(t, Event::AppSend { host });
+                    self.ledger.push(q, t, Event::AppSend { host });
                 } else {
                     self.done = true;
                 }
@@ -1081,7 +1657,7 @@ impl Testbed {
                 let node = &mut self.nodes[host.0];
                 if node.gen.stalled {
                     node.gen.stalled = false;
-                    q.push(t, Event::GenKick);
+                    self.ledger.push(q, t, Event::GenKick);
                 }
                 if node.remaining == 0 && node.gen.is_idle() {
                     self.done = true;
@@ -1152,7 +1728,7 @@ impl Testbed {
         let bus_free = self.nodes[host.0].host.mem_sys.bus().free_at();
         let slack = osiris_sim::SimDuration::from_ns(760 * 6 * BATCH as u64);
         if bus_free > now + slack {
-            q.push(bus_free - slack, Event::GenKick);
+            self.ledger.push(q, bus_free - slack, Event::GenKick);
             return;
         }
         // Hand the batch from the front fragment to the receive path by
@@ -1170,7 +1746,7 @@ impl Testbed {
         gen.pop_exhausted();
         self.nodes[host.0].gen = gen;
         let next = self.nodes[host.0].rx.engine_free_at();
-        q.push(next.max(now), Event::GenKick);
+        self.ledger.push(q, next.max(now), Event::GenKick);
     }
 }
 
@@ -1178,6 +1754,31 @@ impl Model for Testbed {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, ev: Event, q: &mut EventQueue<Event>) {
+        if self.ledger.on {
+            // The event's turn in the per-cell order; whatever of the
+            // trains comes before it runs first.
+            let key = match ev {
+                Event::CellArrival {
+                    cars: Cars::Train(id),
+                    ..
+                } => self.trains.pool[id as usize].wake_key,
+                _ => {
+                    let owner = self.owner(&ev);
+                    let key = self.ledger.pop(owner, now);
+                    debug_assert!(
+                        self.trains.ahead[owner].is_none_or(|a| (now, key) > a),
+                        "{ev:?} at {now:?} pops after a cell of its node that ran ahead of it"
+                    );
+                    key
+                }
+            };
+            if now >= self.trains.due {
+                self.catch_up((now, key), q);
+            }
+            if matches!(ev, Event::TxKick { .. }) {
+                self.free_passed((now, key));
+            }
+        }
         if self.timeline.is_enabled() {
             let s = &self.syms;
             match &ev {
@@ -1188,10 +1789,8 @@ impl Model for Testbed {
                     self.timeline
                         .instant_sym(s.nodes[host.0].board_tx, s.kick, now)
                 }
-                Event::CellArrival { to, .. } => {
-                    self.timeline
-                        .instant_sym(s.nodes[to.0].board_rx, s.cell, now)
-                }
+                // Each cell marks its own arrival (`arrive`).
+                Event::CellArrival { .. } => {}
                 Event::FabricTransit { .. } => self.timeline.instant_sym(s.fabric, s.transit, now),
                 Event::RxFlush { host, .. } => {
                     self.timeline
@@ -1227,12 +1826,23 @@ impl Model for Testbed {
                 self.send_message(now, host, q);
             }
             Event::TxKick { host } => self.tx_kick(now, host, q),
-            Event::CellArrival { to, lane, cell } => {
-                let cell = self.cells.remove(cell);
-                self.cell_arrival(now, to, lane, &cell, q)
-            }
+            Event::CellArrival {
+                cars: Cars::Train(id),
+                ..
+            } => self.run_train(now, id, q),
+            Event::CellArrival {
+                to,
+                cars: Cars::One { lane, cell },
+            } => self.arrive(now, to, lane as usize, cell, q),
             Event::FabricTransit { from, lane, cell } => {
-                self.fabric_transit(now, from, lane, cell, q)
+                if let Some(d) = self.route_cell(now, from, lane, cell) {
+                    let cars = Cars::One {
+                        lane: d.lane as u32,
+                        cell,
+                    };
+                    let ev = Event::CellArrival { to: d.to, cars };
+                    self.ledger.push(q, d.at, ev);
+                }
             }
             Event::RxFlush { host, gen } => {
                 let node = &mut self.nodes[host.0];
@@ -1268,8 +1878,11 @@ mod tests {
         cfg.messages = 4;
         let tb = Scenario::Pair.build(cfg);
         let mut sim = Simulation::new(tb);
-        sim.queue
-            .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+        sim.model.schedule(
+            &mut sim.queue,
+            SimTime::ZERO,
+            Event::AppSend { host: NodeId(0) },
+        );
         let reached = sim.run_while(|m| !m.done);
         assert!(reached, "experiment must complete (queue drained early?)");
         assert!(sim.now() < SimTime::from_secs(10), "runaway simulation");
@@ -1339,7 +1952,8 @@ mod tests {
         let mut tb = Scenario::RxBench.build(cfg);
         tb.meter = ThroughputMeter::new(2);
         let mut sim = Simulation::new(tb);
-        sim.queue.push(SimTime::ZERO, Event::GenKick);
+        sim.model
+            .schedule(&mut sim.queue, SimTime::ZERO, Event::GenKick);
         assert!(sim.run_while(|m| !m.done));
         let mbps = sim.model.meter.mbps();
         assert!(
@@ -1451,8 +2065,11 @@ mod tests {
         let mut tb = Scenario::TxBench.build(cfg);
         tb.meter = ThroughputMeter::new(2);
         let mut sim = Simulation::new(tb);
-        sim.queue
-            .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+        sim.model.schedule(
+            &mut sim.queue,
+            SimTime::ZERO,
+            Event::AppSend { host: NodeId(0) },
+        );
         sim.model.nodes[0].decrement_remaining(); // the seeded AppSend is message 1
         assert!(sim.run_while(|m| !m.done), "tx bench stalled");
         let mbps = sim.model.meter.mbps();
@@ -1497,8 +2114,11 @@ mod tests {
         let tb = Scenario::Pair.build(cfg);
         tb.timeline.set_enabled(true);
         let mut sim = Simulation::new(tb);
-        sim.queue
-            .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+        sim.model.schedule(
+            &mut sim.queue,
+            SimTime::ZERO,
+            Event::AppSend { host: NodeId(0) },
+        );
         assert!(sim.run_while(|m| !m.done));
         // The dispatcher records one ctx-less instant per event, at its
         // dispatch time.
@@ -1548,7 +2168,8 @@ mod tests {
         let mut tb = Scenario::RxBench.build(cfg);
         tb.meter = ThroughputMeter::new(1);
         let mut sim = Simulation::new(tb);
-        sim.queue.push(SimTime::ZERO, Event::GenKick);
+        sim.model
+            .schedule(&mut sim.queue, SimTime::ZERO, Event::GenKick);
         assert!(sim.run_while(|m| !m.done));
         let m = &sim.model;
         assert!(

@@ -596,6 +596,7 @@ impl Timeline {
     }
 
     /// Whether events are currently recorded.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.borrow().enabled
     }

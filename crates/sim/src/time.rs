@@ -275,6 +275,7 @@ impl Clock {
     /// below ~1.8·10⁷ cycles — every per-cell and per-PDU budget — keep
     /// the product in 64 bits, and longer ones take the 128-bit path.
     /// All compute the same value.
+    #[inline]
     pub fn cycles(self, n: u64) -> SimDuration {
         if let Some(period) = self.period_ps {
             if let Some(ps) = n.checked_mul(period) {

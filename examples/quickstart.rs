@@ -47,8 +47,11 @@ fn dump_chrome_trace(path: &str) {
     let tb = Scenario::Pair.build(cfg);
     tb.timeline.set_enabled(true);
     let mut sim = Simulation::new(tb);
-    sim.queue
-        .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+    sim.model.schedule(
+        &mut sim.queue,
+        SimTime::ZERO,
+        Event::AppSend { host: NodeId(0) },
+    );
     assert!(sim.run_while(|m| !m.done), "traced ping did not complete");
     let doc = sim.model.timeline.to_chrome_json().render_pretty();
     std::fs::write(path, doc).expect("write trace file");
@@ -68,8 +71,11 @@ fn print_pdu_trace() {
     let tb = Scenario::Pair.build(cfg);
     tb.timeline.set_enabled(true);
     let mut sim = Simulation::new(tb);
-    sim.queue
-        .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+    sim.model.schedule(
+        &mut sim.queue,
+        SimTime::ZERO,
+        Event::AppSend { host: NodeId(0) },
+    );
     assert!(sim.run_while(|m| !m.done), "traced ping did not complete");
     let paths = CriticalPath::analyze_all(&sim.model.timeline);
     let ping = paths

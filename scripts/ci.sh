@@ -130,6 +130,16 @@ test -s target/bench/BENCH_events.json
 cargo run --release -q -p osiris-bench --bin regress -- \
   crates/bench/baselines/BENCH_events.json target/bench/BENCH_events.json --exact
 
+echo "==> debug assertions over the measured shapes (events, loss --quick)"
+# The cell-train rule checks itself with debug assertions (no event pops
+# behind a cell that ran ahead of it; held pushes and cells run at their
+# turn), and the release gates above compile them out. The benchmark's
+# four shapes at quick length and the quick loss sweep, whose reliable
+# pair sends multi-cell trains and acks under loss, run here in a debug
+# build.
+cargo run -q -p osiris-bench --bin events > /dev/null
+cargo run -q -p osiris-bench --bin loss -- --quick > /dev/null
+
 echo "==> smoke: event-engine throughput gate (engine --quick)"
 # Unlike fig2/loss, these headlines are wall-clock (events/sec), so the
 # threshold is generous — the gate exists to catch order-of-magnitude

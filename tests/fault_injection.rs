@@ -15,8 +15,11 @@ use osiris::Scenario;
 fn run_pings(cfg: TestbedConfig) -> Testbed {
     let tb = Scenario::Pair.build(cfg);
     let mut sim = Simulation::new(tb);
-    sim.queue
-        .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+    sim.model.schedule(
+        &mut sim.queue,
+        SimTime::ZERO,
+        Event::AppSend { host: NodeId(0) },
+    );
     loop {
         if sim.model.done || sim.now() > SimTime::from_secs(30) {
             break;
@@ -35,8 +38,11 @@ fn run_pings(cfg: TestbedConfig) -> Testbed {
 fn run_pings_to_quiescence(cfg: TestbedConfig) -> Testbed {
     let tb = Scenario::Pair.build(cfg);
     let mut sim = Simulation::new(tb);
-    sim.queue
-        .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+    sim.model.schedule(
+        &mut sim.queue,
+        SimTime::ZERO,
+        Event::AppSend { host: NodeId(0) },
+    );
     loop {
         if sim.model.done || sim.now() > SimTime::from_secs(30) {
             break;

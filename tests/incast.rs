@@ -5,10 +5,13 @@
 
 use osiris::atm::sar::ReassemblyMode;
 use osiris::atm::stripe::SkewConfig;
+use osiris::board::dma::DmaMode;
 use osiris::config::TestbedConfig;
 use osiris::experiments::{cc_point, incast_throughput};
+use osiris::node::NodeId;
 use osiris::proto::stack::CcScheme;
 use osiris::sim::{FaultPlan, SimDuration, SimTime};
+use osiris::testbed::Event;
 use osiris::Scenario;
 
 #[test]
@@ -106,7 +109,9 @@ fn only_outputs_with_two_feeders_route_cells_on_arrival() {
 /// `engine.*` keys (the dispatch counts are what the routing moment
 /// changes) and its `switch.q` spans, sorted: each routing moment emits
 /// the spans of different ports in a different order, but the same
-/// spans.
+/// spans. With the timeline on, every train cell waits for its turn, so
+/// this compares the routing moments alone;
+/// `trains_match_per_cell_arrivals` compares cells run ahead.
 fn routed_result(
     scenario: Scenario,
     cfg: TestbedConfig,
@@ -167,6 +172,164 @@ fn routing_at_send_matches_routing_on_arrival() {
         assert!(!send_spans.is_empty(), "{scenario:?}: no switch.q spans");
         assert_eq!(send_spans, arrival_spans, "{scenario:?}: switch.q differs");
     }
+}
+
+/// A run's virtual-time result, rendered: the registry without the
+/// `engine.*` keys (the dispatch counts are what trains change), the
+/// latency record, the meter and the last event's time. Also returns
+/// the number of arrival events dispatched.
+fn virtual_result(scenario: Scenario, cfg: TestbedConfig, timeline: bool) -> (u64, String) {
+    let mut sim = scenario.launch(cfg);
+    sim.model.timeline.set_enabled(timeline);
+    sim.run_to_completion();
+    assert!(sim.model.done, "{scenario:?} must complete");
+    assert_eq!(sim.model.verify_failures, 0);
+    let mut snap = sim.model.snapshot();
+    let arrivals = snap.counter("engine.dispatch.cell_arrival");
+    snap.counters.retain(|k, _| !k.starts_with("engine."));
+    snap.gauges.retain(|k, _| !k.starts_with("engine."));
+    let m = &sim.model;
+    let rendered = format!(
+        "{}\nlatency {:?}\nmeter {} bytes over {:?}, {:?} Mbps\nlast event {:?}",
+        snap.to_json().render_pretty(),
+        m.latency.summary(),
+        m.meter.bytes(),
+        m.meter.window(),
+        m.meter.mbps(),
+        sim.now(),
+    );
+    (arrivals, rendered)
+}
+
+#[test]
+fn trains_match_per_cell_arrivals() {
+    // Trains run cells ahead of their turn only where nothing can tell;
+    // each shape below makes one part of that rule bind. Switched shapes
+    // compare against an ECN threshold no queue reaches, which routes
+    // every cell on arrival (one event per cell). Back-to-back links
+    // always route at send, so a pair compares against a run with the
+    // timeline on, where every cell waits for its own turn.
+    let mut base = TestbedConfig::ds5000_200_udp();
+    base.msg_size = 8 * 1024;
+    base.messages = 4;
+    let four_way = |mut c: TestbedConfig| {
+        c.reassembly = ReassemblyMode::FourWay { lanes: 4 };
+        c
+    };
+    let double_cell = |mut c: TestbedConfig| {
+        c.rx_dma = DmaMode::DoubleCell;
+        c
+    };
+    let reaping = |mut c: TestbedConfig| {
+        c.reassembly_timeout = Some(SimDuration::from_us(200));
+        c
+    };
+    let skewed = |mut c: TestbedConfig| {
+        c.skew = SkewConfig::mux_skew();
+        c
+    };
+    // 8 KB both ways: the receiver's own transmit kick and drain fall
+    // inside the arriving train.
+    let pairs = [
+        base.clone(),
+        double_cell(base.clone()),
+        reaping(base.clone()),
+    ];
+    for cfg in pairs {
+        let (trains, with_trains) = virtual_result(Scenario::Pair, cfg.clone(), false);
+        let (per_cell, reference) = virtual_result(Scenario::Pair, cfg, true);
+        assert!(
+            trains < per_cell,
+            "pair: {trains} train events, {per_cell} per cell"
+        );
+        assert_eq!(
+            with_trains, reference,
+            "pair: trains differ from per-cell arrival"
+        );
+    }
+    let many = Scenario::ManyPairs { pairs: 4 };
+    let switched = [
+        // Pairs in lockstep: cells of different receivers arrive at
+        // the same instants.
+        four_way(base.clone()),
+        // Skewed lanes: cells arrive out of send order.
+        skewed(four_way(base.clone())),
+        // Two IP fragments per message, sent back to back over skewed
+        // lanes: the second PDU's early cells overtake the first's late
+        // ones, so a train must stop where the next one may land.
+        TestbedConfig {
+            msg_size: 20 * 1024,
+            ..skewed(four_way(base.clone()))
+        },
+        // Flush deadlines inside a PDU.
+        double_cell(four_way(base.clone())),
+        // Reassembly sweeps while PDUs are partial.
+        reaping(skewed(four_way(base.clone()))),
+    ];
+    for cfg in switched {
+        let mut on_arrival = cfg.clone();
+        on_arrival.ecn_threshold_cells = Some(u32::MAX);
+        let (trains, with_trains) = virtual_result(many, cfg, false);
+        let (per_cell, reference) = virtual_result(many, on_arrival, false);
+        assert!(
+            trains < per_cell,
+            "many pairs: {trains} train events, {per_cell} per cell"
+        );
+        assert_eq!(
+            with_trains, reference,
+            "many pairs: trains differ from per-cell arrival"
+        );
+    }
+}
+
+#[test]
+fn receiver_events_queued_first_stop_the_train_at_their_instant() {
+    // A drain queued at the very instant a cell arrives, and queued
+    // before that cell was routed, runs first, so it does not see the
+    // descriptor the cell completes. One such drain sits on every cell
+    // of the first PDU: a train that ran a cell ahead of its drain would
+    // let the drain take the descriptor early.
+    let mut cfg = TestbedConfig::ds5000_200_udp();
+    cfg.msg_size = 8 * 1024;
+    cfg.messages = 2;
+    let pair = Scenario::ManyPairs { pairs: 1 };
+    let sink = NodeId(1);
+    let mut probe = pair.launch(cfg.clone());
+    probe.model.timeline.set_enabled(true);
+    probe.run_to_completion();
+    let cells: Vec<SimTime> = probe
+        .model
+        .timeline
+        .events()
+        .into_iter()
+        .filter(|e| e.track == "node1.board.rx" && e.name == "cell")
+        .map(|e| e.at)
+        .collect();
+    let first_pdu = &cells[..cells.len() / 2];
+    let run = |cfg: TestbedConfig| {
+        let mut sim = pair.launch(cfg);
+        for &at in first_pdu {
+            let drain = Event::RxDrain { host: sink };
+            sim.model.schedule(&mut sim.queue, at, drain);
+        }
+        sim.run_to_completion();
+        let mut snap = sim.model.snapshot();
+        let arrivals = snap.counter("engine.dispatch.cell_arrival");
+        snap.counters.retain(|k, _| !k.starts_with("engine."));
+        snap.gauges.retain(|k, _| !k.starts_with("engine."));
+        let latency = sim.model.latency.summary();
+        (arrivals, snap, format!("{latency:?} {:?}", sim.now()))
+    };
+    let mut on_arrival = cfg.clone();
+    on_arrival.ecn_threshold_cells = Some(u32::MAX);
+    let (trains, snap, end) = run(cfg);
+    let (per_cell, ref_snap, ref_end) = run(on_arrival);
+    assert!(
+        trains < per_cell,
+        "{trains} train events, {per_cell} per cell"
+    );
+    assert_eq!(snap, ref_snap, "registry differs");
+    assert_eq!(end, ref_end, "latency or end time differs");
 }
 
 #[test]

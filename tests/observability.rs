@@ -16,8 +16,11 @@ fn run_ping_pong() -> Testbed {
     cfg.touch = TouchMode::WritePerMessage;
     let tb = Scenario::Pair.build(cfg);
     let mut sim = Simulation::new(tb);
-    sim.queue
-        .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+    sim.model.schedule(
+        &mut sim.queue,
+        SimTime::ZERO,
+        Event::AppSend { host: NodeId(0) },
+    );
     assert!(sim.run_while(|m| !m.done), "ping-pong did not complete");
     assert_eq!(sim.model.verify_failures, 0);
     sim.model
@@ -85,8 +88,11 @@ fn timeline_chrome_export_round_trips() {
     let tb = Scenario::Pair.build(cfg);
     tb.timeline.set_enabled(true);
     let mut sim = Simulation::new(tb);
-    sim.queue
-        .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+    sim.model.schedule(
+        &mut sim.queue,
+        SimTime::ZERO,
+        Event::AppSend { host: NodeId(0) },
+    );
     assert!(sim.run_while(|m| !m.done));
     let tl = &sim.model.timeline;
     assert!(tl.events().len() > 10, "a traced ping must record events");
@@ -114,8 +120,11 @@ fn timeline_ring_capacity_follows_sim_config() {
         let tb = Scenario::Pair.build(cfg);
         tb.timeline.set_enabled(true);
         let mut sim = Simulation::new(tb);
-        sim.queue
-            .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
+        sim.model.schedule(
+            &mut sim.queue,
+            SimTime::ZERO,
+            Event::AppSend { host: NodeId(0) },
+        );
         assert!(sim.run_while(|m| !m.done));
         sim.model
     };
