@@ -151,26 +151,11 @@ mod tests {
         let j = r.to_json_value().render_pretty();
         let v = Json::parse(&j).unwrap();
         assert_eq!(v.get("id").unwrap().as_str(), Some("fig2"));
-        let s0p1 = v
-            .get("series")
-            .unwrap()
-            .idx(0)
-            .unwrap()
-            .get("points")
-            .unwrap()
-            .idx(1)
-            .unwrap();
+        let series = v.get("series").unwrap().items();
+        let s0p1 = &series[0].get("points").unwrap().items()[1];
         assert_eq!(s0p1.get("x").unwrap().as_u64(), Some(2048));
         assert_eq!(s0p1.get("paper").unwrap().as_f64(), Some(120.0));
-        let s1p0 = v
-            .get("series")
-            .unwrap()
-            .idx(1)
-            .unwrap()
-            .get("points")
-            .unwrap()
-            .idx(0)
-            .unwrap();
+        let s1p0 = &series[1].get("points").unwrap().items()[0];
         assert!(s1p0.get("paper").is_none());
         let back = ExperimentResult::from_json_value(&v).unwrap();
         assert_eq!(back.to_json_value().render_pretty(), j);

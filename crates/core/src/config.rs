@@ -110,8 +110,7 @@ pub struct TestbedConfig {
     /// buffers reclaimed, and the VCI unwedged (`None` = never, the
     /// paper's behaviour).
     pub reassembly_timeout: Option<SimDuration>,
-    /// Simulation-kernel settings: timeline capacity, the fault plan and
-    /// the telemetry sampler.
+    /// Simulation-kernel settings: timeline capacity and the fault plan.
     pub sim: SimConfig,
 }
 

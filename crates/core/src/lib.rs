@@ -44,7 +44,6 @@ pub mod fabric;
 pub mod node;
 pub mod report;
 pub mod scenario;
-pub mod telemetry;
 pub mod testbed;
 
 pub use config::{DataPath, Layer, TestbedConfig};
@@ -55,7 +54,6 @@ pub use experiments::{
 pub use fabric::{BackToBack, Delivery, Fabric, SwitchedFabric};
 pub use node::{HostNode, NodeId, Role};
 pub use scenario::{RunOutcome, Scenario};
-pub use telemetry::{run_sampled, Sampler};
 pub use testbed::Testbed;
 
 // Re-export the substrate crates so downstream users need one dependency.

@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use osiris_sim::{HistSummary, SeriesDump, Snapshot, Stage};
+use osiris_sim::{HistSummary, Snapshot, Stage};
 
 /// Renders a table with a header row and aligned columns.
 pub fn table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
@@ -179,56 +179,6 @@ pub fn dropped_spans_warning(snap: &Snapshot) -> Option<String> {
              (raise timeline_capacity)"
         )
     })
-}
-
-/// Renders a sampled-series dump as an aligned summary table: one row
-/// per series with its retained window count and the min/mean/max/last
-/// over all windows (including evicted ones — the aggregates are
-/// running, not ring-bound). Counter rows are per-window rates; gauge
-/// rows are instantaneous values.
-pub fn series_summary(title: &str, dump: &SeriesDump) -> String {
-    let f = |v: f64| {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{v:.0}")
-        } else {
-            format!("{v:.2}")
-        }
-    };
-    let rows: Vec<Vec<String>> = dump
-        .series
-        .iter()
-        .map(|s| {
-            vec![
-                s.name.clone(),
-                s.kind.as_str().to_string(),
-                s.count.to_string(),
-                f(s.min),
-                f(s.mean()),
-                f(s.max),
-                f(s.last),
-            ]
-        })
-        .collect();
-    let mut out = table(
-        title,
-        &["series", "kind", "windows", "min", "mean", "max", "last"],
-        &rows,
-    );
-    let _ = writeln!(
-        out,
-        "  {} samples every {:.1} us{}",
-        dump.samples,
-        dump.every.as_us_f64(),
-        if dump.dropped > 0 {
-            format!(
-                " (WARN: {} windows evicted — raise series_capacity)",
-                dump.dropped
-            )
-        } else {
-            String::new()
-        }
-    );
-    out
 }
 
 /// Formats `paper` vs `measured` with the ratio, for EXPERIMENTS.md rows.

@@ -15,12 +15,11 @@ use osiris_atm::{CellSlab, Vci, CELL_PAYLOAD};
 use osiris_proto::{IP_HEADER_BYTES, UDP_HEADER_BYTES};
 use osiris_sim::obs::{Histogram, Snapshot};
 use osiris_sim::stats::ThroughputMeter;
-use osiris_sim::{Registry, SeriesDump, SimDuration, SimTime, Simulation, Timeline};
+use osiris_sim::{Registry, SimDuration, SimTime, Simulation, Timeline};
 
 use crate::config::{Layer, TestbedConfig};
 use crate::fabric::{BackToBack, Fabric, SwitchedFabric};
 use crate::node::{Endpoint, HostNode, NodeId, Role};
-use crate::telemetry::{run_sampled, Sampler};
 use crate::testbed::{DispatchCounters, Event, Ledger, TbSyms, Testbed, Trains};
 
 /// A topology + workload the testbed can assemble.
@@ -319,25 +318,10 @@ impl Scenario {
     }
 
     /// Runs the scenario to event-queue exhaustion: [`Scenario::launch`]
-    /// plus the run loop. When `cfg.sim.sample_every` is set, the loop
-    /// also samples the telemetry grid between dispatches — same
-    /// dispatch order, same final time, registry untouched but for the
-    /// sampler's own `obs.*` scope.
+    /// plus the run loop.
     pub fn run(&self, cfg: TestbedConfig) -> RunOutcome {
         let mut sim = self.launch(cfg);
-        let sampler = sim.model.cfg.sim.sample_every.map(|every| {
-            Sampler::new(
-                &sim.model.registry,
-                &sim.model.registry.probe("obs"),
-                every,
-                sim.model.cfg.sim.series_capacity,
-            )
-        });
-        match &sampler {
-            Some(s) => run_sampled(&mut sim, s),
-            None => sim.run_to_completion(),
-        }
-        let series = sampler.map(|s| s.finish(sim.now()));
+        sim.run_to_completion();
         let tb = &sim.model;
         RunOutcome {
             snapshot: tb.snapshot(),
@@ -348,7 +332,6 @@ impl Scenario {
             delivered: tb.delivered_count,
             dispatched: sim.steps(),
             last_event_time: sim.now(),
-            series,
         }
     }
 }
@@ -451,44 +434,6 @@ pub struct RunOutcome {
     pub dispatched: u64,
     /// Timestamp of the last dispatched event.
     pub last_event_time: SimTime,
-    /// Sampled time series when `cfg.sim.sample_every` was set (`None`
-    /// otherwise).
-    pub series: Option<SeriesDump>,
-}
-
-impl RunOutcome {
-    /// The snapshot without the telemetry plane's own bookkeeping
-    /// (`obs.*`, present only when sampling is on). Byte-compare its
-    /// rendered JSON across sampling on and off.
-    pub fn semantic_snapshot(&self) -> Snapshot {
-        let mut s = self.snapshot.clone();
-        s.counters.retain(|k, _| !k.starts_with("obs."));
-        s.gauges.retain(|k, _| !k.starts_with("obs."));
-        s
-    }
-
-    /// A `BENCH_loss`-style one-line summary of the run's outcome.
-    pub fn goodput_line(&self) -> String {
-        let s = &self.snapshot;
-        let sum = |suffix: &str| -> u64 {
-            s.counters
-                .iter()
-                .filter(|(k, _)| k.ends_with(suffix))
-                .map(|(_, v)| *v)
-                .sum()
-        };
-        format!(
-            "goodput {:>7.1} Mbps, p99 {:>8.1} us, {} delivered, {} retrans, {} reaps, {} dropped, {} corrupted, {} gave up",
-            self.meter.mbps(),
-            self.latency.percentile_us(0.99),
-            self.delivered,
-            sum("stack.retransmits"),
-            sum("board.rx.pdus_dropped_timeout"),
-            sum("link.cells_dropped"),
-            sum("link.cells_corrupted"),
-            sum("stack.gave_up"),
-        )
-    }
 }
 
 #[cfg(test)]

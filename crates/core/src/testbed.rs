@@ -287,8 +287,8 @@ impl TbSyms {
 /// Per-event-type dispatch counters, registered under
 /// `engine.dispatch.<event>`. Every event is dispatched exactly once,
 /// so the equivalence suites byte-compare them. They are the engine's
-/// own workload mix made registry-visible (and sampleable as rates by
-/// the telemetry plane).
+/// own workload mix made registry-visible; the `events` bin gates them
+/// exactly.
 #[derive(Debug, Clone)]
 pub struct DispatchCounters {
     app_send: Counter,
@@ -627,7 +627,7 @@ pub struct Testbed {
     /// is queued per node and deadline (see `arm_retransmit`).
     pub(crate) retrans_queued: Vec<BTreeSet<SimTime>>,
     /// Per-event-type dispatch counts (`engine.dispatch.*`), bumped once
-    /// per handled event — the workload mix the telemetry plane samples.
+    /// per handled event.
     pub(crate) dispatch: DispatchCounters,
 }
 

@@ -56,14 +56,6 @@ impl Json {
         }
     }
 
-    /// Array element lookup.
-    pub fn idx(&self, i: usize) -> Option<&Json> {
-        match self {
-            Json::Arr(items) => items.get(i),
-            _ => None,
-        }
-    }
-
     /// The elements of an array (empty for non-arrays).
     pub fn items(&self) -> &[Json] {
         match self {
@@ -630,17 +622,9 @@ mod tests {
     #[test]
     fn accessors_navigate() {
         let doc = Json::parse("{\"a\": [1, {\"b\": \"x\"}]}").unwrap();
-        assert_eq!(doc.get("a").unwrap().idx(0).unwrap().as_i64(), Some(1));
-        assert_eq!(
-            doc.get("a")
-                .unwrap()
-                .idx(1)
-                .unwrap()
-                .get("b")
-                .unwrap()
-                .as_str(),
-            Some("x")
-        );
+        let a = doc.get("a").unwrap().items();
+        assert_eq!(a[0].as_i64(), Some(1));
+        assert_eq!(a[1].get("b").unwrap().as_str(), Some("x"));
         assert_eq!(doc.get("missing"), None);
     }
 }

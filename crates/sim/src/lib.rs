@@ -44,7 +44,6 @@ pub use event::EventQueue;
 pub use faults::{CellFate, FaultInjector, FaultPlan, LaneOutage, PointFault, PointFaultKind};
 pub use fxhash::{FxHashMap, FxHasher};
 pub use json::Json;
-pub use obs::series::{SeriesData, SeriesDump, SeriesKind, SeriesSet};
 pub use obs::{
     CriticalPath, HistSummary, Histogram, PduPath, Probe, Registry, Snapshot, Stage, SymId,
     Timeline, TimelineEvent, TraceCtx,
@@ -54,8 +53,8 @@ pub use rng::SimRng;
 pub use smallvec::SmallVec;
 pub use time::{Clock, SimDuration, SimTime};
 
-/// Simulation-kernel configuration shared by harnesses: the sizing knobs
-/// of the observability machinery plus the wire-level [`FaultPlan`]
+/// Simulation-kernel configuration shared by harnesses: the capacity of
+/// the [`Timeline`] plus the wire-level [`FaultPlan`]
 /// (everything else about a run lives in the harness's own config, e.g.
 /// `TestbedConfig`).
 #[derive(Debug, Clone, PartialEq)]
@@ -64,13 +63,6 @@ pub struct SimConfig {
     pub timeline_capacity: usize,
     /// The seeded fault-injection plan (defaults to injecting nothing).
     pub faults: FaultPlan,
-    /// Period of the deterministic telemetry sampler
-    /// ([`obs::series::SeriesSet`]) in simulated time; `None` (the
-    /// default) disables sampling. Sampling is passive — it can never
-    /// change a result, which the telemetry equivalence tests pin.
-    pub sample_every: Option<SimDuration>,
-    /// Ring capacity (windows per series) of each sampled time series.
-    pub series_capacity: usize,
 }
 
 impl Default for SimConfig {
@@ -80,8 +72,6 @@ impl Default for SimConfig {
         SimConfig {
             timeline_capacity: 1 << 16,
             faults: FaultPlan::default(),
-            sample_every: None,
-            series_capacity: 4096,
         }
     }
 }

@@ -47,8 +47,6 @@ use std::rc::Rc;
 use crate::json::Json;
 use crate::time::{SimDuration, SimTime};
 
-pub mod series;
-
 /// A monotonically increasing event count.
 ///
 /// Cloning shares the underlying cell: the component keeps one clone for
@@ -286,31 +284,6 @@ impl Registry {
             .entry(path.to_string())
             .or_default()
             .clone()
-    }
-
-    /// The counter at exactly `path` if it is already registered.
-    /// Unlike [`Registry::counter`] this never creates the key — the
-    /// read-only form the sampling plane uses, so turning sampling on
-    /// can never change a snapshot's key set.
-    pub fn find_counter(&self, path: &str) -> Option<Counter> {
-        self.0.borrow().counters.get(path).cloned()
-    }
-
-    /// The gauge at exactly `path` if already registered (never creates).
-    pub fn find_gauge(&self, path: &str) -> Option<Gauge> {
-        self.0.borrow().gauges.get(path).cloned()
-    }
-
-    /// Registered counter paths starting with `prefix`, in path order —
-    /// how the sampler enumerates e.g. every `engine.dispatch.*` key.
-    pub fn counter_paths_with_prefix(&self, prefix: &str) -> Vec<String> {
-        self.0
-            .borrow()
-            .counters
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect()
     }
 
     /// A deterministic point-in-time read-out of every instrument.

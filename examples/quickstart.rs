@@ -16,27 +16,14 @@
 //! PDU's full causal span tree (send → fragmentation → DMA → lanes →
 //! reassembly → interrupt → delivery) plus its per-stage latency
 //! attribution, which sums exactly to the measured end-to-end latency.
-//!
-//! Pass `--sample-every <period>` (`100us`, `2ms`, or a bare number =
-//! microseconds) to run an incast with the runtime telemetry plane on:
-//! deterministic time-series sampling of the engine's own registry —
-//! per-event-type dispatch rates, switch queue high water, slab high water.
-//! Prints the per-series summary table. Composes with:
-//!
-//! * `--senders N` — incast fan-in (default 64);
-//! * `--series-out <path>` — write the series (`.csv` → CSV, `.jsonl`
-//!   → JSON-lines, anything else → one JSON document);
-//! * `--trace-out <path>` — write a Chrome trace: the full span
-//!   timeline with the sampled counter tracks merged in.
 
 use osiris::board::dma::DmaMode;
 use osiris::config::{TestbedConfig, TouchMode};
 use osiris::experiments::{receive_throughput, round_trip_latency};
 use osiris::report;
-use osiris::sim::{CriticalPath, SimDuration, SimTime, Simulation};
+use osiris::sim::{CriticalPath, SimTime, Simulation};
 use osiris::testbed::{Event, NodeId};
 use osiris::Scenario;
-use osiris::{run_sampled, Sampler};
 
 /// Runs one 1 KB ping-pong with the timeline enabled and writes the
 /// Chrome trace-event JSON document to `path`.
@@ -91,103 +78,8 @@ fn print_pdu_trace() {
     }
 }
 
-/// Parses a `--sample-every` period: `100us`, `2ms`, `500ns`, or a
-/// bare number of microseconds.
-fn parse_period(s: &str) -> SimDuration {
-    let s = s.trim();
-    let split = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
-    let n: u64 = s[..split]
-        .parse()
-        .expect("--sample-every needs a number, e.g. 100us");
-    match &s[split..] {
-        "" | "us" => SimDuration::from_us(n),
-        "ns" => SimDuration::from_ns(n),
-        "ms" => SimDuration::from_us(n * 1_000),
-        "s" => SimDuration::from_us(n * 1_000_000),
-        unit => panic!("unknown --sample-every unit {unit:?} (use ns/us/ms/s)"),
-    }
-}
-
-/// The telemetry workload: an N-sender switched incast sampled on the
-/// `every` grid. Reports the series table, then writes the optional
-/// series file and Chrome counter trace.
-fn run_telemetry(
-    senders: usize,
-    every: SimDuration,
-    series_out: Option<&str>,
-    trace_out: Option<&str>,
-) {
-    let mut cfg = TestbedConfig::ds5000_200_udp();
-    cfg.msg_size = 2 * 1024;
-    cfg.messages = 1;
-    cfg.reassembly = osiris::atm::sar::ReassemblyMode::FourWay { lanes: 4 };
-    // At 64-way fan-in even a maxed-out 63-buffer free ring overruns;
-    // reliable mode reaps and retransmits what the overrun sheds — the
-    // congested regime the telemetry plane is for.
-    cfg.rx_buffers = 63;
-    cfg.reliable = true;
-    cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
-    cfg.sim.sample_every = Some(every);
-    let out = Scenario::Incast { senders }.run(cfg.clone());
-    assert!(out.done, "incast must complete");
-    let dump = out.series.as_ref().expect("sampling was on");
-    let title = format!(
-        "{senders}-sender switched incast, sampled every {:.0} us:",
-        every.as_us_f64()
-    );
-    print!("{}", report::series_summary(&title, dump));
-    println!("  {}", out.goodput_line());
-
-    if let Some(path) = series_out {
-        let text = if path.ends_with(".csv") {
-            dump.to_csv()
-        } else if path.ends_with(".jsonl") {
-            dump.to_jsonl()
-        } else {
-            dump.to_json().render_pretty()
-        };
-        std::fs::write(path, text).expect("write series file");
-        println!("wrote {} series to {path}", dump.series.len());
-    }
-
-    if let Some(path) = trace_out {
-        // Re-run the same deterministic history with the span timeline
-        // enabled and merge the sampled counter tracks into the span
-        // export — one Chrome document showing both.
-        cfg.sim.sample_every = None;
-        let mut sim = Scenario::Incast { senders }.launch(cfg);
-        sim.model.timeline.set_enabled(true);
-        let sampler = Sampler::new(
-            &sim.model.registry,
-            &sim.model.registry.probe("obs"),
-            every,
-            sim.model.cfg.sim.series_capacity,
-        );
-        run_sampled(&mut sim, &sampler);
-        let doc = sampler
-            .finish(sim.now())
-            .merge_into_chrome(sim.model.timeline.to_chrome_json());
-        std::fs::write(path, doc.render_pretty()).expect("write trace file");
-        println!("wrote counter trace to {path} (open in chrome://tracing or Perfetto)");
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--sample-every") {
-        let every = parse_period(args.get(i + 1).expect("--sample-every needs a period"));
-        let flag_val = |name: &str| {
-            args.iter().position(|a| a == name).map(|j| {
-                args.get(j + 1)
-                    .unwrap_or_else(|| panic!("{name} needs a value"))
-            })
-        };
-        let senders: usize = flag_val("--senders").map_or(64, |v| v.parse().expect("--senders"));
-        let series_out = flag_val("--series-out").map(String::as_str);
-        let trace_out = flag_val("--trace-out").map(String::as_str);
-        run_telemetry(senders, every, series_out, trace_out);
-        return;
-    }
     if let Some(i) = args.iter().position(|a| a == "--trace-out") {
         let path = args.get(i + 1).expect("--trace-out needs a file path");
         dump_chrome_trace(path);

@@ -52,26 +52,6 @@ if grep -q '"partial export"' "$tmp/trace.json"; then
   exit 1
 fi
 
-echo "==> smoke: telemetry plane (sampled incast, series + counter trace)"
-# The run writes a series document (archived with the bench snapshots)
-# and a Chrome trace with the sampled counter tracks merged into the
-# span timeline.
-mkdir -p target/bench
-cargo run --release -q --example quickstart -- --sample-every 100us --senders 64 \
-  --series-out target/bench/BENCH_series.json --trace-out "$tmp/telemetry.json"
-test -s target/bench/BENCH_series.json
-grep -q '"ph": "C"' "$tmp/telemetry.json"
-if grep -q '"partial export"' "$tmp/telemetry.json"; then
-  echo "FAIL: telemetry trace export was partial (timeline ring dropped spans)" >&2
-  exit 1
-fi
-# Ring evictions would silently truncate the series' early windows;
-# obs.samples_dropped makes that visible and the gate makes it fatal.
-if ! grep -q '"samples_dropped": 0' target/bench/BENCH_series.json; then
-  echo "FAIL: telemetry series rings evicted samples (obs.samples_dropped != 0)" >&2
-  exit 1
-fi
-
 echo "==> smoke: bench snapshot + regression gate (fig2 --quick)"
 # The simulator is deterministic, so the quick sweep reproduces the
 # committed baseline exactly, and the gate is exact: any change to a

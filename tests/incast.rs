@@ -175,9 +175,11 @@ fn routing_at_send_matches_routing_on_arrival() {
 }
 
 /// A run's virtual-time result, rendered: the registry without the
-/// `engine.*` keys (the dispatch counts are what trains change), the
-/// latency record, the meter and the last event's time. Also returns
-/// the number of arrival events dispatched.
+/// `engine.*` keys (the dispatch counts are what trains change) and
+/// without `sim.timeline.dropped` (the spans a full timeline evicted,
+/// a fact about the trace, not the run), the latency record, the meter
+/// and the last event's time. Also returns the number of arrival events
+/// dispatched.
 fn virtual_result(scenario: Scenario, cfg: TestbedConfig, timeline: bool) -> (u64, String) {
     let mut sim = scenario.launch(cfg);
     sim.model.timeline.set_enabled(timeline);
@@ -188,6 +190,7 @@ fn virtual_result(scenario: Scenario, cfg: TestbedConfig, timeline: bool) -> (u6
     let arrivals = snap.counter("engine.dispatch.cell_arrival");
     snap.counters.retain(|k, _| !k.starts_with("engine."));
     snap.gauges.retain(|k, _| !k.starts_with("engine."));
+    snap.counters.remove("sim.timeline.dropped");
     let m = &sim.model;
     let rendered = format!(
         "{}\nlatency {:?}\nmeter {} bytes over {:?}, {:?} Mbps\nlast event {:?}",
@@ -278,6 +281,37 @@ fn trains_match_per_cell_arrivals() {
         assert_eq!(
             with_trains, reference,
             "many pairs: trains differ from per-cell arrival"
+        );
+    }
+}
+
+#[test]
+fn tracing_is_invisible_on_the_incasts() {
+    // The timeline records what a run does and must not change it, also
+    // where many feeders share a switch port and where cells are lost,
+    // retransmitted and reaped. The lossy run overflows the timeline, so
+    // the traced run differs in `sim.timeline.dropped` alone, which
+    // `virtual_result` strips.
+    let mut four_way = TestbedConfig::ds5000_200_udp();
+    four_way.msg_size = 2 * 1024;
+    four_way.messages = 1;
+    four_way.reassembly = ReassemblyMode::FourWay { lanes: 4 };
+    let mut lossy = four_way.clone();
+    lossy.messages = 2;
+    lossy.reliable = true;
+    lossy.reassembly_timeout = Some(SimDuration::from_us(1000));
+    lossy.sim.faults = FaultPlan::uniform_loss(0.01, 4, 42);
+    for (senders, cfg) in [(16, four_way), (64, lossy)] {
+        let incast = Scenario::Incast { senders };
+        let (arrivals, plain) = virtual_result(incast, cfg.clone(), false);
+        let (traced_arrivals, traced) = virtual_result(incast, cfg, true);
+        assert_eq!(
+            arrivals, traced_arrivals,
+            "{senders}-sender incast: tracing changed the arrival count"
+        );
+        assert_eq!(
+            plain, traced,
+            "{senders}-sender incast: tracing changed the result"
         );
     }
 }
