@@ -18,7 +18,13 @@
 //!   than inside the 44 data bytes. This keeps the paper's throughput
 //!   arithmetic (44 data bytes per 53 wire bytes) exact while the CRC is
 //!   still genuinely computed and checked; documented in DESIGN.md.
+//! * The payload is private. Every writer of it also stores the CRC
+//!   register contribution of its 44 bytes ([`crc::cell_remainder`]), so
+//!   a cell's bytes go through the CRC kernel once, where they are
+//!   written, and every CRC over them folds the carried remainder
+//!   ([`Cell::absorb`]).
 
+use crate::crc::{self, Crc32};
 use crate::vci::Vci;
 use osiris_sim::TraceCtx;
 
@@ -72,7 +78,10 @@ pub struct Cell {
     /// AAL per-cell header.
     pub aal: AalHeader,
     /// The 44-byte data payload (only `aal.fill` bytes valid).
-    pub payload: [u8; CELL_PAYLOAD],
+    payload: [u8; CELL_PAYLOAD],
+    /// `crc::cell_remainder(&payload)`, refreshed by every writer of
+    /// `payload`.
+    rem: u32,
     /// Present on cells with `aal.eom` set.
     pub trailer: Option<Trailer>,
     /// Simulation-side causal identity of the PDU this cell carries a
@@ -94,30 +103,83 @@ impl Cell {
         );
         let mut payload = [0u8; CELL_PAYLOAD];
         payload[..data.len()].copy_from_slice(data);
+        let header = CellHeader {
+            vci,
+            last_cell: false,
+        };
+        let aal = AalHeader {
+            seq,
+            eom: false,
+            fill: data.len() as u8,
+        };
+        Cell::cut(header, aal, payload)
+    }
+
+    /// A cell of `payload`, with no trailer and no trace identity: the
+    /// segmenter's writer.
+    pub(crate) fn cut(header: CellHeader, aal: AalHeader, payload: [u8; CELL_PAYLOAD]) -> Self {
         Cell {
-            header: CellHeader {
-                vci,
-                last_cell: false,
-            },
-            aal: AalHeader {
-                seq,
-                eom: false,
-                fill: data.len() as u8,
-            },
+            header,
+            aal,
+            rem: crc::cell_remainder(&payload),
             payload,
             trailer: None,
             ctx: None,
         }
     }
 
+    /// All 44 payload bytes (only `aal.fill` of them valid).
+    pub fn payload(&self) -> &[u8; CELL_PAYLOAD] {
+        &self.payload
+    }
+
     /// The valid data bytes.
+    #[inline]
     pub fn data_bytes(&self) -> &[u8] {
         &self.payload[..self.aal.fill as usize]
     }
 
-    /// Flips one payload bit (fault injection for CRC tests).
+    /// The carried CRC remainder of the 44 payload bytes
+    /// ([`crc::cell_remainder`]), as the last writer stored it.
+    pub fn remainder(&self) -> u32 {
+        self.rem
+    }
+
+    /// Absorbs the valid data bytes into `crc`: a full cell folds its
+    /// carried remainder ([`Crc32::absorb_cell`]), a partial one
+    /// updates over its bytes. Debug builds recompute the remainder at
+    /// every fold and check it against the carried one.
+    #[inline]
+    pub fn absorb(&self, crc: &mut Crc32) {
+        if self.aal.fill as usize == CELL_PAYLOAD {
+            debug_assert_eq!(
+                self.rem,
+                crc::cell_remainder(&self.payload),
+                "carried remainder is stale"
+            );
+            crc.absorb_cell(self.rem);
+        } else {
+            crc.update(self.data_bytes());
+        }
+    }
+
+    /// Overwrites payload bytes `at..at + bytes.len()` and refreshes the
+    /// carried remainder (the partial writer: a sender restamping a
+    /// header into a cell it keeps).
+    ///
+    /// # Panics
+    /// Panics if the range runs past the payload.
+    pub fn write_payload(&mut self, at: usize, bytes: &[u8]) {
+        self.payload[at..at + bytes.len()].copy_from_slice(bytes);
+        self.rem = crc::cell_remainder(&self.payload);
+    }
+
+    /// Flips one payload bit (fault injection for CRC tests) and
+    /// refreshes the carried remainder, so the cell carries the
+    /// remainder of its corrupted bytes.
     pub fn corrupt_bit(&mut self, byte: usize, bit: u8) {
         self.payload[byte % CELL_PAYLOAD] ^= 1 << (bit % 8);
+        self.rem = crc::cell_remainder(&self.payload);
     }
 }
 
@@ -160,9 +222,42 @@ mod tests {
     fn corrupt_bit_flips_payload() {
         let mut c = Cell::data(Vci(1), 0, &[0u8; 44]);
         c.corrupt_bit(10, 3);
-        assert_eq!(c.payload[10], 0b1000);
+        assert_eq!(c.payload()[10], 0b1000);
         c.corrupt_bit(10, 3);
-        assert_eq!(c.payload[10], 0);
+        assert_eq!(c.payload()[10], 0);
+    }
+
+    #[test]
+    fn every_writer_refreshes_the_carried_remainder() {
+        let fresh = |c: &Cell| crc::cell_remainder(c.payload());
+        let mut rng = osiris_sim::SimRng::new(0xCE11_4E44);
+        for fill in [1, 5, 43, CELL_PAYLOAD] {
+            let data: Vec<u8> = (0..fill).map(|_| rng.next_u64() as u8).collect();
+            let mut c = Cell::data(Vci(2), 0, &data);
+            assert_eq!(c.remainder(), fresh(&c), "data, fill {fill}");
+            for _ in 0..8 {
+                let at = rng.gen_range(CELL_PAYLOAD as u64) as usize;
+                let len = rng.gen_range((CELL_PAYLOAD - at) as u64 + 1) as usize;
+                let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                c.write_payload(at, &bytes);
+                assert_eq!(&c.payload()[at..at + len], &bytes[..]);
+                assert_eq!(c.remainder(), fresh(&c), "write_payload {at}+{len}");
+                c.corrupt_bit(rng.next_u64() as usize, rng.next_u64() as u8);
+                assert_eq!(c.remainder(), fresh(&c), "corrupt_bit");
+            }
+        }
+    }
+
+    #[test]
+    fn absorbing_a_cell_equals_updating_its_valid_bytes() {
+        for fill in [1, 30, CELL_PAYLOAD] {
+            let data: Vec<u8> = (0..fill as u8).map(|b| b.wrapping_mul(37)).collect();
+            let c = Cell::data(Vci(2), 0, &data);
+            let (mut absorbed, mut updated) = (Crc32::new(), Crc32::new());
+            c.absorb(&mut absorbed);
+            updated.update(&data);
+            assert_eq!(absorbed, updated, "fill {fill}");
+        }
     }
 
     #[test]

@@ -7,10 +7,25 @@
 //! *detected the way the paper relies on*: by the error check, not by
 //! simulator fiat.
 //!
-//! CRC-32 has two paths with the same values. A full cell payload takes
-//! a carry-less-multiply kernel on x86_64 CPUs with `PCLMULQDQ`
-//! (detected at run time); every other length and CPU takes
-//! slicing-by-16 over `const` tables. CRC-10 is bit-serial.
+//! A cell's bytes are run through the CRC register once, by whatever
+//! code writes them: [`cell_remainder`] is the register contribution of
+//! all 44 payload bytes from a zero register, and every writer of a
+//! [`Cell`](crate::cell::Cell)'s payload stores it in the cell. The
+//! register update is linear over GF(2), so a running CRC absorbs a
+//! full cell as `shift44(state) ⊕ remainder`
+//! ([`Crc32::absorb_cell`]: four table lookups) and gets the value
+//! [`Crc32::update`] would over the same bytes. The sender's lane CRCs
+//! and the receiver's checks fold the same carried remainder, and a
+//! cell corrupted in flight carries the remainder of its corrupted
+//! bytes, so the check still compares what arrived with the trailer.
+//!
+//! [`cell_remainder`] is the one place that picks a kernel: carry-less
+//! multiply on x86_64 CPUs with `PCLMULQDQ` (detected at run time),
+//! slicing-by-16 elsewhere. [`Crc32::update`], for partial cells and
+//! whole buffers, is slicing-by-16 over `const` tables. CRC-10 is
+//! bit-serial.
+
+use crate::cell::CELL_PAYLOAD;
 
 /// Reflected CRC-32 polynomial (IEEE 802.3 / AAL5).
 const CRC32_POLY: u32 = 0xEDB8_8320;
@@ -97,41 +112,76 @@ fn slice16(mut c: u32, data: &[u8]) -> u32 {
     c
 }
 
+/// `x^k mod P`, reflected (bit 31 is `x^0`): `k` multiplications by `x`.
+const fn x_pow(k: u32) -> u32 {
+    let mut p = 1u32 << 31;
+    let mut i = 0;
+    while i < k {
+        p = if p & 1 != 0 {
+            (p >> 1) ^ CRC32_POLY
+        } else {
+            p >> 1
+        };
+        i += 1;
+    }
+    p
+}
+
+/// `SHIFT44[k][b]` is register byte `k` holding `b`, carried past a
+/// cell's 44 bytes: `(b << 8k) · x^352 mod P`. The shift is linear, so
+/// four lookups carry a whole register. Built at compile time.
+static SHIFT44: [[u32; 256]; 4] = shift44_tables();
+
+const fn shift44_tables() -> [[u32; 256]; 4] {
+    let by = x_pow(8 * CELL_PAYLOAD as u32);
+    let mut t = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            t[k][b] = mul_mod_p(by, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// The register contribution of a cell's 44 payload bytes from a zero
+/// register: what [`Crc32::absorb_cell`] folds in. Every writer of a
+/// [`Cell`](crate::cell::Cell)'s payload stores it in the cell.
+///
+/// This is the one place that picks a kernel: carry-less multiply when
+/// the CPU has `PCLMULQDQ` (checked at run time), slicing-by-16
+/// otherwise. Both give the one-byte-per-step loop's value.
+pub fn cell_remainder(payload: &[u8; CELL_PAYLOAD]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: the CPU has PCLMULQDQ, the kernel's one target feature
+        // beyond the x86_64 baseline.
+        return unsafe { clmul::cell(payload) };
+    }
+    slice16(0, payload)
+}
+
 /// The carry-less-multiply kernel for one full cell payload.
 ///
-/// From register `c` and the 44 payload bytes `D`, the next register
-/// is `(c·x^352 ⊕ D·x^32) mod P`. Values stay in the reflected order
-/// (bit 0 of an n-bit slot is `x^(n−1)`), in which the carry-less
+/// From the zero register, the 44 payload bytes `D` leave the register
+/// `D·x^32 mod P` (the cell's remainder). Values stay in the reflected
+/// order (bit 0 of an n-bit slot is `x^(n−1)`), in which the carry-less
 /// product of an n-bit and an m-bit slot is exact in an (n+m−1)-bit slot
 /// and carries one extra factor of `x` in an (n+m)-bit one. The payload
-/// is cut into a 4-byte head (offset 0; `c` is XORed into it, as both
-/// are shifted by `x^352`), two 16-byte blocks (offsets 4 and 20, two
-/// 8-byte words each) and an 8-byte tail (offset 36). The word at offset
-/// `o` times `x^(319−8o) mod P`, read in a 96-bit slot, is congruent
-/// mod P to its part of `D·x^32`; for the tail that constant is
-/// `x^31 = 1`, so the tail is XORed in as it is. Bits `x^95..x^64` of
-/// the sum fold down with `x^63 mod P`, and a Barrett step reduces the
-/// 64-bit rest: eight carry-less multiplies in all.
+/// is cut into a 4-byte head (offset 0), two 16-byte blocks (offsets 4
+/// and 20, two 8-byte words each) and an 8-byte tail (offset 36). The
+/// word at offset `o` times `x^(319−8o) mod P`, read in a 96-bit slot,
+/// is congruent mod P to its part of `D·x^32`; for the tail that
+/// constant is `x^31 = 1`, so the tail is XORed in as it is. Bits
+/// `x^95..x^64` of the sum fold down with `x^63 mod P`, and a Barrett
+/// step reduces the 64-bit rest: eight carry-less multiplies in all.
 #[cfg(target_arch = "x86_64")]
 mod clmul {
-    use super::CRC32_POLY;
-    use crate::cell::CELL_PAYLOAD;
+    use super::{x_pow, CELL_PAYLOAD, CRC32_POLY};
     use std::arch::x86_64::*;
-
-    /// `x^k mod P`, reflected (bit 31 is `x^0`): `k` multiplications by `x`.
-    const fn x_pow(k: u32) -> u32 {
-        let mut p = 1u32 << 31;
-        let mut i = 0;
-        while i < k {
-            p = if p & 1 != 0 {
-                (p >> 1) ^ CRC32_POLY
-            } else {
-                p >> 1
-            };
-            i += 1;
-        }
-        p
-    }
 
     /// The shift for a word at byte offset `o`.
     const fn k(o: u32) -> i64 {
@@ -152,13 +202,13 @@ mod clmul {
     const MU: i64 = 0x1_F701_1641;
     const P: i64 = ((CRC32_POLY as i64) << 1) | 1;
 
-    /// The register after `d` from register `c`.
+    /// The register after `d` from the zero register.
     ///
     /// # Safety
     /// The CPU must support `PCLMULQDQ`.
     #[target_feature(enable = "pclmulqdq")]
-    pub(super) unsafe fn cell(c: u32, d: &[u8; CELL_PAYLOAD]) -> u32 {
-        let head = c ^ u32::from_le_bytes([d[0], d[1], d[2], d[3]]);
+    pub(super) unsafe fn cell(d: &[u8; CELL_PAYLOAD]) -> u32 {
+        let head = u32::from_le_bytes([d[0], d[1], d[2], d[3]]);
         let low32 = _mm_set_epi64x(0, 0xFFFF_FFFF);
         let k_head = _mm_set_epi64x(FOLD, K0);
         let k_a = _mm_set_epi64x(K12, K4);
@@ -215,24 +265,21 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Absorbs bytes.
-    ///
-    /// A full cell payload (exactly
-    /// [`CELL_PAYLOAD`](crate::cell::CELL_PAYLOAD) bytes) takes the
-    /// carry-less-multiply kernel when the CPU has `PCLMULQDQ` (checked
-    /// at run time); every other length, and every CPU without it, takes
-    /// slicing-by-16. Both give the one-byte-per-step loop's value.
+    /// Absorbs bytes (slicing-by-16).
     pub fn update(&mut self, data: &[u8]) {
-        #[cfg(target_arch = "x86_64")]
-        if let Ok(cell) = <&[u8; crate::cell::CELL_PAYLOAD]>::try_from(data) {
-            if std::arch::is_x86_feature_detected!("pclmulqdq") {
-                // SAFETY: the CPU has PCLMULQDQ, the kernel's one target
-                // feature beyond the x86_64 baseline.
-                self.state = unsafe { clmul::cell(self.state, cell) };
-                return;
-            }
-        }
         self.state = slice16(self.state, data);
+    }
+
+    /// Absorbs a full cell from its carried remainder `rem`
+    /// ([`cell_remainder`] of its 44 bytes): the register carried past
+    /// 44 bytes, plus what the bytes contribute. The update is linear,
+    /// so this equals [`Crc32::update`] over the bytes.
+    #[inline]
+    pub fn absorb_cell(&mut self, rem: u32) {
+        let [b0, b1, b2, b3] = self.state.to_le_bytes();
+        let t = &SHIFT44;
+        self.state =
+            t[0][b0 as usize] ^ t[1][b1 as usize] ^ t[2][b2 as usize] ^ t[3][b3 as usize] ^ rem;
     }
 
     /// Final CRC value.
@@ -339,7 +386,6 @@ pub fn crc10(data: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CELL_PAYLOAD;
     use osiris_sim::SimRng;
 
     /// The one-byte-per-step reference both CRC-32 paths must match.
@@ -380,12 +426,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_cell_paths_match_bytewise_reference() {
-        // A 44-byte update takes the carry-less-multiply kernel wherever
-        // the CPU has it, so the slicing body is also called directly:
-        // both paths are held to the reference on seeded (state, payload)
-        // pairs and on all-zero and all-ones payloads.
+    /// Seeded (state, payload) pairs, plus all-zero and all-ones payloads.
+    fn full_cell_cases() -> Vec<(u32, [u8; CELL_PAYLOAD])> {
         let mut rng = SimRng::new(0x44C3_11C5);
         let mut cases: Vec<(u32, [u8; CELL_PAYLOAD])> = Vec::new();
         for state in [0, 0xFFFF_FFFF, rng.next_u64() as u32] {
@@ -397,7 +439,21 @@ mod tests {
             payload.fill_with(|| rng.next_u64() as u8);
             cases.push((rng.next_u64() as u32, payload));
         }
-        for (state, payload) in cases {
+        cases
+    }
+
+    #[test]
+    fn full_cell_paths_match_bytewise_reference() {
+        // `cell_remainder` takes the carry-less-multiply kernel wherever
+        // the CPU has it, so the slicing body is also called directly:
+        // both are held to the reference, the kernel from the zero
+        // register it is used at and slicing from every seeded state.
+        for (state, payload) in full_cell_cases() {
+            assert_eq!(
+                cell_remainder(&payload),
+                crc32_bytewise(0, &payload),
+                "cell_remainder"
+            );
             let reference = crc32_bytewise(state, &payload);
             let mut crc = Crc32 { state };
             crc.update(&payload);
@@ -407,6 +463,17 @@ mod tests {
                 reference,
                 "slice16, state {state:#x}"
             );
+        }
+    }
+
+    #[test]
+    fn absorbing_a_carried_remainder_equals_updating_the_bytes() {
+        for (state, payload) in full_cell_cases() {
+            let mut updated = Crc32 { state };
+            updated.update(&payload);
+            let mut absorbed = Crc32 { state };
+            absorbed.absorb_cell(cell_remainder(&payload));
+            assert_eq!(absorbed, updated, "state {state:#x}");
         }
     }
 

@@ -66,6 +66,7 @@ impl LinkLane {
     /// Sends one cell at `now` with additional queueing `jitter`; returns
     /// its arrival time at the far end. Arrivals are clamped to be
     /// non-decreasing: a lane is a FIFO, whatever the jitter.
+    #[inline]
     pub fn send(&mut self, now: SimTime, jitter: SimDuration) -> SimTime {
         let g = self.tx.acquire(now, self.spec.cell_time());
         let mut arrival = g.finish + self.spec.propagation + self.offset + jitter;

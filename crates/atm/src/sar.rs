@@ -39,7 +39,8 @@
 //! let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
 //! let mut done = None;
 //! for cell in &cells {
-//!     done = r.receive(0, cell).unwrap().completed.or(done);
+//!     r.receive(0, cell).unwrap();
+//!     done = r.take_completed().or(done);
 //! }
 //! let pdu = done.unwrap();
 //! assert!(pdu.crc_ok);
@@ -301,12 +302,25 @@ impl SegCursor {
         } else {
             self.lane + 1
         };
-        lane.0.update(&payload[..fill]);
+        // The last cell of each lane carries that lane's trailer.
+        let eom = i + n_lanes >= self.cells;
+        let mut cell = Cell::cut(
+            CellHeader {
+                vci: self.vci,
+                last_cell: i + 1 == self.cells,
+            },
+            AalHeader {
+                seq: self.seq.unwrap_or(i as u16),
+                eom,
+                fill: fill as u8,
+            },
+            payload,
+        );
+        cell.absorb(&mut lane.0);
         lane.1 += fill as u32;
-        // The last cell of each lane carries that lane's trailer. Under
-        // FourWay framing its CRC also covers the PDU's tag, which binds
-        // the lane's bytes to their PDU.
-        let trailer = (i + n_lanes >= self.cells).then(|| {
+        // Under FourWay framing the trailer's CRC also covers the PDU's
+        // tag, which binds the lane's bytes to their PDU.
+        cell.trailer = eom.then(|| {
             let mut crc = lane.0;
             if let Some(tag) = self.seq {
                 crc.update(&tag.to_le_bytes());
@@ -316,20 +330,7 @@ impl SegCursor {
                 crc: crc.finish(),
             }
         });
-        Some(Cell {
-            header: CellHeader {
-                vci: self.vci,
-                last_cell: i + 1 == self.cells,
-            },
-            aal: AalHeader {
-                seq: self.seq.unwrap_or(i as u16),
-                eom: trailer.is_some(),
-                fill: fill as u8,
-            },
-            payload,
-            trailer,
-            ctx: None,
-        })
+        Some(cell)
     }
 }
 
@@ -428,15 +429,17 @@ pub struct PduComplete {
     pub data: Option<Vec<u8>>,
 }
 
-/// Where an accepted cell's payload belongs, and whether it completed a PDU.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where an accepted cell's payload belongs, and whether it completed a
+/// PDU. The completed PDU waits in the reassembler for
+/// [`Reassembler::take_completed`], so the disposition stays two words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellDisposition {
     /// PDU number the cell belongs to.
     pub pdu: u64,
     /// Byte offset of the cell's data within the PDU.
     pub offset: u32,
     /// Set when this cell completed the PDU.
-    pub completed: Option<PduComplete>,
+    pub completed: bool,
 }
 
 #[derive(Debug, Default)]
@@ -477,6 +480,9 @@ pub struct Reassembler {
     /// SeqNum: stash of cells that belong to the next PDU.
     stash: Vec<Cell>,
     stash_limit: usize,
+    /// The PDU the last completing cell completed, waiting for
+    /// [`Reassembler::take_completed`].
+    completed: Option<PduComplete>,
     /// SeqNum: PDUs that stash replay completed, oldest first, waiting
     /// for [`Reassembler::take_replayed`].
     replayed: VecDeque<PduComplete>,
@@ -516,15 +522,25 @@ impl Reassembler {
             inorder_crc: Crc32::new(),
             stash: Vec::new(),
             stash_limit: 4096,
+            completed: None,
             replayed: VecDeque::new(),
             lane_pos: vec![(0, 0); lanes],
             completed_totals: FxHashMap::default(),
         }
     }
 
+    /// The PDU the last completing cell completed (its disposition's
+    /// `completed` is set), until taken or replaced by the next
+    /// completion.
+    #[inline]
+    pub fn take_completed(&mut self) -> Option<PduComplete> {
+        self.completed.take()
+    }
+
     /// The oldest PDU completed by SeqNum stash replay and not yet taken.
-    /// Each one completed after the PDU the last [`Reassembler::receive`]
-    /// returned.
+    /// Each one completed after the PDU [`Reassembler::take_completed`]
+    /// returns for the same cell.
+    #[inline]
     pub fn take_replayed(&mut self) -> Option<PduComplete> {
         self.replayed.pop_front()
     }
@@ -538,11 +554,13 @@ impl Reassembler {
     /// arrived on (ignored by [`ReassemblyMode::InOrder`] and
     /// [`ReassemblyMode::SeqNum`]).
     ///
-    /// Under SeqNum a cell that completes a PDU can also complete later
-    /// ones: their cells overtook it and waited in the stash. Those
-    /// completions follow the returned one through
-    /// [`Reassembler::take_replayed`], so a caller drains it after every
-    /// cell.
+    /// A cell that completes a PDU sets its disposition's `completed`,
+    /// and the PDU waits for [`Reassembler::take_completed`]. Under
+    /// SeqNum such a cell can also complete later PDUs: their cells
+    /// overtook it and waited in the stash. Those completions follow it
+    /// through [`Reassembler::take_replayed`], so a caller drains that
+    /// after every cell.
+    #[inline]
     pub fn receive(&mut self, lane: usize, cell: &Cell) -> Result<CellDisposition, RxError> {
         // Malformed cells are turned away before they touch any state: a
         // cell stored and then rejected would shift the placement of the
@@ -560,10 +578,12 @@ impl Reassembler {
         }
     }
 
+    #[inline]
     fn record(&mut self, pdu: u64) -> &mut PduRecord {
         self.records.entry(pdu).or_default()
     }
 
+    #[inline]
     fn store(
         keep: bool,
         max: u32,
@@ -587,6 +607,7 @@ impl Reassembler {
         Ok(())
     }
 
+    #[inline]
     fn receive_inorder(&mut self, cell: &Cell) -> Result<CellDisposition, RxError> {
         let trailer = match cell.aal.eom || cell.header.last_cell {
             true => Some(cell.trailer.ok_or(RxError::NoTrailer)?),
@@ -603,14 +624,14 @@ impl Reassembler {
             cell.data_bytes(),
         )?;
         self.inorder_offset += cell.aal.fill as u32;
-        self.inorder_crc.update(cell.data_bytes());
+        cell.absorb(&mut self.inorder_crc);
 
-        let mut completed = None;
+        let completed = trailer.is_some();
         if let Some(trailer) = trailer {
             let crc_ok = std::mem::take(&mut self.inorder_crc).finish() == trailer.crc
                 && trailer.len == self.inorder_offset;
             let rec = self.inorder.take().expect("record exists");
-            completed = Some(PduComplete {
+            self.completed = Some(PduComplete {
                 pdu,
                 len: rec.received_bytes,
                 crc_ok,
@@ -655,14 +676,14 @@ impl Reassembler {
             return Ok(CellDisposition {
                 pdu: pdu + 1,
                 offset,
-                completed: None,
+                completed: false,
             });
         }
-        let completed = self.place_seqnum(pdu, cell).then(|| {
-            let done = self.complete_seqnum(pdu);
+        let completed = self.place_seqnum(pdu, cell);
+        if completed {
+            self.completed = Some(self.complete_seqnum(pdu));
             self.replay_stash();
-            done
-        });
+        }
         Ok(CellDisposition {
             pdu,
             offset,
@@ -738,6 +759,7 @@ impl Reassembler {
         }
     }
 
+    #[inline]
     fn receive_fourway(
         &mut self,
         lane: usize,
@@ -785,7 +807,7 @@ impl Reassembler {
         let done = {
             let rec = self.record(pdu);
             Self::store(keep, max, rec, offset, cell.data_bytes())?;
-            rec.lane_crc[lane].update(cell.data_bytes());
+            cell.absorb(&mut rec.lane_crc[lane]);
             rec.lane_len += cell.aal.fill as u32;
             if cell.header.last_cell {
                 rec.expected_total_cells = Some(global_index + 1);
@@ -809,11 +831,13 @@ impl Reassembler {
             self.lane_pos[lane] = (pdu, within + 1);
         }
 
-        let completed = done.then(|| self.complete_fourway(pdu, lanes));
+        if done {
+            self.completed = Some(self.complete_fourway(pdu, lanes));
+        }
         Ok(CellDisposition {
             pdu,
             offset,
-            completed,
+            completed: done,
         })
     }
 
@@ -951,6 +975,27 @@ impl PduRecord {
 mod tests {
     use super::*;
 
+    /// A disposition with its completed PDU taken: what the tests below
+    /// read.
+    #[derive(Debug)]
+    struct Taken {
+        pdu: u64,
+        offset: u32,
+        completed: Option<PduComplete>,
+    }
+
+    impl Reassembler {
+        fn receive_taken(&mut self, lane: usize, cell: &Cell) -> Result<Taken, RxError> {
+            let d = self.receive(lane, cell)?;
+            let completed = d.completed.then(|| self.take_completed().expect("parked"));
+            Ok(Taken {
+                pdu: d.pdu,
+                offset: d.offset,
+                completed,
+            })
+        }
+    }
+
     fn payload(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 31 % 251) as u8).collect()
     }
@@ -1025,7 +1070,7 @@ mod tests {
         let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
         let mut complete = None;
         for c in &cells {
-            let d = r.receive(0, c).unwrap();
+            let d = r.receive_taken(0, c).unwrap();
             if let Some(p) = d.completed {
                 complete = Some(p);
             }
@@ -1046,7 +1091,7 @@ mod tests {
         let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
         let mut out = None;
         for c in &cells {
-            out = r.receive(0, c).unwrap().completed.or(out);
+            out = r.receive_taken(0, c).unwrap().completed.or(out);
         }
         let p = out.unwrap();
         assert!(p.crc_ok);
@@ -1063,7 +1108,7 @@ mod tests {
         let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
         let mut out = None;
         for c in &cells {
-            out = r.receive(0, c).unwrap().completed.or(out);
+            out = r.receive_taken(0, c).unwrap().completed.or(out);
         }
         let p = out.unwrap();
         assert!(!p.crc_ok, "CRC must catch misordered reassembly");
@@ -1077,9 +1122,40 @@ mod tests {
         let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
         let mut out = None;
         for c in &cells {
-            out = r.receive(0, c).unwrap().completed.or(out);
+            out = r.receive_taken(0, c).unwrap().completed.or(out);
         }
         assert!(!out.unwrap().crc_ok);
+    }
+
+    #[test]
+    fn one_corrupted_cell_fails_the_crc_in_either_framing() {
+        // Every cell of a 9.5-cell PDU in turn, full cells (folded from
+        // their carried remainder) and the partial last one, under InOrder
+        // and FourWay reassembly.
+        let data = payload(44 * 9 + 22);
+        let modes = [
+            (FramingMode::EndOfPdu, ReassemblyMode::InOrder),
+            (
+                FramingMode::FourWay { lanes: 4 },
+                ReassemblyMode::FourWay { lanes: 4 },
+            ),
+        ];
+        for (framing, mode) in modes {
+            let cells = seg(framing, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+            for bad in 0..cells.len() {
+                let mut cells = cells.clone();
+                let fill = cells[bad].aal.fill as usize;
+                cells[bad].corrupt_bit(bad % fill, 5);
+                for keep in [true, false] {
+                    let mut r = Reassembler::new(mode, 1 << 20, keep);
+                    let mut out = None;
+                    for (i, c) in cells.iter().enumerate() {
+                        out = r.receive_taken(i % 4, c).unwrap().completed.or(out);
+                    }
+                    assert!(!out.unwrap().crc_ok, "{mode:?}, cell {bad} corrupted");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1092,7 +1168,7 @@ mod tests {
         let mut r = Reassembler::new(ReassemblyMode::SeqNum { max_cells: 1024 }, 1 << 20, true);
         let mut out = None;
         for &i in &order {
-            out = r.receive(0, &cells[i]).unwrap().completed.or(out);
+            out = r.receive_taken(0, &cells[i]).unwrap().completed.or(out);
         }
         let p = out.expect("complete");
         assert!(p.crc_ok);
@@ -1109,10 +1185,14 @@ mod tests {
         let b: Vec<u8> = payload(20).iter().map(|x| x ^ 0x5a).collect();
         let (ca, cb) = (s.segment(Vci(1), &[&a]), s.segment(Vci(1), &[&b]));
         let mut r = Reassembler::new(ReassemblyMode::SeqNum { max_cells: 64 }, 1 << 20, true);
-        assert_eq!(r.receive(0, &ca[0]).unwrap().completed, None);
-        let d = r.receive(1, &cb[0]).unwrap();
+        assert_eq!(r.receive_taken(0, &ca[0]).unwrap().completed, None);
+        let d = r.receive_taken(1, &cb[0]).unwrap();
         assert_eq!((d.pdu, d.completed), (1, None), "b0 is stashed for PDU 1");
-        let p0 = r.receive(0, &ca[1]).unwrap().completed.expect("PDU 0");
+        let p0 = r
+            .receive_taken(0, &ca[1])
+            .unwrap()
+            .completed
+            .expect("PDU 0");
         assert_eq!((p0.pdu, p0.crc_ok), (0, true));
         assert_eq!(p0.data.as_deref(), Some(&a[..]));
         let p1 = r.take_replayed().expect("replay completes PDU 1");
@@ -1132,7 +1212,7 @@ mod tests {
             ReassemblyMode::FourWay { lanes: 4 },
         ] {
             let mut r = Reassembler::new(mode, 1 << 20, true);
-            assert_eq!(r.receive(0, &c).unwrap_err(), RxError::FillOutOfRange);
+            assert_eq!(r.receive_taken(0, &c).unwrap_err(), RxError::FillOutOfRange);
         }
     }
 
@@ -1140,7 +1220,7 @@ mod tests {
     fn seqnum_rejects_out_of_window() {
         let mut r = Reassembler::new(ReassemblyMode::SeqNum { max_cells: 4 }, 1 << 20, true);
         let c = Cell::data(Vci(1), 4, &[0u8; 44]);
-        assert_eq!(r.receive(0, &c).unwrap_err(), RxError::SeqOutOfRange);
+        assert_eq!(r.receive_taken(0, &c).unwrap_err(), RxError::SeqOutOfRange);
     }
 
     #[test]
@@ -1148,7 +1228,7 @@ mod tests {
         let mut r = Reassembler::new(ReassemblyMode::SeqNum { max_cells: 64 }, 1 << 20, true);
         let c = Cell::data(Vci(1), 0, &[0u8; 10]); // partial, not last
         assert_eq!(
-            r.receive(0, &c).unwrap_err(),
+            r.receive_taken(0, &c).unwrap_err(),
             RxError::PartialFillUnsupported
         );
     }
@@ -1166,7 +1246,7 @@ mod tests {
         for lane in (0..4usize).rev() {
             let mut i = lane;
             while i < n {
-                let d = r.receive(lane, &cells[i]).unwrap();
+                let d = r.receive_taken(lane, &cells[i]).unwrap();
                 out = d.completed.or(out);
                 i += 4;
             }
@@ -1185,9 +1265,9 @@ mod tests {
             seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
         assert_eq!(cells.len(), 2);
         let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
-        assert!(r.receive(0, &cells[0]).unwrap().completed.is_none());
+        assert!(r.receive_taken(0, &cells[0]).unwrap().completed.is_none());
         let p = r
-            .receive(1, &cells[1])
+            .receive_taken(1, &cells[1])
             .unwrap()
             .completed
             .expect("complete");
@@ -1202,7 +1282,7 @@ mod tests {
         );
         let mut out = None;
         for (i, c) in cells2.iter().enumerate() {
-            out = r.receive(i % 4, c).unwrap().completed.or(out);
+            out = r.receive_taken(i % 4, c).unwrap().completed.or(out);
         }
         let p2 = out.expect("second PDU completes");
         assert!(p2.crc_ok);
@@ -1225,7 +1305,7 @@ mod tests {
             for cells in [&c1, &c2] {
                 let mut i = lane;
                 while i < cells.len() {
-                    if let Some(p) = r.receive(lane, &cells[i]).unwrap().completed {
+                    if let Some(p) = r.receive_taken(lane, &cells[i]).unwrap().completed {
                         done.push(p);
                     }
                     i += 4;
@@ -1237,7 +1317,7 @@ mod tests {
         for cells in [&c1, &c2] {
             let mut i = 0;
             while i < cells.len() {
-                if let Some(p) = r.receive(0, &cells[i]).unwrap().completed {
+                if let Some(p) = r.receive_taken(0, &cells[i]).unwrap().completed {
                     done.push(p);
                 }
                 i += 4;
@@ -1253,7 +1333,7 @@ mod tests {
     fn fourway_lane_out_of_range() {
         let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
         let c = Cell::data(Vci(1), 0, &[0u8; 44]);
-        assert_eq!(r.receive(4, &c).unwrap_err(), RxError::LaneOutOfRange);
+        assert_eq!(r.receive_taken(4, &c).unwrap_err(), RxError::LaneOutOfRange);
     }
 
     #[test]
@@ -1265,7 +1345,7 @@ mod tests {
         let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
         let mut out = None;
         for (i, c) in cells.iter().enumerate() {
-            out = r.receive(i % 4, c).unwrap().completed.or(out);
+            out = r.receive_taken(i % 4, c).unwrap().completed.or(out);
         }
         assert!(!out.unwrap().crc_ok);
     }
@@ -1285,7 +1365,7 @@ mod tests {
             if i == 6 {
                 continue; // the dropped cell
             }
-            assert!(r.receive(i % 4, c).unwrap().completed.is_none());
+            assert!(r.receive_taken(i % 4, c).unwrap().completed.is_none());
         }
         assert_eq!(r.in_flight(), 1);
 
@@ -1296,7 +1376,7 @@ mod tests {
         // The next PDU now reassembles cleanly on all four lanes.
         let mut out = None;
         for (i, c) in c2.iter().enumerate() {
-            out = r.receive(i % 4, c).unwrap().completed.or(out);
+            out = r.receive_taken(i % 4, c).unwrap().completed.or(out);
         }
         let p = out.expect("PDU 1 completes after the abort");
         assert_eq!(p.pdu, 1);
@@ -1313,13 +1393,13 @@ mod tests {
         let c2 = s.segment(Vci(1), &[&d2]);
         let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
         // Deliver the first two cells of PDU 0, then lose the tail.
-        r.receive(0, &c1[0]).unwrap();
-        r.receive(0, &c1[1]).unwrap();
+        r.receive_taken(0, &c1[0]).unwrap();
+        r.receive_taken(0, &c1[1]).unwrap();
         r.abort(0);
         assert_eq!(r.in_flight(), 0);
         let mut out = None;
         for c in &c2 {
-            out = r.receive(0, c).unwrap().completed.or(out);
+            out = r.receive_taken(0, c).unwrap().completed.or(out);
         }
         let p = out.expect("complete");
         assert!(p.crc_ok);
@@ -1368,7 +1448,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                let (a, b) = (kept.receive(0, &cell), lean.receive(0, &cell));
+                let (a, b) = (kept.receive_taken(0, &cell), lean.receive_taken(0, &cell));
                 match (&a, &b) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!((a.pdu, a.offset), (b.pdu, b.offset), "seed {seed}");
@@ -1401,7 +1481,7 @@ mod tests {
     fn pdu_too_large_rejected() {
         let mut r = Reassembler::new(ReassemblyMode::InOrder, 40, true);
         let c = Cell::data(Vci(1), 0, &[0u8; 44]);
-        assert_eq!(r.receive(0, &c).unwrap_err(), RxError::PduTooLarge);
+        assert_eq!(r.receive_taken(0, &c).unwrap_err(), RxError::PduTooLarge);
     }
 
     #[test]
@@ -1414,7 +1494,7 @@ mod tests {
         // equal global_cell_index * 44.
         let order = [(1usize, 1usize), (2, 2), (0, 0), (3, 3), (0, 4)];
         for &(lane, idx) in &order {
-            let d = r.receive(lane, &cells[idx]).unwrap();
+            let d = r.receive_taken(lane, &cells[idx]).unwrap();
             assert_eq!(d.offset as usize, idx * 44, "cell {idx}");
         }
     }
@@ -1438,12 +1518,12 @@ mod tests {
 
         let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
         // ca[0] (lane 0) is dropped on the wire.
-        assert!(r.receive(1, &ca[1]).unwrap().completed.is_none());
-        let d = r.receive(0, &cb[0]).unwrap();
+        assert!(r.receive_taken(1, &ca[1]).unwrap().completed.is_none());
+        let d = r.receive_taken(0, &cb[0]).unwrap();
         assert_eq!(d.pdu, 1, "lane 0 must resync onto PDU 1, not stitch PDU 0");
         assert!(d.completed.is_none());
         let p = r
-            .receive(1, &cb[1])
+            .receive_taken(1, &cb[1])
             .unwrap()
             .completed
             .expect("PDU 1 completes");
@@ -1463,10 +1543,10 @@ mod tests {
         let s = seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu);
         let ca = s.segment_numbered(Vci(1), 0, &[&a]);
         let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
-        assert!(r.receive(1, &ca[1]).unwrap().completed.is_none());
+        assert!(r.receive_taken(1, &ca[1]).unwrap().completed.is_none());
         r.abort(0);
         assert_eq!(
-            r.receive(0, &ca[0]).unwrap_err(),
+            r.receive_taken(0, &ca[0]).unwrap_err(),
             RxError::StaleSeq,
             "straggler of the aborted PDU is rejected by its stale tag"
         );
@@ -1577,7 +1657,7 @@ mod tests {
         let mut r = Reassembler::new(case.mode, 1 << 20, true);
         let (mut done, mut replayed) = (Vec::new(), 0);
         for (lane, cell) in &case.arrivals {
-            if let Ok(d) = r.receive(*lane, cell) {
+            if let Ok(d) = r.receive_taken(*lane, cell) {
                 done.extend(d.completed);
             }
             while let Some(p) = r.take_replayed() {

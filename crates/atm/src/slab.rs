@@ -63,6 +63,7 @@ impl CellSlab {
     }
 
     /// Parks a cell, preferring a recycled slot off the free list.
+    #[inline]
     pub fn insert(&mut self, cell: Cell) -> CellRef {
         if let Some(idx) = self.free.pop() {
             debug_assert!(self.slots[idx as usize].is_none());
@@ -81,6 +82,7 @@ impl CellSlab {
     ///
     /// # Panics
     /// Panics on a stale handle (double-remove) — a model bug.
+    #[inline]
     pub fn remove(&mut self, r: CellRef) -> Cell {
         let cell = self.slots[r.0 as usize]
             .take()
@@ -90,6 +92,7 @@ impl CellSlab {
     }
 
     /// Drops the cell without reading it (e.g. a dropped/unroutable cell).
+    #[inline]
     pub fn free(&mut self, r: CellRef) {
         self.remove(r);
     }
@@ -98,6 +101,7 @@ impl CellSlab {
     ///
     /// # Panics
     /// Panics on a stale handle.
+    #[inline]
     pub fn get(&self, r: CellRef) -> &Cell {
         self.slots[r.0 as usize]
             .as_ref()
@@ -108,6 +112,7 @@ impl CellSlab {
     ///
     /// # Panics
     /// Panics on a stale handle.
+    #[inline]
     pub fn get_mut(&mut self, r: CellRef) -> &mut Cell {
         self.slots[r.0 as usize]
             .as_mut()

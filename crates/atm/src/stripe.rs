@@ -18,7 +18,7 @@ use osiris_sim::faults::{CellFate, FaultInjector, FaultPlan};
 use osiris_sim::obs::{Counter, Probe};
 use osiris_sim::{SimDuration, SimRng, SimTime};
 
-use crate::cell::Cell;
+use crate::cell::{Cell, CELL_PAYLOAD};
 use crate::link::{LinkLane, LinkSpec};
 use crate::slab::{CellRef, CellSlab};
 
@@ -146,6 +146,7 @@ impl StripedLink {
     /// belongs to its logical lane — four-way framing bakes the lane into
     /// the cell trailers at segmentation, so the receiver's reassembler
     /// must keep seeing the logical lane. Only the physical timing moves.
+    #[inline]
     pub fn send_cell(
         &mut self,
         now: SimTime,
@@ -155,7 +156,7 @@ impl StripedLink {
         let lane = (index_in_pdu as usize) % self.lanes.len();
         let mut physical = lane;
         if let Some(inj) = &mut self.injector {
-            match inj.offer(lane, cell.payload.len()) {
+            match inj.offer(lane, CELL_PAYLOAD) {
                 CellFate::Drop => {
                     self.cells_dropped.incr();
                     return None;
@@ -192,6 +193,7 @@ impl StripedLink {
     /// Slab-handle form of [`send_cell`](Self::send_cell): the cell stays
     /// parked in `slab` and is corrupted in place if a fault fires; a
     /// dropped cell's slot is freed immediately so the slab recycles it.
+    #[inline]
     pub fn send_cell_ref(
         &mut self,
         now: SimTime,
@@ -333,9 +335,9 @@ mod tests {
             0,
         );
         let mut c = mk_cell(3);
-        let before = c.payload;
+        let before = *c.payload();
         link.send_cell(SimTime::ZERO, 0, &mut c).unwrap();
-        assert_ne!(c.payload, before);
+        assert_ne!(*c.payload(), before);
         assert_eq!(reg.snapshot().counters["n.link.cells_corrupted"], 1);
     }
 

@@ -206,6 +206,7 @@ impl Switch {
     /// cell's ECN mark: true when the output queue's backlog crossed
     /// [`Switch::set_ecn_threshold`]. `None` if the VCI has no route or
     /// the bounded output queue overflows (the cell is dropped).
+    #[inline]
     pub fn forward(
         &mut self,
         now: SimTime,
@@ -227,6 +228,7 @@ impl Switch {
     /// mark, or `None` when the bounded output queue overflows and the
     /// cell is dropped. `block` is the route's port block, which the
     /// coordinated mode equalises over.
+    #[inline]
     fn depart(
         &mut self,
         now: SimTime,

@@ -1,10 +1,12 @@
 //! The lazy segmenter against the eager cell-building loop it replaced:
 //! for seeded buffer chains, both framing modes, both segmentation units
 //! and PDU tags around the `u16` wrap, every cell — header, AAL fields,
-//! payload and trailer — must be identical. FourWay framings of one to
+//! payload, carried CRC remainder and trailer — must be identical, and
+//! each cell's remainder must be its payload's. FourWay framings of one to
 //! four lanes run through the cutter's inline per-lane state, over byte
 //! slices and over a chain read by index.
 
+use osiris_atm::crc::cell_remainder;
 use osiris_atm::sar::{
     BufferChain, FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter, MAX_LANES,
 };
@@ -28,7 +30,7 @@ fn eager_segment_numbered(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[
             if let Some(last) = cells.last_mut() {
                 let fill = last.aal.fill as usize;
                 let take = (CELL_PAYLOAD - fill).min(rest.len());
-                last.payload[fill..fill + take].copy_from_slice(&rest[..take]);
+                last.write_payload(fill, &rest[..take]);
                 last.aal.fill += take as u8;
                 rest = &rest[take..];
             }
@@ -137,7 +139,12 @@ fn assert_same(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[u8]], what:
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g.header, w.header, "{what}: cell {i} header");
         assert_eq!(g.aal, w.aal, "{what}: cell {i} AAL fields");
-        assert_eq!(g.payload, w.payload, "{what}: cell {i} payload");
+        assert_eq!(g.payload(), w.payload(), "{what}: cell {i} payload");
+        assert_eq!(
+            g.remainder(),
+            cell_remainder(g.payload()),
+            "{what}: cell {i} carried remainder"
+        );
         assert_eq!(g.trailer, w.trailer, "{what}: cell {i} trailer");
         assert_eq!(g, w, "{what}: cell {i}");
     }

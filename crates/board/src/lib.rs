@@ -14,10 +14,6 @@
 //!   accounting so the cost of crossing the TURBOchannel is charged
 //!   faithfully; plus the spin-lock-guarded baseline queue the paper
 //!   rejected.
-//! * [`spsc`] — the same queue discipline implemented with real atomics
-//!   and run on real threads, validating that head/tail ownership plus
-//!   acquire/release ordering is sufficient (the paper's claim that only
-//!   load/store atomicity is needed).
 //! * [`dpram`] — the dual-port memory layout: 16 × 4 KB pages per half,
 //!   one transmit queue or free/receive queue pair per page (§3.2's ADC
 //!   substrate).
@@ -35,7 +31,6 @@ pub mod dma;
 pub mod dpram;
 pub mod interrupt;
 pub mod rx;
-pub mod spsc;
 pub mod tx;
 
 pub use descriptor::{DescRing, Descriptor, LockedRing, RingCosts, RingFull, DESC_WORDS};

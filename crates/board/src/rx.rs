@@ -504,7 +504,8 @@ impl RxProcessor {
 
         // Completion (also reached while shedding: the reassembler still
         // tracks cell counts so the stream stays framed).
-        if let Some(complete) = disp.completed {
+        if disp.completed {
+            let complete = rec.reasm.take_completed().expect("completed PDU is parked");
             let (_, state) = rec.open.swap_remove(slot);
             dp.complete_pdu(t_fw, t_done, vci, state, complete, &mut out);
         }

@@ -1,15 +1,16 @@
-//! Cross-checks between the simulated lock-free ring (with its
-//! TURBOchannel cost accounting) and the real-atomics SPSC ring: the two
-//! implementations of the §2.1.1 discipline must agree on semantics.
+//! The simulated lock-free ring of §2.1.1 (with its TURBOchannel cost
+//! accounting) against a bounded FIFO reference: a `size`-slot ring keeps
+//! one slot empty to tell full from empty, so it must accept, refuse and
+//! yield exactly what a queue of capacity `size - 1` does.
 //!
 //! Each property runs 64 seeded cases drawn with `SimRng`; a failing case
 //! prints its seed, and `SimRng::new(seed)` replays it.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use osiris_atm::Vci;
 use osiris_board::descriptor::{DescRing, Descriptor, DESC_WORDS};
-use osiris_board::spsc::ring;
 use osiris_mem::PhysAddr;
 use osiris_sim::SimRng;
 
@@ -27,7 +28,30 @@ fn for_each_case(base: u64, property: impl Fn(&mut SimRng)) {
     }
 }
 
-/// The DES ring and the atomic ring accept/refuse the exact same
+/// A bounded FIFO of `size - 1` values: what a `size`-slot ring holds.
+struct Reference {
+    queue: VecDeque<u32>,
+    cap: usize,
+}
+
+impl Reference {
+    fn new(size: u32) -> Reference {
+        Reference {
+            queue: VecDeque::new(),
+            cap: size as usize - 1,
+        }
+    }
+
+    fn push(&mut self, v: u32) -> bool {
+        let ok = self.queue.len() < self.cap;
+        if ok {
+            self.queue.push_back(v);
+        }
+        ok
+    }
+}
+
+/// The DES ring and the bounded reference accept/refuse the exact same
 /// operation sequences and yield the same values.
 #[test]
 fn both_rings_agree() {
@@ -35,22 +59,21 @@ fn both_rings_agree() {
         let size = rng.gen_range_inclusive(2, 31) as u32;
         let ops = rng.gen_range_inclusive(1, 299);
         let mut des = DescRing::new(size);
-        let (mut tx, mut rx) = ring::<u32>(size);
+        let mut reference = Reference::new(size);
         let mut n = 0u32;
         for _ in 0..ops {
             if rng.gen_bool(0.5) {
                 let des_ok = des
                     .push(Descriptor::tx(PhysAddr(n as u64), n, Vci(1), false))
                     .is_ok();
-                let spsc_ok = tx.push(n).is_ok();
-                assert_eq!(des_ok, spsc_ok, "full disagreement at {n}");
+                assert_eq!(des_ok, reference.push(n), "full disagreement at {n}");
                 n += 1;
             } else {
                 let a = des.pop().map(|(d, _)| d.len);
-                let b = rx.pop();
+                let b = reference.queue.pop_front();
                 assert_eq!(a, b, "pop disagreement");
             }
-            assert_eq!(des.len(), rx.len());
+            assert_eq!(des.len() as usize, reference.queue.len());
         }
     });
 }
@@ -97,7 +120,7 @@ fn ring_costs_are_constant() {
 fn wraparound_equivalence_long_run() {
     // Deterministic long interleaving crossing the wrap point many times.
     let mut des = DescRing::new(5);
-    let (mut tx, mut rx) = ring::<u32>(5);
+    let mut reference = Reference::new(5);
     let mut next = 0u32;
     for round in 0..1000u32 {
         let pushes = (round % 4) + 1;
@@ -105,15 +128,14 @@ fn wraparound_equivalence_long_run() {
             let a = des
                 .push(Descriptor::tx(PhysAddr(0), next, Vci(1), false))
                 .is_ok();
-            let b = tx.push(next).is_ok();
-            assert_eq!(a, b);
+            assert_eq!(a, reference.push(next));
             if a {
                 next += 1;
             }
         }
         let pops = (round % 3) + 1;
         for _ in 0..pops {
-            assert_eq!(des.pop().map(|(d, _)| d.len), rx.pop());
+            assert_eq!(des.pop().map(|(d, _)| d.len), reference.queue.pop_front());
         }
     }
 }

@@ -77,7 +77,8 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use osiris_adc::AdcManager;
 use osiris_atm::sar::{SegmentUnit, Segmenter};
-use osiris_atm::{Cell, CellRef, CellSlab};
+use osiris_atm::{CellRef, CellSlab};
+use osiris_board::rx::RxOutcome;
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
 use osiris_sim::obs::{Counter, Histogram, Probe, Snapshot};
 use osiris_sim::stats::ThroughputMeter;
@@ -1067,8 +1068,8 @@ impl Testbed {
         self.arrive(at, NodeId(to), lane, r, q);
     }
 
-    /// A routed cell arrives at its turn: it leaves the slab and goes
-    /// through the receive path.
+    /// A routed cell arrives at its turn: it goes through the receive
+    /// path and leaves the slab.
     fn arrive(
         &mut self,
         now: SimTime,
@@ -1081,8 +1082,9 @@ impl Testbed {
             let track = self.syms.nodes[to.0].board_rx;
             self.timeline.instant_sym(track, self.syms.cell, now);
         }
-        let cell = self.cells.remove(r);
-        self.cell_arrival(now, to, lane, &cell, q);
+        let out = self.nodes[to.0].rx_cell(now, lane, self.cells.get(r));
+        self.cells.free(r);
+        self.after_rx_cell(now, to, out, q);
     }
 
     /// Whether nothing pending precedes `pos` in the per-cell order (the
@@ -1214,9 +1216,9 @@ impl Testbed {
                 if at > bound || (at, key) >= limit {
                     break;
                 }
-                let cell = self.cells.get(r).clone();
+                let out = self.nodes[to].rx_cell(at, lane, self.cells.get(r));
                 self.ledger.holding = true;
-                self.cell_arrival(at, NodeId(to), lane, &cell, q);
+                self.after_rx_cell(at, NodeId(to), out, q);
                 self.ledger.holding = false;
                 let t = &mut self.trains.pool[id as usize];
                 t.head += 1;
@@ -1249,25 +1251,16 @@ impl Testbed {
         }
     }
 
-    /// Feeds one cell into a node's receive half.
-    fn cell_arrival(
+    /// The testbed's part of a cell arrival at `host` ([`HostNode::rx_cell`]
+    /// is the node's): queue the interrupt, flush and reap events the
+    /// receive outcome `out` asks for.
+    fn after_rx_cell(
         &mut self,
         now: SimTime,
         host: NodeId,
-        lane: usize,
-        cell: &Cell,
+        out: RxOutcome,
         q: &mut EventQueue<Event>,
     ) {
-        let node = &mut self.nodes[host.0];
-        let out = node.rx.receive_cell(
-            now,
-            lane,
-            cell,
-            &mut node.host.mem_sys,
-            &mut node.host.cache,
-            &mut node.host.phys,
-        );
-        node.note_rx_pushes();
         if self.timeline.is_enabled() {
             // Anchor for the interrupt-delivery wait: once the PDU's
             // end-of-PDU descriptor is visible, it sits in the ring until
@@ -1741,7 +1734,8 @@ impl Testbed {
             let Some((lane, cell)) = gen.next_cell() else {
                 break;
             };
-            self.cell_arrival(now, host, lane, cell, q);
+            let out = self.nodes[host.0].rx_cell(now, lane, cell);
+            self.after_rx_cell(now, host, out, q);
         }
         gen.pop_exhausted();
         self.nodes[host.0].gen = gen;
@@ -1872,6 +1866,7 @@ impl Model for Testbed {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use osiris_atm::Cell;
     use osiris_sim::Simulation;
 
     fn run_pair(mut cfg: TestbedConfig) -> Testbed {
@@ -2041,7 +2036,12 @@ mod tests {
                                 assert_eq!(got.aal.seq, want.aal.seq, "{at}: AAL seq");
                                 assert_eq!(got.aal.eom, want.aal.eom, "{at}: AAL eom");
                                 assert_eq!(got.aal.fill, want.aal.fill, "{at}: AAL fill");
-                                assert_eq!(got.payload, want.payload, "{at}: payload");
+                                assert_eq!(got.payload(), want.payload(), "{at}: payload");
+                                assert_eq!(
+                                    got.remainder(),
+                                    want.remainder(),
+                                    "{at}: carried remainder"
+                                );
                                 let len = |c: &Cell| c.trailer.map(|t| t.len);
                                 let crc = |c: &Cell| c.trailer.map(|t| t.crc);
                                 assert_eq!(len(got), len(&want), "{at}: trailer len");

@@ -94,17 +94,20 @@ impl BusSpec {
     }
 
     /// Words needed for `bytes` (rounded up).
+    #[inline]
     pub fn words(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.word_bytes)
     }
 
     /// Duration of a DMA read moving `bytes` (overhead + data).
+    #[inline]
     pub fn dma_read_time(&self, bytes: u64) -> SimDuration {
         self.clock
             .cycles(self.dma_read_overhead_cycles + self.words(bytes))
     }
 
     /// Duration of a DMA write moving `bytes` (overhead + data).
+    #[inline]
     pub fn dma_write_time(&self, bytes: u64) -> SimDuration {
         self.clock
             .cycles(self.dma_write_overhead_cycles + self.words(bytes))
@@ -206,12 +209,14 @@ impl MemorySystem {
     }
 
     /// DMA read of `bytes` from host memory (transmit direction).
+    #[inline]
     pub fn dma_read(&mut self, now: SimTime, bytes: u64) -> Grant {
         self.count_dma(self.spec.words(bytes));
         self.bus.acquire(now, self.spec.dma_read_time(bytes))
     }
 
     /// DMA write of `bytes` to host memory (receive direction).
+    #[inline]
     pub fn dma_write(&mut self, now: SimTime, bytes: u64) -> Grant {
         if self.last_write.bytes != bytes {
             self.last_write = WriteCost::of(&self.spec, bytes);

@@ -187,6 +187,7 @@ impl DataCache {
     /// A DMA write to main memory. On a coherent machine resident lines are
     /// updated; on an incoherent one they are left stale — subsequent reads
     /// return the old bytes until [`DataCache::invalidate`] runs.
+    #[inline]
     pub fn dma_write(&mut self, mem: &mut PhysMemory, addr: PhysAddr, data: &[u8]) {
         mem.write(addr, data);
         if self.spec.coherent_dma {

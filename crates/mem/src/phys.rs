@@ -25,6 +25,7 @@ pub struct PhysAddr(pub u64);
 
 impl PhysAddr {
     /// Byte offset addition.
+    #[inline]
     pub fn offset(self, bytes: u64) -> PhysAddr {
         PhysAddr(self.0 + bytes)
     }
@@ -81,12 +82,14 @@ impl PhysMemory {
     ///
     /// # Panics
     /// Panics on out-of-range access (a model bug, analogous to a bus error).
+    #[inline]
     pub fn read(&self, addr: PhysAddr, len: usize) -> &[u8] {
         let start = addr.0 as usize;
         &self.bytes[start..start + len]
     }
 
     /// Writes `data` at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: PhysAddr, data: &[u8]) {
         let start = addr.0 as usize;
         self.bytes[start..start + data.len()].copy_from_slice(data);

@@ -178,6 +178,7 @@ impl FaultInjector {
     }
 
     /// Whether `lane` is inside an outage window at `now`.
+    #[inline]
     pub fn lane_down(&self, lane: usize, now: SimTime) -> bool {
         self.plan
             .outages
@@ -190,6 +191,7 @@ impl FaultInjector {
     /// with remap enabled, the next live lane in cyclic order (fixed for
     /// the duration of a static outage window, so per-logical-lane cell
     /// order is preserved); `None` when the cell cannot be carried.
+    #[inline]
     pub fn physical_lane(&self, lane: usize, now: SimTime, lanes: usize) -> Option<usize> {
         if !self.lane_down(lane, now) {
             return Some(lane);
@@ -205,6 +207,7 @@ impl FaultInjector {
     /// Decides the fate of the next cell offered to logical `lane`,
     /// advancing that lane's offer counter. `payload_bytes` bounds the
     /// corruption target.
+    #[inline]
     pub fn offer(&mut self, lane: usize, payload_bytes: usize) -> CellFate {
         if self.offered.len() <= lane {
             self.offered.resize(lane + 1, 0);

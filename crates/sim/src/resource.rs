@@ -57,6 +57,7 @@ pub struct FifoResource {
 impl FifoResource {
     /// Reserves `duration` of exclusive service at the earliest instant not
     /// before `now`. Returns when service starts and finishes.
+    #[inline]
     pub fn acquire(&mut self, now: SimTime, duration: SimDuration) -> Grant {
         let start = self.free_at.max(now);
         let finish = start + duration;
@@ -67,6 +68,7 @@ impl FifoResource {
     }
 
     /// The instant at which the resource next becomes idle.
+    #[inline]
     pub fn free_at(&self) -> SimTime {
         self.free_at
     }

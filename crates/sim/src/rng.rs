@@ -66,6 +66,7 @@ impl SimRng {
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p.clamp(0.0, 1.0)
     }

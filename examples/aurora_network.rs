@@ -76,7 +76,8 @@ fn main() {
         let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
         let mut done = None;
         for (_, lane, cell) in &arrivals {
-            done = r.receive(*lane, cell).unwrap().completed.or(done);
+            r.receive(*lane, cell).unwrap();
+            done = r.take_completed().or(done);
         }
         let pdu = done.expect("PDU completes");
         assert!(pdu.crc_ok);

@@ -51,8 +51,8 @@ fn reassemble(mode: ReassemblyMode, arrivals: &[(usize, osiris::atm::Cell)]) -> 
     let mut r = osiris::atm::Reassembler::new(mode, 1 << 20, true);
     let mut out = None;
     for (lane, cell) in arrivals {
-        if let Ok(d) = r.receive(*lane, cell) {
-            out = d.completed.or(out);
+        if r.receive(*lane, cell).is_ok() {
+            out = r.take_completed().or(out);
         }
     }
     match out {

@@ -21,6 +21,47 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> per-cell leaves inline across crates (calls.py on events)"
+# Without LTO, a call into another crate is a real call unless the callee
+# is #[inline]. The per-cell path's leaves in sim, mem and atm are, and
+# this step keeps them so: it disassembles the per-cell functions of the
+# release `events` binary (built from the same rlibs, with the same
+# non-LTO profile, as the benchmark) and fails if any of them calls a
+# listed leaf out of line. `Testbed::run_train` has no symbol of its own
+# (it is inlined into `handle`), so `handle` stands in for it.
+per_cell=(
+  RxProcessor::receive_cell Datapath::store_payload Datapath::issue_dma
+  TxProcessor::service Testbed::run_train Testbed::route_cell
+  Testbed::after_rx_cell "Testbed as osiris_sim::Model>::handle"
+)
+leaves=(
+  "SimTime as core::ops::arith::Add<osiris_sim::time::SimDuration>>::add"
+  "SimTime as core::ops::arith::AddAssign<osiris_sim::time::SimDuration>>::add_assign"
+  "SimTime as core::ops::arith::Sub<osiris_sim::time::SimDuration>>::sub"
+  "SimTime as core::ops::arith::Sub>::sub"
+  "SimDuration as core::ops::arith::Add>::add"
+  "SimDuration as core::ops::arith::AddAssign>::add_assign"
+  "SimDuration as core::ops::arith::Sub>::sub"
+  "SimDuration as core::ops::arith::Mul<u64>>::mul"
+  SimTime::since SimTime::saturating_since
+  FifoResource::acquire FifoResource::free_at
+  FaultInjector::offer FaultInjector::physical_lane FaultInjector::lane_down
+  SimRng::gen_bool
+  BusSpec::words BusSpec::dma_read_time BusSpec::dma_write_time
+  MemorySystem::dma_read MemorySystem::dma_write MemorySystem::count_dma
+  DataCache::dma_write PhysMemory::read PhysMemory::write PhysAddr::offset
+  CellSlab::insert CellSlab::get CellSlab::get_mut CellSlab::remove CellSlab::free
+  Cell::data_bytes Cell::absorb Crc32::absorb_cell
+  StripedLink::send_cell StripedLink::send_cell_ref LinkLane::send
+  Switch::forward Switch::depart
+  Reassembler::receive Reassembler::record Reassembler::store
+  Reassembler::receive_inorder Reassembler::receive_fourway
+  Reassembler::take_completed Reassembler::take_replayed
+)
+deny=()
+for leaf in "${leaves[@]}"; do deny+=(--deny "$leaf"); done
+python3 scripts/profile/calls.py target/release/events "${per_cell[@]}" "${deny[@]}" > /dev/null
+
 echo "==> cargo test"
 cargo test --workspace -q
 

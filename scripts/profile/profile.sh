@@ -14,6 +14,12 @@
 # got and the share one sample is worth. Add RUNS for finer shares.
 # The report also gives each function's inclusive share (once per sample
 # wherever it sits on the stack).
+#
+# A share points at code but does not say why it costs. For a call that
+# crosses a crate boundary, scripts/profile/calls.py BINARY FUNCTION...
+# lists a function's out-of-line callees (direct calls and calls through
+# the GOT, resolved by the binary's relocations): a per-cell leaf that
+# shows up there is a real call, not inlined, in this non-LTO build.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 

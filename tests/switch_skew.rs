@@ -45,7 +45,8 @@ fn reassemble(arrivals: &[(usize, osiris::atm::Cell)]) -> Option<(bool, Vec<u8>)
     let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
     let mut out = None;
     for (lane, cell) in arrivals {
-        out = r.receive(*lane, cell).unwrap().completed.or(out);
+        r.receive(*lane, cell).unwrap();
+        out = r.take_completed().or(out);
     }
     out.map(|p| (p.crc_ok, p.data.unwrap_or_default()))
 }
@@ -161,7 +162,8 @@ fn four_sender_incast_preserves_per_lane_fifo_and_per_vci_reassembly() {
         let r = reasm.entry(vci).or_insert_with(|| {
             Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true)
         });
-        if let Some(p) = r.receive(*lane, cell).unwrap().completed {
+        r.receive(*lane, cell).unwrap();
+        if let Some(p) = r.take_completed() {
             done.insert(vci, (p.crc_ok, p.data.unwrap_or_default()));
         }
     }
@@ -187,7 +189,8 @@ fn coordinated_switch_removes_skew_at_a_price() {
     let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
     let mut out = None;
     for (_, cell) in &arrivals {
-        out = r.receive(0, cell).unwrap().completed.or(out);
+        r.receive(0, cell).unwrap();
+        out = r.take_completed().or(out);
     }
     let p = out.expect("completes in order");
     assert!(p.crc_ok);
