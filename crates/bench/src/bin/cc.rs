@@ -127,7 +127,7 @@ fn main() {
     );
     for p in &points {
         println!(
-            "  {:>2} senders, loss {:>4.0e}, {:<9}: {:>7.1} Mbps{}, p99 gap {:>8.1} us, {} retrans ({} sack), {} blk acks, {} deferred, {} marked, {} overflow, {} gave up",
+            "  {:>2} senders, loss {:>4.0e}, {:<9}: {:>7.1} Mbps{}, p99 gap {:>8.1} us, {} retrans ({} sack, {} dup), {} blk acks, {} deferred, {} marked, {} overflow, {} gave up",
             p.senders,
             p.loss_rate,
             p.scheme,
@@ -136,6 +136,7 @@ fn main() {
             p.p99_gap_us,
             p.retransmits,
             p.sack_retransmits,
+            p.dup_datagrams,
             p.block_acks,
             p.deferred,
             p.ecn_marked,

@@ -290,6 +290,9 @@ pub struct CcSweepPoint {
     pub retransmits: u64,
     /// SACK-driven fast retransmits (subset of `retransmits`).
     pub sack_retransmits: u64,
+    /// Data datagrams that arrived at a receiver already holding them,
+    /// summed over the nodes: each is a retransmission it did not need.
+    pub dup_datagrams: u64,
     /// Block acks the receiver emitted.
     pub block_acks: u64,
     /// Datagrams held back by the window/CC gate at send time.
@@ -364,6 +367,7 @@ pub fn cc_point(base: &TestbedConfig, senders: usize, rate: f64, scheme: &str) -
         delivered: snap.counter(&format!("{recv}.stack.delivered")),
         retransmits: all("stack.retransmits"),
         sack_retransmits: all("stack.window.sack_retransmits"),
+        dup_datagrams: all("stack.dup_datagrams"),
         block_acks: all("stack.window.block_acks"),
         deferred: all("stack.window.deferred"),
         ecn_marked: snap.counter("fabric.switch.ecn_marked"),

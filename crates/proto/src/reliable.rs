@@ -9,6 +9,10 @@
 //! after every delivery and every duplicate. The sender releases what an
 //! ack names, retransmits a hole early on SACK evidence, and otherwise
 //! retransmits on an exponentially backed-off RTO until [`MAX_RETRIES`].
+//! The RTO toward each destination is estimated from measured round trips
+//! (Jacobson/Karn, RFC 6298): each accepted block ack samples the newest
+//! never-retransmitted datagram it releases, and the RTO is the smoothed
+//! round trip plus four mean deviations, never below [`RTO_INITIAL`].
 //! The congestion-control schemes ([`CcScheme`]) ride on the same acks.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -34,7 +38,8 @@ pub const ACK_ID_BASE: u32 = 0x8000_0000;
 /// dropped whole.
 pub const BLOCK_ACK_BYTES: usize = 19;
 
-/// Initial retransmission timeout, doubled per expiry round.
+/// Retransmission timeout before the first round-trip sample, and the
+/// floor of every estimated one; doubled per expiry round.
 pub const RTO_INITIAL: SimDuration = SimDuration::from_ms(2);
 
 /// Ceiling of the retransmission backoff.
@@ -123,6 +128,10 @@ struct PendingMsg {
     /// its fragment buffers pinned. (The emptied list is recycled through
     /// `Reliable::packet_spare`.)
     packets: Vec<TxPacket>,
+    /// When the datagram was admitted to the window; a retransmission
+    /// leaves it alone, and only a never-retransmitted datagram's is
+    /// sampled (Karn).
+    sent_at: SimTime,
     /// When the RTO next expires.
     next_at: SimTime,
     retries: u32,
@@ -141,11 +150,16 @@ struct SendWindow {
     pending: BTreeMap<u32, PendingMsg>,
     /// Built-but-unadmitted datagrams, FIFO.
     deferred: VecDeque<(u32, Vec<TxPacket>)>,
-    /// The backoff ladder is carried *per destination*, not per datagram:
-    /// new datagrams inherit it and a retransmission whose ack crossed it
-    /// in flight (retries > 0, an ambiguous sample) cannot reset it. Only
-    /// an ack for a never-retransmitted datagram snaps it back.
+    /// The RTO new datagrams are armed with. The backoff ladder is
+    /// carried *per destination*, not per datagram: new datagrams inherit
+    /// it and a retransmission whose ack crossed it in flight (retries >
+    /// 0, an ambiguous sample) cannot reset it. Only a clean round-trip
+    /// sample re-derives it from the estimate, as
+    /// `clamp(srtt + 4·rttvar, RTO_INITIAL, RTO_MAX)`.
     rto_cur: SimDuration,
+    /// Smoothed round trip and its mean deviation, in picoseconds;
+    /// `None` until the first clean sample.
+    rtt: Option<(u64, u64)>,
     /// Congestion window in datagrams (ECN halves, clean acks grow).
     cwnd: u32,
     /// Receiver-advertised admission gap (pacing scheme).
@@ -165,12 +179,27 @@ impl SendWindow {
             pending: BTreeMap::new(),
             deferred: VecDeque::new(),
             rto_cur: RTO_INITIAL,
+            rtt: None,
             cwnd: cfg.window_cap(),
             pace_gap: SimDuration::ZERO,
             pace_ok_at: SimTime::ZERO,
             last_sent_id: 0,
             ecn_guard: 0,
         }
+    }
+
+    /// Folds round-trip sample `r` into the estimate (RFC 6298: the
+    /// first sets SRTT = R and RTTVAR = R/2, each later one RTTVAR =
+    /// (3·RTTVAR + |SRTT − R|)/4, then SRTT = (7·SRTT + R)/8) and
+    /// re-derives the RTO from it.
+    fn sample_rtt(&mut self, r: SimDuration) {
+        let r = r.as_ps();
+        let (srtt, rttvar) = match self.rtt {
+            None => (r, r / 2),
+            Some((srtt, rttvar)) => ((7 * srtt + r) / 8, (3 * rttvar + srtt.abs_diff(r)) / 4),
+        };
+        self.rtt = Some((srtt, rttvar));
+        self.rto_cur = SimDuration::from_ps(srtt + 4 * rttvar).clamp(RTO_INITIAL, RTO_MAX);
     }
 
     /// Datagrams the schemes currently allow in flight.
@@ -202,6 +231,7 @@ impl SendWindow {
                 id,
                 PendingMsg {
                     packets: pkts,
+                    sent_at: now,
                     next_at: now + rto,
                     retries: 0,
                     sack_miss: 0,
@@ -339,6 +369,7 @@ impl Reliable {
                 id,
                 PendingMsg {
                     packets: held,
+                    sent_at: t,
                     next_at: t + rto,
                     retries: 0,
                     sack_miss: 0,
@@ -377,7 +408,8 @@ impl Reliable {
             .ecn_pending = true;
     }
 
-    /// The carried RTO toward `peer` (`None` before the first send).
+    /// The RTO new datagrams toward `peer` are armed with (`None` before
+    /// the first send).
     pub(crate) fn current_rto(&self, peer: u16) -> Option<SimDuration> {
         self.send.get(&peer).map(|w| w.rto_cur)
     }
@@ -464,10 +496,13 @@ impl Reliable {
     }
 
     /// Applies a block ack from `from`: releases everything below
-    /// `ack.base` or set in `ack.bitmap`, fast-retransmits holes with
-    /// enough SACK evidence, runs the congestion-control update for the
-    /// configured scheme, and refills the window from the deferred queue
-    /// (released packets go to [`Reliable::take_released`]).
+    /// `ack.base` or set in `ack.bitmap`, samples the round trip of the
+    /// newest never-retransmitted datagram it releases (older ones' own
+    /// acks were lost or overtaken, so their time measures ack loss, not
+    /// the path), fast-retransmits holes with enough SACK evidence, runs
+    /// the congestion-control update for the configured scheme, and
+    /// refills the window from the deferred queue (released packets go
+    /// to [`Reliable::take_released`]).
     ///
     /// The ack is wire input: one with a nonzero reserved field, one
     /// whose `base` lies beyond the next id this sender would send to
@@ -510,7 +545,9 @@ impl Reliable {
         let acked_by =
             |id: u32| id < base || (id.wrapping_sub(base) < 64 && (bitmap >> (id - base)) & 1 == 1);
         let mut any_acked = false;
-        let mut clean_sample = false;
+        // (sent_at, retries) of the newest clean datagram released; the
+        // scan runs in id order, so the last one kept is the newest.
+        let mut sample = None;
         let spare = &mut self.packet_spare;
         win.pending.retain(|&id, p| {
             if !acked_by(id) {
@@ -518,13 +555,22 @@ impl Reliable {
             }
             any_acked = true;
             if p.retries == 0 {
-                clean_sample = true;
+                sample = Some((p.sent_at, p.retries));
             }
             recycle_packets(spare, &mut p.packets);
             false
         });
-        if clean_sample {
-            win.rto_cur = RTO_INITIAL;
+        if let Some((sent_at, retries)) = sample {
+            debug_assert_eq!(
+                retries, 0,
+                "Karn: a retransmitted datagram is never sampled"
+            );
+            win.sample_rtt(now.saturating_since(sent_at));
+            debug_assert!(
+                (RTO_INITIAL..=RTO_MAX).contains(&win.rto_cur),
+                "estimated RTO {:?} outside [RTO_INITIAL, RTO_MAX]",
+                win.rto_cur
+            );
         }
         // SACK: a hole below data this ack shows as received gains one
         // count of evidence; at the threshold it retransmits immediately

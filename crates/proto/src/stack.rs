@@ -39,9 +39,10 @@ pub struct ProtoConfig {
     pub udp_checksum: bool,
     /// Opt-in reliable mode, a windowed selective repeat: up to
     /// [`ProtoConfig::window`] datagrams in flight per destination, each
-    /// held for acknowledgement and retransmitted with exponential backoff
-    /// ([`RTO_INITIAL`] up to [`RTO_MAX`]) or on SACK evidence until acked
-    /// or [`MAX_RETRIES`] is exhausted. The receiver answers every
+    /// held for acknowledgement and retransmitted on SACK evidence or on
+    /// an RTO estimated from measured round trips (never below
+    /// [`RTO_INITIAL`], backed off exponentially up to [`RTO_MAX`]) until
+    /// acked or [`MAX_RETRIES`] is exhausted. The receiver answers every
     /// delivery and every duplicate with a block ack of its whole receive
     /// window on [`ACK_PORT`], and suppresses duplicates. A window of 1 is
     /// stop-and-wait. The paper's stack is unreliable UDP — this exists
@@ -403,10 +404,14 @@ impl ProtoStack {
         self.rel.note_ecn(peer);
     }
 
-    /// The sender's current RTO toward `peer` — [`RTO_INITIAL`] until loss
-    /// backs it off, and carried (not reset) across acks of retransmitted
-    /// datagrams so a crossed ack can't collapse the backoff. `None`
-    /// until the first reliable send to `peer`.
+    /// The RTO the sender arms new datagrams toward `peer` with:
+    /// [`RTO_INITIAL`] until the first clean round-trip sample, then
+    /// SRTT + 4·RTTVAR (RFC 6298), at least [`RTO_INITIAL`] and at most
+    /// [`RTO_MAX`], re-derived after each clean sample and doubled per
+    /// expiry round. An ack of a
+    /// retransmitted datagram takes no sample and leaves it alone, so a
+    /// crossed ack can't collapse the backoff. `None` until the first
+    /// reliable send to `peer`.
     pub fn current_rto(&self, peer: u16) -> Option<SimDuration> {
         self.rel.current_rto(peer)
     }
@@ -1508,12 +1513,99 @@ mod tests {
         // The next datagram's timer runs at the carried (doubled) RTO.
         let (_, _, t3) = send_one(&mut host, &mut asp, &mut stack, t2);
         assert_eq!(stack.next_retransmit_at().unwrap(), t3 + rto + rto);
-        // A clean ack for it snaps the backoff home again.
+        // A clean ack for it, with a round trip near zero, re-derives
+        // the RTO from its sample: the RTO_INITIAL floor.
         let ack2 = block_ack_wire(stack.cfg, 1, 3, 0, 0);
         let pdu2 = pdu_at(&mut host, &ack2, 0xC1_0000);
         let (_, t4) = stack.input(t3, &mut host, pdu2.clone());
         let (_, _, t5) = send_one(&mut host, &mut asp, &mut stack, t4);
         assert_eq!(stack.next_retransmit_at().unwrap(), t5 + rto);
+    }
+
+    /// Feeds the reliable layer a block ack from host 1 at exactly `now`.
+    /// The wire path would add its own parse time to the round trip.
+    fn ack_at(stack: &mut ProtoStack, now: SimTime, base: u32, bitmap: u64) {
+        let ack = BlockAck {
+            base,
+            bitmap,
+            reserved: 0,
+            pace_ns: 0,
+            flags: 0,
+        };
+        let (cfg, timeline, track) = (&stack.cfg, &stack.timeline, &stack.track);
+        assert!(stack
+            .rel
+            .process_block_ack(cfg, now, 1, ack, timeline, track));
+    }
+
+    /// Round trips that run past `RTO_INITIAL` lengthen the RTO: a first
+    /// clean 3 ms sample gives SRTT 3 ms and RTTVAR 1.5 ms, so the next
+    /// datagram's timer runs 3 + 4 × 1.5 = 9 ms, not the constant 2 ms.
+    #[test]
+    fn first_clean_sample_sets_the_next_datagrams_rto() {
+        let (mut host, mut asp, mut stack, reg) = setup_sr(CcScheme::None, 16);
+        let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
+        assert_eq!(stack.next_retransmit_at().unwrap(), t1 + RTO_INITIAL);
+        // The ack arrives after the RTO, but the timer was never polled,
+        // so the datagram is still clean.
+        let t_ack = t1 + SimDuration::from_ms(3);
+        ack_at(&mut stack, t_ack, 2, 0);
+        assert!(!stack.has_unacked());
+        assert_eq!(stack.current_rto(1), Some(SimDuration::from_ms(9)));
+        let (_, _, t2) = send_one(&mut host, &mut asp, &mut stack, t_ack);
+        assert_eq!(
+            stack.next_retransmit_at().unwrap(),
+            t2 + SimDuration::from_ms(9)
+        );
+        assert_eq!(reg.snapshot().counters["stack.retransmits"], 0);
+    }
+
+    /// Karn's rule and the newest-only sample: an ack releasing ids 1–3,
+    /// of which ids 1 and 2 were retransmitted, samples id 3 alone; an
+    /// ack releasing two clean ids samples the newer one.
+    #[test]
+    fn an_ack_samples_only_its_newest_clean_datagram() {
+        let (mut host, mut asp, mut stack, _) = setup_sr(CcScheme::None, 16);
+        let (_, _, t1) = send_one(&mut host, &mut asp, &mut stack, SimTime::ZERO);
+        let (_, _, t2) = send_one(&mut host, &mut asp, &mut stack, t1);
+        let due = t2 + RTO_INITIAL;
+        assert_eq!(retransmits(&mut stack, due).len(), 2);
+        let (id3, _, t3) = send_one(&mut host, &mut asp, &mut stack, due);
+        assert_eq!(id3, 3);
+        // R = 5 ms from id 3: SRTT 5, RTTVAR 2.5, RTO 5 + 10 = 15 ms.
+        let t_ack = t3 + SimDuration::from_ms(5);
+        ack_at(&mut stack, t_ack, 4, 0);
+        assert!(!stack.has_unacked());
+        assert_eq!(stack.current_rto(1), Some(SimDuration::from_ms(15)));
+        // Ids 4 and 5, both clean, released together 3 ms after id 5:
+        // RTTVAR (3 × 2.5 + 2) / 4 = 2.375, SRTT (7 × 5 + 3) / 8 = 4.75,
+        // RTO 4.75 + 9.5 = 14.25 ms. Sampling id 4 too would move it.
+        let (_, _, t4) = send_one(&mut host, &mut asp, &mut stack, t_ack);
+        let (_, _, t5) = send_one(&mut host, &mut asp, &mut stack, t4);
+        ack_at(&mut stack, t5 + SimDuration::from_ms(3), 6, 0);
+        assert_eq!(stack.current_rto(1), Some(SimDuration::from_us(14_250)));
+    }
+
+    /// Later samples follow RFC 6298's integer update exactly: RTTVAR
+    /// first, from the old SRTT, then SRTT; each division floors.
+    #[test]
+    fn later_samples_follow_the_integer_update() {
+        let (mut host, mut asp, mut stack, _) = setup_sr(CcScheme::None, 16);
+        let mut t = SimTime::ZERO;
+        let mut sample = |r_ps: u64| {
+            let (id, _, sent) = send_one(&mut host, &mut asp, &mut stack, t);
+            t = sent + SimDuration::from_ps(r_ps);
+            ack_at(&mut stack, t, id + 1, 0);
+            stack.current_rto(1).unwrap().as_ps()
+        };
+        // SRTT 3 ms, RTTVAR 1.5 ms.
+        assert_eq!(sample(3_000_000_000), 9_000_000_000);
+        // RTTVAR (3 × 1.5 + |3 − 1|) / 4 = 1.625 ms, SRTT (7 × 3 + 1) / 8
+        // = 2.75 ms: RTO 2.75 + 6.5 ms.
+        assert_eq!(sample(1_000_000_000), 9_250_000_000);
+        // RTTVAR (4 875 000 000 + 4 250 000 003) / 4 = 2 281 250 000 ps,
+        // SRTT (19 250 000 000 + 7 000 000 003) / 8 = 3 281 250 000 ps.
+        assert_eq!(sample(7_000_000_003), 3_281_250_000 + 4 * 2_281_250_000);
     }
 
     /// Satellite: the RTO scan iterates a BTreeMap, so the retransmit

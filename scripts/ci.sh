@@ -151,15 +151,18 @@ test -s target/bench/BENCH_events.json
 cargo run --release -q -p osiris-bench --bin regress -- \
   crates/bench/baselines/BENCH_events.json target/bench/BENCH_events.json --exact
 
-echo "==> debug assertions over the measured shapes (events, loss --quick)"
+echo "==> debug assertions over the measured shapes (events, loss --quick, cc --quick)"
 # The cell-train rule checks itself with debug assertions (no event pops
 # behind a cell that ran ahead of it; held pushes and cells run at their
 # turn), and the release gates above compile them out. The benchmark's
 # four shapes at quick length and the quick loss sweep, whose reliable
 # pair sends multi-cell trains and acks under loss, run here in a debug
-# build.
+# build. The quick cc smoke runs the RTT estimator's checks (every
+# derived RTO lies in [RTO_INITIAL, RTO_MAX]; no retransmitted datagram
+# is sampled) over an 8-sender lossy incast under every scheme.
 cargo run -q -p osiris-bench --bin events > /dev/null
 cargo run -q -p osiris-bench --bin loss -- --quick > /dev/null
+cargo run -q -p osiris-bench --bin cc -- --quick > /dev/null
 
 echo "==> smoke: event-engine throughput gate (engine --quick)"
 # Unlike fig2/loss, these headlines are wall-clock (events/sec), so the

@@ -492,6 +492,20 @@ fn selective_repeat_window_bounds_switch_pressure() {
 }
 
 #[test]
+fn windowed_schemes_abandon_nothing_at_other_seeds() {
+    // The cc bin asserts at its one seed that every column converges
+    // with no datagram abandoned. At these seeds of its 64-sender, 1 %
+    // loss row, a constant 2 ms RTO abandoned 1, 2 and 2 datagrams.
+    for (scheme, seed) in [("sr", 1), ("sr+ecn", 8), ("sr+pace", 10)] {
+        let mut cfg = cc_cfg();
+        cfg.seed = seed;
+        let p = cc_point(&cfg, 64, 1e-2, scheme);
+        assert!(p.converged, "{scheme} at seed {seed} must converge");
+        assert_eq!(p.gave_up, 0, "{scheme} at seed {seed} abandoned datagrams");
+    }
+}
+
+#[test]
 fn lossy_incast_is_deterministic() {
     let cfg = cc_cfg();
     let a = cc_point(&cfg, 16, 1e-2, "sr+ecn");
