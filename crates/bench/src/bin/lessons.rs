@@ -145,12 +145,6 @@ fn main() {
     );
     println!("  processing resources on the host')");
 
-    section("anatomy of a 1024 B one-way trip (5000/200, UDP/IP)");
-    let mut cfg = TestbedConfig::ds5000_200_udp();
-    cfg.msg_size = 1024;
-    let budget = osiris::experiments::latency_budget(&cfg);
-    print!("{}", report::latency_anatomy(&budget));
-
     section("critical-path attribution over a 1024 B ping-pong (µs per stage)");
     let mut cfg = TestbedConfig::ds5000_200_udp();
     cfg.msg_size = 1024;

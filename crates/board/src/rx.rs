@@ -640,7 +640,7 @@ impl RxProcessor {
             dp.stats.pdus_dropped_timeout.incr();
             if let Some(c) = ctx {
                 dp.timeline
-                    .instant_ctx_sym(dp.syms.track, dp.syms.reasm_timeout, c, now);
+                    .instant(dp.syms.track, dp.syms.reasm_timeout, Some(c), now);
             }
         }
         self.stale = stale;
@@ -843,18 +843,18 @@ impl Datapath {
                 // spans on the DMA track never overlap), then the data.
                 let wait_from = t.max(self.last_dma_end);
                 if g.start > wait_from {
-                    self.timeline.span_ctx_sym(
+                    self.timeline.span(
                         self.syms.dma_track,
                         self.syms.bus_wait,
-                        c,
+                        Some(c),
                         wait_from,
                         g.start,
                     );
                 }
-                self.timeline.span_ctx_sym(
+                self.timeline.span(
                     self.syms.dma_track,
                     self.syms.dma_rx,
-                    c,
+                    Some(c),
                     g.start,
                     g.finish,
                 );
@@ -938,10 +938,10 @@ impl Datapath {
             if let Some(ctx) = state.ctx {
                 let from = state.first_at.max(self.sar_span_floor);
                 if t_pdu > from {
-                    self.timeline.span_ctx_sym(
+                    self.timeline.span(
                         self.syms.track,
                         self.syms.sar_reasm,
-                        ctx,
+                        Some(ctx),
                         from,
                         t_pdu,
                     );

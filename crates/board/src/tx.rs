@@ -411,18 +411,18 @@ impl TxProcessor {
                     // fetch itself.
                     let wait_from = fw_cursor.max(self.last_dma_end);
                     if g.start > wait_from {
-                        self.timeline.span_ctx_sym(
+                        self.timeline.span(
                             self.syms.dma_track,
                             self.syms.bus_wait,
-                            c,
+                            Some(c),
                             wait_from,
                             g.start,
                         );
                     }
-                    self.timeline.span_ctx_sym(
+                    self.timeline.span(
                         self.syms.dma_track,
                         self.syms.dma_tx,
-                        c,
+                        Some(c),
                         g.start,
                         g.finish,
                     );
@@ -496,10 +496,10 @@ impl TxProcessor {
             // The segmentation umbrella: per-PDU firmware work up to the
             // last cell launched. DMA and wire spans nest inside; the
             // residue is firmware cycles and fetch pipelining.
-            self.timeline.span_ctx_sym(
+            self.timeline.span(
                 self.syms.track,
                 self.syms.fw_tx,
-                c,
+                Some(c),
                 pdu_grant.start,
                 last_finish,
             );
@@ -507,7 +507,7 @@ impl TxProcessor {
                 let Some((from, to)) = win else { continue };
                 let lane_track = self.lane_track(lane);
                 self.timeline
-                    .span_ctx_sym(lane_track, self.syms.lane_tx, c, from, to);
+                    .span(lane_track, self.syms.lane_tx, Some(c), from, to);
             }
         }
 

@@ -614,67 +614,6 @@ pub fn virtual_dma_setup_cost(machine: MachineSpec, data_pages: u64) -> (f64, f6
     (descriptor_us, sgmap_us)
 }
 
-/// Where a one-way trip spends its time, extracted from a traced single
-/// ping: `(stage name, microseconds)` in path order. This is the
-/// explanatory complement to Table 1 — the simulator can say *why* a
-/// 1-byte message costs what it costs.
-pub fn latency_budget(cfg: &TestbedConfig) -> Vec<(&'static str, f64)> {
-    let mut cfg = cfg.clone();
-    cfg.messages = 1;
-    let sim = run_until_done(Scenario::Pair, cfg, true);
-    assert!(sim.model.done, "budget ping did not complete");
-    // Stage boundaries on the forward (host 0 → host 1) direction, read
-    // off the typed timeline.
-    let tl = &sim.model.timeline;
-    let find = |track: &str, name: &str| {
-        tl.events()
-            .into_iter()
-            .find(|e| e.track == track && e.name == name)
-            .map(|e| e.at)
-    };
-    let send = find("node0.app", "send").expect("send");
-    let kick = find("node0.board.tx", "kick").expect("kick");
-    let first_cell = find("node1.board.rx", "cell").expect("cell");
-    let last_cell = tl
-        .events()
-        .into_iter()
-        .filter(|e| e.track == "node1.board.rx" && e.name == "cell")
-        .map(|e| e.at)
-        .max()
-        .expect("cells");
-    let intr = find("node1.host", "intr").expect("interrupt");
-    let drain = find("node1.host", "drain start").expect("drain");
-    // The server's reply enqueues directly (no AppSend event); its first
-    // transmit kick marks the end of host 1's inbound processing.
-    let reply = find("node1.board.tx", "kick").expect("server reply");
-    vec![
-        (
-            "app + protocol out + driver enqueue",
-            kick.since(send).as_us_f64(),
-        ),
-        (
-            "board segmentation + DMA + first cell on wire",
-            first_cell.since(kick).as_us_f64(),
-        ),
-        (
-            "remaining cells (DMA/link pipeline)",
-            last_cell.since(first_cell).as_us_f64(),
-        ),
-        (
-            "interrupt assertion (reassembly tail)",
-            intr.saturating_since(last_cell).as_us_f64(),
-        ),
-        (
-            "interrupt service + thread dispatch",
-            drain.since(intr).as_us_f64(),
-        ),
-        (
-            "drain + protocol in + app delivery",
-            reply.since(drain).as_us_f64(),
-        ),
-    ]
-}
-
 /// Critical-path anatomy of a scenario run: per-stage latency
 /// distributions over every traced PDU, computed from the causal
 /// timeline rather than hand-picked event markers.
@@ -695,10 +634,9 @@ pub struct StageAnatomy {
 }
 
 /// Runs `scenario` with per-PDU tracing enabled and attributes every
-/// traced PDU's end-to-end latency to typed stages. Unlike
-/// [`latency_budget`] — which reads six hand-picked markers off one
-/// ping — this covers *all* PDUs and is exhaustive by construction:
-/// each PDU's stage durations sum exactly to its measured latency.
+/// traced PDU's end-to-end latency to typed stages. It covers *all*
+/// PDUs and is exhaustive by construction: each PDU's stage durations
+/// sum exactly to its measured latency.
 pub fn stage_anatomy(scenario: Scenario, cfg: &TestbedConfig) -> StageAnatomy {
     let sim = run_until_done(scenario, cfg.clone(), true);
     assert!(sim.model.done, "stage-anatomy run did not complete");
@@ -861,25 +799,6 @@ mod tests {
         // The map loads are smaller than full descriptors per fragment.
         assert!(s4 < d4, "sgmap {s4} vs descriptors {d4}");
         assert!(s4 > d4 / 4.0, "but not free");
-    }
-
-    #[test]
-    fn latency_budget_sums_to_one_way_time() {
-        let mut cfg = TestbedConfig::ds5000_200_udp();
-        cfg.msg_size = 1024;
-        let budget = latency_budget(&cfg);
-        assert_eq!(budget.len(), 6);
-        let total: f64 = budget.iter().map(|&(_, us)| us).sum();
-        // One way of a ~740 us RTT: the stages must cover most of it.
-        assert!((250.0..500.0).contains(&total), "budget total {total}");
-        // The interrupt stage is the single 89 us block.
-        let intr = budget
-            .iter()
-            .find(|(n, _)| n.contains("interrupt service"))
-            .unwrap()
-            .1;
-        assert!((85.0..95.0).contains(&intr), "interrupt stage {intr}");
-        assert!(budget.iter().all(|&(_, us)| us >= 0.0));
     }
 
     #[test]

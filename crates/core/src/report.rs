@@ -118,16 +118,6 @@ pub fn ascii_plot(
     out
 }
 
-/// Renders the §4 one-way-trip anatomy (`latency_budget` stages) as the
-/// `lessons` binary prints it: one indented row per stage.
-pub fn latency_anatomy(stages: &[(&str, f64)]) -> String {
-    let mut out = String::new();
-    for (stage, us) in stages {
-        let _ = writeln!(out, "  {stage:<46} {us:>7.1} us");
-    }
-    out
-}
-
 /// Renders per-stage latency attribution (µs, as produced by
 /// `CriticalPath::stage_percentiles`) plus a closing end-to-end row.
 /// Because each PDU's stages sum exactly to its latency, the mean

@@ -224,6 +224,8 @@ pub(crate) struct NodeTracks {
     host: SymId,
     board_tx: SymId,
     board_rx: SymId,
+    /// The switch output port that feeds this node.
+    switch_port: SymId,
 }
 
 /// Interned timeline keys for the dispatcher's hot path. Every event
@@ -250,6 +252,7 @@ pub(crate) struct TbSyms {
     intr_service: SymId,
     drain: SymId,
     intr_wait: SymId,
+    switch_q: SymId,
 }
 
 impl TbSyms {
@@ -262,6 +265,7 @@ impl TbSyms {
                     host: timeline.intern(&format!("node{i}.host")),
                     board_tx: timeline.intern(&format!("node{i}.board.tx")),
                     board_rx: timeline.intern(&format!("node{i}.board.rx")),
+                    switch_port: timeline.intern(&format!("fabric.switch.port{i}")),
                 })
                 .collect(),
             gen: timeline.intern("gen"),
@@ -281,6 +285,7 @@ impl TbSyms {
             intr_service: timeline.intern("intr service"),
             drain: timeline.intern("drain"),
             intr_wait: timeline.intern("intr.wait"),
+            switch_q: timeline.intern("switch.q"),
         }
     }
 }
@@ -733,10 +738,10 @@ impl Testbed {
                 let node = &mut self.nodes[host.0];
                 let from = now.max(node.app_span_floor);
                 if t_app > from {
-                    self.timeline.span_ctx_sym(
+                    self.timeline.span(
                         self.syms.nodes[host.0].app,
                         self.syms.app_send,
-                        c,
+                        Some(c),
                         from,
                         t_app,
                     );
@@ -1000,13 +1005,8 @@ impl Testbed {
                 let floor = self.switch_span_floor.entry((c, d.to.0)).or_default();
                 let span_from = now.max(*floor);
                 if d.at > span_from {
-                    self.timeline.span_ctx(
-                        &format!("fabric.switch.port{}", d.to.0),
-                        "switch.q",
-                        c,
-                        span_from,
-                        d.at,
-                    );
+                    let (port, name) = (self.syms.nodes[d.to.0].switch_port, self.syms.switch_q);
+                    self.timeline.span(port, name, Some(c), span_from, d.at);
                     *floor = d.at;
                 }
             }
@@ -1080,7 +1080,7 @@ impl Testbed {
     ) {
         if self.timeline.is_enabled() {
             let track = self.syms.nodes[to.0].board_rx;
-            self.timeline.instant_sym(track, self.syms.cell, now);
+            self.timeline.instant(track, self.syms.cell, None, now);
         }
         let out = self.nodes[to.0].rx_cell(now, lane, self.cells.get(r));
         self.cells.free(r);
@@ -1340,8 +1340,13 @@ impl Testbed {
     fn rx_interrupt(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
         let t = interrupt_to_thread(now, &mut self.nodes[host.0].host);
         if self.timeline.is_enabled() {
-            self.timeline
-                .span_sym(self.syms.nodes[host.0].host, self.syms.intr_service, now, t);
+            self.timeline.span(
+                self.syms.nodes[host.0].host,
+                self.syms.intr_service,
+                None,
+                now,
+                t,
+            );
         }
         self.ledger.push(q, t, Event::RxDrain { host });
     }
@@ -1385,9 +1390,10 @@ impl Testbed {
             drained
         };
         if self.timeline.is_enabled() {
-            self.timeline.span_sym(
+            self.timeline.span(
                 self.syms.nodes[host.0].host,
                 self.syms.drain,
+                None,
                 now,
                 drained.finished_at,
             );
@@ -1402,10 +1408,10 @@ impl Testbed {
                 let node = &mut self.nodes[host.0];
                 let from = pushed.max(node.intr_wait_floor);
                 if now > from {
-                    self.timeline.span_ctx_sym(
+                    self.timeline.span(
                         self.syms.nodes[host.0].host,
                         self.syms.intr_wait,
-                        c,
+                        Some(c),
                         from,
                         now,
                     );
@@ -1600,10 +1606,10 @@ impl Testbed {
                 let node = &mut self.nodes[host.0];
                 let from = now.max(node.app_span_floor);
                 if t > from {
-                    self.timeline.span_ctx_sym(
+                    self.timeline.span(
                         self.syms.nodes[host.0].app,
                         self.syms.app_deliver,
-                        c,
+                        Some(c),
                         from,
                         t,
                     );
@@ -1775,40 +1781,22 @@ impl Model for Testbed {
         }
         if self.timeline.is_enabled() {
             let s = &self.syms;
-            match &ev {
-                Event::AppSend { host } => {
-                    self.timeline.instant_sym(s.nodes[host.0].app, s.send, now)
-                }
-                Event::TxKick { host } => {
-                    self.timeline
-                        .instant_sym(s.nodes[host.0].board_tx, s.kick, now)
-                }
+            let mark = match &ev {
+                Event::AppSend { host } => Some((s.nodes[host.0].app, s.send)),
+                Event::TxKick { host } => Some((s.nodes[host.0].board_tx, s.kick)),
                 // Each cell marks its own arrival (`arrive`).
-                Event::CellArrival { .. } => {}
-                Event::FabricTransit { .. } => self.timeline.instant_sym(s.fabric, s.transit, now),
-                Event::RxFlush { host, .. } => {
-                    self.timeline
-                        .instant_sym(s.nodes[host.0].board_rx, s.flush, now)
-                }
-                Event::RxInterrupt { host } => {
-                    self.timeline.instant_sym(s.nodes[host.0].host, s.intr, now)
-                }
-                Event::RxDrain { host } => {
-                    self.timeline
-                        .instant_sym(s.nodes[host.0].host, s.drain_start, now)
-                }
-                Event::TxWake { host } => {
-                    self.timeline.instant_sym(s.nodes[host.0].host, s.wake, now)
-                }
-                Event::GenKick => self.timeline.instant_sym(s.gen, s.kick, now),
-                Event::RxReapTick { host } => {
-                    self.timeline
-                        .instant_sym(s.nodes[host.0].board_rx, s.reap, now)
-                }
-                Event::RetransTick { host } => {
-                    self.timeline
-                        .instant_sym(s.nodes[host.0].host, s.rto_tick, now)
-                }
+                Event::CellArrival { .. } => None,
+                Event::FabricTransit { .. } => Some((s.fabric, s.transit)),
+                Event::RxFlush { host, .. } => Some((s.nodes[host.0].board_rx, s.flush)),
+                Event::RxInterrupt { host } => Some((s.nodes[host.0].host, s.intr)),
+                Event::RxDrain { host } => Some((s.nodes[host.0].host, s.drain_start)),
+                Event::TxWake { host } => Some((s.nodes[host.0].host, s.wake)),
+                Event::GenKick => Some((s.gen, s.kick)),
+                Event::RxReapTick { host } => Some((s.nodes[host.0].board_rx, s.reap)),
+                Event::RetransTick { host } => Some((s.nodes[host.0].host, s.rto_tick)),
+            };
+            if let Some((track, name)) = mark {
+                self.timeline.instant(track, name, None, now);
             }
         }
         self.dispatch.of(&ev).incr();

@@ -24,7 +24,7 @@ use osiris_board::rx::RxProcessor;
 use osiris_board::tx::TxProcessor;
 use osiris_mem::{AddressSpace, PhysBuffer, VirtAddr};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{FxHashMap, SimDuration, SimTime, SmallVec, Timeline, TraceCtx};
+use osiris_sim::{FxHashMap, SimDuration, SimTime, SmallVec, SymId, Timeline, TraceCtx};
 
 use crate::machine::HostMachine;
 use crate::wiring::WiringService;
@@ -100,8 +100,9 @@ pub struct OsirisDriver {
     chain_started: FxHashMap<Vci, SimTime>,
     stats: DriverCounters,
     timeline: Timeline,
-    /// Timeline track for this driver's CPU spans (`<scope>.driver`).
-    track: String,
+    /// Interned with the timeline by `set_timeline`; until then the
+    /// timeline is detached and records nothing.
+    syms: Option<DriverSyms>,
     /// The driver runs on one CPU: successive per-PDU spans on this track
     /// are clamped so they never overlap.
     span_floor: SimTime,
@@ -134,6 +135,25 @@ impl DriverCounters {
     }
 }
 
+/// The driver's interned timeline symbols: its track
+/// (`<scope>.driver`) and the names it records on it.
+#[derive(Debug, Clone, Copy)]
+struct DriverSyms {
+    track: SymId,
+    tx: SymId,
+    rx: SymId,
+}
+
+impl DriverSyms {
+    fn intern(timeline: &Timeline, probe: &Probe) -> DriverSyms {
+        DriverSyms {
+            track: timeline.intern(probe.scoped("driver").scope()),
+            tx: timeline.intern("driver.tx"),
+            rx: timeline.intern("driver.rx"),
+        }
+    }
+}
+
 impl OsirisDriver {
     /// A driver for `page` using `buffer_bytes` receive buffers,
     /// publishing its counters under `<scope>.driver`.
@@ -153,15 +173,17 @@ impl OsirisDriver {
             chain_started: FxHashMap::default(),
             stats: DriverCounters::with_probe(probe),
             timeline: Timeline::default(),
-            track: probe.scoped("driver").scope().to_string(),
+            syms: None,
             span_floor: SimTime::ZERO,
         }
     }
 
     /// Attaches the timeline this driver records its per-PDU spans on
-    /// (disabled/detached by default).
-    pub fn set_timeline(&mut self, timeline: &Timeline) {
+    /// (disabled/detached by default). `probe` is the one the driver was
+    /// built with: its spans go on track `<scope>.driver`.
+    pub fn set_timeline(&mut self, timeline: &Timeline, probe: &Probe) {
         self.timeline = timeline.clone();
+        self.syms = Some(DriverSyms::intern(timeline, probe));
     }
 
     /// Allocates `count` physically contiguous, permanently wired receive
@@ -245,10 +267,10 @@ impl OsirisDriver {
             self.stats.tx_buffers.incr();
         }
         self.stats.pdus_sent.incr();
-        if let Some(c) = ctx.filter(|_| self.timeline.is_enabled()) {
+        if let (Some(c), Some(s)) = (ctx.filter(|_| self.timeline.is_enabled()), self.syms) {
             let from = now.max(self.span_floor);
             if t > from {
-                self.timeline.span_ctx(&self.track, "driver.tx", c, from, t);
+                self.timeline.span(s.track, s.tx, Some(c), from, t);
                 self.span_floor = t;
             }
         }
@@ -308,10 +330,11 @@ impl OsirisDriver {
                 } else {
                     let len = bufs.iter().map(|d| d.len).sum();
                     let ctx = bufs.iter().find_map(|d| d.ctx);
-                    if let Some(c) = ctx.filter(|_| self.timeline.is_enabled()) {
+                    let traced = ctx.filter(|_| self.timeline.is_enabled());
+                    if let (Some(c), Some(s)) = (traced, self.syms) {
                         let from = started.max(self.span_floor);
                         if t > from {
-                            self.timeline.span_ctx(&self.track, "driver.rx", c, from, t);
+                            self.timeline.span(s.track, s.rx, Some(c), from, t);
                             self.span_floor = t;
                         }
                     }

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 use osiris_sim::obs::{Counter, Probe};
 use osiris_sim::{SimDuration, SimTime, Timeline};
 
-use crate::stack::{ProtoConfig, TxPacket};
+use crate::stack::{ProtoConfig, StackSyms, TxPacket};
 
 /// The UDP port reserved for acknowledgements in reliable mode. Data
 /// traffic must not use it.
@@ -447,14 +447,15 @@ impl Reliable {
 
     /// Collects every datagram whose RTO expired by `now` for
     /// retransmission (see [`crate::ProtoStack::poll_retransmit`]),
-    /// recording a `proto.retransmit` instant on `track` for each.
+    /// recording a `proto.retransmit` instant on the stack's track for
+    /// each.
     pub(crate) fn poll_retransmit(
         &mut self,
         cfg: &ProtoConfig,
         now: SimTime,
         out: &mut Vec<TxPacket>,
         timeline: &Timeline,
-        track: &str,
+        syms: Option<StackSyms>,
     ) {
         let stats = &self.stats;
         let spare = &mut self.packet_spare;
@@ -483,8 +484,8 @@ impl Reliable {
                 p.sack_miss = 0;
                 stats.retransmits.incr();
                 if timeline.is_enabled() {
-                    if let Some(pkt) = p.packets.first() {
-                        timeline.instant_ctx(track, "proto.retransmit", pkt.ctx, now);
+                    if let (Some(s), Some(pkt)) = (syms, p.packets.first()) {
+                        timeline.instant(s.track, s.retransmit, Some(pkt.ctx), now);
                     }
                 }
                 out.extend_from_slice(&p.packets);
@@ -516,7 +517,7 @@ impl Reliable {
         from: u16,
         ack: BlockAck,
         timeline: &Timeline,
-        track: &str,
+        syms: Option<StackSyms>,
     ) -> bool {
         let BlockAck {
             base,
@@ -588,8 +589,8 @@ impl Reliable {
                     self.stats.retransmits.incr();
                     self.stats.w_sack_retransmits.incr();
                     if timeline.is_enabled() {
-                        if let Some(pkt) = p.packets.first() {
-                            timeline.instant_ctx(track, "proto.retransmit", pkt.ctx, now);
+                        if let (Some(s), Some(pkt)) = (syms, p.packets.first()) {
+                            timeline.instant(s.track, s.retransmit, Some(pkt.ctx), now);
                         }
                     }
                     self.released.extend_from_slice(&p.packets);

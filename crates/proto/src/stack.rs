@@ -17,7 +17,7 @@ use osiris_host::driver::{DeliveredPdu, RxChain};
 use osiris_host::machine::{internet_checksum, HostMachine};
 use osiris_mem::{AddressSpace, MapError, PhysAddr, PhysBuffer, VirtAddr};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{FxHashMap, SimDuration, SimTime, Timeline, TraceCtx};
+use osiris_sim::{FxHashMap, SimDuration, SimTime, SymId, Timeline, TraceCtx};
 
 use crate::frag::fragment_layout;
 use crate::msg::Message;
@@ -171,8 +171,9 @@ pub struct ProtoStack {
     rel: Reliable,
     stats: StackCounters,
     timeline: Timeline,
-    /// Timeline track for this stack's CPU spans (`<scope>.stack`).
-    track: String,
+    /// Interned with the timeline by `set_timeline`; until then the
+    /// timeline is detached and records nothing.
+    syms: Option<StackSyms>,
     /// Protocol CPU is one resource: successive per-PDU spans on this
     /// track are clamped so they never overlap even when a call's nominal
     /// start predates the previous call's finish.
@@ -214,6 +215,27 @@ impl StackCounters {
     }
 }
 
+/// The stack's interned timeline symbols: its track (`<scope>.stack`)
+/// and the names it records on it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StackSyms {
+    pub(crate) track: SymId,
+    tx: SymId,
+    rx: SymId,
+    pub(crate) retransmit: SymId,
+}
+
+impl StackSyms {
+    fn intern(timeline: &Timeline, probe: &Probe) -> StackSyms {
+        StackSyms {
+            track: timeline.intern(probe.scoped("stack").scope()),
+            tx: timeline.intern("proto.tx"),
+            rx: timeline.intern("proto.rx"),
+            retransmit: timeline.intern("proto.retransmit"),
+        }
+    }
+}
+
 /// Bytes per header-slab slot (fits either header comfortably).
 const SLAB_SLOT: u32 = 64;
 
@@ -250,7 +272,7 @@ impl ProtoStack {
             rel: Reliable::with_probe(probe),
             stats: StackCounters::with_probe(probe),
             timeline: Timeline::default(),
-            track: probe.scoped("stack").scope().to_string(),
+            syms: None,
             tx_span_floor: SimTime::ZERO,
             rx_span_floor: SimTime::ZERO,
             cur_rx_ctx: None,
@@ -258,9 +280,11 @@ impl ProtoStack {
     }
 
     /// Attaches the timeline this stack records its per-PDU protocol
-    /// spans on (disabled/detached by default).
-    pub fn set_timeline(&mut self, timeline: &Timeline) {
+    /// spans on (disabled/detached by default). `probe` is the one the
+    /// stack was built with: its spans go on track `<scope>.stack`.
+    pub fn set_timeline(&mut self, timeline: &Timeline, probe: &Probe) {
         self.timeline = timeline.clone();
+        self.syms = Some(StackSyms::intern(timeline, probe));
     }
 
     /// Sets the source-host address stamped into outgoing IP headers.
@@ -360,11 +384,10 @@ impl ProtoStack {
             offset += size as u64;
             self.stats.frags_out.incr();
         }
-        if self.timeline.is_enabled() {
+        if let (true, Some(s)) = (self.timeline.is_enabled(), self.syms) {
             let from = now.max(self.tx_span_floor);
             if t > from {
-                self.timeline
-                    .span_ctx(&self.track, "proto.tx", ctx, from, t);
+                self.timeline.span(s.track, s.tx, Some(ctx), from, t);
             }
             self.tx_span_floor = self.tx_span_floor.max(t);
         }
@@ -443,7 +466,7 @@ impl ProtoStack {
     /// `out`, in (destination, datagram-id) order for determinism.
     pub fn poll_retransmit(&mut self, now: SimTime, out: &mut Vec<TxPacket>) {
         self.rel
-            .poll_retransmit(&self.cfg, now, out, &self.timeline, &self.track);
+            .poll_retransmit(&self.cfg, now, out, &self.timeline, self.syms);
     }
 
     /// Writes a driver-ready packet's physical buffer chain into `out`
@@ -473,12 +496,11 @@ impl ProtoStack {
     ) -> (RxVerdict, SimTime) {
         self.cur_rx_ctx = pdu.ctx;
         let (verdict, t) = self.input_parse(now, host, pdu);
-        if self.timeline.is_enabled() {
+        if let (true, Some(s)) = (self.timeline.is_enabled(), self.syms) {
             if let Some(ctx) = self.cur_rx_ctx {
                 let from = now.max(self.rx_span_floor);
                 if t > from {
-                    self.timeline
-                        .span_ctx(&self.track, "proto.rx", ctx, from, t);
+                    self.timeline.span(s.track, s.rx, Some(ctx), from, t);
                 }
             }
             self.rx_span_floor = self.rx_span_floor.max(t);
@@ -684,10 +706,10 @@ impl ProtoStack {
             }
             self.stats.acks_received.incr();
             let ack = BlockAck::parse(&payload);
-            let (timeline, track) = (&self.timeline, &self.track);
+            let (timeline, syms) = (&self.timeline, self.syms);
             if !self
                 .rel
-                .process_block_ack(&self.cfg, t, ip.src, ack, timeline, track)
+                .process_block_ack(&self.cfg, t, ip.src, ack, timeline, syms)
             {
                 self.stats.dropped.incr();
             }
@@ -1532,10 +1554,10 @@ mod tests {
             pace_ns: 0,
             flags: 0,
         };
-        let (cfg, timeline, track) = (&stack.cfg, &stack.timeline, &stack.track);
+        let (cfg, timeline, syms) = (&stack.cfg, &stack.timeline, stack.syms);
         assert!(stack
             .rel
-            .process_block_ack(cfg, now, 1, ack, timeline, track));
+            .process_block_ack(cfg, now, 1, ack, timeline, syms));
     }
 
     /// Round trips that run past `RTO_INITIAL` lengthen the RTO: a first

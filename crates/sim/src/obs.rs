@@ -18,15 +18,18 @@
 //!   exportable as Chrome trace-event JSON for `chrome://tracing` /
 //!   Perfetto. A timeline is a cheap-clone shared handle, so every
 //!   layer of a node (stack, driver, board halves) can hold one and
-//!   open its own spans without signature ripple.
+//!   open its own spans without signature ripple. Every event goes
+//!   through one of two calls, [`Timeline::span`] and
+//!   [`Timeline::instant`], on [`SymId`]s the layer interned once
+//!   when it received the timeline.
 //! * [`TraceCtx`] — the causal identity of one PDU (source host +
 //!   PDU id), minted at send time and carried through fragmentation,
 //!   descriptors, cells, the fabric, reassembly, and delivery. Spans
 //!   keyed by a ctx form the PDU's whole-path trace.
-//! * [`CriticalPath`] — turns one ctx's span set into a latency
-//!   anatomy: every picosecond between first span start and last span
-//!   end is attributed to exactly one [`Stage`], so the stages sum to
-//!   the observed end-to-end time by construction.
+//! * [`CriticalPath`] — the one latency anatomy: it turns each ctx's
+//!   span set into stages, attributing every picosecond between first
+//!   span start and last span end to exactly one [`Stage`], so the
+//!   stages sum to the observed end-to-end time by construction.
 //! * [`Snapshot`] — a deterministic (BTreeMap-ordered) read-out of the
 //!   whole registry, the unit the report layer and the bench binaries
 //!   consume.
@@ -44,6 +47,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use crate::fxhash::FxHashMap;
 use crate::json::Json;
 use crate::time::{SimDuration, SimTime};
 
@@ -453,9 +457,10 @@ impl TimelineEvent {
 }
 
 /// An interned timeline string (a track or span name): a dense index
-/// into the timeline's symbol table. Hot paths cache `SymId`s once (at
-/// `set_timeline` / construction time) and emit spans by id — a couple
-/// of machine words copied, no `String` allocated per event. The cold
+/// into the timeline's symbol table. Every recorder interns its
+/// `SymId`s once, where it receives the timeline (`set_timeline` or the
+/// testbed build), and records by id — a couple of machine words
+/// copied, no `String` built or hashed per event. The cold
 /// export edge ([`Timeline::events`], [`Timeline::to_chrome_json`])
 /// resolves ids back to the exact same strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -479,12 +484,6 @@ impl SymTable {
         self.names.push(name.clone());
         self.lookup.insert(name, id);
         id
-    }
-
-    /// Lookup without inserting (queries for strings never interned
-    /// simply match nothing).
-    fn get(&self, s: &str) -> Option<SymId> {
-        self.lookup.get(s).copied()
     }
 
     fn resolve(&self, id: SymId) -> &str {
@@ -574,121 +573,50 @@ impl Timeline {
         self.inner.borrow().enabled
     }
 
-    /// Interns `s` into this timeline's symbol table, returning a
-    /// [`SymId`] usable with the `*_sym` emission methods. Interning is
-    /// idempotent; hot paths call this once at wiring time and keep the
-    /// id.
+    /// Interns `s` into this timeline's symbol table, returning the
+    /// [`SymId`] that [`Timeline::span`] and [`Timeline::instant`] take.
+    /// Interning is idempotent; recorders call this once at wiring time
+    /// and keep the id.
     pub fn intern(&self, s: &str) -> SymId {
         self.inner.borrow_mut().syms.intern(s)
     }
 
-    /// Records a span belonging to PDU `ctx`.
-    pub fn span_ctx(
-        &self,
-        track: &str,
-        name: impl AsRef<str>,
-        ctx: TraceCtx,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let mut t = self.inner.borrow_mut();
-        if !t.enabled {
-            return;
-        }
-        let track = t.syms.intern(track);
-        let name = t.syms.intern(name.as_ref());
-        t.push_record(TimelineRecord {
-            track,
-            name,
-            at: start,
-            dur: Some(end.saturating_since(start)),
-            ctx: Some(ctx),
-        });
-    }
-
-    /// Records an instant belonging to PDU `ctx`.
-    pub fn instant_ctx(&self, track: &str, name: impl AsRef<str>, ctx: TraceCtx, at: SimTime) {
-        let mut t = self.inner.borrow_mut();
-        if !t.enabled {
-            return;
-        }
-        let track = t.syms.intern(track);
-        let name = t.syms.intern(name.as_ref());
-        t.push_record(TimelineRecord {
-            track,
-            name,
-            at,
-            dur: None,
-            ctx: Some(ctx),
-        });
-    }
-
-    /// Records a span outside any PDU, on pre-interned symbols — the
-    /// hot-path form.
-    pub fn span_sym(&self, track: SymId, name: SymId, start: SimTime, end: SimTime) {
-        let mut t = self.inner.borrow_mut();
-        if !t.enabled {
-            return;
-        }
-        t.push_record(TimelineRecord {
-            track,
-            name,
-            at: start,
-            dur: Some(end.saturating_since(start)),
-            ctx: None,
-        });
-    }
-
-    /// [`Timeline::span_ctx`] with pre-interned symbols.
-    pub fn span_ctx_sym(
+    /// Records a span on `track` from `start` to `end`, belonging to
+    /// PDU `ctx` when the layer knows it.
+    pub fn span(
         &self,
         track: SymId,
         name: SymId,
-        ctx: TraceCtx,
+        ctx: Option<TraceCtx>,
         start: SimTime,
         end: SimTime,
     ) {
-        let mut t = self.inner.borrow_mut();
-        if !t.enabled {
-            return;
-        }
-        t.push_record(TimelineRecord {
+        self.record(TimelineRecord {
             track,
             name,
             at: start,
             dur: Some(end.saturating_since(start)),
-            ctx: Some(ctx),
+            ctx,
         });
     }
 
-    /// Records an instant outside any PDU, on pre-interned symbols.
-    pub fn instant_sym(&self, track: SymId, name: SymId, at: SimTime) {
-        let mut t = self.inner.borrow_mut();
-        if !t.enabled {
-            return;
-        }
-        t.push_record(TimelineRecord {
+    /// Records an instant on `track` at `at`, belonging to PDU `ctx`
+    /// when the layer knows it.
+    pub fn instant(&self, track: SymId, name: SymId, ctx: Option<TraceCtx>, at: SimTime) {
+        self.record(TimelineRecord {
             track,
             name,
             at,
             dur: None,
-            ctx: None,
+            ctx,
         });
     }
 
-    /// [`Timeline::instant_ctx`] with pre-interned symbols.
-    pub fn instant_ctx_sym(&self, track: SymId, name: SymId, ctx: TraceCtx, at: SimTime) {
+    fn record(&self, r: TimelineRecord) {
         let mut t = self.inner.borrow_mut();
-        if !t.enabled {
-            return;
+        if t.enabled {
+            t.push_record(r);
         }
-        t.push_record(TimelineRecord {
-            track,
-            name,
-            at,
-            dur: None,
-            ctx: Some(ctx),
-        });
     }
 
     /// Recorded events, oldest first (symbols resolved back to strings).
@@ -701,58 +629,9 @@ impl Timeline {
             .collect()
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().events.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every event belonging to `ctx`, oldest first.
-    pub fn events_for(&self, ctx: TraceCtx) -> Vec<TimelineEvent> {
-        let inner = self.inner.borrow();
-        inner
-            .events
-            .iter()
-            .filter(|r| r.ctx == Some(ctx))
-            .map(|r| inner.resolve_event(r))
-            .collect()
-    }
-
-    /// The distinct PDU contexts seen, in first-appearance order.
-    pub fn ctxs(&self) -> Vec<TraceCtx> {
-        let inner = self.inner.borrow();
-        let mut out = Vec::new();
-        for e in &inner.events {
-            if let Some(c) = e.ctx {
-                if !out.contains(&c) {
-                    out.push(c);
-                }
-            }
-        }
-        out
-    }
-
     /// Events evicted because the timeline was full.
     pub fn dropped(&self) -> u64 {
         self.inner.borrow().dropped.get()
-    }
-
-    /// All spans on `track` whose name equals `name`, oldest first.
-    pub fn spans_named(&self, track: &str, name: &str) -> Vec<TimelineEvent> {
-        let inner = self.inner.borrow();
-        let (Some(tid), Some(nid)) = (inner.syms.get(track), inner.syms.get(name)) else {
-            return Vec::new();
-        };
-        inner
-            .events
-            .iter()
-            .filter(|r| r.track == tid && r.name == nid)
-            .map(|r| inner.resolve_event(r))
-            .collect()
     }
 
     /// Exports the Chrome trace-event JSON document (the format
@@ -1058,16 +937,32 @@ impl PduPath {
 pub struct CriticalPath;
 
 impl CriticalPath {
-    /// Analyzes one PDU. `None` when the timeline holds no spans for it.
-    pub fn analyze(timeline: &Timeline, ctx: TraceCtx) -> Option<PduPath> {
-        let mut spans: Vec<TimelineEvent> = timeline
-            .events_for(ctx)
-            .into_iter()
-            .filter(|e| e.dur.is_some())
-            .collect();
-        if spans.is_empty() {
-            return None;
+    /// Analyzes every PDU the timeline has spans for, in the order
+    /// their first event (span or instant) was recorded.
+    pub fn analyze_all(timeline: &Timeline) -> Vec<PduPath> {
+        // One pass: each ctx's spans, in record order.
+        let inner = timeline.inner.borrow();
+        let mut index: FxHashMap<TraceCtx, usize> = FxHashMap::default();
+        let mut groups: Vec<(TraceCtx, Vec<TimelineEvent>)> = Vec::new();
+        for r in &inner.events {
+            let Some(ctx) = r.ctx else { continue };
+            let g = *index.entry(ctx).or_insert_with(|| {
+                groups.push((ctx, Vec::new()));
+                groups.len() - 1
+            });
+            if r.dur.is_some() {
+                groups[g].1.push(inner.resolve_event(r));
+            }
         }
+        groups
+            .into_iter()
+            .filter(|(_, spans)| !spans.is_empty())
+            .map(|(ctx, spans)| Self::analyze(ctx, spans))
+            .collect()
+    }
+
+    /// Analyzes one PDU from its (non-empty) spans in record order.
+    fn analyze(ctx: TraceCtx, mut spans: Vec<TimelineEvent>) -> PduPath {
         spans.sort_by_key(|s| (s.at, std::cmp::Reverse(s.end())));
         let start = spans.iter().map(|s| s.at).min().expect("non-empty");
         let end = spans.iter().map(|s| s.end()).max().expect("non-empty");
@@ -1124,17 +1019,7 @@ impl CriticalPath {
             path.total(),
             "stage attribution must tile the end-to-end window for {ctx}"
         );
-        Some(path)
-    }
-
-    /// Analyzes every PDU the timeline has spans for, in
-    /// first-appearance order.
-    pub fn analyze_all(timeline: &Timeline) -> Vec<PduPath> {
-        timeline
-            .ctxs()
-            .into_iter()
-            .filter_map(|c| Self::analyze(timeline, c))
-            .collect()
+        path
     }
 
     /// Per-stage latency distributions over a set of analyzed PDUs, as
@@ -1363,14 +1248,19 @@ mod tests {
         assert!(matches!(&doc, Json::Obj(e) if e.len() == 2), "{text}");
     }
 
+    /// Records a span of PDU `ctx`, interning its track and name.
+    fn span(tl: &Timeline, track: &str, name: &str, ctx: TraceCtx, start: SimTime, end: SimTime) {
+        tl.span(tl.intern(track), tl.intern(name), Some(ctx), start, end);
+    }
+
     #[test]
     fn timeline_records_spans_and_exports_chrome_json() {
         let tl = Timeline::new(16);
         tl.set_enabled(true);
         let (cpu, intr) = (tl.intern("host0.cpu"), tl.intern("intr"));
-        tl.span_sym(cpu, intr, SimTime::from_us(10), SimTime::from_us(85));
+        tl.span(cpu, intr, None, SimTime::from_us(10), SimTime::from_us(85));
         let (rx, cell) = (tl.intern("board0.rx"), tl.intern("cell"));
-        tl.instant_sym(rx, cell, SimTime::from_us(12));
+        tl.instant(rx, cell, None, SimTime::from_us(12));
         let doc = tl.to_chrome_json();
         let evs = doc.get("traceEvents").unwrap().items();
         // 2 events + 2 thread_name metadata records.
@@ -1386,7 +1276,7 @@ mod tests {
     #[test]
     fn timeline_disabled_records_nothing() {
         let tl = Timeline::new(4);
-        tl.instant_sym(tl.intern("t"), tl.intern("x"), SimTime::ZERO);
+        tl.instant(tl.intern("t"), tl.intern("x"), None, SimTime::ZERO);
         assert_eq!(tl.events().len(), 0);
     }
 
@@ -1397,9 +1287,10 @@ mod tests {
         let tl = Timeline::with_probe(2, &probe);
         tl.set_enabled(true);
         for i in 0..5u64 {
-            tl.instant_sym(
+            tl.instant(
                 tl.intern("t"),
                 tl.intern(&format!("e{i}")),
+                None,
                 SimTime::from_us(i),
             );
         }
@@ -1413,7 +1304,7 @@ mod tests {
         let tl = Timeline::new(8);
         tl.set_enabled(true);
         let clone = tl.clone();
-        clone.instant_sym(tl.intern("t"), tl.intern("from-clone"), SimTime::ZERO);
+        clone.instant(tl.intern("t"), tl.intern("from-clone"), None, SimTime::ZERO);
         assert_eq!(tl.events().len(), 1);
         assert_eq!(tl.events()[0].name, "from-clone");
     }
@@ -1424,23 +1315,27 @@ mod tests {
         tl.set_enabled(true);
         let a = TraceCtx { host: 0, pdu: 1 };
         let b = TraceCtx { host: 0, pdu: 2 };
-        tl.span_ctx(
+        span(
+            &tl,
             "n0.proto",
             "proto.tx",
             a,
             SimTime::ZERO,
             SimTime::from_us(5),
         );
-        tl.span_ctx(
+        span(
+            &tl,
             "n0.proto",
             "proto.tx",
             b,
             SimTime::from_us(5),
             SimTime::from_us(9),
         );
-        tl.instant_sym(tl.intern("n0.app"), tl.intern("send"), SimTime::ZERO); // no ctx
-        assert_eq!(tl.events_for(a).len(), 1);
-        assert_eq!(tl.ctxs(), vec![a, b]);
+        tl.instant(tl.intern("n0.app"), tl.intern("send"), None, SimTime::ZERO); // no ctx
+        let paths = CriticalPath::analyze_all(&tl);
+        assert_eq!(paths[0].spans.len(), 1);
+        let ctxs: Vec<TraceCtx> = paths.iter().map(|p| p.ctx).collect();
+        assert_eq!(ctxs, vec![a, b]);
         let doc = tl.to_chrome_json();
         let evs = doc.get("traceEvents").unwrap().items();
         assert_eq!(
@@ -1464,12 +1359,14 @@ mod tests {
         tl.set_enabled(true);
         let ctx = TraceCtx { host: 0, pdu: 7 };
         let us = SimTime::from_us;
-        tl.span_ctx("n0.proto", "proto.tx", ctx, us(0), us(10));
-        tl.span_ctx("n0.board.tx", "fw.tx", ctx, us(10), us(30));
-        tl.span_ctx("n0.board.tx.dma", "dma.tx", ctx, us(14), us(20));
-        tl.span_ctx("n1.host", "intr.wait", ctx, us(30), us(45));
-        tl.span_ctx("n1.host", "drain", ctx, us(45), us(50));
-        let p = CriticalPath::analyze(&tl, ctx).expect("spans exist");
+        span(&tl, "n0.proto", "proto.tx", ctx, us(0), us(10));
+        span(&tl, "n0.board.tx", "fw.tx", ctx, us(10), us(30));
+        span(&tl, "n0.board.tx.dma", "dma.tx", ctx, us(14), us(20));
+        span(&tl, "n1.host", "intr.wait", ctx, us(30), us(45));
+        span(&tl, "n1.host", "drain", ctx, us(45), us(50));
+        let [p] = &CriticalPath::analyze_all(&tl)[..] else {
+            panic!("one PDU's spans exist")
+        };
         assert_eq!(p.total(), SimDuration::from_us(50));
         assert_eq!(p.stage_sum(), p.total());
         // proto.tx 10 + drain 5 = 15 protocol CPU.
@@ -1494,10 +1391,12 @@ mod tests {
         tl.set_enabled(true);
         let ctx = TraceCtx { host: 1, pdu: 3 };
         let us = SimTime::from_us;
-        tl.span_ctx("a", "proto.tx", ctx, us(0), us(10));
+        span(&tl, "a", "proto.tx", ctx, us(0), us(10));
         // 10..25 uncovered, then a DMA span: the gap is DMA wait.
-        tl.span_ctx("b", "dma.rx", ctx, us(25), us(30));
-        let p = CriticalPath::analyze(&tl, ctx).unwrap();
+        span(&tl, "b", "dma.rx", ctx, us(25), us(30));
+        let [p] = &CriticalPath::analyze_all(&tl)[..] else {
+            panic!("one PDU's spans exist")
+        };
         assert_eq!(p.stage(Stage::ProtocolCpu), SimDuration::from_us(10));
         assert_eq!(p.stage(Stage::DmaTransfer), SimDuration::from_us(20));
         assert_eq!(p.stage_sum(), p.total());
@@ -1511,8 +1410,16 @@ mod tests {
         for i in 0..4u32 {
             let ctx = TraceCtx { host: 0, pdu: i };
             let base = SimTime::from_us(100 * i as u64);
-            tl.span_ctx("p", "proto.tx", ctx, base, base + SimDuration::from_us(10));
-            tl.span_ctx(
+            span(
+                &tl,
+                "p",
+                "proto.tx",
+                ctx,
+                base,
+                base + SimDuration::from_us(10),
+            );
+            span(
+                &tl,
                 "d",
                 "dma.tx",
                 ctx,

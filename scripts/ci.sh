@@ -93,6 +93,17 @@ if grep -q '"partial export"' "$tmp/trace.json"; then
   exit 1
 fi
 
+echo "==> smoke: one PDU's critical path (quickstart --pdu-trace)"
+# The stage table prints MISMATCH instead of failing when its stages do
+# not tile the PDU's end-to-end window; the gate turns that into a
+# hard failure.
+cargo run --release -q --example quickstart -- --pdu-trace > "$tmp/pdu.txt"
+if ! grep -Eq '^  total +[0-9.]+ us  \(= end-to-end: exact\)$' "$tmp/pdu.txt"; then
+  cat "$tmp/pdu.txt"
+  echo "FAIL: the PDU's stage table does not sum to its end-to-end time" >&2
+  exit 1
+fi
+
 echo "==> smoke: bench snapshot + regression gate (fig2 --quick)"
 # The simulator is deterministic, so the quick sweep reproduces the
 # committed baseline exactly, and the gate is exact: any change to a

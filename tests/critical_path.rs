@@ -127,6 +127,30 @@ fn incast_fans_in_with_exact_attribution() {
     assert_trace_invariants(&tb, 6);
 }
 
+/// Every `switch.q` span of a 4-sender incast sits on the track of the
+/// switch port that feeds the receiver (node 4): the only output port
+/// the senders' cells cross.
+#[test]
+fn incast_switch_spans_stay_on_the_receiver_port_track() {
+    let mut cfg = TestbedConfig::ds5000_200_udp();
+    cfg.msg_size = 8192;
+    cfg.messages = 2;
+    cfg.reassembly = osiris::atm::sar::ReassemblyMode::FourWay { lanes: 4 };
+    let tb = run(Scenario::Incast { senders: 4 }, cfg);
+    assert_eq!(tb.timeline.dropped(), 0);
+    let switch_spans: Vec<TimelineEvent> = tb
+        .timeline
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "switch.q")
+        .collect();
+    assert!(!switch_spans.is_empty(), "no switch.q spans");
+    for s in &switch_spans {
+        assert!(s.dur.is_some(), "switch.q is a span: {s:?}");
+        assert_eq!(s.track, "fabric.switch.port4", "{s:?}");
+    }
+}
+
 #[test]
 fn many_pairs_raw_atm_with_exact_attribution() {
     let mut cfg = TestbedConfig::ds5000_200_atm();
