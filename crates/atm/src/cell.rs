@@ -18,11 +18,12 @@
 //!   than inside the 44 data bytes. This keeps the paper's throughput
 //!   arithmetic (44 data bytes per 53 wire bytes) exact while the CRC is
 //!   still genuinely computed and checked; documented in DESIGN.md.
-//! * The payload is private. Every writer of it also stores the CRC
-//!   register contribution of its 44 bytes ([`crc::cell_remainder`]), so
-//!   a cell's bytes go through the CRC kernel once, where they are
-//!   written, and every CRC over them folds the carried remainder
-//!   ([`Cell::absorb`]).
+//! * The payload is private. Every writer of a full cell's payload also
+//!   stores the CRC register contribution of its 44 bytes
+//!   ([`crc::cell_remainder`]), so a full cell's bytes go through the CRC
+//!   kernel once, where they are written, and every CRC over them folds
+//!   the carried remainder ([`Cell::absorb`]). A partial cell carries
+//!   none: a CRC over it updates over its valid bytes.
 
 use crate::crc::{self, Crc32};
 use crate::vci::Vci;
@@ -75,12 +76,14 @@ pub struct Trailer {
 pub struct Cell {
     /// ATM header.
     pub header: CellHeader,
-    /// AAL per-cell header.
+    /// AAL per-cell header. Only a full cell carries a remainder
+    /// ([`Cell::remainder`]), so changing `fill` after a write leaves it
+    /// stale.
     pub aal: AalHeader,
     /// The 44-byte data payload (only `aal.fill` bytes valid).
     payload: [u8; CELL_PAYLOAD],
-    /// `crc::cell_remainder(&payload)`, refreshed by every writer of
-    /// `payload`.
+    /// `crc::cell_remainder(&payload)` of a full cell, refreshed by every
+    /// writer of `payload`; 0 for a partial cell.
     rem: u32,
     /// Present on cells with `aal.eom` set.
     pub trailer: Option<Trailer>,
@@ -118,14 +121,16 @@ impl Cell {
     /// A cell of `payload`, with no trailer and no trace identity: the
     /// segmenter's writer.
     pub(crate) fn cut(header: CellHeader, aal: AalHeader, payload: [u8; CELL_PAYLOAD]) -> Self {
-        Cell {
+        let mut cell = Cell {
             header,
             aal,
-            rem: crc::cell_remainder(&payload),
+            rem: 0,
             payload,
             trailer: None,
             ctx: None,
-        }
+        };
+        cell.refresh_remainder();
+        cell
     }
 
     /// All 44 payload bytes (only `aal.fill` of them valid).
@@ -139,10 +144,22 @@ impl Cell {
         &self.payload[..self.aal.fill as usize]
     }
 
-    /// The carried CRC remainder of the 44 payload bytes
-    /// ([`crc::cell_remainder`]), as the last writer stored it.
+    /// The carried CRC remainder of a full cell's 44 payload bytes
+    /// ([`crc::cell_remainder`]), as the last writer stored it. Writers
+    /// compute it only when `aal.fill` is the whole payload, the one case
+    /// [`Cell::absorb`] folds it; a partial cell carries 0.
     pub fn remainder(&self) -> u32 {
         self.rem
+    }
+
+    /// Recomputes the carried remainder after a write to the payload or a
+    /// change of `aal.fill`: a full cell's, or 0 for a partial one.
+    pub(crate) fn refresh_remainder(&mut self) {
+        self.rem = if self.aal.fill as usize == CELL_PAYLOAD {
+            crc::cell_remainder(&self.payload)
+        } else {
+            0
+        };
     }
 
     /// Absorbs the valid data bytes into `crc`: a full cell folds its
@@ -171,7 +188,7 @@ impl Cell {
     /// Panics if the range runs past the payload.
     pub fn write_payload(&mut self, at: usize, bytes: &[u8]) {
         self.payload[at..at + bytes.len()].copy_from_slice(bytes);
-        self.rem = crc::cell_remainder(&self.payload);
+        self.refresh_remainder();
     }
 
     /// Flips one payload bit (fault injection for CRC tests) and
@@ -179,7 +196,7 @@ impl Cell {
     /// remainder of its corrupted bytes.
     pub fn corrupt_bit(&mut self, byte: usize, bit: u8) {
         self.payload[byte % CELL_PAYLOAD] ^= 1 << (bit % 8);
-        self.rem = crc::cell_remainder(&self.payload);
+        self.refresh_remainder();
     }
 }
 
@@ -229,22 +246,21 @@ mod tests {
 
     #[test]
     fn every_writer_refreshes_the_carried_remainder() {
+        // Full cells only: a partial cell carries no remainder.
         let fresh = |c: &Cell| crc::cell_remainder(c.payload());
         let mut rng = osiris_sim::SimRng::new(0xCE11_4E44);
-        for fill in [1, 5, 43, CELL_PAYLOAD] {
-            let data: Vec<u8> = (0..fill).map(|_| rng.next_u64() as u8).collect();
-            let mut c = Cell::data(Vci(2), 0, &data);
-            assert_eq!(c.remainder(), fresh(&c), "data, fill {fill}");
-            for _ in 0..8 {
-                let at = rng.gen_range(CELL_PAYLOAD as u64) as usize;
-                let len = rng.gen_range((CELL_PAYLOAD - at) as u64 + 1) as usize;
-                let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-                c.write_payload(at, &bytes);
-                assert_eq!(&c.payload()[at..at + len], &bytes[..]);
-                assert_eq!(c.remainder(), fresh(&c), "write_payload {at}+{len}");
-                c.corrupt_bit(rng.next_u64() as usize, rng.next_u64() as u8);
-                assert_eq!(c.remainder(), fresh(&c), "corrupt_bit");
-            }
+        let data: Vec<u8> = (0..CELL_PAYLOAD).map(|_| rng.next_u64() as u8).collect();
+        let mut c = Cell::data(Vci(2), 0, &data);
+        assert_eq!(c.remainder(), fresh(&c), "data");
+        for _ in 0..32 {
+            let at = rng.gen_range(CELL_PAYLOAD as u64) as usize;
+            let len = rng.gen_range((CELL_PAYLOAD - at) as u64 + 1) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            c.write_payload(at, &bytes);
+            assert_eq!(&c.payload()[at..at + len], &bytes[..]);
+            assert_eq!(c.remainder(), fresh(&c), "write_payload {at}+{len}");
+            c.corrupt_bit(rng.next_u64() as usize, rng.next_u64() as u8);
+            assert_eq!(c.remainder(), fresh(&c), "corrupt_bit");
         }
     }
 

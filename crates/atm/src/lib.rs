@@ -26,7 +26,7 @@ pub use crc::{crc10, crc32, Crc32};
 pub use link::{LinkLane, LinkSpec};
 pub use sar::{
     CellDisposition, FramingMode, PduComplete, Reassembler, ReassemblyMode, RxError, SegCursor,
-    SegmentUnit, Segmenter,
+    Segmenter,
 };
 pub use slab::{CellRef, CellSlab};
 pub use stripe::{SkewConfig, StripedLink};

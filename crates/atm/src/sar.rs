@@ -2,24 +2,23 @@
 //!
 //! Transmit side: [`Segmenter`] turns a PDU (a chain of physical buffers)
 //! into cells, cut one at a time by a [`SegCursor`] as the caller asks for
-//! them. Two unit disciplines are modelled (§2.5.2):
+//! them. Cells are filled across buffer boundaries, so only the final cell
+//! of the PDU is partial: what the modified page-boundary-splitting DMA
+//! controller enables (§2.5.2).
 //!
-//! * [`SegmentUnit::Pdu`] — cells are filled across buffer boundaries, so
-//!   only the final cell of the PDU is partial. This is what the modified
-//!   page-boundary-splitting DMA controller enables.
-//! * [`SegmentUnit::Buffer`] — each buffer is flushed independently,
-//!   producing partially filled cells mid-PDU: "not only is this inelegant,
-//!   but it also makes interoperating with other systems impossible".
-//!
-//! Receive side: [`Reassembler`] supports the three strategies of §2.6:
+//! Receive side: [`Reassembler`] supports the three strategies of §2.6. It
+//! keeps no payload bytes: each accepted cell's [`CellDisposition`] says
+//! where the cell's bytes belong, the caller places them there, and a
+//! completed PDU reports its length and CRC verdict.
 //!
 //! * [`ReassemblyMode::InOrder`] — classic AAL5; assumes no misordering.
 //!   Under skew it produces corrupted PDUs that the (real) CRC-32 catches.
 //! * [`ReassemblyMode::SeqNum`] — strategy 1: an AAL-header sequence number
-//!   places each cell. Sequence space is finite ("we can never guarantee
-//!   that the sequence number space is large enough") and partial fills
-//!   mid-stream are unsupported — both failure modes are surfaced as
-//!   typed errors.
+//!   places each cell, and the PDU's CRC folds the cells in sequence order
+//!   as the in-order prefix grows. Sequence space is finite ("we can never
+//!   guarantee that the sequence number space is large enough") and
+//!   partial fills mid-stream are unsupported — both failure modes are
+//!   surfaced as typed errors.
 //! * [`ReassemblyMode::FourWay`] — strategy 2: one AAL5-style reassembly
 //!   per stripe lane, with a per-lane CRC trailer; the PDU completes when
 //!   every contributing lane has completed, and the extra ATM-header
@@ -28,23 +27,27 @@
 //! # Example
 //!
 //! ```
-//! use osiris_atm::sar::{FramingMode, ReassemblyMode, Reassembler, SegmentUnit, Segmenter};
+//! use osiris_atm::sar::{FramingMode, ReassemblyMode, Reassembler, Segmenter};
 //! use osiris_atm::Vci;
 //!
 //! let data = vec![7u8; 1000];
-//! let seg = Segmenter { framing: FramingMode::EndOfPdu, unit: SegmentUnit::Pdu };
+//! let seg = Segmenter { framing: FramingMode::EndOfPdu };
 //! let cells = seg.segment(Vci(5), &[&data]);
 //! assert_eq!(cells.len(), 23); // ceil(1000 / 44)
 //!
-//! let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
+//! let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20);
+//! let mut placed = vec![0u8; data.len()];
 //! let mut done = None;
 //! for cell in &cells {
-//!     r.receive(0, cell).unwrap();
+//!     let at = r.receive(0, cell).unwrap().offset as usize;
+//!     let bytes = cell.data_bytes();
+//!     placed[at..at + bytes.len()].copy_from_slice(bytes);
 //!     done = r.take_completed().or(done);
 //! }
 //! let pdu = done.unwrap();
 //! assert!(pdu.crc_ok);
-//! assert_eq!(pdu.data.unwrap(), data);
+//! assert_eq!(pdu.len, 1000);
+//! assert_eq!(placed, data);
 //! ```
 
 use std::collections::VecDeque;
@@ -114,23 +117,11 @@ pub enum FramingMode {
     },
 }
 
-/// Whether cells may span physical-buffer boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentUnit {
-    /// Fill cells across buffers; only the last cell of the PDU is partial.
-    Pdu,
-    /// Flush a (possibly partial) cell at every buffer boundary — the
-    /// problematic original hardware model of §2.5.2.
-    Buffer,
-}
-
 /// The transmit-side segmentation algorithm.
 #[derive(Debug, Clone, Copy)]
 pub struct Segmenter {
     /// Framing discipline.
     pub framing: FramingMode,
-    /// Buffer-boundary discipline.
-    pub unit: SegmentUnit,
 }
 
 impl Segmenter {
@@ -195,13 +186,9 @@ impl Segmenter {
         pdu_seq: u16,
         buffers: &B,
     ) -> SegCursor {
-        let lens = (0..buffers.count()).map(|i| buffers.buffer(i).len());
-        let total: usize = lens.clone().sum();
+        let total: usize = (0..buffers.count()).map(|i| buffers.buffer(i).len()).sum();
         assert!(total > 0, "cannot segment an empty PDU");
-        let cells = match self.unit {
-            SegmentUnit::Pdu => total.div_ceil(CELL_PAYLOAD),
-            SegmentUnit::Buffer => lens.map(|l| l.div_ceil(CELL_PAYLOAD)).sum(),
-        };
+        let cells = total.div_ceil(CELL_PAYLOAD);
         // EndOfPdu framing is one trailer over the whole PDU: a single
         // lane, in trailer terms.
         let (seq, lanes) = match self.framing {
@@ -213,7 +200,6 @@ impl Segmenter {
         };
         SegCursor {
             vci,
-            unit: self.unit,
             seq,
             next: 0,
             lane: 0,
@@ -232,7 +218,6 @@ impl Segmenter {
 #[derive(Debug, Clone)]
 pub struct SegCursor {
     vci: Vci,
-    unit: SegmentUnit,
     /// FourWay: the PDU tag every cell carries; EndOfPdu: `None` (cells
     /// carry their index).
     seq: Option<u16>,
@@ -271,8 +256,8 @@ impl SegCursor {
         self.next += 1;
         let mut payload = [0u8; CELL_PAYLOAD];
         let mut fill = 0;
-        // Pdu fills across buffer boundaries; Buffer stops at the end of
-        // the buffer the cell started in. Empty buffers yield no cells.
+        // Cells fill across buffer boundaries. Empty buffers yield no
+        // cells.
         while fill < CELL_PAYLOAD && self.buf < buffers.count() {
             let buf = buffers.buffer(self.buf);
             let rest = &buf[self.off..];
@@ -288,9 +273,6 @@ impl SegCursor {
             if self.off == buf.len() {
                 self.buf += 1;
                 self.off = 0;
-                if self.unit == SegmentUnit::Buffer && fill > 0 {
-                    break;
-                }
             }
         }
         debug_assert!(fill > 0, "cursor used over a different buffer chain");
@@ -425,8 +407,6 @@ pub struct PduComplete {
     pub len: u32,
     /// True if every framing CRC over the assembled data matched.
     pub crc_ok: bool,
-    /// The assembled bytes (present when the reassembler keeps data).
-    pub data: Option<Vec<u8>>,
 }
 
 /// Where an accepted cell's payload belongs, and whether it completed a
@@ -451,20 +431,39 @@ struct PduRecord {
     /// beyond the stripe width stay unused).
     lane_crc: [Crc32; MAX_LANES],
     lane_ok: [Option<bool>; MAX_LANES],
-    lane_len: u32,
     /// Whole-PDU trailer (EndOfPdu framing), checked at completion.
     pdu_trailer: Option<Trailer>,
-    /// Seen-sequence bitmap (SeqNum mode duplicate detection).
-    seen: Vec<bool>,
-    data: Vec<u8>,
-    high_water: u32,
+    /// SeqNum: the PDU's CRC over its placed cells.
+    fold: SeqFold,
+}
+
+/// SeqNum: a PDU's CRC, folded over its cells in sequence order as the
+/// in-order prefix grows. A cell placed past the prefix is held until the
+/// prefix reaches it: a full cell as its carried remainder, a partial one
+/// (only the PDU's last cell may be partial) as its valid bytes.
+#[derive(Debug, Default)]
+struct SeqFold {
+    /// CRC over cells `0..next`.
+    crc: Crc32,
+    /// Length of the folded prefix: the next sequence number to fold.
+    next: u32,
+    /// Cells placed past the prefix, by sequence number.
+    ahead: Vec<Option<Held>>,
+}
+
+/// A SeqNum cell waiting for the prefix to reach it.
+#[derive(Debug)]
+enum Held {
+    /// A full cell's carried remainder ([`Cell::remainder`]).
+    Full(u32),
+    /// A partial cell's valid bytes.
+    Partial(Box<[u8]>),
 }
 
 /// The receive-side reassembly state machine for one VCI.
 #[derive(Debug)]
 pub struct Reassembler {
     mode: ReassemblyMode,
-    keep_data: bool,
     max_pdu_bytes: u32,
     /// SeqNum/FourWay: every open PDU's record.
     records: FxHashMap<u64, PduRecord>,
@@ -477,8 +476,9 @@ pub struct Reassembler {
     inorder_offset: u32,
     /// InOrder: running CRC.
     inorder_crc: Crc32,
-    /// SeqNum: stash of cells that belong to the next PDU.
-    stash: Vec<Cell>,
+    /// SeqNum: cells that overtook the current PDU, in arrival order, each
+    /// with the later PDU its disposition named.
+    stash: Vec<(u64, Cell)>,
     stash_limit: usize,
     /// The PDU the last completing cell completed, waiting for
     /// [`Reassembler::take_completed`].
@@ -497,13 +497,11 @@ pub struct Reassembler {
 
 impl Reassembler {
     /// A reassembler for `mode`, assembling PDUs of at most `max_pdu_bytes`
-    /// bytes. When `keep_data` is set, completed PDUs carry their bytes
-    /// (standalone use and tests); the board integration can disable it and
-    /// rely on placement offsets alone.
+    /// bytes.
     ///
     /// # Panics
     /// Panics if a FourWay mode names more than [`MAX_LANES`] lanes.
-    pub fn new(mode: ReassemblyMode, max_pdu_bytes: u32, keep_data: bool) -> Self {
+    pub fn new(mode: ReassemblyMode, max_pdu_bytes: u32) -> Self {
         let lanes = match mode {
             ReassemblyMode::FourWay { lanes } => {
                 check_lanes(lanes);
@@ -513,7 +511,6 @@ impl Reassembler {
         };
         Reassembler {
             mode,
-            keep_data,
             max_pdu_bytes,
             records: FxHashMap::default(),
             inorder: None,
@@ -583,27 +580,15 @@ impl Reassembler {
         self.records.entry(pdu).or_default()
     }
 
+    /// Counts a cell of `len` bytes at `offset` into `rec`, unless it
+    /// would end past `max`.
     #[inline]
-    fn store(
-        keep: bool,
-        max: u32,
-        rec: &mut PduRecord,
-        offset: u32,
-        data: &[u8],
-    ) -> Result<(), RxError> {
-        let end = offset + data.len() as u32;
-        if end > max {
+    fn store(max: u32, rec: &mut PduRecord, offset: u32, len: u32) -> Result<(), RxError> {
+        if offset + len > max {
             return Err(RxError::PduTooLarge);
         }
         rec.received_cells += 1;
-        rec.received_bytes += data.len() as u32;
-        rec.high_water = rec.high_water.max(end);
-        if keep {
-            if rec.data.len() < end as usize {
-                rec.data.resize(end as usize, 0);
-            }
-            rec.data[offset as usize..end as usize].copy_from_slice(data);
-        }
+        rec.received_bytes += len;
         Ok(())
     }
 
@@ -616,13 +601,7 @@ impl Reassembler {
         let pdu = self.current_pdu;
         let offset = self.inorder_offset;
         let rec = self.inorder.get_or_insert_with(PduRecord::default);
-        Self::store(
-            self.keep_data,
-            self.max_pdu_bytes,
-            rec,
-            offset,
-            cell.data_bytes(),
-        )?;
+        Self::store(self.max_pdu_bytes, rec, offset, cell.aal.fill as u32)?;
         self.inorder_offset += cell.aal.fill as u32;
         cell.absorb(&mut self.inorder_crc);
 
@@ -635,7 +614,6 @@ impl Reassembler {
                 pdu,
                 len: rec.received_bytes,
                 crc_ok,
-                data: self.keep_data.then_some(rec.data),
             });
             self.current_pdu += 1;
             self.inorder_offset = 0;
@@ -663,18 +641,18 @@ impl Reassembler {
             return Err(RxError::PduTooLarge);
         }
         let pdu = self.current_pdu;
-        // A duplicate sequence number means this cell belongs to the
-        // *next* PDU (per-lane FIFO guarantees intra-PDU uniqueness);
-        // stash it until the current PDU completes. This is exactly the
+        // A duplicate sequence number means this cell belongs to a later
+        // PDU (per-lane FIFO guarantees intra-PDU uniqueness); stash it
+        // until the PDUs before it complete. This is exactly the
         // "significant complexity" §2.6 attributes to strategy 1.
-        if self.record(pdu).seen(seq) {
+        if self.record(pdu).fold.seen(seq) {
             if self.stash.len() >= self.stash_limit {
                 return Err(RxError::StashOverflow);
             }
-            self.stash.push(cell.clone());
-            // Disposition points at the next PDU; offset as usual.
+            let later = self.later_pdu(pdu, cell.aal.seq);
+            self.stash.push((later, cell.clone()));
             return Ok(CellDisposition {
-                pdu: pdu + 1,
+                pdu: later,
                 offset,
                 completed: false,
             });
@@ -695,11 +673,11 @@ impl Reassembler {
     /// seen its sequence number. Returns whether the PDU is complete.
     fn place_seqnum(&mut self, pdu: u64, cell: &Cell) -> bool {
         let seq = cell.aal.seq as u32;
-        let (keep, max) = (self.keep_data, self.max_pdu_bytes);
+        let max = self.max_pdu_bytes;
         let rec = self.record(pdu);
-        Self::store(keep, max, rec, seq * CELL_PAYLOAD as u32, cell.data_bytes())
+        Self::store(max, rec, seq * CELL_PAYLOAD as u32, cell.aal.fill as u32)
             .expect("size checked on arrival");
-        rec.note_seen(seq);
+        rec.fold.place(cell);
         if cell.header.last_cell {
             rec.expected_total_cells = Some(seq + 1);
         }
@@ -709,20 +687,42 @@ impl Reassembler {
         rec.is_complete()
     }
 
+    /// The PDU a cell with sequence number `seq` that overtook current
+    /// PDU `pdu` belongs to, as far as the stash tells: the first later
+    /// PDU with no stashed cell of that number and no stashed last cell
+    /// before it. Replay puts the cell in that PDU's record and nowhere
+    /// else, so the record's CRC covers the cells whose bytes the caller
+    /// placed in the PDU's buffer. A wrong guess (the PDU's last cell had
+    /// not arrived yet) costs a torn PDU that fails its CRC, or one that
+    /// never completes, but never a torn PDU delivered as good.
+    fn later_pdu(&self, pdu: u64, seq: u16) -> u64 {
+        let mut later = pdu + 1;
+        while self.stash.iter().any(|(p, c)| {
+            *p == later && (c.aal.seq == seq || (c.header.last_cell && c.aal.seq < seq))
+        }) {
+            later += 1;
+        }
+        later
+    }
+
     /// Replays the stash into the PDU that just became current, in
-    /// arrival order. A stashed cell whose sequence number that PDU has
-    /// already seen is stashed again for the one after. A replayed cell
-    /// that completes the PDU (all of it overtook its predecessor's
-    /// tail) queues the completion for [`Reassembler::take_replayed`],
-    /// and replay goes on into the next PDU with the re-stashed cells
-    /// first, since they arrived before the rest.
+    /// arrival order. The PDU's record is still empty (replay runs as
+    /// soon as its predecessor completes), and the stash never names one
+    /// PDU for two cells of one number, so each of its cells goes in;
+    /// cells of later PDUs stay stashed. A cell whose PDU has passed
+    /// (after an `abort`) is dropped: its bytes went to a buffer no record
+    /// will cover. A replayed cell that completes the PDU (all of it
+    /// overtook its predecessor's tail) queues the completion for
+    /// [`Reassembler::take_replayed`], and replay goes on into the next
+    /// PDU with the still-stashed cells first, since they arrived before
+    /// the rest.
     fn replay_stash(&mut self) {
         let mut pending = VecDeque::from(std::mem::take(&mut self.stash));
-        while let Some(cell) = pending.pop_front() {
+        while let Some((later, cell)) = pending.pop_front() {
             let pdu = self.current_pdu;
-            if self.record(pdu).seen(cell.aal.seq as u32) {
-                self.stash.push(cell);
-            } else if self.place_seqnum(pdu, &cell) {
+            if later > pdu {
+                self.stash.push((later, cell));
+            } else if later == pdu && self.place_seqnum(pdu, &cell) {
                 let done = self.complete_seqnum(pdu);
                 self.replayed.push_back(done);
                 for c in self.stash.drain(..).rev() {
@@ -735,27 +735,23 @@ impl Reassembler {
     /// Completes SeqNum PDU `pdu`, whose record holds every cell.
     fn complete_seqnum(&mut self, pdu: u64) -> PduComplete {
         let rec = self.records.remove(&pdu).expect("record exists");
-        let crc_ok = match rec.pdu_trailer {
-            Some(tr) => {
-                tr.len == rec.received_bytes
-                    && (!self.keep_data || {
-                        let mut c = Crc32::new();
-                        c.update(&rec.data[..rec.received_bytes as usize]);
-                        c.finish() == tr.crc
-                    })
-            }
-            None => false,
-        };
+        let fold = &rec.fold;
+        // Every stored cell is in the CRC or still waiting for the prefix
+        // to reach it (a gap in the numbers leaves it waiting, and the CRC
+        // over the prefix then fails).
+        debug_assert_eq!(
+            fold.next as usize + fold.ahead.iter().flatten().count(),
+            rec.received_cells as usize,
+            "a stored cell was neither folded nor held"
+        );
+        let crc_ok = rec
+            .pdu_trailer
+            .is_some_and(|tr| tr.len == rec.received_bytes && tr.crc == fold.crc.finish());
         self.current_pdu += 1;
         PduComplete {
             pdu,
             len: rec.received_bytes,
             crc_ok,
-            data: self.keep_data.then(|| {
-                let mut d = rec.data;
-                d.truncate(rec.received_bytes as usize);
-                d
-            }),
         }
     }
 
@@ -802,13 +798,11 @@ impl Reassembler {
         };
         let global_index = within * lanes as u32 + lane as u32;
         let offset = global_index * CELL_PAYLOAD as u32;
-        let keep = self.keep_data;
         let max = self.max_pdu_bytes;
         let done = {
             let rec = self.record(pdu);
-            Self::store(keep, max, rec, offset, cell.data_bytes())?;
+            Self::store(max, rec, offset, cell.aal.fill as u32)?;
             cell.absorb(&mut rec.lane_crc[lane]);
-            rec.lane_len += cell.aal.fill as u32;
             if cell.header.last_cell {
                 rec.expected_total_cells = Some(global_index + 1);
             }
@@ -866,6 +860,7 @@ impl Reassembler {
                 if pdu == self.current_pdu {
                     self.current_pdu += 1;
                 }
+                self.stash.retain(|&(later, _)| later != pdu);
             }
             ReassemblyMode::FourWay { lanes } => {
                 let lanes = lanes as usize;
@@ -914,11 +909,6 @@ impl Reassembler {
             pdu,
             len: rec.received_bytes,
             crc_ok,
-            data: self.keep_data.then(|| {
-                let mut d = rec.data;
-                d.truncate(rec.high_water as usize);
-                d
-            }),
         }
     }
 }
@@ -956,18 +946,48 @@ impl PduRecord {
     fn is_complete(&self) -> bool {
         self.expected_total_cells == Some(self.received_cells)
     }
+}
 
-    /// Has a cell with this sequence number been stored? (Under SeqNum a
+impl SeqFold {
+    /// Has a cell with this sequence number been placed? (Under SeqNum a
     /// duplicate signals the start of the next PDU.)
     fn seen(&self, seq: u32) -> bool {
-        self.seen.get(seq as usize).copied().unwrap_or(false)
+        seq < self.next || self.ahead.get(seq as usize).is_some_and(Option::is_some)
     }
 
-    fn note_seen(&mut self, seq: u32) {
-        if self.seen.len() <= seq as usize {
-            self.seen.resize(seq as usize + 1, false);
+    /// Folds `cell`, whose sequence number is not yet seen, if it extends
+    /// the prefix, and then every held cell the prefix reaches; otherwise
+    /// holds it.
+    fn place(&mut self, cell: &Cell) {
+        debug_assert!(
+            !self.seen(cell.aal.seq as u32),
+            "sequence number placed twice"
+        );
+        let seq = cell.aal.seq as usize;
+        if seq != self.next as usize {
+            if self.ahead.len() <= seq {
+                self.ahead.resize_with(seq + 1, || None);
+            }
+            self.ahead[seq] = Some(if cell.aal.fill as usize == CELL_PAYLOAD {
+                Held::Full(cell.remainder())
+            } else {
+                Held::Partial(cell.data_bytes().into())
+            });
+            return;
         }
-        self.seen[seq as usize] = true;
+        cell.absorb(&mut self.crc);
+        self.next += 1;
+        while let Some(held) = self
+            .ahead
+            .get_mut(self.next as usize)
+            .and_then(Option::take)
+        {
+            match held {
+                Held::Full(rem) => self.crc.absorb_cell(rem),
+                Held::Partial(bytes) => self.crc.update(&bytes),
+            }
+            self.next += 1;
+        }
     }
 }
 
@@ -975,24 +995,87 @@ impl PduRecord {
 mod tests {
     use super::*;
 
+    /// A completed PDU with the bytes its cells' dispositions placed.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Delivered {
+        pdu: u64,
+        len: u32,
+        crc_ok: bool,
+        data: Vec<u8>,
+    }
+
     /// A disposition with its completed PDU taken: what the tests below
     /// read.
     #[derive(Debug)]
     struct Taken {
         pdu: u64,
         offset: u32,
-        completed: Option<PduComplete>,
+        completed: Option<Delivered>,
     }
 
-    impl Reassembler {
+    /// A reassembler and the bytes placed per PDU, the way the board
+    /// places them: each accepted cell's valid bytes at its disposition's
+    /// offset, in the PDU its disposition names.
+    struct Placer {
+        r: Reassembler,
+        placed: FxHashMap<u64, Vec<u8>>,
+    }
+
+    impl std::ops::Deref for Placer {
+        type Target = Reassembler;
+        fn deref(&self) -> &Reassembler {
+            &self.r
+        }
+    }
+
+    impl std::ops::DerefMut for Placer {
+        fn deref_mut(&mut self) -> &mut Reassembler {
+            &mut self.r
+        }
+    }
+
+    impl Placer {
+        fn new(mode: ReassemblyMode, max_pdu_bytes: u32) -> Self {
+            Placer {
+                r: Reassembler::new(mode, max_pdu_bytes),
+                placed: FxHashMap::default(),
+            }
+        }
+
         fn receive_taken(&mut self, lane: usize, cell: &Cell) -> Result<Taken, RxError> {
-            let d = self.receive(lane, cell)?;
-            let completed = d.completed.then(|| self.take_completed().expect("parked"));
+            let d = self.r.receive(lane, cell)?;
+            let (at, bytes) = (d.offset as usize, cell.data_bytes());
+            let buf = self.placed.entry(d.pdu).or_default();
+            if buf.len() < at + bytes.len() {
+                buf.resize(at + bytes.len(), 0);
+            }
+            buf[at..at + bytes.len()].copy_from_slice(bytes);
+            let completed = d.completed.then(|| {
+                let p = self.r.take_completed().expect("parked");
+                self.deliver(p)
+            });
             Ok(Taken {
                 pdu: d.pdu,
                 offset: d.offset,
                 completed,
             })
+        }
+
+        fn take_replayed(&mut self) -> Option<Delivered> {
+            let p = self.r.take_replayed()?;
+            Some(self.deliver(p))
+        }
+
+        /// `p` with the first `p.len` bytes placed for it.
+        fn deliver(&mut self, p: PduComplete) -> Delivered {
+            let mut data = self.placed.remove(&p.pdu).unwrap_or_default();
+            data.resize(p.len as usize, 0);
+            Delivered {
+                pdu: p.pdu,
+                len: p.len,
+                crc_ok: p.crc_ok,
+                data,
+            }
         }
     }
 
@@ -1000,14 +1083,14 @@ mod tests {
         (0..n).map(|i| (i * 31 % 251) as u8).collect()
     }
 
-    fn seg(framing: FramingMode, unit: SegmentUnit) -> Segmenter {
-        Segmenter { framing, unit }
+    fn seg(framing: FramingMode) -> Segmenter {
+        Segmenter { framing }
     }
 
     #[test]
     fn segment_counts_and_fills() {
         let data = payload(100);
-        let cells = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu).segment(Vci(9), &[&data]);
+        let cells = seg(FramingMode::EndOfPdu).segment(Vci(9), &[&data]);
         assert_eq!(cells.len(), 3); // 44 + 44 + 12
         assert_eq!(cells[0].aal.fill, 44);
         assert_eq!(cells[1].aal.fill, 44);
@@ -1025,28 +1108,16 @@ mod tests {
     fn segment_pdu_unit_spans_buffers() {
         let a = payload(50);
         let b = payload(30);
-        let cells = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu).segment(Vci(1), &[&a, &b]);
+        let cells = seg(FramingMode::EndOfPdu).segment(Vci(1), &[&a, &b]);
         // 80 bytes → 44 + 36: the second cell mixes bytes of both buffers.
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[1].aal.fill, 36);
     }
 
     #[test]
-    fn segment_buffer_unit_flushes_partials() {
-        let a = payload(50);
-        let b = payload(30);
-        let cells = seg(FramingMode::EndOfPdu, SegmentUnit::Buffer).segment(Vci(1), &[&a, &b]);
-        // 50 → 44 + 6 (partial mid-PDU!), 30 → 30.
-        assert_eq!(cells.len(), 3);
-        assert_eq!(cells[1].aal.fill, 6);
-        assert_eq!(cells[2].aal.fill, 30);
-    }
-
-    #[test]
     fn fourway_framing_marks_each_lane() {
         let data = payload(44 * 10);
-        let cells =
-            seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+        let cells = seg(FramingMode::FourWay { lanes: 4 }).segment(Vci(1), &[&data]);
         assert_eq!(cells.len(), 10);
         // Lane l gets cells l, l+4, ...; the last per lane carries EOM.
         // 10 cells: lane0 {0,4,8}, lane1 {1,5,9}, lane2 {2,6}, lane3 {3,7}.
@@ -1066,8 +1137,8 @@ mod tests {
     #[test]
     fn inorder_roundtrip() {
         let data = payload(1000);
-        let cells = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
-        let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
+        let cells = seg(FramingMode::EndOfPdu).segment(Vci(1), &[&data]);
+        let mut r = Placer::new(ReassemblyMode::InOrder, 1 << 20);
         let mut complete = None;
         for c in &cells {
             let d = r.receive_taken(0, c).unwrap();
@@ -1078,34 +1149,15 @@ mod tests {
         let p = complete.expect("PDU must complete");
         assert!(p.crc_ok);
         assert_eq!(p.len, 1000);
-        assert_eq!(p.data.unwrap(), data);
-    }
-
-    #[test]
-    fn inorder_roundtrip_buffer_unit_partials() {
-        // Partial cells mid-PDU reassemble fine in order (offsets are
-        // running, not computed from indices).
-        let a = payload(50);
-        let b = payload(51);
-        let cells = seg(FramingMode::EndOfPdu, SegmentUnit::Buffer).segment(Vci(1), &[&a, &b]);
-        let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
-        let mut out = None;
-        for c in &cells {
-            out = r.receive_taken(0, c).unwrap().completed.or(out);
-        }
-        let p = out.unwrap();
-        assert!(p.crc_ok);
-        let mut expect = a.clone();
-        expect.extend_from_slice(&b);
-        assert_eq!(p.data.unwrap(), expect);
+        assert_eq!(p.data, data);
     }
 
     #[test]
     fn inorder_detects_swapped_cells_via_crc() {
         let data = payload(44 * 4);
-        let mut cells = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+        let mut cells = seg(FramingMode::EndOfPdu).segment(Vci(1), &[&data]);
         cells.swap(1, 2); // skew-style misordering
-        let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::InOrder, 1 << 20);
         let mut out = None;
         for c in &cells {
             out = r.receive_taken(0, c).unwrap().completed.or(out);
@@ -1117,9 +1169,9 @@ mod tests {
     #[test]
     fn inorder_detects_corruption() {
         let data = payload(500);
-        let mut cells = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+        let mut cells = seg(FramingMode::EndOfPdu).segment(Vci(1), &[&data]);
         cells[3].corrupt_bit(7, 2);
-        let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::InOrder, 1 << 20);
         let mut out = None;
         for c in &cells {
             out = r.receive_taken(0, c).unwrap().completed.or(out);
@@ -1130,30 +1182,33 @@ mod tests {
     #[test]
     fn one_corrupted_cell_fails_the_crc_in_either_framing() {
         // Every cell of a 9.5-cell PDU in turn, full cells (folded from
-        // their carried remainder) and the partial last one, under InOrder
-        // and FourWay reassembly.
+        // their carried remainder) and the partial last one, under every
+        // reassembly strategy.
         let data = payload(44 * 9 + 22);
         let modes = [
             (FramingMode::EndOfPdu, ReassemblyMode::InOrder),
+            (
+                FramingMode::EndOfPdu,
+                ReassemblyMode::SeqNum { max_cells: 64 },
+            ),
             (
                 FramingMode::FourWay { lanes: 4 },
                 ReassemblyMode::FourWay { lanes: 4 },
             ),
         ];
         for (framing, mode) in modes {
-            let cells = seg(framing, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+            let cells = seg(framing).segment(Vci(1), &[&data]);
             for bad in 0..cells.len() {
                 let mut cells = cells.clone();
                 let fill = cells[bad].aal.fill as usize;
                 cells[bad].corrupt_bit(bad % fill, 5);
-                for keep in [true, false] {
-                    let mut r = Reassembler::new(mode, 1 << 20, keep);
-                    let mut out = None;
-                    for (i, c) in cells.iter().enumerate() {
-                        out = r.receive_taken(i % 4, c).unwrap().completed.or(out);
-                    }
-                    assert!(!out.unwrap().crc_ok, "{mode:?}, cell {bad} corrupted");
+                let mut r = Reassembler::new(mode, 1 << 20);
+                let mut out = None;
+                for (i, c) in cells.iter().enumerate() {
+                    r.receive(i % 4, c).unwrap();
+                    out = r.take_completed().or(out);
                 }
+                assert!(!out.unwrap().crc_ok, "{mode:?}, cell {bad} corrupted");
             }
         }
     }
@@ -1161,18 +1216,18 @@ mod tests {
     #[test]
     fn seqnum_reassembles_skewed_arrivals() {
         let data = payload(44 * 8);
-        let cells = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+        let cells = seg(FramingMode::EndOfPdu).segment(Vci(1), &[&data]);
         // Simulate lane skew: cells 1,2,3 overtake cell 0; per-lane order
         // within each residue class is preserved.
         let order = [1usize, 2, 3, 0, 5, 6, 7, 4];
-        let mut r = Reassembler::new(ReassemblyMode::SeqNum { max_cells: 1024 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::SeqNum { max_cells: 1024 }, 1 << 20);
         let mut out = None;
         for &i in &order {
             out = r.receive_taken(0, &cells[i]).unwrap().completed.or(out);
         }
         let p = out.expect("complete");
         assert!(p.crc_ok);
-        assert_eq!(p.data.unwrap(), data);
+        assert_eq!(p.data, data);
     }
 
     #[test]
@@ -1180,11 +1235,11 @@ mod tests {
         // PDU 0 has two cells; PDU 1 is one cell that overtakes PDU 0's
         // tail: arrivals a0, b0, a1. a1 completes PDU 0, and replaying
         // the stashed b0 then completes PDU 1.
-        let s = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu);
+        let s = seg(FramingMode::EndOfPdu);
         let a = payload(44 + 30);
         let b: Vec<u8> = payload(20).iter().map(|x| x ^ 0x5a).collect();
         let (ca, cb) = (s.segment(Vci(1), &[&a]), s.segment(Vci(1), &[&b]));
-        let mut r = Reassembler::new(ReassemblyMode::SeqNum { max_cells: 64 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::SeqNum { max_cells: 64 }, 1 << 20);
         assert_eq!(r.receive_taken(0, &ca[0]).unwrap().completed, None);
         let d = r.receive_taken(1, &cb[0]).unwrap();
         assert_eq!((d.pdu, d.completed), (1, None), "b0 is stashed for PDU 1");
@@ -1194,11 +1249,40 @@ mod tests {
             .completed
             .expect("PDU 0");
         assert_eq!((p0.pdu, p0.crc_ok), (0, true));
-        assert_eq!(p0.data.as_deref(), Some(&a[..]));
+        assert_eq!(p0.data, a);
         let p1 = r.take_replayed().expect("replay completes PDU 1");
         assert_eq!((p1.pdu, p1.crc_ok), (1, true));
-        assert_eq!(p1.data.as_deref(), Some(&b[..]));
+        assert_eq!(p1.data, b);
         assert_eq!(r.take_replayed(), None);
+        assert_eq!(r.in_flight(), 0);
+    }
+
+    #[test]
+    fn seqnum_stash_dispositions_name_the_pdu_replay_fills() {
+        // PDU 0 has three cells, PDU 1 one and PDU 2 two; arrivals a0, a1,
+        // b0, c1, c0, a2. PDU 0 has seen the numbers of b0, c1 and c0, so
+        // all three wait in the stash; c1's number is past PDU 1's
+        // stashed last cell, so it belongs to PDU 2. Each disposition
+        // must name the PDU replay puts the cell in: the caller places
+        // the bytes there, and the record's CRC covers the same cells.
+        let s = seg(FramingMode::EndOfPdu);
+        let a = payload(88 + 30);
+        let b: Vec<u8> = payload(20).iter().map(|x| x ^ 0x5a).collect();
+        let c: Vec<u8> = payload(44 + 10).iter().map(|x| x ^ 0xa5).collect();
+        let [ca, cb, cc] = [&a, &b, &c].map(|d| s.segment(Vci(1), &[d]));
+        let mut r = Placer::new(ReassemblyMode::SeqNum { max_cells: 64 }, 1 << 20);
+        let pdus: Vec<u64> = [&ca[0], &ca[1], &cb[0], &cc[1], &cc[0]]
+            .map(|cell| r.receive_taken(0, cell).unwrap().pdu)
+            .to_vec();
+        assert_eq!(pdus, [0, 0, 1, 2, 2]);
+        let p0 = r.receive_taken(0, &ca[2]).unwrap().completed;
+        let replayed: Vec<Delivered> = std::iter::from_fn(|| r.take_replayed()).collect();
+        let verdicts: Vec<(u64, bool, Vec<u8>)> = p0
+            .into_iter()
+            .chain(replayed)
+            .map(|p| (p.pdu, p.crc_ok, p.data))
+            .collect();
+        assert_eq!(verdicts, [(0, true, a), (1, true, b), (2, true, c)]);
         assert_eq!(r.in_flight(), 0);
     }
 
@@ -1211,21 +1295,21 @@ mod tests {
             ReassemblyMode::SeqNum { max_cells: 64 },
             ReassemblyMode::FourWay { lanes: 4 },
         ] {
-            let mut r = Reassembler::new(mode, 1 << 20, true);
+            let mut r = Placer::new(mode, 1 << 20);
             assert_eq!(r.receive_taken(0, &c).unwrap_err(), RxError::FillOutOfRange);
         }
     }
 
     #[test]
     fn seqnum_rejects_out_of_window() {
-        let mut r = Reassembler::new(ReassemblyMode::SeqNum { max_cells: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::SeqNum { max_cells: 4 }, 1 << 20);
         let c = Cell::data(Vci(1), 4, &[0u8; 44]);
         assert_eq!(r.receive_taken(0, &c).unwrap_err(), RxError::SeqOutOfRange);
     }
 
     #[test]
     fn seqnum_rejects_partial_fill_midstream() {
-        let mut r = Reassembler::new(ReassemblyMode::SeqNum { max_cells: 64 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::SeqNum { max_cells: 64 }, 1 << 20);
         let c = Cell::data(Vci(1), 0, &[0u8; 10]); // partial, not last
         assert_eq!(
             r.receive_taken(0, &c).unwrap_err(),
@@ -1236,12 +1320,11 @@ mod tests {
     #[test]
     fn fourway_reassembles_under_lane_skew() {
         let data = payload(44 * 13 + 7);
-        let cells =
-            seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+        let cells = seg(FramingMode::FourWay { lanes: 4 }).segment(Vci(1), &[&data]);
         let n = cells.len();
         // Interleave lanes with heavy skew: deliver lane 3 first, then 2,
         // then 1, then 0 — per-lane order preserved (the §2.6 skew class).
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         let mut out = None;
         for lane in (0..4usize).rev() {
             let mut i = lane;
@@ -1254,17 +1337,16 @@ mod tests {
         let p = out.expect("complete");
         assert!(p.crc_ok);
         assert_eq!(p.len as usize, data.len());
-        assert_eq!(p.data.unwrap(), data);
+        assert_eq!(p.data, data);
     }
 
     #[test]
     fn fourway_short_pdu_completes_via_last_cell_bit() {
         // A 2-cell PDU on a 4-lane stripe: lanes 2 and 3 carry nothing.
         let data = payload(60);
-        let cells =
-            seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+        let cells = seg(FramingMode::FourWay { lanes: 4 }).segment(Vci(1), &[&data]);
         assert_eq!(cells.len(), 2);
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         assert!(r.receive_taken(0, &cells[0]).unwrap().completed.is_none());
         let p = r
             .receive_taken(1, &cells[1])
@@ -1272,14 +1354,10 @@ mod tests {
             .completed
             .expect("complete");
         assert!(p.crc_ok);
-        assert_eq!(p.data.unwrap(), data);
+        assert_eq!(p.data, data);
         // Lanes 2/3 skipped the PDU; a following PDU still works.
         let data2 = payload(44 * 6);
-        let cells2 = seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu).segment_numbered(
-            Vci(1),
-            1,
-            &[&data2],
-        );
+        let cells2 = seg(FramingMode::FourWay { lanes: 4 }).segment_numbered(Vci(1), 1, &[&data2]);
         let mut out = None;
         for (i, c) in cells2.iter().enumerate() {
             out = r.receive_taken(i % 4, c).unwrap().completed.or(out);
@@ -1287,7 +1365,7 @@ mod tests {
         let p2 = out.expect("second PDU completes");
         assert!(p2.crc_ok);
         assert_eq!(p2.pdu, 1);
-        assert_eq!(p2.data.unwrap(), data2);
+        assert_eq!(p2.data, data2);
     }
 
     #[test]
@@ -1295,10 +1373,10 @@ mod tests {
         // Two PDUs; lane 0 lags a full PDU behind the other lanes.
         let d1 = payload(44 * 8);
         let d2 = payload(44 * 8);
-        let s = seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu);
+        let s = seg(FramingMode::FourWay { lanes: 4 });
         let c1 = s.segment(Vci(1), &[&d1]);
         let c2 = s.segment_numbered(Vci(1), 1, &[&d2]);
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         let mut done = Vec::new();
         // Lanes 1..3 deliver both PDUs first.
         for lane in 1..4usize {
@@ -1325,13 +1403,13 @@ mod tests {
         }
         assert_eq!(done.len(), 2);
         assert!(done.iter().all(|p| p.crc_ok));
-        assert_eq!(done[0].data.as_ref().unwrap(), &d1);
-        assert_eq!(done[1].data.as_ref().unwrap(), &d2);
+        assert_eq!(done[0].data, d1);
+        assert_eq!(done[1].data, d2);
     }
 
     #[test]
     fn fourway_lane_out_of_range() {
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         let c = Cell::data(Vci(1), 0, &[0u8; 44]);
         assert_eq!(r.receive_taken(4, &c).unwrap_err(), RxError::LaneOutOfRange);
     }
@@ -1339,10 +1417,9 @@ mod tests {
     #[test]
     fn fourway_detects_lane_corruption() {
         let data = payload(44 * 9);
-        let mut cells =
-            seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
+        let mut cells = seg(FramingMode::FourWay { lanes: 4 }).segment(Vci(1), &[&data]);
         cells[5].corrupt_bit(0, 0);
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         let mut out = None;
         for (i, c) in cells.iter().enumerate() {
             out = r.receive_taken(i % 4, c).unwrap().completed.or(out);
@@ -1357,10 +1434,10 @@ mod tests {
         // PDU 0 forever and PDU 1 can never complete.
         let d1 = payload(44 * 8);
         let d2 = payload(44 * 8);
-        let s = seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu);
+        let s = seg(FramingMode::FourWay { lanes: 4 });
         let c1 = s.segment(Vci(1), &[&d1]);
         let c2 = s.segment_numbered(Vci(1), 1, &[&d2]);
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         for (i, c) in c1.iter().enumerate() {
             if i == 6 {
                 continue; // the dropped cell
@@ -1381,17 +1458,17 @@ mod tests {
         let p = out.expect("PDU 1 completes after the abort");
         assert_eq!(p.pdu, 1);
         assert!(p.crc_ok);
-        assert_eq!(p.data.unwrap(), d2);
+        assert_eq!(p.data, d2);
     }
 
     #[test]
     fn inorder_abort_resets_running_state() {
         let d1 = payload(44 * 3);
         let d2 = payload(100);
-        let s = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu);
+        let s = seg(FramingMode::EndOfPdu);
         let c1 = s.segment(Vci(1), &[&d1]);
         let c2 = s.segment(Vci(1), &[&d2]);
-        let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::InOrder, 1 << 20);
         // Deliver the first two cells of PDU 0, then lose the tail.
         r.receive_taken(0, &c1[0]).unwrap();
         r.receive_taken(0, &c1[1]).unwrap();
@@ -1404,31 +1481,30 @@ mod tests {
         let p = out.expect("complete");
         assert!(p.crc_ok);
         assert_eq!(p.pdu, 1);
-        assert_eq!(p.data.unwrap(), d2);
+        assert_eq!(p.data, d2);
     }
 
-    /// InOrder keeps its one open PDU's record outside the map, with or
-    /// without the bytes: both reassemblers give the same verdict for
-    /// every cell and report the same PDUs open. Seeded streams of short
-    /// and oversized PDUs, with dropped cells, cells stripped of their
-    /// trailer (`NoTrailer` on an EOM cell and on a bare last-cell mark)
-    /// and aborts in mid-PDU.
+    /// InOrder keeps its one open PDU's record outside the map, and a
+    /// completed PDU's length is the bytes its cells' dispositions placed.
+    /// Seeded streams of short and oversized PDUs, with dropped cells,
+    /// cells stripped of their trailer (`NoTrailer` on an EOM cell and on
+    /// a bare last-cell mark) and aborts in mid-PDU.
     #[test]
-    fn inorder_keep_data_does_not_change_dispositions() {
+    fn inorder_completions_count_the_bytes_placed() {
         use osiris_sim::SimRng;
         let (mut completed, mut too_large, mut no_trailer, mut aborts) = (0, 0, 0, 0);
         for seed in 0..64u64 {
             let mut rng = SimRng::new(seed);
             let max = 44 * 20;
-            let mut kept = Reassembler::new(ReassemblyMode::InOrder, max, true);
-            let mut lean = Reassembler::new(ReassemblyMode::InOrder, max, false);
-            let s = seg(FramingMode::EndOfPdu, SegmentUnit::Pdu);
+            let mut r = Reassembler::new(ReassemblyMode::InOrder, max);
+            let s = seg(FramingMode::EndOfPdu);
             let mut cells = Vec::new();
             for _ in 0..1 + rng.gen_range(8) {
                 let len = 1 + rng.gen_range(44 * 30) as usize;
                 let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
                 cells.extend(s.segment(Vci(5), &[&data]));
             }
+            let mut placed: FxHashMap<u64, usize> = FxHashMap::default();
             let mut open = None;
             for mut cell in cells {
                 match rng.gen_range(20) {
@@ -1441,36 +1517,29 @@ mod tests {
                     }
                     3 => {
                         if let Some(pdu) = open {
-                            kept.abort(pdu);
-                            lean.abort(pdu);
+                            r.abort(pdu);
                             aborts += 1;
                         }
                     }
                     _ => {}
                 }
-                let (a, b) = (kept.receive_taken(0, &cell), lean.receive_taken(0, &cell));
-                match (&a, &b) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!((a.pdu, a.offset), (b.pdu, b.offset), "seed {seed}");
-                        let verdict = |c: &PduComplete| (c.pdu, c.len, c.crc_ok);
-                        let (ca, cb) = (a.completed.as_ref(), b.completed.as_ref());
-                        assert_eq!(ca.map(verdict), cb.map(verdict), "seed {seed}");
-                        if let Some(c) = ca {
-                            assert_eq!(c.data.as_ref().map(Vec::len), Some(c.len as usize));
-                            assert!(cb.is_some_and(|c| c.data.is_none()));
+                match r.receive(0, &cell) {
+                    Ok(d) => {
+                        *placed.entry(d.pdu).or_default() += cell.data_bytes().len();
+                        if d.completed {
+                            let p = r.take_completed().expect("parked");
+                            assert_eq!(p.pdu, d.pdu, "seed {seed}");
+                            assert_eq!(Some(p.len as usize), placed.remove(&p.pdu));
                             completed += 1;
                         }
-                        open = a.completed.is_none().then_some(a.pdu);
+                        open = (!d.completed).then_some(d.pdu);
                     }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a, b, "seed {seed}");
-                        too_large += (*a == RxError::PduTooLarge) as u32;
-                        no_trailer += (*a == RxError::NoTrailer) as u32;
+                    Err(e) => {
+                        too_large += (e == RxError::PduTooLarge) as u32;
+                        no_trailer += (e == RxError::NoTrailer) as u32;
                     }
-                    _ => panic!("seed {seed}: {a:?} vs {b:?}"),
                 }
-                assert_eq!(kept.in_flight(), lean.in_flight(), "seed {seed}");
-                assert!(kept.in_flight() <= 1, "seed {seed}");
+                assert!(r.in_flight() <= 1, "seed {seed}");
             }
         }
         // Every branch the property speaks for was taken.
@@ -1479,7 +1548,7 @@ mod tests {
 
     #[test]
     fn pdu_too_large_rejected() {
-        let mut r = Reassembler::new(ReassemblyMode::InOrder, 40, true);
+        let mut r = Placer::new(ReassemblyMode::InOrder, 40);
         let c = Cell::data(Vci(1), 0, &[0u8; 44]);
         assert_eq!(r.receive_taken(0, &c).unwrap_err(), RxError::PduTooLarge);
     }
@@ -1487,9 +1556,8 @@ mod tests {
     #[test]
     fn disposition_offsets_are_placement_addresses() {
         let data = payload(44 * 5);
-        let cells =
-            seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu).segment(Vci(1), &[&data]);
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, false);
+        let cells = seg(FramingMode::FourWay { lanes: 4 }).segment(Vci(1), &[&data]);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         // Deliver in a skewed but per-lane-FIFO order and check offsets
         // equal global_cell_index * 44.
         let order = [(1usize, 1usize), (2, 2), (0, 0), (3, 3), (0, 4)];
@@ -1511,12 +1579,12 @@ mod tests {
         // header now resynchronises lane 0 onto B instead.
         let a = payload(60);
         let b: Vec<u8> = payload(60).iter().map(|x| x ^ 0xa5).collect();
-        let s = seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu);
+        let s = seg(FramingMode::FourWay { lanes: 4 });
         let ca = s.segment_numbered(Vci(1), 0, &[&a]);
         let cb = s.segment_numbered(Vci(1), 1, &[&b]);
         assert_eq!((ca.len(), cb.len()), (2, 2));
 
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         // ca[0] (lane 0) is dropped on the wire.
         assert!(r.receive_taken(1, &ca[1]).unwrap().completed.is_none());
         let d = r.receive_taken(0, &cb[0]).unwrap();
@@ -1529,7 +1597,7 @@ mod tests {
             .expect("PDU 1 completes");
         assert_eq!(p.pdu, 1);
         assert!(p.crc_ok);
-        assert_eq!(p.data.unwrap(), b, "B delivered intact, not torn");
+        assert_eq!(p.data, b, "B delivered intact, not torn");
         // A's partial record lingers until the reassembly timeout reaps it;
         // it can never complete (and thus never deliver torn data).
         assert_eq!(r.in_flight(), 1);
@@ -1540,9 +1608,9 @@ mod tests {
         // A cell of an aborted PDU arriving after its lane resynchronised
         // must be dropped, not attributed to the successor PDU.
         let a = payload(60);
-        let s = seg(FramingMode::FourWay { lanes: 4 }, SegmentUnit::Pdu);
+        let s = seg(FramingMode::FourWay { lanes: 4 });
         let ca = s.segment_numbered(Vci(1), 0, &[&a]);
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+        let mut r = Placer::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
         assert!(r.receive_taken(1, &ca[1]).unwrap().completed.is_none());
         r.abort(0);
         assert_eq!(
@@ -1580,7 +1648,7 @@ mod tests {
             // The striped link still spreads the cells over four lanes.
             _ => (FramingMode::EndOfPdu, 4),
         };
-        let s = seg(framing, SegmentUnit::Pdu);
+        let s = seg(framing);
         // Each lane's cells with their place in segmentation order.
         let mut per_lane: Vec<VecDeque<(usize, Cell)>> = vec![VecDeque::new(); lanes];
         let mut sent = Vec::new();
@@ -1621,7 +1689,12 @@ mod tests {
                         1 + rng.gen_range(u16::MAX as u64) as u16
                     };
                 }
-                3 => q[at].1.aal.fill = rng.next_u64() as u8,
+                3 => {
+                    // The receiver's CRC covers the bytes the new fill
+                    // claims.
+                    q[at].1.aal.fill = rng.next_u64() as u8;
+                    q[at].1.refresh_remainder();
+                }
                 _ => q[at].1.aal.eom = !q[at].1.aal.eom,
             }
         }
@@ -1653,8 +1726,8 @@ mod tests {
 
     /// Feeds every arrival, collecting each completion — the cell's own
     /// and any stash replay produced — and counting the replayed ones.
-    fn reassemble(case: &FuzzCase) -> (Vec<PduComplete>, usize) {
-        let mut r = Reassembler::new(case.mode, 1 << 20, true);
+    fn reassemble(case: &FuzzCase) -> (Vec<Delivered>, usize) {
+        let mut r = Placer::new(case.mode, 1 << 20);
         let (mut done, mut replayed) = (Vec::new(), 0);
         for (lane, cell) in &case.arrivals {
             if let Ok(d) = r.receive_taken(*lane, cell) {
@@ -1669,13 +1742,13 @@ mod tests {
     }
 
     /// Every sent PDU completed once, intact, under its own number.
-    fn delivers_every_pdu(case: &FuzzCase, done: &[PduComplete]) -> bool {
+    fn delivers_every_pdu(case: &FuzzCase, done: &[Delivered]) -> bool {
         let mut pdus: Vec<u64> = done.iter().map(|p| p.pdu).collect();
         pdus.sort_unstable();
         pdus == (0..case.sent.len() as u64).collect::<Vec<_>>()
             && done
                 .iter()
-                .all(|p| p.crc_ok && p.data.as_ref() == Some(&case.sent[p.pdu as usize]))
+                .all(|p| p.crc_ok && p.data == case.sent[p.pdu as usize])
     }
 
     /// Runs fuzz case `seed` and checks it: no panic, no good CRC on
@@ -1687,7 +1760,7 @@ mod tests {
         let (done, _) = reassemble(&case);
         for p in done.iter().filter(|p| p.crc_ok) {
             assert!(
-                case.sent.contains(p.data.as_ref().expect("kept")),
+                case.sent.contains(&p.data),
                 "seed {seed}: {:?} reported a good CRC on bytes never sent",
                 case.mode
             );

@@ -1,20 +1,21 @@
 //! The lazy segmenter against the eager cell-building loop it replaced:
-//! for seeded buffer chains, both framing modes, both segmentation units
-//! and PDU tags around the `u16` wrap, every cell — header, AAL fields,
-//! payload, carried CRC remainder and trailer — must be identical, and
-//! each cell's remainder must be its payload's. FourWay framings of one to
+//! for seeded buffer chains, both framing modes and PDU tags around the
+//! `u16` wrap, every cell — header, AAL fields, payload, carried CRC
+//! remainder and trailer — must be identical, and each full cell's
+//! remainder must be its payload's. FourWay framings of one to
 //! four lanes run through the cutter's inline per-lane state, over byte
 //! slices and over a chain read by index.
 
 use osiris_atm::crc::cell_remainder;
 use osiris_atm::sar::{
-    BufferChain, FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter, MAX_LANES,
+    BufferChain, FramingMode, Reassembler, ReassemblyMode, Segmenter, MAX_LANES,
 };
 use osiris_atm::{Cell, Crc32, Trailer, Vci, CELL_PAYLOAD};
 use osiris_sim::SimRng;
 
-/// The eager segmenter: build every cell first, then attach trailers by
-/// re-walking the finished cells.
+/// The eager segmenter: build every cell first, filling cells across
+/// buffer boundaries, then attach trailers by re-walking the finished
+/// cells.
 fn eager_segment_numbered(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[u8]]) -> Vec<Cell> {
     let total: usize = buffers.iter().map(|b| b.len()).sum();
     assert!(total > 0, "cannot segment an empty PDU");
@@ -26,14 +27,14 @@ fn eager_segment_numbered(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[
     let mut cells: Vec<Cell> = Vec::with_capacity(total / CELL_PAYLOAD + buffers.len());
     for buf in buffers {
         let mut rest: &[u8] = buf;
-        if seg.unit == SegmentUnit::Pdu {
-            if let Some(last) = cells.last_mut() {
-                let fill = last.aal.fill as usize;
-                let take = (CELL_PAYLOAD - fill).min(rest.len());
-                last.write_payload(fill, &rest[..take]);
-                last.aal.fill += take as u8;
-                rest = &rest[take..];
-            }
+        if let Some(last) = cells.last_mut() {
+            let fill = last.aal.fill as usize;
+            let take = (CELL_PAYLOAD - fill).min(rest.len());
+            // The fill grows first: a cell it fills carries the remainder
+            // of its bytes.
+            last.aal.fill += take as u8;
+            last.write_payload(fill, &rest[..take]);
+            rest = &rest[take..];
         }
         for piece in rest.chunks(CELL_PAYLOAD) {
             let seq = seq_of(cells.len());
@@ -140,11 +141,13 @@ fn assert_same(seg: &Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[u8]], what:
         assert_eq!(g.header, w.header, "{what}: cell {i} header");
         assert_eq!(g.aal, w.aal, "{what}: cell {i} AAL fields");
         assert_eq!(g.payload(), w.payload(), "{what}: cell {i} payload");
-        assert_eq!(
-            g.remainder(),
-            cell_remainder(g.payload()),
-            "{what}: cell {i} carried remainder"
-        );
+        if g.aal.fill as usize == CELL_PAYLOAD {
+            assert_eq!(
+                g.remainder(),
+                cell_remainder(g.payload()),
+                "{what}: cell {i} carried remainder"
+            );
+        }
         assert_eq!(g.trailer, w.trailer, "{what}: cell {i} trailer");
         assert_eq!(g, w, "{what}: cell {i}");
     }
@@ -165,20 +168,18 @@ fn lazy_cutter_matches_the_eager_segmenter() {
     lengths.extend((1..=20).map(|k| 44 * k));
     lengths.extend([176, 352, 1760, 44 * 455, 176 * 113]);
     let mut rng = SimRng::new(0x5E6_2026);
-    lengths.extend((0..60).map(|_| 1 + rng.gen_range(20_000) as usize));
+    lengths.extend((0..130).map(|_| 1 + rng.gen_range(20_000) as usize));
 
     let mut cases = 0;
     for &total in &lengths {
         let bufs = chain(&mut rng, total);
         let slices: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
         for framing in framings {
-            for unit in [SegmentUnit::Pdu, SegmentUnit::Buffer] {
-                let seg = Segmenter { framing, unit };
-                let pdu_seq = seqs[rng.gen_range(seqs.len() as u64) as usize];
-                let what = format!("{total} B in {} bufs, {framing:?}, {unit:?}", bufs.len());
-                assert_same(&seg, Vci(7), pdu_seq, &slices, &what);
-                cases += 1;
-            }
+            let seg = Segmenter { framing };
+            let pdu_seq = seqs[rng.gen_range(seqs.len() as u64) as usize];
+            let what = format!("{total} B in {} bufs, {framing:?}", bufs.len());
+            assert_same(&seg, Vci(7), pdu_seq, &slices, &what);
+            cases += 1;
         }
     }
     assert!(cases >= 1000, "{cases} cases");
@@ -193,13 +194,10 @@ fn end_of_pdu_cell_index_wraps_like_the_eager_segmenter() {
         .collect();
     let half = data.len() / 2 + 3;
     let chain: [&[u8]; 2] = [&data[..half], &data[half..]];
-    for unit in [SegmentUnit::Pdu, SegmentUnit::Buffer] {
-        let seg = Segmenter {
-            framing: FramingMode::EndOfPdu,
-            unit,
-        };
-        assert_same(&seg, Vci(1), 0, &chain, &format!("wrap {unit:?}"));
-    }
+    let seg = Segmenter {
+        framing: FramingMode::EndOfPdu,
+    };
+    assert_same(&seg, Vci(1), 0, &chain, "wrap");
 }
 
 #[test]
@@ -208,19 +206,17 @@ fn framings_wider_than_the_stripe_are_rejected_at_construction() {
     for lanes in 1..=MAX_LANES as u8 {
         let seg = Segmenter {
             framing: FramingMode::FourWay { lanes },
-            unit: SegmentUnit::Pdu,
         };
         assert_eq!(seg.cursor(Vci(1), 0, &[&data[..]]).remaining(), 12);
-        Reassembler::new(ReassemblyMode::FourWay { lanes }, 1 << 16, false);
+        Reassembler::new(ReassemblyMode::FourWay { lanes }, 1 << 16);
     }
     let wide = Segmenter {
         framing: FramingMode::FourWay { lanes: 5 },
-        unit: SegmentUnit::Pdu,
     };
     let cut = std::panic::catch_unwind(|| wide.cursor(Vci(1), 0, &[&data[..]]));
     assert!(cut.is_err(), "a 5-lane cursor must not be built");
     let reasm = std::panic::catch_unwind(|| {
-        Reassembler::new(ReassemblyMode::FourWay { lanes: 5 }, 1 << 16, false)
+        Reassembler::new(ReassemblyMode::FourWay { lanes: 5 }, 1 << 16)
     });
     assert!(reasm.is_err(), "a 5-lane reassembler must not be built");
 }

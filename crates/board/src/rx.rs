@@ -223,7 +223,7 @@ impl VciRecord {
     fn new(cfg: &RxConfig) -> Self {
         VciRecord {
             page: None,
-            reasm: Reassembler::new(cfg.reassembly, cfg.max_pdu_bytes, false),
+            reasm: Reassembler::new(cfg.reassembly, cfg.max_pdu_bytes),
             open: Vec::new(),
         }
     }
@@ -274,8 +274,10 @@ struct Datapath {
     track: String,
     /// Interned track/name keys for hot-path span emission — no string
     /// allocation per cell; the symbols resolve back to the exact same
-    /// strings at export time.
-    syms: RxSyms,
+    /// strings at export time. Interned with the timeline by
+    /// [`RxProcessor::set_timeline`]; until then the timeline is detached
+    /// and records nothing.
+    syms: Option<RxSyms>,
     /// End of the last DMA grant this processor issued — bus-wait spans
     /// are clamped to start here so same-track spans never overlap.
     last_dma_end: SimTime,
@@ -327,9 +329,7 @@ impl RxProcessor {
         if let ReassemblyMode::FourWay { lanes } = cfg.reassembly {
             check_lanes(lanes);
         }
-        let timeline = Timeline::default();
         let track = probe.scoped("rx").scope().to_string();
-        let syms = RxSyms::intern(&timeline, &track);
         let extra = match cfg.reassembly {
             ReassemblyMode::InOrder => 0,
             _ => cfg.fw.rx_reorder_extra_cycles,
@@ -355,9 +355,9 @@ impl RxProcessor {
                 spare: Vec::new(),
                 authorized: vec![None; QUEUE_PAGES],
                 stats: RxCounters::with_probe(probe),
-                timeline,
+                timeline: Timeline::default(),
                 track,
-                syms,
+                syms: None,
                 last_dma_end: SimTime::ZERO,
                 sar_span_floor: SimTime::ZERO,
             },
@@ -370,7 +370,7 @@ impl RxProcessor {
     /// `<scope>.rx.dma`).
     pub fn set_timeline(&mut self, timeline: &Timeline) {
         self.dp.timeline = timeline.clone();
-        self.dp.syms = RxSyms::intern(&self.dp.timeline, &self.dp.track);
+        self.dp.syms = Some(RxSyms::intern(timeline, &self.dp.track));
     }
 
     /// Binds a VCI to a queue page (the early-demultiplexing table).
@@ -638,9 +638,8 @@ impl RxProcessor {
             }
             rec.reasm.abort(key.1);
             dp.stats.pdus_dropped_timeout.incr();
-            if let Some(c) = ctx {
-                dp.timeline
-                    .instant(dp.syms.track, dp.syms.reasm_timeout, Some(c), now);
+            if let (Some(c), Some(s)) = (ctx, dp.syms) {
+                dp.timeline.instant(s.track, s.reasm_timeout, Some(c), now);
             }
         }
         self.stale = stale;
@@ -830,7 +829,7 @@ impl Datapath {
     ) -> SimTime {
         let mut t = at;
         let mut off = 0usize;
-        let traced = ctx.filter(|_| self.timeline.is_enabled());
+        let traced = ctx.filter(|_| self.timeline.is_enabled()).zip(self.syms);
         for xfer in plan_dma(
             self.cfg.dma_mode,
             addr,
@@ -838,26 +837,16 @@ impl Datapath {
             self.cfg.page_size,
         ) {
             let g = mem.dma_write(t, xfer.len as u64);
-            if let Some(c) = traced {
+            if let Some((c, s)) = traced {
                 // Bus arbitration (clamped behind our previous grant so
                 // spans on the DMA track never overlap), then the data.
                 let wait_from = t.max(self.last_dma_end);
                 if g.start > wait_from {
-                    self.timeline.span(
-                        self.syms.dma_track,
-                        self.syms.bus_wait,
-                        Some(c),
-                        wait_from,
-                        g.start,
-                    );
+                    self.timeline
+                        .span(s.dma_track, s.bus_wait, Some(c), wait_from, g.start);
                 }
-                self.timeline.span(
-                    self.syms.dma_track,
-                    self.syms.dma_rx,
-                    Some(c),
-                    g.start,
-                    g.finish,
-                );
+                self.timeline
+                    .span(s.dma_track, s.dma_rx, Some(c), g.start, g.finish);
             }
             self.last_dma_end = self.last_dma_end.max(g.finish);
             t = g.finish;
@@ -937,14 +926,9 @@ impl Datapath {
             // is genuine waiting for the PDU's other cells.
             if let Some(ctx) = state.ctx {
                 let from = state.first_at.max(self.sar_span_floor);
-                if t_pdu > from {
-                    self.timeline.span(
-                        self.syms.track,
-                        self.syms.sar_reasm,
-                        Some(ctx),
-                        from,
-                        t_pdu,
-                    );
+                if let (true, Some(s)) = (t_pdu > from, self.syms) {
+                    self.timeline
+                        .span(s.track, s.sar_reasm, Some(ctx), from, t_pdu);
                 }
                 self.sar_span_floor = self.sar_span_floor.max(t_pdu);
             }
@@ -1036,7 +1020,7 @@ impl Datapath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osiris_atm::sar::{FramingMode, SegmentUnit, Segmenter};
+    use osiris_atm::sar::{FramingMode, Segmenter};
     use osiris_mem::{BusSpec, CacheSpec};
     use osiris_sim::Registry;
 
@@ -1078,7 +1062,6 @@ mod tests {
     fn cells_for(data: &[u8], vci: Vci) -> Vec<Cell> {
         Segmenter {
             framing: FramingMode::EndOfPdu,
-            unit: SegmentUnit::Pdu,
         }
         .segment(vci, &[data])
     }

@@ -25,7 +25,7 @@
 
 use std::collections::HashSet;
 
-use osiris_atm::sar::{check_lanes, BufferChain, FramingMode, SegmentUnit, Segmenter};
+use osiris_atm::sar::{check_lanes, BufferChain, FramingMode, Segmenter};
 use osiris_atm::{CellRef, CellSlab, StripedLink, Vci};
 use osiris_mem::{MemorySystem, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
@@ -77,8 +77,6 @@ impl FirmwareSpec {
 pub struct TxConfig {
     /// End-of-PDU framing written into the cells.
     pub framing: FramingMode,
-    /// Whether cells may span buffer boundaries (§2.5.2).
-    pub unit: SegmentUnit,
     /// Host page size (page-boundary-stop rule).
     pub page_size: u64,
     /// Firmware budgets.
@@ -90,7 +88,6 @@ impl TxConfig {
     pub fn paper_default() -> Self {
         TxConfig {
             framing: FramingMode::EndOfPdu,
-            unit: SegmentUnit::Pdu,
             page_size: 4096,
             fw: FirmwareSpec::paper_default(),
         }
@@ -150,10 +147,11 @@ pub struct TxProcessor {
     timeline: Timeline,
     /// Track prefix for this processor's spans (`<scope>.tx`).
     track: String,
-    /// Interned span keys, re-interned whenever a timeline is installed,
-    /// so hot-path span emission is an array-index push — no `String`
-    /// allocation or hashing per cell.
-    syms: TxSyms,
+    /// Span keys, interned when a timeline is installed
+    /// ([`TxProcessor::set_timeline`]), so hot-path span emission is an
+    /// array-index push — no `String` allocation or hashing per cell.
+    /// Until then the timeline is detached and records nothing.
+    syms: Option<TxSyms>,
     /// Per-lane track symbols (`<track>.lane<i>`), grown on demand.
     lane_tracks: Vec<SymId>,
     /// End of the last DMA grant issued — bus-wait spans are clamped
@@ -232,9 +230,6 @@ impl TxProcessor {
             check_lanes(lanes);
         }
         let p = probe.scoped("tx");
-        let timeline = Timeline::default();
-        let track = p.scope().to_string();
-        let syms = TxSyms::intern(&timeline, &track);
         TxProcessor {
             cell_time: cfg.fw.clock.cycles(cfg.fw.tx_cell_cycles),
             pdu_time: cfg.fw.clock.cycles(cfg.fw.tx_pdu_cycles),
@@ -252,9 +247,9 @@ impl TxProcessor {
             cells_dropped: p.counter("cells_dropped"),
             bytes_sent: p.counter("bytes_sent"),
             wakeups: p.counter("wakeups"),
-            timeline,
-            track,
-            syms,
+            timeline: Timeline::default(),
+            track: p.scope().to_string(),
+            syms: None,
             lane_tracks: Vec::new(),
             last_dma_end: SimTime::ZERO,
             pdu_seq: FxHashMap::default(),
@@ -270,7 +265,7 @@ impl TxProcessor {
     /// `<scope>.tx.dma`, per-lane wire spans on `<scope>.tx.lane<i>`).
     pub fn set_timeline(&mut self, timeline: &Timeline) {
         self.timeline = timeline.clone();
-        self.syms = TxSyms::intern(&self.timeline, &self.track);
+        self.syms = Some(TxSyms::intern(timeline, &self.track));
         self.lane_tracks.clear();
     }
 
@@ -390,7 +385,7 @@ impl TxProcessor {
         let pdu_grant = self.engine.acquire(now, self.pdu_time);
         let mut fw_cursor = pdu_grant.finish;
         let ctx = chain.iter().find_map(|d| d.ctx);
-        let traced = ctx.filter(|_| self.timeline.is_enabled());
+        let traced = ctx.filter(|_| self.timeline.is_enabled()).zip(self.syms);
 
         // Fetch plan: every physically contiguous piece, split into
         // single-cell transfers and by the page-boundary-stop rule.
@@ -405,27 +400,17 @@ impl TxProcessor {
                 self.cfg.page_size,
             ) {
                 let g = mem.dma_read(fw_cursor, xfer.len as u64);
-                if let Some(c) = traced {
+                if let Some((c, s)) = traced {
                     // Bus arbitration (clamped behind the previous grant
                     // so spans on the DMA track never overlap), then the
                     // fetch itself.
                     let wait_from = fw_cursor.max(self.last_dma_end);
                     if g.start > wait_from {
-                        self.timeline.span(
-                            self.syms.dma_track,
-                            self.syms.bus_wait,
-                            Some(c),
-                            wait_from,
-                            g.start,
-                        );
+                        self.timeline
+                            .span(s.dma_track, s.bus_wait, Some(c), wait_from, g.start);
                     }
-                    self.timeline.span(
-                        self.syms.dma_track,
-                        self.syms.dma_tx,
-                        Some(c),
-                        g.start,
-                        g.finish,
-                    );
+                    self.timeline
+                        .span(s.dma_track, s.dma_tx, Some(c), g.start, g.finish);
                 }
                 self.last_dma_end = self.last_dma_end.max(g.finish);
                 fetched += xfer.len as u64;
@@ -440,7 +425,6 @@ impl TxProcessor {
         };
         let segmenter = Segmenter {
             framing: self.cfg.framing,
-            unit: self.cfg.unit,
         };
         let seq = self.pdu_seq.entry(vci).or_insert(0);
         let cells = segmenter.cells(vci, *seq, &bytes);
@@ -492,22 +476,16 @@ impl TxProcessor {
         self.pdus_sent.incr();
         self.bytes_sent.add(pdu_bytes);
 
-        if let Some(c) = traced {
+        if let Some((c, s)) = traced {
             // The segmentation umbrella: per-PDU firmware work up to the
             // last cell launched. DMA and wire spans nest inside; the
             // residue is firmware cycles and fetch pipelining.
-            self.timeline.span(
-                self.syms.track,
-                self.syms.fw_tx,
-                Some(c),
-                pdu_grant.start,
-                last_finish,
-            );
+            self.timeline
+                .span(s.track, s.fw_tx, Some(c), pdu_grant.start, last_finish);
             for (lane, &win) in lane_win.iter().enumerate() {
                 let Some((from, to)) = win else { continue };
                 let lane_track = self.lane_track(lane);
-                self.timeline
-                    .span(lane_track, self.syms.lane_tx, Some(c), from, to);
+                self.timeline.span(lane_track, s.lane_tx, Some(c), from, to);
             }
         }
 

@@ -466,7 +466,7 @@ pub struct OverloadReport {
 /// onto separate queue pages; the host's drain thread serves the
 /// high-priority page eagerly and starves the low-priority one.
 pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadReport {
-    use osiris_atm::sar::{FramingMode, SegmentUnit, Segmenter};
+    use osiris_atm::sar::{FramingMode, Segmenter};
     use osiris_atm::Vci;
     use osiris_board::dpram::DpramLayout;
     use osiris_board::rx::{RxConfig, RxProcessor};
@@ -505,7 +505,6 @@ pub fn priority_under_overload(machine: MachineSpec, rounds: u64) -> OverloadRep
 
     let seg = Segmenter {
         framing: FramingMode::EndOfPdu,
-        unit: SegmentUnit::Pdu,
     };
     let payload = vec![0x77u8; 2000];
     let mut t = SimTime::from_us(100);

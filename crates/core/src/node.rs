@@ -13,7 +13,7 @@ use std::ops::Range;
 
 use osiris_adc::AdcManager;
 use osiris_atm::crc::{crc32, crc32_combine, Crc32, CrcShift};
-use osiris_atm::sar::{FramingMode, ReassemblyMode, SegmentUnit, Segmenter, MAX_LANES};
+use osiris_atm::sar::{FramingMode, ReassemblyMode, Segmenter, MAX_LANES};
 use osiris_atm::{Cell, Vci, CELL_PAYLOAD};
 use osiris_board::dpram::DpramLayout;
 use osiris_board::rx::{RxConfig, RxOutcome, RxProcessor};
@@ -428,7 +428,6 @@ impl HostNode {
         let mut host = HostMachine::boot_with_probe(cfg.machine, cfg.seed + i as u64, &node_probe);
         let tx_cfg = TxConfig {
             framing: Self::framing(cfg),
-            unit: SegmentUnit::Pdu,
             page_size: cfg.machine.page_size as u64,
             ..TxConfig::paper_default()
         };

@@ -10,7 +10,7 @@
 //! [`RunOutcome`].
 
 use osiris_adc::AdcManager;
-use osiris_atm::sar::{SegmentUnit, Segmenter};
+use osiris_atm::sar::Segmenter;
 use osiris_atm::{CellSlab, Vci, CELL_PAYLOAD};
 use osiris_proto::{IP_HEADER_BYTES, UDP_HEADER_BYTES};
 use osiris_sim::obs::{Histogram, Snapshot};
@@ -395,7 +395,6 @@ fn pdus_span_cells(cfg: &TestbedConfig) -> bool {
     }
     let seg = Segmenter {
         framing: HostNode::framing(cfg),
-        unit: SegmentUnit::Pdu,
     };
     seg.segment(Vci(0), &[&vec![0; largest as usize]]).len() > 1
 }

@@ -76,7 +76,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use osiris_adc::AdcManager;
-use osiris_atm::sar::{SegmentUnit, Segmenter};
+use osiris_atm::sar::Segmenter;
 use osiris_atm::{CellRef, CellSlab};
 use osiris_board::rx::RxOutcome;
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
@@ -1678,7 +1678,6 @@ impl Testbed {
         node.gen.next_id += 1;
         let seg = Segmenter {
             framing: HostNode::framing(&self.cfg),
-            unit: SegmentUnit::Pdu,
         };
         // Generator PDUs carry the identity the receiving stack re-mints
         // from the wire IP header: (src=1, id) — see `wire_fragments`.
@@ -1975,7 +1974,6 @@ mod tests {
                     let mut tb = Scenario::RxBench.build(cfg.clone());
                     let seg = Segmenter {
                         framing: HostNode::framing(&cfg),
-                        unit: SegmentUnit::Pdu,
                     };
                     let cfg_proto = ProtoConfig {
                         mtu: cfg.mtu,

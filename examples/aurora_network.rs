@@ -8,7 +8,7 @@
 //! a coordinated switch would remove it by making every lane as slow as
 //! the busiest.
 
-use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter};
+use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, Segmenter};
 use osiris::atm::switch::{Switch, SwitchSpec};
 use osiris::atm::traffic::{TrafficModel, TrafficSource};
 use osiris::atm::Vci;
@@ -50,7 +50,6 @@ fn main() {
         let data: Vec<u8> = (0..44 * 30).map(|i| (i % 251) as u8).collect();
         let cells = Segmenter {
             framing: FramingMode::FourWay { lanes: 4 },
-            unit: SegmentUnit::Pdu,
         }
         .segment(Vci(0), &[&data]);
         let mut arrivals = Vec::new();
@@ -73,15 +72,18 @@ fn main() {
         println!("  (PDU spread {:.0} us)", last.since(first).as_us_f64());
 
         // Reassemble with strategy 2.
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
-        let mut done = None;
+        // Each cell's bytes land at its disposition's offset.
+        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
+        let (mut placed, mut done) = (vec![0u8; data.len()], None);
         for (_, lane, cell) in &arrivals {
-            r.receive(*lane, cell).unwrap();
+            let at = r.receive(*lane, cell).unwrap().offset as usize;
+            let bytes = cell.data_bytes();
+            placed[at..at + bytes.len()].copy_from_slice(bytes);
             done = r.take_completed().or(done);
         }
         let pdu = done.expect("PDU completes");
         assert!(pdu.crc_ok);
-        assert_eq!(pdu.data.unwrap(), data);
+        assert_eq!(placed, data);
         println!("  four-way reassembly: complete, CRC ok, data intact\n");
     }
     println!("Lesson (§2.6): live with the skew and reassemble around it —");

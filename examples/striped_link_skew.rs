@@ -12,7 +12,7 @@
 //! 3. skew destroys the double-cell DMA combining optimisation — the
 //!    serious disadvantage §2.6 ends on.
 
-use osiris::atm::sar::{FramingMode, ReassemblyMode, SegmentUnit, Segmenter};
+use osiris::atm::sar::{FramingMode, ReassemblyMode, Segmenter};
 use osiris::atm::stripe::{SkewConfig, StripedLink};
 use osiris::atm::{LinkSpec, Vci};
 use osiris::config::TestbedConfig;
@@ -27,10 +27,7 @@ fn send_over(
     framing: FramingMode,
     data: &[u8],
 ) -> Vec<(usize, osiris::atm::Cell)> {
-    let seg = Segmenter {
-        framing,
-        unit: SegmentUnit::Pdu,
-    };
+    let seg = Segmenter { framing };
     let cells = seg.segment(Vci(1), &[data]);
     let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &skew);
     let mut arrivals: Vec<(osiris::sim::SimTime, usize, osiris::atm::Cell)> = Vec::new();
@@ -47,16 +44,24 @@ fn send_over(
         .collect()
 }
 
+/// Reassembles one PDU the way the board does: each accepted cell's bytes
+/// land at the offset its disposition names. Returns the CRC verdict and
+/// the bytes placed.
 fn reassemble(mode: ReassemblyMode, arrivals: &[(usize, osiris::atm::Cell)]) -> (bool, Vec<u8>) {
-    let mut r = osiris::atm::Reassembler::new(mode, 1 << 20, true);
-    let mut out = None;
+    let mut r = osiris::atm::Reassembler::new(mode, 1 << 20);
+    let (mut placed, mut out) = (Vec::new(), None);
     for (lane, cell) in arrivals {
-        if r.receive(*lane, cell).is_ok() {
+        if let Ok(d) = r.receive(*lane, cell) {
+            let (at, bytes) = (d.offset as usize, cell.data_bytes());
+            if placed.len() < at + bytes.len() {
+                placed.resize(at + bytes.len(), 0);
+            }
+            placed[at..at + bytes.len()].copy_from_slice(bytes);
             out = r.take_completed().or(out);
         }
     }
     match out {
-        Some(p) => (p.crc_ok, p.data.unwrap_or_default()),
+        Some(p) => (p.crc_ok, placed),
         None => (false, Vec::new()),
     }
 }

@@ -162,7 +162,7 @@ test -s target/bench/BENCH_events.json
 cargo run --release -q -p osiris-bench --bin regress -- \
   crates/bench/baselines/BENCH_events.json target/bench/BENCH_events.json --exact
 
-echo "==> debug assertions over the measured shapes (events, loss --quick, cc --quick)"
+echo "==> debug assertions over the measured shapes (events, loss --quick, cc --quick, ablation)"
 # The cell-train rule checks itself with debug assertions (no event pops
 # behind a cell that ran ahead of it; held pushes and cells run at their
 # turn), and the release gates above compile them out. The benchmark's
@@ -170,10 +170,14 @@ echo "==> debug assertions over the measured shapes (events, loss --quick, cc --
 # pair sends multi-cell trains and acks under loss, run here in a debug
 # build. The quick cc smoke runs the RTT estimator's checks (every
 # derived RTO lies in [RTO_INITIAL, RTO_MAX]; no retransmitted datagram
-# is sampled) over an 8-sender lossy incast under every scheme.
+# is sampled) over an 8-sender lossy incast under every scheme. The
+# ablation grid is the one gated bin that streams sequence-numbered
+# (SeqNum) cells through the board, so it runs the SeqNum CRC fold's
+# check (at completion, every stored cell is folded or still held).
 cargo run -q -p osiris-bench --bin events > /dev/null
 cargo run -q -p osiris-bench --bin loss -- --quick > /dev/null
 cargo run -q -p osiris-bench --bin cc -- --quick > /dev/null
+cargo run -q -p osiris-bench --bin ablation > /dev/null
 
 echo "==> smoke: event-engine throughput gate (engine --quick)"
 # Unlike fig2/loss, these headlines are wall-clock (events/sec), so the

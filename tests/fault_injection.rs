@@ -60,36 +60,47 @@ fn run_pings_to_quiescence(cfg: TestbedConfig) -> Testbed {
 #[test]
 fn corrupted_cells_are_dropped_by_the_board_crc() {
     // Corrupt ~2 % of cells; every corrupted PDU must be caught by the
-    // per-PDU CRC and recycled on the host, never delivered.
-    let mut cfg = TestbedConfig::ds5000_200_udp();
-    cfg.msg_size = 4096;
-    cfg.messages = 30;
-    cfg.sim.faults.lane_corrupt_prob = vec![0.02; 4];
-    cfg.sim.faults.seed = 1234;
-    let tb = run_pings(cfg);
-    // The experiment may stall (a lost ping is never retransmitted — UDP!)
-    // but nothing corrupt may have been delivered.
-    assert_eq!(
-        tb.verify_failures, 0,
-        "corrupt data must never reach the app"
-    );
-    let snap = tb.snapshot();
-    let sum = |counter: &str| -> u64 {
-        (0..tb.nodes.len())
-            .map(|i| snap.counters[&format!("node{i}.{counter}")])
-            .sum()
-    };
-    assert!(
-        sum("link.cells_corrupted") > 0,
-        "fault injection must have fired"
-    );
-    let err_pdus = sum("driver.err_pdus");
-    let crc_failed = sum("board.rx.pdus_crc_failed");
-    assert!(crc_failed > 0, "the AAL CRC must have caught something");
-    assert_eq!(
-        err_pdus, crc_failed,
-        "every flagged PDU is recycled by the driver"
-    );
+    // per-PDU CRC and recycled on the host, never delivered, whichever
+    // strategy reassembles it.
+    for reassembly in [
+        ReassemblyMode::InOrder,
+        ReassemblyMode::SeqNum { max_cells: 4096 },
+        ReassemblyMode::FourWay { lanes: 4 },
+    ] {
+        let mut cfg = TestbedConfig::ds5000_200_udp();
+        cfg.msg_size = 4096;
+        cfg.messages = 30;
+        cfg.reassembly = reassembly;
+        cfg.sim.faults.lane_corrupt_prob = vec![0.02; 4];
+        cfg.sim.faults.seed = 1234;
+        let tb = run_pings(cfg);
+        // The experiment may stall (a lost ping is never retransmitted —
+        // UDP!) but nothing corrupt may have been delivered.
+        assert_eq!(
+            tb.verify_failures, 0,
+            "{reassembly:?}: corrupt data must never reach the app"
+        );
+        let snap = tb.snapshot();
+        let sum = |counter: &str| -> u64 {
+            (0..tb.nodes.len())
+                .map(|i| snap.counters[&format!("node{i}.{counter}")])
+                .sum()
+        };
+        assert!(
+            sum("link.cells_corrupted") > 0,
+            "{reassembly:?}: fault injection must have fired"
+        );
+        let err_pdus = sum("driver.err_pdus");
+        let crc_failed = sum("board.rx.pdus_crc_failed");
+        assert!(
+            crc_failed > 0,
+            "{reassembly:?}: the AAL CRC must have caught something"
+        );
+        assert_eq!(
+            err_pdus, crc_failed,
+            "{reassembly:?}: every flagged PDU is recycled by the driver"
+        );
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! reassembly buffer, the PDU lands in it via DMA, and delivery to the
 //! application domain is a cheap mapping transfer instead of a copy.
 
-use osiris::atm::sar::{FramingMode, SegmentUnit, Segmenter};
+use osiris::atm::sar::{FramingMode, Segmenter};
 use osiris::atm::Vci;
 use osiris::board::descriptor::Descriptor;
 use osiris::board::dpram::DpramLayout;
@@ -56,7 +56,6 @@ fn stock_free_ring(rig: &mut Rig, path: u32, vci: Vci) -> FbufSource {
 fn receive_pdu(rig: &mut Rig, vci: Vci, data: &[u8]) -> Descriptor {
     let cells = Segmenter {
         framing: FramingMode::EndOfPdu,
-        unit: SegmentUnit::Pdu,
     }
     .segment(vci, &[data]);
     let mut t = SimTime::ZERO;

@@ -3,7 +3,7 @@
 //! processor must keep per-VCI reassembly state and demultiplex early,
 //! even when cells from many connections interleave arbitrarily.
 
-use osiris::atm::sar::{FramingMode, SegmentUnit, Segmenter};
+use osiris::atm::sar::{FramingMode, Segmenter};
 use osiris::atm::Vci;
 use osiris::board::descriptor::Descriptor;
 use osiris::board::dpram::DpramLayout;
@@ -41,7 +41,6 @@ fn sixty_interleaved_connections_reassemble_independently() {
     let n_conn = 60u16;
     let seg = Segmenter {
         framing: FramingMode::EndOfPdu,
-        unit: SegmentUnit::Pdu,
     };
     let mut streams: Vec<(usize, Vec<osiris::atm::Cell>)> = (0..n_conn)
         .map(|c| {
@@ -138,7 +137,6 @@ fn early_demux_spreads_connections_over_pages() {
     }
     let seg = Segmenter {
         framing: FramingMode::EndOfPdu,
-        unit: SegmentUnit::Pdu,
     };
     let mut all: Vec<(usize, osiris::atm::Cell)> = Vec::new();
     for page in 1..16usize {

@@ -5,9 +5,9 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter};
+use osiris::atm::sar::{CellDisposition, FramingMode, Reassembler, ReassemblyMode, Segmenter};
 use osiris::atm::stripe::{SkewConfig, StripedLink};
-use osiris::atm::{crc32, LinkSpec, Vci};
+use osiris::atm::{crc32, Cell, LinkSpec, Vci};
 use osiris::board::descriptor::{DescRing, Descriptor};
 use osiris::board::dma::{plan_dma, DmaMode};
 use osiris::host::machine::internet_checksum;
@@ -42,6 +42,21 @@ fn bytes(rng: &mut SimRng, lo: u64, hi: u64) -> Vec<u8> {
     (0..n).map(|_| rng.next_u64() as u8).collect()
 }
 
+/// Writes `cell`'s valid bytes at its disposition's offset in the buffer
+/// of the PDU it names (`placed[pdu]`), the way the board places them.
+fn place(placed: &mut Vec<Vec<u8>>, d: CellDisposition, cell: &Cell) {
+    let pdu = d.pdu as usize;
+    if placed.len() <= pdu {
+        placed.resize(pdu + 1, Vec::new());
+    }
+    let (at, bytes) = (d.offset as usize, cell.data_bytes());
+    let buf = &mut placed[pdu];
+    if buf.len() < at + bytes.len() {
+        buf.resize(at + bytes.len(), 0);
+    }
+    buf[at..at + bytes.len()].copy_from_slice(bytes);
+}
+
 /// The lock-free ring is a FIFO for any interleaving of pushes/pops.
 #[test]
 fn desc_ring_matches_a_vecdeque() {
@@ -71,33 +86,29 @@ fn desc_ring_matches_a_vecdeque() {
     });
 }
 
-/// Segmentation followed by in-order reassembly is the identity, for
-/// both unit disciplines and any buffer split.
+/// Segmentation followed by in-order reassembly is the identity, for any
+/// buffer split.
 #[test]
 fn sar_roundtrip_in_order() {
     for_each_case(0x2000, |rng| {
         let data = bytes(rng, 1, 6000);
         let split = (range(rng, 0, 6000) as usize).min(data.len());
-        let unit = match rng.gen_bool(0.5) {
-            true => SegmentUnit::Buffer,
-            false => SegmentUnit::Pdu,
-        };
         let (a, b) = data.split_at(split);
         let bufs: Vec<&[u8]> = [a, b].into_iter().filter(|s| !s.is_empty()).collect();
         let cells = Segmenter {
             framing: FramingMode::EndOfPdu,
-            unit,
         }
         .segment(Vci(3), &bufs);
-        let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
-        let mut out = None;
+        let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20);
+        let (mut placed, mut out) = (Vec::new(), None);
         for c in &cells {
-            r.receive(0, c).unwrap();
+            place(&mut placed, r.receive(0, c).unwrap(), c);
             out = r.take_completed().or(out);
         }
         let p = out.expect("must complete");
         assert!(p.crc_ok);
-        assert_eq!(p.data.unwrap(), data);
+        assert_eq!(p.len as usize, data.len());
+        assert_eq!(placed[p.pdu as usize], data);
         assert_eq!(r.in_flight(), 0);
     });
 }
@@ -117,7 +128,6 @@ fn sar_roundtrip_under_arbitrary_lane_skew() {
         let seed = rng.next_u64();
         let cells = Segmenter {
             framing: FramingMode::FourWay { lanes: 4 },
-            unit: SegmentUnit::Pdu,
         }
         .segment(Vci(1), &[&data]);
         let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &skew);
@@ -128,15 +138,16 @@ fn sar_roundtrip_under_arbitrary_lane_skew() {
             arrivals.push((at, lane, c));
         }
         arrivals.sort_by_key(|&(at, _, _)| at); // stable: preserves lane FIFO
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
-        let mut out = None;
+        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
+        let (mut placed, mut out) = (Vec::new(), None);
         for (_, lane, c) in &arrivals {
-            r.receive(*lane, c).unwrap();
+            place(&mut placed, r.receive(*lane, c).unwrap(), c);
             out = r.take_completed().or(out);
         }
         let p = out.expect("must complete under bounded skew");
         assert!(p.crc_ok);
-        assert_eq!(p.data.unwrap(), data);
+        assert_eq!(p.len as usize, data.len());
+        assert_eq!(placed[p.pdu as usize], data);
     });
 }
 
@@ -152,7 +163,6 @@ fn sar_multiple_pdus_under_skew() {
             .collect();
         let seg = Segmenter {
             framing: FramingMode::FourWay { lanes: 4 },
-            unit: SegmentUnit::Pdu,
         };
         let skew = SkewConfig::switch_queueing(SimDuration::from_us(12));
         let mut link = StripedLink::new(LinkSpec::sts3c_back_to_back(), &skew);
@@ -176,10 +186,10 @@ fn sar_multiple_pdus_under_skew() {
             t += SimDuration::from_us(5);
         }
         arrivals.sort_by_key(|&(at, _, _)| at);
-        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
-        let mut done = Vec::new();
+        let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
+        let (mut placed, mut done) = (Vec::new(), Vec::new());
         for (_, lane, c) in &arrivals {
-            r.receive(*lane, c).unwrap();
+            place(&mut placed, r.receive(*lane, c).unwrap(), c);
             if let Some(p) = r.take_completed() {
                 done.push(p);
             }
@@ -188,7 +198,8 @@ fn sar_multiple_pdus_under_skew() {
         done.sort_by_key(|p| p.pdu);
         for (p, data) in done.iter().zip(&datasets) {
             assert!(p.crc_ok);
-            assert_eq!(p.data.as_ref().unwrap(), data);
+            assert_eq!(p.len as usize, data.len());
+            assert_eq!(&placed[p.pdu as usize], data);
         }
     });
 }
@@ -361,37 +372,36 @@ fn vm_translate_tiles_regions() {
 /// right record, and both PDUs deliver CRC-verified bytes.
 #[test]
 fn short_pdu_under_deep_skew_resolves_via_pdu_tag() {
-    use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter};
+    use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, Segmenter};
     use osiris::atm::Vci;
 
     let seg = Segmenter {
         framing: FramingMode::FourWay { lanes: 4 },
-        unit: SegmentUnit::Pdu,
     };
     let short = seg.segment_numbered(Vci(1), 0, &[&[9u8; 10][..]]); // 1 cell, lane 0
     let long = seg.segment_numbered(Vci(1), 1, &[&[5u8; 176][..]]); // 4 cells, lanes 0..3
-    let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
+    let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
 
     // Deep skew on lane 0: the long PDU's lane-1..3 cells arrive first.
-    let mut done = Vec::new();
+    let (mut placed, mut done) = (Vec::new(), Vec::new());
     for (lane, cell) in [(1usize, &long[1]), (2, &long[2]), (3, &long[3])] {
-        r.receive(lane, cell).unwrap();
+        place(&mut placed, r.receive(lane, cell).unwrap(), cell);
         if let Some(p) = r.take_completed() {
             done.push(p);
         }
     }
     // Lane 0 catches up: short PDU's cell, then the long PDU's cell 0.
     for cell in [&short[0], &long[0]] {
-        r.receive(0, cell).unwrap();
+        place(&mut placed, r.receive(0, cell).unwrap(), cell);
         if let Some(p) = r.take_completed() {
             done.push(p);
         }
     }
     assert_eq!(done.len(), 2, "both PDUs complete despite the deep skew");
     assert!(done.iter().all(|p| p.crc_ok));
-    assert_eq!(done[0].pdu, 0);
-    assert_eq!(done[0].data.as_ref().unwrap(), &vec![9u8; 10]);
-    assert_eq!(done[1].pdu, 1);
-    assert_eq!(done[1].data.as_ref().unwrap(), &vec![5u8; 176]);
+    assert_eq!((done[0].pdu, done[0].len), (0, 10));
+    assert_eq!(placed[0], vec![9u8; 10]);
+    assert_eq!((done[1].pdu, done[1].len), (1, 176));
+    assert_eq!(placed[1], vec![5u8; 176]);
     assert_eq!(r.in_flight(), 0);
 }

@@ -2,9 +2,9 @@
 //! skew source (per-port queueing) produced by actual cross traffic, not
 //! by injected jitter.
 
-use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, SegmentUnit, Segmenter};
+use osiris::atm::sar::{FramingMode, Reassembler, ReassemblyMode, Segmenter};
 use osiris::atm::switch::{Switch, SwitchSpec};
-use osiris::atm::Vci;
+use osiris::atm::{Cell, Vci};
 use osiris::sim::{Registry, SimDuration, SimTime};
 
 /// Sends `data` as one striped PDU through four switch ports (one per
@@ -26,11 +26,7 @@ fn via_switch(
     sw.route_group(Vci(0), 0, 4);
     sw.background_load(SimTime::ZERO, 1, cross);
 
-    let cells = Segmenter {
-        framing,
-        unit: SegmentUnit::Pdu,
-    }
-    .segment(Vci(0), &[data]);
+    let cells = Segmenter { framing }.segment(Vci(0), &[data]);
     let mut arrivals = Vec::new();
     for (i, cell) in cells.into_iter().enumerate() {
         let t = SimTime::ZERO + SimDuration::from_ns(700 * i as u64); // wire pacing
@@ -41,14 +37,25 @@ fn via_switch(
     arrivals.into_iter().map(|(_, lane, c)| (lane, c)).collect()
 }
 
-fn reassemble(arrivals: &[(usize, osiris::atm::Cell)]) -> Option<(bool, Vec<u8>)> {
-    let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true);
-    let mut out = None;
+/// Writes `cell`'s valid bytes at `offset` in `buf`, growing it: where
+/// the board places them for the cell's disposition.
+fn place(buf: &mut Vec<u8>, offset: u32, cell: &Cell) {
+    let (at, bytes) = (offset as usize, cell.data_bytes());
+    if buf.len() < at + bytes.len() {
+        buf.resize(at + bytes.len(), 0);
+    }
+    buf[at..at + bytes.len()].copy_from_slice(bytes);
+}
+
+/// Reassembles one PDU: its CRC verdict and the bytes placed for it.
+fn reassemble(arrivals: &[(usize, Cell)]) -> Option<(bool, Vec<u8>)> {
+    let mut r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
+    let (mut placed, mut out) = (Vec::new(), None);
     for (lane, cell) in arrivals {
-        r.receive(*lane, cell).unwrap();
+        place(&mut placed, r.receive(*lane, cell).unwrap().offset, cell);
         out = r.take_completed().or(out);
     }
-    out.map(|p| (p.crc_ok, p.data.unwrap_or_default()))
+    out.map(|p| (p.crc_ok, placed))
 }
 
 #[test]
@@ -97,7 +104,6 @@ fn four_sender_incast_preserves_per_lane_fifo_and_per_vci_reassembly() {
     }
     let seg = Segmenter {
         framing: FramingMode::FourWay { lanes: 4 },
-        unit: SegmentUnit::Pdu,
     };
     // Distinct byte patterns per sender so any interleaving corrupts a CRC
     // or a payload comparison.
@@ -155,16 +161,17 @@ fn four_sender_incast_preserves_per_lane_fifo_and_per_vci_reassembly() {
     // Receiver side: demux by VCI (as the board does) into per-VCI
     // four-way reassemblers, feeding cells in departure order.
     arrivals.sort_by_key(|a| (a.2, a.1));
-    let mut reasm: HashMap<Vci, Reassembler> = HashMap::new();
+    let mut reasm: HashMap<Vci, (Reassembler, Vec<u8>)> = HashMap::new();
     let mut done: HashMap<Vci, (bool, Vec<u8>)> = HashMap::new();
     for (_, _, _, lane, cell) in &arrivals {
         let vci = cell.header.vci;
-        let r = reasm.entry(vci).or_insert_with(|| {
-            Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20, true)
+        let (r, placed) = reasm.entry(vci).or_insert_with(|| {
+            let r = Reassembler::new(ReassemblyMode::FourWay { lanes: 4 }, 1 << 20);
+            (r, Vec::new())
         });
-        r.receive(*lane, cell).unwrap();
+        place(placed, r.receive(*lane, cell).unwrap().offset, cell);
         if let Some(p) = r.take_completed() {
-            done.insert(vci, (p.crc_ok, p.data.unwrap_or_default()));
+            done.insert(vci, (p.crc_ok, std::mem::take(placed)));
         }
     }
     assert_eq!(done.len(), 4, "every sender's PDU must complete");
@@ -186,13 +193,13 @@ fn coordinated_switch_removes_skew_at_a_price() {
     assert_eq!(lanes, round_robin, "coordination must restore global order");
     // Even a naive in-order reassembler now works (the price was paid in
     // delay: every lane waited out the loaded port).
-    let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20, true);
-    let mut out = None;
+    let mut r = Reassembler::new(ReassemblyMode::InOrder, 1 << 20);
+    let (mut placed, mut out) = (Vec::new(), None);
     for (_, cell) in &arrivals {
-        r.receive(0, cell).unwrap();
+        place(&mut placed, r.receive(0, cell).unwrap().offset, cell);
         out = r.take_completed().or(out);
     }
     let p = out.expect("completes in order");
     assert!(p.crc_ok);
-    assert_eq!(p.data.unwrap(), data);
+    assert_eq!(placed, data);
 }
